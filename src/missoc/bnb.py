@@ -23,7 +23,6 @@ import scipy.optimize
 from .splines import taylor_shift
 from .surrogate import SurrogateMINLP, eval_surrogate_at
 
-MAX_BERNSTEIN_DEGREE = 7
 FRAC_TOL = 1e-6
 PRUNE_TOL = 1e-9
 
@@ -43,11 +42,9 @@ def optimality_gap(ub: float, lb: float) -> float:
 
 def bernstein_bounds(coeffs, lo: float, hi: float) -> tuple[float, float]:
     """Enclosure of a power-basis polynomial's range over [lo, hi] from its
-    Bernstein coefficients; exact at the endpoints, degree at most 7."""
+    Bernstein coefficients; exact at the endpoints, any degree."""
     coeffs = np.asarray(coeffs, dtype=float)
     n = len(coeffs) - 1
-    if n > MAX_BERNSTEIN_DEGREE:
-        raise ValueError(f"degree {n} exceeds {MAX_BERNSTEIN_DEGREE}")
     if not hi >= lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if n <= 0:
@@ -426,10 +423,6 @@ def solve(
     collect_log: bool = False,
 ) -> SolveReport:
     """Best-bound branch-and-bound; deterministic for identical inputs."""
-    if surrogate.residual_objective is not None:
-        raise UnsupportedSurrogateError(
-            "surrogate carries an unsubstituted objective expression"
-        )
     if surrogate.nonlinear_constraints:
         raise UnsupportedSurrogateError(
             "nonlinear original constraints are not supported by the "

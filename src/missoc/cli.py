@@ -80,7 +80,7 @@ def _write_plot_data(fit, outdir: str) -> None:
     for j, basis in enumerate(fit.bases):
         lo, hi = basis.domain
         xs = np.linspace(lo, hi, 401)
-        ys = [fit.component(j, x) for x in xs]
+        ys = fit.component(j, xs)
         path = os.path.join(outdir, f"component_{basis.label}.csv")
         with open(path, "w") as fh:
             fh.write(f"{basis.label},component\n")

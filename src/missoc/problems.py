@@ -31,7 +31,7 @@ from .expressions import (
     split_affine,
     variables_of,
 )
-from .regression import TrainingSet
+from .regression import TrainingSet, per_covariate
 from .shapecon import (
     CONCAVE,
     CONVEX,
@@ -80,7 +80,6 @@ class ProblemInstance:
     variables: tuple[Variable, ...]
     objective: Expr
     constraints: tuple[Constraint, ...] = ()
-    complicating: frozenset[int] = frozenset({0})
     shape: ShapeSpec | None = None
     best_known: float | None = None
     name: str = "instance"
@@ -376,16 +375,12 @@ def sample_training(
             "objective has no nonlinear part to approximate"
         )
     p = len(names)
-    degrees = _broadcast(config.degrees, p, "degrees")
-    intervals = _broadcast(config.intervals, p, "intervals")
+    degrees = per_covariate(config.degrees, p, "degrees")
+    intervals = per_covariate(config.intervals, p, "intervals")
     n = config.samples_per_param * (1 + sum(
         d + k for d, k in zip(degrees, intervals)
     ))
-    idx = instance.var_index()
-    boxes = [
-        (instance.variables[idx[nm]].lower, instance.variables[idx[nm]].upper)
-        for nm in names
-    ]
+    boxes = covariate_domains(instance)
     _, _, nonlinear = instance.complicating_split()
     rng = np.random.default_rng(config.seed)
     X = np.empty((n, p))
@@ -407,15 +402,6 @@ def sample_training(
                 f"no finite response after {RESAMPLE_CAP} draws for row {i}"
             )
     return TrainingSet(X=X, y=y)
-
-
-def _broadcast(value, p: int, name: str) -> tuple[int, ...]:
-    if np.isscalar(value):
-        return (int(value),) * p
-    value = tuple(int(v) for v in value)
-    if len(value) != p:
-        raise ValueError(f"{name} must be scalar or length {p}")
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -75,16 +75,22 @@ class AdditiveModelFit:
     def p(self) -> int:
         return len(self.bases)
 
-    def component(self, j: int, x: float) -> float:
-        """Value of the j-th fitted component (zero-mean part, no intercept)."""
-        return float(self.bases[j].eval_all(x) @ self.coefficients[j])
+    def component(self, j: int, xs) -> np.ndarray:
+        """Values of the j-th fitted component (zero-mean part, no intercept)
+        at the points xs, as a 1-D array.
+
+        One dot product per point, so a point's value does not depend on the
+        other points evaluated with it (a matrix-vector product may round
+        each row differently depending on the batch).
+        """
+        return np.vecdot(self.bases[j].eval_matrix(xs), self.coefficients[j])
 
     def predict(self, x) -> float:
         x = np.asarray(x, dtype=float).ravel()
         if x.shape != (self.p,):
             raise ValueError(f"expected {self.p} covariate values, got {x.shape}")
         return self.intercept + sum(
-            self.component(j, x[j]) for j in range(self.p)
+            float(self.component(j, x[j])[0]) for j in range(self.p)
         )
 
     def theta_full(self) -> np.ndarray:
@@ -138,8 +144,8 @@ def make_bases(
     labels=None,
 ) -> list[BSplineBasis]:
     """Equidistant per-covariate bases over the observed (or given) ranges."""
-    degrees = _per_covariate(degrees, T.p, "degrees")
-    intervals = _per_covariate(intervals, T.p, "intervals")
+    degrees = per_covariate(degrees, T.p, "degrees")
+    intervals = per_covariate(intervals, T.p, "intervals")
     bases = []
     for j in range(T.p):
         lo, hi = domains[j] if domains is not None else T.covariate_range(j)
@@ -148,7 +154,8 @@ def make_bases(
     return bases
 
 
-def _per_covariate(value, p: int, name: str) -> list[int]:
+def per_covariate(value, p: int, name: str) -> list[int]:
+    """One integer per covariate from a scalar or a length-p sequence."""
     if np.isscalar(value):
         value = [int(value)] * p
     value = [int(v) for v in value]
@@ -190,10 +197,6 @@ def fit_additive(
         residual_norm=resid,
         zero_mean_defects=defects,
     )
-
-
-def predict(fit: AdditiveModelFit, x) -> float:
-    return fit.predict(x)
 
 
 MODEL_FORMAT_VERSION = 1

@@ -5,8 +5,8 @@ over the whole observed domain through per-interval nonnegativity
 certificates: a polynomial is nonnegative on an interval exactly when a small
 PSD matrix with prescribed anti-diagonal sums exists. The anti-diagonal
 selectors (H), the interval coefficient transform (W), and the basis-segment
-coefficient map (G) assemble those certificates into linear rows coupling the
-PSD blocks to the regression coefficients.
+coefficient maps (``splines.segment_maps``) assemble those certificates into
+linear rows coupling the PSD blocks to the regression coefficients.
 
 Monotonicity and convexity reuse the same machinery on the derivative (or
 second-derivative) coefficient map, with blocks one (or two) orders smaller.
@@ -33,7 +33,7 @@ from .regression import (
     block_slices,
     make_bases,
 )
-from .splines import BSplineBasis, design_matrix, segment_poly_coeffs
+from .splines import BSplineBasis, design_matrix, segment_maps
 
 
 class InfeasibleSpecError(ValueError):
@@ -149,19 +149,6 @@ def build_W(d: int, t_lo: float, t_hi: float) -> np.ndarray:
     return W
 
 
-def build_G(q: int, basis: BSplineBasis) -> np.ndarray:
-    """Selection matrix (d+1) x (k+d): G_q theta gives the power-basis
-    coefficients (in x) of the fitted component on internal interval q.
-
-    Columns outside the d+1 basis functions active on the interval are zero.
-    """
-    d = basis.degree
-    G = np.zeros((d + 1, basis.n_basis))
-    for l in range(q + 1, q + d + 2):  # 1-based active basis indices
-        G[:, l - 1] = segment_poly_coeffs(l, basis, q)
-    return G
-
-
 def derivative_map(d: int) -> np.ndarray:
     """d x (d+1) matrix mapping degree-d power coefficients to those of the
     derivative."""
@@ -187,7 +174,7 @@ def estimate_weights(
     mins = np.empty(p)
     maxs = np.empty(p)
     for j in range(p):
-        vals = np.array([fit.component(j, x) for x in T.X[:, j]])
+        vals = fit.component(j, T.X[:, j])
         mins[j], maxs[j] = vals.min(), vals.max()
     uniform = np.full(p, 1.0 / p)
     w_lo, w_up = uniform, uniform
@@ -371,7 +358,7 @@ def build_program(
 
     for j, (basis, s) in enumerate(zip(bases, slices)):
         d = basis.degree
-        G_full = [build_G(qi, basis) for qi in range(basis.k)]
+        G = segment_maps(basis, 0.0)  # power-basis coefficients in x
         maps = []  # (coeff_map factory, rhs constant, sign)
         if spec.lower is not None:
             b = w_lo[j] * (spec.lower - alpha)
@@ -402,7 +389,8 @@ def build_program(
             for transform, b, sign in maps:
                 d_eff = transform.shape[0] - 1
                 coeff_map = np.zeros((d_eff + 1, program.dim))
-                coeff_map[:, s] = transform @ G_full[qi]
+                active = slice(s.start + qi, s.start + qi + d + 1)
+                coeff_map[:, active] = transform @ G[qi]
                 rhs_poly = np.zeros(d_eff + 1)
                 # sign*(p - b) >= margin  <=>  sign*(p - (b + sign*margin)) >= 0
                 rhs_poly[0] = b + sign * margin

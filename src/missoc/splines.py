@@ -6,9 +6,11 @@ sequence) is the data domain; external knots replicate the width of the
 adjacent boundary interval so every internal interval is covered by exactly
 ``d + 1`` nonzero basis functions.
 
-Interval convention: intervals are half-open ``[t_q, t_{q+1})`` except the
-last internal interval, which is closed so evaluation at the domain maximum
-is well defined.
+Interval convention: ``interval_index`` holds the one knot rule that basis
+evaluation and piecewise-polynomial evaluation share. Intervals are half-open
+``[t_q, t_{q+1})``, so a point on an interior knot lies in the interval to its
+right; the last internal interval is closed so evaluation at the domain
+maximum is well defined.
 """
 
 from __future__ import annotations
@@ -103,44 +105,17 @@ class BSplineBasis:
     def domain(self) -> tuple[float, float]:
         return self.knots.domain
 
-    def interval_of(self, x: float) -> int:
-        """Internal interval index (0-based) containing x under the half-open
-        convention [t_q, t_{q+1}), with the last interval closed."""
-        lo, hi = self.domain
-        if not (lo <= x <= hi):
-            raise OutOfDomainError(
-                f"{self.label}={x!r} outside knot range [{lo}, {hi}]"
-            )
-        t = self.knots.internal
-        if x >= t[-1]:
-            return self.k - 1
-        return int(np.searchsorted(t, x, side="right")) - 1
-
     def eval_all(self, x: float) -> np.ndarray:
         """Values of all k + d basis functions at x (dense length-(k+d) row)."""
-        q = self.interval_of(x)
-        vals = self._nonzero_at(x, q)
-        out = np.zeros(self.n_basis)
-        out[q : q + self.degree + 1] = vals
-        return out
+        return self.eval_matrix([x])[0]
 
     def eval_matrix(self, xs) -> np.ndarray:
-        """Basis values for an array of points: row i is ``eval_all(xs[i])``.
-
-        Same triangular scheme as ``eval_all``, vectorized over the points.
-        """
+        """Basis values at an array of points, one dense length-(k+d) row per
+        point, by the triangular Cox-de Boor scheme."""
         xs = np.asarray(xs, dtype=float).ravel()
-        lo, hi = self.domain
-        if xs.size and (xs.min() < lo or xs.max() > hi):
-            bad = xs[(xs < lo) | (xs > hi)][0]
-            raise OutOfDomainError(
-                f"{self.label}={bad!r} outside knot range [{lo}, {hi}]"
-            )
+        q = interval_index(self.knots.internal, xs, self.label)
         d = self.degree
         t = self.knots.extended
-        internal = self.knots.internal
-        q = np.searchsorted(internal, xs, side="right") - 1
-        q[xs >= internal[-1]] = self.k - 1
         pos = q + d
         n = len(xs)
         vals = np.zeros((n, d + 1))
@@ -160,27 +135,23 @@ class BSplineBasis:
         out[np.arange(n)[:, None], q[:, None] + np.arange(d + 1)] = vals
         return out
 
-    def _nonzero_at(self, x: float, q_int: int) -> np.ndarray:
-        """The d+1 nonzero basis values on internal interval q_int,
-        i.e. B_{q_int}, ..., B_{q_int+d} (0-based), via the triangular
-        Cox-de Boor scheme."""
-        d = self.degree
-        t = self.knots.extended
-        pos = q_int + d  # position of the interval in the extended sequence
-        vals = np.zeros(d + 1)
-        left = np.zeros(d + 1)
-        right = np.zeros(d + 1)
-        vals[0] = 1.0
-        for r in range(1, d + 1):
-            left[r] = x - t[pos + 1 - r]
-            right[r] = t[pos + r] - x
-            saved = 0.0
-            for s in range(r):
-                term = vals[s] / (right[s + 1] + left[r - s])
-                vals[s] = saved + right[s + 1] * term
-                saved = left[r - s] * term
-            vals[r] = saved
-        return vals
+
+def interval_index(breakpoints, xs, label: str = "x"):
+    """Index q of the interval ``[t_q, t_{q+1})`` that holds each point, with
+    the last interval closed; same shape as ``xs``.
+
+    Raises OutOfDomainError, naming ``label``, for a point outside
+    ``[t_0, t_k]`` (NaN included).
+    """
+    t = np.asarray(breakpoints, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    outside = ~((xs >= t[0]) & (xs <= t[-1]))
+    if np.any(outside):
+        bad = float(xs[outside][0])
+        raise OutOfDomainError(
+            f"{label}={bad!r} outside knot range [{t[0]}, {t[-1]}]"
+        )
+    return np.minimum(np.searchsorted(t, xs, side="right") - 1, len(t) - 2)
 
 
 def bspline_value(l: int, basis: BSplineBasis, x: float) -> float:
@@ -190,57 +161,49 @@ def bspline_value(l: int, basis: BSplineBasis, x: float) -> float:
     return float(basis.eval_all(x)[l - 1])
 
 
-def _poly_mul_linear(p: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Multiply polynomial p (ascending coefficients) by (a + b x)."""
-    out = np.zeros(len(p) + 1)
-    out[: len(p)] += a * p
-    out[1:] += b * p
-    return out
+def segment_maps(basis: BSplineBasis, ref) -> np.ndarray:
+    """Per-interval maps from basis coefficients to power-basis coefficients,
+    shape (k, d+1, d+1).
 
+    ``segment_maps(basis, ref)[q] @ theta[q : q + d + 1]`` gives the ascending
+    coefficients in ``(x - ref_q)`` of the spline with coefficients ``theta``
+    on internal interval q; column m is basis function q + m (0-based), one
+    of the d + 1 functions that are nonzero there. ``ref`` is a scalar or one
+    value per interval: 0 gives plain power-basis coefficients, the interval
+    starts keep the maps well conditioned for fine knots at high degree.
 
-def _segment_coeffs(l: int, basis: BSplineBasis, q: int, ref: float) -> np.ndarray:
-    """Power-basis coefficients in (x - ref) of basis function l's segment on
-    internal interval q, via the Cox-de Boor recursion on coefficient vectors.
-
-    ``ref = 0`` gives plain power-basis coefficients; ``ref`` at the interval
-    start keeps the recursion well conditioned for fine knots at high degree.
+    The Cox-de Boor recursion runs on coefficient vectors, bottom-up and over
+    all intervals at once: the degree-r segment of B_i is the sum of the
+    degree-(r-1) segments of B_i and B_{i+1}, each multiplied by a linear
+    factor (a + b x).
     """
-    d = basis.degree
+    d, k = basis.degree, basis.k
     t = basis.knots.extended
-    pos = q + d  # extended-sequence index of the interval [t[pos], t[pos+1])
-
-    def seg(i: int, deg: int) -> np.ndarray:
-        # coefficients of B_{i,deg} (0-based extended index) on the interval
-        if deg == 0:
-            p = np.zeros(1)
-            if i == pos:
-                p[0] = 1.0
-            return p
-        p = np.zeros(deg + 1)
-        den1 = t[i + deg] - t[i]
-        if den1 > 0:
-            p += _poly_mul_linear(
-                seg(i, deg - 1), (ref - t[i]) / den1, 1.0 / den1
-            )
-        den2 = t[i + deg + 1] - t[i + 1]
-        if den2 > 0:
-            p += _poly_mul_linear(
-                seg(i + 1, deg - 1), (t[i + deg + 1] - ref) / den2, -1.0 / den2
-            )
-        return p
-
-    return seg(l - 1, d)
+    ref = np.broadcast_to(np.asarray(ref, dtype=float), (k,))[:, None]
+    pos = np.arange(k)[:, None] + d  # extended index of each interval's start
+    # P[q, m] holds the segment on interval q of the m-th function of the
+    # previous degree, B_{pos-r+1+m}; degree 0 has only B_pos, equal to 1
+    P = np.ones((k, 1, 1))
+    for r in range(1, d + 1):
+        i = pos - r + 1 + np.arange(r)  # (k, r): the previous degree's functions
+        den = t[i + r] - t[i]
+        rising = _mul_linear(P, (ref - t[i]) / den, 1.0 / den)
+        falling = _mul_linear(P, (t[i + r] - ref) / den, -1.0 / den)
+        # B_{i,r} = rising part of B_{i,r-1} + falling part of B_{i+1,r-1}
+        nxt = np.zeros((k, r + 1, r + 1))
+        nxt[:, 1:] += rising
+        nxt[:, :r] += falling
+        P = nxt
+    return np.swapaxes(P, 1, 2)
 
 
-def segment_poly_coeffs(l: int, basis: BSplineBasis, q: int) -> np.ndarray:
-    """Exact power-basis coefficients (in x, ascending, length d+1) of the
-    segment of basis function l (1-based) on internal interval q (0-based).
-
-    Intervals outside the support of l yield all zeros.
-    """
-    if not (1 <= l <= basis.n_basis):
-        raise IndexError(f"basis index {l} out of 1..{basis.n_basis}")
-    return _segment_coeffs(l, basis, q, 0.0)
+def _mul_linear(P: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Multiply each polynomial P[..., :] (ascending coefficients) by
+    (a + b x), with a and b broadcast over the leading axes."""
+    out = np.zeros(P.shape[:-1] + (P.shape[-1] + 1,))
+    out[..., :-1] += a[..., None] * P
+    out[..., 1:] += b[..., None] * P
+    return out
 
 
 def taylor_shift(coeffs: np.ndarray, c: float) -> np.ndarray:
@@ -274,15 +237,7 @@ class PiecewisePoly:
         return self.coeffs.shape[1] - 1
 
     def interval_of(self, x: float) -> int:
-        t = self.breakpoints
-        if not (t[0] <= x <= t[-1]):
-            raise OutOfDomainError(f"{x!r} outside [{t[0]}, {t[-1]}]")
-        if x >= t[-1]:
-            return self.k - 1
-        q = int(np.searchsorted(t, x, side="right")) - 1
-        if q > 0 and x == t[q]:
-            return q - 1
-        return q
+        return int(interval_index(self.breakpoints, x))
 
     def __call__(self, x: float) -> float:
         q = self.interval_of(x)
@@ -305,17 +260,15 @@ def to_piecewise_poly(theta, basis: BSplineBasis) -> PiecewisePoly:
         raise ValueError(
             f"expected {basis.n_basis} coefficients, got {theta.shape}"
         )
-    d = basis.degree
+    t = basis.knots.internal
+    maps = segment_maps(basis, t[:-1])
     k = basis.k
-    coeffs = np.zeros((k, d + 1))
-    for q in range(k):
-        ref = basis.knots.internal[q]
-        p = np.zeros(d + 1)
-        for l in range(q + 1, q + d + 2):  # the d+1 active basis functions
-            if theta[l - 1] != 0.0:
-                p += theta[l - 1] * _segment_coeffs(l, basis, q, ref)
-        coeffs[q] = p
-    return PiecewisePoly(breakpoints=basis.knots.internal.copy(), coeffs=coeffs)
+    coeffs = np.zeros((k, basis.degree + 1))
+    # a fixed elementwise order, not a matmul whose summation order the BLAS
+    # picks: branch-and-bound node counts are chaotic in the last bits here
+    for m in range(basis.degree + 1):
+        coeffs += theta[m : m + k, None] * maps[:, :, m]
+    return PiecewisePoly(breakpoints=t.copy(), coeffs=coeffs)
 
 
 def make_basis(lo: float, hi: float, k: int, degree: int, label: str = "x") -> BSplineBasis:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Expr, decompose_affine
+from .expressions import decompose_affine
 from .regression import AdditiveModelFit
 from .splines import PiecewisePoly, to_piecewise_poly
 
@@ -27,10 +27,6 @@ DOMAIN_TOL = 1e-9
 
 class DomainMismatchError(ValueError):
     """A variable box extends beyond the fitted knot range."""
-
-
-class UnsupportedScopeError(ValueError):
-    """Surrogate substitution requested for constraint functions."""
 
 
 @dataclass(frozen=True)
@@ -74,7 +70,6 @@ class SurrogateMINLP:
     variables: tuple  # original Variable records, declaration order
     linear_constraints: tuple[LinearConstraint, ...]
     nonlinear_constraints: tuple = ()  # retained original constraints
-    residual_objective: Expr | None = None  # original g_0 when C is empty
 
     @property
     def n_binaries(self) -> int:
@@ -90,32 +85,9 @@ class SurrogateMINLP:
         return {v.name: j for j, v in enumerate(self.variables)}
 
 
-def build_surrogate(
-    fit: AdditiveModelFit, instance, complicating=(0,)
-) -> SurrogateMINLP:
-    """Assemble the surrogate MINLP from a fit and the original instance.
-
-    Only objective substitution (complicating set {0}) is supported; an
-    empty set returns the instance wrapped verbatim with no substitution.
-    """
-    C = frozenset(complicating)
-    if C == frozenset():
-        lin_cons, nl_cons = _classify_constraints(instance.constraints)
-        return SurrogateMINLP(
-            constant=0.0,
-            linear={},
-            components=(),
-            variables=tuple(instance.variables),
-            linear_constraints=lin_cons,
-            nonlinear_constraints=nl_cons,
-            residual_objective=instance.objective,
-        )
-    if C != frozenset({0}):
-        raise UnsupportedScopeError(
-            f"surrogate substitution of constraint functions {sorted(C - {0})} "
-            f"is not supported; only the objective (index 0) can be replaced"
-        )
-
+def build_surrogate(fit: AdditiveModelFit, instance) -> SurrogateMINLP:
+    """Assemble the surrogate MINLP from a fit and the original instance by
+    substituting the fitted model for the nonlinear part of the objective."""
     const, coeffs, _ = instance.complicating_split()
     covariates = instance.covariates()
     labels = tuple(b.label for b in fit.bases)
@@ -170,8 +142,9 @@ def eval_surrogate_at(surrogate: SurrogateMINLP, x):
     """Canonical lifting of a point into the multiple-choice variables.
 
     Returns (objective value, assignment) where the assignment selects
-    y_jq = 1 for the interval containing x_j (ties go to the left interval
-    at shared knots) and sets the deviation accordingly.
+    y_jq = 1 for the interval containing x_j and sets the deviation
+    accordingly; a point on a shared knot lies in the interval to its right,
+    the rule of ``splines.interval_index`` that the fit's basis uses too.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.shape != (len(surrogate.variables),):

@@ -244,6 +244,21 @@ class TestRunMissoc:
         np.testing.assert_array_equal(report.x, report.x_tilde)
         assert "refine" not in report.stage_times
 
+    @pytest.mark.parametrize("degree", [0, 1, 3])
+    def test_waves2_solves_to_optimality(self, degree):
+        # a degree-0 surrogate jumps at every knot and LP points sit on knots,
+        # so the incumbent's value is right only if the lift scores a knot
+        # with the interval the fitted basis uses
+        import importlib.resources
+
+        from missoc.problems import run_missoc
+
+        path = importlib.resources.files("missoc") / "instances" / "waves2.miss"
+        inst = parse_instance(path.read_text(), "waves2")
+        report = run_missoc(inst, MissocConfig(degrees=degree))
+        assert report.status == "optimal"
+        assert report.gap_pct <= 1e-2
+
     def test_reproducible_across_reparses(self):
         from missoc.problems import run_missoc
 

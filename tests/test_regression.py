@@ -12,7 +12,6 @@ from missoc.regression import (
     identifiability_penalty,
     load_model,
     make_bases,
-    predict,
 )
 from missoc.splines import OutOfDomainError, design_matrix, make_basis
 
@@ -151,7 +150,7 @@ class TestPredict:
         fit = AdditiveModelFit(
             intercept=4.0, coefficients=[np.zeros(basis.n_basis)], bases=[basis]
         )
-        assert predict(fit, [0.7]) == 4.0
+        assert fit.predict([0.7]) == 4.0
 
     def test_out_of_domain(self):
         basis = make_basis(0.0, 1.0, 3, 2)
@@ -159,7 +158,7 @@ class TestPredict:
             intercept=0.0, coefficients=[np.zeros(basis.n_basis)], bases=[basis]
         )
         with pytest.raises(OutOfDomainError):
-            predict(fit, [2.0])
+            fit.predict([2.0])
 
     def test_agreement_with_design_matrix_rows(self):
         rng = np.random.default_rng(10)

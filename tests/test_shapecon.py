@@ -17,9 +17,9 @@ from missoc.shapecon import (
     InfeasibleSpecError,
     PointwiseSet,
     ShapeSpec,
-    build_G,
     build_H,
     build_W,
+    build_program,
     derivative_map,
     estimate_weights,
     fit_constrained,
@@ -93,9 +93,23 @@ class TestBuildW:
 
 
 class TestBuildG:
+    """The basis-segment coefficient map G_q of each certificate: the
+    power-basis coefficients (in x) of the component on interval q as a
+    linear function of the covariate's basis coefficients."""
+
+    @staticmethod
+    def bound_maps(basis):
+        """G_q of the lower-bound certificate on every interval q."""
+        rng = np.random.default_rng(0)
+        lo, hi = basis.domain
+        X = rng.uniform(lo, hi, size=(40, 1))
+        T = TrainingSet(X=X, y=np.sin(X[:, 0]))
+        program, _ = build_program(T, [basis], ShapeSpec(lower=-10.0))
+        return [cert[0] for cert in program.certificates]
+
     def test_inactive_columns_zero(self):
         basis = make_basis(0.0, 1.0, 5, 3)
-        G = build_G(2, basis)
+        G = self.bound_maps(basis)[2]
         assert G.shape == (4, basis.n_basis)
         active = slice(2, 6)
         mask = np.ones(basis.n_basis, dtype=bool)
@@ -106,8 +120,7 @@ class TestBuildG:
         rng = np.random.default_rng(3)
         basis = make_basis(-1.0, 2.0, 4, 3)
         theta = rng.normal(size=basis.n_basis)
-        for q in range(basis.k):
-            G = build_G(q, basis)
+        for q, G in enumerate(self.bound_maps(basis)):
             coeffs = G @ theta
             t = np.linspace(
                 basis.knots.internal[q], basis.knots.internal[q + 1], 7
@@ -119,8 +132,8 @@ class TestBuildG:
 
     def test_partition_of_unity(self):
         basis = make_basis(0.0, 4.0, 4, 2)
-        for q in range(basis.k):
-            ones_poly = build_G(q, basis) @ np.ones(basis.n_basis)
+        for G in self.bound_maps(basis):
+            ones_poly = G @ np.ones(basis.n_basis)
             np.testing.assert_allclose(
                 ones_poly, [1.0, 0.0, 0.0], atol=1e-12
             )
@@ -428,7 +441,7 @@ class TestFitConstrained:
         spec = ShapeSpec(lower=L, weights_lower=(0.7, 0.3))
         fit = fit_constrained(T, degrees=3, intervals=5, spec=spec)
         alpha = fit.intercept
-        c0 = min(fit.component(0, x) for x in dense_grid(fit, 0))
-        c1 = min(fit.component(1, x) for x in dense_grid(fit, 1))
+        c0 = fit.component(0, dense_grid(fit, 0)).min()
+        c1 = fit.component(1, dense_grid(fit, 1)).min()
         assert c0 >= 0.7 * (L - alpha) - 1e-6
         assert c1 >= 0.3 * (L - alpha) - 1e-6

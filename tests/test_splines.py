@@ -10,8 +10,9 @@ from missoc.splines import (
     bspline_value,
     design_matrix,
     extend_knots,
+    interval_index,
     make_basis,
-    segment_poly_coeffs,
+    segment_maps,
     taylor_shift,
     to_piecewise_poly,
 )
@@ -32,6 +33,33 @@ def naive_bspline(x, deg, i, t):
             * naive_bspline(x, deg - 1, i + 1, t)
         )
     return c1 + c2
+
+
+def recursive_segment(i, deg, pos, t, ref):
+    """Top-down Cox-de Boor on coefficient vectors: the ascending
+    coefficients in (x - ref) of B_{i,deg} (0-based extended index) on the
+    interval starting at t[pos], one basis function at a time."""
+    if deg == 0:
+        return np.array([1.0 if i == pos else 0.0])
+
+    def mul_linear(p, a, b):
+        out = np.zeros(len(p) + 1)
+        out[: len(p)] += a * p
+        out[1:] += b * p
+        return out
+
+    p = np.zeros(deg + 1)
+    den1 = t[i + deg] - t[i]
+    p += mul_linear(
+        recursive_segment(i, deg - 1, pos, t, ref), (ref - t[i]) / den1, 1.0 / den1
+    )
+    den2 = t[i + deg + 1] - t[i + 1]
+    p += mul_linear(
+        recursive_segment(i + 1, deg - 1, pos, t, ref),
+        (t[i + deg + 1] - ref) / den2,
+        -1.0 / den2,
+    )
+    return p
 
 
 class TestExtendKnots:
@@ -132,45 +160,109 @@ class TestBsplineValue:
 
 
 class TestSegmentPolyCoeffs:
+    """Per-interval power-basis coefficients of the basis segments, as
+    ``segment_maps`` gives them."""
+
     def test_degree0(self):
         basis = make_basis(0.0, 2.0, 2, 0)
-        np.testing.assert_allclose(segment_poly_coeffs(1, basis, 0), [1.0])
-        np.testing.assert_allclose(segment_poly_coeffs(1, basis, 1), [0.0])
+        M = segment_maps(basis, 0.0)
+        assert M.shape == (2, 1, 1)
+        np.testing.assert_array_equal(M, 1.0)
 
     def test_hat_ascending_slope(self):
         h = 0.5
         basis = make_basis(0.0, 3 * h, 3, 1)
-        # basis function 2 (1-based) ascends on internal interval 0
-        c = segment_poly_coeffs(2, basis, 0)
+        # basis function 2 (1-based) ascends on internal interval 0, where it
+        # is the second of the two active functions
+        c = segment_maps(basis, 0.0)[0][:, 1]
         assert c[1] == pytest.approx(1.0 / h)
 
     def test_outside_support_zero(self):
         basis = make_basis(0.0, 6.0, 6, 2)
-        np.testing.assert_allclose(segment_poly_coeffs(1, basis, 5), np.zeros(3))
+        first = np.zeros(basis.n_basis)
+        first[0] = 1.0
+        np.testing.assert_array_equal(
+            to_piecewise_poly(first, basis).coeffs[5], np.zeros(3)
+        )
 
     @pytest.mark.parametrize("d,k", [(1, 4), (2, 5), (3, 6), (5, 4)])
     def test_partition_of_unity_on_coeffs(self, d, k):
         basis = make_basis(0.0, 1.0, k, d)
-        for q in range(k):
-            total = np.zeros(d + 1)
-            for l in range(1, basis.n_basis + 1):
-                total += segment_poly_coeffs(l, basis, q)
-            expected = np.zeros(d + 1)
-            expected[0] = 1.0
-            np.testing.assert_allclose(total, expected, atol=1e-12)
+        expected = np.zeros(d + 1)
+        expected[0] = 1.0
+        for G in segment_maps(basis, 0.0):
+            np.testing.assert_allclose(G.sum(axis=1), expected, atol=1e-12)
 
     def test_matches_evaluation(self):
         basis = make_basis(-1.0, 2.0, 5, 3)
         t = basis.knots.internal
+        ext = basis.knots.extended
+        for ref in (0.0, t[:-1]):
+            maps = segment_maps(basis, ref)
+            for q in range(basis.k):
+                r = np.broadcast_to(ref, (basis.k,))[q]
+                xs = np.linspace(t[q], t[q + 1], 7, endpoint=False)
+                for m in range(basis.degree + 1):
+                    for x in xs:
+                        poly = np.polynomial.polynomial.polyval(
+                            x - r, maps[q][:, m]
+                        )
+                        assert poly == pytest.approx(
+                            naive_bspline(x, basis.degree, q + m, ext),
+                            abs=1e-11,
+                        )
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 5, 7])
+    def test_bit_identical_to_recursion(self, d):
+        # branch-and-bound node counts are chaotic in the last bits of the
+        # surrogate coefficients, so the vectorised map must round exactly
+        # as the one-function-at-a-time recursion does
+        rng = np.random.default_rng(d)
+        internal = np.cumsum(np.r_[-1.0, rng.uniform(0.05, 1.0, 9)])
+        basis = BSplineBasis(knots=extend_knots(internal, d))
+        t = basis.knots.extended
+        for ref in (0.0, internal[:-1]):
+            maps = segment_maps(basis, ref)
+            for q in range(basis.k):
+                r = np.broadcast_to(ref, (basis.k,))[q]
+                want = np.column_stack(
+                    [recursive_segment(q + m, d, q + d, t, r) for m in range(d + 1)]
+                )
+                np.testing.assert_array_equal(maps[q], want)
+        theta = rng.normal(size=basis.n_basis)
+        want = np.zeros((basis.k, d + 1))
         for q in range(basis.k):
-            xs = np.linspace(t[q], t[q + 1], 7, endpoint=False)
-            for l in range(q + 1, q + basis.degree + 2):
-                c = segment_poly_coeffs(l, basis, q)
-                for x in xs:
-                    poly = np.polynomial.polynomial.polyval(x, c)
-                    assert poly == pytest.approx(
-                        bspline_value(l, basis, x), abs=1e-11
-                    )
+            for m in range(d + 1):
+                want[q] += theta[q + m] * recursive_segment(
+                    q + m, d, q + d, t, internal[q]
+                )
+        np.testing.assert_array_equal(to_piecewise_poly(theta, basis).coeffs, want)
+
+
+class TestIntervalIndex:
+    def test_knot_goes_right_last_closed(self):
+        t = [0.0, 1.0, 2.0, 3.0]
+        got = interval_index(t, [0.0, 0.5, 1.0, 2.0, 2.5, 3.0])
+        np.testing.assert_array_equal(got, [0, 0, 1, 2, 2, 2])
+
+    def test_scalar(self):
+        assert int(interval_index([0.0, 1.0, 2.0], 1.0)) == 1
+
+    @pytest.mark.parametrize("x", [-0.1, 3.5, np.nan])
+    def test_outside_rejected(self, x):
+        with pytest.raises(OutOfDomainError, match="w="):
+            interval_index([0.0, 1.0, 3.0], [0.5, x], label="w")
+
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    def test_basis_and_piecewise_agree_at_knots(self, d):
+        rng = np.random.default_rng(5)
+        basis = make_basis(0.0, 1.0, 4, d)
+        theta = rng.normal(size=basis.n_basis)
+        pw = to_piecewise_poly(theta, basis)
+        for knot in basis.knots.internal:
+            assert pw(knot) == pytest.approx(
+                basis.eval_all(knot) @ theta, abs=1e-12
+            )
 
 
 class TestTaylorShift:
@@ -284,14 +376,18 @@ class TestDesignMatrix:
 
 
 class TestEvalMatrix:
-    def test_matches_eval_all(self):
+    def test_matches_naive_recursion(self):
         rng = np.random.default_rng(11)
         for d in (1, 2, 3, 5):
             basis = make_basis(-1.0, 2.0, 7, d, "x")
+            t = basis.knots.extended
             xs = rng.uniform(-1.0, 2.0, size=200)
-            xs[:3] = [-1.0, 2.0, 0.5]
+            xs[:4] = [-1.0, 2.0, 0.5, basis.knots.internal[3]]
             got = basis.eval_matrix(xs)
-            want = np.array([basis.eval_all(x) for x in xs])
+            want = np.array(
+                [[naive_bspline(x, d, l, t) for l in range(basis.n_basis)]
+                 for x in xs]
+            )
             np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_rejects_out_of_domain(self):

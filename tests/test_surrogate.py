@@ -6,7 +6,6 @@ from missoc.regression import TrainingSet, fit_additive
 from missoc.splines import OutOfDomainError
 from missoc.surrogate import (
     DomainMismatchError,
-    UnsupportedScopeError,
     build_surrogate,
     eval_surrogate_at,
     export_text,
@@ -104,23 +103,6 @@ class TestBuildSurrogate:
         with pytest.raises(DomainMismatchError):
             build_surrogate(fit, inst)
 
-    def test_unsupported_scope(self):
-        inst = parse_instance("var x in [0,1]; min x^2; st x - 0.5 <= 0;")
-        fit = fit_for(inst, intervals=3)
-        with pytest.raises(UnsupportedScopeError):
-            build_surrogate(fit, inst, complicating=(0, 1))
-
-    def test_empty_complicating_set_keeps_instance(self):
-        inst = parse_instance(
-            "var x in [0,1]; min exp(x); st x - 0.5 <= 0;"
-        )
-        fit = fit_for(inst, intervals=3)
-        surr = build_surrogate(fit, inst, complicating=())
-        assert surr.components == ()
-        assert surr.residual_objective is instance_obj(inst)
-        assert surr.variables == inst.variables
-        assert len(surr.linear_constraints) == 1
-
     def test_mismatched_fit_covariates(self):
         inst = parse_instance("var x in [0,1]; min x^2;")
         rng = np.random.default_rng(2)
@@ -134,10 +116,6 @@ class TestBuildSurrogate:
         )
         with pytest.raises(ValueError, match="covariates"):
             build_surrogate(fit, inst)
-
-
-def instance_obj(inst):
-    return inst.objective
 
 
 class TestEvalSurrogateAt:
@@ -177,15 +155,26 @@ class TestEvalSurrogateAt:
                     comp.piece(x[idx[comp.var]]), abs=1e-9
                 )
 
-    def test_knot_tie_goes_left(self):
+    def test_knot_tie_goes_right(self):
         inst = parse_instance("var x in [0, 1]; min x^3;")
         fit = fit_for(inst, intervals=4)
         surr = build_surrogate(fit, inst)
         comp = surr.components[0]
         knot = comp.breakpoints[2]  # interior knot
         _, asg = eval_surrogate_at(surr, [knot])
-        assert asg["y"][0][1] == 1.0  # left interval selected
-        assert asg["dev"][0][1] == pytest.approx(comp.widths[1], abs=1e-12)
+        assert asg["y"][0][2] == 1.0  # right interval selected
+        assert asg["dev"][0][2] == 0.0
+
+    @pytest.mark.parametrize("degree", [0, 1, 3])
+    def test_agrees_with_predict_at_knots(self, degree):
+        # a degree-0 fit jumps at every knot, so the fit and the lift agree
+        # there only when both send a knot to the same interval
+        inst = parse_instance("var a in [0, 1]; min sin(5*a);")
+        fit = fit_for(inst, degrees=degree, intervals=4)
+        surr = build_surrogate(fit, inst)
+        for knot in surr.components[0].breakpoints:
+            value, _ = eval_surrogate_at(surr, [knot])
+            assert value == pytest.approx(fit.predict([knot]), abs=1e-9)
 
     def test_zero_fit_gives_intercept(self):
         inst = parse_instance("var x in [0, 1]; min x^3;")
