@@ -31,6 +31,11 @@ class UnsupportedSurrogateError(ValueError):
     """The surrogate contains parts the built-in solver cannot bound."""
 
 
+NONLINEAR_CONSTRAINTS_UNSUPPORTED = (
+    "nonlinear original constraints are not supported by the built-in solver"
+)
+
+
 def optimality_gap(ub: float, lb: float) -> float:
     """Percent gap 100 |ub - lb| / |ub|; +inf when ub = 0 and lb != ub."""
     if not math.isfinite(ub):
@@ -424,10 +429,7 @@ def solve(
 ) -> SolveReport:
     """Best-bound branch-and-bound; deterministic for identical inputs."""
     if surrogate.nonlinear_constraints:
-        raise UnsupportedSurrogateError(
-            "nonlinear original constraints are not supported by the "
-            "built-in solver"
-        )
+        raise UnsupportedSurrogateError(NONLINEAR_CONSTRAINTS_UNSUPPORTED)
     start = time.monotonic()
     builder = _LPBuilder(surrogate)
     root = Node(0, -math.inf, {}, {}, {})

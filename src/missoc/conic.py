@@ -6,10 +6,18 @@ Problem form:
     min  1/2 theta' Q theta + q' theta
     s.t. C theta + sum_b A_b(Z_b) = c,      Z_b >= 0 (PSD)
 
-where each equality row touches at most one block. Blocks are tiny (order
-<= 8), so all per-block linear algebra is dense and the Schur complement of
-the Newton system is formed explicitly. Nesterov-Todd scaling, Mehrotra-style
-adaptive centering, fraction-to-boundary steps.
+where each equality row touches at most one block: the rows of different
+blocks are disjoint and lie in 0..K-1 (``solve_conic`` raises ``ValueError``
+otherwise). Blocks are tiny (order <= 8), so all per-block linear algebra is
+dense and the Schur complement of the Newton system is formed explicitly.
+
+Once per solve the blocks are grouped by (order m, number of rows r) and each
+group is held as stacked arrays: rows ``(n, r)``, constraint matrices
+``(n, r, m, m)`` and iterates ``Z``, ``S`` of shape ``(n, m, m)``. Flooring,
+NT scaling, inverses, step lengths and the Schur contributions are batched
+numpy calls over the leading axis, one per group; disjoint rows make the
+scatter-add of a group's contributions exact. Nesterov-Todd scaling,
+Mehrotra-style adaptive centering, fraction-to-boundary steps.
 """
 
 from __future__ import annotations
@@ -63,32 +71,75 @@ class ConicSolution:
     iterations: int
 
 
+@dataclass
+class _Group:
+    """Blocks of one (order, row count), stacked along the leading axis."""
+
+    index: np.ndarray  # (n,) positions in ConicProblem.blocks
+    rows: np.ndarray  # (n, r)
+    mats: np.ndarray  # (n, r, m, m)
+
+
+def _group_blocks(blocks: list[ConicBlock], K: int) -> list[_Group]:
+    """Stack the blocks by (order, row count), groups in order of first
+    appearance; rows that overlap or fall outside 0..K-1 are rejected."""
+    if blocks:
+        rows = np.concatenate([np.ravel(b.rows) for b in blocks])
+        if rows.size and (rows.min() < 0 or rows.max() >= K):
+            raise ValueError(f"block rows must lie in 0..{K - 1}")
+        if np.unique(rows).size != rows.size:
+            raise ValueError("blocks must touch disjoint rows")
+    members: dict[tuple[int, int], list[int]] = {}
+    for i, b in enumerate(blocks):
+        members.setdefault((b.order, len(b.rows)), []).append(i)
+    return [
+        _Group(
+            np.array(idx),
+            np.array([blocks[i].rows for i in idx]),
+            np.array([blocks[i].mats for i in idx], dtype=float),
+        )
+        for idx in members.values()
+    ]
+
+
+def _unstack(groups: list[_Group], stacks: list[np.ndarray]) -> list:
+    """Per-block matrices in the input order of the blocks."""
+    out = [None] * sum(len(g.index) for g in groups)
+    for g, X in zip(groups, stacks):
+        for i, Xb in zip(g.index, X):
+            out[i] = Xb
+    return out
+
+
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.mT)
 
 
 def _nt_scaling(Z: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Symmetric PD W with W S W = Z."""
+    """Symmetric PD W with W S W = Z for each block of the (n, m, m) stacks."""
     # W = S^-1/2 (S^1/2 Z S^1/2)^1/2 S^-1/2
     ws, vs = np.linalg.eigh(S)
-    ws = np.maximum(ws, 1e-300)
-    S_half = (vs * np.sqrt(ws)) @ vs.T
-    S_ihalf = (vs / np.sqrt(ws)) @ vs.T
-    inner = _sym(S_half @ Z @ S_half)
-    wi, vi = np.linalg.eigh(inner)
-    wi = np.maximum(wi, 1e-300)
-    inner_half = (vi * np.sqrt(wi)) @ vi.T
+    rt = np.sqrt(np.maximum(ws, 1e-300))[:, None, :]
+    S_half = (vs * rt) @ vs.mT
+    S_ihalf = (vs / rt) @ vs.mT
+    wi, vi = np.linalg.eigh(_sym(S_half @ Z @ S_half))
+    inner_half = (vi * np.sqrt(np.maximum(wi, 1e-300))[:, None, :]) @ vi.mT
     return _sym(S_ihalf @ inner_half @ S_ihalf)
 
 
 def _floor_pd(X: np.ndarray, rel: float = 1e-14) -> np.ndarray:
-    """Push eigenvalues up to a small positive floor (guards against the
-    iterates drifting numerically indefinite near convergence)."""
-    w, v = np.linalg.eigh(_sym(X))
-    floor = rel * max(w.max(), 1.0)
-    if w.min() >= floor:
-        return _sym(X)
-    return _sym((v * np.maximum(w, floor)) @ v.T)
+    """Push each block's eigenvalues up to a small positive floor relative to
+    its largest one (guards against the iterates drifting numerically
+    indefinite near convergence); blocks already above it are only
+    symmetrized."""
+    Xs = _sym(X)
+    w, v = np.linalg.eigh(Xs)
+    floor = rel * np.maximum(w.max(axis=1), 1.0)
+    low = w.min(axis=1) < floor
+    if low.any():
+        wf = np.maximum(w[low], floor[low, None])
+        Xs[low] = _sym((v[low] * wf[:, None, :]) @ v[low].mT)
+    return Xs
 
 
 def _refined_solve(fact, A: np.ndarray, b: np.ndarray, rounds: int = 2):
@@ -102,17 +153,48 @@ def _refined_solve(fact, A: np.ndarray, b: np.ndarray, rounds: int = 2):
 
 
 def _max_step(X: np.ndarray, dX: np.ndarray) -> float:
-    """Largest alpha with X + alpha dX still positive definite (X PD)."""
+    """Largest alpha with every X_b + alpha dX_b still positive definite
+    (each X_b PD), the minimum over the stack; inf when no block limits it."""
     try:
         L = np.linalg.cholesky(X)
     except np.linalg.LinAlgError:
         L = np.linalg.cholesky(_floor_pd(X, rel=1e-12))
-    Y = scipy.linalg.solve_triangular(L, dX, lower=True)
-    Y = scipy.linalg.solve_triangular(L, Y.T, lower=True)
-    lam_min = np.linalg.eigvalsh(_sym(Y)).min()
+    Li = np.linalg.inv(L)
+    lam_min = np.linalg.eigvalsh(_sym(Li @ dX @ Li.mT)).min()
     if lam_min >= 0:
         return np.inf
     return -1.0 / lam_min
+
+
+def _A_apply(groups: list[_Group], Zs: list[np.ndarray], K: int) -> np.ndarray:
+    """sum_b A_b(Z_b): entry i is <mats_i, Z_b> for the block b on row i."""
+    out = np.zeros(K)
+    for g, Zg in zip(groups, Zs):
+        n, r = g.rows.shape
+        out[g.rows] += (g.mats.reshape(n, r, -1) @ Zg.reshape(n, -1, 1))[..., 0]
+    return out
+
+
+def _A_adjoint(groups: list[_Group], y: np.ndarray) -> list[np.ndarray]:
+    """Per group, the stack of sum_i y_i mats_i over each block's rows."""
+    out = []
+    for g in groups:
+        n, r, m, _ = g.mats.shape
+        flat = y[g.rows][:, None, :] @ g.mats.reshape(n, r, m * m)
+        out.append(flat.reshape(n, m, m))
+    return out
+
+
+def _schur(groups: list[_Group], W: list[np.ndarray], K: int) -> np.ndarray:
+    """The block part of the Schur complement: for the rows i, j of one
+    block, <mats_i, W mats_j W>, scattered onto a K x K matrix."""
+    Mmat = np.zeros((K, K))
+    for g, Wg in zip(groups, W):
+        n, r, m, _ = g.mats.shape
+        WA = Wg[:, None] @ g.mats @ Wg[:, None]
+        Mb = g.mats.reshape(n, r, m * m) @ WA.reshape(n, r, m * m).mT
+        Mmat[g.rows[:, :, None], g.rows[:, None, :]] += Mb
+    return Mmat
 
 
 def solve_conic(
@@ -122,30 +204,27 @@ def solve_conic(
     max_iter: int = 200,
 ) -> ConicSolution:
     """Path-following solve; deterministic for identical inputs."""
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     Q, q, C, c = prob.Q, prob.q, prob.C, prob.c
     K, M = C.shape
-    blocks = prob.blocks
+    groups = _group_blocks(prob.blocks, K)
 
     # row equilibration: certificate rows mix O(1) selectors with large
     # basis-transform entries; scaling each row to unit size keeps the Schur
     # complement well conditioned and does not change (theta, Z)
     if K:
         rs = np.sqrt((C**2).sum(axis=1))
-        for b in blocks:
-            rs[b.rows] = np.maximum(
-                rs[b.rows], np.sqrt((b.mats**2).sum(axis=(1, 2)))
+        for g in groups:
+            rs[g.rows] = np.maximum(
+                rs[g.rows], np.sqrt((g.mats**2).sum(axis=(2, 3)))
             )
         rs = np.maximum(rs, 1e-300)
         C = C / rs[:, None]
         c = c / rs
-        blocks = [
-            ConicBlock(b.order, b.rows, b.mats / rs[b.rows][:, None, None])
-            for b in blocks
-        ]
+        for g in groups:
+            g.mats = g.mats / rs[g.rows][:, :, None, None]
     else:
-        rs = np.ones(0)
-
-    if K == 0:
         theta = _solve_psd(Q, -q)
         obj = 0.5 * theta @ Q @ theta + q @ theta
         return ConicSolution(theta, [], [], np.zeros(0), obj, 0.0, 0.0, 0.0, 0)
@@ -153,59 +232,53 @@ def solve_conic(
     reg = 1e-12 * (np.trace(Q) / max(M, 1) + 1.0)
     Qr = Q + reg * np.eye(M)
     Q_fact = scipy.linalg.cho_factor(Qr, lower=True)
+    # the constant part of the Schur complement
+    CQiCt = C @ _refined_solve(Q_fact, Qr, C.T)
 
-    scale = max(1.0, np.abs(c).max() if K else 1.0)
+    scale = max(1.0, np.abs(c).max())
     theta = scipy.linalg.cho_solve(Q_fact, -q)
-    Z = [scale * np.eye(b.order) for b in blocks]
-    S = [scale * np.eye(b.order) for b in blocks]
+    Z = [
+        scale * np.tile(np.eye(g.mats.shape[2]), (len(g.index), 1, 1))
+        for g in groups
+    ]
+    S = [Zg.copy() for Zg in Z]
     lam = np.zeros(K)
 
-    nu = sum(b.order for b in blocks)
+    nu = sum(g.mats.shape[0] * g.mats.shape[2] for g in groups)
     c_norm = 1.0 + np.linalg.norm(c)
     q_norm = 1.0 + np.linalg.norm(q)
 
-    def A_apply(Zs):
-        out = np.zeros(K)
-        for b, Zb in zip(blocks, Zs):
-            out[b.rows] += np.einsum("rij,ij->r", b.mats, Zb)
-        return out
-
-    def A_adjoint(y):
-        return [np.einsum("r,rij->ij", y[b.rows], b.mats) for b in blocks]
-
-    def residuals(theta, Z, S, lam):
-        r_p = c - C @ theta - A_apply(Z)
-        r_d = Q @ theta + q - C.T @ lam
-        r_s = [Sb + Ab for Sb, Ab in zip(S, A_adjoint(lam))]
-        return r_p, r_d, r_s
+    def solution(theta, Z, S, lam, pobj, rel_gap, rel_p, rel_d, it):
+        # duals back in the scale of the caller's rows
+        return ConicSolution(
+            theta, _unstack(groups, Z), _unstack(groups, S), lam / rs,
+            pobj, rel_gap, rel_p, rel_d, it,
+        )
 
     best = None
     best_metric = np.inf
     best_it = 0
 
     for it in range(max_iter):
-        r_p, r_d, r_s = residuals(theta, Z, S, lam)
-        gap = sum(np.sum(Zb * Sb) for Zb, Sb in zip(Z, S))
+        r_p = c - C @ theta - _A_apply(groups, Z, K)
+        r_d = Q @ theta + q - C.T @ lam
+        r_s = [Sg + Ag for Sg, Ag in zip(S, _A_adjoint(groups, lam))]
+        gap = sum(np.sum(Zg * Sg) for Zg, Sg in zip(Z, S))
         mu = gap / max(nu, 1)
         pobj = 0.5 * theta @ Q @ theta + q @ theta
         rel_p = np.linalg.norm(r_p) / c_norm
         rel_d = np.linalg.norm(r_d) / q_norm
         rel_gap = gap / (1.0 + abs(pobj))
 
+        if rel_p <= feas_tol and rel_d <= feas_tol and rel_gap <= gap_tol:
+            return solution(theta, Z, S, lam, pobj, rel_gap, rel_p, rel_d, it)
+
         metric = rel_p + rel_d + rel_gap
         if metric < 0.9 * best_metric:
             best_it = it
         if metric < best_metric:
             best_metric = metric
-            best = ConicSolution(
-                theta.copy(), [Zb.copy() for Zb in Z], [Sb.copy() for Sb in S],
-                lam.copy(), pobj, rel_gap, rel_p, rel_d, it,
-            )
-
-        if rel_p <= feas_tol and rel_d <= feas_tol and rel_gap <= gap_tol:
-            return ConicSolution(
-                theta, Z, S, lam / rs, pobj, rel_gap, rel_p, rel_d, it
-            )
+            best = solution(theta, Z, S, lam, pobj, rel_gap, rel_p, rel_d, it)
 
         # stalled at the floating-point accuracy floor: accept the best
         # iterate when it is close to tolerance
@@ -215,7 +288,6 @@ def solve_conic(
             and best.rel_dual <= 100 * feas_tol
             and best.rel_gap <= 100 * gap_tol
         ):
-            best.lam = best.lam / rs
             return best
 
         # infeasibility heuristic: complementarity collapsed but the primal
@@ -230,71 +302,56 @@ def solve_conic(
         # floored copies are used wherever positive definiteness is
         # required; the iterates themselves stay unmodified so the
         # primal residual is not polluted by the flooring
-        Zf = [_floor_pd(Zb) for Zb in Z]
-        Sf = [_floor_pd(Sb) for Sb in S]
-        W = [_nt_scaling(Zb, Sb) for Zb, Sb in zip(Zf, Sf)]
-
-        # Schur complement over the equality rows
-        Mmat = np.zeros((K, K))
-        for b, Wb in zip(blocks, W):
-            WA = np.einsum("ik,rkl,lj->rij", Wb, b.mats, Wb)
-            Mb = np.einsum("rij,sij->rs", b.mats, WA)
-            Mmat[np.ix_(b.rows, b.rows)] += Mb
-        CQiCt = C @ _refined_solve(Q_fact, Qr, C.T)
-        Schur = Mmat + CQiCt
+        Zf = [_floor_pd(Zg) for Zg in Z]
+        Sf = [_floor_pd(Sg) for Sg in S]
+        W = [_nt_scaling(Zg, Sg) for Zg, Sg in zip(Zf, Sf)]
+        Schur = _schur(groups, W, K) + CQiCt
         Schur_fact, Schur_bumped = _factor_with_bump(Schur)
+        S_inv = [np.linalg.inv(Sg) for Sg in Sf]
+        W_rs_W = [Wg @ rsg @ Wg for Wg, rsg in zip(W, r_s)]
+        CQi_rd = C @ _refined_solve(Q_fact, Qr, r_d)
 
         def solve_direction(sigma_mu):
             # Newton system with NT-linearized centrality
             #   dZ + W dS W = R,  R = sigma*mu*S^-1 - Z
             # eliminated down to the Schur system in d_lam.
-            rhs = r_p.copy()
-            Rs = []
-            for b, Zb, Sb, Wb, rsb in zip(blocks, Z, Sf, W, r_s):
-                Rb = sigma_mu * np.linalg.inv(Sb) - Zb
-                Rs.append(Rb)
-                rhs[b.rows] -= np.einsum(
-                    "rij,ij->r", b.mats, Rb + Wb @ rsb @ Wb
-                )
-            rhs = rhs + C @ _refined_solve(Q_fact, Qr, r_d)
+            R = [sigma_mu * Si - Zg for Si, Zg in zip(S_inv, Z)]
+            RW = [Rg + X for Rg, X in zip(R, W_rs_W)]
+            rhs = r_p - _A_apply(groups, RW, K) + CQi_rd
             d_lam = _refined_solve(Schur_fact, Schur_bumped, rhs)
             d_theta = _refined_solve(Q_fact, Qr, -r_d + C.T @ d_lam)
-            adj = A_adjoint(d_lam)
-            d_S = [-rsb - Ab for rsb, Ab in zip(r_s, adj)]
+            adj = _A_adjoint(groups, d_lam)
+            d_S = [-rsg - Ag for rsg, Ag in zip(r_s, adj)]
             d_Z = [
-                _sym(Rb + Wb @ (rsb + Ab) @ Wb)
-                for Rb, Wb, rsb, Ab in zip(Rs, W, r_s, adj)
+                _sym(Rg + Wg @ (rsg + Ag) @ Wg)
+                for Rg, Wg, rsg, Ag in zip(R, W, r_s, adj)
             ]
             return d_theta, d_lam, d_Z, d_S
 
+        def step_lengths(d_Z, d_S):
+            # fraction to the boundary of the PSD cones
+            a_p = min([1.0] + [_max_step(X, dX) for X, dX in zip(Zf, d_Z)])
+            a_d = min([1.0] + [_max_step(X, dX) for X, dX in zip(Sf, d_S)])
+            return min(1.0, 0.98 * a_p), min(1.0, 0.98 * a_d)
+
         # predictor
         d_theta, d_lam, d_Z, d_S = solve_direction(0.0)
-        a_p = min(
-            [1.0] + [_max_step(Zb, dZb) for Zb, dZb in zip(Zf, d_Z)]
-        )
-        a_d = min(
-            [1.0] + [_max_step(Sb, dSb) for Sb, dSb in zip(Sf, d_S)]
-        )
-        a_p = min(1.0, 0.98 * a_p)
-        a_d = min(1.0, 0.98 * a_d)
+        a_p, a_d = step_lengths(d_Z, d_S)
         gap_aff = sum(
-            np.sum((Zb + a_p * dZb) * (Sb + a_d * dSb))
-            for Zb, dZb, Sb, dSb in zip(Z, d_Z, S, d_S)
+            np.sum((Zg + a_p * dZg) * (Sg + a_d * dSg))
+            for Zg, dZg, Sg, dSg in zip(Z, d_Z, S, d_S)
         )
         mu_aff = max(gap_aff, 0.0) / max(nu, 1)
         sigma = min(0.8, max(1e-6, (mu_aff / max(mu, 1e-300)) ** 3))
 
         # corrector (recentering) step
         d_theta, d_lam, d_Z, d_S = solve_direction(sigma * mu)
-        a_p = min([1.0] + [_max_step(Zb, dZb) for Zb, dZb in zip(Zf, d_Z)])
-        a_d = min([1.0] + [_max_step(Sb, dSb) for Sb, dSb in zip(Sf, d_S)])
-        a_p = min(1.0, 0.98 * a_p)
-        a_d = min(1.0, 0.98 * a_d)
+        a_p, a_d = step_lengths(d_Z, d_S)
 
         theta = theta + a_p * d_theta
-        Z = [_sym(Zb + a_p * dZb) for Zb, dZb in zip(Z, d_Z)]
+        Z = [_sym(Zg + a_p * dZg) for Zg, dZg in zip(Z, d_Z)]
         lam = lam + a_d * d_lam
-        S = [_sym(Sb + a_d * dSb) for Sb, dSb in zip(S, d_S)]
+        S = [_sym(Sg + a_d * dSg) for Sg, dSg in zip(S, d_S)]
 
     raise ConicConvergenceError(
         f"no convergence in {max_iter} iterations "

@@ -26,6 +26,7 @@ from .expressions import (
     BinOp,
     Expr,
     ParseError,
+    decompose_affine,
     evaluate,
     parse_expr,
     split_affine,
@@ -496,12 +497,21 @@ def run_missoc(
     instance: ProblemInstance, config: MissocConfig | None = None
 ) -> MissocReport:
     """Sample, fit, build the surrogate, solve it globally, refine locally."""
-    from .bnb import solve
+    from .bnb import (
+        NONLINEAR_CONSTRAINTS_UNSUPPORTED,
+        UnsupportedSurrogateError,
+        solve,
+    )
     from .localsearch import refine
     from .surrogate import build_surrogate
 
     if config is None:
         config = MissocConfig()
+    # the solve stage bounds affine original constraints only; reject the
+    # others before sampling and fitting spend time on the instance
+    if any(decompose_affine(c.expr) is None for c in instance.constraints):
+        cause = UnsupportedSurrogateError(NONLINEAR_CONSTRAINTS_UNSUPPORTED)
+        raise StageError("solve", cause)
     times: dict[str, float] = {}
 
     def staged(tag, fn, *args, **kwargs):

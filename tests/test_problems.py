@@ -315,6 +315,23 @@ class TestRunMissoc:
             run_missoc(inst, self.small_cfg())
         assert ei.value.stage == "sample"
 
+    def test_nonlinear_constraint_rejected_before_sampling(self, monkeypatch):
+        from missoc import problems
+        from missoc.bnb import UnsupportedSurrogateError
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sample_training was called")
+
+        monkeypatch.setattr(problems, "sample_training", no_sampling)
+        inst = parse_instance(
+            "var a in [0,1]; var b in [0,1];"
+            "min a^2 + sin(3*b); st a*b - 0.1 <= 0;"
+        )
+        with pytest.raises(problems.StageError) as ei:
+            problems.run_missoc(inst, self.small_cfg())
+        assert ei.value.stage == "solve"
+        assert isinstance(ei.value.cause, UnsupportedSurrogateError)
+
     def test_csv_rows(self):
         from missoc.problems import REPORT_CSV_HEADER, run_missoc
 
