@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse
 
 from .splines import taylor_shift
 from .surrogate import SurrogateMINLP, eval_surrogate_at
@@ -145,8 +146,35 @@ class SolveReport:
         )
 
 
+class _Rows:
+    """Constraint rows collected as COO triplets; zero entries are not
+    stored, so HiGHS receives the matrix ``linprog`` builds from the dense
+    rows."""
+
+    def __init__(self):
+        self.rows = []
+        self.cols = []
+        self.vals = []
+        self.rhs = []
+
+    def add(self, entries, rhs: float) -> None:
+        r = len(self.rhs)
+        for col, val in entries:
+            if val != 0.0:
+                self.rows.append(r)
+                self.cols.append(col)
+                self.vals.append(val)
+        self.rhs.append(rhs)
+
+    def coo(self, ncols: int):
+        return scipy.sparse.coo_array(
+            (self.vals, (self.rows, self.cols)), shape=(len(self.rhs), ncols)
+        )
+
+
 class _LPBuilder:
-    """Column layout and fixed rows shared by all node LPs of one solve."""
+    """Column layout, fixed rows (CSR, assembled once) and the
+    ``interval_cuts`` cache shared by all node LPs of one solve."""
 
     def __init__(self, surr: SurrogateMINLP):
         self.surr = surr
@@ -175,47 +203,69 @@ class _LPBuilder:
             self.obj[self.col_sigma[j]] += 1.0
 
         # rows independent of the node
-        self.A_eq = []
-        self.b_eq = []
-        self.A_ub = []
-        self.b_ub = []
+        eq, ub = _Rows(), _Rows()
         for j, comp in enumerate(surr.components):
-            row = np.zeros(self.ncols)
+            eq.add([(self.col_y[j, q], 1.0) for q in range(comp.k)], 1.0)
+            link = [(self.col_x[comp.var], 1.0)]
             for q in range(comp.k):
-                row[self.col_y[j, q]] = 1.0
-            self._eq(row, 1.0)
-            row = np.zeros(self.ncols)
-            row[self.col_x[comp.var]] = 1.0
+                link.append((self.col_y[j, q], -comp.breakpoints[q]))
+                link.append((self.col_dev[j, q], -1.0))
+            eq.add(link, 0.0)
+            eq.add(
+                [(self.col_sigma[j], 1.0)]
+                + [(self.col_sp[j, q], -1.0) for q in range(comp.k)],
+                0.0,
+            )
             for q in range(comp.k):
-                row[self.col_y[j, q]] = -comp.breakpoints[q]
-                row[self.col_dev[j, q]] = -1.0
-            self._eq(row, 0.0)
-            row = np.zeros(self.ncols)
-            row[self.col_sigma[j]] = 1.0
-            for q in range(comp.k):
-                row[self.col_sp[j, q]] = -1.0
-            self._eq(row, 0.0)
-            for q in range(comp.k):
-                row = np.zeros(self.ncols)
-                row[self.col_dev[j, q]] = 1.0
-                row[self.col_y[j, q]] = -comp.widths[q]
-                self._ub(row, 0.0)
+                ub.add(
+                    ((self.col_dev[j, q], 1.0),
+                     (self.col_y[j, q], -comp.widths[q])),
+                    0.0,
+                )
         for con in surr.linear_constraints:
-            row = np.zeros(self.ncols)
-            for name, coeff in con.coeffs.items():
-                row[self.col_x[name]] = coeff
-            if con.relation == "=":
-                self._eq(row, -con.constant)
-            else:
-                self._ub(row, -con.constant)
+            entries = [(self.col_x[n], c) for n, c in con.coeffs.items()]
+            (eq if con.relation == "=" else ub).add(entries, -con.constant)
+        self.A_eq = eq.coo(self.ncols).tocsr()
+        self.b_eq = np.array(eq.rhs)
+        self.A_ub = ub.coo(self.ncols).tocsr()
+        self.b_ub = np.array(ub.rhs)
+        # (j, q, lo, hi) -> (interval_cuts, convex on [lo, hi]); per solve,
+        # since two surrogates share keys
+        self._cuts = {}
 
-    def _eq(self, row, rhs):
-        self.A_eq.append(row)
-        self.b_eq.append(rhs)
+    def cuts(self, j: int, q: int, lo: float, hi: float):
+        """``interval_cuts`` of interval (j, q) on [lo, hi] and whether its
+        deviation polynomial is convex there (so tangents at any LP point
+        in the range are valid cuts)."""
+        key = (j, q, lo, hi)
+        if key not in self._cuts:
+            phi = self.deviation_poly(j, q)
+            convex = False
+            if hi - lo > 1e-14:
+                curv_lo, _ = bernstein_bounds(
+                    _poly_der(_poly_der(phi)), lo, hi
+                )
+                convex = curv_lo >= -1e-12 * max(1.0, np.abs(phi).max())
+            self._cuts[key] = (interval_cuts(phi, lo, hi), convex)
+        return self._cuts[key]
 
-    def _ub(self, row, rhs):
-        self.A_ub.append(row)
-        self.b_ub.append(rhs)
+    def deviation_poly(self, j: int, q: int) -> np.ndarray:
+        """Interval (j, q)'s polynomial in its deviation, constant dropped
+        (the constant rides on y)."""
+        phi = self.surr.components[j].piece.coeffs[q].copy()
+        phi[0] = 0.0
+        return phi
+
+    def cut_row(self, j: int, q: int, a: float, b: float):
+        """sp >= (c0+b)*y + a*dev as ``(col, coeff)`` entries of a <= 0 row:
+        the intercept rides on y so the cut reduces to sp >= 0 at y = 0 and
+        to the plain affine underestimator at y = 1."""
+        c0 = self.surr.components[j].piece.coeffs[q][0]
+        return (
+            (self.col_sp[j, q], -1.0),
+            (self.col_y[j, q], c0 + b),
+            (self.col_dev[j, q], a),
+        )
 
 
 def _node_dev_range(surr, node, j, q):
@@ -223,18 +273,18 @@ def _node_dev_range(surr, node, j, q):
     return lo, hi
 
 
-def relax_node(builder: _LPBuilder, node: Node):
-    """Solve the node LP. Returns (status, value, z) where status is
-    'optimal' or 'infeasible' and value includes the surrogate constant."""
+def _node_lp(builder: _LPBuilder, node: Node):
+    """Column bounds, the node's interval-cut rows and its Kelley keys (the
+    intervals convex over the node range), or None when a box is empty."""
     surr = builder.surr
     bounds = [None] * builder.ncols
     for v in surr.variables:
         lo, hi = node.var_bounds.get(v.name, (v.lower, v.upper))
         bounds[builder.col_x[v.name]] = (lo, hi)
         if lo > hi:
-            return "infeasible", math.inf, None
-    A_ub = list(builder.A_ub)
-    b_ub = list(builder.b_ub)
+            return None
+    rows = _Rows()
+    convex_keys = []  # intervals convex over the node range: Kelley cuts
     for j, comp in enumerate(surr.components):
         for q in range(comp.k):
             yfix = node.y_fixed.get((j, q))
@@ -249,47 +299,31 @@ def relax_node(builder: _LPBuilder, node: Node):
             bounds[builder.col_sp[j, q]] = (
                 (0.0, 0.0) if yfix == 0 else (None, None)
             )
-            phi = comp.piece.coeffs[q].copy()
-            c0 = phi[0]
-            phi[0] = 0.0
-            for a, b in interval_cuts(phi, lo, hi):
-                # sp >= (c0+b)*y + a*dev: the intercept rides on y so the
-                # cut reduces to sp >= 0 at y = 0 and to the plain affine
-                # underestimator at y = 1
-                row = np.zeros(builder.ncols)
-                row[builder.col_sp[j, q]] = -1.0
-                row[builder.col_y[j, q]] = c0 + b
-                row[builder.col_dev[j, q]] = a
-                A_ub.append(row)
-                b_ub.append(0.0)
+            cuts, convex = builder.cuts(j, q, lo, hi)
+            for a, b in cuts:
+                rows.add(builder.cut_row(j, q, a, b), 0.0)
+            if convex and yfix != 0:
+                convex_keys.append((j, q, builder.deviation_poly(j, q)))
         bounds[builder.col_sigma[j]] = (None, None)
+    return bounds, rows, convex_keys
 
-    # identify intervals whose deviation polynomial is convex over the node
-    # range; those admit exact tangent cuts at the LP point (Kelley loop)
-    convex_keys = []
-    for j, comp in enumerate(surr.components):
-        for q in range(comp.k):
-            if node.y_fixed.get((j, q)) == 0:
-                continue
-            lo, hi = bounds[builder.col_dev[j, q]]
-            if hi - lo <= 1e-14:
-                continue
-            phi = comp.piece.coeffs[q].copy()
-            phi[0] = 0.0
-            curv_lo, _ = bernstein_bounds(
-                _poly_der(_poly_der(phi)), lo, hi
-            )
-            if curv_lo >= -1e-12 * max(1.0, np.abs(phi).max()):
-                convex_keys.append((j, q, phi))
 
+def relax_node(builder: _LPBuilder, node: Node):
+    """Solve the node LP. Returns (status, value, z) where status is
+    'optimal' or 'infeasible' and value includes the surrogate constant."""
+    surr = builder.surr
+    lp = _node_lp(builder, node)
+    if lp is None:
+        return "infeasible", math.inf, None
+    bounds, rows, convex_keys = lp
     res = None
     for _ in range(12):
         res = scipy.optimize.linprog(
             builder.obj,
-            A_ub=np.array(A_ub),
-            b_ub=np.array(b_ub),
-            A_eq=np.array(builder.A_eq),
-            b_eq=np.array(builder.b_eq),
+            A_ub=scipy.sparse.vstack([builder.A_ub, rows.coo(builder.ncols)]),
+            b_ub=np.concatenate([builder.b_ub, rows.rhs]),
+            A_eq=builder.A_eq,
+            b_eq=builder.b_eq,
             bounds=bounds,
             method="highs",
         )
@@ -306,12 +340,7 @@ def relax_node(builder: _LPBuilder, node: Node):
                 continue
             a = _poly_val(_poly_der(phi), dev)
             b = _poly_val(phi, dev) - a * dev
-            row = np.zeros(builder.ncols)
-            row[builder.col_sp[j, q]] = -1.0
-            row[builder.col_y[j, q]] = c0 + b
-            row[builder.col_dev[j, q]] = a
-            A_ub.append(row)
-            b_ub.append(0.0)
+            rows.add(builder.cut_row(j, q, a, b), 0.0)
             added += 1
         if added == 0:
             break

@@ -1,9 +1,18 @@
+import importlib.resources
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.sparse
 
+from missoc import bnb
 from missoc.bnb import (
+    Node,
     UnsupportedSurrogateError,
     bernstein_bounds,
     interval_cuts,
@@ -11,9 +20,16 @@ from missoc.bnb import (
     solve,
     write_log_csv,
 )
-from missoc.problems import MissocConfig, parse_instance, sample_training
+from missoc.problems import (
+    MissocConfig,
+    fit_stage,
+    parse_instance,
+    sample_training,
+)
 from missoc.regression import fit_additive
 from missoc.surrogate import build_surrogate
+
+SHIPPED = ("convex_shaped", "mixed_integer", "waves2")
 
 
 def surrogate_for(instance, degrees=3, intervals=8, seed=0, samples_per_param=15):
@@ -199,6 +215,12 @@ NONCONVEX_2D = (
 )
 
 
+WAVY_2D = (  # the boxes of CONVEX_2D
+    "var x1 in [-1, 1]; var x2 in [-1, 1];"
+    "min sin(4*x1) + 0.5*x2^2 - x2; st x1 + x2 >= 0.5;"
+)
+
+
 class TestSolve:
     def test_convex_instance_fast_and_tight(self):
         surr = surrogate_for(parse_instance(CONVEX_2D), intervals=6)
@@ -295,3 +317,146 @@ class TestSolve:
         write_log_csv(report, path)
         text = path.read_text()
         assert text.startswith("node,depth,lb,ub,gap_pct")
+
+
+def shipped_surrogate(name):
+    root = importlib.resources.files("missoc") / "instances"
+    inst = parse_instance((root / f"{name}.miss").read_text(), name=name)
+    cfg = MissocConfig()
+    return build_surrogate(
+        fit_stage(inst, sample_training(inst, cfg), cfg), inst
+    )
+
+
+def dense_rows(builder, node):
+    """The node LP's (A_eq, b_eq, A_ub, b_ub) as the dense per-row
+    assembly built them, with uncached ``interval_cuts``; the reference for
+    the sparse assembly."""
+    surr = builder.surr
+    A_eq, b_eq, A_ub, b_ub = [], [], [], []
+
+    def new_row():
+        return np.zeros(builder.ncols)
+
+    for j, comp in enumerate(surr.components):
+        row = new_row()
+        for q in range(comp.k):
+            row[builder.col_y[j, q]] = 1.0
+        A_eq.append(row)
+        b_eq.append(1.0)
+        row = new_row()
+        row[builder.col_x[comp.var]] = 1.0
+        for q in range(comp.k):
+            row[builder.col_y[j, q]] = -comp.breakpoints[q]
+            row[builder.col_dev[j, q]] = -1.0
+        A_eq.append(row)
+        b_eq.append(0.0)
+        row = new_row()
+        row[builder.col_sigma[j]] = 1.0
+        for q in range(comp.k):
+            row[builder.col_sp[j, q]] = -1.0
+        A_eq.append(row)
+        b_eq.append(0.0)
+        for q in range(comp.k):
+            row = new_row()
+            row[builder.col_dev[j, q]] = 1.0
+            row[builder.col_y[j, q]] = -comp.widths[q]
+            A_ub.append(row)
+            b_ub.append(0.0)
+    for con in surr.linear_constraints:
+        row = new_row()
+        for name, coeff in con.coeffs.items():
+            row[builder.col_x[name]] = coeff
+        (A_eq if con.relation == "=" else A_ub).append(row)
+        (b_eq if con.relation == "=" else b_ub).append(-con.constant)
+    for j, comp in enumerate(surr.components):
+        for q in range(comp.k):
+            yfix = node.y_fixed.get((j, q))
+            lo, hi = node.dev_bounds.get((j, q), (0.0, comp.widths[q]))
+            if yfix == 0:
+                lo, hi = 0.0, 0.0
+            phi = comp.piece.coeffs[q].copy()
+            c0 = phi[0]
+            phi[0] = 0.0
+            for a, b in interval_cuts(phi, lo, hi):
+                row = new_row()
+                row[builder.col_sp[j, q]] = -1.0
+                row[builder.col_y[j, q]] = c0 + b
+                row[builder.col_dev[j, q]] = a
+                A_ub.append(row)
+                b_ub.append(0.0)
+    return np.array(A_eq), np.array(b_eq), np.array(A_ub), np.array(b_ub)
+
+
+def branched_node(surr):
+    """A node below the root: per component the first interval is fixed
+    off and the second's deviation range is cut to its middle half."""
+    y_fixed, dev_bounds = {}, {}
+    for j, comp in enumerate(surr.components):
+        y_fixed[j, 0] = 0
+        w = comp.widths[1]
+        dev_bounds[j, 1] = (0.25 * w, 0.75 * w)
+    return Node(2, -math.inf, y_fixed, dev_bounds, {})
+
+
+class TestNodeLP:
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_sparse_rows_equal_dense_rows(self, name):
+        surr = shipped_surrogate(name)
+        builder = bnb._LPBuilder(surr)
+        for node in (Node(0, -math.inf, {}, {}, {}), branched_node(surr)):
+            A_eq, b_eq, A_ub, b_ub = dense_rows(builder, node)
+            _, rows, _ = bnb._node_lp(builder, node)
+            sparse_ub = scipy.sparse.vstack(
+                [builder.A_ub, rows.coo(builder.ncols)]
+            ).tocsr()
+            np.testing.assert_array_equal(builder.A_eq.toarray(), A_eq)
+            np.testing.assert_array_equal(builder.b_eq, b_eq)
+            np.testing.assert_array_equal(sparse_ub.toarray(), A_ub)
+            np.testing.assert_array_equal(
+                np.concatenate([builder.b_ub, rows.rhs]), b_ub
+            )
+            # no explicit zeros: HiGHS gets the matrix the dense rows give
+            assert np.all(builder.A_eq.data != 0.0)
+            assert np.all(sparse_ub.data != 0.0)
+
+    def test_interval_cuts_cache_is_per_builder(self):
+        # same boxes and knots, so both builders look up the same keys
+        wavy = surrogate_for(parse_instance(WAVY_2D), intervals=8)
+        convex = surrogate_for(parse_instance(CONVEX_2D), intervals=8)
+        for surr in (wavy, convex, wavy):
+            builder = bnb._LPBuilder(surr)
+            for j, comp in enumerate(surr.components):
+                for q in range(comp.k):
+                    phi = comp.piece.coeffs[q].copy()
+                    phi[0] = 0.0
+                    cuts, _ = builder.cuts(j, q, 0.0, comp.widths[q])
+                    assert cuts == interval_cuts(phi, 0.0, comp.widths[q])
+
+    def test_two_surrogates_in_one_process_match_each_alone(self):
+        def summary(report):
+            return [list(map(float, report.x)), report.objective,
+                    report.lower_bound, report.nodes, report.status]
+
+        both = [
+            summary(solve(surrogate_for(parse_instance(text), intervals=8)))
+            for text in (WAVY_2D, CONVEX_2D)
+        ]
+        # each alone in a fresh interpreter, where no earlier solve ran
+        src = pathlib.Path(bnb.__file__).resolve().parents[1]
+        here = pathlib.Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(here)]))
+        for text_name, want in zip(("WAVY_2D", "CONVEX_2D"), both):
+            script = (
+                "import json, test_bnb as t\n"
+                f"s = t.surrogate_for(t.parse_instance(t.{text_name}), "
+                "intervals=8)\n"
+                "r = t.solve(s)\n"
+                "print(json.dumps([list(map(float, r.x)), r.objective, "
+                "r.lower_bound, r.nodes, r.status]))\n"
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout
+            assert json.loads(out) == want
