@@ -8,10 +8,22 @@ Bernstein-shifted secant on mixed-curvature ones). Branching fixes the
 interval binaries, bisects deviation ranges where the envelope is loose, and
 enforces integrality of integer original variables; node selection is
 best-bound with FIFO tie-break, so runs are deterministic.
+
+Intervals that are convex over the node's deviation range get Kelley
+(1960) tangents at the LP point, one LP round at a time. The loop stops on
+bound progress: when a round raised the LP value by at most
+``0.01 * gap_tol * max(1, |value|)``, when no tangent was added, or after
+KELLEY_CAP LPs (counted in ``SolveReport.kelley_cap_hits``). Every stop
+leaves a relaxation, so bounds stay sound. A node's tangents are passed to
+its children (a cut pool in the sense of Achterberg 2007): a tangent of a
+piece convex on a range underestimates it on every sub-range, so it holds
+in all descendants. The node-independent rows are assembled once per solve
+as CSR and ``interval_cuts`` is cached per solve.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 import time
@@ -26,6 +38,7 @@ from .surrogate import SurrogateMINLP, eval_surrogate_at
 
 FRAC_TOL = 1e-6
 PRUNE_TOL = 1e-9
+KELLEY_CAP = 12  # LP solves per node relaxation
 
 
 class UnsupportedSurrogateError(ValueError):
@@ -125,6 +138,9 @@ class Node:
     y_fixed: dict  # (j, q) -> 0 or 1
     dev_bounds: dict  # (j, q) -> (lo, hi), overriding [0, width]
     var_bounds: dict  # name -> (lo, hi), overriding the box
+    # (j, q, a, b): Kelley tangents sp >= (c0+b)*y + a*dev added by the
+    # ancestors on ranges that contain this node's
+    tangents: tuple = ()
 
 
 @dataclass
@@ -136,6 +152,8 @@ class SolveReport:
     nodes: int
     time_s: float
     status: str
+    lp_solves: int = 0
+    kelley_cap_hits: int = 0  # node LPs stopped by KELLEY_CAP, not progress
     log: list = field(default_factory=list)
 
     def csv_row(self) -> str:
@@ -173,11 +191,17 @@ class _Rows:
 
 
 class _LPBuilder:
-    """Column layout, fixed rows (CSR, assembled once) and the
-    ``interval_cuts`` cache shared by all node LPs of one solve."""
+    """Column layout, fixed rows (CSR, assembled once), the
+    ``interval_cuts`` cache and the LP counters shared by all node LPs of
+    one solve."""
 
-    def __init__(self, surr: SurrogateMINLP):
+    def __init__(self, surr: SurrogateMINLP, gap_tol: float):
         self.surr = surr
+        # the Kelley loop stops once a round raises the bound by at most
+        # this fraction of the solve's gap tolerance
+        self.progress_tol = 0.01 * gap_tol
+        self.lp_solves = 0
+        self.kelley_cap_hits = 0
         self.nv = len(surr.variables)
         self.col_x = {v.name: j for j, v in enumerate(surr.variables)}
         col = self.nv
@@ -305,19 +329,32 @@ def _node_lp(builder: _LPBuilder, node: Node):
             if convex and yfix != 0:
                 convex_keys.append((j, q, builder.deviation_poly(j, q)))
         bounds[builder.col_sigma[j]] = (None, None)
+    for j, q, a, b in node.tangents:
+        if node.y_fixed.get((j, q)) != 0:
+            rows.add(builder.cut_row(j, q, a, b), 0.0)
     return bounds, rows, convex_keys
 
 
 def relax_node(builder: _LPBuilder, node: Node):
-    """Solve the node LP. Returns (status, value, z) where status is
-    'optimal' or 'infeasible' and value includes the surrogate constant."""
+    """Solve the node LP with Kelley rounds. Returns (status, value, z,
+    tangents): status is 'optimal' or 'infeasible', value includes the
+    surrogate constant, and tangents are the node's inherited tangents plus
+    the ones it added, for its children to inherit.
+
+    A round adds the tangent at the LP point of every interval that is
+    convex over the node range and underestimated there. The loop stops
+    when a round raised the bound by at most ``builder.progress_tol``
+    (relative to max(1, |value|)), when no tangent was added, or after
+    KELLEY_CAP solves. Each stop leaves a relaxation, so the bound is sound.
+    """
     surr = builder.surr
     lp = _node_lp(builder, node)
     if lp is None:
-        return "infeasible", math.inf, None
+        return "infeasible", math.inf, None, ()
     bounds, rows, convex_keys = lp
-    res = None
-    for _ in range(12):
+    tangents = [t for t in node.tangents if node.y_fixed.get(t[:2]) != 0]
+    prev = -math.inf
+    for rnd in range(KELLEY_CAP):
         res = scipy.optimize.linprog(
             builder.obj,
             A_ub=scipy.sparse.vstack([builder.A_ub, rows.coo(builder.ncols)]),
@@ -327,10 +364,15 @@ def relax_node(builder: _LPBuilder, node: Node):
             bounds=bounds,
             method="highs",
         )
+        builder.lp_solves += 1
         if res.status == 2 or not res.success:
-            return "infeasible", math.inf, None
+            return "infeasible", math.inf, None, ()
+        value = float(res.fun) + surr.constant
+        if value - prev <= builder.progress_tol * max(1.0, abs(value)):
+            break
+        prev = value
         z = res.x
-        added = 0
+        new = []
         for j, q, phi in convex_keys:
             y = z[builder.col_y[j, q]]
             dev = z[builder.col_dev[j, q]]
@@ -338,20 +380,35 @@ def relax_node(builder: _LPBuilder, node: Node):
             gap = c0 * y + _poly_val(phi, dev) - z[builder.col_sp[j, q]]
             if gap <= 1e-10 * max(1.0, abs(z[builder.col_sp[j, q]])):
                 continue
+            # the LP point may leave the range by HiGHS's tolerance; a
+            # tangent is valid on the range only at a point inside it
+            lo, hi = bounds[builder.col_dev[j, q]]
+            dev = min(max(dev, lo), hi)
             a = _poly_val(_poly_der(phi), dev)
-            b = _poly_val(phi, dev) - a * dev
-            rows.add(builder.cut_row(j, q, a, b), 0.0)
-            added += 1
-        if added == 0:
+            new.append((j, q, a, _poly_val(phi, dev) - a * dev))
+        if not new:
             break
-    return "optimal", float(res.fun) + surr.constant, res.x
+        if rnd == KELLEY_CAP - 1:
+            builder.kelley_cap_hits += 1
+            break
+        for cut in new:
+            rows.add(builder.cut_row(*cut), 0.0)
+        tangents.extend(new)
+    return "optimal", value, res.x, tuple(tangents)
 
 
 def _try_incumbent(builder: _LPBuilder, z) -> tuple[float, np.ndarray] | None:
     """Lift the LP point's original coordinates into a feasible surrogate
-    solution; integer variables are rounded and feasibility rechecked."""
+    solution; integer variables are rounded and feasibility rechecked.
+
+    A component keeps the LP's own interval when its y is integral and its
+    x was not moved by rounding or clamping: at a knot the LP may pick the
+    left interval (deviation = width), which the knot rule of
+    ``eval_surrogate_at`` would score with the right one.
+    """
     surr = builder.surr
-    x = np.array([z[builder.col_x[v.name]] for v in surr.variables])
+    x_lp = np.array([z[builder.col_x[v.name]] for v in surr.variables])
+    x = x_lp.copy()
     for j, v in enumerate(surr.variables):
         if v.integer:
             x[j] = round(x[j])
@@ -369,7 +426,15 @@ def _try_incumbent(builder: _LPBuilder, z) -> tuple[float, np.ndarray] | None:
                 return None
         elif val > 1e-6:
             return None
-    value, _ = eval_surrogate_at(surr, x)
+    value, lift = eval_surrogate_at(surr, x)
+    for j, comp in enumerate(surr.components):
+        i = idx[comp.var]
+        ys = [z[builder.col_y[j, q]] for q in range(comp.k)]
+        q = int(np.argmax(ys))
+        if x[i] != x_lp[i] or ys[q] < 1.0 - FRAC_TOL or lift["y"][j][q] == 1.0:
+            continue  # moved, fractional, or already the knot rule's interval
+        dev = min(max(z[builder.col_dev[j, q]], 0.0), comp.widths[q])
+        value += _poly_val(comp.piece.coeffs[q], dev) - lift["sigma"][j]
     return value, x
 
 
@@ -456,11 +521,19 @@ def solve(
     gap_tol: float = 1e-4,
     collect_log: bool = False,
 ) -> SolveReport:
-    """Best-bound branch-and-bound; deterministic for identical inputs."""
+    """Best-bound branch-and-bound; deterministic for identical inputs.
+
+    The search stops once the relative gap ``optimality_gap`` is within
+    ``100 * gap_tol`` percent. A node is closed when its bound is within
+    ``0.5 * gap_tol * max(1, |ub|)`` of the incumbent, and the status is
+    'optimal' when the final bounds meet the same measure at full width,
+    ``ub - lb <= gap_tol * max(1, |ub|)``; for |ub| < 1 that is absolute,
+    so the reported ``gap_pct`` may then exceed ``100 * gap_tol``.
+    """
     if surrogate.nonlinear_constraints:
         raise UnsupportedSurrogateError(NONLINEAR_CONSTRAINTS_UNSUPPORTED)
     start = time.monotonic()
-    builder = _LPBuilder(surrogate)
+    builder = _LPBuilder(surrogate, gap_tol)
     root = Node(0, -math.inf, {}, {}, {})
     heap = []
     counter = 0
@@ -486,7 +559,7 @@ def solve(
             break
         _, _, node = heapq.heappop(heap)
         nodes += 1
-        lp_status, lb, z = relax_node(builder, node)
+        lp_status, lb, z, tangents = relax_node(builder, node)
         if lp_status != "optimal":
             continue
         if lb >= ub - PRUNE_TOL * max(1.0, abs(ub)):
@@ -512,7 +585,9 @@ def solve(
             continue  # LP point is exact for this node
         for child in children:
             counter += 1
-            heapq.heappush(heap, (lb, counter, child))
+            heapq.heappush(
+                heap, (lb, counter, dataclasses.replace(child, tangents=tangents))
+            )
 
     if incumbent is None:
         lb_final = min(heap[0][0], pruned_lb) if heap else pruned_lb
@@ -524,11 +599,13 @@ def solve(
             nodes=nodes,
             time_s=time.monotonic() - start,
             status="no_incumbent" if status == "optimal" else status,
+            lp_solves=builder.lp_solves,
+            kelley_cap_hits=builder.kelley_cap_hits,
             log=log,
         )
     lb_final = min(heap[0][0], pruned_lb, ub) if heap else min(pruned_lb, ub)
     gap = optimality_gap(ub, lb_final)
-    if status == "optimal" and gap > 100.0 * gap_tol:
+    if status == "optimal" and ub - lb_final > gap_tol * max(1.0, abs(ub)):
         status = "tolerance_not_met"
     return SolveReport(
         x=incumbent,
@@ -538,6 +615,8 @@ def solve(
         nodes=nodes,
         time_s=time.monotonic() - start,
         status=status,
+        lp_solves=builder.lp_solves,
+        kelley_cap_hits=builder.kelley_cap_hits,
         log=log,
     )
 

@@ -151,6 +151,8 @@ def cmd_solve(args) -> int:
     print(f"lower bound   {report.lower_bound:.9g}")
     print(f"gap           {report.gap_pct:.4g}%")
     print(f"nodes         {report.nodes}")
+    print(f"LP solves     {report.lp_solves}")
+    print(f"Kelley caps   {report.kelley_cap_hits}")
     print(f"time          {report.time_s:.3f}s")
     if args.log:
         write_log_csv(report, args.log)
@@ -172,6 +174,8 @@ def _print_report(report) -> None:
         print(f"surrogate obj {report.surrogate_objective:.9g}")
     print(f"gap           {report.gap_pct:.4g}%")
     print(f"nodes         {report.nodes}")
+    print(f"LP solves     {report.lp_solves}")
+    print(f"Kelley caps   {report.kelley_cap_hits}")
     for stage in ("sample", "fit", "surrogate", "solve", "refine"):
         if stage in report.stage_times:
             print(f"t[{stage:<9}] {report.stage_times[stage]:.3f}s")

@@ -420,6 +420,8 @@ class MissocReport:
     nodes: int
     stage_times: dict[str, float]
     status: str
+    lp_solves: int = 0  # node LPs the solver ran
+    kelley_cap_hits: int = 0  # node LPs stopped by the Kelley round cap
     fit: object = None
     surrogate: object = None
 
@@ -545,6 +547,8 @@ def run_missoc(
             nodes=report.nodes,
             stage_times=times,
             status=report.status,
+            lp_solves=report.lp_solves,
+            kelley_cap_hits=report.kelley_cap_hits,
             fit=fit,
             surrogate=surr,
         )
@@ -568,6 +572,8 @@ def run_missoc(
         nodes=report.nodes,
         stage_times=times,
         status=status,
+        lp_solves=report.lp_solves,
+        kelley_cap_hits=report.kelley_cap_hits,
         fit=fit,
         surrogate=surr,
     )

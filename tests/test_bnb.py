@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.resources
 import json
 import math
@@ -8,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse
 
 from missoc import bnb
@@ -27,7 +29,14 @@ from missoc.problems import (
     sample_training,
 )
 from missoc.regression import fit_additive
-from missoc.surrogate import build_surrogate
+from missoc.splines import PiecewisePoly
+from missoc.surrogate import (
+    LinearConstraint,
+    SurrogateComponent,
+    SurrogateMINLP,
+    build_surrogate,
+    eval_surrogate_at,
+)
 
 SHIPPED = ("convex_shaped", "mixed_integer", "waves2")
 
@@ -307,6 +316,60 @@ class TestSolve:
         with pytest.raises(UnsupportedSurrogateError):
             solve(surr)
 
+    def test_status_uses_the_node_closing_measure(self):
+        # |ub| < 1: the relative gap of the final bounds exceeds gap_tol
+        # while ub - lb is within gap_tol, the measure nodes are closed by
+        inst = parse_instance(
+            "var x in [0,1]; var y in [0,1];"
+            "min (x-0.45)^2 + (y-0.3)^2 + 0.001; st x + y >= 0.9;"
+        )
+        surr = surrogate_for(inst, degrees=2, intervals=5)
+        report = solve(surr, gap_tol=1e-4)
+        assert report.status == "optimal"
+        assert report.objective - report.lower_bound <= 1e-4 * max(
+            1.0, abs(report.objective)
+        )
+        assert report.gap_pct == pytest.approx(
+            optimality_gap(report.objective, report.lower_bound), abs=1e-12
+        )
+
+    def test_incumbent_scored_with_the_lp_interval_at_a_knot(self):
+        # degree 0: the LP reaches x = 0.5 in the left interval (value 1);
+        # the knot rule puts 0.5 in the right one (value 2)
+        (var,) = parse_instance("var x in [0, 1]; min x;").variables
+        piece = PiecewisePoly(
+            np.array([0.0, 0.25, 0.5, 0.75, 1.0]),
+            np.array([[3.0], [1.0], [2.0], [2.5]]),
+        )
+        surr = SurrogateMINLP(
+            constant=0.0,
+            linear={},
+            components=(SurrogateComponent("x", piece),),
+            variables=(var,),
+            linear_constraints=(LinearConstraint({"x": -1.0}, 0.5, "<="),),
+        )
+        assert eval_surrogate_at(surr, [0.5])[0] == 2.0
+        report = solve(surr, gap_tol=1e-6)
+        assert report.status == "optimal"
+        assert report.objective == 1.0
+        assert report.x[0] == 0.5
+        assert report.lower_bound == pytest.approx(1.0, abs=1e-9)
+
+    def test_reports_lp_work(self, monkeypatch):
+        surr = surrogate_for(parse_instance(NONCONVEX_2D))
+        counted = []
+        linprog = scipy.optimize.linprog
+
+        def spy(*args, **kwargs):
+            counted.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        report = solve(surr, gap_tol=1e-4)
+        assert report.lp_solves == len(counted)
+        assert report.nodes <= report.lp_solves <= bnb.KELLEY_CAP * report.nodes
+        assert 0 <= report.kelley_cap_hits <= report.nodes
+
     def test_log_collection(self, tmp_path):
         surr = surrogate_for(parse_instance(NONCONVEX_2D))
         report = solve(surr, collect_log=True)
@@ -403,7 +466,7 @@ class TestNodeLP:
     @pytest.mark.parametrize("name", SHIPPED)
     def test_sparse_rows_equal_dense_rows(self, name):
         surr = shipped_surrogate(name)
-        builder = bnb._LPBuilder(surr)
+        builder = bnb._LPBuilder(surr, 1e-4)
         for node in (Node(0, -math.inf, {}, {}, {}), branched_node(surr)):
             A_eq, b_eq, A_ub, b_ub = dense_rows(builder, node)
             _, rows, _ = bnb._node_lp(builder, node)
@@ -425,7 +488,7 @@ class TestNodeLP:
         wavy = surrogate_for(parse_instance(WAVY_2D), intervals=8)
         convex = surrogate_for(parse_instance(CONVEX_2D), intervals=8)
         for surr in (wavy, convex, wavy):
-            builder = bnb._LPBuilder(surr)
+            builder = bnb._LPBuilder(surr, 1e-4)
             for j, comp in enumerate(surr.components):
                 for q in range(comp.k):
                     phi = comp.piece.coeffs[q].copy()
@@ -460,3 +523,158 @@ class TestNodeLP:
                 capture_output=True, text=True,
             ).stdout
             assert json.loads(out) == want
+
+
+def random_surrogate(seed, k=4):
+    """Two covariates on [0, 1] with k intervals each, every other interval
+    convex (a random cubic with nonnegative curvature and its minimum
+    inside) and the rest random cubics, coupled by x1 + x2 >= 0.8."""
+    rng = np.random.default_rng(seed)
+    variables = parse_instance(
+        "var x1 in [0, 1]; var x2 in [0, 1]; min x1 + x2;"
+    ).variables
+    bp = np.linspace(0.0, 1.0, k + 1)
+    w = bp[1] - bp[0]
+    components = []
+    for var in ("x1", "x2"):
+        coeffs = np.empty((k, 4))
+        for q in range(k):
+            if q % 2 == 0:
+                c2 = rng.uniform(0.5, 4.0)
+                # phi'' = 2 c2 + 6 c3 d >= 0 on [0, w]
+                c3 = rng.uniform(-0.9 * c2 / (3.0 * w), 8.0)
+                # the minimum inside the interval: phi'(0) < 0 < phi'(w)
+                c1 = -rng.uniform(0.2, 0.8) * (2 * c2 * w + 3 * c3 * w**2)
+                c0 = 0.1 * rng.normal()
+            else:
+                c1, c2, c3 = 4.0 * rng.normal(size=3)
+                c0 = rng.uniform(0.0, 0.5)
+            coeffs[q] = (c0, c1, c2, c3)
+        components.append(SurrogateComponent(var, PiecewisePoly(bp, coeffs)))
+    return SurrogateMINLP(
+        constant=0.0,
+        linear={},
+        components=tuple(components),
+        variables=tuple(variables),
+        linear_constraints=(
+            LinearConstraint({"x1": -1.0, "x2": -1.0}, 0.8, "<="),
+        ),
+    )
+
+
+def tree_nodes(builder, count):
+    """The first ``count`` nodes of a breadth-first walk of the tree, each
+    with the tangents it inherits, as (node, relax_node result)."""
+    queue = [Node(0, -math.inf, {}, {}, {})]
+    out = []
+    while queue and len(out) < count:
+        node = queue.pop(0)
+        result = bnb.relax_node(builder, node)
+        out.append((node, result))
+        if result[0] != "optimal":
+            continue
+        for child in bnb._branch(builder, node, result[2]) or ():
+            queue.append(dataclasses.replace(child, tangents=result[3]))
+    return out
+
+
+def node_grid_min(surr, node, n=801):
+    """Grid minimum of the surrogate over the node's feasible set."""
+    axes = []
+    for j, comp in enumerate(surr.components):
+        xs, fs = [], []
+        lo_x, hi_x = node.var_bounds.get(comp.var, (0.0, 1.0))
+        for q in range(comp.k):
+            if node.y_fixed.get((j, q)) == 0:
+                continue
+            lo, hi = node.dev_bounds.get((j, q), (0.0, comp.widths[q]))
+            dev = np.linspace(lo, hi, n)
+            x = comp.breakpoints[q] + dev
+            keep = (x >= lo_x) & (x <= hi_x)
+            xs.append(x[keep])
+            fs.append(np.polynomial.polynomial.polyval(
+                dev[keep], comp.piece.coeffs[q]
+            ))
+        axes.append((np.concatenate(xs), np.concatenate(fs)))
+    (x1, f1), (x2, f2) = axes
+    total = f1[:, None] + f2[None, :]
+    total = np.where(x1[:, None] + x2[None, :] >= 0.8, total, np.inf)
+    return float(total.min())
+
+
+class TestTangentPool:
+    # some seeds give a root LP that is already exact (no tree, no pool)
+    SEEDS = range(10)
+
+    def test_pool_underestimates_phi_on_each_child_range(self):
+        checked = 0
+        for seed in self.SEEDS:
+            checked += self.check_pool_underestimates(seed)
+        assert checked >= 200
+
+    def check_pool_underestimates(self, seed):
+        surr = random_surrogate(seed)
+        builder = bnb._LPBuilder(surr, 1e-4)
+        checked = 0
+        for node, (status, _, _, pool) in tree_nodes(builder, 25):
+            if status != "optimal":
+                continue
+            # the node's own tangents too: they are its children's pool
+            for j, q, a, b in pool:
+                assert node.y_fixed.get((j, q)) != 0
+                lo, hi = node.dev_bounds.get(
+                    (j, q), (0.0, surr.components[j].widths[q])
+                )
+                dev = np.linspace(lo, hi, 2001)
+                phi = builder.deviation_poly(j, q)
+                vals = np.polynomial.polynomial.polyval(dev, phi)
+                tol = 1e-9 * max(1.0, np.abs(vals).max())
+                assert np.all(a * dev + b <= vals + tol)
+                checked += 1
+        return checked
+
+    def test_pool_bound_between_plain_bound_and_node_minimum(
+        self, monkeypatch
+    ):
+        inherited = 0
+        for seed in self.SEEDS:
+            inherited += self.check_pool_bound(seed, monkeypatch)
+        assert inherited >= 50
+
+    def check_pool_bound(self, seed, monkeypatch):
+        surr = random_surrogate(seed)
+        builder = bnb._LPBuilder(surr, 1e-4)
+        nodes = tree_nodes(builder, 25)
+        values = []
+        linprog = scipy.optimize.linprog
+
+        def spy(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            values.append(res.fun)
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        inherited = 0
+        for node, (status, bound, _, _) in nodes:
+            values.clear()
+            pooled = bnb.relax_node(builder, node)
+            first_pooled = values[0]
+            values.clear()
+            plain = bnb.relax_node(
+                builder, dataclasses.replace(node, tangents=())
+            )
+            assert (pooled[0], pooled[1]) == (status, bound)
+            assert plain[0] == status
+            if status != "optimal":
+                continue
+            inherited += bool(node.tangents)
+            scale = max(1.0, abs(bound))
+            # the pool's rows only add to the plain first LP, and Kelley
+            # rounds only add rows (to HiGHS's 1e-7 feasibility tolerance);
+            # an early-stopped plain loop may still end above the pooled
+            # one, because their tangent points differ
+            assert first_pooled >= values[0] - 1e-7 * scale
+            assert bound >= first_pooled - 1e-7 * scale
+            assert bound <= node_grid_min(surr, node) + 1e-9 * scale
+        monkeypatch.undo()
+        return inherited

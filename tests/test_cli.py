@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,8 @@ class TestSolve:
         assert rc == 0
         out = capsys.readouterr().out
         assert "status        optimal" in out
+        assert re.search(r"^LP solves     [1-9]\d*$", out, re.M)
+        assert re.search(r"^Kelley caps   \d+$", out, re.M)
         assert log.read_text().startswith("node,depth,lb,ub,gap_pct")
         lines = summary.read_text().splitlines()
         assert lines[0].startswith("objective,")
@@ -103,6 +107,8 @@ class TestRun:
         assert rc == 0
         text = capsys.readouterr().out
         assert "t[refine" in text
+        assert re.search(r"^LP solves     [1-9]\d*$", text, re.M)
+        assert re.search(r"^Kelley caps   \d+$", text, re.M)
         lines = out.read_text().splitlines()
         assert lines[0].startswith("instance,stage,")
         assert lines[-1].split(",")[1] == "total"
