@@ -23,11 +23,10 @@ as CSR and ``interval_cuts`` is cached per solve.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.optimize
@@ -485,11 +484,9 @@ def _branch(builder: _LPBuilder, node: Node, z) -> list[Node] | None:
     for (j, q), col in builder.col_y.items():
         if z[col] < 0.5:
             continue
-        coeffs = surr.components[j].piece.coeffs[q]
-        phi = coeffs.copy()
-        phi[0] = 0.0
+        c0 = surr.components[j].piece.coeffs[q][0]
         dev = z[builder.col_dev[j, q]]
-        true_sp = coeffs[0] * z[col] + _poly_val(phi, dev)
+        true_sp = c0 * z[col] + _poly_val(builder.deviation_poly(j, q), dev)
         gap = true_sp - z[builder.col_sp[j, q]]
         if gap > best_gap:
             best_gap, best_key = gap, (j, q)
@@ -585,9 +582,7 @@ def solve(
             continue  # LP point is exact for this node
         for child in children:
             counter += 1
-            heapq.heappush(
-                heap, (lb, counter, dataclasses.replace(child, tangents=tangents))
-            )
+            heapq.heappush(heap, (lb, counter, replace(child, tangents=tangents)))
 
     if incumbent is None:
         lb_final = min(heap[0][0], pruned_lb) if heap else pruned_lb

@@ -33,7 +33,12 @@ from missoc.shapecon import (
     ShapeSpec,
     fit_constrained,
 )
-from missoc.splines import design_matrix, make_basis, to_piecewise_poly
+from missoc.splines import (
+    design_matrix,
+    interval_index,
+    make_basis,
+    to_piecewise_poly,
+)
 from missoc.surrogate import build_surrogate, eval_surrogate_at
 
 
@@ -84,16 +89,43 @@ def penalized_objective(B, rows, y, theta):
 
 
 def deriv_design(basis, xs, order):
-    """Grid values of the order-th derivative of each basis function."""
-    cols = []
+    """Grid values of the order-th derivative of each basis function; each
+    interval's polynomial is evaluated on all of its grid points at once,
+    with the knot rule of ``PiecewisePoly.__call__``."""
+    xs = np.asarray(xs, dtype=float)
+    out = np.empty((len(xs), basis.n_basis))
     for l in range(basis.n_basis):
         e = np.zeros(basis.n_basis)
         e[l] = 1.0
         pp = to_piecewise_poly(e, basis)
         for _ in range(order):
             pp = pp.derivative()
-        cols.append([pp(x) for x in xs])
-    return np.array(cols).T
+        q = interval_index(pp.breakpoints, xs)
+        for i in np.unique(q):
+            m = q == i
+            out[m, l] = np.polynomial.polynomial.polyval(
+                xs[m] - pp.breakpoints[i], pp.coeffs[i]
+            )
+    return out
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_deriv_design_equals_scalar_evaluation(order):
+    # criterion 3's grids, plus the knots themselves
+    for k, d in [(4, 2), (7, 3), (12, 5)]:
+        basis = make_basis(-0.3, 1.7, k, d)
+        grid = np.concatenate(
+            [np.linspace(*basis.domain, 1000), basis.knots.internal]
+        )
+        want = np.empty((len(grid), basis.n_basis))
+        for l in range(basis.n_basis):
+            e = np.zeros(basis.n_basis)
+            e[l] = 1.0
+            pp = to_piecewise_poly(e, basis)
+            for _ in range(order):
+                pp = pp.derivative()
+            want[:, l] = [pp(x) for x in grid]
+        np.testing.assert_array_equal(deriv_design(basis, grid, order), want)
 
 
 def piecewise_values(comp, xs):

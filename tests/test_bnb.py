@@ -578,7 +578,7 @@ def tree_nodes(builder, count):
     return out
 
 
-def node_grid_min(surr, node, n=801):
+def node_grid_min(surr, node, n=201):
     """Grid minimum of the surrogate over the node's feasible set."""
     axes = []
     for j, comp in enumerate(surr.components):
@@ -610,7 +610,7 @@ class TestTangentPool:
         checked = 0
         for seed in self.SEEDS:
             checked += self.check_pool_underestimates(seed)
-        assert checked >= 200
+        assert checked >= 500
 
     def check_pool_underestimates(self, seed):
         surr = random_surrogate(seed)
