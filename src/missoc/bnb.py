@@ -93,23 +93,27 @@ def _poly_der(coeffs):
     return c[1:] * np.arange(1, len(c))
 
 
-def interval_cuts(phi, lo: float, hi: float) -> list[tuple[float, float]]:
-    """Linear underestimators (a, b) with a*x + b <= phi(x) on [lo, hi].
+def interval_cuts(phi, lo: float, hi: float) -> tuple[list, bool]:
+    """Linear underestimators (a, b) with a*x + b <= phi(x) on [lo, hi],
+    and whether phi is convex there (so tangents at any point of the range
+    are valid cuts); a degenerate range counts as not convex.
 
     phi is the deviation polynomial of one interval (power basis, zero
     constant term on unrefined intervals). Convex pieces get tangents,
     concave ones the secant (their convex envelope), mixed curvature gets
-    the secant shifted down by a Bernstein bound of its overshoot.
+    the secant shifted down by a Bernstein bound of its overshoot. The
+    curvature test is one Bernstein enclosure of phi''.
     """
     phi = np.asarray(phi, dtype=float)
     if hi - lo <= 1e-14:
         v = _poly_val(phi, 0.5 * (lo + hi))
-        return [(0.0, v)]
+        return [(0.0, v)], False
     cuts = []
     second = _poly_der(_poly_der(phi))
     curv_lo, curv_hi = bernstein_bounds(second, lo, hi)
     scale = max(1.0, np.abs(phi).max())
-    if curv_lo >= -1e-12 * scale:  # convex on the interval
+    convex = curv_lo >= -1e-12 * scale
+    if convex:
         for p in np.linspace(lo, hi, 5):
             a = _poly_val(_poly_der(phi), p)
             cuts.append((a, _poly_val(phi, p) - a * p))
@@ -127,7 +131,7 @@ def interval_cuts(phi, lo: float, hi: float) -> list[tuple[float, float]]:
             cuts.append((a, b - max(delta, 0.0)))
     lo_val, _ = bernstein_bounds(phi, lo, hi)
     cuts.append((0.0, lo_val))
-    return cuts
+    return cuts, convex
 
 
 @dataclass(frozen=True)
@@ -252,24 +256,16 @@ class _LPBuilder:
         self.b_eq = np.array(eq.rhs)
         self.A_ub = ub.coo(self.ncols).tocsr()
         self.b_ub = np.array(ub.rhs)
-        # (j, q, lo, hi) -> (interval_cuts, convex on [lo, hi]); per solve,
-        # since two surrogates share keys
+        # (j, q, lo, hi) -> interval_cuts; per solve, since two surrogates
+        # share keys
         self._cuts = {}
 
     def cuts(self, j: int, q: int, lo: float, hi: float):
-        """``interval_cuts`` of interval (j, q) on [lo, hi] and whether its
-        deviation polynomial is convex there (so tangents at any LP point
-        in the range are valid cuts)."""
+        """``interval_cuts`` of interval (j, q)'s deviation polynomial on
+        [lo, hi]: its cuts and whether it is convex there."""
         key = (j, q, lo, hi)
         if key not in self._cuts:
-            phi = self.deviation_poly(j, q)
-            convex = False
-            if hi - lo > 1e-14:
-                curv_lo, _ = bernstein_bounds(
-                    _poly_der(_poly_der(phi)), lo, hi
-                )
-                convex = curv_lo >= -1e-12 * max(1.0, np.abs(phi).max())
-            self._cuts[key] = (interval_cuts(phi, lo, hi), convex)
+            self._cuts[key] = interval_cuts(self.deviation_poly(j, q), lo, hi)
         return self._cuts[key]
 
     def deviation_poly(self, j: int, q: int) -> np.ndarray:
@@ -449,20 +445,13 @@ def _branch(builder: _LPBuilder, node: Node, z) -> list[Node] | None:
         if frac > best_frac:
             best_frac, best_key = frac, key
     if best_key is not None:
-        children = []
-        for val in (0, 1):
-            fixed = dict(node.y_fixed)
-            fixed[best_key] = val
-            j = best_key[0]
-            if val == 1:
-                for q in range(surr.components[j].k):
-                    if q != best_key[1]:
-                        fixed[j, q] = 0
-            children.append(
-                Node(node.depth + 1, node.lb, fixed, node.dev_bounds,
-                     node.var_bounds)
-            )
-        return children
+        off = dict(node.y_fixed)
+        off[best_key] = 0
+        return [
+            Node(node.depth + 1, node.lb, fixed, node.dev_bounds,
+                 node.var_bounds)
+            for fixed in (off, _choose_interval(surr, node.y_fixed, *best_key))
+        ]
 
     for v in surr.variables:
         if not v.integer:
@@ -500,15 +489,20 @@ def _branch(builder: _LPBuilder, node: Node, z) -> list[Node] | None:
     left_dev[j, q] = (lo, m)
     right_dev = dict(node.dev_bounds)
     right_dev[j, q] = (m, hi)
-    right_fixed = dict(node.y_fixed)
-    right_fixed[j, q] = 1
-    for qq in range(surr.components[j].k):
-        if qq != q:
-            right_fixed[j, qq] = 0
+    right_fixed = _choose_interval(surr, node.y_fixed, j, q)
     return [
         Node(node.depth + 1, node.lb, node.y_fixed, left_dev, node.var_bounds),
         Node(node.depth + 1, node.lb, right_fixed, right_dev, node.var_bounds),
     ]
+
+
+def _choose_interval(surr, y_fixed: dict, j: int, q: int) -> dict:
+    """A copy of ``y_fixed`` with y_jq = 1 and component j's other interval
+    binaries 0."""
+    fixed = dict(y_fixed)
+    for qq in range(surr.components[j].k):
+        fixed[j, qq] = int(qq == q)
+    return fixed
 
 
 def solve(
@@ -584,27 +578,19 @@ def solve(
             counter += 1
             heapq.heappush(heap, (lb, counter, replace(child, tangents=tangents)))
 
+    lb_final = min(heap[0][0], pruned_lb) if heap else pruned_lb
     if incumbent is None:
-        lb_final = min(heap[0][0], pruned_lb) if heap else pruned_lb
-        return SolveReport(
-            x=None,
-            objective=math.nan,
-            lower_bound=lb_final,
-            gap_pct=math.nan,
-            nodes=nodes,
-            time_s=time.monotonic() - start,
-            status="no_incumbent" if status == "optimal" else status,
-            lp_solves=builder.lp_solves,
-            kelley_cap_hits=builder.kelley_cap_hits,
-            log=log,
-        )
-    lb_final = min(heap[0][0], pruned_lb, ub) if heap else min(pruned_lb, ub)
-    gap = optimality_gap(ub, lb_final)
-    if status == "optimal" and ub - lb_final > gap_tol * max(1.0, abs(ub)):
-        status = "tolerance_not_met"
+        objective = gap = math.nan
+        if status == "optimal":
+            status = "no_incumbent"
+    else:
+        objective, lb_final = ub, min(lb_final, ub)
+        gap = optimality_gap(ub, lb_final)
+        if status == "optimal" and ub - lb_final > gap_tol * max(1.0, abs(ub)):
+            status = "tolerance_not_met"
     return SolveReport(
         x=incumbent,
-        objective=ub,
+        objective=objective,
         lower_bound=lb_final,
         gap_pct=gap,
         nodes=nodes,

@@ -12,6 +12,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -22,52 +23,43 @@ from .bnb import write_log_csv
 from .problems import (
     REPORT_CSV_HEADER,
     MissocConfig,
+    check_solvable,
+    fit_stage,
     load_instance,
     run_missoc,
     sample_training,
 )
-from .problems import fit_stage
 from .regression import dump_model
 from .surrogate import build_surrogate, export_text
 
+# (flag, MissocConfig field it sets, type, help); the default is the field's
+MODEL_FLAGS = (
+    ("--degree", "degrees", int, "spline degree"),
+    ("--intervals", "intervals", int, "knot intervals per covariate"),
+    ("--samples-per-param", "samples_per_param", int,
+     "training rows per model parameter"),
+    ("--seed", "seed", int, "sampling seed"),
+)
+SOLVE_FLAGS = (
+    ("--time-limit", "time_limit", float, "wall-clock budget (s)"),
+    ("--gap-tol", "gap_tol", float, "relative optimality gap"),
+    ("--node-cap", "node_cap", int, "branch-and-bound node cap"),
+)
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--degree", type=int, default=3, help="spline degree")
-    p.add_argument(
-        "--intervals", type=int, default=10, help="knot intervals per covariate"
-    )
-    p.add_argument(
-        "--samples-per-param",
-        type=int,
-        default=15,
-        help="training rows per model parameter",
-    )
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
 
-
-def _add_solve_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--time-limit", type=float, default=600.0, help="wall-clock budget (s)"
-    )
-    p.add_argument(
-        "--gap-tol", type=float, default=1e-4, help="relative optimality gap"
-    )
-    p.add_argument(
-        "--node-cap", type=int, default=200_000, help="branch-and-bound node cap"
-    )
+def _add_flags(p: argparse.ArgumentParser, flags) -> None:
+    defaults = MissocConfig()
+    for flag, dest, kind, text in flags:
+        p.add_argument(
+            flag, dest=dest, type=kind, default=getattr(defaults, dest), help=text
+        )
 
 
 def _config(args) -> MissocConfig:
-    return MissocConfig(
-        degrees=args.degree,
-        intervals=args.intervals,
-        samples_per_param=args.samples_per_param,
-        seed=args.seed,
-        time_limit=getattr(args, "time_limit", 600.0),
-        gap_tol=getattr(args, "gap_tol", 1e-4),
-        node_cap=getattr(args, "node_cap", 200_000),
-        refine=not getattr(args, "no_refine", False),
-    )
+    """The config of the parsed flags; fields without a flag keep the
+    MissocConfig default."""
+    fields = {f.name for f in dataclasses.fields(MissocConfig)}
+    return MissocConfig(**{k: v for k, v in vars(args).items() if k in fields})
 
 
 def _fit(instance, config):
@@ -132,6 +124,7 @@ def cmd_surrogate(args) -> int:
 def cmd_solve(args) -> int:
     instance = load_instance(args.instance)
     config = _config(args)
+    check_solvable(instance)
     _, fit = _fit(instance, config)
     surrogate = build_surrogate(fit, instance)
     report = bnb_solve(
@@ -238,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="sample an instance and fit the model")
     p.add_argument("instance")
-    _add_model_flags(p)
+    _add_flags(p, MODEL_FLAGS)
     p.add_argument("--model", help="write the fitted model to this file")
     p.add_argument(
         "--plot-data", help="write per-covariate component grid CSVs here"
@@ -247,14 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("surrogate", help="print the surrogate MINLP")
     p.add_argument("instance")
-    _add_model_flags(p)
+    _add_flags(p, MODEL_FLAGS)
     p.add_argument("--out", help="write the listing to this file")
     p.set_defaults(func=cmd_surrogate)
 
     p = sub.add_parser("solve", help="solve the surrogate (no refinement)")
     p.add_argument("instance")
-    _add_model_flags(p)
-    _add_solve_flags(p)
+    _add_flags(p, MODEL_FLAGS + SOLVE_FLAGS)
     p.add_argument("--out", help="write a one-line CSV summary here")
     p.add_argument("--log", help="write the node log CSV here")
     p.set_defaults(func=cmd_solve)
@@ -263,17 +255,15 @@ def build_parser() -> argparse.ArgumentParser:
         "missoc", aliases=["run"], help="full pipeline: fit, solve, refine"
     )
     p.add_argument("instance")
-    _add_model_flags(p)
-    _add_solve_flags(p)
-    p.add_argument("--no-refine", action="store_true")
+    _add_flags(p, MODEL_FLAGS + SOLVE_FLAGS)
+    p.add_argument("--no-refine", dest="refine", action="store_false")
     p.add_argument("--out", help="write the per-stage CSV report here")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bench", help="run the pipeline over several instances")
     p.add_argument("instances", nargs="+")
-    _add_model_flags(p)
-    _add_solve_flags(p)
-    p.add_argument("--no-refine", action="store_true")
+    _add_flags(p, MODEL_FLAGS + SOLVE_FLAGS)
+    p.add_argument("--no-refine", dest="refine", action="store_false")
     p.add_argument("--out", help="write the combined CSV table here")
     p.set_defaults(func=cmd_bench)
 

@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+FEAS_TOL = 1e-7  # relative primal and dual residual at convergence
+
 
 class ConicInfeasibleError(RuntimeError):
     """The solver diagnosed the constraint system as infeasible."""
@@ -142,11 +144,11 @@ def _floor_pd(X: np.ndarray, rel: float = 1e-14) -> np.ndarray:
     return Xs
 
 
-def _refined_solve(fact, A: np.ndarray, b: np.ndarray, rounds: int = 2):
-    """Cholesky solve with iterative refinement; recovers digits lost to
-    ill conditioning near the central-path boundary."""
+def _refined_solve(fact, A: np.ndarray, b: np.ndarray):
+    """Cholesky solve with two rounds of iterative refinement; recovers
+    digits lost to ill conditioning near the central-path boundary."""
     x = scipy.linalg.cho_solve(fact, b)
-    for _ in range(rounds):
+    for _ in range(2):
         r = b - A @ x
         x = x + scipy.linalg.cho_solve(fact, r)
     return x
@@ -200,43 +202,43 @@ def _schur(groups: list[_Group], W: list[np.ndarray], K: int) -> np.ndarray:
 def solve_conic(
     prob: ConicProblem,
     gap_tol: float = 1e-7,
-    feas_tol: float = 1e-7,
     max_iter: int = 200,
 ) -> ConicSolution:
-    """Path-following solve; deterministic for identical inputs."""
+    """Path-following solve; deterministic for identical inputs.
+
+    Stops when the relative primal and dual residuals are within FEAS_TOL
+    and the relative gap within ``gap_tol``. Without rows it returns the
+    regularised unconstrained minimizer.
+    """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     Q, q, C, c = prob.Q, prob.q, prob.C, prob.c
-    K, M = C.shape
+    K = C.shape[0]
     groups = _group_blocks(prob.blocks, K)
+    Q_fact, Qr = regularised_cholesky(Q)
+    theta = scipy.linalg.cho_solve(Q_fact, -q)
+    if not K:
+        obj = 0.5 * theta @ Q @ theta + q @ theta
+        return ConicSolution(theta, [], [], np.zeros(0), obj, 0.0, 0.0, 0.0, 0)
 
     # row equilibration: certificate rows mix O(1) selectors with large
     # basis-transform entries; scaling each row to unit size keeps the Schur
     # complement well conditioned and does not change (theta, Z)
-    if K:
-        rs = np.sqrt((C**2).sum(axis=1))
-        for g in groups:
-            rs[g.rows] = np.maximum(
-                rs[g.rows], np.sqrt((g.mats**2).sum(axis=(2, 3)))
-            )
-        rs = np.maximum(rs, 1e-300)
-        C = C / rs[:, None]
-        c = c / rs
-        for g in groups:
-            g.mats = g.mats / rs[g.rows][:, :, None, None]
-    else:
-        theta = _solve_psd(Q, -q)
-        obj = 0.5 * theta @ Q @ theta + q @ theta
-        return ConicSolution(theta, [], [], np.zeros(0), obj, 0.0, 0.0, 0.0, 0)
+    rs = np.sqrt((C**2).sum(axis=1))
+    for g in groups:
+        rs[g.rows] = np.maximum(
+            rs[g.rows], np.sqrt((g.mats**2).sum(axis=(2, 3)))
+        )
+    rs = np.maximum(rs, 1e-300)
+    C = C / rs[:, None]
+    c = c / rs
+    for g in groups:
+        g.mats = g.mats / rs[g.rows][:, :, None, None]
 
-    reg = 1e-12 * (np.trace(Q) / max(M, 1) + 1.0)
-    Qr = Q + reg * np.eye(M)
-    Q_fact = scipy.linalg.cho_factor(Qr, lower=True)
     # the constant part of the Schur complement
     CQiCt = C @ _refined_solve(Q_fact, Qr, C.T)
 
     scale = max(1.0, np.abs(c).max())
-    theta = scipy.linalg.cho_solve(Q_fact, -q)
     Z = [
         scale * np.tile(np.eye(g.mats.shape[2]), (len(g.index), 1, 1))
         for g in groups
@@ -270,7 +272,7 @@ def solve_conic(
         rel_d = np.linalg.norm(r_d) / q_norm
         rel_gap = gap / (1.0 + abs(pobj))
 
-        if rel_p <= feas_tol and rel_d <= feas_tol and rel_gap <= gap_tol:
+        if rel_p <= FEAS_TOL and rel_d <= FEAS_TOL and rel_gap <= gap_tol:
             return solution(theta, Z, S, lam, pobj, rel_gap, rel_p, rel_d, it)
 
         metric = rel_p + rel_d + rel_gap
@@ -284,8 +286,8 @@ def solve_conic(
         # iterate when it is close to tolerance
         if (
             it - best_it >= 20
-            and best.rel_primal <= 100 * feas_tol
-            and best.rel_dual <= 100 * feas_tol
+            and best.rel_primal <= 100 * FEAS_TOL
+            and best.rel_dual <= 100 * FEAS_TOL
             and best.rel_gap <= 100 * gap_tol
         ):
             return best
@@ -306,7 +308,7 @@ def solve_conic(
         Sf = [_floor_pd(Sg) for Sg in S]
         W = [_nt_scaling(Zg, Sg) for Zg, Sg in zip(Zf, Sf)]
         Schur = _schur(groups, W, K) + CQiCt
-        Schur_fact, Schur_bumped = _factor_with_bump(Schur)
+        Schur_fact, Schur_bumped = regularised_cholesky(Schur)
         S_inv = [np.linalg.inv(Sg) for Sg in Sf]
         W_rs_W = [Wg @ rsg @ Wg for Wg, rsg in zip(W, r_s)]
         CQi_rd = C @ _refined_solve(Q_fact, Qr, r_d)
@@ -361,14 +363,10 @@ def solve_conic(
     )
 
 
-def _solve_psd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    reg = 1e-12 * (np.trace(A) / max(len(b), 1) + 1.0)
-    fact = scipy.linalg.cho_factor(A + reg * np.eye(len(b)), lower=True)
-    return scipy.linalg.cho_solve(fact, b)
-
-
-def _factor_with_bump(A: np.ndarray):
-    """(cho_factor, bumped matrix) with the smallest bump that factors."""
+def regularised_cholesky(A: np.ndarray):
+    """(cho_factor, A + bump I) with the smallest bump that factors, starting
+    at 1e-12 (tr A / n + 1) and growing 100-fold; the one factorization of
+    the PSD matrices the solver and the fits work with."""
     bump = 1e-12 * (np.trace(A) / max(A.shape[0], 1) + 1.0)
     for _ in range(20):
         bumped = A + bump * np.eye(A.shape[0])
@@ -376,4 +374,4 @@ def _factor_with_bump(A: np.ndarray):
             return scipy.linalg.cho_factor(bumped, lower=True), bumped
         except scipy.linalg.LinAlgError:
             bump *= 100.0
-    raise scipy.linalg.LinAlgError("Schur complement not positive definite")
+    raise scipy.linalg.LinAlgError("matrix not positive definite")

@@ -20,6 +20,8 @@ from .expressions import evaluate, gradient
 
 INT_TOL = 1e-9
 FEAS_TOL = 1e-6
+MAX_OUTER = 20  # augmented-Lagrangian multiplier updates
+GRAD_TOL = 1e-8  # projected-gradient tolerance of each inner solve
 
 
 @dataclass
@@ -39,12 +41,7 @@ def _violations(instance, x) -> np.ndarray:
     return out
 
 
-def refine(
-    instance,
-    x_tilde,
-    max_outer: int = 20,
-    tol: float = 1e-8,
-) -> RefineResult:
+def refine(instance, x_tilde) -> RefineResult:
     """Refine a candidate on the original instance.
 
     Integer coordinates never move; continuous coordinates stay inside
@@ -135,14 +132,14 @@ def refine(
     converged = False
     prev_viol = math.inf
 
-    for _ in range(max_outer):
+    for _ in range(MAX_OUTER):
         res = scipy.optimize.minimize(
             merit_and_grad,
             xf,
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,
-            options={"maxiter": 500, "ftol": 1e-14, "gtol": tol},
+            options={"maxiter": 500, "ftol": 1e-14, "gtol": GRAD_TOL},
         )
         iterations += int(res.nit)
         xf = np.clip(res.x, [b[0] for b in bounds], [b[1] for b in bounds])

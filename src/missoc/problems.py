@@ -32,7 +32,12 @@ from .expressions import (
     split_affine,
     variables_of,
 )
-from .regression import TrainingSet, per_covariate
+from .regression import (
+    DEFAULT_DEGREE,
+    DEFAULT_INTERVALS,
+    TrainingSet,
+    per_covariate,
+)
 from .shapecon import (
     CONCAVE,
     CONVEX,
@@ -117,20 +122,36 @@ class ProblemInstance:
         return sum(evaluate(t, env) for t in nonlinear)
 
 
-DEFAULT_SAMPLES_PER_PARAM = 15
-DEFAULT_TIME_LIMIT = 600.0
-
-
 @dataclass(frozen=True)
 class MissocConfig:
-    degrees: int | tuple[int, ...] = 3
-    intervals: int | tuple[int, ...] = 10
-    samples_per_param: int = DEFAULT_SAMPLES_PER_PARAM
+    """Settings of one pipeline run; the CLI takes its defaults from here.
+    Out-of-range values raise ``ValueError`` naming the field."""
+
+    degrees: int | tuple[int, ...] = DEFAULT_DEGREE
+    intervals: int | tuple[int, ...] = DEFAULT_INTERVALS
+    samples_per_param: int = 15
     seed: int = 0
-    time_limit: float = DEFAULT_TIME_LIMIT
+    time_limit: float = 600.0
     gap_tol: float = 1e-4
     node_cap: int = 200_000
     refine: bool = True
+
+    def __post_init__(self):
+        # per entry for per-covariate sequences
+        for name, least in (
+            ("degrees", 0),
+            ("intervals", 1),
+            ("samples_per_param", 1),
+            ("seed", 0),
+            ("node_cap", 1),
+        ):
+            value = getattr(self, name)
+            if any(v < least for v in np.atleast_1d(value)):
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+        for name in ("time_limit", "gap_tol"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -495,25 +516,29 @@ def fit_stage(instance: ProblemInstance, T: TrainingSet, config: MissocConfig):
     )
 
 
+def check_solvable(instance: ProblemInstance) -> None:
+    """Raise ``StageError('solve')`` when an original constraint is not
+    affine: the solve stage bounds affine ones only, so the instance is
+    rejected before sampling and fitting spend time on it. (The surrogate
+    itself keeps such constraints.)"""
+    from .bnb import NONLINEAR_CONSTRAINTS_UNSUPPORTED, UnsupportedSurrogateError
+
+    if any(decompose_affine(c.expr) is None for c in instance.constraints):
+        cause = UnsupportedSurrogateError(NONLINEAR_CONSTRAINTS_UNSUPPORTED)
+        raise StageError("solve", cause)
+
+
 def run_missoc(
     instance: ProblemInstance, config: MissocConfig | None = None
 ) -> MissocReport:
     """Sample, fit, build the surrogate, solve it globally, refine locally."""
-    from .bnb import (
-        NONLINEAR_CONSTRAINTS_UNSUPPORTED,
-        UnsupportedSurrogateError,
-        solve,
-    )
+    from .bnb import solve
     from .localsearch import refine
     from .surrogate import build_surrogate
 
     if config is None:
         config = MissocConfig()
-    # the solve stage bounds affine original constraints only; reject the
-    # others before sampling and fitting spend time on the instance
-    if any(decompose_affine(c.expr) is None for c in instance.constraints):
-        cause = UnsupportedSurrogateError(NONLINEAR_CONSTRAINTS_UNSUPPORTED)
-        raise StageError("solve", cause)
+    check_solvable(instance)
     times: dict[str, float] = {}
 
     def staged(tag, fn, *args, **kwargs):
@@ -536,36 +561,20 @@ def run_missoc(
         node_cap=config.node_cap,
         gap_tol=config.gap_tol,
     )
-    if report.x is None:
-        return MissocReport(
-            instance=instance.name,
-            x=None,
-            objective=math.nan,
-            x_tilde=None,
-            surrogate_objective=math.nan,
-            gap_pct=report.gap_pct,
-            nodes=report.nodes,
-            stage_times=times,
-            status=report.status,
-            lp_solves=report.lp_solves,
-            kelley_cap_hits=report.kelley_cap_hits,
-            fit=fit,
-            surrogate=surr,
-        )
-    x_tilde = report.x
-    if config.refine:
+    x_tilde = x_star = report.x
+    status = report.status
+    if x_tilde is not None and config.refine:
         refined = staged("refine", refine, instance, x_tilde)
         x_star = refined.x
-        status = report.status
         if not refined.converged:
             status = f"{status};refine_incomplete"
-    else:
-        x_star = x_tilde
-        status = report.status
     return MissocReport(
         instance=instance.name,
         x=x_star,
-        objective=float(instance.objective_value(x_star)),
+        objective=(
+            math.nan if x_star is None
+            else float(instance.objective_value(x_star))
+        ),
         x_tilde=x_tilde,
         surrogate_objective=float(report.objective),
         gap_pct=report.gap_pct,

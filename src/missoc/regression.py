@@ -108,6 +108,35 @@ def block_slices(bases: list[BSplineBasis]) -> list[slice]:
     return out
 
 
+def coefficient_slices(bases: list[BSplineBasis]) -> list[slice]:
+    """Slices of each per-covariate block in the coefficient vector without
+    the intercept (the design matrix without its intercept column)."""
+    return [slice(s.start - 1, s.stop - 1) for s in block_slices(bases)]
+
+
+def fitted_model(
+    intercept: float,
+    theta: np.ndarray,
+    bases: list[BSplineBasis],
+    B1: np.ndarray,
+    y: np.ndarray,
+) -> AdditiveModelFit:
+    """The fit with this intercept and non-intercept coefficients ``theta``,
+    with its residual norm ||y - intercept - B1 theta|| and the zero-mean
+    defect of each component over the rows of ``B1``, the design matrix
+    without its intercept column."""
+    slices = coefficient_slices(bases)
+    return AdditiveModelFit(
+        intercept=float(intercept),
+        coefficients=[theta[s].copy() for s in slices],
+        bases=bases,
+        residual_norm=float(np.linalg.norm(y - intercept - B1 @ theta)),
+        zero_mean_defects=np.array(
+            [B1[:, s].sum(axis=0) @ theta[s] for s in slices]
+        ),
+    )
+
+
 def identifiability_penalty(blocks: list[np.ndarray]) -> np.ndarray:
     """Block-diagonal penalty: 0 for the intercept, B_j^T 1 1^T B_j per block."""
     sizes = [blk.shape[1] for blk in blocks]
@@ -184,19 +213,9 @@ def fit_additive(
             f"got {T.n}"
         )
     B = design_matrix(T.X, bases)
-    slices = block_slices(bases)
-    P = identifiability_penalty([B[:, s] for s in slices])
+    P = identifiability_penalty([B[:, s] for s in block_slices(bases)])
     theta = _solve_normal_equations(B.T @ B + P, B.T @ T.y)
-    coeffs = [theta[s].copy() for s in slices]
-    defects = np.array([B[:, s].sum(axis=0) @ theta[s] for s in slices])
-    resid = float(np.linalg.norm(T.y - B @ theta))
-    return AdditiveModelFit(
-        intercept=float(theta[0]),
-        coefficients=coeffs,
-        bases=bases,
-        residual_norm=resid,
-        zero_mean_defects=defects,
-    )
+    return fitted_model(theta[0], theta[1:], bases, B[:, 1:], T.y)
 
 
 MODEL_FORMAT_VERSION = 1

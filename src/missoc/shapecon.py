@@ -16,21 +16,25 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 
 from .conic import (
     ConicBlock,
     ConicConvergenceError,
     ConicInfeasibleError,
     ConicProblem,
+    regularised_cholesky,
     solve_conic,
 )
 from .regression import (
     AdditiveModelFit,
     TrainingSet,
-    block_slices,
+    coefficient_slices,
+    fitted_model,
+    identifiability_penalty,
     make_bases,
 )
 from .splines import BSplineBasis, design_matrix, segment_maps
@@ -47,6 +51,8 @@ class ShapeFitConvergenceError(RuntimeError):
         super().__init__(message)
         self.best_fit = best_fit
 
+
+VIOLATION_GRID = 65  # points per interval at which shape_violation looks
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -213,6 +219,10 @@ class ConicProgram:
     # (coeff_map, rhs_poly, sign, t_lo, t_hi) per certificate, for direct
     # post-solve violation checks on the fitted coefficients
     certificates: list[tuple] = field(default_factory=list)
+    # set by build_program: the design matrix without its intercept column,
+    # and the spec with the bound weights the certificates were built with
+    design: np.ndarray | None = field(default=None, init=False)
+    spec: ShapeSpec | None = field(default=None, init=False)
 
     def add_row(self, coeff_row: np.ndarray, rhs: float) -> int:
         self.rows_C.append(np.asarray(coeff_row, dtype=float))
@@ -223,23 +233,21 @@ class ConicProgram:
         self,
         coeff_map: np.ndarray,
         rhs_poly: np.ndarray,
-        W: np.ndarray,
         sign: float,
-        interval: tuple[float, float] | None = None,
+        interval: tuple[float, float],
     ) -> None:
         """Require sign*(coeff_map @ theta - rhs_poly) >= 0 as a polynomial on
-        the interval that W was built for.
+        the interval (t_lo, t_hi).
 
         ``coeff_map`` is (d_eff+1) x dim, ``rhs_poly`` the power-basis
         coefficients of the constant side, ``sign`` +1 for lower-type and -1
         for upper-type constraints.
         """
         d_eff = coeff_map.shape[0] - 1
-        if interval is not None:
-            self.certificates.append(
-                (coeff_map, np.array(rhs_poly, dtype=float), sign, *interval)
-            )
+        rhs_poly = np.array(rhs_poly, dtype=float)
+        self.certificates.append((coeff_map, rhs_poly, sign, *interval))
         H = build_H(d_eff)
+        W = build_W(d_eff, *interval)
         rows = []
         mats = []
         for l in range(d_eff):  # odd anti-diagonals vanish
@@ -317,22 +325,23 @@ def build_program(
     A positive ``margin`` tightens every shape certificate from ``>= 0`` to
     ``>= margin``, which is how the restoration pass in ``fit_constrained``
     absorbs the interior-point solver's finite feasibility accuracy.
+
+    Bound weights the spec leaves open are estimated from the regularised
+    unconstrained fit; ``program.spec`` holds the spec with the weights
+    used, so a rebuild with it reuses them.
     """
     alpha = float(T.y.mean())
-    B = design_matrix(T.X, bases)
-    B1 = B[:, 1:]
-    slices = [slice(s.start - 1, s.stop - 1) for s in block_slices(bases)]
+    B1 = design_matrix(T.X, bases)[:, 1:]
+    slices = coefficient_slices(bases)
     y_c = T.y - alpha
 
-    penalty = np.zeros((B1.shape[1], B1.shape[1]))
-    for s in slices:
-        col_sums = B1[:, s].sum(axis=0)
-        penalty[s, s] = np.outer(col_sums, col_sums)
+    penalty = identifiability_penalty([B1[:, s] for s in slices])[1:, 1:]
     # 1/n objective scaling keeps the quadratic data on the same footing as
     # the O(1) certificate rows without moving the minimizer
     Q = (2.0 / T.n) * (B1.T @ B1 + penalty)
     q = (-2.0 / T.n) * (B1.T @ y_c)
     program = ConicProgram(Q=Q, q=q, dim=B1.shape[1])
+    program.design = B1
 
     p = len(bases)
     needs_bounds = spec.lower is not None or spec.upper is not None
@@ -345,16 +354,20 @@ def build_program(
         if (spec.lower is not None and w_lo is None) or (
             spec.upper is not None and w_up is None
         ):
-            unconstrained = _unconstrained_theta(Q, q)
-            base_fit = _fit_from_theta(alpha, unconstrained, bases, slices)
+            unconstrained = scipy.linalg.cho_solve(regularised_cholesky(Q)[0], -q)
+            base_fit = fitted_model(alpha, unconstrained, bases, B1, T.y)
             est_lo, est_up = estimate_weights(base_fit, T)
             w_lo = est_lo if w_lo is None else w_lo
             w_up = est_up if w_up is None else w_up
+            spec = replace(
+                spec, weights_lower=tuple(w_lo), weights_upper=tuple(w_up)
+            )
         for w, side in ((w_lo, spec.lower), (w_up, spec.upper)):
             if side is not None and len(w) != p:
                 raise ValueError(
                     f"bound weights must have one entry per covariate ({p})"
                 )
+    program.spec = spec
 
     for j, (basis, s) in enumerate(zip(bases, slices)):
         d = basis.degree
@@ -394,9 +407,8 @@ def build_program(
                 rhs_poly = np.zeros(d_eff + 1)
                 # sign*(p - b) >= margin  <=>  sign*(p - (b + sign*margin)) >= 0
                 rhs_poly[0] = b + sign * margin
-                W = build_W(d_eff, t_lo, t_hi)
                 program.add_certificate(
-                    coeff_map, rhs_poly, W, sign, interval=(t_lo, t_hi)
+                    coeff_map, rhs_poly, sign, (t_lo, t_hi)
                 )
 
     if spec.pointwise:
@@ -425,15 +437,16 @@ def _check_pointwise_consistency(T: TrainingSet, spec: ShapeSpec, alpha: float):
                     )
 
 
-def shape_violation(program: ConicProgram, theta: np.ndarray, pts: int = 65) -> float:
+def shape_violation(program: ConicProgram, theta: np.ndarray) -> float:
     """Worst infringement of the program's shape certificates at ``theta``.
 
     Each certificate demands sign*(p(x) - rhs(x)) >= 0 on its interval; the
     return value is the largest negative excursion over a per-interval grid
-    (0.0 when every certificate holds everywhere sampled).
+    of VIOLATION_GRID points (0.0 when every certificate holds everywhere
+    sampled).
     """
     worst = 0.0
-    u = np.linspace(0.0, 1.0, pts)
+    u = np.linspace(0.0, 1.0, VIOLATION_GRID)
     for coeff_map, rhs_poly, sign, t_lo, t_hi in program.certificates:
         coeff = sign * (coeff_map @ theta - rhs_poly)
         xs = t_lo + (t_hi - t_lo) * u
@@ -442,9 +455,7 @@ def shape_violation(program: ConicProgram, theta: np.ndarray, pts: int = 65) -> 
     return worst
 
 
-def _restored_solution(
-    T, bases, spec, program, sol, gap_tol: float, max_iter: int
-):
+def _restored_solution(T, bases, program, sol):
     """Re-solve with tightened certificates when the returned iterate leaves a
     measurable shape violation.
 
@@ -453,7 +464,8 @@ def _restored_solution(
     demanding certificates >= margin instead of >= 0 places that floor
     strictly inside the true feasible set. The margin escalates until the
     unmargined certificates verify on a grid, and the original iterate is
-    kept if restoration cannot do better.
+    kept if restoration cannot do better. Each rebuild reuses the bound
+    weights of the first build (``program.spec``).
     """
     viol = shape_violation(program, sol.theta)
     if viol == 0.0:
@@ -462,11 +474,9 @@ def _restored_solution(
     best = sol
     best_viol = viol
     for _ in range(3):
-        prog_m, _ = build_program(T, bases, spec, margin=margin)
+        prog_m, _ = build_program(T, bases, program.spec, margin=margin)
         try:
-            cand = solve_conic(
-                prog_m.to_problem(), gap_tol=gap_tol, max_iter=max_iter
-            )
+            cand = solve_conic(prog_m.to_problem())
         except (ConicInfeasibleError, ConicConvergenceError):
             break
         cand_viol = shape_violation(program, cand.theta)
@@ -478,22 +488,6 @@ def _restored_solution(
     return best
 
 
-def _unconstrained_theta(Q: np.ndarray, q: np.ndarray) -> np.ndarray:
-    import scipy.linalg
-
-    reg = 1e-12 * (np.trace(Q) / max(len(q), 1) + 1.0)
-    fact = scipy.linalg.cho_factor(Q + reg * np.eye(len(q)), lower=True)
-    return scipy.linalg.cho_solve(fact, -q)
-
-
-def _fit_from_theta(alpha, theta, bases, slices) -> AdditiveModelFit:
-    return AdditiveModelFit(
-        intercept=float(alpha),
-        coefficients=[theta[s].copy() for s in slices],
-        bases=bases,
-    )
-
-
 def fit_constrained(
     T: TrainingSet,
     degrees,
@@ -501,8 +495,6 @@ def fit_constrained(
     spec: ShapeSpec,
     domains=None,
     labels=None,
-    gap_tol: float = 1e-7,
-    max_iter: int = 200,
     return_solution: bool = False,
 ):
     """Fit the additive model subject to the shape specification.
@@ -513,28 +505,15 @@ def fit_constrained(
     """
     bases = make_bases(T, degrees, intervals, domains, labels)
     program, alpha = build_program(T, bases, spec)
-    slices = [slice(s.start - 1, s.stop - 1) for s in block_slices(bases)]
-    problem = program.to_problem()
     try:
-        sol = solve_conic(problem, gap_tol=gap_tol, max_iter=max_iter)
+        sol = solve_conic(program.to_problem())
     except ConicInfeasibleError as exc:
         raise InfeasibleSpecError(str(exc)) from exc
     except ConicConvergenceError as exc:
-        best_fit = _fit_from_theta(alpha, exc.best.theta, bases, slices)
+        best_fit = fitted_model(alpha, exc.best.theta, bases, program.design, T.y)
         raise ShapeFitConvergenceError(str(exc), best_fit) from exc
-    sol = _restored_solution(T, bases, spec, program, sol, gap_tol, max_iter)
-    fit = _fit_from_theta(alpha, sol.theta, bases, slices)
-    B1 = design_matrix(T.X, bases)[:, 1:]
-    defects = np.array(
-        [B1[:, s].sum(axis=0) @ sol.theta[s] for s in slices]
-    )
-    out = AdditiveModelFit(
-        intercept=fit.intercept,
-        coefficients=fit.coefficients,
-        bases=bases,
-        residual_norm=float(np.linalg.norm(T.y - alpha - B1 @ sol.theta)),
-        zero_mean_defects=defects,
-    )
+    sol = _restored_solution(T, bases, program, sol)
+    fit = fitted_model(alpha, sol.theta, bases, program.design, T.y)
     if return_solution:
-        return out, sol
-    return out
+        return fit, sol
+    return fit

@@ -178,7 +178,8 @@ class TestIntervalCuts:
     def grid_check(self, phi, lo, hi):
         xs = np.linspace(lo, hi, 2000)
         vals = np.polynomial.polynomial.polyval(xs, phi)
-        for a, b in interval_cuts(np.asarray(phi, float), lo, hi):
+        cuts, _ = interval_cuts(np.asarray(phi, float), lo, hi)
+        for a, b in cuts:
             assert np.all(a * xs + b <= vals + 1e-9)
 
     def test_validity_random(self):
@@ -192,7 +193,8 @@ class TestIntervalCuts:
 
     def test_convex_tangents_touch(self):
         phi = np.array([0.0, -1.0, 2.0])  # convex: 2x^2 - x
-        cuts = interval_cuts(phi, 0.0, 1.0)
+        cuts, convex = interval_cuts(phi, 0.0, 1.0)
+        assert convex
         xs = np.linspace(0, 1, 2001)
         vals = np.polynomial.polynomial.polyval(xs, phi)
         envelope = np.max(
@@ -204,13 +206,50 @@ class TestIntervalCuts:
 
     def test_concave_secant_exact_at_endpoints(self):
         phi = np.array([0.0, 1.0, -1.0])  # concave
-        (a, b), _ = interval_cuts(phi, 0.0, 1.0)[:2]
+        cuts, convex = interval_cuts(phi, 0.0, 1.0)
+        assert not convex
+        (a, b), _ = cuts
         assert a * 0 + b == pytest.approx(0.0, abs=1e-12)
         assert a * 1 + b == pytest.approx(0.0, abs=1e-12)
 
     def test_mixed_curvature_valid(self):
         phi = np.array([0.0, 0.0, -3.0, 2.0])  # inflection inside [0, 1]
         self.grid_check(phi, 0.0, 1.0)
+
+    @staticmethod
+    def convex_reference(phi, lo, hi):
+        """The convexity test the node LP builder ran on its own before
+        ``interval_cuts`` reported it: a Bernstein enclosure of phi''."""
+        if hi - lo <= 1e-14:
+            return False
+        second = np.polynomial.polynomial.polyder(phi, 2)
+        curv_lo, _ = bernstein_bounds(second, lo, hi)
+        return curv_lo >= -1e-12 * max(1.0, np.abs(phi).max())
+
+    def test_convex_flag_matches_reference(self):
+        rng = np.random.default_rng(11)
+        seen = set()
+        for _ in range(400):
+            phi = rng.normal(size=4) * rng.choice([1e-3, 1.0, 50.0])
+            phi[0] = 0.0
+            lo = rng.uniform(-1.0, 1.0)
+            hi = lo + rng.choice([0.0, 1e-15, rng.uniform(1e-6, 2.0)])
+            _, convex = interval_cuts(phi, lo, hi)
+            assert convex == self.convex_reference(phi, lo, hi)
+            seen.add(convex)
+        assert seen == {False, True}
+
+    def test_cut_cache_convex_flag_matches_reference(self):
+        surr = random_surrogate(5)
+        builder = bnb._LPBuilder(surr, 1e-4)
+        rng = np.random.default_rng(12)
+        for j, comp in enumerate(surr.components):
+            for q in range(comp.k):
+                phi = builder.deviation_poly(j, q)
+                for _ in range(5):
+                    lo, hi = np.sort(rng.uniform(0.0, comp.widths[q], 2))
+                    _, convex = builder.cuts(j, q, lo, hi)
+                    assert convex == self.convex_reference(phi, lo, hi)
 
 
 CONVEX_2D = (
@@ -441,7 +480,7 @@ def dense_rows(builder, node):
             phi = comp.piece.coeffs[q].copy()
             c0 = phi[0]
             phi[0] = 0.0
-            for a, b in interval_cuts(phi, lo, hi):
+            for a, b in interval_cuts(phi, lo, hi)[0]:
                 row = new_row()
                 row[builder.col_sp[j, q]] = -1.0
                 row[builder.col_y[j, q]] = c0 + b
@@ -493,8 +532,8 @@ class TestNodeLP:
                 for q in range(comp.k):
                     phi = comp.piece.coeffs[q].copy()
                     phi[0] = 0.0
-                    cuts, _ = builder.cuts(j, q, 0.0, comp.widths[q])
-                    assert cuts == interval_cuts(phi, 0.0, comp.widths[q])
+                    w = comp.widths[q]
+                    assert builder.cuts(j, q, 0.0, w) == interval_cuts(phi, 0.0, w)
 
     def test_two_surrogates_in_one_process_match_each_alone(self):
         def summary(report):

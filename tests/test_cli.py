@@ -1,9 +1,13 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
-from missoc.cli import main
+from missoc import cli, problems
+from missoc.bnb import UnsupportedSurrogateError
+from missoc.cli import build_parser, main
+from missoc.problems import MissocConfig
 from missoc.regression import load_model
 
 SMOOTH = (
@@ -99,6 +103,23 @@ class TestSolve:
         rc = main(["solve", str(p), "--intervals", "4"])
         assert rc == 1
 
+    def test_nonlinear_constraint_rejected_before_sampling(
+        self, tmp_path, monkeypatch
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sample_training was called")
+
+        monkeypatch.setattr(cli, "sample_training", no_sampling)
+        p = tmp_path / "nonlinear.miss"
+        p.write_text(
+            "var a in [0,1]; var b in [0,1];"
+            "min a^2 + sin(3*b); st a*b - 0.1 <= 0;"
+        )
+        with pytest.raises(problems.StageError) as ei:
+            main(["solve", str(p)])
+        assert ei.value.stage == "solve"
+        assert isinstance(ei.value.cause, UnsupportedSurrogateError)
+
 
 class TestRun:
     def test_full_pipeline_report(self, smooth_path, tmp_path, capsys):
@@ -169,3 +190,26 @@ class TestShippedInstances:
             assert report.status.startswith("optimal")
             if inst.best_known is not None:
                 assert report.objective <= inst.best_known + 1e-3
+
+
+class TestDefaults:
+    MODEL = {"degrees", "intervals", "samples_per_param", "seed"}
+    SOLVE = {"time_limit", "gap_tol", "node_cap"}
+
+    @pytest.mark.parametrize(
+        "command, flagged",
+        [
+            ("fit", MODEL),
+            ("solve", MODEL | SOLVE),
+            ("run", MODEL | SOLVE | {"refine"}),
+            ("bench", MODEL | SOLVE | {"refine"}),
+        ],
+    )
+    def test_parser_defaults_are_the_config_defaults(self, command, flagged):
+        args = build_parser().parse_args([command, "instance.miss"])
+        defaults = MissocConfig()
+        fields = {f.name for f in dataclasses.fields(MissocConfig)}
+        assert {name for name in fields if hasattr(args, name)} == flagged
+        for name in flagged:
+            assert getattr(args, name) == getattr(defaults, name), name
+        assert cli._config(args) == defaults

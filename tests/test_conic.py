@@ -220,6 +220,19 @@ def tiny_problem(blocks, K=3):
     )
 
 
+class TestNoRows:
+    def test_theta_is_the_regularised_solve(self):
+        # a rank-deficient Q, so the regularisation is what makes it solvable
+        rng = np.random.default_rng(9)
+        A = rng.normal(size=(4, 6))
+        Q, q = A.T @ A, rng.normal(size=6)
+        sol = solve_conic(ConicProblem(Q, q, np.zeros((0, 6)), np.zeros(0)))
+        reg = 1e-12 * (np.trace(Q) / 6 + 1.0)
+        fact = scipy.linalg.cho_factor(Q + reg * np.eye(6), lower=True)
+        np.testing.assert_array_equal(sol.theta, scipy.linalg.cho_solve(fact, -q))
+        assert sol.iterations == 0 and sol.lam.shape == (0,)
+
+
 class TestInputChecks:
     def test_max_iter_below_one(self):
         with pytest.raises(ValueError, match="max_iter"):

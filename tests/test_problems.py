@@ -332,6 +332,36 @@ class TestRunMissoc:
         assert ei.value.stage == "solve"
         assert isinstance(ei.value.cause, UnsupportedSurrogateError)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("intervals", 0),
+            ("intervals", (4, 0)),
+            ("degrees", -1),
+            ("degrees", (3, -1)),
+            ("samples_per_param", 0),
+            ("gap_tol", -1.0),
+            ("gap_tol", 0.0),
+            ("gap_tol", float("nan")),
+            ("seed", -1),
+            ("node_cap", 0),
+            ("time_limit", 0.0),
+        ],
+    )
+    def test_bad_config_rejected_before_sampling(
+        self, monkeypatch, field, value
+    ):
+        from missoc import problems
+
+        sampled = []
+        monkeypatch.setattr(
+            problems, "sample_training", lambda *a: sampled.append(a)
+        )
+        inst = parse_instance(self.SMOOTH)
+        with pytest.raises(ValueError, match=field):
+            problems.run_missoc(inst, self.small_cfg(**{field: value}))
+        assert sampled == []
+
     def test_csv_rows(self):
         from missoc.problems import REPORT_CSV_HEADER, run_missoc
 

@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
+
+from missoc import shapecon
 
 from missoc.regression import (
     AdditiveModelFit,
@@ -445,3 +449,60 @@ class TestFitConstrained:
         c1 = fit.component(1, dense_grid(fit, 1)).min()
         assert c0 >= 0.7 * (L - alpha) - 1e-6
         assert c1 >= 0.3 * (L - alpha) - 1e-6
+
+
+class TestRestoration:
+    def test_rebuild_reuses_the_first_weights(self, monkeypatch):
+        # one reported violation forces one restoration rebuild
+        rng = np.random.default_rng(48)
+        X = rng.uniform(0.0, 1.0, size=(150, 2))
+        y = np.sin(8 * X[:, 0]) + X[:, 1] ** 2 + 0.1 * rng.normal(size=150)
+        T = TrainingSet(X=X, y=y)
+        spec = ShapeSpec(lower=-0.5, upper=1.5)
+        estimates = []
+        estimate = shapecon.estimate_weights
+
+        def counted_estimate(*args):
+            estimates.append(estimate(*args))
+            return estimates[-1]
+
+        reported = []
+        violation = shapecon.shape_violation
+
+        def violated_once(program, theta):
+            if not reported:
+                reported.append(1e-3)
+                return 1e-3
+            return violation(program, theta)
+
+        builds = []
+        build = shapecon.build_program
+
+        def recorded_build(T, bases, spec, margin=0.0):
+            builds.append((bases, margin, build(T, bases, spec, margin=margin)))
+            return builds[-1][2]
+
+        monkeypatch.setattr(shapecon, "estimate_weights", counted_estimate)
+        monkeypatch.setattr(shapecon, "shape_violation", violated_once)
+        monkeypatch.setattr(shapecon, "build_program", recorded_build)
+        fit_constrained(T, degrees=3, intervals=5, spec=spec)
+
+        assert len(estimates) == 1
+        assert [margin for _, margin, _ in builds[:2]] == [0.0, 4e-3]
+        w_lo, w_up = estimates[0]
+        weighted = dataclasses.replace(
+            spec, weights_lower=tuple(w_lo), weights_upper=tuple(w_up)
+        )
+        for bases, margin, (program, alpha) in builds[1:]:
+            ref, ref_alpha = build(T, bases, weighted, margin=margin)
+            assert alpha == ref_alpha
+            got, want = program.to_problem(), ref.to_problem()
+            for name in ("Q", "q", "C", "c"):
+                np.testing.assert_array_equal(
+                    getattr(got, name), getattr(want, name)
+                )
+            assert len(program.certificates) == len(ref.certificates)
+            for a, b in zip(program.certificates, ref.certificates):
+                np.testing.assert_array_equal(a[0], b[0])
+                np.testing.assert_array_equal(a[1], b[1])
+                assert a[2:] == b[2:]
