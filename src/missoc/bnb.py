@@ -19,6 +19,16 @@ its children (a cut pool in the sense of Achterberg 2007): a tangent of a
 piece convex on a range underestimates it on every sub-range, so it holds
 in all descendants. The node-independent rows are assembled once per solve
 as CSR and ``interval_cuts`` is cached per solve.
+
+Each node's LP is one HiGHS model, built from those rows and the node's cut
+rows through scipy's bundled HiGHS bindings (``_NodeLP``). A Kelley round
+adds its tangents to the model in place and re-solves it from the basis the
+last solve left. The bindings are private to scipy: where they are missing
+(older scipy) or lack a method ``_NodeLP`` uses, every round is a fresh
+``scipy.optimize.linprog`` of the whole node LP instead. Either way a node
+is pruned only when its LP is infeasible (for HiGHS, also "unbounded or
+infeasible" when every x column is boxed); any other outcome that is not
+optimal raises ``LPError``.
 """
 
 from __future__ import annotations
@@ -168,28 +178,26 @@ class SolveReport:
 
 
 class _Rows:
-    """Constraint rows collected as COO triplets; zero entries are not
-    stored, so HiGHS receives the matrix ``linprog`` builds from the dense
-    rows."""
+    """Constraint rows collected as CSR lists; zero entries are not stored,
+    so HiGHS receives the matrix ``linprog`` builds from the dense rows."""
 
     def __init__(self):
-        self.rows = []
+        self.starts = [0]
         self.cols = []
         self.vals = []
         self.rhs = []
 
     def add(self, entries, rhs: float) -> None:
-        r = len(self.rhs)
         for col, val in entries:
             if val != 0.0:
-                self.rows.append(r)
                 self.cols.append(col)
                 self.vals.append(val)
+        self.starts.append(len(self.cols))
         self.rhs.append(rhs)
 
-    def coo(self, ncols: int):
-        return scipy.sparse.coo_array(
-            (self.vals, (self.rows, self.cols)), shape=(len(self.rhs), ncols)
+    def csr(self, ncols: int):
+        return scipy.sparse.csr_array(
+            (self.vals, self.cols, self.starts), shape=(len(self.rhs), ncols)
         )
 
 
@@ -252,10 +260,21 @@ class _LPBuilder:
         for con in surr.linear_constraints:
             entries = [(self.col_x[n], c) for n, c in con.coeffs.items()]
             (eq if con.relation == "=" else ub).add(entries, -con.constant)
-        self.A_eq = eq.coo(self.ncols).tocsr()
+        self.A_eq = eq.csr(self.ncols)
         self.b_eq = np.array(eq.rhs)
-        self.A_ub = ub.coo(self.ncols).tocsr()
+        self.A_ub = ub.csr(self.ncols)
         self.b_ub = np.array(ub.rhs)
+        # the same rows as one CSR block with row bounds, the head of every
+        # node's HiGHS model
+        fixed = scipy.sparse.vstack([self.A_eq, self.A_ub], format="csr")
+        self.fixed = (
+            fixed.indptr.astype(np.int32),
+            fixed.indices.astype(np.int32),
+            fixed.data,
+            np.concatenate([self.b_eq, np.full(len(self.b_ub), -np.inf)]),
+            np.concatenate([self.b_eq, self.b_ub]),
+        )
+        self.highs = _highs_core()
         # (j, q, lo, hi) -> interval_cuts; per solve, since two surrogates
         # share keys
         self._cuts = {}
@@ -293,41 +312,192 @@ def _node_dev_range(surr, node, j, q):
 
 
 def _node_lp(builder: _LPBuilder, node: Node):
-    """Column bounds, the node's interval-cut rows and its Kelley keys (the
-    intervals convex over the node range), or None when a box is empty."""
+    """Column bounds (lower, upper), the node's interval-cut rows and its
+    Kelley keys (the intervals convex over the node range), or None when a
+    box is empty."""
     surr = builder.surr
-    bounds = [None] * builder.ncols
+    lower = np.full(builder.ncols, -np.inf)
+    upper = np.full(builder.ncols, np.inf)
     for v in surr.variables:
         lo, hi = node.var_bounds.get(v.name, (v.lower, v.upper))
-        bounds[builder.col_x[v.name]] = (lo, hi)
         if lo > hi:
             return None
+        lower[builder.col_x[v.name]] = lo
+        upper[builder.col_x[v.name]] = hi
     rows = _Rows()
     convex_keys = []  # intervals convex over the node range: Kelley cuts
     for j, comp in enumerate(surr.components):
         for q in range(comp.k):
             yfix = node.y_fixed.get((j, q))
+            col_y = builder.col_y[j, q]
             if yfix is None:
-                bounds[builder.col_y[j, q]] = (0.0, 1.0)
+                lower[col_y], upper[col_y] = 0.0, 1.0
             else:
-                bounds[builder.col_y[j, q]] = (float(yfix), float(yfix))
+                lower[col_y] = upper[col_y] = float(yfix)
             lo, hi = _node_dev_range(surr, node, j, q)
             if yfix == 0:
                 lo, hi = 0.0, 0.0
-            bounds[builder.col_dev[j, q]] = (lo, hi)
-            bounds[builder.col_sp[j, q]] = (
-                (0.0, 0.0) if yfix == 0 else (None, None)
-            )
+                lower[builder.col_sp[j, q]] = upper[builder.col_sp[j, q]] = 0.0
+            lower[builder.col_dev[j, q]] = lo
+            upper[builder.col_dev[j, q]] = hi
             cuts, convex = builder.cuts(j, q, lo, hi)
             for a, b in cuts:
                 rows.add(builder.cut_row(j, q, a, b), 0.0)
             if convex and yfix != 0:
                 convex_keys.append((j, q, builder.deviation_poly(j, q)))
-        bounds[builder.col_sigma[j]] = (None, None)
     for j, q, a, b in node.tangents:
         if node.y_fixed.get((j, q)) != 0:
             rows.add(builder.cut_row(j, q, a, b), 0.0)
-    return bounds, rows, convex_keys
+    return (lower, upper), rows, convex_keys
+
+
+class LPError(RuntimeError):
+    """A node LP ended in a state that is neither optimal nor infeasible, so
+    no sound bound can be taken from it."""
+
+
+# what _NodeLP uses of scipy's bundled HiGHS bindings
+_HIGHS_NAMES = ("_Highs", "HighsLp", "HighsStatus", "HighsModelStatus",
+                "MatrixFormat", "simplex_constants")
+_HIGHS_METHODS = ("setOptionValue", "passModel", "addRows", "run",
+                  "getModelStatus", "getObjectiveValue", "getSolution")
+
+
+def _highs_core():
+    """scipy's bundled HiGHS bindings, or None when this scipy lacks them or
+    any name ``_NodeLP`` uses (they are private to scipy)."""
+    try:
+        import scipy.optimize._highspy._core as _core
+    except ImportError:
+        return None
+    if not all(hasattr(_core, name) for name in _HIGHS_NAMES):
+        return None
+    if not all(hasattr(_core._Highs, name) for name in _HIGHS_METHODS):
+        return None
+    return _core
+
+
+class _NodeLP:
+    """One node LP, min ``builder.obj`` over the solve's fixed rows and the
+    node's cut rows within column bounds, that grows by Kelley rows.
+
+    With scipy's HiGHS bindings (``builder.highs``) the LP is one HiGHS
+    model: ``add_rows`` adds the rows to it in place, and the next ``solve``
+    starts from the basis the last one left. Without them every ``solve``
+    is a fresh ``scipy.optimize.linprog`` of the whole LP.
+    """
+
+    def __init__(self, builder: _LPBuilder, lower, upper, rows: _Rows):
+        self.builder = builder
+        self.lower, self.upper = lower, upper
+        self.rows = rows
+        self.model = None
+        core = builder.highs
+        if core is None:
+            return
+        starts, index, value, row_lower, row_upper = builder.fixed
+        nnz = len(index)
+        lp = core.HighsLp()
+        lp.num_col_ = builder.ncols
+        lp.num_row_ = len(row_lower) + len(rows.rhs)
+        lp.col_cost_ = builder.obj
+        lp.col_lower_ = lower
+        lp.col_upper_ = upper
+        lp.row_lower_ = np.concatenate(
+            [row_lower, np.full(len(rows.rhs), -np.inf)]
+        )
+        lp.row_upper_ = np.concatenate([row_upper, rows.rhs])
+        matrix = lp.a_matrix_
+        matrix.format_ = core.MatrixFormat.kRowwise
+        matrix.num_col_ = lp.num_col_
+        matrix.num_row_ = lp.num_row_
+        matrix.start_ = np.concatenate(
+            [starts, nnz + np.array(rows.starts[1:], dtype=np.int32)]
+        )
+        matrix.index_ = np.concatenate(
+            [index, np.array(rows.cols, dtype=np.int32)]
+        )
+        matrix.value_ = np.concatenate([value, rows.vals])
+        self.model = core._Highs()
+        self._check(self.model.setOptionValue("output_flag", False),
+                    "setOptionValue")
+        # the options linprog(method="highs") sets
+        dual = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        self._check(self.model.setOptionValue("simplex_strategy", dual),
+                    "setOptionValue")
+        self._check(self.model.passModel(lp), "passModel")
+
+    def _check(self, status, call: str) -> None:
+        if status == self.builder.highs.HighsStatus.kError:
+            raise LPError(f"HiGHS {call} returned {status.name}")
+
+    def add_rows(self, cuts) -> None:
+        """Add the rows ``sp >= (c0+b)*y + a*dev`` of Kelley tangents
+        (j, q, a, b)."""
+        rows = self.rows
+        first, first_nz = len(rows.rhs), rows.starts[-1]
+        for cut in cuts:
+            rows.add(self.builder.cut_row(*cut), 0.0)
+        if self.model is None:
+            return
+        n = len(rows.rhs) - first
+        index = np.array(rows.cols[first_nz:], dtype=np.int32)
+        self._check(
+            self.model.addRows(
+                n,
+                np.full(n, -np.inf),
+                np.array(rows.rhs[first:]),
+                len(index),
+                np.array(rows.starts[first:-1], dtype=np.int32) - first_nz,
+                index,
+                np.array(rows.vals[first_nz:]),
+            ),
+            "addRows",
+        )
+
+    def solve(self):
+        """(status, value, x): 'optimal' with the LP value (without the
+        surrogate constant) and point, or 'infeasible', math.inf, None.
+        Any other outcome raises ``LPError``."""
+        if self.model is None:
+            return self._solve_linprog()
+        model, core = self.model, self.builder.highs
+        self._check(model.run(), "run")
+        status = model.getModelStatus()
+        if status == core.HighsModelStatus.kOptimal:
+            x = np.array(model.getSolution().col_value)
+            return "optimal", model.getObjectiveValue(), x
+        if status == core.HighsModelStatus.kInfeasible:
+            return "infeasible", math.inf, None
+        # y and dev are boxed and every sp has a constant lower cut, so with
+        # boxed x columns a node LP is bounded and "unbounded or infeasible"
+        # means infeasible (a linear variable may have an infinite bound)
+        nv = self.builder.nv
+        if (status == core.HighsModelStatus.kUnboundedOrInfeasible
+                and np.isfinite(self.lower[:nv]).all()
+                and np.isfinite(self.upper[:nv]).all()):
+            return "infeasible", math.inf, None
+        raise LPError(f"node LP ended with HiGHS model status {status.name}")
+
+    def _solve_linprog(self):
+        b = self.builder
+        res = scipy.optimize.linprog(
+            b.obj,
+            A_ub=scipy.sparse.vstack([b.A_ub, self.rows.csr(b.ncols)]),
+            b_ub=np.concatenate([b.b_ub, self.rows.rhs]),
+            A_eq=b.A_eq,
+            b_eq=b.b_eq,
+            bounds=np.column_stack([self.lower, self.upper]),
+            method="highs",
+        )
+        if res.status == 0:
+            return "optimal", float(res.fun), res.x
+        # linprog folds "unbounded or infeasible" into status 4 together
+        # with numerical failures, so only status 2 prunes here
+        if res.status == 2:
+            return "infeasible", math.inf, None
+        raise LPError(f"node LP ended with linprog status {res.status}: "
+                      f"{res.message}")
 
 
 def relax_node(builder: _LPBuilder, node: Node):
@@ -346,27 +516,19 @@ def relax_node(builder: _LPBuilder, node: Node):
     lp = _node_lp(builder, node)
     if lp is None:
         return "infeasible", math.inf, None, ()
-    bounds, rows, convex_keys = lp
+    (lower, upper), rows, convex_keys = lp
+    model = _NodeLP(builder, lower, upper, rows)
     tangents = [t for t in node.tangents if node.y_fixed.get(t[:2]) != 0]
     prev = -math.inf
     for rnd in range(KELLEY_CAP):
-        res = scipy.optimize.linprog(
-            builder.obj,
-            A_ub=scipy.sparse.vstack([builder.A_ub, rows.coo(builder.ncols)]),
-            b_ub=np.concatenate([builder.b_ub, rows.rhs]),
-            A_eq=builder.A_eq,
-            b_eq=builder.b_eq,
-            bounds=bounds,
-            method="highs",
-        )
+        status, fun, z = model.solve()
         builder.lp_solves += 1
-        if res.status == 2 or not res.success:
+        if status == "infeasible":
             return "infeasible", math.inf, None, ()
-        value = float(res.fun) + surr.constant
+        value = fun + surr.constant
         if value - prev <= builder.progress_tol * max(1.0, abs(value)):
             break
         prev = value
-        z = res.x
         new = []
         for j, q, phi in convex_keys:
             y = z[builder.col_y[j, q]]
@@ -377,8 +539,8 @@ def relax_node(builder: _LPBuilder, node: Node):
                 continue
             # the LP point may leave the range by HiGHS's tolerance; a
             # tangent is valid on the range only at a point inside it
-            lo, hi = bounds[builder.col_dev[j, q]]
-            dev = min(max(dev, lo), hi)
+            col = builder.col_dev[j, q]
+            dev = min(max(dev, lower[col]), upper[col])
             a = _poly_val(_poly_der(phi), dev)
             new.append((j, q, a, _poly_val(phi, dev) - a * dev))
         if not new:
@@ -386,10 +548,9 @@ def relax_node(builder: _LPBuilder, node: Node):
         if rnd == KELLEY_CAP - 1:
             builder.kelley_cap_hits += 1
             break
-        for cut in new:
-            rows.add(builder.cut_row(*cut), 0.0)
+        model.add_rows(new)
         tangents.extend(new)
-    return "optimal", value, res.x, tuple(tangents)
+    return "optimal", value, z, tuple(tangents)
 
 
 def _try_incumbent(builder: _LPBuilder, z) -> tuple[float, np.ndarray] | None:

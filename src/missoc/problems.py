@@ -146,7 +146,10 @@ class MissocConfig:
             ("node_cap", 1),
         ):
             value = getattr(self, name)
-            if any(v < least for v in np.atleast_1d(value)):
+            entries = np.atleast_1d(value)
+            if not all(float(v).is_integer() for v in entries):
+                raise ValueError(f"{name} must be an integer, got {value}")
+            if any(v < least for v in entries):
                 raise ValueError(f"{name} must be at least {least}, got {value}")
         for name in ("time_limit", "gap_tol"):
             value = getattr(self, name)

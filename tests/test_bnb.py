@@ -397,13 +397,13 @@ class TestSolve:
     def test_reports_lp_work(self, monkeypatch):
         surr = surrogate_for(parse_instance(NONCONVEX_2D))
         counted = []
-        linprog = scipy.optimize.linprog
+        lp_solve = bnb._NodeLP.solve
 
-        def spy(*args, **kwargs):
+        def spy(model):
             counted.append(1)
-            return linprog(*args, **kwargs)
+            return lp_solve(model)
 
-        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        monkeypatch.setattr(bnb._NodeLP, "solve", spy)
         report = solve(surr, gap_tol=1e-4)
         assert report.lp_solves == len(counted)
         assert report.nodes <= report.lp_solves <= bnb.KELLEY_CAP * report.nodes
@@ -510,7 +510,7 @@ class TestNodeLP:
             A_eq, b_eq, A_ub, b_ub = dense_rows(builder, node)
             _, rows, _ = bnb._node_lp(builder, node)
             sparse_ub = scipy.sparse.vstack(
-                [builder.A_ub, rows.coo(builder.ncols)]
+                [builder.A_ub, rows.csr(builder.ncols)]
             ).tocsr()
             np.testing.assert_array_equal(builder.A_eq.toarray(), A_eq)
             np.testing.assert_array_equal(builder.b_eq, b_eq)
@@ -685,14 +685,14 @@ class TestTangentPool:
         builder = bnb._LPBuilder(surr, 1e-4)
         nodes = tree_nodes(builder, 25)
         values = []
-        linprog = scipy.optimize.linprog
+        lp_solve = bnb._NodeLP.solve
 
-        def spy(*args, **kwargs):
-            res = linprog(*args, **kwargs)
-            values.append(res.fun)
-            return res
+        def spy(model):
+            out = lp_solve(model)
+            values.append(out[1])
+            return out
 
-        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        monkeypatch.setattr(bnb._NodeLP, "solve", spy)
         inherited = 0
         for node, (status, bound, _, _) in nodes:
             values.clear()
@@ -717,3 +717,189 @@ class TestTangentPool:
             assert bound <= node_grid_min(surr, node) + 1e-9 * scale
         monkeypatch.undo()
         return inherited
+
+
+def linprog_reference(builder, lower, upper, rows, rhs):
+    """The node LP solved from scratch by ``scipy.optimize.linprog``, the
+    reference for the HiGHS model: (status, value without the surrogate
+    constant)."""
+    res = scipy.optimize.linprog(
+        builder.obj,
+        A_ub=scipy.sparse.vstack([builder.A_ub, rows]),
+        b_ub=np.concatenate([builder.b_ub, rhs]),
+        A_eq=builder.A_eq,
+        b_eq=builder.b_eq,
+        bounds=np.column_stack([lower, upper]),
+        method="highs",
+    )
+    assert res.status in (0, 2), res.message
+    if res.status == 2:
+        return "infeasible", math.inf
+    return "optimal", res.fun
+
+
+FREE_LINEAR = "var x in [-inf, inf]; var y in [0, 1]; min x + y^2;"
+
+# scipy releases without the bindings run every node LP through linprog
+needs_highs = pytest.mark.skipif(
+    bnb._highs_core() is None, reason="scipy has no HiGHS bindings"
+)
+
+
+class TestNodeLPSolve:
+    def record(self, monkeypatch, run):
+        """Each LP the node models solve while ``run()`` runs, with the
+        model's answer: (builder, lower, upper, cut rows, cut rhs, status,
+        value)."""
+        lps = []
+        lp_solve = bnb._NodeLP.solve
+
+        def spy(model):
+            rows = model.rows
+            lp = (model.builder, model.lower.copy(), model.upper.copy(),
+                  rows.csr(model.builder.ncols), list(rows.rhs))
+            out = lp_solve(model)
+            lps.append(lp + out[:2])
+            return out
+
+        monkeypatch.setattr(bnb._NodeLP, "solve", spy)
+        run()
+        monkeypatch.undo()
+        return lps
+
+    @needs_highs
+    def test_highs_model_matches_linprog_round_by_round(self, monkeypatch):
+        def shipped():
+            for name in SHIPPED:
+                surr = shipped_surrogate(name)
+                solve(surr)
+                bnb.relax_node(bnb._LPBuilder(surr, 1e-4), branched_node(surr))
+
+        def random_trees():
+            for seed in range(3):
+                surr = random_surrogate(seed)
+                builder = bnb._LPBuilder(surr, 1e-4)
+                tree_nodes(builder, 25)
+                # x1 + x2 >= 0.8 cannot hold on these nodes
+                low = bnb._choose_interval(surr, {}, 0, 0)
+                low = bnb._choose_interval(surr, low, 1, 0)
+                for node in (
+                    Node(1, -math.inf, low, {}, {}),
+                    Node(1, -math.inf, {}, {}, {"x1": (0.0, 0.3),
+                                                "x2": (0.0, 0.4)}),
+                ):
+                    bnb.relax_node(builder, node)
+
+        statuses = []
+        kelley_rounds = 0
+        for run in (shipped, random_trees):
+            lps = self.record(monkeypatch, run)
+            for builder, lower, upper, rows, rhs, status, value in lps:
+                want_status, want = linprog_reference(
+                    builder, lower, upper, rows, rhs
+                )
+                assert status == want_status
+                if status == "optimal":
+                    assert abs(value - want) <= 1e-7 * max(1.0, abs(want))
+                statuses.append(status)
+            kelley_rounds += sum(
+                a[0] is b[0] and a[3].shape[0] < b[3].shape[0]
+                for a, b in zip(lps, lps[1:])
+            )
+        # roots, branched nodes, Kelley re-solves and pruned nodes
+        assert statuses.count("infeasible") >= 6
+        assert kelley_rounds >= 50
+
+    @staticmethod
+    def stub_model_status(monkeypatch, name):
+        """Make every HiGHS model report the model status ``name``."""
+        core = bnb._highs_core()
+        status = getattr(core.HighsModelStatus, name)
+
+        class Stub(core._Highs):
+            def getModelStatus(self):
+                return status
+
+        monkeypatch.setattr(core, "_Highs", Stub)
+
+    @needs_highs
+    @pytest.mark.parametrize("model_status", [
+        "kIterationLimit", "kTimeLimit", "kUnbounded", "kSolveError",
+    ])
+    def test_unsettled_lp_raises(self, monkeypatch, model_status):
+        self.stub_model_status(monkeypatch, model_status)
+        builder = bnb._LPBuilder(random_surrogate(0), 1e-4)
+        with pytest.raises(bnb.LPError, match=model_status):
+            bnb.relax_node(builder, Node(0, -math.inf, {}, {}, {}))
+
+    def test_unsettled_linprog_raises(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+        monkeypatch.setattr(
+            scipy.optimize, "linprog",
+            lambda *a, **k: scipy.optimize.OptimizeResult(
+                status=1, success=False, message="Iteration limit reached.",
+                fun=None, x=None,
+            ),
+        )
+        builder = bnb._LPBuilder(random_surrogate(0), 1e-4)
+        with pytest.raises(bnb.LPError, match="Iteration limit"):
+            bnb.relax_node(builder, Node(0, -math.inf, {}, {}, {}))
+
+    @needs_highs
+    @pytest.mark.parametrize("model_status", [
+        "kInfeasible", "kUnboundedOrInfeasible",
+    ])
+    def test_infeasible_lp_prunes(self, monkeypatch, model_status):
+        self.stub_model_status(monkeypatch, model_status)
+        builder = bnb._LPBuilder(random_surrogate(0), 1e-4)
+        status, value, z, _ = bnb.relax_node(
+            builder, Node(0, -math.inf, {}, {}, {})
+        )
+        assert (status, value, z) == ("infeasible", math.inf, None)
+
+    @needs_highs
+    def test_unbounded_or_infeasible_with_a_free_column_raises(
+        self, monkeypatch
+    ):
+        self.stub_model_status(monkeypatch, "kUnboundedOrInfeasible")
+        surr = surrogate_for(parse_instance(FREE_LINEAR), intervals=4)
+        builder = bnb._LPBuilder(surr, 1e-4)
+        with pytest.raises(bnb.LPError, match="kUnboundedOrInfeasible"):
+            bnb.relax_node(builder, Node(0, -math.inf, {}, {}, {}))
+
+    @pytest.mark.parametrize("highs", [pytest.param(True, marks=needs_highs),
+                                       False])
+    def test_unbounded_lp_raises(self, monkeypatch, highs):
+        if not highs:
+            monkeypatch.setitem(
+                sys.modules, "scipy.optimize._highspy._core", None
+            )
+        surr = surrogate_for(parse_instance(FREE_LINEAR), intervals=4)
+        with pytest.raises(bnb.LPError, match="nbounded"):
+            solve(surr)
+
+    @pytest.mark.parametrize(
+        "missing", ["module", pytest.param("addRows", marks=needs_highs)]
+    )
+    def test_linprog_fallback(self, monkeypatch, missing):
+        surr = surrogate_for(parse_instance(NONCONVEX_2D), intervals=8)
+        want = solve(surr, gap_tol=1e-4)
+        if missing == "module":
+            monkeypatch.setitem(
+                sys.modules, "scipy.optimize._highspy._core", None
+            )
+        else:
+            monkeypatch.delattr(bnb._highs_core()._Highs, missing)
+        assert bnb._highs_core() is None
+        calls = []
+        linprog = scipy.optimize.linprog
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", spy)
+        report = solve(surr, gap_tol=1e-4)
+        assert report.status == want.status == "optimal"
+        assert report.lp_solves == len(calls)
+        assert report.objective == pytest.approx(want.objective, abs=1e-9)

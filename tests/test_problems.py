@@ -346,6 +346,12 @@ class TestRunMissoc:
             ("seed", -1),
             ("node_cap", 0),
             ("time_limit", 0.0),
+            ("intervals", 2.5),
+            ("intervals", (4, 2.5)),
+            ("degrees", float("nan")),
+            ("samples_per_param", 7.5),
+            ("seed", 0.5),
+            ("node_cap", 10.5),
         ],
     )
     def test_bad_config_rejected_before_sampling(
