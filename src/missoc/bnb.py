@@ -18,17 +18,14 @@ leaves a relaxation, so bounds stay sound. A node's tangents are passed to
 its children (a cut pool in the sense of Achterberg 2007): a tangent of a
 piece convex on a range underestimates it on every sub-range, so it holds
 in all descendants. The node-independent rows are assembled once per solve
-as CSR and ``interval_cuts`` is cached per solve.
+as row-wise arrays and ``interval_cuts`` is cached per solve.
 
 Each node's LP is one HiGHS model, built from those rows and the node's cut
 rows through scipy's bundled HiGHS bindings (``_NodeLP``). A Kelley round
 adds its tangents to the model in place and re-solves it from the basis the
-last solve left. The bindings are private to scipy: where they are missing
-(older scipy) or lack a method ``_NodeLP`` uses, every round is a fresh
-``scipy.optimize.linprog`` of the whole node LP instead. Either way a node
-is pruned only when its LP is infeasible (for HiGHS, also "unbounded or
-infeasible" when every x column is boxed); any other outcome that is not
-optimal raises ``LPError``.
+last solve left. A node is pruned only when its LP is infeasible (also
+"unbounded or infeasible" when every x column is boxed); any other outcome
+that is not optimal raises ``LPError``.
 """
 
 from __future__ import annotations
@@ -39,8 +36,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse
+from scipy.optimize._highspy import _core as highs
 
 from .splines import taylor_shift
 from .surrogate import SurrogateMINLP, eval_surrogate_at
@@ -124,8 +120,9 @@ def interval_cuts(phi, lo: float, hi: float) -> tuple[list, bool]:
     scale = max(1.0, np.abs(phi).max())
     convex = curv_lo >= -1e-12 * scale
     if convex:
+        der = _poly_der(phi)
         for p in np.linspace(lo, hi, 5):
-            a = _poly_val(_poly_der(phi), p)
+            a = _poly_val(der, p)
             cuts.append((a, _poly_val(phi, p) - a * p))
     else:
         a = (_poly_val(phi, hi) - _poly_val(phi, lo)) / (hi - lo)
@@ -178,31 +175,41 @@ class SolveReport:
 
 
 class _Rows:
-    """Constraint rows collected as CSR lists; zero entries are not stored,
-    so HiGHS receives the matrix ``linprog`` builds from the dense rows."""
+    """Constraint rows ``lower <= a @ x <= upper`` collected row-wise, as
+    HiGHS takes them; zero entries are not stored."""
 
     def __init__(self):
         self.starts = [0]
         self.cols = []
         self.vals = []
-        self.rhs = []
+        self.lower = []
+        self.upper = []
 
-    def add(self, entries, rhs: float) -> None:
+    def add(self, entries, upper: float, lower: float = -math.inf) -> None:
         for col, val in entries:
             if val != 0.0:
                 self.cols.append(col)
                 self.vals.append(val)
         self.starts.append(len(self.cols))
-        self.rhs.append(rhs)
+        self.lower.append(lower)
+        self.upper.append(upper)
 
-    def csr(self, ncols: int):
-        return scipy.sparse.csr_array(
-            (self.vals, self.cols, self.starts), shape=(len(self.rhs), ncols)
+    def arrays(self, first: int = 0):
+        """Rows ``first`` on as (lower, upper, starts, index, value) arrays,
+        with starts counted from the first row's entries and closed by the
+        entry count."""
+        nz = self.starts[first]
+        return (
+            np.array(self.lower[first:]),
+            np.array(self.upper[first:]),
+            np.array(self.starts[first:], dtype=np.int32) - nz,
+            np.array(self.cols[nz:], dtype=np.int32),
+            np.array(self.vals[nz:], dtype=float),
         )
 
 
 class _LPBuilder:
-    """Column layout, fixed rows (CSR, assembled once), the
+    """Column layout, fixed rows (row-wise arrays, assembled once), the
     ``interval_cuts`` cache and the LP counters shared by all node LPs of
     one solve."""
 
@@ -237,47 +244,42 @@ class _LPBuilder:
         for j in range(len(surr.components)):
             self.obj[self.col_sigma[j]] += 1.0
 
-        # rows independent of the node
-        eq, ub = _Rows(), _Rows()
+        # rows independent of the node: the equality rows, then the
+        # inequality rows
+        rows = _Rows()
         for j, comp in enumerate(surr.components):
-            eq.add([(self.col_y[j, q], 1.0) for q in range(comp.k)], 1.0)
+            rows.add([(self.col_y[j, q], 1.0) for q in range(comp.k)], 1.0, 1.0)
             link = [(self.col_x[comp.var], 1.0)]
             for q in range(comp.k):
                 link.append((self.col_y[j, q], -comp.breakpoints[q]))
                 link.append((self.col_dev[j, q], -1.0))
-            eq.add(link, 0.0)
-            eq.add(
+            rows.add(link, 0.0, 0.0)
+            rows.add(
                 [(self.col_sigma[j], 1.0)]
                 + [(self.col_sp[j, q], -1.0) for q in range(comp.k)],
-                0.0,
+                0.0, 0.0,
             )
+        for con in surr.linear_constraints:
+            if con.relation == "=":
+                rows.add(self._con_row(con), -con.constant, -con.constant)
+        for j, comp in enumerate(surr.components):
             for q in range(comp.k):
-                ub.add(
+                rows.add(
                     ((self.col_dev[j, q], 1.0),
                      (self.col_y[j, q], -comp.widths[q])),
                     0.0,
                 )
         for con in surr.linear_constraints:
-            entries = [(self.col_x[n], c) for n, c in con.coeffs.items()]
-            (eq if con.relation == "=" else ub).add(entries, -con.constant)
-        self.A_eq = eq.csr(self.ncols)
-        self.b_eq = np.array(eq.rhs)
-        self.A_ub = ub.csr(self.ncols)
-        self.b_ub = np.array(ub.rhs)
-        # the same rows as one CSR block with row bounds, the head of every
-        # node's HiGHS model
-        fixed = scipy.sparse.vstack([self.A_eq, self.A_ub], format="csr")
-        self.fixed = (
-            fixed.indptr.astype(np.int32),
-            fixed.indices.astype(np.int32),
-            fixed.data,
-            np.concatenate([self.b_eq, np.full(len(self.b_ub), -np.inf)]),
-            np.concatenate([self.b_eq, self.b_ub]),
-        )
-        self.highs = _highs_core()
+            if con.relation != "=":
+                rows.add(self._con_row(con), -con.constant)
+        # the head of every node's HiGHS model
+        self.fixed = rows.arrays()
         # (j, q, lo, hi) -> interval_cuts; per solve, since two surrogates
         # share keys
         self._cuts = {}
+
+    def _con_row(self, con):
+        return [(self.col_x[n], c) for n, c in con.coeffs.items()]
 
     def cuts(self, j: int, q: int, lo: float, hi: float):
         """``interval_cuts`` of interval (j, q)'s deviation polynomial on
@@ -312,9 +314,9 @@ def _node_dev_range(surr, node, j, q):
 
 
 def _node_lp(builder: _LPBuilder, node: Node):
-    """Column bounds (lower, upper), the node's interval-cut rows and its
-    Kelley keys (the intervals convex over the node range), or None when a
-    box is empty."""
+    """Column bounds lower and upper, the node's cut rows, its Kelley keys
+    (the intervals convex over the node range) and the inherited tangents it
+    keeps, or None when a box is empty."""
     surr = builder.surr
     lower = np.full(builder.ncols, -np.inf)
     upper = np.full(builder.ncols, np.inf)
@@ -345,10 +347,11 @@ def _node_lp(builder: _LPBuilder, node: Node):
                 rows.add(builder.cut_row(j, q, a, b), 0.0)
             if convex and yfix != 0:
                 convex_keys.append((j, q, builder.deviation_poly(j, q)))
-    for j, q, a, b in node.tangents:
-        if node.y_fixed.get((j, q)) != 0:
-            rows.add(builder.cut_row(j, q, a, b), 0.0)
-    return (lower, upper), rows, convex_keys
+    # on an interval fixed off y, dev and sp are 0, so its tangents are void
+    tangents = [t for t in node.tangents if node.y_fixed.get(t[:2]) != 0]
+    for cut in tangents:
+        rows.add(builder.cut_row(*cut), 0.0)
+    return lower, upper, rows, convex_keys, tangents
 
 
 class LPError(RuntimeError):
@@ -356,102 +359,57 @@ class LPError(RuntimeError):
     no sound bound can be taken from it."""
 
 
-# what _NodeLP uses of scipy's bundled HiGHS bindings
-_HIGHS_NAMES = ("_Highs", "HighsLp", "HighsStatus", "HighsModelStatus",
-                "MatrixFormat", "simplex_constants")
-_HIGHS_METHODS = ("setOptionValue", "passModel", "addRows", "run",
-                  "getModelStatus", "getObjectiveValue", "getSolution")
-
-
-def _highs_core():
-    """scipy's bundled HiGHS bindings, or None when this scipy lacks them or
-    any name ``_NodeLP`` uses (they are private to scipy)."""
-    try:
-        import scipy.optimize._highspy._core as _core
-    except ImportError:
-        return None
-    if not all(hasattr(_core, name) for name in _HIGHS_NAMES):
-        return None
-    if not all(hasattr(_core._Highs, name) for name in _HIGHS_METHODS):
-        return None
-    return _core
-
-
 class _NodeLP:
     """One node LP, min ``builder.obj`` over the solve's fixed rows and the
-    node's cut rows within column bounds, that grows by Kelley rows.
-
-    With scipy's HiGHS bindings (``builder.highs``) the LP is one HiGHS
-    model: ``add_rows`` adds the rows to it in place, and the next ``solve``
-    starts from the basis the last one left. Without them every ``solve``
-    is a fresh ``scipy.optimize.linprog`` of the whole LP.
-    """
+    node's cut rows within column bounds, as one HiGHS model that grows by
+    Kelley rows: ``add_rows`` adds them in place, and the next ``solve``
+    starts from the basis the last one left."""
 
     def __init__(self, builder: _LPBuilder, lower, upper, rows: _Rows):
         self.builder = builder
         self.lower, self.upper = lower, upper
         self.rows = rows
-        self.model = None
-        core = builder.highs
-        if core is None:
-            return
-        starts, index, value, row_lower, row_upper = builder.fixed
-        nnz = len(index)
-        lp = core.HighsLp()
+        f_lower, f_upper, f_starts, f_index, f_value = builder.fixed
+        n_lower, n_upper, n_starts, n_index, n_value = rows.arrays()
+        lp = highs.HighsLp()
         lp.num_col_ = builder.ncols
-        lp.num_row_ = len(row_lower) + len(rows.rhs)
+        lp.num_row_ = len(f_lower) + len(n_lower)
         lp.col_cost_ = builder.obj
         lp.col_lower_ = lower
         lp.col_upper_ = upper
-        lp.row_lower_ = np.concatenate(
-            [row_lower, np.full(len(rows.rhs), -np.inf)]
-        )
-        lp.row_upper_ = np.concatenate([row_upper, rows.rhs])
+        lp.row_lower_ = np.concatenate([f_lower, n_lower])
+        lp.row_upper_ = np.concatenate([f_upper, n_upper])
         matrix = lp.a_matrix_
-        matrix.format_ = core.MatrixFormat.kRowwise
+        matrix.format_ = highs.MatrixFormat.kRowwise
         matrix.num_col_ = lp.num_col_
         matrix.num_row_ = lp.num_row_
-        matrix.start_ = np.concatenate(
-            [starts, nnz + np.array(rows.starts[1:], dtype=np.int32)]
-        )
-        matrix.index_ = np.concatenate(
-            [index, np.array(rows.cols, dtype=np.int32)]
-        )
-        matrix.value_ = np.concatenate([value, rows.vals])
-        self.model = core._Highs()
+        matrix.start_ = np.concatenate([f_starts, len(f_index) + n_starts[1:]])
+        matrix.index_ = np.concatenate([f_index, n_index])
+        matrix.value_ = np.concatenate([f_value, n_value])
+        self.model = highs._Highs()
         self._check(self.model.setOptionValue("output_flag", False),
                     "setOptionValue")
-        # the options linprog(method="highs") sets
-        dual = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        # dual simplex, the strategy scipy's method="highs" LP solves use
+        dual = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
         self._check(self.model.setOptionValue("simplex_strategy", dual),
                     "setOptionValue")
         self._check(self.model.passModel(lp), "passModel")
 
-    def _check(self, status, call: str) -> None:
-        if status == self.builder.highs.HighsStatus.kError:
+    @staticmethod
+    def _check(status, call: str) -> None:
+        if status == highs.HighsStatus.kError:
             raise LPError(f"HiGHS {call} returned {status.name}")
 
     def add_rows(self, cuts) -> None:
         """Add the rows ``sp >= (c0+b)*y + a*dev`` of Kelley tangents
         (j, q, a, b)."""
-        rows = self.rows
-        first, first_nz = len(rows.rhs), rows.starts[-1]
+        first = len(self.rows.upper)
         for cut in cuts:
-            rows.add(self.builder.cut_row(*cut), 0.0)
-        if self.model is None:
-            return
-        n = len(rows.rhs) - first
-        index = np.array(rows.cols[first_nz:], dtype=np.int32)
+            self.rows.add(self.builder.cut_row(*cut), 0.0)
+        lower, upper, starts, index, value = self.rows.arrays(first)
         self._check(
-            self.model.addRows(
-                n,
-                np.full(n, -np.inf),
-                np.array(rows.rhs[first:]),
-                len(index),
-                np.array(rows.starts[first:-1], dtype=np.int32) - first_nz,
-                index,
-                np.array(rows.vals[first_nz:]),
-            ),
+            self.model.addRows(len(upper), lower, upper, len(index),
+                               starts[:-1], index, value),
             "addRows",
         )
 
@@ -459,45 +417,23 @@ class _NodeLP:
         """(status, value, x): 'optimal' with the LP value (without the
         surrogate constant) and point, or 'infeasible', math.inf, None.
         Any other outcome raises ``LPError``."""
-        if self.model is None:
-            return self._solve_linprog()
-        model, core = self.model, self.builder.highs
+        model = self.model
         self._check(model.run(), "run")
         status = model.getModelStatus()
-        if status == core.HighsModelStatus.kOptimal:
+        if status == highs.HighsModelStatus.kOptimal:
             x = np.array(model.getSolution().col_value)
             return "optimal", model.getObjectiveValue(), x
-        if status == core.HighsModelStatus.kInfeasible:
+        if status == highs.HighsModelStatus.kInfeasible:
             return "infeasible", math.inf, None
         # y and dev are boxed and every sp has a constant lower cut, so with
         # boxed x columns a node LP is bounded and "unbounded or infeasible"
         # means infeasible (a linear variable may have an infinite bound)
         nv = self.builder.nv
-        if (status == core.HighsModelStatus.kUnboundedOrInfeasible
+        if (status == highs.HighsModelStatus.kUnboundedOrInfeasible
                 and np.isfinite(self.lower[:nv]).all()
                 and np.isfinite(self.upper[:nv]).all()):
             return "infeasible", math.inf, None
         raise LPError(f"node LP ended with HiGHS model status {status.name}")
-
-    def _solve_linprog(self):
-        b = self.builder
-        res = scipy.optimize.linprog(
-            b.obj,
-            A_ub=scipy.sparse.vstack([b.A_ub, self.rows.csr(b.ncols)]),
-            b_ub=np.concatenate([b.b_ub, self.rows.rhs]),
-            A_eq=b.A_eq,
-            b_eq=b.b_eq,
-            bounds=np.column_stack([self.lower, self.upper]),
-            method="highs",
-        )
-        if res.status == 0:
-            return "optimal", float(res.fun), res.x
-        # linprog folds "unbounded or infeasible" into status 4 together
-        # with numerical failures, so only status 2 prunes here
-        if res.status == 2:
-            return "infeasible", math.inf, None
-        raise LPError(f"node LP ended with linprog status {res.status}: "
-                      f"{res.message}")
 
 
 def relax_node(builder: _LPBuilder, node: Node):
@@ -516,9 +452,8 @@ def relax_node(builder: _LPBuilder, node: Node):
     lp = _node_lp(builder, node)
     if lp is None:
         return "infeasible", math.inf, None, ()
-    (lower, upper), rows, convex_keys = lp
+    lower, upper, rows, convex_keys, tangents = lp
     model = _NodeLP(builder, lower, upper, rows)
-    tangents = [t for t in node.tangents if node.y_fixed.get(t[:2]) != 0]
     prev = -math.inf
     for rnd in range(KELLEY_CAP):
         status, fun, z = model.solve()

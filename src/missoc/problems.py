@@ -520,15 +520,32 @@ def fit_stage(instance: ProblemInstance, T: TrainingSet, config: MissocConfig):
 
 
 def check_solvable(instance: ProblemInstance) -> None:
-    """Raise ``StageError('solve')`` when an original constraint is not
-    affine: the solve stage bounds affine ones only, so the instance is
-    rejected before sampling and fitting spend time on it. (The surrogate
-    itself keeps such constraints.)"""
+    """Raise ``StageError('solve')`` when the solve stage would fail, so the
+    instance is rejected before sampling and fitting spend time on it:
+    - an original constraint is not affine (the solve stage bounds affine
+      ones only; the surrogate itself keeps such constraints);
+    - the objective is unbounded below in a variable: its linear coefficient
+      is nonzero, its bound on the side that coefficient decreases toward is
+      infinite, and it appears in no constraint."""
     from .bnb import NONLINEAR_CONSTRAINTS_UNSUPPORTED, UnsupportedSurrogateError
 
     if any(decompose_affine(c.expr) is None for c in instance.constraints):
         cause = UnsupportedSurrogateError(NONLINEAR_CONSTRAINTS_UNSUPPORTED)
         raise StageError("solve", cause)
+    constrained = set()
+    for c in instance.constraints:
+        constrained |= variables_of(c.expr)
+    _, coeffs, _ = instance.complicating_split()
+    for v in instance.variables:
+        coeff = coeffs.get(v.name, 0.0)
+        side = "lower" if coeff > 0 else "upper"
+        bound = v.lower if coeff > 0 else v.upper
+        if coeff != 0 and math.isinf(bound) and v.name not in constrained:
+            raise StageError("solve", InstanceValidationError(
+                f"the objective is unbounded below: variable {v.name} has "
+                f"linear coefficient {coeff:g}, an infinite {side} bound and "
+                f"appears in no constraint"
+            ))
 
 
 def run_missoc(

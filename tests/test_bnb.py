@@ -501,6 +501,19 @@ def branched_node(surr):
     return Node(2, -math.inf, y_fixed, dev_bounds, {})
 
 
+def model_rows(model):
+    """The constraint matrix and row bounds a node's HiGHS model holds (HiGHS
+    keeps the rows it is passed column-wise)."""
+    lp = model.model.getLp()
+    a = lp.a_matrix_
+    assert a.format_ == bnb.highs.MatrixFormat.kColwise
+    matrix = scipy.sparse.csc_array(
+        (np.array(a.value_), np.array(a.index_), np.array(a.start_)),
+        shape=(lp.num_row_, lp.num_col_),
+    )
+    return matrix, np.array(lp.row_lower_), np.array(lp.row_upper_)
+
+
 class TestNodeLP:
     @pytest.mark.parametrize("name", SHIPPED)
     def test_sparse_rows_equal_dense_rows(self, name):
@@ -508,19 +521,21 @@ class TestNodeLP:
         builder = bnb._LPBuilder(surr, 1e-4)
         for node in (Node(0, -math.inf, {}, {}, {}), branched_node(surr)):
             A_eq, b_eq, A_ub, b_ub = dense_rows(builder, node)
-            _, rows, _ = bnb._node_lp(builder, node)
-            sparse_ub = scipy.sparse.vstack(
-                [builder.A_ub, rows.csr(builder.ncols)]
-            ).tocsr()
-            np.testing.assert_array_equal(builder.A_eq.toarray(), A_eq)
-            np.testing.assert_array_equal(builder.b_eq, b_eq)
-            np.testing.assert_array_equal(sparse_ub.toarray(), A_ub)
+            lower, upper, rows, _, _ = bnb._node_lp(builder, node)
+            matrix, row_lower, row_upper = model_rows(
+                bnb._NodeLP(builder, lower, upper, rows)
+            )
             np.testing.assert_array_equal(
-                np.concatenate([builder.b_ub, rows.rhs]), b_ub
+                matrix.toarray(), np.vstack([A_eq, A_ub])
+            )
+            np.testing.assert_array_equal(
+                row_lower, np.concatenate([b_eq, np.full(len(b_ub), -np.inf)])
+            )
+            np.testing.assert_array_equal(
+                row_upper, np.concatenate([b_eq, b_ub])
             )
             # no explicit zeros: HiGHS gets the matrix the dense rows give
-            assert np.all(builder.A_eq.data != 0.0)
-            assert np.all(sparse_ub.data != 0.0)
+            assert np.all(matrix.data != 0.0)
 
     def test_interval_cuts_cache_is_per_builder(self):
         # same boxes and knots, so both builders look up the same keys
@@ -719,16 +734,32 @@ class TestTangentPool:
         return inherited
 
 
-def linprog_reference(builder, lower, upper, rows, rhs):
-    """The node LP solved from scratch by ``scipy.optimize.linprog``, the
-    reference for the HiGHS model: (status, value without the surrogate
-    constant)."""
+def csr_rows(arrays, ncols):
+    """Rows given as ``_Rows.arrays`` (lower, upper, starts, index, value):
+    a CSR matrix and the row bounds."""
+    lower, upper, starts, index, value = arrays
+    matrix = scipy.sparse.csr_array(
+        (value, index, starts), shape=(len(upper), ncols)
+    )
+    return matrix, lower, upper
+
+
+def linprog_reference(builder, lower, upper, rows):
+    """The node LP with cut rows ``rows`` (as ``_Rows.arrays``) solved from
+    scratch by ``scipy.optimize.linprog``, the reference for the HiGHS
+    model: (status, value without the surrogate constant)."""
+    fixed, f_lower, f_upper = csr_rows(builder.fixed, builder.ncols)
+    cuts, c_lower, c_upper = csr_rows(rows, builder.ncols)
+    eq = np.flatnonzero(f_lower == f_upper)
+    ub = np.flatnonzero(f_lower != f_upper)
+    # every row is an equation or bounded above only
+    assert np.isneginf(f_lower[ub]).all() and np.isneginf(c_lower).all()
     res = scipy.optimize.linprog(
         builder.obj,
-        A_ub=scipy.sparse.vstack([builder.A_ub, rows]),
-        b_ub=np.concatenate([builder.b_ub, rhs]),
-        A_eq=builder.A_eq,
-        b_eq=builder.b_eq,
+        A_ub=scipy.sparse.vstack([fixed[ub], cuts]),
+        b_ub=np.concatenate([f_upper[ub], c_upper]),
+        A_eq=fixed[eq],
+        b_eq=f_upper[eq],
         bounds=np.column_stack([lower, upper]),
         method="highs",
     )
@@ -740,24 +771,18 @@ def linprog_reference(builder, lower, upper, rows, rhs):
 
 FREE_LINEAR = "var x in [-inf, inf]; var y in [0, 1]; min x + y^2;"
 
-# scipy releases without the bindings run every node LP through linprog
-needs_highs = pytest.mark.skipif(
-    bnb._highs_core() is None, reason="scipy has no HiGHS bindings"
-)
-
 
 class TestNodeLPSolve:
     def record(self, monkeypatch, run):
         """Each LP the node models solve while ``run()`` runs, with the
-        model's answer: (builder, lower, upper, cut rows, cut rhs, status,
-        value)."""
+        model's answer: (builder, lower, upper, cut rows as
+        ``_Rows.arrays``, status, value)."""
         lps = []
         lp_solve = bnb._NodeLP.solve
 
         def spy(model):
-            rows = model.rows
             lp = (model.builder, model.lower.copy(), model.upper.copy(),
-                  rows.csr(model.builder.ncols), list(rows.rhs))
+                  model.rows.arrays())
             out = lp_solve(model)
             lps.append(lp + out[:2])
             return out
@@ -767,7 +792,6 @@ class TestNodeLPSolve:
         monkeypatch.undo()
         return lps
 
-    @needs_highs
     def test_highs_model_matches_linprog_round_by_round(self, monkeypatch):
         def shipped():
             for name in SHIPPED:
@@ -794,16 +818,16 @@ class TestNodeLPSolve:
         kelley_rounds = 0
         for run in (shipped, random_trees):
             lps = self.record(monkeypatch, run)
-            for builder, lower, upper, rows, rhs, status, value in lps:
+            for builder, lower, upper, rows, status, value in lps:
                 want_status, want = linprog_reference(
-                    builder, lower, upper, rows, rhs
+                    builder, lower, upper, rows
                 )
                 assert status == want_status
                 if status == "optimal":
                     assert abs(value - want) <= 1e-7 * max(1.0, abs(want))
                 statuses.append(status)
             kelley_rounds += sum(
-                a[0] is b[0] and a[3].shape[0] < b[3].shape[0]
+                a[0] is b[0] and len(a[3][1]) < len(b[3][1])
                 for a, b in zip(lps, lps[1:])
             )
         # roots, branched nodes, Kelley re-solves and pruned nodes
@@ -813,16 +837,14 @@ class TestNodeLPSolve:
     @staticmethod
     def stub_model_status(monkeypatch, name):
         """Make every HiGHS model report the model status ``name``."""
-        core = bnb._highs_core()
-        status = getattr(core.HighsModelStatus, name)
+        status = getattr(bnb.highs.HighsModelStatus, name)
 
-        class Stub(core._Highs):
+        class Stub(bnb.highs._Highs):
             def getModelStatus(self):
                 return status
 
-        monkeypatch.setattr(core, "_Highs", Stub)
+        monkeypatch.setattr(bnb.highs, "_Highs", Stub)
 
-    @needs_highs
     @pytest.mark.parametrize("model_status", [
         "kIterationLimit", "kTimeLimit", "kUnbounded", "kSolveError",
     ])
@@ -832,20 +854,6 @@ class TestNodeLPSolve:
         with pytest.raises(bnb.LPError, match=model_status):
             bnb.relax_node(builder, Node(0, -math.inf, {}, {}, {}))
 
-    def test_unsettled_linprog_raises(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
-        monkeypatch.setattr(
-            scipy.optimize, "linprog",
-            lambda *a, **k: scipy.optimize.OptimizeResult(
-                status=1, success=False, message="Iteration limit reached.",
-                fun=None, x=None,
-            ),
-        )
-        builder = bnb._LPBuilder(random_surrogate(0), 1e-4)
-        with pytest.raises(bnb.LPError, match="Iteration limit"):
-            bnb.relax_node(builder, Node(0, -math.inf, {}, {}, {}))
-
-    @needs_highs
     @pytest.mark.parametrize("model_status", [
         "kInfeasible", "kUnboundedOrInfeasible",
     ])
@@ -857,7 +865,6 @@ class TestNodeLPSolve:
         )
         assert (status, value, z) == ("infeasible", math.inf, None)
 
-    @needs_highs
     def test_unbounded_or_infeasible_with_a_free_column_raises(
         self, monkeypatch
     ):
@@ -867,39 +874,9 @@ class TestNodeLPSolve:
         with pytest.raises(bnb.LPError, match="kUnboundedOrInfeasible"):
             bnb.relax_node(builder, Node(0, -math.inf, {}, {}, {}))
 
-    @pytest.mark.parametrize("highs", [pytest.param(True, marks=needs_highs),
-                                       False])
-    def test_unbounded_lp_raises(self, monkeypatch, highs):
-        if not highs:
-            monkeypatch.setitem(
-                sys.modules, "scipy.optimize._highspy._core", None
-            )
+    # one case, under the id it has always had
+    @pytest.mark.parametrize("highs", [True])
+    def test_unbounded_lp_raises(self, highs):
         surr = surrogate_for(parse_instance(FREE_LINEAR), intervals=4)
         with pytest.raises(bnb.LPError, match="nbounded"):
             solve(surr)
-
-    @pytest.mark.parametrize(
-        "missing", ["module", pytest.param("addRows", marks=needs_highs)]
-    )
-    def test_linprog_fallback(self, monkeypatch, missing):
-        surr = surrogate_for(parse_instance(NONCONVEX_2D), intervals=8)
-        want = solve(surr, gap_tol=1e-4)
-        if missing == "module":
-            monkeypatch.setitem(
-                sys.modules, "scipy.optimize._highspy._core", None
-            )
-        else:
-            monkeypatch.delattr(bnb._highs_core()._Highs, missing)
-        assert bnb._highs_core() is None
-        calls = []
-        linprog = scipy.optimize.linprog
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "linprog", spy)
-        report = solve(surr, gap_tol=1e-4)
-        assert report.status == want.status == "optimal"
-        assert report.lp_solves == len(calls)
-        assert report.objective == pytest.approx(want.objective, abs=1e-9)

@@ -332,6 +332,38 @@ class TestRunMissoc:
         assert ei.value.stage == "solve"
         assert isinstance(ei.value.cause, UnsupportedSurrogateError)
 
+    @pytest.mark.parametrize("text", [
+        "var x in [-inf, inf]; var y in [0, 1]; min x + y^2;",
+        "var y in [0, 1]; var x in [0, inf] integer; min y^2 - 2*x;",
+        "var x in [-inf, 1]; var y in [0, 1]; min 3*x + y^2; st y - 1 <= 0;",
+    ], ids=["free", "integer_up", "other_var_constrained"])
+    def test_unbounded_objective_rejected_before_sampling(
+        self, monkeypatch, text
+    ):
+        from missoc import problems
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sample_training was called")
+
+        monkeypatch.setattr(problems, "sample_training", no_sampling)
+        with pytest.raises(problems.StageError, match="variable x") as ei:
+            problems.run_missoc(parse_instance(text), self.small_cfg())
+        assert ei.value.stage == "solve"
+        assert isinstance(ei.value.cause, InstanceValidationError)
+
+    @pytest.mark.parametrize("text", [
+        # the coefficient pushes x toward its finite bound
+        "var x in [0, inf]; var y in [0, 1]; min x + y^2;",
+        # a constraint may bound x
+        "var x in [-inf, inf]; var y in [0, 1]; min x + y^2; st y - x <= 0;",
+        # no linear term in x
+        "var x in [-inf, inf]; var y in [0, 1]; min x - x + y^2;",
+    ], ids=["finite_descent_bound", "constrained", "no_linear_term"])
+    def test_bounded_objective_passes_the_check(self, text):
+        from missoc.problems import check_solvable
+
+        check_solvable(parse_instance(text))
+
     @pytest.mark.parametrize(
         "field, value",
         [
