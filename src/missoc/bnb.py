@@ -17,15 +17,27 @@ KELLEY_CAP LPs (counted in ``SolveReport.kelley_cap_hits``). Every stop
 leaves a relaxation, so bounds stay sound. A node's tangents are passed to
 its children (a cut pool in the sense of Achterberg 2007): a tangent of a
 piece convex on a range underestimates it on every sub-range, so it holds
-in all descendants. The node-independent rows are assembled once per solve
-as row-wise arrays and ``interval_cuts`` is cached per solve.
+in all descendants.
 
-Each node's LP is one HiGHS model, built from those rows and the node's cut
-rows through scipy's bundled HiGHS bindings (``_NodeLP``). A Kelley round
-adds its tangents to the model in place and re-solves it from the basis the
-last solve left. A node is pruned only when its LP is infeasible (also
-"unbounded or infeasible" when every x column is boxed); any other outcome
-that is not optimal raises ``LPError``.
+The node-independent rows and the default column bounds are assembled once
+per solve, the rows as row-wise arrays. ``interval_cuts`` is cached per
+solve together with the rows of its cuts, one block of row-wise arrays per
+(interval, deviation range); a node copies the default bounds, overrides
+what its branching fixed and concatenates the cached blocks of its
+intervals.
+
+Each node's LP is one HiGHS model, built from those rows through scipy's
+bundled HiGHS bindings (``_NodeLP``). Its first solve starts from the
+parent's final basis, which both children share (Achterberg 2007): kept as
+int8 statuses and mapped by position onto the child's rows (fixed rows one
+to one, an interval's block one to one when the child holds the same
+cached block and as basic slacks otherwise, tangent rows through the
+child's keep-mask), then passed as an alien basis, so HiGHS repairs the
+basic count where a dropped row was nonbasic. Only the root starts cold. A
+Kelley round adds its tangents to the model in place and re-solves it from
+the basis the last solve left. A node is pruned only when its LP is
+infeasible (also "unbounded or infeasible" when every x column is boxed);
+any other outcome that is not optimal raises ``LPError``.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize._highspy import _core as highs
@@ -141,6 +154,20 @@ def interval_cuts(phi, lo: float, hi: float) -> tuple[list, bool]:
     return cuts, convex
 
 
+@dataclass(frozen=True, eq=False)
+class _Basis:
+    """A node LP's final basis, which both its children start from: HiGHS
+    column and row statuses as int8 ``HighsBasisStatus`` values, and per
+    interval the cache id and row count of the cut block the LP held. Its
+    rows are the fixed rows, the interval blocks in interval order, then one
+    row per tangent the node passes on."""
+
+    col: np.ndarray
+    row: np.ndarray
+    ids: np.ndarray
+    block_rows: np.ndarray
+
+
 @dataclass(frozen=True)
 class Node:
     depth: int
@@ -151,6 +178,9 @@ class Node:
     # (j, q, a, b): Kelley tangents sp >= (c0+b)*y + a*dev added by the
     # ancestors on ranges that contain this node's
     tangents: tuple = ()
+    # the parent's final basis, where the node's first LP starts; None at
+    # the root
+    basis: _Basis | None = None
 
 
 @dataclass
@@ -164,6 +194,7 @@ class SolveReport:
     status: str
     lp_solves: int = 0
     kelley_cap_hits: int = 0  # node LPs stopped by KELLEY_CAP, not progress
+    simplex_iterations: int = 0  # HiGHS simplex iterations over all node LPs
     log: list = field(default_factory=list)
 
     def csv_row(self) -> str:
@@ -175,43 +206,44 @@ class SolveReport:
 
 
 class _Rows:
-    """Constraint rows ``lower <= a @ x <= upper`` collected row-wise, as
-    HiGHS takes them; zero entries are not stored."""
+    """A node LP's cut rows ``a @ x <= 0`` in blocks of row-wise arrays
+    (entries per row, column index, value), as HiGHS takes them; zero
+    entries are not stored. The blocks are one cached cut block per
+    interval, in interval order, then the blocks of tangent rows; ``ids``
+    and ``block_rows`` hold each interval block's cache id and row count."""
 
-    def __init__(self):
-        self.starts = [0]
-        self.cols = []
-        self.vals = []
-        self.lower = []
-        self.upper = []
+    def __init__(self, blocks, ids):
+        self.blocks = list(blocks)
+        self.ids = ids
+        self.block_rows = np.array([len(b[0]) for b in blocks], dtype=np.int32)
 
-    def add(self, entries, upper: float, lower: float = -math.inf) -> None:
-        for col, val in entries:
-            if val != 0.0:
-                self.cols.append(col)
-                self.vals.append(val)
-        self.starts.append(len(self.cols))
-        self.lower.append(lower)
-        self.upper.append(upper)
+    def add(self, block) -> None:
+        self.blocks.append(block)
 
-    def arrays(self, first: int = 0):
-        """Rows ``first`` on as (lower, upper, starts, index, value) arrays,
-        with starts counted from the first row's entries and closed by the
-        entry count."""
-        nz = self.starts[first]
-        return (
-            np.array(self.lower[first:]),
-            np.array(self.upper[first:]),
-            np.array(self.starts[first:], dtype=np.int32) - nz,
-            np.array(self.cols[nz:], dtype=np.int32),
-            np.array(self.vals[nz:], dtype=float),
-        )
+    def arrays(self):
+        """The rows as (lower, upper, starts, index, value) arrays, with
+        starts closed by the entry count."""
+        counts, index, value = (np.concatenate(p) for p in zip(*self.blocks))
+        starts = np.zeros(len(counts) + 1, dtype=np.int32)
+        np.cumsum(counts, out=starts[1:])
+        return (np.full(len(counts), -np.inf), np.zeros(len(counts)),
+                starts, index, value)
+
+
+class _CutBlock(NamedTuple):
+    """``interval_cuts`` of one interval on one deviation range, with their
+    rows as a ``_Rows`` block and the block's cache id."""
+
+    cuts: list
+    convex: bool
+    id: int
+    rows: tuple
 
 
 class _LPBuilder:
-    """Column layout, fixed rows (row-wise arrays, assembled once), the
-    ``interval_cuts`` cache and the LP counters shared by all node LPs of
-    one solve."""
+    """Column layout and default bounds, fixed rows (row-wise arrays,
+    assembled once), the cache of ``interval_cuts`` and their row blocks,
+    and the LP counters shared by all node LPs of one solve."""
 
     def __init__(self, surr: SurrogateMINLP, gap_tol: float):
         self.surr = surr
@@ -220,23 +252,28 @@ class _LPBuilder:
         self.progress_tol = 0.01 * gap_tol
         self.lp_solves = 0
         self.kelley_cap_hits = 0
+        self.simplex_iterations = 0
         self.nv = len(surr.variables)
         self.col_x = {v.name: j for j, v in enumerate(surr.variables)}
-        col = self.nv
-        self.col_y = {}
-        self.col_dev = {}
-        self.col_sp = {}
-        for j, comp in enumerate(surr.components):
-            for q in range(comp.k):
-                self.col_y[j, q] = col
-                self.col_dev[j, q] = col + 1
-                self.col_sp[j, q] = col + 2
-                col += 3
-        self.col_sigma = {}
-        for j in range(len(surr.components)):
-            self.col_sigma[j] = col
-            col += 1
-        self.ncols = col
+        # interval i = (j, q) owns the columns y, dev, sp at nv + 3 i + 0, 1, 2
+        self.intervals = [
+            (j, q) for j, comp in enumerate(surr.components)
+            for q in range(comp.k)
+        ]
+        # index of component j's first interval
+        self.first = np.cumsum([0] + [c.k for c in surr.components])[:-1]
+        self.col_y = {
+            key: self.nv + 3 * i for i, key in enumerate(self.intervals)
+        }
+        self.col_dev = {key: col + 1 for key, col in self.col_y.items()}
+        self.col_sp = {key: col + 2 for key, col in self.col_y.items()}
+        col = self.nv + 3 * len(self.intervals)
+        self.col_sigma = {j: col + j for j in range(len(surr.components))}
+        self.ncols = col + len(surr.components)
+        self.widths = [surr.components[j].widths[q] for j, q in self.intervals]
+        self.c0 = np.array(
+            [surr.components[j].piece.coeffs[q][0] for j, q in self.intervals]
+        )
 
         self.obj = np.zeros(self.ncols)
         for name, coeff in surr.linear.items():
@@ -244,50 +281,85 @@ class _LPBuilder:
         for j in range(len(surr.components)):
             self.obj[self.col_sigma[j]] += 1.0
 
+        # column bounds below the root: x in its box, y in [0, 1], dev in
+        # [0, width], sp and sigma free
+        self.lower = np.full(self.ncols, -np.inf)
+        self.upper = np.full(self.ncols, np.inf)
+        for v in surr.variables:
+            self.lower[self.col_x[v.name]] = v.lower
+            self.upper[self.col_x[v.name]] = v.upper
+        for col_y, width in zip(self.col_y.values(), self.widths):
+            self.lower[col_y : col_y + 2] = 0.0
+            self.upper[col_y : col_y + 2] = (1.0, width)
+
         # rows independent of the node: the equality rows, then the
         # inequality rows
-        rows = _Rows()
+        starts, index, value, lower, upper = [0], [], [], [], []
+
+        def add(entries, up: float, low: float = -math.inf) -> None:
+            for col, val in entries:
+                if val != 0.0:
+                    index.append(col)
+                    value.append(val)
+            starts.append(len(index))
+            lower.append(low)
+            upper.append(up)
+
         for j, comp in enumerate(surr.components):
-            rows.add([(self.col_y[j, q], 1.0) for q in range(comp.k)], 1.0, 1.0)
+            add([(self.col_y[j, q], 1.0) for q in range(comp.k)], 1.0, 1.0)
             link = [(self.col_x[comp.var], 1.0)]
             for q in range(comp.k):
                 link.append((self.col_y[j, q], -comp.breakpoints[q]))
                 link.append((self.col_dev[j, q], -1.0))
-            rows.add(link, 0.0, 0.0)
-            rows.add(
+            add(link, 0.0, 0.0)
+            add(
                 [(self.col_sigma[j], 1.0)]
                 + [(self.col_sp[j, q], -1.0) for q in range(comp.k)],
                 0.0, 0.0,
             )
         for con in surr.linear_constraints:
             if con.relation == "=":
-                rows.add(self._con_row(con), -con.constant, -con.constant)
+                add(self._con_row(con), -con.constant, -con.constant)
         for j, comp in enumerate(surr.components):
             for q in range(comp.k):
-                rows.add(
+                add(
                     ((self.col_dev[j, q], 1.0),
                      (self.col_y[j, q], -comp.widths[q])),
                     0.0,
                 )
         for con in surr.linear_constraints:
             if con.relation != "=":
-                rows.add(self._con_row(con), -con.constant)
-        # the head of every node's HiGHS model
-        self.fixed = rows.arrays()
-        # (j, q, lo, hi) -> interval_cuts; per solve, since two surrogates
-        # share keys
+                add(self._con_row(con), -con.constant)
+        # the head of every node's HiGHS model, as (lower, upper, starts,
+        # index, value) arrays
+        self.fixed = (
+            np.array(lower), np.array(upper), np.array(starts, dtype=np.int32),
+            np.array(index, dtype=np.int32), np.array(value, dtype=float),
+        )
+        # (j, q, lo, hi) -> _CutBlock; per solve, since two surrogates share
+        # keys
         self._cuts = {}
 
     def _con_row(self, con):
         return [(self.col_x[n], c) for n, c in con.coeffs.items()]
 
+    def block(self, j: int, q: int, lo: float, hi: float) -> _CutBlock:
+        """Interval (j, q)'s cuts on deviation range [lo, hi] and their rows,
+        computed once per solve."""
+        key = (j, q, lo, hi)
+        block = self._cuts.get(key)
+        if block is None:
+            cuts, convex = interval_cuts(self.deviation_poly(j, q), lo, hi)
+            rows = self.cut_rows([(j, q, a, b) for a, b in cuts])
+            block = _CutBlock(cuts, convex, len(self._cuts), rows)
+            self._cuts[key] = block
+        return block
+
     def cuts(self, j: int, q: int, lo: float, hi: float):
         """``interval_cuts`` of interval (j, q)'s deviation polynomial on
         [lo, hi]: its cuts and whether it is convex there."""
-        key = (j, q, lo, hi)
-        if key not in self._cuts:
-            self._cuts[key] = interval_cuts(self.deviation_poly(j, q), lo, hi)
-        return self._cuts[key]
+        block = self.block(j, q, lo, hi)
+        return block.cuts, block.convex
 
     def deviation_poly(self, j: int, q: int) -> np.ndarray:
         """Interval (j, q)'s polynomial in its deviation, constant dropped
@@ -296,16 +368,44 @@ class _LPBuilder:
         phi[0] = 0.0
         return phi
 
-    def cut_row(self, j: int, q: int, a: float, b: float):
-        """sp >= (c0+b)*y + a*dev as ``(col, coeff)`` entries of a <= 0 row:
-        the intercept rides on y so the cut reduces to sp >= 0 at y = 0 and
-        to the plain affine underestimator at y = 1."""
-        c0 = self.surr.components[j].piece.coeffs[q][0]
-        return (
-            (self.col_sp[j, q], -1.0),
-            (self.col_y[j, q], c0 + b),
-            (self.col_dev[j, q], a),
-        )
+    def cut_rows(self, cuts):
+        """The rows sp >= (c0+b)*y + a*dev of cuts (j, q, a, b) as one
+        ``_Rows`` block: the intercept rides on y so a cut reduces to
+        sp >= 0 at y = 0 and to the plain affine underestimator at y = 1."""
+        j, q, a, b = np.array(cuts, dtype=float).reshape(-1, 4).T
+        i = self.first[j.astype(int)] + q.astype(int)
+        y = (self.nv + 3 * i).astype(np.int32)
+        cols = np.column_stack([y + 2, y, y + 1])
+        vals = np.column_stack([np.full(len(y), -1.0), self.c0[i] + b, a])
+        keep = vals != 0.0
+        return keep.sum(axis=1, dtype=np.int32), cols[keep], vals[keep]
+
+
+# HighsBasisStatus members indexed by their value
+_STATUS = sorted(highs.HighsBasisStatus.__members__.values(), key=int)
+_BASIC = int(highs.HighsBasisStatus.kBasic)
+
+
+def _start_basis(builder: _LPBuilder, parent: _Basis, rows: _Rows, keep):
+    """The parent's final basis mapped by position onto a child's rows, as
+    an alien HiGHS basis. Columns and fixed rows map one to one; an
+    interval's block one to one when the child holds the parent's block,
+    otherwise its slacks are basic; tangent rows through ``keep``, the
+    child's mask over the parent's tangents. HiGHS repairs the basic count
+    where a dropped row was nonbasic."""
+    nf = len(builder.fixed[0])
+    end = nf + int(parent.block_rows.sum())
+    same = rows.ids == parent.ids
+    block = np.full(int(rows.block_rows.sum()), _BASIC, dtype=np.int8)
+    block[np.repeat(same, rows.block_rows)] = parent.row[nf:end][
+        np.repeat(same, parent.block_rows)
+    ]
+    row = np.concatenate([parent.row[:nf], block, parent.row[end:][keep]])
+    basis = highs.HighsBasis()
+    basis.col_status = [_STATUS[s] for s in parent.col.tolist()]
+    basis.row_status = [_STATUS[s] for s in row.tolist()]
+    basis.alien = True
+    return basis
 
 
 def _node_dev_range(surr, node, j, q):
@@ -314,44 +414,50 @@ def _node_dev_range(surr, node, j, q):
 
 
 def _node_lp(builder: _LPBuilder, node: Node):
-    """Column bounds lower and upper, the node's cut rows, its Kelley keys
-    (the intervals convex over the node range) and the inherited tangents it
-    keeps, or None when a box is empty."""
-    surr = builder.surr
-    lower = np.full(builder.ncols, -np.inf)
-    upper = np.full(builder.ncols, np.inf)
-    for v in surr.variables:
-        lo, hi = node.var_bounds.get(v.name, (v.lower, v.upper))
-        if lo > hi:
-            return None
-        lower[builder.col_x[v.name]] = lo
-        upper[builder.col_x[v.name]] = hi
-    rows = _Rows()
-    convex_keys = []  # intervals convex over the node range: Kelley cuts
-    for j, comp in enumerate(surr.components):
-        for q in range(comp.k):
-            yfix = node.y_fixed.get((j, q))
-            col_y = builder.col_y[j, q]
-            if yfix is None:
-                lower[col_y], upper[col_y] = 0.0, 1.0
-            else:
-                lower[col_y] = upper[col_y] = float(yfix)
-            lo, hi = _node_dev_range(surr, node, j, q)
-            if yfix == 0:
-                lo, hi = 0.0, 0.0
-                lower[builder.col_sp[j, q]] = upper[builder.col_sp[j, q]] = 0.0
-            lower[builder.col_dev[j, q]] = lo
-            upper[builder.col_dev[j, q]] = hi
-            cuts, convex = builder.cuts(j, q, lo, hi)
-            for a, b in cuts:
-                rows.add(builder.cut_row(j, q, a, b), 0.0)
-            if convex and yfix != 0:
-                convex_keys.append((j, q, builder.deviation_poly(j, q)))
+    """Column bounds lower and upper, the node's cut rows, the start basis
+    of its first LP (None for a node without a parent basis), its Kelley
+    keys (the intervals convex over the node range) and the inherited
+    tangents it keeps; or None when a box is empty."""
+    lower = builder.lower.copy()
+    upper = builder.upper.copy()
+    for name, (lo, hi) in node.var_bounds.items():
+        lower[builder.col_x[name]] = lo
+        upper[builder.col_x[name]] = hi
+    if (lower[: builder.nv] > upper[: builder.nv]).any():
+        return None
+    ranges = dict(node.dev_bounds)
+    for key, yfix in node.y_fixed.items():
+        col_y = builder.col_y[key]
+        lower[col_y] = upper[col_y] = float(yfix)
+        if yfix == 0:
+            ranges[key] = (0.0, 0.0)
+            lower[col_y + 2] = upper[col_y + 2] = 0.0  # sp
+    for key, (lo, hi) in ranges.items():
+        lower[builder.col_dev[key]] = lo
+        upper[builder.col_dev[key]] = hi
+    blocks = [
+        builder.block(j, q, *ranges.get((j, q), (0.0, width)))
+        for (j, q), width in zip(builder.intervals, builder.widths)
+    ]
+    convex_keys = [  # intervals convex over the node range: Kelley cuts
+        (j, q, builder.deviation_poly(j, q))
+        for (j, q), block in zip(builder.intervals, blocks)
+        if block.convex and node.y_fixed.get((j, q)) != 0
+    ]
+    rows = _Rows(
+        [block.rows for block in blocks],
+        np.array([block.id for block in blocks], dtype=np.int32),
+    )
     # on an interval fixed off y, dev and sp are 0, so its tangents are void
-    tangents = [t for t in node.tangents if node.y_fixed.get(t[:2]) != 0]
-    for cut in tangents:
-        rows.add(builder.cut_row(*cut), 0.0)
-    return lower, upper, rows, convex_keys, tangents
+    keep = np.array(
+        [node.y_fixed.get(t[:2]) != 0 for t in node.tangents], dtype=bool
+    )
+    tangents = [t for t, kept in zip(node.tangents, keep) if kept]
+    rows.add(builder.cut_rows(tangents))
+    start = None
+    if node.basis is not None:
+        start = _start_basis(builder, node.basis, rows, keep)
+    return lower, upper, rows, start, convex_keys, tangents
 
 
 class LPError(RuntimeError):
@@ -362,10 +468,12 @@ class LPError(RuntimeError):
 class _NodeLP:
     """One node LP, min ``builder.obj`` over the solve's fixed rows and the
     node's cut rows within column bounds, as one HiGHS model that grows by
-    Kelley rows: ``add_rows`` adds them in place, and the next ``solve``
-    starts from the basis the last one left."""
+    Kelley rows. The first ``solve`` starts from ``start`` (an alien basis)
+    when given, otherwise cold; ``add_rows`` adds rows in place, and each
+    later ``solve`` starts from the basis the last one left."""
 
-    def __init__(self, builder: _LPBuilder, lower, upper, rows: _Rows):
+    def __init__(self, builder: _LPBuilder, lower, upper, rows: _Rows,
+                 start=None):
         self.builder = builder
         self.lower, self.upper = lower, upper
         self.rows = rows
@@ -394,6 +502,8 @@ class _NodeLP:
         self._check(self.model.setOptionValue("simplex_strategy", dual),
                     "setOptionValue")
         self._check(self.model.passModel(lp), "passModel")
+        if start is not None:
+            self._check(self.model.setBasis(start), "setBasis")
 
     @staticmethod
     def _check(status, call: str) -> None:
@@ -403,13 +513,14 @@ class _NodeLP:
     def add_rows(self, cuts) -> None:
         """Add the rows ``sp >= (c0+b)*y + a*dev`` of Kelley tangents
         (j, q, a, b)."""
-        first = len(self.rows.upper)
-        for cut in cuts:
-            self.rows.add(self.builder.cut_row(*cut), 0.0)
-        lower, upper, starts, index, value = self.rows.arrays(first)
+        counts, index, value = block = self.builder.cut_rows(cuts)
+        self.rows.add(block)
+        starts = np.zeros(len(counts), dtype=np.int32)
+        np.cumsum(counts[:-1], out=starts[1:])
         self._check(
-            self.model.addRows(len(upper), lower, upper, len(index),
-                               starts[:-1], index, value),
+            self.model.addRows(len(counts), np.full(len(counts), -np.inf),
+                               np.zeros(len(counts)), len(index), starts,
+                               index, value),
             "addRows",
         )
 
@@ -419,6 +530,9 @@ class _NodeLP:
         Any other outcome raises ``LPError``."""
         model = self.model
         self._check(model.run(), "run")
+        self.builder.simplex_iterations += (
+            model.getInfo().simplex_iteration_count
+        )
         status = model.getModelStatus()
         if status == highs.HighsModelStatus.kOptimal:
             x = np.array(model.getSolution().col_value)
@@ -435,31 +549,43 @@ class _NodeLP:
             return "infeasible", math.inf, None
         raise LPError(f"node LP ended with HiGHS model status {status.name}")
 
+    def basis(self) -> _Basis:
+        """The basis the last solve left, with the node's block layout."""
+        basis = self.model.getBasis()
+        return _Basis(
+            np.array([s.value for s in basis.col_status], dtype=np.int8),
+            np.array([s.value for s in basis.row_status], dtype=np.int8),
+            self.rows.ids,
+            self.rows.block_rows,
+        )
+
 
 def relax_node(builder: _LPBuilder, node: Node):
     """Solve the node LP with Kelley rounds. Returns (status, value, z,
-    tangents): status is 'optimal' or 'infeasible', value includes the
-    surrogate constant, and tangents are the node's inherited tangents plus
-    the ones it added, for its children to inherit.
+    tangents, basis): status is 'optimal' or 'infeasible', value includes
+    the surrogate constant, tangents are the node's inherited tangents plus
+    the ones it added, and basis is the final LP basis; the last two are
+    for its children.
 
-    A round adds the tangent at the LP point of every interval that is
-    convex over the node range and underestimated there. The loop stops
-    when a round raised the bound by at most ``builder.progress_tol``
-    (relative to max(1, |value|)), when no tangent was added, or after
-    KELLEY_CAP solves. Each stop leaves a relaxation, so the bound is sound.
+    The first LP starts from the parent's basis (``node.basis``). A round
+    adds the tangent at the LP point of every interval that is convex over
+    the node range and underestimated there. The loop stops when a round
+    raised the bound by at most ``builder.progress_tol`` (relative to
+    max(1, |value|)), when no tangent was added, or after KELLEY_CAP
+    solves. Each stop leaves a relaxation, so the bound is sound.
     """
     surr = builder.surr
     lp = _node_lp(builder, node)
     if lp is None:
-        return "infeasible", math.inf, None, ()
-    lower, upper, rows, convex_keys, tangents = lp
-    model = _NodeLP(builder, lower, upper, rows)
+        return "infeasible", math.inf, None, (), None
+    lower, upper, rows, start, convex_keys, tangents = lp
+    model = _NodeLP(builder, lower, upper, rows, start)
     prev = -math.inf
     for rnd in range(KELLEY_CAP):
         status, fun, z = model.solve()
         builder.lp_solves += 1
         if status == "infeasible":
-            return "infeasible", math.inf, None, ()
+            return "infeasible", math.inf, None, (), None
         value = fun + surr.constant
         if value - prev <= builder.progress_tol * max(1.0, abs(value)):
             break
@@ -485,7 +611,7 @@ def relax_node(builder: _LPBuilder, node: Node):
             break
         model.add_rows(new)
         tangents.extend(new)
-    return "optimal", value, z, tuple(tangents)
+    return "optimal", value, z, tuple(tangents), model.basis()
 
 
 def _try_incumbent(builder: _LPBuilder, z) -> tuple[float, np.ndarray] | None:
@@ -646,7 +772,7 @@ def solve(
             break
         _, _, node = heapq.heappop(heap)
         nodes += 1
-        lp_status, lb, z, tangents = relax_node(builder, node)
+        lp_status, lb, z, tangents, basis = relax_node(builder, node)
         if lp_status != "optimal":
             continue
         if lb >= ub - PRUNE_TOL * max(1.0, abs(ub)):
@@ -672,7 +798,9 @@ def solve(
             continue  # LP point is exact for this node
         for child in children:
             counter += 1
-            heapq.heappush(heap, (lb, counter, replace(child, tangents=tangents)))
+            heapq.heappush(heap, (lb, counter, replace(
+                child, tangents=tangents, basis=basis
+            )))
 
     lb_final = min(heap[0][0], pruned_lb) if heap else pruned_lb
     if incumbent is None:
@@ -694,6 +822,7 @@ def solve(
         status=status,
         lp_solves=builder.lp_solves,
         kelley_cap_hits=builder.kelley_cap_hits,
+        simplex_iterations=builder.simplex_iterations,
         log=log,
     )
 

@@ -23,6 +23,7 @@ from .bnb import write_log_csv
 from .problems import (
     REPORT_CSV_HEADER,
     MissocConfig,
+    StageError,
     check_solvable,
     fit_stage,
     load_instance,
@@ -145,6 +146,7 @@ def cmd_solve(args) -> int:
     print(f"gap           {report.gap_pct:.4g}%")
     print(f"nodes         {report.nodes}")
     print(f"LP solves     {report.lp_solves}")
+    print(f"simplex iters {report.simplex_iterations}")
     print(f"Kelley caps   {report.kelley_cap_hits}")
     print(f"time          {report.time_s:.3f}s")
     if args.log:
@@ -168,6 +170,7 @@ def _print_report(report) -> None:
     print(f"gap           {report.gap_pct:.4g}%")
     print(f"nodes         {report.nodes}")
     print(f"LP solves     {report.lp_solves}")
+    print(f"simplex iters {report.simplex_iterations}")
     print(f"Kelley caps   {report.kelley_cap_hits}")
     for stage in ("sample", "fit", "surrogate", "solve", "refine"):
         if stage in report.stage_times:
@@ -275,5 +278,15 @@ def main(argv=None) -> int:
     return args.func(args)
 
 
+def console_main(argv=None) -> int:
+    """``main`` as the ``missoc`` command runs it: a failed stage ends the
+    command with one line on stderr and exit code 1, not a traceback."""
+    try:
+        return main(argv)
+    except StageError as exc:
+        print(f"missoc: {exc}", file=sys.stderr)
+        return 1
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -446,6 +446,7 @@ class MissocReport:
     status: str
     lp_solves: int = 0  # node LPs the solver ran
     kelley_cap_hits: int = 0  # node LPs stopped by the Kelley round cap
+    simplex_iterations: int = 0  # HiGHS simplex iterations over all node LPs
     fit: object = None
     surrogate: object = None
 
@@ -603,6 +604,7 @@ def run_missoc(
         status=status,
         lp_solves=report.lp_solves,
         kelley_cap_hits=report.kelley_cap_hits,
+        simplex_iterations=report.simplex_iterations,
         fit=fit,
         surrogate=surr,
     )

@@ -409,6 +409,21 @@ class TestSolve:
         assert report.nodes <= report.lp_solves <= bnb.KELLEY_CAP * report.nodes
         assert 0 <= report.kelley_cap_hits <= report.nodes
 
+    def test_reports_simplex_iterations(self, monkeypatch):
+        surr = surrogate_for(parse_instance(NONCONVEX_2D))
+        seen = []
+        lp_solve = bnb._NodeLP.solve
+
+        def spy(model):
+            out = lp_solve(model)
+            seen.append(model.model.getInfo().simplex_iteration_count)
+            return out
+
+        monkeypatch.setattr(bnb._NodeLP, "solve", spy)
+        report = solve(surr, gap_tol=1e-4)
+        assert len(seen) == report.lp_solves
+        assert report.simplex_iterations == sum(seen) > 0
+
     def test_log_collection(self, tmp_path):
         surr = surrogate_for(parse_instance(NONCONVEX_2D))
         report = solve(surr, collect_log=True)
@@ -521,7 +536,7 @@ class TestNodeLP:
         builder = bnb._LPBuilder(surr, 1e-4)
         for node in (Node(0, -math.inf, {}, {}, {}), branched_node(surr)):
             A_eq, b_eq, A_ub, b_ub = dense_rows(builder, node)
-            lower, upper, rows, _, _ = bnb._node_lp(builder, node)
+            lower, upper, rows, _, _, _ = bnb._node_lp(builder, node)
             matrix, row_lower, row_upper = model_rows(
                 bnb._NodeLP(builder, lower, upper, rows)
             )
@@ -670,7 +685,7 @@ class TestTangentPool:
         surr = random_surrogate(seed)
         builder = bnb._LPBuilder(surr, 1e-4)
         checked = 0
-        for node, (status, _, _, pool) in tree_nodes(builder, 25):
+        for node, (status, _, _, pool, _) in tree_nodes(builder, 25):
             if status != "optimal":
                 continue
             # the node's own tangents too: they are its children's pool
@@ -709,7 +724,7 @@ class TestTangentPool:
 
         monkeypatch.setattr(bnb._NodeLP, "solve", spy)
         inherited = 0
-        for node, (status, bound, _, _) in nodes:
+        for node, (status, bound, _, _, _) in nodes:
             values.clear()
             pooled = bnb.relax_node(builder, node)
             first_pooled = values[0]
@@ -771,20 +786,51 @@ def linprog_reference(builder, lower, upper, rows):
 
 FREE_LINEAR = "var x in [-inf, inf]; var y in [0, 1]; min x + y^2;"
 
+# trees of some tens of nodes: integer branching coupled through a knapsack
+# row, and deviation-range branching on wavy pieces
+INT_COUPLED = (
+    "var x0 in [0, 2]; var n0 in [0, 6] integer;"
+    "var x1 in [0, 2]; var n1 in [0, 6] integer;"
+    "var x2 in [0, 2]; var n2 in [0, 6] integer;"
+    "min 1.015*(x0 - 0.5087)^2 + 0.3*(n0 - 3.313)^2"
+    " + 0.8285*(x1 - 0.7904)^2 + 0.3*(n1 - 2.577)^2"
+    " + 1.237*(x2 - 0.3019)^2 + 0.3*(n2 - 4.236)^2;"
+    "st -x0 - 0.5*n0 <= -2.249; st -x1 - 0.5*n1 <= -1.969;"
+    "st -x2 - 0.5*n2 <= -2.333; st 2*n0 + 3*n1 + 4*n2 <= 17;"
+)
+SPATIAL_4D = (
+    "var x0 in [0, 2]; var x1 in [0, 2]; var x2 in [0, 2]; var x3 in [0, 2];"
+    "min sin(4.095*x0) + 0.536*(x0 - 1)^2 + sin(4.946*x1)"
+    " + 0.4817*(x1 - 1)^2 + sin(3.458*x2) + 0.5188*(x2 - 1)^2"
+    " + sin(4.451*x3) + 0.5223*(x3 - 1)^2;"
+    "st x0 + x1 <= 2.416; st x2 + x3 <= 1.966;"
+)
+
+
+def coupled_surrogates():
+    return [
+        surrogate_for(parse_instance(INT_COUPLED), intervals=8),
+        surrogate_for(parse_instance(SPATIAL_4D), intervals=20),
+    ]
+
 
 class TestNodeLPSolve:
     def record(self, monkeypatch, run):
         """Each LP the node models solve while ``run()`` runs, with the
-        model's answer: (builder, lower, upper, cut rows as
-        ``_Rows.arrays``, status, value)."""
+        model's answer and whether it is the model's first solve started
+        from a parent's basis: (builder, lower, upper, cut rows as
+        ``_Rows.arrays``, status, value, warm)."""
         lps = []
         lp_solve = bnb._NodeLP.solve
 
         def spy(model):
+            first = not hasattr(model, "solved")
+            warm = first and model.model.getBasis().valid
+            model.solved = True
             lp = (model.builder, model.lower.copy(), model.upper.copy(),
                   model.rows.arrays())
             out = lp_solve(model)
-            lps.append(lp + out[:2])
+            lps.append(lp + out[:2] + (warm,))
             return out
 
         monkeypatch.setattr(bnb._NodeLP, "solve", spy)
@@ -802,6 +848,7 @@ class TestNodeLPSolve:
         def random_trees():
             for seed in range(3):
                 surr = random_surrogate(seed)
+                solve(surr)
                 builder = bnb._LPBuilder(surr, 1e-4)
                 tree_nodes(builder, 25)
                 # x1 + x2 >= 0.8 cannot hold on these nodes
@@ -814,11 +861,17 @@ class TestNodeLPSolve:
                 ):
                     bnb.relax_node(builder, node)
 
+        def coupled_trees():
+            for surr in coupled_surrogates():
+                solve(surr)
+
         statuses = []
         kelley_rounds = 0
-        for run in (shipped, random_trees):
+        warm_firsts = 0
+        for run in (shipped, random_trees, coupled_trees):
             lps = self.record(monkeypatch, run)
-            for builder, lower, upper, rows, status, value in lps:
+            for builder, lower, upper, rows, status, value, warm in lps:
+                warm_firsts += warm
                 want_status, want = linprog_reference(
                     builder, lower, upper, rows
                 )
@@ -833,6 +886,8 @@ class TestNodeLPSolve:
         # roots, branched nodes, Kelley re-solves and pruned nodes
         assert statuses.count("infeasible") >= 6
         assert kelley_rounds >= 50
+        # first LPs of full-tree nodes, started from their parent's basis
+        assert warm_firsts >= 20
 
     @staticmethod
     def stub_model_status(monkeypatch, name):
@@ -860,7 +915,7 @@ class TestNodeLPSolve:
     def test_infeasible_lp_prunes(self, monkeypatch, model_status):
         self.stub_model_status(monkeypatch, model_status)
         builder = bnb._LPBuilder(random_surrogate(0), 1e-4)
-        status, value, z, _ = bnb.relax_node(
+        status, value, z, _, _ = bnb.relax_node(
             builder, Node(0, -math.inf, {}, {}, {})
         )
         assert (status, value, z) == ("infeasible", math.inf, None)
@@ -874,9 +929,84 @@ class TestNodeLPSolve:
         with pytest.raises(bnb.LPError, match="kUnboundedOrInfeasible"):
             bnb.relax_node(builder, Node(0, -math.inf, {}, {}, {}))
 
+    def test_set_basis_error_raises(self, monkeypatch):
+        class Stub(bnb.highs._Highs):
+            def setBasis(self, basis):
+                return bnb.highs.HighsStatus.kError
+
+        monkeypatch.setattr(bnb.highs, "_Highs", Stub)
+        # the root of this tree branches, so a child starts from its basis
+        with pytest.raises(bnb.LPError, match="setBasis"):
+            solve(coupled_surrogates()[0])
+
     # one case, under the id it has always had
     @pytest.mark.parametrize("highs", [True])
     def test_unbounded_lp_raises(self, highs):
         surr = surrogate_for(parse_instance(FREE_LINEAR), intervals=4)
         with pytest.raises(bnb.LPError, match="nbounded"):
             solve(surr)
+
+
+class TestWarmStart:
+    def test_warm_first_lp_matches_cold(self, monkeypatch):
+        """On full trees, each node's first LP, started from its parent's
+        basis, gives the status and value of the same LP solved cold, and
+        both children of a node hold the same basis object."""
+        basic = int(bnb.highs.HighsBasisStatus.kBasic)
+        compared = []
+        dropped_nonbasic = []
+        pushed = []
+        lp_solve = bnb._NodeLP.solve
+        start_basis = bnb._start_basis
+        heappush = bnb.heapq.heappush
+
+        def spy_solve(model):
+            if hasattr(model, "solved") or not model.model.getBasis().valid:
+                model.solved = True
+                return lp_solve(model)
+            model.solved = True
+            cold = bnb._NodeLP(model.builder, model.lower, model.upper,
+                               model.rows)
+            assert not cold.model.getBasis().valid
+            out = lp_solve(model)
+            status, value, _ = lp_solve(cold)
+            assert out[0] == status
+            if status == "optimal":
+                assert abs(out[1] - value) <= 1e-7 * max(1.0, abs(value))
+            compared.append(status)
+            return out
+
+        def spy_start(builder, parent, rows, keep):
+            # the parent rows the child drops: its blocks the child does not
+            # hold, and the tangents the child does not keep
+            nf = len(builder.fixed[0])
+            end = nf + parent.block_rows.sum()
+            moved = np.repeat(rows.ids != parent.ids, parent.block_rows)
+            dropped = np.concatenate(
+                [parent.row[nf:end][moved], parent.row[end:][~keep]]
+            )
+            dropped_nonbasic.append(bool((dropped != basic).any()))
+            return start_basis(builder, parent, rows, keep)
+
+        def spy_push(heap, item):
+            pushed.append(item[2])
+            heappush(heap, item)
+
+        monkeypatch.setattr(bnb._NodeLP, "solve", spy_solve)
+        monkeypatch.setattr(bnb, "_start_basis", spy_start)
+        monkeypatch.setattr(bnb.heapq, "heappush", spy_push)
+        surrogates = [shipped_surrogate(name) for name in SHIPPED]
+        surrogates += [random_surrogate(seed) for seed in range(3)]
+        surrogates += coupled_surrogates()
+        for surr in surrogates:
+            pushed.clear()
+            report = solve(surr)
+            assert report.status == "optimal"
+            root, children = pushed[0], pushed[1:]
+            assert root.basis is None and len(children) % 2 == 0
+            for left, right in zip(children[::2], children[1::2]):
+                assert left.basis is not None and left.basis is right.basis
+        monkeypatch.undo()
+        assert len(compared) == len(dropped_nonbasic) >= 20
+        # HiGHS repaired the basic count of an alien basis
+        assert any(dropped_nonbasic)

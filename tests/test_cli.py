@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -138,6 +142,40 @@ class TestRun:
         rc = main(["run", smooth_path, "--intervals", "6", "--no-refine"])
         assert rc == 0
         assert "t[refine" not in capsys.readouterr().out
+
+
+class TestWorkDone:
+    @pytest.mark.parametrize("command", ["solve", "run"])
+    def test_prints_simplex_iterations(self, smooth_path, command, capsys):
+        rc = main([command, smooth_path, "--intervals", "6"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("LP"))
+        assert re.fullmatch(r"simplex iters [1-9]\d*", lines[at + 1])
+
+
+class TestStageErrors:
+    """A failed stage ends ``missoc run``/``solve`` with one line on stderr
+    and exit code 1."""
+
+    @pytest.mark.parametrize("command, text", [
+        ("run", "var x in [-inf, inf]; var y in [0, 1]; min x + y^2;"),
+        ("solve", "var a in [0,1]; var b in [0,1];"
+                  "min a^2 + sin(3*b); st a*b - 0.1 <= 0;"),
+    ], ids=["unbounded", "nonlinear_constraint"])
+    def test_one_line_not_a_traceback(self, tmp_path, command, text):
+        p = tmp_path / "bad.miss"
+        p.write_text(text)
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "missoc.cli", command, str(p)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert re.fullmatch(r"missoc: stage 'solve' failed: .+\n", done.stderr)
 
 
 class TestBench:
