@@ -562,10 +562,10 @@ class _NodeLP:
 
 def relax_node(builder: _LPBuilder, node: Node):
     """Solve the node LP with Kelley rounds. Returns (status, value, z,
-    tangents, basis): status is 'optimal' or 'infeasible', value includes
+    tangents, lp): status is 'optimal' or 'infeasible', value includes
     the surrogate constant, tangents are the node's inherited tangents plus
-    the ones it added, and basis is the final LP basis; the last two are
-    for its children.
+    the ones it added, and lp is the solved ``_NodeLP``, whose ``basis()``
+    a node that branches reads once for both children.
 
     The first LP starts from the parent's basis (``node.basis``). A round
     adds the tangent at the LP point of every interval that is convex over
@@ -611,7 +611,7 @@ def relax_node(builder: _LPBuilder, node: Node):
             break
         model.add_rows(new)
         tangents.extend(new)
-    return "optimal", value, z, tuple(tangents), model.basis()
+    return "optimal", value, z, tuple(tangents), model
 
 
 def _try_incumbent(builder: _LPBuilder, z) -> tuple[float, np.ndarray] | None:
@@ -772,7 +772,8 @@ def solve(
             break
         _, _, node = heapq.heappop(heap)
         nodes += 1
-        lp_status, lb, z, tangents, basis = relax_node(builder, node)
+        lp = None  # frees the last node's HiGHS model before this one is built
+        lp_status, lb, z, tangents, lp = relax_node(builder, node)
         if lp_status != "optimal":
             continue
         if lb >= ub - PRUNE_TOL * max(1.0, abs(ub)):
@@ -796,6 +797,7 @@ def solve(
         if children is None:
             pruned_lb = min(pruned_lb, lb)
             continue  # LP point is exact for this node
+        basis = lp.basis()
         for child in children:
             counter += 1
             heapq.heappush(heap, (lb, counter, replace(

@@ -2,14 +2,23 @@
 
 A small infix language over {+, -, *, /, ^, exp, log, sqrt, sin, cos} with a
 recursive-descent parser that reports line/column positions on errors.
-Evaluation is generic over the numeric type, so the same tree evaluates with
-floats or with dual numbers for forward-mode differentiation.
+
+``evaluate`` walks a tree at one point with Python floats; ``evaluate_block``
+walks it once for a block of points, with numpy array ops for ``+ - * /`` and
+the same ``math`` functions and float power element by element (numpy's own
+may differ in the last bit), and masks the points where ``evaluate`` raises.
+``gradient`` is vector forward mode (Griewank & Walther 2008): one sweep with
+a unit-vector ``Dual.dot`` per variable, each element computed as that
+variable's own sweep would compute it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class ParseError(ValueError):
@@ -253,6 +262,7 @@ def parse_expr(text: str) -> Expr:
 # Evaluation and forward-mode differentiation
 
 
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 _FN_FLOAT = {
     "exp": math.exp,
     "log": math.log,
@@ -264,70 +274,60 @@ _FN_FLOAT = {
 
 @dataclass(frozen=True)
 class Dual:
-    """First-order dual number a + b eps for forward-mode differentiation."""
+    """First-order dual number a + b eps for forward-mode differentiation;
+    ``dot`` is a float or an array holding one derivative per direction."""
 
     val: float
-    dot: float
+    dot: float | np.ndarray
 
     def __add__(self, o):
-        o = _as_dual(o)
         return Dual(self.val + o.val, self.dot + o.dot)
 
-    __radd__ = __add__
-
     def __sub__(self, o):
-        o = _as_dual(o)
         return Dual(self.val - o.val, self.dot - o.dot)
 
-    def __rsub__(self, o):
-        return _as_dual(o) - self
-
     def __mul__(self, o):
-        o = _as_dual(o)
         return Dual(self.val * o.val, self.dot * o.val + self.val * o.dot)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, o):
-        o = _as_dual(o)
         return Dual(
             self.val / o.val,
             (self.dot * o.val - self.val * o.dot) / (o.val * o.val),
         )
 
-    def __rtruediv__(self, o):
-        return _as_dual(o) / self
-
     def __pow__(self, o):
-        o = _as_dual(o)
-        if o.dot == 0.0:
-            # constant exponent: d/dx x^c = c x^(c-1); valid for x <= 0 too
-            # when c is a nonnegative integer
-            c = o.val
-            v = self.val**c
+        c, v = o.val, self.val**o.val
+        # per direction: where the exponent's dot is zero, d/dx x^c =
+        # c x^(c-1), valid for x <= 0 too when c is a nonnegative integer;
+        # elsewhere the general rule
+        fixed = np.equal(o.dot, 0.0)
+        dot = 0.0
+        if fixed.any():
             if self.val == 0.0:
                 g = 0.0 if c > 1 else (c if c == 1 else math.inf)
             else:
                 g = c * self.val ** (c - 1)
-            return Dual(v, g * self.dot)
-        v = self.val**o.val
-        return Dual(
-            v,
-            v * (o.dot * math.log(self.val) + o.val * self.dot / self.val),
-        )
+            dot = _chain(g, self.dot)
+        if not fixed.all():
+            general = v * (o.dot * math.log(self.val) + c * self.dot / self.val)
+            dot = np.where(fixed, dot, general)
+        return Dual(v, dot)
 
 
-def _as_dual(v) -> Dual:
-    if isinstance(v, Dual):
-        return v
-    return Dual(float(v), 0.0)
+def _chain(factor: float, dot):
+    """factor * dot, and 0 where dot is 0 even when the factor is infinite."""
+    if math.isfinite(factor):
+        return factor * dot
+    return np.multiply(factor, dot, out=np.zeros(np.shape(dot)),
+                       where=np.not_equal(dot, 0.0))
 
 
 _FN_DUAL = {
     "exp": lambda d: Dual(math.exp(d.val), math.exp(d.val) * d.dot),
     "log": lambda d: Dual(math.log(d.val), d.dot / d.val),
     "sqrt": lambda d: Dual(
-        math.sqrt(d.val), d.dot / (2.0 * math.sqrt(d.val)) if d.val > 0 else math.inf
+        math.sqrt(d.val),
+        d.dot / (2.0 * math.sqrt(d.val)) if d.val > 0 else _chain(math.inf, d.dot),
     ),
     "sin": lambda d: Dual(math.sin(d.val), math.cos(d.val) * d.dot),
     "cos": lambda d: Dual(math.cos(d.val), -math.sin(d.val) * d.dot),
@@ -345,20 +345,59 @@ def evaluate(expr: Expr, env: dict[str, float]) -> float:
     if isinstance(expr, BinOp):
         a = evaluate(expr.left, env)
         b = evaluate(expr.right, env)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if expr.op == "/":
-            return a / b
-        if isinstance(a, float) and a < 0 and float(b) != int(b):
-            raise ValueError(f"negative base {a} with fractional exponent {b}")
-        return a**b
+        return _power(a, b) if expr.op == "^" else _OPS[expr.op](a, b)
     if isinstance(expr, Call):
         return _FN_FLOAT[expr.fn](evaluate(expr.arg, env))
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _power(a: float, b: float) -> float:
+    if isinstance(a, float) and a < 0 and float(b) != int(b):
+        raise ValueError(f"negative base {a} with fractional exponent {b}")
+    return a**b
+
+
+def evaluate_block(expr: Expr, env: dict[str, np.ndarray]):
+    """Values of ``expr`` at a block of points, given as one array per
+    variable, and a boolean mask of the points where ``evaluate`` raises
+    (a domain error, division by zero, overflow of a function or ``^``, or a
+    negative base with a fractional exponent). Both have the broadcast shape
+    of the env's arrays; a masked value is meaningless. Overflow in ``+ - *
+    /`` gives inf without raising, as with Python floats."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in env.values()))
+    bad = np.zeros(shape, dtype=bool)
+    bad_flat = bad.reshape(-1)
+
+    def walk(e):
+        if isinstance(e, Const):
+            return np.float64(e.value)
+        if isinstance(e, Var):
+            return env[e.name]
+        if isinstance(e, BinOp):
+            a, b = walk(e.left), walk(e.right)
+            if e.op == "^":
+                return elementwise(_power, a, b)
+            if e.op == "/":
+                np.logical_or(bad, np.equal(b, 0.0), out=bad)
+            return _OPS[e.op](a, b)
+        if isinstance(e, Call):
+            return elementwise(_FN_FLOAT[e.fn], walk(e.arg))
+        raise TypeError(f"not an expression node: {e!r}")
+
+    def elementwise(fn, *args):
+        columns = [np.broadcast_to(a, shape).ravel().tolist() for a in args]
+        out = []
+        for i, xs in enumerate(zip(*columns)):
+            try:
+                out.append(fn(*xs))
+            except (ValueError, ZeroDivisionError, OverflowError):
+                out.append(math.nan)
+                bad_flat[i] = True
+        return np.array(out).reshape(shape)
+
+    with np.errstate(all="ignore"):
+        values = np.broadcast_to(walk(expr), shape).copy()
+    return values, bad
 
 
 def _eval_dual(expr: Expr, env: dict[str, Dual]) -> Dual:
@@ -369,15 +408,7 @@ def _eval_dual(expr: Expr, env: dict[str, Dual]) -> Dual:
     if isinstance(expr, BinOp):
         a = _eval_dual(expr.left, env)
         b = _eval_dual(expr.right, env)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if expr.op == "/":
-            return a / b
-        return a**b
+        return a**b if expr.op == "^" else _OPS[expr.op](a, b)
     if isinstance(expr, Call):
         return _FN_DUAL[expr.fn](_eval_dual(expr.arg, env))
     raise TypeError(f"not an expression node: {expr!r}")
@@ -385,16 +416,17 @@ def _eval_dual(expr: Expr, env: dict[str, Dual]) -> Dual:
 
 def gradient(expr: Expr, env: dict[str, float], names=None) -> dict[str, float]:
     """Forward-mode gradient with respect to the given names (default: all
-    bound variables), one sweep per coordinate."""
+    bound variables), in one sweep with a unit-vector dot per name."""
     if names is None:
         names = sorted(variables_of(expr) & set(env))
-    out = {}
-    for name in names:
-        dual_env = {
-            k: Dual(float(v), 1.0 if k == name else 0.0) for k, v in env.items()
-        }
-        out[name] = _eval_dual(expr, dual_env).dot
-    return out
+    unit = dict(zip(names, np.eye(len(names))))
+    dual_env = {k: Dual(float(v), unit.get(k, 0.0)) for k, v in env.items()}
+    # inf and nan propagate silently, as with Python floats
+    with np.errstate(all="ignore"):
+        dot = _eval_dual(expr, dual_env).dot
+    if np.ndim(dot) == 0:  # no seeded variable reached the result
+        dot = np.full(len(names), dot)
+    return dict(zip(names, dot.tolist()))
 
 
 def variables_of(expr: Expr) -> set[str]:

@@ -19,15 +19,18 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 
 from .expressions import (
     BinOp,
+    Const,
     Expr,
     ParseError,
     decompose_affine,
     evaluate,
+    evaluate_block,
     parse_expr,
     split_affine,
     variables_of,
@@ -392,7 +395,9 @@ def sample_training(
 
     Responses are exact evaluations of the approximated (nonlinear) part of
     g_0; the affine remainder is carried through the surrogate untouched.
-    Sample count: s * (1 + sum_j (d_j + k_j)).
+    Sample count: s * (1 + sum_j (d_j + k_j)), drawn as one block and
+    evaluated by ``evaluate_block``. Rows where evaluation raises or the
+    response is not finite are redrawn together, up to RESAMPLE_CAP draws.
     """
     names = instance.covariates()
     if not names:
@@ -405,27 +410,24 @@ def sample_training(
     n = config.samples_per_param * (1 + sum(
         d + k for d, k in zip(degrees, intervals)
     ))
-    boxes = covariate_domains(instance)
+    lo, hi = np.array(covariate_domains(instance)).T
     _, _, nonlinear = instance.complicating_split()
+    # one tree, summed from 0 term by term as sum() adds at one point
+    part = reduce(partial(BinOp, "+"), nonlinear, Const(0.0))
     rng = np.random.default_rng(config.seed)
-    X = np.empty((n, p))
-    y = np.empty(n)
-    for i in range(n):
-        for attempt in range(RESAMPLE_CAP):
-            row = np.array([rng.uniform(lo, hi) for lo, hi in boxes])
-            env = {nm: float(v) for nm, v in zip(names, row)}
-            try:
-                val = sum(evaluate(t, env) for t in nonlinear)
-            except (ValueError, ZeroDivisionError, OverflowError):
-                continue
-            if math.isfinite(val):
-                X[i] = row
-                y[i] = val
-                break
-        else:
-            raise SamplingError(
-                f"no finite response after {RESAMPLE_CAP} draws for row {i}"
-            )
+    X = rng.uniform(lo, hi, size=(n, p))
+    y, bad = evaluate_block(part, dict(zip(names, X.T)))
+    redraw = np.flatnonzero(bad | ~np.isfinite(y))
+    for _ in range(RESAMPLE_CAP - 1):
+        if not redraw.size:
+            break
+        X[redraw] = rng.uniform(lo, hi, size=(redraw.size, p))
+        y[redraw], bad = evaluate_block(part, dict(zip(names, X[redraw].T)))
+        redraw = redraw[bad | ~np.isfinite(y[redraw])]
+    if redraw.size:
+        raise SamplingError(
+            f"no finite response after {RESAMPLE_CAP} draws for row {redraw[0]}"
+        )
     return TrainingSet(X=X, y=y)
 
 
@@ -525,28 +527,46 @@ def check_solvable(instance: ProblemInstance) -> None:
     instance is rejected before sampling and fitting spend time on it:
     - an original constraint is not affine (the solve stage bounds affine
       ones only; the surrogate itself keeps such constraints);
-    - the objective is unbounded below in a variable: its linear coefficient
-      is nonzero, its bound on the side that coefficient decreases toward is
-      infinite, and it appears in no constraint."""
-    from .bnb import NONLINEAR_CONSTRAINTS_UNSUPPORTED, UnsupportedSurrogateError
+    - the objective's linear part is unbounded below over the boxes and the
+      affine constraints: one LP, run when some variable's coefficient
+      descends toward an infinite bound (the nonlinear part's covariates
+      have finite boxes)."""
+    from .bnb import (
+        NONLINEAR_CONSTRAINTS_UNSUPPORTED,
+        UnsupportedSurrogateError,
+        highs,
+    )
 
-    if any(decompose_affine(c.expr) is None for c in instance.constraints):
+    rows = [decompose_affine(c.expr) for c in instance.constraints]
+    if any(row is None for row in rows):
         cause = UnsupportedSurrogateError(NONLINEAR_CONSTRAINTS_UNSUPPORTED)
         raise StageError("solve", cause)
-    constrained = set()
-    for c in instance.constraints:
-        constrained |= variables_of(c.expr)
     _, coeffs, _ = instance.complicating_split()
-    for v in instance.variables:
-        coeff = coeffs.get(v.name, 0.0)
-        side = "lower" if coeff > 0 else "upper"
-        bound = v.lower if coeff > 0 else v.upper
-        if coeff != 0 and math.isinf(bound) and v.name not in constrained:
-            raise StageError("solve", InstanceValidationError(
-                f"the objective is unbounded below: variable {v.name} has "
-                f"linear coefficient {coeff:g}, an infinite {side} bound and "
-                f"appears in no constraint"
-            ))
+    cost = [coeffs.get(v.name, 0.0) for v in instance.variables]
+    free = [j for j, (v, c) in enumerate(zip(instance.variables, cost))
+            if (c > 0 and v.lower == -math.inf) or (c < 0 and v.upper == math.inf)]
+    if not free:
+        return
+    model = highs._Highs()
+    model.setOptionValue("output_flag", False)
+    model.setOptionValue("presolve", "off")  # so the status is not ambiguous
+    for v, c in zip(instance.variables, cost):
+        model.addCol(c, v.lower, v.upper, 0, [], [])
+    col = instance.var_index()
+    for con, (const, row) in zip(instance.constraints, rows):
+        lower = -math.inf if con.relation == "<=" else -const
+        model.addRow(lower, -const, len(row), [col[n] for n in row], list(row.values()))
+    model.run()
+    if model.getModelStatus() != highs.HighsModelStatus.kUnbounded:
+        return
+    _, has_ray, ray = model.getPrimalRay()  # prefer a variable the ray moves
+    j = next((j for j in free if has_ray and ray[j] * cost[j] < 0), free[0])
+    v, c = instance.variables[j], cost[j]
+    raise StageError("solve", InstanceValidationError(
+        f"the objective is unbounded below: variable {v.name} has linear "
+        f"coefficient {c:g} and an infinite {'lower' if c > 0 else 'upper'} "
+        f"bound, and the constraints do not bound it"
+    ))
 
 
 def run_missoc(

@@ -948,6 +948,34 @@ class TestNodeLPSolve:
 
 
 class TestWarmStart:
+    def test_basis_read_once_per_branching_node(self, monkeypatch):
+        """Only a node that branches reads its final basis, once for both
+        children; a pruned or exact node does not."""
+        reads = []
+        pushes = []
+        basis = bnb._NodeLP.basis
+        heappush = bnb.heapq.heappush
+
+        def spy_basis(model):
+            reads.append(model)
+            return basis(model)
+
+        def spy_push(heap, item):
+            pushes.append(item[2])
+            heappush(heap, item)
+
+        monkeypatch.setattr(bnb._NodeLP, "basis", spy_basis)
+        monkeypatch.setattr(bnb.heapq, "heappush", spy_push)
+        nodes = branched = 0
+        for surr in [shipped_surrogate(name) for name in SHIPPED] + coupled_surrogates():
+            reads.clear()
+            pushes.clear()
+            nodes += solve(surr).nodes
+            assert len(reads) == len(set(map(id, reads)))
+            assert 2 * len(reads) == len(pushes) - 1  # the root is pushed too
+            branched += len(reads)
+        assert 0 < branched < nodes
+
     def test_warm_first_lp_matches_cold(self, monkeypatch):
         """On full trees, each node's first LP, started from its parent's
         basis, gives the status and value of the same LP solved cold, and

@@ -11,6 +11,7 @@ from missoc.expressions import (
     Var,
     decompose_affine,
     evaluate,
+    evaluate_block,
     gradient,
     parse_expr,
     split_affine,
@@ -140,6 +141,79 @@ class TestGradient:
 
     def test_constant_gradient_zero(self):
         assert gradient(parse_expr("3 + 4*2"), {"x": 1.0}, ["x"]) == {"x": 0.0}
+
+    def test_one_sweep_matches_per_coordinate_sweeps(self):
+        rng = np.random.default_rng(5)
+        e = parse_expr(
+            "x^y + exp(x*z)/(1 + y^2) - log(z)*sqrt(x) + sin(x - y)*cos(z)"
+            " + (x*y)^3 - z^-2 + z^(x - y)"
+        )
+        for _ in range(50):
+            env = {"x": rng.uniform(0.1, 3.0), "y": rng.uniform(-2.0, 2.0),
+                   "z": rng.uniform(0.1, 2.0), "unused": 1.0}
+            names = ["x", "y", "z", "unused"]
+            swept = gradient(e, env, names)
+            single = {n: gradient(e, env, [n])[n] for n in names}
+            assert [v.hex() for v in swept.values()] == [
+                v.hex() for v in single.values()
+            ]
+            assert swept["unused"] == 0.0
+
+    @pytest.mark.parametrize("text", ["sqrt(x) + y^2", "x^0.5 + y^2"])
+    def test_infinite_factor_stays_in_its_coordinate(self, text):
+        g = gradient(parse_expr(text), {"x": 0.0, "y": 1.0})
+        assert g == {"x": math.inf, "y": 2.0}
+
+
+def reference_block(expr, env):
+    """``evaluate`` at each point of a block, with NaN where it raises."""
+    n = len(next(iter(env.values())))
+    values, bad = np.full(n, np.nan), np.zeros(n, dtype=bool)
+    for i in range(n):
+        try:
+            values[i] = evaluate(expr, {k: float(v[i]) for k, v in env.items()})
+        except (ValueError, ZeroDivisionError, OverflowError):
+            bad[i] = True
+    return values, bad
+
+
+class TestEvaluateBlock:
+    def test_matches_evaluate_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        e = parse_expr(
+            "exp(x) - log(y) + sqrt(y)*sin(3*x) / cos(x)^2 + x^3 - x^-2"
+            " + y^0.37 + y^x - 2*x*y + (x - y)^4"
+        )
+        env = {"x": rng.uniform(-2.0, 2.0, 2000), "y": rng.uniform(0.01, 5.0, 2000)}
+        values, bad = evaluate_block(e, env)
+        want, want_bad = reference_block(e, env)
+        assert not want_bad.any()
+        np.testing.assert_array_equal(bad, want_bad)
+        np.testing.assert_array_equal(values, want)
+
+    @pytest.mark.parametrize("text, x, rejected", [
+        ("log(x) + 1", [-1.0, 0.0, 2.0], [True, True, False]),
+        ("x^-1", [0.0, -0.0, 4.0], [True, True, False]),
+        ("1/x", [0.0, 0.5], [True, False]),
+        ("exp(x)", [1000.0, 1.0], [True, False]),
+        ("x^0.5 + x^2", [-1.0, 4.0], [True, False]),
+        ("x^1000", [10.0, 1.0], [True, False]),
+        ("1/(exp(x)*exp(x))", [400.0, 1.0], [False, False]),
+    ])
+    def test_mask_marks_where_evaluate_raises(self, text, x, rejected):
+        e = parse_expr(text)
+        env = {"x": np.array(x)}
+        values, bad = evaluate_block(e, env)
+        want, want_bad = reference_block(e, env)
+        np.testing.assert_array_equal(want_bad, rejected)
+        np.testing.assert_array_equal(bad, want_bad)
+        np.testing.assert_array_equal(values[~bad], want[~want_bad])
+
+    def test_constant_subtree_raising_marks_every_point(self):
+        values, bad = evaluate_block(
+            parse_expr("x + log(0 - 1)"), {"x": np.array([1.0, 2.0])}
+        )
+        assert bad.all()
 
 
 class TestAffine:

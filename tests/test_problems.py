@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from missoc.expressions import ParseError, evaluate
+from missoc.expressions import ParseError, evaluate, parse_expr
 from missoc.problems import (
+    RESAMPLE_CAP,
     InstanceValidationError,
     MissocConfig,
     ProblemInstance,
     SamplingError,
     Variable,
+    covariate_domains,
+    load_instance,
     parse_instance,
     sample_training,
 )
@@ -149,6 +152,96 @@ class TestCovariates:
         assert coeffs == {"a": 2.0}
         env = {"a": 0.3, "b": 0.4}
         assert inst.covariate_part(env) == pytest.approx(0.16)
+
+
+def per_row_sample(instance, config, rounds=False):
+    """The per-row sampler ``sample_training`` replaces: each row drawn one
+    coordinate at a time and evaluated with ``evaluate``. A rejected row is
+    redrawn at once (``rounds=False``), or all rejected rows are redrawn
+    together after the first pass, in row order (``rounds=True``, the
+    block sampler's rule)."""
+    names = instance.covariates()
+    boxes = covariate_domains(instance)
+    _, _, nonlinear = instance.complicating_split()
+    n = sample_training(instance, config).n
+    rng = np.random.default_rng(config.seed)
+    X, y = np.empty((n, len(names))), np.empty(n)
+
+    def draw(i):
+        X[i] = [rng.uniform(lo, hi) for lo, hi in boxes]
+        env = {nm: float(v) for nm, v in zip(names, X[i])}
+        try:
+            y[i] = sum(evaluate(t, env) for t in nonlinear)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            return False
+        return math.isfinite(y[i])
+
+    if not rounds:
+        for i in range(n):
+            assert any(draw(i) for _ in range(RESAMPLE_CAP))
+        return X, y
+    pending = [i for i in range(n) if not draw(i)]
+    for _ in range(RESAMPLE_CAP - 1):
+        pending = [i for i in pending if not draw(i)]
+    assert not pending
+    return X, y
+
+
+INSTANCES = {
+    "every_function": """
+        var a in [-2, 2]; var b in [0.1, 3]; var c in [-1, 1];
+        min exp(a) - log(b) + sqrt(b)*sin(3*a) + cos(c)^2 + a^3 - b^-2
+            + b^0.37 + b^c + (a - c)^4 + a/b;
+    """,
+    # exp(x)*exp(x) overflows to inf without raising, so every row is kept
+    "overflowing_product": "var x in [399, 400]; min 1/(exp(x)*exp(x)) + x^2;",
+}
+
+
+class TestBlockSampler:
+    @pytest.mark.parametrize("name", [
+        "convex_shaped", "mixed_integer", "waves2", "every_function",
+        "overflowing_product",
+    ])
+    def test_matches_per_row_reference(self, name):
+        import pathlib
+
+        import missoc
+
+        if name in INSTANCES:
+            inst = parse_instance(INSTANCES[name])
+        else:
+            inst = load_instance(
+                pathlib.Path(missoc.__file__).parent / "instances" / f"{name}.miss"
+            )
+        for seed in (0, 3):
+            cfg = MissocConfig(seed=seed)
+            T = sample_training(inst, cfg)
+            X, y = per_row_sample(inst, cfg)
+            np.testing.assert_array_equal(T.X, X)
+            np.testing.assert_array_equal(T.y, y)
+
+    @pytest.mark.parametrize("objective", [
+        "log(x) + y^2",             # log of a negative
+        "exp(-800*x)^-1 + y^2",     # 0^-1 where exp underflows to 0
+        "y/exp(-800*x)",            # division by 0, likewise
+        "exp(1000*x) + y",          # overflow of exp
+        "(x - y)^0.5",              # negative base, fractional exponent
+    ])
+    def test_rejected_rows_are_redrawn_in_rounds(self, objective):
+        # built directly: parse_instance rejects some at the box midpoint
+        inst = ProblemInstance(
+            variables=(Variable("x", -1.0, 1.0), Variable("y", -1.0, 1.0)),
+            objective=parse_expr(objective),
+        )
+        cfg = MissocConfig(intervals=4, samples_per_param=8)
+        T = sample_training(inst, cfg)
+        X, y = per_row_sample(inst, cfg, rounds=True)
+        np.testing.assert_array_equal(T.X, X)
+        np.testing.assert_array_equal(T.y, y)
+        assert np.isfinite(T.y).all()
+        # rows were rejected, so the order of redraws matters
+        assert not np.array_equal(T.X, per_row_sample(inst, cfg)[0])
 
 
 class TestSampleTraining:
@@ -351,6 +444,28 @@ class TestRunMissoc:
         assert ei.value.stage == "solve"
         assert isinstance(ei.value.cause, InstanceValidationError)
 
+    @pytest.mark.parametrize("text, name", [
+        ("var x in [-inf, inf]; var z in [-inf, inf]; var y in [0, 1];"
+         "min x + y^2; st x - z <= 0;", "x"),
+        ("var x in [-inf, inf]; var w in [-inf, inf]; var y in [0, 1];"
+         "min x + w + y^2; st x >= 0;", "w"),
+        ("var x in [-inf, inf]; var z in [0, inf]; var y in [0, 1];"
+         "min y^2 - z; st z - x = 0;", "z"),
+    ], ids=["coupled", "bounded_one_free_other", "equality"])
+    def test_unbounded_through_constraints_rejected_before_sampling(
+        self, monkeypatch, text, name
+    ):
+        from missoc import problems
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sample_training was called")
+
+        monkeypatch.setattr(problems, "sample_training", no_sampling)
+        with pytest.raises(problems.StageError, match=f"variable {name} ") as ei:
+            problems.run_missoc(parse_instance(text), self.small_cfg())
+        assert ei.value.stage == "solve"
+        assert isinstance(ei.value.cause, InstanceValidationError)
+
     @pytest.mark.parametrize("text", [
         # the coefficient pushes x toward its finite bound
         "var x in [0, inf]; var y in [0, 1]; min x + y^2;",
@@ -358,7 +473,16 @@ class TestRunMissoc:
         "var x in [-inf, inf]; var y in [0, 1]; min x + y^2; st y - x <= 0;",
         # no linear term in x
         "var x in [-inf, inf]; var y in [0, 1]; min x - x + y^2;",
-    ], ids=["finite_descent_bound", "constrained", "no_linear_term"])
+        # x >= z and z is bounded below
+        "var x in [-inf, inf]; var z in [-1, inf]; var y in [0, 1];"
+        "min x + y^2; st z - x <= 0;",
+        # a chain of constraints bounds x
+        "var x in [-inf, inf]; var z in [-inf, inf]; var y in [0, 1];"
+        "min x + y^2; st z - x <= 0; st y - z <= 0;",
+        # infeasible, not unbounded: the solver reports it
+        "var x in [-inf, inf]; var y in [0, 1]; min x + y^2; st x >= 3; st x <= 2;",
+    ], ids=["finite_descent_bound", "constrained", "no_linear_term",
+            "bounded_by_a_bounded_variable", "chain", "infeasible"])
     def test_bounded_objective_passes_the_check(self, text):
         from missoc.problems import check_solvable
 
