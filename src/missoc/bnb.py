@@ -105,6 +105,15 @@ def _poly_val(coeffs, x):
     return float(np.polynomial.polynomial.polyval(x, coeffs))
 
 
+def _horner(P: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row i of P, highest power first, at x[i]: one Horner pass with the
+    same operations as ``polyval`` of the row's unpadded coefficients."""
+    y = np.zeros(len(x))
+    for col in P.T:
+        y = y * x + col
+    return y
+
+
 def _poly_der(coeffs):
     c = np.asarray(coeffs, dtype=float)
     if len(c) <= 1:
@@ -580,6 +589,17 @@ def relax_node(builder: _LPBuilder, node: Node):
         return "infeasible", math.inf, None, (), None
     lower, upper, rows, start, convex_keys, tangents = lp
     model = _NodeLP(builder, lower, upper, rows, start)
+    # per Kelley key: columns y, dev, sp at col_y + (0, 1, 2), and phi and
+    # phi' stacked highest power first, padded with leading zeros
+    keys = [(j, q) for j, q, _ in convex_keys]
+    col_y = np.array([builder.col_y[key] for key in keys], dtype=np.intp)
+    c0 = np.array([surr.components[j].piece.coeffs[q][0] for j, q in keys])
+    width = max([len(phi) for *_, phi in convex_keys], default=1)
+    P = np.zeros((2, len(convex_keys), width))
+    for i, (*_, phi) in enumerate(convex_keys):
+        for k, c in enumerate((phi, _poly_der(phi))):
+            P[k, i, width - len(c) :] = c[::-1]
+    P = np.concatenate([P[0], P[0], P[1]])  # phi at dev; phi, phi' at the clamp
     prev = -math.inf
     for rnd in range(KELLEY_CAP):
         status, fun, z = model.solve()
@@ -590,20 +610,17 @@ def relax_node(builder: _LPBuilder, node: Node):
         if value - prev <= builder.progress_tol * max(1.0, abs(value)):
             break
         prev = value
-        new = []
-        for j, q, phi in convex_keys:
-            y = z[builder.col_y[j, q]]
-            dev = z[builder.col_dev[j, q]]
-            c0 = surr.components[j].piece.coeffs[q][0]
-            gap = c0 * y + _poly_val(phi, dev) - z[builder.col_sp[j, q]]
-            if gap <= 1e-10 * max(1.0, abs(z[builder.col_sp[j, q]])):
-                continue
-            # the LP point may leave the range by HiGHS's tolerance; a
-            # tangent is valid on the range only at a point inside it
-            col = builder.col_dev[j, q]
-            dev = min(max(dev, lower[col]), upper[col])
-            a = _poly_val(_poly_der(phi), dev)
-            new.append((j, q, a, _poly_val(phi, dev) - a * dev))
+        y, dev, sp = z[col_y], z[col_y + 1], z[col_y + 2]
+        # the LP point may leave the range by HiGHS's tolerance; a tangent
+        # is valid on the range only at a point inside it
+        at = np.minimum(np.maximum(dev, lower[col_y + 1]), upper[col_y + 1])
+        val, val_at, a = np.split(_horner(P, np.concatenate([dev, at, at])), 3)
+        gap = c0 * y + val - sp
+        cut = ~(gap <= 1e-10 * np.maximum(1.0, np.abs(sp)))  # NaN gaps cut
+        b = val_at - a * at
+        new = [
+            (*keys[i], a[i].item(), b[i].item()) for i in np.flatnonzero(cut).tolist()
+        ]
         if not new:
             break
         if rnd == KELLEY_CAP - 1:

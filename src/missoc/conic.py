@@ -8,8 +8,8 @@ Problem form:
 
 where each equality row touches at most one block: the rows of different
 blocks are disjoint and lie in 0..K-1 (``solve_conic`` raises ``ValueError``
-otherwise). Blocks are tiny (order <= 8), so all per-block linear algebra is
-dense and the Schur complement of the Newton system is formed explicitly.
+otherwise, and on any NaN or infinite entry). Blocks are tiny (order <= 8),
+so all per-block linear algebra is dense.
 
 Once per solve the blocks are grouped by (order m, number of rows r) and each
 group is held as stacked arrays: rows ``(n, r)``, constraint matrices
@@ -18,6 +18,14 @@ NT scaling, inverses, step lengths and the Schur contributions are batched
 numpy calls over the leading axis, one per group; disjoint rows make the
 scatter-add of a group's contributions exact. Nesterov-Todd scaling,
 Mehrotra-style adaptive centering, fraction-to-boundary steps.
+
+The Schur complement of the Newton system is never formed. It is block
+diagonal over the blocks' rows plus ``C Q^-1 C'``, whose rank is at most
+M = len(theta), so ``_Schur`` factors the (r, r) blocks batched per group
+and folds in the rank-M term through an M x M capacitance matrix
+(Sherman-Morrison-Woodbury, as SDPT3 treats dense columns; Toh, Todd &
+Tutuncu 1999). Rows in no block get their own small term by block
+elimination. Each solve costs O(K (r + M)) instead of O(K^2).
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import numpy as np
 import scipy.linalg
 
 FEAS_TOL = 1e-7  # relative primal and dual residual at convergence
+_EPS = np.finfo(float).eps
 
 
 class ConicInfeasibleError(RuntimeError):
@@ -147,25 +156,38 @@ def _floor_pd(X: np.ndarray, rel: float = 1e-14) -> np.ndarray:
 def _refined_solve(fact, A: np.ndarray, b: np.ndarray):
     """Cholesky solve with two rounds of iterative refinement; recovers
     digits lost to ill conditioning near the central-path boundary."""
-    x = scipy.linalg.cho_solve(fact, b)
+    x = scipy.linalg.cho_solve(fact, b, check_finite=False)
     for _ in range(2):
         r = b - A @ x
-        x = x + scipy.linalg.cho_solve(fact, r)
+        x = x + scipy.linalg.cho_solve(fact, r, check_finite=False)
     return x
 
 
-def _max_step(X: np.ndarray, dX: np.ndarray) -> float:
-    """Largest alpha with every X_b + alpha dX_b still positive definite
-    (each X_b PD), the minimum over the stack; inf when no block limits it."""
+def _cholesky_floored(X: np.ndarray) -> np.ndarray:
+    """Cholesky factors of the (n, m, m) stack; a block that does not factor
+    is floored first (``_floor_pd`` at 1e-12), the others are untouched, so
+    each block's factor does not depend on the stack it sits in."""
     try:
-        L = np.linalg.cholesky(X)
+        return np.linalg.cholesky(X)
     except np.linalg.LinAlgError:
-        L = np.linalg.cholesky(_floor_pd(X, rel=1e-12))
-    Li = np.linalg.inv(L)
-    lam_min = np.linalg.eigvalsh(_sym(Li @ dX @ Li.mT)).min()
-    if lam_min >= 0:
-        return np.inf
-    return -1.0 / lam_min
+        L = np.empty_like(X)
+        for i, Xb in enumerate(X):
+            try:
+                L[i] = np.linalg.cholesky(Xb)
+            except np.linalg.LinAlgError:
+                L[i] = np.linalg.cholesky(_floor_pd(Xb[None], rel=1e-12)[0])
+        return L
+
+
+def _max_step(X: np.ndarray, dX: np.ndarray) -> np.ndarray:
+    """Per block of the stack, the largest alpha with X_b + alpha dX_b still
+    positive definite (each X_b PD); inf where the block does not limit it."""
+    Li = np.linalg.inv(_cholesky_floored(X))
+    lam_min = np.linalg.eigvalsh(_sym(Li @ dX @ Li.mT)).min(axis=1)
+    step = np.full(lam_min.shape, np.inf)
+    neg = lam_min < 0
+    step[neg] = -1.0 / lam_min[neg]
+    return step
 
 
 def _A_apply(groups: list[_Group], Zs: list[np.ndarray], K: int) -> np.ndarray:
@@ -187,16 +209,129 @@ def _A_adjoint(groups: list[_Group], y: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _schur(groups: list[_Group], W: list[np.ndarray], K: int) -> np.ndarray:
-    """The block part of the Schur complement: for the rows i, j of one
-    block, <mats_i, W mats_j W>, scattered onto a K x K matrix."""
-    Mmat = np.zeros((K, K))
+def _schur(groups: list[_Group], W: list[np.ndarray]) -> list[np.ndarray]:
+    """The block part of the Schur complement, per group the (n, r, r) stack
+    of <mats_i, W mats_j W> over the rows i, j of each block."""
+    out = []
     for g, Wg in zip(groups, W):
         n, r, m, _ = g.mats.shape
         WA = Wg[:, None] @ g.mats @ Wg[:, None]
-        Mb = g.mats.reshape(n, r, m * m) @ WA.reshape(n, r, m * m).mT
-        Mmat[g.rows[:, :, None], g.rows[:, None, :]] += Mb
-    return Mmat
+        out.append(g.mats.reshape(n, r, m * m) @ WA.reshape(n, r, m * m).mT)
+    return out
+
+
+class _Schur:
+    """The Schur complement D + U U' + beta I of the Newton system in
+    factored form, never assembled.
+
+    D is block diagonal: the ``_schur`` stacks on the rows B of the blocks,
+    zero on the rows E that belong to no block. U = C L^-T, where
+    Q + bump I = L L', so U U' = C Q^-1 C' has rank at most M. Rows are
+    permuted once per solve to B (group by group, block by block) then E.
+
+    ``factor`` takes per iteration the blocks D_b + beta I (one batched
+    Cholesky and inverse per group), the M x M capacitance matrix
+    Cap = I + U_B' (D_B + beta I)^-1 U_B and, by block elimination of B, the
+    |E| x |E| matrix T = U_E Cap^-1 U_E' + beta I. A plain Woodbury update of
+    D + beta I would invert beta on E. beta starts at the bump
+    ``regularised_cholesky`` would give the assembled matrix and grows
+    100-fold until every factor exists.
+    """
+
+    def __init__(self, groups: list[_Group], U: np.ndarray):
+        K, M = U.shape
+        in_block = np.zeros(K, dtype=bool)
+        self.slices = []  # (slice of B, n, r) per group
+        start = 0
+        for g in groups:
+            n, r = g.rows.shape
+            in_block[g.rows] = True
+            self.slices.append((slice(start, start + n * r), n, r))
+            start += n * r
+        self.nB = start
+        self.perm = np.concatenate(
+            [g.rows.ravel() for g in groups] + [np.flatnonzero(~in_block)]
+        ).astype(np.intp)
+        self.U = U[self.perm]
+        self.abs_U = np.abs(self.U)
+        self.U_sq = float(np.sum(U * U))
+        self.K, self.M = K, M
+
+    def factor(self, Mb: list[np.ndarray]) -> None:
+        trace = sum(float(np.trace(Mg, axis1=1, axis2=2).sum()) for Mg in Mb)
+        beta = 1e-12 * ((trace + self.U_sq) / self.K + 1.0)
+        for _ in range(20):
+            try:
+                return self._factor(Mb, beta)
+            except np.linalg.LinAlgError:
+                beta *= 100.0
+        raise np.linalg.LinAlgError("Schur complement not positive definite")
+
+    def _factor(self, Mb: list[np.ndarray], beta: float) -> None:
+        nB, M = self.nB, self.M
+        U_B, U_E = self.U[:nB], self.U[nB:]
+        D = [Mg + beta * np.eye(Mg.shape[1]) for Mg in Mb]
+        D_inv = []
+        for Dg in D:
+            Li = np.linalg.inv(np.linalg.cholesky(Dg))
+            D_inv.append(Li.mT @ Li)
+        self.D, self.D_inv = D, D_inv
+        self.abs_D = [np.abs(Dg) for Dg in D]
+        self.beta = beta
+        self.DiU = self._blocks(D_inv, U_B)
+        self.cap = scipy.linalg.cho_factor(
+            np.eye(M) + U_B.T @ self.DiU, lower=True, check_finite=False
+        )
+        self.T = None
+        if len(U_E):
+            Y = scipy.linalg.solve_triangular(
+                self.cap[0], U_E.T, lower=True, check_finite=False
+            )
+            self.T = scipy.linalg.cho_factor(
+                Y.T @ Y + beta * np.eye(len(U_E)), lower=True, check_finite=False
+            )
+
+    def _blocks(self, stacks: list[np.ndarray], v: np.ndarray) -> np.ndarray:
+        """The block-diagonal matrix given by ``stacks`` times v, on B."""
+        out = np.empty(v.shape)
+        for (sl, n, r), X in zip(self.slices, stacks):
+            out[sl] = (X @ v[sl].reshape(n, r, -1)).reshape(out[sl].shape)
+        return out
+
+    def _apply(self, D: list[np.ndarray], U: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """(D + beta I + U U') x in the permuted order."""
+        out = U @ (U.T @ x)
+        out[: self.nB] += self._blocks(D, x[: self.nB])
+        out[self.nB :] += self.beta * x[self.nB :]
+        return out
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        nB = self.nB
+        U_B, U_E = self.U[:nB], self.U[nB:]
+        w = self._blocks(self.D_inv, b[:nB])
+        x_E = b[nB:]
+        if self.T is not None:
+            y = scipy.linalg.cho_solve(self.cap, U_B.T @ w, check_finite=False)
+            x_E = scipy.linalg.cho_solve(self.T, x_E - U_E @ y, check_finite=False)
+            w = w - self.DiU @ (U_E.T @ x_E)
+        y = scipy.linalg.cho_solve(self.cap, U_B.T @ w, check_finite=False)
+        return np.concatenate([w - self.DiU @ y, x_E])
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The solution of the system, refined against the unfactored
+        operator while the componentwise backward error
+        max |r| / (|A| |x| + |b|) exceeds the machine epsilon, at most twice."""
+        b = b[self.perm]
+        x = self._solve(b)
+        for _ in range(2):
+            r = b - self._apply(self.D, self.U, x)
+            scale = self._apply(self.abs_D, self.abs_U, np.abs(x)) + np.abs(b)
+            if (np.abs(r) <= _EPS * scale).all():
+                break
+            x = x + self._solve(r)
+        out = np.empty_like(x)
+        out[self.perm] = x
+        return out
 
 
 def solve_conic(
@@ -213,8 +348,16 @@ def solve_conic(
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     Q, q, C, c = prob.Q, prob.q, prob.C, prob.c
+    for name, a in (("Q", Q), ("q", q), ("C", C), ("c", c)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} has a NaN or infinite entry")
     K = C.shape[0]
     groups = _group_blocks(prob.blocks, K)
+    for g in groups:
+        bad = ~np.isfinite(g.mats).all(axis=(1, 2, 3))
+        if bad.any():
+            i = g.index[np.argmax(bad)]
+            raise ValueError(f"blocks[{i}].mats has a NaN or infinite entry")
     Q_fact, Qr = regularised_cholesky(Q)
     theta = scipy.linalg.cho_solve(Q_fact, -q)
     if not K:
@@ -235,8 +378,13 @@ def solve_conic(
     for g in groups:
         g.mats = g.mats / rs[g.rows][:, :, None, None]
 
-    # the constant part of the Schur complement
-    CQiCt = C @ _refined_solve(Q_fact, Qr, C.T)
+    # the constant part of the Schur complement is U U' with U = C L^-T
+    schur = _Schur(
+        groups,
+        scipy.linalg.solve_triangular(
+            Q_fact[0], C.T, lower=True, check_finite=False
+        ).T,
+    )
 
     scale = max(1.0, np.abs(c).max())
     Z = [
@@ -303,12 +451,13 @@ def solve_conic(
 
         # floored copies are used wherever positive definiteness is
         # required; the iterates themselves stay unmodified so the
-        # primal residual is not polluted by the flooring
-        Zf = [_floor_pd(Zg) for Zg in Z]
-        Sf = [_floor_pd(Sg) for Sg in S]
+        # primal residual is not polluted by the flooring; one batched
+        # call per group floors Z and S stacked
+        ZSf = [_floor_pd(np.concatenate([Zg, Sg])) for Zg, Sg in zip(Z, S)]
+        Zf = [X[: len(X) // 2] for X in ZSf]
+        Sf = [X[len(X) // 2 :] for X in ZSf]
         W = [_nt_scaling(Zg, Sg) for Zg, Sg in zip(Zf, Sf)]
-        Schur = _schur(groups, W, K) + CQiCt
-        Schur_fact, Schur_bumped = regularised_cholesky(Schur)
+        schur.factor(_schur(groups, W))
         S_inv = [np.linalg.inv(Sg) for Sg in Sf]
         W_rs_W = [Wg @ rsg @ Wg for Wg, rsg in zip(W, r_s)]
         CQi_rd = C @ _refined_solve(Q_fact, Qr, r_d)
@@ -320,7 +469,7 @@ def solve_conic(
             R = [sigma_mu * Si - Zg for Si, Zg in zip(S_inv, Z)]
             RW = [Rg + X for Rg, X in zip(R, W_rs_W)]
             rhs = r_p - _A_apply(groups, RW, K) + CQi_rd
-            d_lam = _refined_solve(Schur_fact, Schur_bumped, rhs)
+            d_lam = schur.solve(rhs)
             d_theta = _refined_solve(Q_fact, Qr, -r_d + C.T @ d_lam)
             adj = _A_adjoint(groups, d_lam)
             d_S = [-rsg - Ag for rsg, Ag in zip(r_s, adj)]
@@ -331,9 +480,13 @@ def solve_conic(
             return d_theta, d_lam, d_Z, d_S
 
         def step_lengths(d_Z, d_S):
-            # fraction to the boundary of the PSD cones
-            a_p = min([1.0] + [_max_step(X, dX) for X, dX in zip(Zf, d_Z)])
-            a_d = min([1.0] + [_max_step(X, dX) for X, dX in zip(Sf, d_S)])
+            # fraction to the boundary of the PSD cones, one batched call
+            # per group on Z and S stacked
+            a_p = a_d = 1.0
+            for X, dZg, dSg in zip(ZSf, d_Z, d_S):
+                step = _max_step(X, np.concatenate([dZg, dSg]))
+                a_p = min(a_p, step[: len(dZg)].min())
+                a_d = min(a_d, step[len(dZg) :].min())
             return min(1.0, 0.98 * a_p), min(1.0, 0.98 * a_d)
 
         # predictor
@@ -366,7 +519,8 @@ def solve_conic(
 def regularised_cholesky(A: np.ndarray):
     """(cho_factor, A + bump I) with the smallest bump that factors, starting
     at 1e-12 (tr A / n + 1) and growing 100-fold; the one factorization of
-    the PSD matrices the solver and the fits work with."""
+    the quadratic data Q, in the solver and in the fits. ``_Schur`` applies
+    the same bump rule to the Schur complement without assembling it."""
     bump = 1e-12 * (np.trace(A) / max(A.shape[0], 1) + 1.0)
     for _ in range(20):
         bumped = A + bump * np.eye(A.shape[0])

@@ -1038,3 +1038,79 @@ class TestWarmStart:
         assert len(compared) == len(dropped_nonbasic) >= 20
         # HiGHS repaired the basic count of an alien basis
         assert any(dropped_nonbasic)
+
+
+def relax_node_per_key(builder, node):
+    """``relax_node`` with the Kelley round evaluating phi and phi' one
+    convex key at a time with ``_poly_val``: the reference for the stacked
+    Horner evaluation."""
+    surr = builder.surr
+    lp = bnb._node_lp(builder, node)
+    if lp is None:
+        return "infeasible", math.inf, None, (), None
+    lower, upper, rows, start, convex_keys, tangents = lp
+    model = bnb._NodeLP(builder, lower, upper, rows, start)
+    prev = -math.inf
+    for rnd in range(bnb.KELLEY_CAP):
+        status, fun, z = model.solve()
+        builder.lp_solves += 1
+        if status == "infeasible":
+            return "infeasible", math.inf, None, (), None
+        value = fun + surr.constant
+        if value - prev <= builder.progress_tol * max(1.0, abs(value)):
+            break
+        prev = value
+        new = []
+        for j, q, phi in convex_keys:
+            y = z[builder.col_y[j, q]]
+            dev = z[builder.col_dev[j, q]]
+            c0 = surr.components[j].piece.coeffs[q][0]
+            gap = c0 * y + bnb._poly_val(phi, dev) - z[builder.col_sp[j, q]]
+            if gap <= 1e-10 * max(1.0, abs(z[builder.col_sp[j, q]])):
+                continue
+            col = builder.col_dev[j, q]
+            dev = min(max(dev, lower[col]), upper[col])
+            a = bnb._poly_val(bnb._poly_der(phi), dev)
+            new.append((j, q, a, bnb._poly_val(phi, dev) - a * dev))
+        if not new:
+            break
+        if rnd == bnb.KELLEY_CAP - 1:
+            builder.kelley_cap_hits += 1
+            break
+        model.add_rows(new)
+        tangents.extend(new)
+    return "optimal", value, z, tuple(tangents), model
+
+
+class TestKelleyEvaluation:
+    def test_horner_matches_poly_val_bitwise(self):
+        rng = np.random.default_rng(5)
+        phis = [rng.normal(size=n) * 10.0 ** rng.integers(-3, 4) for n in (1, 2, 4, 4, 6)]
+        x = np.array([0.0, -0.7, 1e-9, 3.1, 0.25])
+        width = 7
+        for poly in (phis, [bnb._poly_der(phi) for phi in phis]):
+            P = np.zeros((len(poly), width))
+            for i, c in enumerate(poly):
+                P[i, width - len(c) :] = c[::-1]
+            for xv in (x, -x[::-1]):
+                ref = [bnb._poly_val(c, v) for c, v in zip(poly, xv)]
+                np.testing.assert_array_equal(bnb._horner(P, xv), ref)
+
+    @pytest.mark.parametrize("source", ["random", "shipped"])
+    def test_solve_matches_per_key_loop(self, source, monkeypatch):
+        """Nodes, LP solves, simplex iterations, x* and the objective are
+        bit-identical to the per-key Kelley loop."""
+        if source == "random":
+            surrs = [random_surrogate(seed) for seed in range(4)]
+        else:
+            surrs = [shipped_surrogate(name) for name in SHIPPED]
+        for surr in surrs:
+            got = solve(surr, gap_tol=1e-4)
+            with monkeypatch.context() as m:
+                m.setattr(bnb, "relax_node", relax_node_per_key)
+                ref = solve(surr, gap_tol=1e-4)
+            assert (got.nodes, got.lp_solves, got.simplex_iterations) == (
+                ref.nodes, ref.lp_solves, ref.simplex_iterations,
+            )
+            assert got.objective == ref.objective and got.status == ref.status
+            np.testing.assert_array_equal(got.x, ref.x)

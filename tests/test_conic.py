@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
+from missoc import conic
 from missoc.conic import (
     ConicBlock,
     ConicConvergenceError,
@@ -15,6 +16,7 @@ from missoc.conic import (
     _nt_scaling,
     _schur,
     _unstack,
+    regularised_cholesky,
     solve_conic,
 )
 from missoc.regression import TrainingSet, make_bases
@@ -70,6 +72,33 @@ def schur_ref(blocks, W, K):
         WA = np.einsum("ik,rkl,lj->rij", Wb, b.mats, Wb)
         Mmat[np.ix_(b.rows, b.rows)] += np.einsum("rij,sij->rs", b.mats, WA)
     return Mmat
+
+
+def dense_schur(groups, Mb, K):
+    """The per-group (n, r, r) stacks scattered onto a K x K matrix."""
+    Mmat = np.zeros((K, K))
+    for g, Mg in zip(groups, Mb):
+        Mmat[g.rows[:, :, None], g.rows[:, None, :]] += Mg
+    return Mmat
+
+
+class DenseSchur:
+    """The dense Schur path the solver used before its structured solve: the
+    K x K matrix D + U U', Cholesky with ``regularised_cholesky``'s bump,
+    two rounds of refinement. Same interface as ``conic._Schur``."""
+
+    def __init__(self, groups, U):
+        self.groups, self.UUt = groups, U @ U.T
+
+    def factor(self, Mb):
+        A = dense_schur(self.groups, Mb, len(self.UUt)) + self.UUt
+        self.fact, self.A = regularised_cholesky(A)
+
+    def solve(self, b):
+        x = scipy.linalg.cho_solve(self.fact, b)
+        for _ in range(2):
+            x = x + scipy.linalg.cho_solve(self.fact, b - self.A @ x)
+        return x
 
 
 # --- random data ------------------------------------------------------------
@@ -143,30 +172,58 @@ class TestBatchedKernels:
         rng = np.random.default_rng(40 + m)
         X = random_spd(rng, 40, m)
         dX = random_sym(rng, 40, m)
-        ref = min(max_step_ref(Xb, dXb) for Xb, dXb in zip(X, dX))
-        assert np.isfinite(ref)
-        assert _max_step(X, dX) == pytest.approx(ref, rel=RTOL)
+        ref = np.array([max_step_ref(Xb, dXb) for Xb, dXb in zip(X, dX)])
+        assert np.isfinite(ref.min())
+        np.testing.assert_allclose(_max_step(X, dX), ref, rtol=RTOL)
 
     def test_max_step_unlimited(self):
         rng = np.random.default_rng(50)
         X = random_spd(rng, 10, 3)
-        assert _max_step(X, random_spd(rng, 10, 3)) == np.inf
+        assert (_max_step(X, random_spd(rng, 10, 3)) == np.inf).all()
 
-    def test_max_step_near_singular_block_uses_floor(self):
+    def near_singular_stack(self):
+        """Twelve order-4 blocks; block 5 has a slightly negative eigenvalue,
+        so Cholesky fails, and its step is 0.5."""
         rng = np.random.default_rng(60)
         m = 4
         X = random_spd(rng, 12, m)
         V = np.linalg.qr(rng.normal(size=(m, m)))[0]
-        # one block with a slightly negative eigenvalue: Cholesky fails
         X[5] = sym((V * np.array([1.0, 0.5, 0.25, -1e-15])) @ V.T)
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(X)
         dX = 0.01 * random_sym(rng, 12, m)
         # that block limits the step: its unit eigenvalue shrinks at rate 2
         dX[5] = -2.0 * np.outer(V[:, 0], V[:, 0])
-        ref = min(max_step_ref(Xb, dXb) for Xb, dXb in zip(X, dX))
-        assert ref == pytest.approx(0.5, rel=RTOL)
-        assert _max_step(X, dX) == pytest.approx(ref, rel=RTOL)
+        return X, dX
+
+    def test_max_step_near_singular_block_uses_floor(self):
+        X, dX = self.near_singular_stack()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(X)
+        ref = np.array([max_step_ref(Xb, dXb) for Xb, dXb in zip(X, dX)])
+        assert ref.min() == pytest.approx(0.5, rel=RTOL)
+        np.testing.assert_allclose(_max_step(X, dX), ref, rtol=RTOL)
+
+    def test_fused_z_and_s_match_separate_calls(self):
+        """The solver floors Z and S, and takes both step lengths, in one
+        call per group on the two stacks concatenated: bit-identical to one
+        call per stack, also when one stack does not factor and the other
+        holds a block below the 1e-12 floor that does."""
+        rng = np.random.default_rng(61)
+        Z, dZ = self.near_singular_stack()
+        S = random_spd(rng, 12, 4)
+        V = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        S[3] = sym((V * np.array([1.0, 0.5, 0.25, 1e-13])) @ V.T)
+        np.linalg.cholesky(S)
+        dS = random_sym(rng, 12, 4)
+        np.testing.assert_array_equal(
+            _floor_pd(np.concatenate([Z, S])),
+            np.concatenate([_floor_pd(Z), _floor_pd(S)]),
+        )
+        Zf, Sf = _floor_pd(Z), _floor_pd(S)
+        for X, dX in ((Z, dZ), (Zf, dZ)):
+            np.testing.assert_array_equal(
+                _max_step(np.concatenate([X, Sf]), np.concatenate([dX, dS])),
+                np.concatenate([_max_step(X, dX), _max_step(Sf, dS)]),
+            )
 
 
 class TestGroupedAssembly:
@@ -195,7 +252,7 @@ class TestGroupedAssembly:
 
     def test_schur_matches_loop(self):
         ref = schur_ref(self.blocks, self.W, self.K)
-        got = _schur(self.groups, self.W_stacks, self.K)
+        got = dense_schur(self.groups, _schur(self.groups, self.W_stacks), self.K)
         assert np.abs(got - ref).max() <= RTOL * np.abs(ref).max()
 
     def test_A_apply_and_adjoint_match_loop(self):
@@ -212,6 +269,108 @@ class TestGroupedAssembly:
         for b, Ab in zip(self.blocks, adj):
             ref_b = np.einsum("r,rij->ij", y[b.rows], b.mats)
             np.testing.assert_allclose(Ab, ref_b, rtol=RTOL, atol=RTOL)
+
+
+def hankel_mats(m):
+    """Rows k = 0..2m-2: the selectors of Z's k-th anti-diagonal, so A(Z)
+    are the coefficients of v(t)' Z v(t), v(t) = (1, t, ..., t^(m-1)), as in
+    a certificate that a polynomial is a sum of squares."""
+    i = np.arange(m)
+    k = np.arange(2 * m - 1)[:, None, None]
+    return (i[:, None] + i[None, :] == k).astype(float)
+
+
+def random_problem(seed):
+    """A feasible program of M = 8 coefficients in shuffled row order:
+    certificate blocks of orders 1-4 on 2m - 1 rows, 1 x 1 slack blocks on
+    one row each and three '=' rows in no block. q pulls theta against the
+    cones, so blocks are active at the optimum and W is ill-conditioned
+    near convergence."""
+    rng = np.random.default_rng(seed)
+    M = 8
+    orders = [1, 2, 3, 4, 2, 3, 4, 3] + [1] * 5
+    sizes = [2 * m - 1 for m in orders]
+    K = sum(sizes) + 3
+    perm = rng.permutation(K)
+    blocks, start = [], 0
+    for m, r in zip(orders, sizes):
+        blocks.append(ConicBlock(m, perm[start : start + r], hankel_mats(m)))
+        start += r
+    C = rng.normal(size=(K, M))
+    c = C @ rng.normal(size=M)
+    for b in blocks:
+        Z0 = random_spd(rng, 1, b.order)[0]
+        c[b.rows] += 0.03 * np.einsum("rij,ij->r", b.mats, Z0)
+    A = rng.normal(size=(M, M))
+    return ConicProblem(A.T @ A + np.eye(M), 10.0 * rng.normal(size=M), C, c, blocks)
+
+
+class TestStructuredSchur:
+    """The structured Schur solve against the dense path it replaced.
+
+    On a program whose iterates creep along the accuracy floor for 30 or
+    more iterations, any two factorizations end 1e-8 to 1e-7 apart: the dense
+    Cholesky path against a dense LU one as much as against the structured
+    solve (seeds 12 and 19 of ``random_problem``). The seeds here converge
+    in 14-23 iterations."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_solve_conic_matches_dense_path(self, seed, monkeypatch):
+        prob = random_problem(seed)
+        sol = solve_conic(prob)
+        monkeypatch.setattr(conic, "_Schur", DenseSchur)
+        ref = solve_conic(prob)
+        assert sol.iterations == ref.iterations
+        assert np.abs(sol.theta - ref.theta).max() <= 1e-9
+
+    @pytest.mark.parametrize(
+        "pointwise",
+        [(PointwiseSet("<=", (5, 20, 30)),), (PointwiseSet("=", (4, 12, 25)),)],
+    )
+    def test_shape_program_matches_dense_path(self, pointwise, monkeypatch):
+        prob = shape_program(pointwise).to_problem()
+        sol = solve_conic(prob)
+        monkeypatch.setattr(conic, "_Schur", DenseSchur)
+        ref = solve_conic(prob)
+        assert sol.iterations == ref.iterations
+        assert np.abs(sol.theta - ref.theta).max() <= 1e-9
+
+    @pytest.mark.parametrize("log_cond", [2.0, 8.0, 12.0])
+    def test_system_solve_matches_dense(self, log_cond):
+        """One system, W as near convergence (eigenvalues spread over
+        log_cond decades): the structured solution has a componentwise
+        backward error of a few ulp against the assembled, bumped matrix
+        and agrees with the dense solve."""
+        prob = random_problem(7)
+        K, M = prob.C.shape
+        groups = _group_blocks(prob.blocks, K)
+        rng = np.random.default_rng(8)
+        W = [random_spd(rng, len(g.index), g.mats.shape[2], log_cond) for g in groups]
+        Mb = _schur(groups, W)
+        U = rng.normal(size=(K, M))
+        schur = conic._Schur(groups, U)
+        schur.factor(Mb)
+        dense = DenseSchur(groups, U)
+        dense.factor(Mb)
+        A = dense_schur(groups, Mb, K) + U @ U.T + schur.beta * np.eye(K)
+        np.testing.assert_array_equal(A, dense.A)
+        b = rng.normal(size=K)
+        x = schur.solve(b)
+        berr = np.abs(b - A @ x) / (np.abs(A) @ np.abs(x) + np.abs(b))
+        assert berr.max() <= 16 * np.finfo(float).eps
+        x_ref = dense.solve(b)
+        cond = np.linalg.cond(A)
+        assert np.abs(x - x_ref).max() <= 1e-14 * cond * np.abs(x_ref).max()
+
+    def test_no_blocks(self):
+        """Every row is in no block: the solve is T alone."""
+        rng = np.random.default_rng(11)
+        U = rng.normal(size=(5, 8))
+        schur = conic._Schur([], U)
+        schur.factor([])
+        b = rng.normal(size=5)
+        A = U @ U.T + schur.beta * np.eye(5)
+        np.testing.assert_allclose(A @ schur.solve(b), b, rtol=1e-12, atol=1e-12)
 
 
 def tiny_problem(blocks, K=3):
@@ -247,6 +406,25 @@ class TestInputChecks:
     def test_repeated_row_in_one_block(self):
         blocks = [ConicBlock(2, np.array([1, 1, 2]), np.ones((3, 2, 2)))]
         with pytest.raises(ValueError, match="disjoint"):
+            solve_conic(tiny_problem(blocks))
+
+    @pytest.mark.parametrize("field", ["Q", "q", "C", "c"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_data(self, field, value):
+        prob = tiny_problem([ConicBlock(1, np.array([0]), np.ones((1, 1, 1)))])
+        getattr(prob, field).flat[-1] = value
+        with pytest.raises(ValueError, match=f"^{field} has a NaN or infinite"):
+            solve_conic(prob)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_block(self, value):
+        mats = np.ones((2, 2, 2))
+        mats[1, 0, 1] = value
+        blocks = [
+            ConicBlock(1, np.array([0]), np.ones((1, 1, 1))),
+            ConicBlock(2, np.array([1, 2]), mats),
+        ]
+        with pytest.raises(ValueError, match=r"blocks\[1\]\.mats"):
             solve_conic(tiny_problem(blocks))
 
     @pytest.mark.parametrize("row", [-1, 3])
