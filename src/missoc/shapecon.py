@@ -2,14 +2,27 @@
 
 Bounds, monotonicity, and convexity of each fitted component are enforced
 over the whole observed domain through per-interval nonnegativity
-certificates: a polynomial is nonnegative on an interval exactly when a small
-PSD matrix with prescribed anti-diagonal sums exists. The anti-diagonal
-selectors (H), the interval coefficient transform (W), and the basis-segment
-coefficient maps (``splines.segment_maps``) assemble those certificates into
-linear rows coupling the PSD blocks to the regression coefficients.
+certificates in Markov-Lukacs form (Lukacs 1918; Papp & Alizadeh 2014). In
+the local variable s = (x - t_lo) / h of an interval of width h, a
+polynomial p of degree d is nonnegative on [0, 1] exactly when
+
+    p = s sigma_0 + (1 - s) sigma_1          (d odd),
+    p = sigma_0 + s (1 - s) sigma_1          (d even),
+
+with sigma_0, sigma_1 sums of squares, each a Gram form v' Z v with Z PSD
+and v the Bernstein basis of its degree. Matching the d + 1 Bernstein
+coefficients of p in s gives d + 1 linear rows coupling the two Gram
+matrices (one cone when d = 0) to the regression coefficients, with no
+zero row; the coefficients of p in s come from the basis-segment maps
+(``splines.segment_maps`` at the interval starts) scaled by h^i, and
+``splines.bernstein_map`` takes them to the Bernstein basis. Bernstein
+rows and Gram bases keep the certificate as well conditioned as the
+interval allows (monomial ones left the interior-point solver short of
+its tolerances on some single certificates of degree 3 to 5). A cubic
+spline needs only 1 x 1 and 2 x 2 cones.
 
 Monotonicity and convexity reuse the same machinery on the derivative (or
-second-derivative) coefficient map, with blocks one (or two) orders smaller.
+second-derivative) coefficient map, with cones one (or two) degrees smaller.
 """
 
 from __future__ import annotations
@@ -37,7 +50,7 @@ from .regression import (
     identifiability_penalty,
     make_bases,
 )
-from .splines import BSplineBasis, design_matrix, segment_maps
+from .splines import BSplineBasis, bernstein_map, design_matrix, segment_maps
 
 
 class InfeasibleSpecError(ValueError):
@@ -119,40 +132,44 @@ class ShapeSpec:
         )
 
 
-def build_H(d: int) -> np.ndarray:
-    """The 2d+1 anti-diagonal selector matrices of order d+1 (1-based rule:
-    ones where i+j = 2(d+1-l)+1 for l <= d, i+j = 2(2d+2-l) for l > d)."""
-    H = np.zeros((2 * d + 1, d + 1, d + 1))
-    for l in range(1, 2 * d + 2):
-        target = 2 * (d + 1 - l) + 1 if l <= d else 2 * (2 * d + 2 - l)
-        for i in range(1, d + 2):
-            j = target - i
-            if 1 <= j <= d + 1:
-                H[l - 1, i - 1, j - 1] = 1.0
-    return H
+def lukacs_mats(d: int) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
+    """Cone orders and (d+1, m, m) row selectors of the Markov-Lukacs
+    certificate of a degree-d polynomial in s on [0, 1]: row r of
+    sum_k <mats_k, Z_k> is the r-th Bernstein coefficient of
+    s sigma_0 + (1 - s) sigma_1 (d odd) or sigma_0 + s (1 - s) sigma_1
+    (d even), sigma_k = v' Z_k v with v the Bernstein basis of degree
+    order - 1. Every selector entry is nonnegative."""
 
+    def gram(m: int, shift: int, factor) -> np.ndarray:
+        # B_j B_l = C(k, j) C(k, l) / C(n, i) B_{i,n} for the Bernstein
+        # basis of degree k = m - 1, with n = 2k and i = j + l; the
+        # multiplier turns B_{i,n} into factor(i, n) B_{i+shift,d}
+        k, n = m - 1, 2 * m - 2
+        out = np.zeros((d + 1, m, m))
+        for j in range(m):
+            for l in range(m):
+                i = j + l
+                w = math.comb(k, j) * math.comb(k, l) / math.comb(n, i)
+                out[i + shift, j, l] = w * factor(i, n)
+        return out
 
-def build_W(d: int, t_lo: float, t_hi: float) -> np.ndarray:
-    """Interval coefficient transform of order d+1.
+    def one(i, n):
+        return 1.0
 
-    Row r holds the coefficient of u^(r-1) in (1+u)^d p((t_lo + t_hi u)/(1+u))
-    as a linear function of the power-basis coefficients of p.
-    """
-    if not t_lo < t_hi:
-        raise ValueError(f"degenerate interval [{t_lo}, {t_hi}]")
-    W = np.zeros((d + 1, d + 1))
-    for i in range(1, d + 2):
-        for j in range(1, d + 2):
-            acc = 0.0
-            for m in range(max(0, i + j - 2 - d), min(i - 1, j - 1) + 1):
-                acc += (
-                    math.comb(j - 1, m)
-                    * math.comb(d - j + 1, i - 1 - m)
-                    * t_lo ** (j - 1 - m)
-                    * t_hi**m
-                )
-            W[i - 1, j - 1] = acc
-    return W
+    k = d // 2
+    if d % 2:
+        # s B_{i,n} = (i+1)/(n+1) B_{i+1,n+1}, (1-s) B_{i,n} = (n+1-i)/(n+1) B_{i,n+1}
+        return (k + 1, k + 1), (
+            gram(k + 1, 1, lambda i, n: (i + 1) / (n + 1)),
+            gram(k + 1, 0, lambda i, n: (n + 1 - i) / (n + 1)),
+        )
+    if k == 0:
+        return (1,), (gram(1, 0, one),)
+    # s (1-s) B_{i,n} = (i+1)(n+1-i)/((n+1)(n+2)) B_{i+1,n+2}
+    return (k + 1, k), (
+        gram(k + 1, 0, one),
+        gram(k, 1, lambda i, n: (i + 1) * (n + 1 - i) / ((n + 1) * (n + 2))),
+    )
 
 
 def derivative_map(d: int) -> np.ndarray:
@@ -232,41 +249,32 @@ class ConicProgram:
     def add_certificate(
         self,
         coeff_map: np.ndarray,
-        rhs_poly: np.ndarray,
+        local_map: np.ndarray,
+        rhs: float,
         sign: float,
         interval: tuple[float, float],
     ) -> None:
-        """Require sign*(coeff_map @ theta - rhs_poly) >= 0 as a polynomial on
-        the interval (t_lo, t_hi).
+        """Require sign*(p - rhs) >= 0 on the interval (t_lo, t_hi) for the
+        polynomial p whose power-basis coefficients are ``coeff_map @ theta``
+        in x and ``local_map @ theta`` in s = (x - t_lo) / (t_hi - t_lo).
 
-        ``coeff_map`` is (d_eff+1) x dim, ``rhs_poly`` the power-basis
-        coefficients of the constant side, ``sign`` +1 for lower-type and -1
-        for upper-type constraints.
+        Both maps are (d_eff+1) x dim; ``sign`` is +1 for lower-type and -1
+        for upper-type constraints. The rows are the d_eff + 1 Bernstein
+        coefficients in s of the Markov-Lukacs certificate
+        (``lukacs_mats``).
         """
         d_eff = coeff_map.shape[0] - 1
-        rhs_poly = np.array(rhs_poly, dtype=float)
+        rhs_poly = np.zeros(d_eff + 1)
+        rhs_poly[0] = rhs
         self.certificates.append((coeff_map, rhs_poly, sign, *interval))
-        H = build_H(d_eff)
-        W = build_W(d_eff, *interval)
-        rows = []
-        mats = []
-        for l in range(d_eff):  # odd anti-diagonals vanish
-            rows.append(self.add_row(np.zeros(self.dim), 0.0))
-            mats.append(H[l])
-        WT = W @ coeff_map
-        Wb = W @ rhs_poly
-        for r in range(d_eff + 1):
-            rows.append(
-                self.add_row(-sign * WT[r], -sign * Wb[r])
-            )
-            mats.append(H[d_eff + r])
-        self.blocks.append(
-            ConicBlock(
-                order=d_eff + 1,
-                rows=np.array(rows),
-                mats=np.array(mats),
-            )
-        )
+        # A(Z) = sign*(p - rhs), Bernstein coefficient by coefficient; those
+        # of the constant rhs all equal rhs
+        rows = [
+            self.add_row(-sign * row, -sign * rhs)
+            for row in bernstein_map(d_eff) @ local_map
+        ]
+        orders, mats = lukacs_mats(d_eff)
+        self.blocks.append(ConicBlock(order=orders, rows=np.array(rows), mats=mats))
 
     def add_slack_row(self, coeff_row: np.ndarray, rhs: float) -> None:
         """coeff_row @ theta <= rhs via a nonnegative 1x1 slack block."""
@@ -371,7 +379,10 @@ def build_program(
 
     for j, (basis, s) in enumerate(zip(bases, slices)):
         d = basis.degree
-        G = segment_maps(basis, 0.0)  # power-basis coefficients in x
+        starts = basis.knots.internal
+        # power-basis coefficients in x, and in x - t_lo of each interval
+        G = segment_maps(basis, 0.0)
+        G_local = segment_maps(basis, starts[:-1])
         maps = []  # (coeff_map factory, rhs constant, sign)
         if spec.lower is not None:
             b = w_lo[j] * (spec.lower - alpha)
@@ -397,18 +408,19 @@ def build_program(
             maps.append((derivative_map(d - 1) @ derivative_map(d), 0.0, sign))
 
         for qi in range(basis.k):
-            t_lo = basis.knots.internal[qi]
-            t_hi = basis.knots.internal[qi + 1]
+            t_lo, t_hi = starts[qi], starts[qi + 1]
+            active = slice(s.start + qi, s.start + qi + d + 1)
             for transform, b, sign in maps:
                 d_eff = transform.shape[0] - 1
                 coeff_map = np.zeros((d_eff + 1, program.dim))
-                active = slice(s.start + qi, s.start + qi + d + 1)
                 coeff_map[:, active] = transform @ G[qi]
-                rhs_poly = np.zeros(d_eff + 1)
+                # coefficients in s = (x - t_lo) / h: scale the i-th by h^i
+                local_map = np.zeros((d_eff + 1, program.dim))
+                h_pow = (t_hi - t_lo) ** np.arange(d_eff + 1)
+                local_map[:, active] = h_pow[:, None] * (transform @ G_local[qi])
                 # sign*(p - b) >= margin  <=>  sign*(p - (b + sign*margin)) >= 0
-                rhs_poly[0] = b + sign * margin
                 program.add_certificate(
-                    coeff_map, rhs_poly, sign, (t_lo, t_hi)
+                    coeff_map, local_map, b + sign * margin, sign, (t_lo, t_hi)
                 )
 
     if spec.pointwise:

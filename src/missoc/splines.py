@@ -15,6 +15,7 @@ maximum is well defined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,6 +216,18 @@ def taylor_shift(coeffs: np.ndarray, c: float) -> np.ndarray:
         for j in range(n - 2, i - 1, -1):
             b[j] += c * b[j + 1]
     return b
+
+
+def bernstein_map(d: int) -> np.ndarray:
+    """(d+1, d+1) matrix from the power-basis coefficients of a degree-d
+    polynomial in s to its Bernstein coefficients on [0, 1]:
+    b_r = sum_{i <= r} C(r, i) / C(d, i) a_i."""
+    return np.array(
+        [
+            [math.comb(r, i) / math.comb(d, i) if i <= r else 0.0 for i in range(d + 1)]
+            for r in range(d + 1)
+        ]
+    )
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ from missoc.conic import (
     ConicProblem,
     _A_adjoint,
     _A_apply,
+    _centering,
     _floor_pd,
     _group_blocks,
+    _inv,
     _max_step,
     _nt_scaling,
     _schur,
@@ -67,10 +69,12 @@ def max_step_ref(X, dX):
 
 
 def schur_ref(blocks, W, K):
+    """W[b] holds one matrix per cone of block b."""
     Mmat = np.zeros((K, K))
     for b, Wb in zip(blocks, W):
-        WA = np.einsum("ik,rkl,lj->rij", Wb, b.mats, Wb)
-        Mmat[np.ix_(b.rows, b.rows)] += np.einsum("rij,sij->rs", b.mats, WA)
+        for (_, mats), Wc in zip(b.cones, Wb):
+            WA = np.einsum("ik,rkl,lj->rij", Wc, mats, Wc)
+            Mmat[np.ix_(b.rows, b.rows)] += np.einsum("rij,sij->rs", mats, WA)
     return Mmat
 
 
@@ -83,16 +87,32 @@ def dense_schur(groups, Mb, K):
 
 
 class DenseSchur:
-    """The dense Schur path the solver used before its structured solve: the
-    K x K matrix D + U U', Cholesky with ``regularised_cholesky``'s bump,
-    two rounds of refinement. Same interface as ``conic._Schur``."""
+    """The dense Schur path: the K x K matrix D + diag(beta) + U U' with the
+    bump rule of ``conic._Schur`` (beta = 1e-12 (tr D_b / r + base) on the
+    rows of block b and 1e-12 base on rows in no block, base =
+    (|U|^2 + 1e-3 tr D) / K + 1, growing 100-fold until it factors), one
+    Cholesky, two rounds of refinement. Same interface as ``conic._Schur``."""
 
     def __init__(self, groups, U):
-        self.groups, self.UUt = groups, U @ U.T
+        self.groups, self.U = groups, U
 
     def factor(self, Mb):
-        A = dense_schur(self.groups, Mb, len(self.UUt)) + self.UUt
-        self.fact, self.A = regularised_cholesky(A)
+        K = len(self.U)
+        trace = sum(np.trace(Mg, axis1=1, axis2=2).sum() for Mg in Mb)
+        base = (np.sum(self.U**2) + 1e-3 * trace) / K + 1.0
+        size = np.full(K, base)
+        for g, Mg in zip(self.groups, Mb):
+            tr = np.trace(Mg, axis1=1, axis2=2) / Mg.shape[1] + base
+            size[g.rows] = tr[:, None]
+        D = dense_schur(self.groups, Mb, K)
+        scale = 1e-12
+        while True:
+            self.A = (D + np.diag(scale * size)) + self.U @ self.U.T
+            try:
+                self.fact = scipy.linalg.cho_factor(self.A)
+                return
+            except scipy.linalg.LinAlgError:
+                scale *= 100.0
 
     def solve(self, b):
         x = scipy.linalg.cho_solve(self.fact, b)
@@ -121,14 +141,22 @@ def assert_blocks_close(batched, loop):
 
 
 def random_blocks(rng, K, n_blocks):
-    """Blocks of orders 1-4 on disjoint random rows of 0..K-1."""
+    """Blocks on disjoint random rows of 0..K-1: one cone of order 1-4, or
+    two cones of orders 1-3 on the same rows."""
     free = list(rng.permutation(K))
     blocks = []
     for _ in range(n_blocks):
-        m = int(rng.integers(1, 5))
-        r = int(rng.choice([1, 2 * m - 1]))
-        rows = np.array([free.pop() for _ in range(r)])
-        blocks.append(ConicBlock(m, rows, random_sym(rng, r, m)))
+        if rng.uniform() < 0.5:
+            m = int(rng.integers(1, 5))
+            r = int(rng.choice([1, 2 * m - 1]))
+            rows = np.array([free.pop() for _ in range(r)])
+            blocks.append(ConicBlock(m, rows, random_sym(rng, r, m)))
+        else:
+            orders = tuple(int(m) for m in rng.integers(1, 4, size=2))
+            r = int(rng.integers(1, 5))
+            rows = np.array([free.pop() for _ in range(r)])
+            mats = tuple(random_sym(rng, r, m) for m in orders)
+            blocks.append(ConicBlock(orders, rows, mats))
     return blocks
 
 
@@ -181,6 +209,12 @@ class TestBatchedKernels:
         X = random_spd(rng, 10, 3)
         assert (_max_step(X, random_spd(rng, 10, 3)) == np.inf).all()
 
+    @pytest.mark.parametrize("m", ORDERS)
+    def test_inv_matches_loop(self, m):
+        rng = np.random.default_rng(55 + m)
+        X = random_spd(rng, 40, m)
+        assert_blocks_close(_inv(X), [np.linalg.inv(Xb) for Xb in X])
+
     def near_singular_stack(self):
         """Twelve order-4 blocks; block 5 has a slightly negative eigenvalue,
         so Cholesky fails, and its step is 0.5."""
@@ -226,48 +260,167 @@ class TestBatchedKernels:
             )
 
 
+class TestClosedForms:
+    """Orders 1 and 2 take elementwise formulas instead of eigh/cholesky.
+    TestBatchedKernels checks them against the per-block references on
+    well-conditioned stacks; here they meet the cases those references
+    handle badly or not at all."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("log_cond", [8.0, 12.0, 14.0])
+    def test_nt_scaling_near_singular(self, m, log_cond):
+        """W S W = Z holds to rounding at the scale of its terms, while the
+        eigh reference's residual grows to about 1e-5 of it at 1e12."""
+        rng = np.random.default_rng(80 + int(log_cond))
+        Z = random_spd(rng, 200, m, log_cond)
+        S = random_spd(rng, 200, m, log_cond)
+        W = _nt_scaling(Z, S)
+        np.testing.assert_array_equal(W, W.mT)
+        assert (W[:, 0, 0] > 0).all() and (np.linalg.det(W) > 0).all()
+        for Wb, Sb, Zb in zip(W, S, Z):
+            scale = np.abs(Wb).max() ** 2 * np.abs(Sb).max()
+            assert np.abs(Wb @ Sb @ Wb - Zb).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("small", [1e-8, 1e-13, 0.0, -1e-15])
+    def test_step_near_singular_2x2(self, small):
+        """Blocks V diag(1, small) V': near singular, singular or slightly
+        indefinite (then floored at 1e-12 first, as Cholesky fails on
+        them); dX shrinks the unit eigenvalue at rate 2 and leaves the other
+        alone, so every step is 0.5."""
+        rng = np.random.default_rng(90)
+        V = np.linalg.qr(rng.normal(size=(50, 2, 2)))[0]
+        X = _sym_stack((V * np.array([1.0, small])) @ V.mT)
+        dX = -2.0 * V[:, :, :1] @ V[:, :, :1].mT
+        np.testing.assert_allclose(_max_step(X, dX), 0.5, rtol=1e-14)
+
+    def test_step_near_singular_1x1(self):
+        X = np.array([1e-13, 1.0, 0.0, -1e-15])[:, None, None]
+        dX = np.array([-2e-13, -2.0, -2.0, -2.0])[:, None, None]
+        # the last two are floored to 1e-12 first
+        np.testing.assert_allclose(_max_step(X, dX), [0.5, 0.5, 5e-13, 5e-13])
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_step_equal_roots(self, m):
+        """dX = -c X shrinks every eigenvalue alike: the determinant's root
+        is double, and the step is 1 / c."""
+        rng = np.random.default_rng(91)
+        X = random_spd(rng, 30, m)
+        c = rng.uniform(0.5, 4.0, size=30)[:, None, None]
+        np.testing.assert_allclose(_max_step(X, -c * X), 1.0 / c[:, 0, 0], rtol=1e-13)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_step_unlimited(self, m):
+        """dX = 0, or PSD, never limits the step."""
+        rng = np.random.default_rng(92)
+        X = random_spd(rng, 20, m)
+        dX = random_spd(rng, 20, m)
+        dX[::2] = 0.0
+        assert (_max_step(X, dX) == np.inf).all()
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_fused_z_and_s_match_separate_calls(self, m):
+        """As for order 4 in TestBatchedKernels: flooring and step lengths
+        of Z and S stacked are bit-identical to one call per stack, with a
+        block of each below the floor and one of Z slightly indefinite."""
+        rng = np.random.default_rng(93 + m)
+        V = np.linalg.qr(rng.normal(size=(12, m, m)))[0]
+        w = np.array([1.0, 0.5])[:m]
+        Z = _sym_stack((V * w) @ V.mT)
+        S = random_spd(rng, 12, m)
+        Z[5] = _sym_stack((V[5:6] * np.array([1.0, -1e-15])[-m:]) @ V[5:6].mT)[0]
+        S[3] = _sym_stack((V[3:4] * np.array([1.0, 1e-16])[-m:]) @ V[3:4].mT)[0]
+        dZ, dS = random_sym(rng, 12, m), random_sym(rng, 12, m)
+        np.testing.assert_array_equal(
+            _floor_pd(np.concatenate([Z, S])),
+            np.concatenate([_floor_pd(Z), _floor_pd(S)]),
+        )
+        Zf, Sf = _floor_pd(Z), _floor_pd(S)
+        for X in (Z, Zf):
+            np.testing.assert_array_equal(
+                _max_step(np.concatenate([X, Sf]), np.concatenate([dZ, dS])),
+                np.concatenate([_max_step(X, dZ), _max_step(Sf, dS)]),
+            )
+
+
+def _sym_stack(X):
+    return 0.5 * (X + X.mT)
+
+
 class TestGroupedAssembly:
+    """Blocks of one or two cones, grouped and laid out in per-order stacks,
+    against per-block loops."""
+
     def setup_method(self):
         rng = np.random.default_rng(70)
         self.K = 90
         self.blocks = random_blocks(rng, self.K, 24)
-        self.groups = _group_blocks(self.blocks, self.K)
-        self.W = [random_spd(rng, 1, b.order)[0] for b in self.blocks]
-        self.W_stacks = [np.array([self.W[i] for i in g.index]) for g in self.groups]
+        self.groups, self.sizes = _group_blocks(self.blocks, self.K)
         self.rng = rng
 
+    def random_per_cone(self, make):
+        """One matrix per cone of each block, and the same laid out in the
+        per-order stacks."""
+        per_block = [[make(m) for m, _ in b.cones] for b in self.blocks]
+        stacks = {m: np.empty((n, m, m)) for m, n in self.sizes.items()}
+        for g in self.groups:
+            for k, c in enumerate(g.cones):
+                stacks[c.order][c.at] = [per_block[i][k] for i in g.index]
+        return per_block, stacks
+
     def test_groups_by_order_and_rows(self):
-        keys = [(g.mats.shape[2], g.rows.shape[1]) for g in self.groups]
+        keys = [
+            (g.rows.shape[1],) + tuple(c.order for c in g.cones) for g in self.groups
+        ]
         assert len(set(keys)) == len(keys)
+        assert any(len(g.cones) == 2 for g in self.groups)
         assert sorted(i for g in self.groups for i in g.index) == list(range(24))
         for g in self.groups:
-            for i, rows, mats in zip(g.index, g.rows, g.mats):
+            for j, (i, rows) in enumerate(zip(g.index, g.rows)):
                 np.testing.assert_array_equal(rows, self.blocks[i].rows)
-                np.testing.assert_array_equal(mats, self.blocks[i].mats)
+                for c, (m, mats) in zip(g.cones, self.blocks[i].cones):
+                    assert c.order == m
+                    np.testing.assert_array_equal(c.mats[j], mats)
+        # every cone of one order has its own row of that order's stack
+        for m, n in self.sizes.items():
+            taken = [
+                i for g in self.groups for c in g.cones if c.order == m
+                for i in range(c.at.start, c.at.stop)
+            ]
+            assert sorted(taken) == list(range(n))
 
     def test_unstack_restores_input_order(self):
-        out = _unstack(self.groups, self.W_stacks)
-        for Wb, ref in zip(out, self.W):
-            np.testing.assert_array_equal(Wb, ref)
+        per_block, stacks = self.random_per_cone(
+            lambda m: random_spd(self.rng, 1, m)[0]
+        )
+        out = _unstack(self.groups, stacks)
+        ref = [X for cones in per_block for X in cones]
+        assert len(out) == len(ref)
+        for Xb, Rb in zip(out, ref):
+            np.testing.assert_array_equal(Xb, Rb)
 
     def test_schur_matches_loop(self):
-        ref = schur_ref(self.blocks, self.W, self.K)
-        got = dense_schur(self.groups, _schur(self.groups, self.W_stacks), self.K)
+        W, stacks = self.random_per_cone(lambda m: random_spd(self.rng, 1, m)[0])
+        ref = schur_ref(self.blocks, W, self.K)
+        got = dense_schur(self.groups, _schur(self.groups, stacks), self.K)
         assert np.abs(got - ref).max() <= RTOL * np.abs(ref).max()
 
     def test_A_apply_and_adjoint_match_loop(self):
-        Z = [random_sym(self.rng, 1, b.order)[0] for b in self.blocks]
-        Z_stacks = [np.array([Z[i] for i in g.index]) for g in self.groups]
+        Z, stacks = self.random_per_cone(lambda m: random_sym(self.rng, 1, m)[0])
         ref = np.zeros(self.K)
         for b, Zb in zip(self.blocks, Z):
-            ref[b.rows] += np.einsum("rij,ij->r", b.mats, Zb)
-        got = _A_apply(self.groups, Z_stacks, self.K)
+            for (_, mats), Zc in zip(b.cones, Zb):
+                ref[b.rows] += np.einsum("rij,ij->r", mats, Zc)
+        got = _A_apply(self.groups, stacks, self.K)
         np.testing.assert_allclose(got, ref, rtol=RTOL, atol=RTOL)
 
         y = self.rng.normal(size=self.K)
-        adj = _unstack(self.groups, _A_adjoint(self.groups, y))
-        for b, Ab in zip(self.blocks, adj):
-            ref_b = np.einsum("r,rij->ij", y[b.rows], b.mats)
+        adj = _unstack(self.groups, _A_adjoint(self.groups, y, self.sizes))
+        ref = [
+            np.einsum("r,rij->ij", y[b.rows], mats)
+            for b in self.blocks
+            for _, mats in b.cones
+        ]
+        for Ab, ref_b in zip(adj, ref):
             np.testing.assert_allclose(Ab, ref_b, rtol=RTOL, atol=RTOL)
 
 
@@ -280,12 +433,13 @@ def hankel_mats(m):
     return (i[:, None] + i[None, :] == k).astype(float)
 
 
-def random_problem(seed):
+def random_problem(seed, random_mats=False):
     """A feasible program of M = 8 coefficients in shuffled row order:
     certificate blocks of orders 1-4 on 2m - 1 rows, 1 x 1 slack blocks on
     one row each and three '=' rows in no block. q pulls theta against the
     cones, so blocks are active at the optimum and W is ill-conditioned
-    near convergence."""
+    near convergence. With ``random_mats`` the blocks' constraint matrices
+    are random symmetric ones instead of Hankel selectors."""
     rng = np.random.default_rng(seed)
     M = 8
     orders = [1, 2, 3, 4, 2, 3, 4, 3] + [1] * 5
@@ -294,7 +448,8 @@ def random_problem(seed):
     perm = rng.permutation(K)
     blocks, start = [], 0
     for m, r in zip(orders, sizes):
-        blocks.append(ConicBlock(m, perm[start : start + r], hankel_mats(m)))
+        mats = random_sym(rng, r, m) if random_mats else hankel_mats(m)
+        blocks.append(ConicBlock(m, perm[start : start + r], mats))
         start += r
     C = rng.normal(size=(K, M))
     c = C @ rng.normal(size=M)
@@ -303,6 +458,25 @@ def random_problem(seed):
         c[b.rows] += 0.03 * np.einsum("rij,ij->r", b.mats, Z0)
     A = rng.normal(size=(M, M))
     return ConicProblem(A.T @ A + np.eye(M), 10.0 * rng.normal(size=M), C, c, blocks)
+
+
+class TestCentering:
+    def test_sigma(self):
+        assert _centering(0.5, 1.0) == 0.125
+        assert _centering(0.0, 1.0) == 1e-6
+        assert _centering(0.95, 1.0) == 0.8
+        # a ratio of 1e200, whose cube overflows, and a mu that rounding
+        # left negative both give the cap
+        assert _centering(1e100, 1e-100) == 0.8
+        assert _centering(1.0, -3e-15) == 0.8
+
+    def test_program_that_overflowed(self):
+        """Before the clamp, this program's predictor met mu < 0, so
+        (mu_aff / 1e-300)^3 overflowed: a RuntimeWarning, an error in this
+        suite."""
+        sol = solve_conic(random_problem(4, random_mats=True))
+        assert sol.rel_primal <= 100 * conic.FEAS_TOL
+        assert sol.rel_gap <= 100 * 1e-7
 
 
 class TestStructuredSchur:
@@ -343,16 +517,19 @@ class TestStructuredSchur:
         and agrees with the dense solve."""
         prob = random_problem(7)
         K, M = prob.C.shape
-        groups = _group_blocks(prob.blocks, K)
+        groups, sizes = _group_blocks(prob.blocks, K)
         rng = np.random.default_rng(8)
-        W = [random_spd(rng, len(g.index), g.mats.shape[2], log_cond) for g in groups]
+        W = {m: random_spd(rng, n, m, log_cond) for m, n in sizes.items()}
         Mb = _schur(groups, W)
         U = rng.normal(size=(K, M))
         schur = conic._Schur(groups, U)
         schur.factor(Mb)
         dense = DenseSchur(groups, U)
         dense.factor(Mb)
-        A = dense_schur(groups, Mb, K) + U @ U.T + schur.beta * np.eye(K)
+        # the structured factors hold the same bumped matrix
+        A = dense_schur(groups, schur.D, K) + U @ U.T
+        E = np.setdiff1d(np.arange(K), np.concatenate([g.rows.ravel() for g in groups]))
+        A[E, E] += schur.beta
         np.testing.assert_array_equal(A, dense.A)
         b = rng.normal(size=K)
         x = schur.solve(b)
@@ -451,41 +628,70 @@ def shape_program(pointwise):
     return program
 
 
+def grid_relaxation(program, prob):
+    """Independent optimum: each certificate as linear inequalities on a
+    201-point grid per interval (a relaxation, so its optimum is a lower
+    bound), the rows of 1 x 1 slack blocks as C theta <= c, solved by
+    SLSQP. Returns the result and the inequalities A theta >= b."""
+    u = np.linspace(0.0, 1.0, 201)
+    A, b = [], []
+    for coeff_map, rhs_poly, sign, t_lo, t_hi in program.certificates:
+        V = np.vander(t_lo + (t_hi - t_lo) * u, len(rhs_poly), increasing=True)
+        A.append(sign * V @ coeff_map)
+        b.append(sign * V @ rhs_poly)
+    slack = [blk.rows[0] for blk in prob.blocks if blk.order == 1]
+    A = np.vstack(A + [-prob.C[slack]])
+    b = np.concatenate(b + [-prob.c[slack]])
+    Q, q = prob.Q, prob.q
+    res = scipy.optimize.minimize(
+        lambda t: 0.5 * t @ Q @ t + q @ t,
+        np.zeros(len(q)),
+        jac=lambda t: Q @ t + q,
+        constraints=[{"type": "ineq", "fun": lambda t: A @ t - b, "jac": lambda t: A}],
+        method="SLSQP",
+        options={"ftol": 1e-14, "maxiter": 500},
+    )
+    return res, A, b
+
+
 class TestEndToEnd:
     def test_mixed_orders_match_independent_optimum(self):
         program = shape_program((PointwiseSet("<=", (5, 20, 30)),))
         prob = program.to_problem()
-        assert sorted({b.order for b in prob.blocks}) == ORDERS
+        # cubic certificates in Markov-Lukacs form need only 1 x 1 and 2 x 2
+        # cones; the slack rows are 1 x 1 too
+        assert {m for b in prob.blocks for m, _ in b.cones} == {1, 2}
+        assert sum(blk.order == 1 for blk in prob.blocks) == 3
         sol = solve_conic(prob, gap_tol=1e-9)
-
-        # independent optimum: each certificate as linear inequalities on a
-        # 201-point grid per interval (a relaxation, so its optimum is a
-        # lower bound), the slack rows as C theta <= c, solved by SLSQP
-        u = np.linspace(0.0, 1.0, 201)
-        A, b = [], []
-        for coeff_map, rhs_poly, sign, t_lo, t_hi in program.certificates:
-            V = np.vander(t_lo + (t_hi - t_lo) * u, len(rhs_poly), increasing=True)
-            A.append(sign * V @ coeff_map)
-            b.append(sign * V @ rhs_poly)
-        slack = [blk.rows[0] for blk in prob.blocks if blk.order == 1]
-        assert len(slack) == 3
-        A = np.vstack(A + [-prob.C[slack]])
-        b = np.concatenate(b + [-prob.c[slack]])
-        Q, q = prob.Q, prob.q
-        res = scipy.optimize.minimize(
-            lambda t: 0.5 * t @ Q @ t + q @ t,
-            np.zeros(len(q)),
-            jac=lambda t: Q @ t + q,
-            constraints=[
-                {"type": "ineq", "fun": lambda t: A @ t - b, "jac": lambda t: A}
-            ],
-            method="SLSQP",
-            options={"ftol": 1e-14, "maxiter": 500},
-        )
+        res, A, b = grid_relaxation(program, prob)
         assert res.success
         assert sol.objective == pytest.approx(res.fun, rel=1e-6)
         t = sol.theta
+        Q, q = prob.Q, prob.q
         assert sol.objective == pytest.approx(0.5 * t @ Q @ t + q @ t)
+        assert (A @ sol.theta - b).min() > -1e-4
+        assert all(np.linalg.eigvalsh(Zb).min() > -1e-9 for Zb in sol.Z)
+
+    def test_degree_5_takes_the_general_path(self):
+        """Quintic certificates need order-3 cones (bounds: 3 and 3,
+        monotonicity: 3 and 2, convexity: 2 and 2), which go through the
+        eigh/cholesky kernels."""
+        rng = np.random.default_rng(7)
+        x = np.sort(rng.uniform(0.0, 1.0, 40))
+        T = TrainingSet(x[:, None], np.exp(2 * x) + 0.3 * np.sin(15 * x))
+        spec = ShapeSpec(
+            lower=-1.2,
+            upper=7.0,
+            monotone={"x1": INCREASING},
+            curvature={"x1": CONVEX},
+        )
+        program, _ = build_program(T, make_bases(T, 5, 4, None, ["x1"]), spec)
+        prob = program.to_problem()
+        assert {m for b in prob.blocks for m, _ in b.cones} == {2, 3}
+        sol = solve_conic(prob, gap_tol=1e-9)
+        res, A, b = grid_relaxation(program, prob)
+        assert res.success
+        assert sol.objective == pytest.approx(res.fun, rel=1e-6)
         assert (A @ sol.theta - b).min() > -1e-4
         assert all(np.linalg.eigvalsh(Zb).min() > -1e-9 for Zb in sol.Z)
 
@@ -518,12 +724,13 @@ class TestDualScaling:
         assert sol.rel_gap <= 1e-6 and sol.rel_primal <= 1e-7
         self.check(sol.lam, solve_conic(self.scaled, gap_tol=1e-6).lam)
 
-    def test_stalled_exit(self):
-        # this program's gap stalls just above 1e-7: the best iterate is
-        # accepted 20 iterations later
-        sol = solve_conic(self.prob)
-        assert sol.rel_gap > 1e-7
-        self.check(sol.lam, solve_conic(self.scaled).lam)
+    def test_stalled_exit(self, monkeypatch):
+        # tolerances below this program's accuracy floor: the gap stalls
+        # above 1e-10, and the best iterate is accepted 20 iterations later
+        monkeypatch.setattr(conic, "FEAS_TOL", 1e-9)
+        sol = solve_conic(self.prob, gap_tol=1e-10)
+        assert sol.rel_gap > 1e-10
+        self.check(sol.lam, solve_conic(self.scaled, gap_tol=1e-10).lam)
 
     def test_iteration_cap_exit(self):
         with pytest.raises(ConicConvergenceError) as ei:

@@ -1,11 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 import scipy.optimize
 
 from missoc import shapecon
-
+from missoc.conic import ConicBlock, solve_conic
 from missoc.regression import (
     AdditiveModelFit,
     TrainingSet,
@@ -18,17 +19,78 @@ from missoc.shapecon import (
     CONVEX,
     DECREASING,
     INCREASING,
+    ConicProgram,
     InfeasibleSpecError,
     PointwiseSet,
     ShapeSpec,
-    build_H,
-    build_W,
     build_program,
     derivative_map,
     estimate_weights,
     fit_constrained,
+    lukacs_mats,
 )
-from missoc.splines import design_matrix, make_basis, to_piecewise_poly
+from missoc.splines import (
+    bernstein_map,
+    design_matrix,
+    make_basis,
+    taylor_shift,
+    to_piecewise_poly,
+)
+
+
+# --- the Gram form of the certificates, kept as a reference ----------------
+# Before the Markov-Lukacs form, each certificate was one PSD block of order
+# d_eff + 1: the Gram matrix of the coefficients in u of
+# (1 + u)^d p((t_lo + t_hi u) / (1 + u)), u >= 0, matched anti-diagonal by
+# anti-diagonal, with a zero row for each odd one.
+
+
+def build_H(d: int) -> np.ndarray:
+    """The 2d+1 anti-diagonal selector matrices of order d+1 (1-based rule:
+    ones where i+j = 2(d+1-l)+1 for l <= d, i+j = 2(2d+2-l) for l > d)."""
+    H = np.zeros((2 * d + 1, d + 1, d + 1))
+    for l in range(1, 2 * d + 2):
+        target = 2 * (d + 1 - l) + 1 if l <= d else 2 * (2 * d + 2 - l)
+        for i in range(1, d + 2):
+            j = target - i
+            if 1 <= j <= d + 1:
+                H[l - 1, i - 1, j - 1] = 1.0
+    return H
+
+
+def build_W(d: int, t_lo: float, t_hi: float) -> np.ndarray:
+    """Interval coefficient transform of order d+1.
+
+    Row r holds the coefficient of u^(r-1) in (1+u)^d p((t_lo + t_hi u)/(1+u))
+    as a linear function of the power-basis coefficients of p.
+    """
+    if not t_lo < t_hi:
+        raise ValueError(f"degenerate interval [{t_lo}, {t_hi}]")
+    W = np.zeros((d + 1, d + 1))
+    for i in range(1, d + 2):
+        for j in range(1, d + 2):
+            acc = 0.0
+            for m in range(max(0, i + j - 2 - d), min(i - 1, j - 1) + 1):
+                acc += (
+                    math.comb(j - 1, m)
+                    * math.comb(d - j + 1, i - 1 - m)
+                    * t_lo ** (j - 1 - m)
+                    * t_hi**m
+                )
+            W[i - 1, j - 1] = acc
+    return W
+
+
+def add_gram_certificate(program, coeff_map, rhs_poly, sign, interval):
+    """sign*(coeff_map @ theta - rhs_poly) >= 0 on the interval, in Gram
+    form; ``rhs_poly`` holds power-basis coefficients in x."""
+    d_eff = coeff_map.shape[0] - 1
+    H = build_H(d_eff)
+    W = build_W(d_eff, *interval)
+    rows = [program.add_row(np.zeros(program.dim), 0.0) for _ in range(d_eff)]
+    WT, Wb = W @ coeff_map, W @ rhs_poly
+    rows += [program.add_row(-sign * WT[r], -sign * Wb[r]) for r in range(d_eff + 1)]
+    program.blocks.append(ConicBlock(d_eff + 1, np.array(rows), H))
 
 
 class TestBuildH:
@@ -151,6 +213,143 @@ class TestDerivativeMap:
         np.testing.assert_allclose(
             derivative_map(d) @ p, np.polynomial.polynomial.polyder(p)
         )
+
+
+def exact_min(p, lo, hi):
+    """Minimum of the polynomial (ascending coefficients in x) on [lo, hi],
+    over the endpoints and the real critical points inside."""
+    P = np.polynomial.polynomial
+    pts = [lo, hi]
+    if len(p) > 2:
+        crit = P.polyroots(P.polyder(p))
+        pts += [r.real for r in crit if abs(r.imag) < 1e-9 and lo <= r.real <= hi]
+    return min(P.polyval(np.array(pts), p))
+
+
+def shift_program(p, interval, form):
+    """The least shift t with p + t >= 0 on the interval, as a conic program
+    over theta = (t,) with objective t^2 / 2 and one certificate in the
+    given form. Its optimum is max(0, -min p), 0 exactly when p is
+    nonnegative on the interval."""
+    d = len(p) - 1
+    t_lo, t_hi = interval
+    program = ConicProgram(Q=np.eye(1), q=np.zeros(1), dim=1)
+    e0 = np.eye(d + 1)[:, :1]  # t enters the constant coefficient
+    if form == "gram":
+        add_gram_certificate(program, e0, -np.asarray(p), 1.0, interval)
+    else:
+        program.add_certificate(e0, e0, 0.0, 1.0, interval)
+        # the rows read A(Z) - t B e0 = c, B = bernstein_map(d), so c holds
+        # the Bernstein coefficients of p in s = (x - t_lo) / h: shifted to
+        # t_lo, the i-th power scaled by h^i, then mapped by B
+        local = (t_hi - t_lo) ** np.arange(d + 1) * taylor_shift(p, t_lo)
+        program.rows_c[-(d + 1) :] = list(bernstein_map(d) @ local)
+    return program
+
+
+def random_cases(seed, n):
+    """(p, interval, min of p there) with p in power-basis coefficients in
+    x: per degree 0-5, n random polynomials with N(0, 1) coefficients in
+    the interval's own variable (x - t_lo) / h, each shifted to a minimum of
+    +0.05, +0.01, -0.01 and -0.05 on the interval."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for d in range(6):
+        for _ in range(n):
+            t_lo = rng.uniform(-2.0, 1.0)
+            h = rng.uniform(0.1, 2.0)
+            # coefficients in x of sum_i c_i ((x - t_lo) / h)^i
+            p = taylor_shift(rng.normal(size=d + 1) / h ** np.arange(d + 1), -t_lo)
+            p[0] -= exact_min(p, t_lo, t_lo + h)
+            for target in (0.05, 0.01, -0.01, -0.05):
+                q = p.copy()
+                q[0] += target
+                cases.append((q, (t_lo, t_lo + h), exact_min(q, t_lo, t_lo + h)))
+    return cases
+
+
+class TestCertificateForms:
+    """The Markov-Lukacs form against the Gram form it replaced and against
+    an exact root check, on one certificate at a time."""
+
+    @pytest.mark.parametrize("d", range(8))
+    def test_lukacs_rows_match_sum_of_squares(self, d):
+        """Row r of sum_k <mats_k, Z_k> is the r-th Bernstein coefficient of
+        s sigma_0 + (1 - s) sigma_1 (odd d) or sigma_0 + s (1 - s) sigma_1
+        (even d), sigma_k = v' Z_k v over the Bernstein basis v of degree
+        order - 1."""
+        rng = np.random.default_rng(d)
+        orders, mats = lukacs_mats(d)
+        assert [M.shape for M in mats] == [(d + 1, m, m) for m in orders]
+        Zs = [(lambda A: A @ A.T)(rng.normal(size=(m, m))) for m in orders]
+        rows = sum(np.einsum("rij,ij->r", M, Z) for M, Z in zip(mats, Zs))
+
+        def bernstein(n, s):
+            return np.array(
+                [math.comb(n, j) * s**j * (1 - s) ** (n - j) for j in range(n + 1)]
+            ).T
+
+        s = np.linspace(0.0, 1.0, 9)
+        got = bernstein(d, s) @ rows
+        sig = [
+            np.einsum("ni,ij,nj->n", bernstein(m - 1, s), Z, bernstein(m - 1, s))
+            for m, Z in zip(orders, Zs)
+        ]
+        if d == 0:
+            want = sig[0]
+        elif d % 2:
+            want = s * sig[0] + (1 - s) * sig[1]
+        else:
+            want = sig[0] + s * (1 - s) * sig[1]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("d", range(8))
+    def test_cone_orders(self, d):
+        """Orders (k + 1, k + 1) for d = 2k + 1 and (k + 1, k) for d = 2k:
+        the barrier parameter, their sum, is d + 1 as in the Gram form's
+        single block; every row selects something and no entry is
+        negative."""
+        orders, mats = lukacs_mats(d)
+        k = d // 2
+        assert orders == ((k + 1, k + 1) if d % 2 else (k + 1, k)[: 1 + (k > 0)])
+        assert sum(orders) == d + 1
+        assert (sum(M.sum(axis=(1, 2)) for M in mats) > 0).all()
+        assert all((M >= 0).all() for M in mats)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_forms_agree_with_exact_minimum(self, seed):
+        """Both forms find the least shift max(0, -min p) to 2e-5, against
+        minima of +-0.01 and +-0.05: they certify p >= 0 exactly where the
+        root check finds it nonnegative."""
+        for p, interval, low in random_cases(seed, 4):
+            for form in ("lukacs", "gram"):
+                prob = shift_program(p, interval, form).to_problem()
+                t = solve_conic(prob).theta[-1]
+                assert t == pytest.approx(max(0.0, -low), abs=2e-5)
+                assert (t <= 1e-3) == (low >= 0)
+
+    def test_cubic_program_holds_only_order_1_and_2_cones(self):
+        """Bounds, monotonicity and convexity of a cubic spline: 2 x 2 and
+        1 x 1 cones only, d_eff + 1 rows per certificate."""
+        rng = np.random.default_rng(4)
+        X = rng.uniform(0.0, 1.0, size=(60, 2))
+        T = TrainingSet(X=X, y=np.sin(4 * X[:, 0]) + X[:, 1] ** 2)
+        spec = ShapeSpec(
+            lower=-2.0,
+            upper=3.0,
+            monotone={"x1": INCREASING},
+            curvature={"x2": CONVEX},
+            pointwise=(PointwiseSet("<=", (3, 7)),),
+        )
+        bases = [make_basis(0.0, 1.0, 6, 3, f"x{j + 1}") for j in range(2)]
+        program, _ = build_program(T, bases, spec)
+        prob = program.to_problem()
+        assert {m for b in prob.blocks for m, _ in b.cones} == {1, 2}
+        certs = [b for b in prob.blocks if isinstance(b.order, tuple)]
+        assert len(certs) == len(program.certificates)
+        for b, cert in zip(certs, program.certificates):
+            assert len(b.rows) == cert[0].shape[0]
+        assert len(prob.c) == sum(len(b.rows) for b in prob.blocks)
 
 
 class TestEstimateWeights:
