@@ -704,8 +704,8 @@ def solve_conic(
 def regularised_cholesky(A: np.ndarray):
     """(cho_factor, A + bump I) with the smallest bump that factors, starting
     at 1e-12 (tr A / n + 1) and growing 100-fold; the one factorization of
-    the quadratic data Q, in the solver and in the fits. ``_Schur`` applies
-    the same bump rule to the Schur complement without assembling it."""
+    the quadratic data Q, in the solver and in the fits. ``_Schur`` bumps
+    the Schur complement block by block instead (see there)."""
     bump = 1e-12 * (np.trace(A) / max(A.shape[0], 1) + 1.0)
     for _ in range(20):
         bumped = A + bump * np.eye(A.shape[0])
