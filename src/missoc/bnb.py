@@ -19,25 +19,25 @@ its children (a cut pool in the sense of Achterberg 2007): a tangent of a
 piece convex on a range underestimates it on every sub-range, so it holds
 in all descendants.
 
-The node-independent rows and the default column bounds are assembled once
-per solve, the rows as row-wise arrays. ``interval_cuts`` is cached per
-solve together with the rows of its cuts, one block of row-wise arrays per
-(interval, deviation range); a node copies the default bounds, overrides
-what its branching fixed and concatenates the cached blocks of its
-intervals.
+Everything that does not depend on the node is built once per solve
+(``_LPBuilder``): the rows as row-wise arrays, the default column bounds,
+every interval's cut block on its full range (one batched ``interval_cuts``
+call per component) and the Kelley tables. A node copies the defaults and
+touches only the intervals it overrides; their cut blocks are cached per
+(interval, deviation range). Tangents travel as arrays (``Tangents``).
 
-Each node's LP is one HiGHS model, built from those rows through scipy's
-bundled HiGHS bindings (``_NodeLP``). Its first solve starts from the
-parent's final basis, which both children share (Achterberg 2007): kept as
-int8 statuses and mapped by position onto the child's rows (fixed rows one
-to one, an interval's block one to one when the child holds the same
-cached block and as basic slacks otherwise, tangent rows through the
-child's keep-mask), then passed as an alien basis, so HiGHS repairs the
-basic count where a dropped row was nonbasic. Only the root starts cold. A
-Kelley round adds its tangents to the model in place and re-solves it from
-the basis the last solve left. A node is pruned only when its LP is
-infeasible (also "unbounded or infeasible" when every x column is boxed);
-any other outcome that is not optimal raises ``LPError``.
+Each node's LP is one HiGHS model, passed as arrays through the numpy
+``passModel`` of scipy's bundled HiGHS bindings (``_NodeLP``). Its first
+solve starts from the parent's final basis, which both children share
+(Achterberg 2007): kept as int8 statuses and mapped by position onto the
+child's rows (fixed rows one to one, an interval's block one to one when the
+child holds the same cached block and as basic slacks otherwise, tangent
+rows through the child's keep-mask), then passed as an alien basis, so
+HiGHS repairs the basic count where a dropped row was nonbasic. Only the
+root starts cold. A Kelley round adds its tangents to the model in place
+and re-solves it from the basis the last solve left. A node is pruned only
+when its LP is infeasible (also "unbounded or infeasible" when every x
+column is boxed); any other outcome that is not optimal raises ``LPError``.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize._highspy import _core as highs
 
-from .splines import taylor_shift
+from .splines import bernstein_map, taylor_shift
 from .surrogate import SurrogateMINLP, eval_surrogate_at
 
 FRAC_TOL = 1e-6
@@ -77,28 +77,37 @@ def optimality_gap(ub: float, lb: float) -> float:
     return 100.0 * abs(ub - lb) / abs(ub)
 
 
-def bernstein_bounds(coeffs, lo: float, hi: float) -> tuple[float, float]:
+def bernstein_bounds(coeffs, lo, hi):
     """Enclosure of a power-basis polynomial's range over [lo, hi] from its
-    Bernstein coefficients; exact at the endpoints, any degree."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    n = len(coeffs) - 1
-    if not hi >= lo:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
+    Bernstein coefficients; exact at the endpoints, any degree.
+
+    ``coeffs`` may also be stacked rows of one degree, shape (m, d+1), with
+    ``lo`` and ``hi`` of length m; the bounds are then two arrays of length
+    m, each row's the bits of a call on that row alone.
+    """
+    C = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    m, n = C.shape[0], C.shape[1] - 1
+    lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (m,)) for v in (lo, hi))
+    bad = ~(hi >= lo)
+    if bad.any():
+        raise ValueError(f"empty interval [{lo[bad][0]}, {hi[bad][0]}]")
     if n <= 0:
-        v = coeffs[0] if len(coeffs) else 0.0
-        return float(v), float(v)
-    # rescale to t in [0, 1]: q(t) = p(lo + w t)
-    w = hi - lo
-    shifted = taylor_shift(coeffs, lo)  # p(x) = sum shifted_i (x - lo)^i
-    scaled = shifted * w ** np.arange(n + 1)
-    # power -> Bernstein: B_j = sum_i C(j,i)/C(n,i) scaled_i
-    B = np.empty(n + 1)
-    for j in range(n + 1):
-        B[j] = sum(
-            math.comb(j, i) / math.comb(n, i) * scaled[i]
-            for i in range(j + 1)
-        )
-    return float(B.min()), float(B.max())
+        low = high = C[:, 0] if n == 0 else np.zeros(m)
+    else:
+        # rescale to t in [0, 1]: q(t) = p(lo + w t), with
+        # p(x) = sum shifted_i (x - lo)^i
+        w = hi - lo
+        scaled = taylor_shift(C, lo) * w[:, None] ** np.arange(n + 1)
+        # power -> Bernstein: B_j = sum_{i <= j} C(j,i)/C(n,i) scaled_i,
+        # summed from i = 0 up
+        M = bernstein_map(n)
+        B = np.zeros((m, n + 1))
+        for i in range(n + 1):
+            B[:, i:] += M[i:, i] * scaled[:, i, None]
+        low, high = B.min(axis=1), B.max(axis=1)
+    if np.ndim(coeffs) == 1:
+        return float(low[0]), float(high[0])
+    return low, high
 
 
 def _poly_val(coeffs, x):
@@ -106,22 +115,24 @@ def _poly_val(coeffs, x):
 
 
 def _horner(P: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row i of P, highest power first, at x[i]: one Horner pass with the
-    same operations as ``polyval`` of the row's unpadded coefficients."""
-    y = np.zeros(len(x))
+    """Row i of P, highest power first, at x[i] (a value or a row of
+    values): one Horner pass with the same operations as ``polyval`` of the
+    row's unpadded coefficients."""
+    y = np.zeros(np.shape(x))
     for col in P.T:
-        y = y * x + col
+        y = y * x + (col if y.ndim == 1 else col[:, None])
     return y
 
 
 def _poly_der(coeffs):
+    """The derivative of a polynomial, or of each row of stacked ones."""
     c = np.asarray(coeffs, dtype=float)
-    if len(c) <= 1:
-        return np.zeros(1)
-    return c[1:] * np.arange(1, len(c))
+    if c.shape[-1] <= 1:
+        return np.zeros(c.shape[:-1] + (1,))
+    return c[..., 1:] * np.arange(1, c.shape[-1])
 
 
-def interval_cuts(phi, lo: float, hi: float) -> tuple[list, bool]:
+def interval_cuts(phi, lo, hi):
     """Linear underestimators (a, b) with a*x + b <= phi(x) on [lo, hi],
     and whether phi is convex there (so tangents at any point of the range
     are valid cuts); a degenerate range counts as not convex.
@@ -130,37 +141,63 @@ def interval_cuts(phi, lo: float, hi: float) -> tuple[list, bool]:
     constant term on unrefined intervals). Convex pieces get tangents,
     concave ones the secant (their convex envelope), mixed curvature gets
     the secant shifted down by a Bernstein bound of its overshoot. The
-    curvature test is one Bernstein enclosure of phi''.
+    curvature test is one Bernstein enclosure of phi''. The Bernstein lower
+    bound of phi closes the list; a degenerate range gets only (0, phi at
+    its middle).
+
+    phi may also be stacked rows of one degree, shape (m, d+1), with ``lo``
+    and ``hi`` of length m. The cuts are then arrays (row, a, b), row after
+    row in the order above, and ``convex`` a boolean array; every row gets
+    the operations of a call on it alone, so the same bits.
     """
-    phi = np.asarray(phi, dtype=float)
-    if hi - lo <= 1e-14:
-        v = _poly_val(phi, 0.5 * (lo + hi))
-        return [(0.0, v)], False
-    cuts = []
-    second = _poly_der(_poly_der(phi))
-    curv_lo, curv_hi = bernstein_bounds(second, lo, hi)
-    scale = max(1.0, np.abs(phi).max())
-    convex = curv_lo >= -1e-12 * scale
-    if convex:
-        der = _poly_der(phi)
-        for p in np.linspace(lo, hi, 5):
-            a = _poly_val(der, p)
-            cuts.append((a, _poly_val(phi, p) - a * p))
-    else:
-        a = (_poly_val(phi, hi) - _poly_val(phi, lo)) / (hi - lo)
-        b = _poly_val(phi, lo) - a * lo
-        if curv_hi <= 1e-12 * scale:  # concave: secant is the envelope
-            cuts.append((a, b))
-        else:  # mixed: shift the secant below the overshoot
-            over = np.zeros(max(len(phi), 2))
-            over[: len(phi)] -= phi
-            over[0] += b
-            over[1] += a
-            _, delta = bernstein_bounds(over, lo, hi)
-            cuts.append((a, b - max(delta, 0.0)))
-    lo_val, _ = bernstein_bounds(phi, lo, hi)
-    cuts.append((0.0, lo_val))
-    return cuts, convex
+    P = np.atleast_2d(np.asarray(phi, dtype=float))
+    m, size = P.shape
+    lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (m,)) for v in (lo, hi))
+    # six cut slots per row: the tangents, the secant or the degenerate
+    # range's constant from slot 0 on, the Bernstein lower bound in slot 5
+    a, b = np.zeros((2, m, 6))
+    convex = np.zeros(m, dtype=bool)
+    flat = hi - lo <= 1e-14
+    f = np.flatnonzero(flat)
+    b[f, 0] = _horner(P[f, ::-1], 0.5 * (lo[f] + hi[f]))
+    r = np.flatnonzero(~flat)
+    if len(r):
+        P, lo, hi = P[r], lo[r], hi[r]
+        der = _poly_der(P)
+        curv_lo, curv_hi = bernstein_bounds(_poly_der(der), lo, hi)
+        top = np.abs(P).max(axis=1)
+        scale = np.where(top > 1.0, top, 1.0)  # max(1, top)
+        convex[r] = cvx = curv_lo >= -1e-12 * scale
+        # convex: tangents at np.linspace(lo, hi, 5), whose step is not 0
+        # on a range wider than 1e-14
+        c = np.flatnonzero(cvx)
+        pts = np.arange(5.0) * ((hi[c] - lo[c]) / 4)[:, None] + lo[c, None]
+        pts[:, 4] = hi[c]
+        slope = _horner(der[c, ::-1], pts)
+        a[r[c], :5] = slope
+        b[r[c], :5] = _horner(P[c, ::-1], pts) - slope * pts
+        # otherwise the secant, shifted below the overshoot where the
+        # curvature is mixed
+        s = np.flatnonzero(~cvx)
+        Ps, lo_s, hi_s = P[s, ::-1], lo[s], hi[s]
+        v_lo = _horner(Ps, lo_s)
+        sa = (_horner(Ps, hi_s) - v_lo) / (hi_s - lo_s)
+        sb = v_lo - sa * lo_s
+        x = np.flatnonzero(~(curv_hi[s] <= 1e-12 * scale[s]))
+        if len(x):
+            over = np.zeros((len(x), max(size, 2)))
+            over[:, :size] -= P[s[x]]
+            over[:, 0] += sb[x]
+            over[:, 1] += sa[x]
+            _, delta = bernstein_bounds(over, lo_s[x], hi_s[x])
+            sb[x] -= np.where(0.0 > delta, 0.0, delta)  # max(delta, 0)
+        a[r[s], 0] = sa
+        b[r[s], 0] = sb
+        b[r, 5] = bernstein_bounds(P, lo, hi)[0]
+    used = np.column_stack([np.ones(m, dtype=bool)] + [convex] * 4 + [~flat])
+    if np.ndim(phi) == 1:
+        return list(zip(a[used].tolist(), b[used].tolist())), bool(convex[0])
+    return np.nonzero(used)[0], a[used], b[used], convex
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,6 +214,18 @@ class _Basis:
     block_rows: np.ndarray
 
 
+class Tangents(NamedTuple):
+    """Kelley tangents sp >= (c0+b)*y + a*dev, one per entry: the index of
+    the interval (its columns y, dev, sp), a and b."""
+
+    index: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+
+NO_TANGENTS = Tangents(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))
+
+
 @dataclass(frozen=True)
 class Node:
     depth: int
@@ -184,9 +233,8 @@ class Node:
     y_fixed: dict  # (j, q) -> 0 or 1
     dev_bounds: dict  # (j, q) -> (lo, hi), overriding [0, width]
     var_bounds: dict  # name -> (lo, hi), overriding the box
-    # (j, q, a, b): Kelley tangents sp >= (c0+b)*y + a*dev added by the
-    # ancestors on ranges that contain this node's
-    tangents: tuple = ()
+    # Kelley tangents of the ancestors, on ranges containing this node's
+    tangents: Tangents = NO_TANGENTS
     # the parent's final basis, where the node's first LP starts; None at
     # the root
     basis: _Basis | None = None
@@ -217,17 +265,14 @@ class SolveReport:
 class _Rows:
     """A node LP's cut rows ``a @ x <= 0`` in blocks of row-wise arrays
     (entries per row, column index, value), as HiGHS takes them; zero
-    entries are not stored. The blocks are one cached cut block per
-    interval, in interval order, then the blocks of tangent rows; ``ids``
-    and ``block_rows`` hold each interval block's cache id and row count."""
+    entries are not stored. The blocks are one cut block per interval, in
+    interval order, then the blocks of tangent rows; ``ids`` and
+    ``block_rows`` hold each interval block's cache id and row count."""
 
-    def __init__(self, blocks, ids):
-        self.blocks = list(blocks)
+    def __init__(self, blocks, ids, block_rows):
+        self.blocks = blocks
         self.ids = ids
-        self.block_rows = np.array([len(b[0]) for b in blocks], dtype=np.int32)
-
-    def add(self, block) -> None:
-        self.blocks.append(block)
+        self.block_rows = block_rows
 
     def arrays(self):
         """The rows as (lower, upper, starts, index, value) arrays, with
@@ -240,19 +285,20 @@ class _Rows:
 
 
 class _CutBlock(NamedTuple):
-    """``interval_cuts`` of one interval on one deviation range, with their
-    rows as a ``_Rows`` block and the block's cache id."""
+    """``interval_cuts`` of one interval on one deviation range as a
+    ``_Rows`` block, whether the interval is convex there, and the block's
+    cache id."""
 
-    cuts: list
+    rows: tuple
     convex: bool
     id: int
-    rows: tuple
 
 
 class _LPBuilder:
-    """Column layout and default bounds, fixed rows (row-wise arrays,
-    assembled once), the cache of ``interval_cuts`` and their row blocks,
-    and the LP counters shared by all node LPs of one solve."""
+    """The tables of one solve: column layout and default bounds, the fixed
+    rows (row-wise arrays), every interval's cut block on its full range,
+    the cache of the other cut blocks, the Kelley tables, and the LP
+    counters shared by all node LPs."""
 
     def __init__(self, surr: SurrogateMINLP, gap_tol: float):
         self.surr = surr
@@ -269,26 +315,33 @@ class _LPBuilder:
             (j, q) for j, comp in enumerate(surr.components)
             for q in range(comp.k)
         ]
-        # index of component j's first interval
-        self.first = np.cumsum([0] + [c.k for c in surr.components])[:-1]
-        self.col_y = {
-            key: self.nv + 3 * i for i, key in enumerate(self.intervals)
-        }
+        self.index = {key: i for i, key in enumerate(self.intervals)}
+        n = len(self.intervals)
+        self.y_cols = self.nv + 3 * np.arange(n)
+        self.col_y = dict(zip(self.intervals, self.y_cols.tolist()))
         self.col_dev = {key: col + 1 for key, col in self.col_y.items()}
         self.col_sp = {key: col + 2 for key, col in self.col_y.items()}
-        col = self.nv + 3 * len(self.intervals)
+        col = self.nv + 3 * n
         self.col_sigma = {j: col + j for j in range(len(surr.components))}
         self.ncols = col + len(surr.components)
-        self.widths = [surr.components[j].widths[q] for j, q in self.intervals]
-        self.c0 = np.array(
-            [surr.components[j].piece.coeffs[q][0] for j, q in self.intervals]
-        )
+        # index of component j's first interval
+        self.first = np.cumsum([0] + [c.k for c in surr.components])[:-1]
+        comp_widths = [c.widths for c in surr.components]
+        self.widths = np.concatenate(comp_widths or [np.zeros(0)])
+        coeffs = [c.piece.coeffs for c in surr.components]
+        self.c0 = np.concatenate([c[:, 0] for c in coeffs] or [np.zeros(0)])
+        # per component: the x column, the first and the last knot
+        self.domains = [
+            (self.col_x[c.var], c.breakpoints[0], c.breakpoints[-1])
+            for c in surr.components
+        ]
 
         self.obj = np.zeros(self.ncols)
         for name, coeff in surr.linear.items():
             self.obj[self.col_x[name]] += coeff
         for j in range(len(surr.components)):
             self.obj[self.col_sigma[j]] += 1.0
+        self.integrality = np.zeros(self.ncols, dtype=np.int32)  # continuous
 
         # column bounds below the root: x in its box, y in [0, 1], dev in
         # [0, width], sp and sigma free
@@ -297,9 +350,9 @@ class _LPBuilder:
         for v in surr.variables:
             self.lower[self.col_x[v.name]] = v.lower
             self.upper[self.col_x[v.name]] = v.upper
-        for col_y, width in zip(self.col_y.values(), self.widths):
-            self.lower[col_y : col_y + 2] = 0.0
-            self.upper[col_y : col_y + 2] = (1.0, width)
+        self.lower[self.y_cols] = self.lower[self.y_cols + 1] = 0.0
+        self.upper[self.y_cols] = 1.0
+        self.upper[self.y_cols + 1] = self.widths
 
         # rows independent of the node: the equality rows, then the
         # inequality rows
@@ -329,13 +382,8 @@ class _LPBuilder:
         for con in surr.linear_constraints:
             if con.relation == "=":
                 add(self._con_row(con), -con.constant, -con.constant)
-        for j, comp in enumerate(surr.components):
-            for q in range(comp.k):
-                add(
-                    ((self.col_dev[j, q], 1.0),
-                     (self.col_y[j, q], -comp.widths[q])),
-                    0.0,
-                )
+        for key, width in zip(self.intervals, self.widths):
+            add(((self.col_dev[key], 1.0), (self.col_y[key], -width)), 0.0)
         for con in surr.linear_constraints:
             if con.relation != "=":
                 add(self._con_row(con), -con.constant)
@@ -345,30 +393,56 @@ class _LPBuilder:
             np.array(lower), np.array(upper), np.array(starts, dtype=np.int32),
             np.array(index, dtype=np.int32), np.array(value, dtype=float),
         )
-        # (j, q, lo, hi) -> _CutBlock; per solve, since two surrogates share
+
+        # (i, lo, hi) -> _CutBlock; per solve, since two surrogates share
         # keys
         self._cuts = {}
+        # the Kelley tables: phi and phi' per interval, highest power first,
+        # padded with leading zeros
+        size = max([c.shape[1] for c in coeffs], default=1)
+        self.phi = np.zeros((n, size))
+        self.dphi = np.zeros((n, size))
+        # the default cut blocks, on every interval's full range: one
+        # ``interval_cuts`` call per component
+        for j, (c, width) in enumerate(zip(coeffs, comp_widths)):
+            phi = c.copy()
+            phi[:, 0] = 0.0
+            der = _poly_der(phi)
+            i = slice(int(self.first[j]), int(self.first[j]) + len(c))
+            self.phi[i, size - phi.shape[1] :] = phi[:, ::-1]
+            self.dphi[i, size - der.shape[1] :] = der[:, ::-1]
+            row, a, b, convex = interval_cuts(phi, np.zeros(len(c)), width)
+            counts, index, value = self.cut_rows(i.start + row, a, b)
+            # interval q's rows and entries end at row_end[q], entry_end[q]
+            row_end = np.cumsum(np.bincount(row, minlength=len(c))).tolist()
+            entry_end = np.cumsum(counts)[np.subtract(row_end, 1)].tolist()
+            for q, (r0, r1, e0, e1) in enumerate(zip(
+                [0] + row_end, row_end, [0] + entry_end, entry_end
+            )):
+                rows = (counts[r0:r1], index[e0:e1], value[e0:e1])
+                key = (i.start + q, 0.0, width[q])
+                self._cuts[key] = _CutBlock(rows, bool(convex[q]), len(self._cuts))
+        self.blocks = list(self._cuts.values())
+        self.ids = np.arange(n, dtype=np.int32)
+        self.block_rows = np.array([len(b.rows[0]) for b in self.blocks], np.int32)
+        self.convex = np.array([b.convex for b in self.blocks], dtype=bool)
 
     def _con_row(self, con):
         return [(self.col_x[n], c) for n, c in con.coeffs.items()]
 
-    def block(self, j: int, q: int, lo: float, hi: float) -> _CutBlock:
-        """Interval (j, q)'s cuts on deviation range [lo, hi] and their rows,
-        computed once per solve."""
-        key = (j, q, lo, hi)
+    def block(self, i: int, lo: float, hi: float) -> _CutBlock:
+        """Interval i's cut block on deviation range [lo, hi], computed once
+        per solve."""
+        key = (i, lo, hi)
         block = self._cuts.get(key)
         if block is None:
-            cuts, convex = interval_cuts(self.deviation_poly(j, q), lo, hi)
-            rows = self.cut_rows([(j, q, a, b) for a, b in cuts])
-            block = _CutBlock(cuts, convex, len(self._cuts), rows)
+            row, a, b, convex = interval_cuts(
+                self.deviation_poly(*self.intervals[i])[None], [lo], [hi]
+            )
+            block = _CutBlock(self.cut_rows(i + row, a, b), bool(convex[0]),
+                              len(self._cuts))
             self._cuts[key] = block
         return block
-
-    def cuts(self, j: int, q: int, lo: float, hi: float):
-        """``interval_cuts`` of interval (j, q)'s deviation polynomial on
-        [lo, hi]: its cuts and whether it is convex there."""
-        block = self.block(j, q, lo, hi)
-        return block.cuts, block.convex
 
     def deviation_poly(self, j: int, q: int) -> np.ndarray:
         """Interval (j, q)'s polynomial in its deviation, constant dropped
@@ -377,15 +451,14 @@ class _LPBuilder:
         phi[0] = 0.0
         return phi
 
-    def cut_rows(self, cuts):
-        """The rows sp >= (c0+b)*y + a*dev of cuts (j, q, a, b) as one
-        ``_Rows`` block: the intercept rides on y so a cut reduces to
-        sp >= 0 at y = 0 and to the plain affine underestimator at y = 1."""
-        j, q, a, b = np.array(cuts, dtype=float).reshape(-1, 4).T
-        i = self.first[j.astype(int)] + q.astype(int)
-        y = (self.nv + 3 * i).astype(np.int32)
+    def cut_rows(self, index, a, b):
+        """The rows sp >= (c0+b)*y + a*dev of cuts (a, b) on intervals
+        ``index`` as one ``_Rows`` block: the intercept rides on y so a cut
+        reduces to sp >= 0 at y = 0 and to the plain affine underestimator at
+        y = 1."""
+        y = self.y_cols[index].astype(np.int32)
         cols = np.column_stack([y + 2, y, y + 1])
-        vals = np.column_stack([np.full(len(y), -1.0), self.c0[i] + b, a])
+        vals = np.column_stack([np.full(len(y), -1.0), self.c0[index] + b, a])
         keep = vals != 0.0
         return keep.sum(axis=1, dtype=np.int32), cols[keep], vals[keep]
 
@@ -417,16 +490,12 @@ def _start_basis(builder: _LPBuilder, parent: _Basis, rows: _Rows, keep):
     return basis
 
 
-def _node_dev_range(surr, node, j, q):
-    lo, hi = node.dev_bounds.get((j, q), (0.0, surr.components[j].widths[q]))
-    return lo, hi
-
-
 def _node_lp(builder: _LPBuilder, node: Node):
     """Column bounds lower and upper, the node's cut rows, the start basis
     of its first LP (None for a node without a parent basis), its Kelley
-    keys (the intervals convex over the node range) and the inherited
-    tangents it keeps; or None when a box is empty."""
+    intervals (the indices of those convex over the node range) and the
+    inherited tangents it keeps; or None when a box is empty. The builder's
+    default blocks serve every interval the node does not override."""
     lower = builder.lower.copy()
     upper = builder.upper.copy()
     for name, (lo, hi) in node.var_bounds.items():
@@ -435,38 +504,35 @@ def _node_lp(builder: _LPBuilder, node: Node):
     if (lower[: builder.nv] > upper[: builder.nv]).any():
         return None
     ranges = dict(node.dev_bounds)
+    off = np.zeros(len(builder.intervals), dtype=bool)
     for key, yfix in node.y_fixed.items():
         col_y = builder.col_y[key]
         lower[col_y] = upper[col_y] = float(yfix)
         if yfix == 0:
             ranges[key] = (0.0, 0.0)
+            off[builder.index[key]] = True
             lower[col_y + 2] = upper[col_y + 2] = 0.0  # sp
+    blocks = [block.rows for block in builder.blocks]
+    ids = builder.ids.copy()
+    block_rows = builder.block_rows.copy()
+    # an interval fixed off has the range [0, 0], where it is not convex
+    convex = builder.convex.copy()
     for key, (lo, hi) in ranges.items():
         lower[builder.col_dev[key]] = lo
         upper[builder.col_dev[key]] = hi
-    blocks = [
-        builder.block(j, q, *ranges.get((j, q), (0.0, width)))
-        for (j, q), width in zip(builder.intervals, builder.widths)
-    ]
-    convex_keys = [  # intervals convex over the node range: Kelley cuts
-        (j, q, builder.deviation_poly(j, q))
-        for (j, q), block in zip(builder.intervals, blocks)
-        if block.convex and node.y_fixed.get((j, q)) != 0
-    ]
-    rows = _Rows(
-        [block.rows for block in blocks],
-        np.array([block.id for block in blocks], dtype=np.int32),
-    )
+        i = builder.index[key]
+        block = builder.block(i, lo, hi)
+        blocks[i], ids[i], convex[i] = block.rows, block.id, block.convex
+        block_rows[i] = len(block.rows[0])
+    rows = _Rows(blocks, ids, block_rows)
     # on an interval fixed off y, dev and sp are 0, so its tangents are void
-    keep = np.array(
-        [node.y_fixed.get(t[:2]) != 0 for t in node.tangents], dtype=bool
-    )
-    tangents = [t for t, kept in zip(node.tangents, keep) if kept]
-    rows.add(builder.cut_rows(tangents))
+    keep = ~off[node.tangents.index]
+    tangents = Tangents(*(t[keep] for t in node.tangents))
+    rows.blocks.append(builder.cut_rows(*tangents))
     start = None
     if node.basis is not None:
         start = _start_basis(builder, node.basis, rows, keep)
-    return lower, upper, rows, start, convex_keys, tangents
+    return lower, upper, rows, start, np.flatnonzero(convex), tangents
 
 
 class LPError(RuntimeError):
@@ -477,9 +543,10 @@ class LPError(RuntimeError):
 class _NodeLP:
     """One node LP, min ``builder.obj`` over the solve's fixed rows and the
     node's cut rows within column bounds, as one HiGHS model that grows by
-    Kelley rows. The first ``solve`` starts from ``start`` (an alien basis)
-    when given, otherwise cold; ``add_rows`` adds rows in place, and each
-    later ``solve`` starts from the basis the last one left."""
+    Kelley rows. The model is passed as arrays through the bindings' numpy
+    ``passModel``. The first ``solve`` starts from ``start`` (an alien
+    basis) when given, otherwise cold; ``add_rows`` adds rows in place, and
+    each later ``solve`` starts from the basis the last one left."""
 
     def __init__(self, builder: _LPBuilder, lower, upper, rows: _Rows,
                  start=None):
@@ -488,21 +555,7 @@ class _NodeLP:
         self.rows = rows
         f_lower, f_upper, f_starts, f_index, f_value = builder.fixed
         n_lower, n_upper, n_starts, n_index, n_value = rows.arrays()
-        lp = highs.HighsLp()
-        lp.num_col_ = builder.ncols
-        lp.num_row_ = len(f_lower) + len(n_lower)
-        lp.col_cost_ = builder.obj
-        lp.col_lower_ = lower
-        lp.col_upper_ = upper
-        lp.row_lower_ = np.concatenate([f_lower, n_lower])
-        lp.row_upper_ = np.concatenate([f_upper, n_upper])
-        matrix = lp.a_matrix_
-        matrix.format_ = highs.MatrixFormat.kRowwise
-        matrix.num_col_ = lp.num_col_
-        matrix.num_row_ = lp.num_row_
-        matrix.start_ = np.concatenate([f_starts, len(f_index) + n_starts[1:]])
-        matrix.index_ = np.concatenate([f_index, n_index])
-        matrix.value_ = np.concatenate([f_value, n_value])
+        index = np.concatenate([f_index, n_index])
         self.model = highs._Highs()
         self._check(self.model.setOptionValue("output_flag", False),
                     "setOptionValue")
@@ -510,7 +563,17 @@ class _NodeLP:
         dual = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
         self._check(self.model.setOptionValue("simplex_strategy", dual),
                     "setOptionValue")
-        self._check(self.model.passModel(lp), "passModel")
+        self._check(self.model.passModel(
+            builder.ncols, len(f_lower) + len(n_lower), len(index),
+            int(highs.MatrixFormat.kRowwise), int(highs.ObjSense.kMinimize),
+            0.0, builder.obj, lower, upper,
+            np.concatenate([f_lower, n_lower]),
+            np.concatenate([f_upper, n_upper]),
+            np.concatenate([f_starts[:-1], len(f_index) + n_starts[:-1]]),
+            index, np.concatenate([f_value, n_value]),
+            # an empty integrality array is refused; all zeros is an LP
+            builder.integrality,
+        ), "passModel")
         if start is not None:
             self._check(self.model.setBasis(start), "setBasis")
 
@@ -519,11 +582,10 @@ class _NodeLP:
         if status == highs.HighsStatus.kError:
             raise LPError(f"HiGHS {call} returned {status.name}")
 
-    def add_rows(self, cuts) -> None:
-        """Add the rows ``sp >= (c0+b)*y + a*dev`` of Kelley tangents
-        (j, q, a, b)."""
-        counts, index, value = block = self.builder.cut_rows(cuts)
-        self.rows.add(block)
+    def add_rows(self, tangents: Tangents) -> None:
+        """Add the rows ``sp >= (c0+b)*y + a*dev`` of Kelley tangents."""
+        counts, index, value = block = self.builder.cut_rows(*tangents)
+        self.rows.blocks.append(block)
         starts = np.zeros(len(counts), dtype=np.int32)
         np.cumsum(counts[:-1], out=starts[1:])
         self._check(
@@ -586,26 +648,20 @@ def relax_node(builder: _LPBuilder, node: Node):
     surr = builder.surr
     lp = _node_lp(builder, node)
     if lp is None:
-        return "infeasible", math.inf, None, (), None
-    lower, upper, rows, start, convex_keys, tangents = lp
+        return "infeasible", math.inf, None, NO_TANGENTS, None
+    lower, upper, rows, start, kelley, tangents = lp
     model = _NodeLP(builder, lower, upper, rows, start)
-    # per Kelley key: columns y, dev, sp at col_y + (0, 1, 2), and phi and
-    # phi' stacked highest power first, padded with leading zeros
-    keys = [(j, q) for j, q, _ in convex_keys]
-    col_y = np.array([builder.col_y[key] for key in keys], dtype=np.intp)
-    c0 = np.array([surr.components[j].piece.coeffs[q][0] for j, q in keys])
-    width = max([len(phi) for *_, phi in convex_keys], default=1)
-    P = np.zeros((2, len(convex_keys), width))
-    for i, (*_, phi) in enumerate(convex_keys):
-        for k, c in enumerate((phi, _poly_der(phi))):
-            P[k, i, width - len(c) :] = c[::-1]
-    P = np.concatenate([P[0], P[0], P[1]])  # phi at dev; phi, phi' at the clamp
+    # the Kelley intervals' rows of the builder's tables; P stacks phi (at
+    # dev), phi and phi' (at the clamp)
+    col_y, c0 = builder.y_cols[kelley], builder.c0[kelley]
+    P = np.concatenate([builder.phi[kelley]] * 2 + [builder.dphi[kelley]])
+    found = [tangents]
     prev = -math.inf
     for rnd in range(KELLEY_CAP):
         status, fun, z = model.solve()
         builder.lp_solves += 1
         if status == "infeasible":
-            return "infeasible", math.inf, None, (), None
+            return "infeasible", math.inf, None, NO_TANGENTS, None
         value = fun + surr.constant
         if value - prev <= builder.progress_tol * max(1.0, abs(value)):
             break
@@ -614,21 +670,20 @@ def relax_node(builder: _LPBuilder, node: Node):
         # the LP point may leave the range by HiGHS's tolerance; a tangent
         # is valid on the range only at a point inside it
         at = np.minimum(np.maximum(dev, lower[col_y + 1]), upper[col_y + 1])
-        val, val_at, a = np.split(_horner(P, np.concatenate([dev, at, at])), 3)
+        val, val_at, a = _horner(P, np.concatenate([dev, at, at])).reshape(3, -1)
         gap = c0 * y + val - sp
         cut = ~(gap <= 1e-10 * np.maximum(1.0, np.abs(sp)))  # NaN gaps cut
-        b = val_at - a * at
-        new = [
-            (*keys[i], a[i].item(), b[i].item()) for i in np.flatnonzero(cut).tolist()
-        ]
-        if not new:
+        if not cut.any():
             break
         if rnd == KELLEY_CAP - 1:
             builder.kelley_cap_hits += 1
             break
+        new = Tangents(kelley[cut], a[cut], (val_at - a * at)[cut])
         model.add_rows(new)
-        tangents.extend(new)
-    return "optimal", value, z, tuple(tangents), model
+        found.append(new)
+    if len(found) > 1:
+        tangents = Tangents(*map(np.concatenate, zip(*found)))
+    return "optimal", value, z, tangents, model
 
 
 def _try_incumbent(builder: _LPBuilder, z) -> tuple[float, np.ndarray] | None:
@@ -641,16 +696,15 @@ def _try_incumbent(builder: _LPBuilder, z) -> tuple[float, np.ndarray] | None:
     ``eval_surrogate_at`` would score with the right one.
     """
     surr = builder.surr
-    x_lp = np.array([z[builder.col_x[v.name]] for v in surr.variables])
+    x_lp = z[: builder.nv].copy()
     x = x_lp.copy()
     for j, v in enumerate(surr.variables):
         if v.integer:
             x[j] = round(x[j])
         x[j] = min(max(x[j], v.lower), v.upper)
-    comp_dom = {c.var: (c.breakpoints[0], c.breakpoints[-1]) for c in surr.components}
-    idx = surr.var_index()
-    for name, (lo, hi) in comp_dom.items():
-        x[idx[name]] = min(max(x[idx[name]], lo), hi)
+    for i, lo, hi in builder.domains:
+        x[i] = min(max(x[i], lo), hi)
+    idx = builder.col_x
     for con in surr.linear_constraints:
         val = con.constant + sum(
             c * x[idx[n]] for n, c in con.coeffs.items()
@@ -667,7 +721,8 @@ def _try_incumbent(builder: _LPBuilder, z) -> tuple[float, np.ndarray] | None:
         q = int(np.argmax(ys))
         if x[i] != x_lp[i] or ys[q] < 1.0 - FRAC_TOL or lift["y"][j][q] == 1.0:
             continue  # moved, fractional, or already the knot rule's interval
-        dev = min(max(z[builder.col_dev[j, q]], 0.0), comp.widths[q])
+        width = builder.widths[builder.first[j] + q]
+        dev = min(max(z[builder.col_dev[j, q]], 0.0), width)
         value += _poly_val(comp.piece.coeffs[q], dev) - lift["sigma"][j]
     return value, x
 
@@ -721,7 +776,9 @@ def _branch(builder: _LPBuilder, node: Node, z) -> list[Node] | None:
     if best_key is None:
         return None
     j, q = best_key
-    lo, hi = _node_dev_range(surr, node, j, q)
+    lo, hi = node.dev_bounds.get(
+        (j, q), (0.0, builder.widths[builder.index[j, q]])
+    )
     dev = z[builder.col_dev[j, q]]
     m = min(max(dev, lo + 0.2 * (hi - lo)), hi - 0.2 * (hi - lo))
     left_dev = dict(node.dev_bounds)

@@ -42,6 +42,18 @@ import scipy.linalg
 
 FEAS_TOL = 1e-7  # relative primal and dual residual at convergence
 _EPS = np.finfo(float).eps
+# LAPACK's Cholesky solve, called directly: the solves are small and many,
+# and scipy.linalg.cho_solve's checks cost more than the solve
+_POTRS = scipy.linalg.get_lapack_funcs("potrs", dtype=np.float64)
+
+
+def _cho_solve(factor, b: np.ndarray) -> np.ndarray:
+    """x with A x = b from ``factor``, a ``scipy.linalg.cho_factor`` of A;
+    the bits of ``scipy.linalg.cho_solve``."""
+    x, info = _POTRS(factor[0], b, lower=factor[1])
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
+    return x
 
 
 class ConicInfeasibleError(RuntimeError):
@@ -483,10 +495,10 @@ class _Schur:
         w = self._blocks(self.D_inv, b[:nB])
         x_E = b[nB:]
         if self.T is not None:
-            y = scipy.linalg.cho_solve(self.cap, U_B.T @ w, check_finite=False)
-            x_E = scipy.linalg.cho_solve(self.T, x_E - U_E @ y, check_finite=False)
+            y = _cho_solve(self.cap, U_B.T @ w)
+            x_E = _cho_solve(self.T, x_E - U_E @ y)
             w = w - self.DiU @ (U_E.T @ x_E)
-        y = scipy.linalg.cho_solve(self.cap, U_B.T @ w, check_finite=False)
+        y = _cho_solve(self.cap, U_B.T @ w)
         return np.concatenate([w - self.DiU @ y, x_E])
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -538,7 +550,7 @@ def solve_conic(
                 i = g.index[np.argmax(bad)]
                 raise ValueError(f"blocks[{i}].mats has a NaN or infinite entry")
     Q_fact, Qr = regularised_cholesky(Q)
-    theta = scipy.linalg.cho_solve(Q_fact, -q)
+    theta = _cho_solve(Q_fact, -q)
     if not K:
         obj = 0.5 * theta @ Q @ theta + q @ theta
         return ConicSolution(theta, [], [], np.zeros(0), obj, 0.0, 0.0, 0.0, 0)
@@ -546,7 +558,7 @@ def solve_conic(
 
     def q_solve(b):
         return _refined(
-            lambda v: scipy.linalg.cho_solve(Q_fact, v, check_finite=False),
+            lambda v: _cho_solve(Q_fact, v),
             lambda v: Qr @ v,
             lambda v: abs_Qr @ v,
             b,

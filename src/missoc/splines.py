@@ -207,14 +207,15 @@ def _mul_linear(P: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def taylor_shift(coeffs: np.ndarray, c: float) -> np.ndarray:
+def taylor_shift(coeffs: np.ndarray, c) -> np.ndarray:
     """Rewrite p(x) = sum a_i x^i as sum b_i (x - c)^i via repeated synthetic
-    division (Horner shift); stable, no factorials."""
+    division (Horner shift); stable, no factorials. Stacked rows of one
+    degree, shape (m, d+1), are shifted each by its own c[i]."""
     b = np.array(coeffs, dtype=float)
-    n = len(b)
+    n = b.shape[-1]
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
-            b[j] += c * b[j + 1]
+            b[..., j] += c * b[..., j + 1]
     return b
 
 

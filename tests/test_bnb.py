@@ -29,7 +29,7 @@ from missoc.problems import (
     sample_training,
 )
 from missoc.regression import fit_additive
-from missoc.splines import PiecewisePoly
+from missoc.splines import PiecewisePoly, taylor_shift
 from missoc.surrogate import (
     LinearConstraint,
     SurrogateComponent,
@@ -248,8 +248,150 @@ class TestIntervalCuts:
                 phi = builder.deviation_poly(j, q)
                 for _ in range(5):
                     lo, hi = np.sort(rng.uniform(0.0, comp.widths[q], 2))
-                    _, convex = builder.cuts(j, q, lo, hi)
-                    assert convex == self.convex_reference(phi, lo, hi)
+                    block = builder.block(builder.index[j, q], lo, hi)
+                    assert block.convex == self.convex_reference(phi, lo, hi)
+
+
+def bernstein_bounds_reference(coeffs, lo, hi):
+    """The scalar ``bernstein_bounds``: the power -> Bernstein map as a
+    Python double loop over C(j, i) / C(n, i), each sum left to right; the
+    reference for the batched one."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    n = len(coeffs) - 1
+    if not hi >= lo:
+        raise ValueError(f"empty interval [{lo}, {hi}]")
+    if n <= 0:
+        v = coeffs[0] if len(coeffs) else 0.0
+        return float(v), float(v)
+    w = hi - lo
+    shifted = taylor_shift(coeffs, lo)
+    scaled = shifted * w ** np.arange(n + 1)
+    B = np.empty(n + 1)
+    for j in range(n + 1):
+        B[j] = sum(
+            math.comb(j, i) / math.comb(n, i) * scaled[i]
+            for i in range(j + 1)
+        )
+    return float(B.min()), float(B.max())
+
+
+def interval_cuts_reference(phi, lo, hi):
+    """The scalar ``interval_cuts``, one ``polyval`` and one ``linspace``
+    per point; the reference for the batched one."""
+    phi = np.asarray(phi, dtype=float)
+    if hi - lo <= 1e-14:
+        v = bnb._poly_val(phi, 0.5 * (lo + hi))
+        return [(0.0, v)], False
+    cuts = []
+    second = bnb._poly_der(bnb._poly_der(phi))
+    curv_lo, curv_hi = bernstein_bounds_reference(second, lo, hi)
+    scale = max(1.0, np.abs(phi).max())
+    convex = curv_lo >= -1e-12 * scale
+    if convex:
+        der = bnb._poly_der(phi)
+        for p in np.linspace(lo, hi, 5):
+            a = bnb._poly_val(der, p)
+            cuts.append((a, bnb._poly_val(phi, p) - a * p))
+    else:
+        a = (bnb._poly_val(phi, hi) - bnb._poly_val(phi, lo)) / (hi - lo)
+        b = bnb._poly_val(phi, lo) - a * lo
+        if curv_hi <= 1e-12 * scale:
+            cuts.append((a, b))
+        else:
+            over = np.zeros(max(len(phi), 2))
+            over[: len(phi)] -= phi
+            over[0] += b
+            over[1] += a
+            _, delta = bernstein_bounds_reference(over, lo, hi)
+            cuts.append((a, b - max(delta, 0.0)))
+    lo_val, _ = bernstein_bounds_reference(phi, lo, hi)
+    cuts.append((0.0, lo_val))
+    return cuts, bool(convex)
+
+
+def piece_kind(phi, lo, hi):
+    """'degenerate', 'convex', 'concave' or 'mixed': which cuts the
+    reference gives phi on [lo, hi]."""
+    if hi - lo <= 1e-14:
+        return "degenerate"
+    second = bnb._poly_der(bnb._poly_der(phi))
+    curv_lo, curv_hi = bernstein_bounds_reference(second, lo, hi)
+    scale = max(1.0, np.abs(phi).max())
+    if curv_lo >= -1e-12 * scale:
+        return "convex"
+    return "concave" if curv_hi <= 1e-12 * scale else "mixed"
+
+
+def bits(values):
+    """Float values as their bit patterns: equal only when every bit is,
+    signed zeros included."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def random_pieces(rng, degree, count):
+    """``count`` deviation polynomials of one degree with ranges: convex,
+    concave and mixed pieces, ranges from lo = 0 and lo != 0, of width 1e-14
+    or less (some exactly 0), and signed zero coefficients."""
+    phis, los, his = [], [], []
+    for t in range(count):
+        phi = rng.normal(size=degree + 1) * 10.0 ** rng.integers(-3, 3)
+        if degree >= 2 and t % 3 < 2:
+            # convex (t % 3 == 0) or concave: the curvature of one sign
+            phi[2:] = np.abs(phi[2:]) * 1e-3
+            phi[2] = abs(phi[2]) * 1e3
+            if t % 3 == 1:
+                phi = -phi
+        phi[0] = 0.0 if t % 2 else phi[0]
+        if t % 5 == 0:
+            phi[rng.integers(0, degree + 1)] = -0.0
+        lo = 0.0 if t % 4 == 0 else (-0.0 if t % 4 == 1 else rng.uniform(-1, 1))
+        width = rng.choice([0.0, 1e-15, 1e-14, rng.uniform(1e-6, 2.0)]) \
+            if t % 6 == 0 else rng.uniform(1e-3, 2.0)
+        phis.append(phi)
+        los.append(lo)
+        his.append(lo + width)
+    return np.array(phis), np.array(los), np.array(his)
+
+
+class TestBatchedCuts:
+    """The stacked ``interval_cuts`` and ``bernstein_bounds`` give every row
+    the bits of the scalar references on that row alone."""
+
+    @pytest.mark.parametrize("degree", range(6))
+    def test_bernstein_bounds_rows_equal_scalar_reference(self, degree):
+        rng = np.random.default_rng(100 + degree)
+        phis, los, his = random_pieces(rng, degree, 200)
+        low, high = bernstein_bounds(phis, los, his)
+        want = [bernstein_bounds_reference(*case) for case in zip(phis, los, his)]
+        assert bits(low) == bits([w[0] for w in want])
+        assert bits(high) == bits([w[1] for w in want])
+        for case, w in zip(zip(phis, los, his), want):
+            assert bits(bernstein_bounds(*case)) == bits(w)
+
+    @pytest.mark.parametrize("degree", range(6))
+    def test_interval_cuts_rows_equal_scalar_reference(self, degree):
+        rng = np.random.default_rng(200 + degree)
+        phis, los, his = random_pieces(rng, degree, 200)
+        row, a, b, convex = interval_cuts(phis, los, his)
+        kinds = set()
+        for r, case in enumerate(zip(phis, los, his)):
+            cuts, want_convex = interval_cuts_reference(*case)
+            mine = row == r
+            assert bits(a[mine]) == bits([c[0] for c in cuts])
+            assert bits(b[mine]) == bits([c[1] for c in cuts])
+            assert convex[r] == want_convex
+            # the scalar call is a one-row batch
+            got, got_convex = interval_cuts(*case)
+            assert bits(got) == bits(cuts) and got_convex == want_convex
+            kinds.add(piece_kind(*case))
+        # phi'' is constant below degree 3, so no piece there is mixed, and
+        # 0 below degree 2, so every piece there is convex
+        want = ["degenerate", "convex", "concave", "mixed"][: min(max(degree, 1) + 1, 4)]
+        assert kinds == set(want)
+
+    def test_stacked_rows_raise_on_an_empty_range(self):
+        with pytest.raises(ValueError, match="empty interval"):
+            bernstein_bounds(np.ones((3, 3)), [0.0, 0.0, 1.0], [1.0, 1.0, 0.5])
 
 
 CONVEX_2D = (
@@ -529,6 +671,52 @@ def model_rows(model):
     return matrix, np.array(lp.row_lower_), np.array(lp.row_upper_)
 
 
+def highs_lp_model(builder, lower, upper, rows):
+    """The node LP built through ``HighsLp`` attribute copies and passed as
+    that object: the reference for ``_NodeLP``'s numpy ``passModel``."""
+    f_lower, f_upper, f_starts, f_index, f_value = builder.fixed
+    n_lower, n_upper, n_starts, n_index, n_value = rows.arrays()
+    lp = bnb.highs.HighsLp()
+    lp.num_col_ = builder.ncols
+    lp.num_row_ = len(f_lower) + len(n_lower)
+    lp.col_cost_ = builder.obj
+    lp.col_lower_ = lower
+    lp.col_upper_ = upper
+    lp.row_lower_ = np.concatenate([f_lower, n_lower])
+    lp.row_upper_ = np.concatenate([f_upper, n_upper])
+    matrix = lp.a_matrix_
+    matrix.format_ = bnb.highs.MatrixFormat.kRowwise
+    matrix.num_col_ = lp.num_col_
+    matrix.num_row_ = lp.num_row_
+    matrix.start_ = np.concatenate([f_starts, len(f_index) + n_starts[1:]])
+    matrix.index_ = np.concatenate([f_index, n_index])
+    matrix.value_ = np.concatenate([f_value, n_value])
+    model = bnb.highs._Highs()
+    model.setOptionValue("output_flag", False)
+    dual = bnb.highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    model.setOptionValue("simplex_strategy", dual)
+    assert model.passModel(lp) == bnb.highs.HighsStatus.kOk
+    return model
+
+
+def lp_fields(obj, prefix=""):
+    """Every public data field of a HiGHS object, recursing into the ones
+    that have fields (the matrix), as name -> value."""
+    out = {}
+    for name in dir(obj):
+        if name.startswith("_"):
+            continue
+        value = getattr(obj, name)
+        if callable(value) and not isinstance(value, (list, np.ndarray)):
+            continue
+        if type(value).__module__.startswith("scipy.optimize._highspy") and not \
+                isinstance(value, (bnb.highs.ObjSense, bnb.highs.MatrixFormat)):
+            out.update(lp_fields(value, prefix + name + "."))
+        else:
+            out[prefix + name] = value
+    return out
+
+
 class TestNodeLP:
     @pytest.mark.parametrize("name", SHIPPED)
     def test_sparse_rows_equal_dense_rows(self, name):
@@ -552,6 +740,77 @@ class TestNodeLP:
             # no explicit zeros: HiGHS gets the matrix the dense rows give
             assert np.all(matrix.data != 0.0)
 
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_numpy_model_equals_highs_lp_model(self, name):
+        """Every field of the model HiGHS holds is the one the ``HighsLp``
+        build gives; the only difference is integrality, all continuous
+        against none, and HiGHS solves both as an LP."""
+        surr = shipped_surrogate(name)
+        builder = bnb._LPBuilder(surr, 1e-4)
+        compared = 0
+        for node in (Node(0, -math.inf, {}, {}, {}), branched_node(surr)):
+            lower, upper, rows, _, _, _ = bnb._node_lp(builder, node)
+            got = bnb._NodeLP(builder, lower, upper, rows).model
+            want = highs_lp_model(builder, lower, upper, rows)
+            got_fields = lp_fields(got.getLp())
+            want_fields = lp_fields(want.getLp())
+            assert got_fields.keys() == want_fields.keys()
+            continuous = bnb.highs.HighsVarType.kContinuous
+            assert list(got_fields.pop("integrality_")) == [continuous] * builder.ncols
+            assert list(want_fields.pop("integrality_")) == []
+            for key, value in want_fields.items():
+                if isinstance(value, (list, np.ndarray)):
+                    assert bits(got_fields[key]) == bits(value), key
+                else:
+                    assert got_fields[key] == value, key
+                compared += 1
+            for model in (got, want):
+                assert model.run() == bnb.highs.HighsStatus.kOk
+                assert model.getModelStatus() == bnb.highs.HighsModelStatus.kOptimal
+                # no branch-and-bound node: HiGHS ran its LP solver
+                assert model.getInfo().mip_node_count == -1
+            assert got.getInfo().simplex_iteration_count == (
+                want.getInfo().simplex_iteration_count
+            )
+            assert bits(got.getSolution().col_value) == bits(
+                want.getSolution().col_value
+            )
+        assert compared >= 2 * 15
+
+    def test_child_computes_cuts_only_for_its_overrides(self, monkeypatch):
+        """The root's cut blocks come from one ``interval_cuts`` call per
+        component when the builder is made; a node below computes cuts only
+        for the intervals it overrides, once per range."""
+        surr = random_surrogate(1)
+        calls = []
+        cuts = bnb.interval_cuts
+
+        def spy(phi, lo, hi):
+            calls.append((np.shape(phi), list(np.atleast_1d(lo)),
+                          list(np.atleast_1d(hi))))
+            return cuts(phi, lo, hi)
+
+        monkeypatch.setattr(bnb, "interval_cuts", spy)
+        builder = bnb._LPBuilder(surr, 1e-4)
+        assert [c[0] for c in calls] == [comp.piece.coeffs.shape
+                                         for comp in surr.components]
+        calls.clear()
+        root = Node(0, -math.inf, {}, {}, {})
+        status, _, z, tangents, _ = bnb.relax_node(builder, root)
+        assert status == "optimal" and calls == []
+        w = surr.components[1].widths[2]
+        child = Node(1, -math.inf, {(0, 1): 0, (0, 3): 1},
+                     {(1, 2): (0.25 * w, 0.5 * w)}, {}, tangents)
+        bnb.relax_node(builder, child)
+        # (0, 3) is fixed on and keeps its full range; (0, 1) is fixed off
+        assert sorted(calls) == sorted([
+            ((1, 4), [0.0], [0.0]),
+            ((1, 4), [0.25 * w], [0.5 * w]),
+        ])
+        calls.clear()
+        bnb.relax_node(builder, child)
+        assert calls == []
+
     def test_interval_cuts_cache_is_per_builder(self):
         # same boxes and knots, so both builders look up the same keys
         wavy = surrogate_for(parse_instance(WAVY_2D), intervals=8)
@@ -563,7 +822,15 @@ class TestNodeLP:
                     phi = comp.piece.coeffs[q].copy()
                     phi[0] = 0.0
                     w = comp.widths[q]
-                    assert builder.cuts(j, q, 0.0, w) == interval_cuts(phi, 0.0, w)
+                    cuts, convex_there = interval_cuts(phi, 0.0, w)
+                    a, b = np.array(cuts).T
+                    i = builder.index[j, q]
+                    block = builder.block(i, 0.0, w)
+                    assert block.convex == convex_there
+                    for got, want in zip(
+                        block.rows, builder.cut_rows(np.full(len(a), i), a, b)
+                    ):
+                        np.testing.assert_array_equal(got, want)
 
     def test_two_surrogates_in_one_process_match_each_alone(self):
         def summary(report):
@@ -689,7 +956,8 @@ class TestTangentPool:
             if status != "optimal":
                 continue
             # the node's own tangents too: they are its children's pool
-            for j, q, a, b in pool:
+            for i, a, b in zip(*pool):
+                j, q = builder.intervals[i]
                 assert node.y_fixed.get((j, q)) != 0
                 lo, hi = node.dev_bounds.get(
                     (j, q), (0.0, surr.components[j].widths[q])
@@ -730,13 +998,13 @@ class TestTangentPool:
             first_pooled = values[0]
             values.clear()
             plain = bnb.relax_node(
-                builder, dataclasses.replace(node, tangents=())
+                builder, dataclasses.replace(node, tangents=bnb.NO_TANGENTS)
             )
             assert (pooled[0], pooled[1]) == (status, bound)
             assert plain[0] == status
             if status != "optimal":
                 continue
-            inherited += bool(node.tangents)
+            inherited += bool(len(node.tangents.index))
             scale = max(1.0, abs(bound))
             # the pool's rows only add to the plain first LP, and Kelley
             # rounds only add rows (to HiGHS's 1e-7 feasibility tolerance);
@@ -1047,21 +1315,24 @@ def relax_node_per_key(builder, node):
     surr = builder.surr
     lp = bnb._node_lp(builder, node)
     if lp is None:
-        return "infeasible", math.inf, None, (), None
-    lower, upper, rows, start, convex_keys, tangents = lp
+        return "infeasible", math.inf, None, bnb.NO_TANGENTS, None
+    lower, upper, rows, start, kelley, tangents = lp
     model = bnb._NodeLP(builder, lower, upper, rows, start)
+    found = [tangents]
     prev = -math.inf
     for rnd in range(bnb.KELLEY_CAP):
         status, fun, z = model.solve()
         builder.lp_solves += 1
         if status == "infeasible":
-            return "infeasible", math.inf, None, (), None
+            return "infeasible", math.inf, None, bnb.NO_TANGENTS, None
         value = fun + surr.constant
         if value - prev <= builder.progress_tol * max(1.0, abs(value)):
             break
         prev = value
         new = []
-        for j, q, phi in convex_keys:
+        for i in kelley.tolist():
+            j, q = builder.intervals[i]
+            phi = builder.deviation_poly(j, q)
             y = z[builder.col_y[j, q]]
             dev = z[builder.col_dev[j, q]]
             c0 = surr.components[j].piece.coeffs[q][0]
@@ -1071,15 +1342,18 @@ def relax_node_per_key(builder, node):
             col = builder.col_dev[j, q]
             dev = min(max(dev, lower[col]), upper[col])
             a = bnb._poly_val(bnb._poly_der(phi), dev)
-            new.append((j, q, a, bnb._poly_val(phi, dev) - a * dev))
+            new.append((i, a, bnb._poly_val(phi, dev) - a * dev))
         if not new:
             break
         if rnd == bnb.KELLEY_CAP - 1:
             builder.kelley_cap_hits += 1
             break
+        index, a, b = zip(*new)
+        new = bnb.Tangents(np.array(index), np.array(a), np.array(b))
         model.add_rows(new)
-        tangents.extend(new)
-    return "optimal", value, z, tuple(tangents), model
+        found.append(new)
+    tangents = bnb.Tangents(*map(np.concatenate, zip(*found)))
+    return "optimal", value, z, tangents, model
 
 
 class TestKelleyEvaluation:

@@ -479,6 +479,25 @@ class TestCentering:
         assert sol.rel_gap <= 100 * 1e-7
 
 
+class TestCholeskySolve:
+    @pytest.mark.parametrize("order", [1, 20, 80, 260])
+    @pytest.mark.parametrize("rhs", [None, 1, 3])
+    def test_potrs_equals_cho_solve_bitwise(self, order, rhs):
+        """The direct LAPACK solve gives the bits of scipy's cho_solve, for
+        a vector and for 1 and 3 right-hand-side columns."""
+        rng = np.random.default_rng(order)
+        factor = scipy.linalg.cho_factor(
+            random_spd(rng, 1, order, log_cond=6.0)[0], lower=True
+        )
+        b = rng.normal(size=order if rhs is None else (order, rhs))
+        b_in = b.copy()
+        got = conic._cho_solve(factor, b)
+        want = scipy.linalg.cho_solve(factor, b, check_finite=False)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert b.tobytes() == b_in.tobytes()  # b is not overwritten
+
+
 class TestStructuredSchur:
     """The structured Schur solve against the dense path it replaced.
 
