@@ -3,17 +3,19 @@
 A small infix language over {+, -, *, /, ^, exp, log, sqrt, sin, cos} with a
 recursive-descent parser that reports line/column positions on errors.
 
-``evaluate`` walks a tree at one point with Python floats; ``evaluate_block``
-walks it once for a block of points, with numpy array ops for ``+ - * /`` and
-the same ``math`` functions and float power element by element (numpy's own
-may differ in the last bit), and masks the points where ``evaluate`` raises.
-``gradient`` is vector forward mode (Griewank & Walther 2008): one sweep with
-a unit-vector ``Dual.dot`` per variable, each element computed as that
-variable's own sweep would compute it.
+Each tree is compiled once into a postorder tape (``Expr.tape``), and all
+arithmetic runs off it in one forward loop. ``evaluate`` runs it at one
+point with Python floats; ``evaluate_block`` runs it once for a block of
+points, with numpy array ops for ``+ - * /`` and the same ``math`` functions
+and float power element by element (numpy's own may differ in the last bit),
+and masks the points where ``evaluate`` raises. ``gradient`` is reverse mode
+(Griewank & Walther 2008): the forward loop, then one sweep back over the
+tape, whatever the number of variables.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -53,6 +55,11 @@ class Expr:
 
     def __neg__(self):
         return BinOp("-", Const(0.0), self)
+
+    @functools.cached_property
+    def tape(self) -> tuple:
+        """The tree compiled once into a postorder tape (see ``_compile``)."""
+        return _compile(self)
 
 
 @dataclass(frozen=True)
@@ -259,7 +266,38 @@ def parse_expr(text: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and forward-mode differentiation
+# Tapes: evaluation and reverse-mode differentiation
+
+
+def _compile(expr: Expr) -> tuple:
+    """The postorder tape of ``expr``: one ``(op, a, b)`` entry per node, each
+    filling the slot of its own index. ``op`` is "const" (``a`` the value),
+    "var" (``a`` the name), a function (``a`` the argument's slot) or one of
+    ``+ - * / ^`` (``a``, ``b`` the operands' slots); the last slot is the
+    value of the whole tree."""
+    tape = []
+
+    def emit(e) -> int:
+        if isinstance(e, Const):
+            tape.append(("const", e.value, None))
+        elif isinstance(e, Var):
+            tape.append(("var", e.name, None))
+        elif isinstance(e, BinOp):
+            tape.append((e.op, emit(e.left), emit(e.right)))
+        elif isinstance(e, Call):
+            tape.append((e.fn, emit(e.arg), None))
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        return len(tape) - 1
+
+    emit(expr)
+    return tuple(tape)
+
+
+def _power(a: float, b: float) -> float:
+    if isinstance(a, float) and a < 0 and float(b) != int(b):
+        raise ValueError(f"negative base {a} with fractional exponent {b}")
+    return a**b
 
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -270,91 +308,30 @@ _FN_FLOAT = {
     "sin": math.sin,
     "cos": math.cos,
 }
+_FLOAT_OPS = {**_OPS, "^": _power, **_FN_FLOAT}
 
 
-@dataclass(frozen=True)
-class Dual:
-    """First-order dual number a + b eps for forward-mode differentiation;
-    ``dot`` is a float or an array holding one derivative per direction."""
-
-    val: float
-    dot: float | np.ndarray
-
-    def __add__(self, o):
-        return Dual(self.val + o.val, self.dot + o.dot)
-
-    def __sub__(self, o):
-        return Dual(self.val - o.val, self.dot - o.dot)
-
-    def __mul__(self, o):
-        return Dual(self.val * o.val, self.dot * o.val + self.val * o.dot)
-
-    def __truediv__(self, o):
-        return Dual(
-            self.val / o.val,
-            (self.dot * o.val - self.val * o.dot) / (o.val * o.val),
-        )
-
-    def __pow__(self, o):
-        c, v = o.val, self.val**o.val
-        # per direction: where the exponent's dot is zero, d/dx x^c =
-        # c x^(c-1), valid for x <= 0 too when c is a nonnegative integer;
-        # elsewhere the general rule
-        fixed = np.equal(o.dot, 0.0)
-        dot = 0.0
-        if fixed.any():
-            if self.val == 0.0:
-                g = 0.0 if c > 1 else (c if c == 1 else math.inf)
-            else:
-                g = c * self.val ** (c - 1)
-            dot = _chain(g, self.dot)
-        if not fixed.all():
-            general = v * (o.dot * math.log(self.val) + c * self.dot / self.val)
-            dot = np.where(fixed, dot, general)
-        return Dual(v, dot)
-
-
-def _chain(factor: float, dot):
-    """factor * dot, and 0 where dot is 0 even when the factor is infinite."""
-    if math.isfinite(factor):
-        return factor * dot
-    return np.multiply(factor, dot, out=np.zeros(np.shape(dot)),
-                       where=np.not_equal(dot, 0.0))
-
-
-_FN_DUAL = {
-    "exp": lambda d: Dual(math.exp(d.val), math.exp(d.val) * d.dot),
-    "log": lambda d: Dual(math.log(d.val), d.dot / d.val),
-    "sqrt": lambda d: Dual(
-        math.sqrt(d.val),
-        d.dot / (2.0 * math.sqrt(d.val)) if d.val > 0 else _chain(math.inf, d.dot),
-    ),
-    "sin": lambda d: Dual(math.sin(d.val), math.cos(d.val) * d.dot),
-    "cos": lambda d: Dual(math.cos(d.val), -math.sin(d.val) * d.dot),
-}
+def _forward(tape, env, ops) -> list:
+    """The value of every slot of ``tape``, with ``ops`` mapping each operator
+    and function to its arithmetic."""
+    v = []
+    for op, a, b in tape:
+        if op == "const":
+            v.append(a)
+        elif op == "var":
+            try:
+                v.append(env[a])
+            except KeyError:
+                raise KeyError(f"unbound variable {a!r}") from None
+        elif b is None:
+            v.append(ops[op](v[a]))
+        else:
+            v.append(ops[op](v[a], v[b]))
+    return v
 
 
 def evaluate(expr: Expr, env: dict[str, float]) -> float:
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise KeyError(f"unbound variable {expr.name!r}") from None
-    if isinstance(expr, BinOp):
-        a = evaluate(expr.left, env)
-        b = evaluate(expr.right, env)
-        return _power(a, b) if expr.op == "^" else _OPS[expr.op](a, b)
-    if isinstance(expr, Call):
-        return _FN_FLOAT[expr.fn](evaluate(expr.arg, env))
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def _power(a: float, b: float) -> float:
-    if isinstance(a, float) and a < 0 and float(b) != int(b):
-        raise ValueError(f"negative base {a} with fractional exponent {b}")
-    return a**b
+    return _forward(expr.tape, env, _FLOAT_OPS)[-1]
 
 
 def evaluate_block(expr: Expr, env: dict[str, np.ndarray]):
@@ -368,21 +345,9 @@ def evaluate_block(expr: Expr, env: dict[str, np.ndarray]):
     bad = np.zeros(shape, dtype=bool)
     bad_flat = bad.reshape(-1)
 
-    def walk(e):
-        if isinstance(e, Const):
-            return np.float64(e.value)
-        if isinstance(e, Var):
-            return env[e.name]
-        if isinstance(e, BinOp):
-            a, b = walk(e.left), walk(e.right)
-            if e.op == "^":
-                return elementwise(_power, a, b)
-            if e.op == "/":
-                np.logical_or(bad, np.equal(b, 0.0), out=bad)
-            return _OPS[e.op](a, b)
-        if isinstance(e, Call):
-            return elementwise(_FN_FLOAT[e.fn], walk(e.arg))
-        raise TypeError(f"not an expression node: {e!r}")
+    def divide(a, b):
+        np.logical_or(bad, np.equal(b, 0.0), out=bad)
+        return np.true_divide(a, b)
 
     def elementwise(fn, *args):
         columns = [np.broadcast_to(a, shape).ravel().tolist() for a in args]
@@ -395,50 +360,83 @@ def evaluate_block(expr: Expr, env: dict[str, np.ndarray]):
                 bad_flat[i] = True
         return np.array(out).reshape(shape)
 
+    # + - * / as array ops; ^ and the functions element by element
+    ops = {**{op: functools.partial(elementwise, fn) for op, fn in _FLOAT_OPS.items()},
+           **_OPS, "/": divide}
     with np.errstate(all="ignore"):
-        values = np.broadcast_to(walk(expr), shape).copy()
+        values = np.broadcast_to(_forward(expr.tape, env, ops)[-1], shape).copy()
     return values, bad
 
 
-def _eval_dual(expr: Expr, env: dict[str, Dual]) -> Dual:
-    if isinstance(expr, Const):
-        return Dual(expr.value, 0.0)
-    if isinstance(expr, Var):
-        return env[expr.name]
-    if isinstance(expr, BinOp):
-        a = _eval_dual(expr.left, env)
-        b = _eval_dual(expr.right, env)
-        return a**b if expr.op == "^" else _OPS[expr.op](a, b)
-    if isinstance(expr, Call):
-        return _FN_DUAL[expr.fn](_eval_dual(expr.arg, env))
-    raise TypeError(f"not an expression node: {expr!r}")
+def _dpow_base(x, c, v):
+    """d/dx x^c = c x^(c-1), valid for x <= 0 too for integer c >= 0."""
+    if x == 0.0:
+        return 0.0 if c > 1 else (c if c == 1 else math.inf)
+    return c * x ** (c - 1)
 
 
-def gradient(expr: Expr, env: dict[str, float], names=None) -> dict[str, float]:
-    """Forward-mode gradient with respect to the given names (default: all
-    bound variables), in one sweep with a unit-vector dot per name."""
+# per op, the partial derivative with respect to each operand, as a function
+# of (first operand, second operand or None, value)
+_PARTIALS = {
+    "+": (lambda x, y, v: 1.0, lambda x, y, v: 1.0),
+    "-": (lambda x, y, v: 1.0, lambda x, y, v: -1.0),
+    "*": (lambda x, y, v: y, lambda x, y, v: x),
+    "/": (lambda x, y, v: 1.0 / y, lambda x, y, v: -v / y),
+    "^": (_dpow_base, lambda x, y, v: v * math.log(x)),
+    "exp": (lambda x, y, v: v,),
+    "log": (lambda x, y, v: 1.0 / x,),
+    "sqrt": (lambda x, y, v: 1.0 / (2.0 * v) if x > 0 else math.inf,),
+    "sin": (lambda x, y, v: math.cos(x),),
+    "cos": (lambda x, y, v: -math.sin(x),),
+}
+
+
+def gradient(expr: Expr, env: dict[str, float], names=None):
+    """``(value, {name: derivative})`` of ``expr`` at one point, with respect
+    to the given names (default: all bound variables), from one forward pass
+    and one reverse sweep over the tape (reverse mode; Griewank & Walther
+    2008).
+
+    Only slots that depend on a given name take adjoints, so a partial is
+    computed only where such a name needs it: ``(x - 1)^n`` at x = 0.5 has
+    a derivative in x, although none in n (``log`` of a negative base). An
+    adjoint times a partial counts only where both are nonzero, so an
+    infinite partial stays in its own coordinate: ``sqrt(x) + y^2`` at
+    (0, 1) gives (inf, 2), and ``sqrt(x)*0`` at 0 gives 0. Raises where
+    ``evaluate`` does, or where a needed partial does."""
+    tape = expr.tape
     if names is None:
         names = sorted(variables_of(expr) & set(env))
-    unit = dict(zip(names, np.eye(len(names))))
-    dual_env = {k: Dual(float(v), unit.get(k, 0.0)) for k, v in env.items()}
-    # inf and nan propagate silently, as with Python floats
-    with np.errstate(all="ignore"):
-        dot = _eval_dual(expr, dual_env).dot
-    if np.ndim(dot) == 0:  # no seeded variable reached the result
-        dot = np.full(len(names), dot)
-    return dict(zip(names, dot.tolist()))
+    values = _forward(tape, env, _FLOAT_OPS)
+    wanted = set(names)
+    live = []  # whether each slot depends on a wanted name
+    for op, a, b in tape:
+        if op == "var":
+            live.append(a in wanted)
+        else:
+            live.append(op != "const" and (live[a] or (b is not None and live[b])))
+    adjoint = [0.0] * len(tape)
+    adjoint[-1] = 1.0
+    grad = dict.fromkeys(names, 0.0)
+    for i in range(len(tape) - 1, -1, -1):
+        w = adjoint[i]
+        if w == 0.0 or not live[i]:
+            continue
+        op, a, b = tape[i]
+        if op == "var":
+            grad[a] += w
+            continue
+        x, y = values[a], None if b is None else values[b]
+        for slot, partial in zip((a, b), _PARTIALS[op]):
+            if live[slot]:
+                d = partial(x, y, values[i])
+                if d != 0.0:
+                    adjoint[slot] += w * d
+    return values[-1], grad
 
 
 def variables_of(expr: Expr) -> set[str]:
-    if isinstance(expr, Const):
-        return set()
-    if isinstance(expr, Var):
-        return {expr.name}
-    if isinstance(expr, BinOp):
-        return variables_of(expr.left) | variables_of(expr.right)
-    if isinstance(expr, Call):
-        return variables_of(expr.arg)
-    raise TypeError(f"not an expression node: {expr!r}")
+    return {a for op, a, _ in expr.tape if op == "var"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -123,7 +125,7 @@ class TestGradient:
         e = parse_expr("x*exp(y) + sin(x*y) - y^3 + sqrt(x)/(1+y^2)")
         for _ in range(25):
             env = {"x": rng.uniform(0.2, 2.0), "y": rng.uniform(0.2, 2.0)}
-            g = gradient(e, env)
+            _, g = gradient(e, env)
             h = 1e-6
             for name in ("x", "y"):
                 up = dict(env)
@@ -134,13 +136,13 @@ class TestGradient:
                 assert g[name] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
     def test_power_at_zero_base(self):
-        g = gradient(parse_expr("x^3"), {"x": 0.0})
+        _, g = gradient(parse_expr("x^3"), {"x": 0.0})
         assert g["x"] == 0.0
-        g = gradient(parse_expr("x^1"), {"x": 0.0})
+        _, g = gradient(parse_expr("x^1"), {"x": 0.0})
         assert g["x"] == 1.0
 
     def test_constant_gradient_zero(self):
-        assert gradient(parse_expr("3 + 4*2"), {"x": 1.0}, ["x"]) == {"x": 0.0}
+        assert gradient(parse_expr("3 + 4*2"), {"x": 1.0}, ["x"])[1] == {"x": 0.0}
 
     def test_one_sweep_matches_per_coordinate_sweeps(self):
         rng = np.random.default_rng(5)
@@ -152,8 +154,8 @@ class TestGradient:
             env = {"x": rng.uniform(0.1, 3.0), "y": rng.uniform(-2.0, 2.0),
                    "z": rng.uniform(0.1, 2.0), "unused": 1.0}
             names = ["x", "y", "z", "unused"]
-            swept = gradient(e, env, names)
-            single = {n: gradient(e, env, [n])[n] for n in names}
+            swept = gradient(e, env, names)[1]
+            single = {n: gradient(e, env, [n])[1][n] for n in names}
             assert [v.hex() for v in swept.values()] == [
                 v.hex() for v in single.values()
             ]
@@ -161,8 +163,206 @@ class TestGradient:
 
     @pytest.mark.parametrize("text", ["sqrt(x) + y^2", "x^0.5 + y^2"])
     def test_infinite_factor_stays_in_its_coordinate(self, text):
-        g = gradient(parse_expr(text), {"x": 0.0, "y": 1.0})
+        _, g = gradient(parse_expr(text), {"x": 0.0, "y": 1.0})
         assert g == {"x": math.inf, "y": 2.0}
+
+
+# ---------------------------------------------------------------------------
+# Reference: the recursive walker and the vector forward mode (dual numbers)
+# that the tape replaced, kept to check it against
+
+
+_REF_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+            "/": operator.truediv}
+_REF_FN = {"exp": math.exp, "log": math.log, "sqrt": math.sqrt,
+           "sin": math.sin, "cos": math.cos}
+
+
+def _ref_power(a, b):
+    if isinstance(a, float) and a < 0 and float(b) != int(b):
+        raise ValueError(f"negative base {a} with fractional exponent {b}")
+    return a**b
+
+
+def walk_evaluate(expr, env):
+    """The recursive tree walker, with Python floats."""
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Var):
+        return env[expr.name]
+    if isinstance(expr, BinOp):
+        a = walk_evaluate(expr.left, env)
+        b = walk_evaluate(expr.right, env)
+        return _ref_power(a, b) if expr.op == "^" else _REF_OPS[expr.op](a, b)
+    return _REF_FN[expr.fn](walk_evaluate(expr.arg, env))
+
+
+@dataclass(frozen=True)
+class Dual:
+    """First-order dual number a + b eps; ``dot`` is a float or an array
+    holding one derivative per direction."""
+
+    val: float
+    dot: float | np.ndarray
+
+    def __add__(self, o):
+        return Dual(self.val + o.val, self.dot + o.dot)
+
+    def __sub__(self, o):
+        return Dual(self.val - o.val, self.dot - o.dot)
+
+    def __mul__(self, o):
+        return Dual(self.val * o.val, self.dot * o.val + self.val * o.dot)
+
+    def __truediv__(self, o):
+        return Dual(
+            self.val / o.val,
+            (self.dot * o.val - self.val * o.dot) / (o.val * o.val),
+        )
+
+    def __pow__(self, o):
+        c, v = o.val, self.val**o.val
+        # per direction: where the exponent's dot is zero, d/dx x^c =
+        # c x^(c-1); elsewhere the general rule
+        fixed = np.equal(o.dot, 0.0)
+        dot = 0.0
+        if fixed.any():
+            if self.val == 0.0:
+                g = 0.0 if c > 1 else (c if c == 1 else math.inf)
+            else:
+                g = c * self.val ** (c - 1)
+            dot = _chain(g, self.dot)
+        if not fixed.all():
+            general = v * (o.dot * math.log(self.val) + c * self.dot / self.val)
+            dot = np.where(fixed, dot, general)
+        return Dual(v, dot)
+
+
+def _chain(factor, dot):
+    """factor * dot, and 0 where dot is 0 even when the factor is infinite."""
+    if math.isfinite(factor):
+        return factor * dot
+    return np.multiply(factor, dot, out=np.zeros(np.shape(dot)),
+                       where=np.not_equal(dot, 0.0))
+
+
+_FN_DUAL = {
+    "exp": lambda d: Dual(math.exp(d.val), math.exp(d.val) * d.dot),
+    "log": lambda d: Dual(math.log(d.val), d.dot / d.val),
+    "sqrt": lambda d: Dual(
+        math.sqrt(d.val),
+        d.dot / (2.0 * math.sqrt(d.val)) if d.val > 0 else _chain(math.inf, d.dot),
+    ),
+    "sin": lambda d: Dual(math.sin(d.val), math.cos(d.val) * d.dot),
+    "cos": lambda d: Dual(math.cos(d.val), -math.sin(d.val) * d.dot),
+}
+
+
+def _eval_dual(expr, env):
+    if isinstance(expr, Const):
+        return Dual(expr.value, 0.0)
+    if isinstance(expr, Var):
+        return env[expr.name]
+    if isinstance(expr, BinOp):
+        a = _eval_dual(expr.left, env)
+        b = _eval_dual(expr.right, env)
+        return a**b if expr.op == "^" else _REF_OPS[expr.op](a, b)
+    return _FN_DUAL[expr.fn](_eval_dual(expr.arg, env))
+
+
+def forward_gradient(expr, env, names):
+    """Vector forward mode: one sweep with a unit-vector dot per name."""
+    unit = dict(zip(names, np.eye(len(names))))
+    dual_env = {k: Dual(float(v), unit.get(k, 0.0)) for k, v in env.items()}
+    with np.errstate(all="ignore"):
+        dot = _eval_dual(expr, dual_env).dot
+    return dict(zip(names, np.broadcast_to(dot, len(names)).tolist()))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).hex()
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc)
+
+
+# every expression the tests above evaluate at random points, with the box
+# their variables are drawn from (wider than theirs, so some points raise)
+RANDOM_POINT_EXPRESSIONS = [
+    ("x*y + sin(x)*cos(y) - x^3/(1+y^2)", (-2.0, 2.0)),
+    ("exp(-x^2) + log(1 + y^2) + sqrt(x^2 + y^2)", (-2.0, 2.0)),
+    ("x1^2 - 3*x2 + exp(x1*x2)/(1 + x2^2)", (-1.5, 1.5)),
+    ("-x1 + sin(x2 - 0.5) * sqrt(x1 + 2)", (-3.0, 1.5)),
+    ("2^-x1 + log(x2 + 3)", (-4.0, 1.5)),
+    ("x*exp(y) + sin(x*y) - y^3 + sqrt(x)/(1+y^2)", (-0.5, 2.0)),
+    ("x^y + exp(x*z)/(1 + y^2) - log(z)*sqrt(x) + sin(x - y)*cos(z)"
+     " + (x*y)^3 - z^-2 + z^(x - y)", (-0.5, 3.0)),
+    ("exp(x) - log(y) + sqrt(y)*sin(3*x) / cos(x)^2 + x^3 - x^-2"
+     " + y^0.37 + y^x - 2*x*y + (x - y)^4", (-2.0, 5.0)),
+]
+
+
+class TestTapeAgainstReference:
+    @pytest.mark.parametrize("text, box", RANDOM_POINT_EXPRESSIONS)
+    def test_evaluate_equals_recursive_walker_bit_for_bit(self, text, box):
+        rng = np.random.default_rng(6)
+        e = parse_expr(text)
+        names = sorted(variables_of(e))
+        raised = 0
+        for _ in range(300):
+            env = dict(zip(names, rng.uniform(*box, size=len(names)).tolist()))
+            want = _outcome(walk_evaluate, e, env)
+            assert _outcome(evaluate, e, env) == want
+            raised += isinstance(want, type)
+        assert raised < 300
+
+    def test_gradient_within_rounding_of_forward_mode(self):
+        rng = np.random.default_rng(7)
+        cases = [
+            ("x*exp(y) + sin(x*y) - y^3 + sqrt(x)/(1+y^2)",
+             {"x": (0.2, 2.0), "y": (0.2, 2.0)}),
+            ("x^y + exp(x*z)/(1 + y^2) - log(z)*sqrt(x) + sin(x - y)*cos(z)"
+             " + (x*y)^3 - z^-2 + z^(x - y)",
+             {"x": (0.1, 3.0), "y": (-2.0, 2.0), "z": (0.1, 2.0)}),
+            ("exp(x) - log(y) + sqrt(y)*sin(3*x) / cos(x)^2 + x^3 - x^-2"
+             " + y^0.37 + y^x - 2*x*y + (x - y)^4",
+             {"x": (-2.0, 2.0), "y": (0.01, 5.0)}),
+        ]
+        points = 0
+        for text, boxes in cases:
+            e = parse_expr(text)
+            names = sorted(boxes)
+            for _ in range(700):
+                env = {n: rng.uniform(*boxes[n]) for n in names}
+                value, g = gradient(e, env)
+                assert value == walk_evaluate(e, env)
+                want = forward_gradient(e, env, names)
+                for n in names:
+                    assert abs(g[n] - want[n]) <= 1e-13 * max(1.0, abs(g[n]))
+                points += 1
+        assert points >= 2000
+
+
+class TestGradientTraps:
+    def test_partials_only_for_the_given_names(self):
+        # d/dn needs log(x - 1), which is undefined at x = 0.5
+        e = parse_expr("(x - 1)^n")
+        env = {"x": 0.5, "n": 2.0}
+        assert gradient(e, env, ["x"]) == (0.25, {"x": -1.0})
+        with pytest.raises(ValueError):
+            gradient(e, env, ["x", "n"])
+
+    def test_zero_factor_hides_an_infinite_partial(self):
+        e = parse_expr("sqrt(x)*0")
+        assert gradient(e, {"x": 0.0}) == (0.0, {"x": 0.0})
+        # forward mode carried inf * 0 into the product
+        assert math.isnan(forward_gradient(e, {"x": 0.0}, ["x"])["x"])
+
+    def test_infinite_adjoint_times_zero_partial_counts_nothing(self):
+        e = parse_expr("sqrt(x*y)")
+        env = {"x": 0.0, "y": 1.0}
+        assert gradient(e, env) == (0.0, {"x": math.inf, "y": 0.0})
+        assert forward_gradient(e, env, ["x", "y"]) == gradient(e, env)[1]
 
 
 def reference_block(expr, env):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from missoc import expressions
 from missoc.localsearch import refine
 from missoc.problems import parse_instance
 
@@ -132,3 +133,31 @@ class TestRefine:
         start = [np.pi]  # global minimum of cos on the box
         res = refine(inst, start)
         assert res.objective <= inst.objective_value(start) + 1e-9
+
+
+def test_each_tree_compiled_once_per_refine(monkeypatch):
+    # one instance of the cont_spatial kind: six coupled nonconvex
+    # coordinates, started outside the constraints so several
+    # multiplier rounds run
+    compiled = []  # holds the trees, so no id is reused
+    compile_ = expressions._compile
+
+    def spy(expr):
+        compiled.append(expr)
+        return compile_(expr)
+
+    monkeypatch.setattr(expressions, "_compile", spy)
+    terms = " + ".join(
+        f"sin({a}*x{j}) + 0.5*(x{j} - 1)^2"
+        for j, a in enumerate((4.0, 5.0, 3.5, 4.5, 5.5, 3.8))
+    )
+    inst = parse_instance(
+        "".join(f"var x{j} in [0, 2];" for j in range(6)) + f"min {terms};"
+        "st x0 + x1 <= 2.4; st x2 + x3 <= 2.0; st x4 + x5 <= 2.6;"
+    )
+    res = refine(inst, [1.3] * 6)
+    assert res.converged and res.iterations > 10
+    ids = [id(e) for e in compiled]
+    assert len(set(ids)) == len(ids)
+    for tree in [inst.objective] + [c.expr for c in inst.constraints]:
+        assert id(tree) in ids
