@@ -19,12 +19,14 @@ its children (a cut pool in the sense of Achterberg 2007): a tangent of a
 piece convex on a range underestimates it on every sub-range, so it holds
 in all descendants.
 
-Everything that does not depend on the node is built once per solve
-(``_LPBuilder``): the rows as row-wise arrays, the default column bounds,
-every interval's cut block on its full range (one batched ``interval_cuts``
-call per component) and the Kelley tables. A node copies the defaults and
-touches only the intervals it overrides; their cut blocks are cached per
-(interval, deviation range). Tangents travel as arrays (``Tangents``).
+A node is its LP's column bounds (Achterberg 2007): two read-only arrays,
+shared by children where branching leaves them unchanged. Fixing an
+interval off pins its y, dev and sp to 0; choosing one sets its y to 1 and
+fixes its component's other intervals off. Everything else is built once
+per solve (``_LPBuilder``): the rows as row-wise arrays, the root's bounds,
+every interval's cut block on its full range (one ``interval_cuts`` call
+per component) and the Kelley tables. Cut blocks of narrower deviation
+ranges are cached per (interval, range); tangents travel as ``Tangents``.
 
 Each node's LP is one HiGHS model, passed as arrays through the numpy
 ``passModel`` of scipy's bundled HiGHS bindings (``_NodeLP``). Its first
@@ -45,7 +47,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -226,18 +228,22 @@ class Tangents(NamedTuple):
 NO_TANGENTS = Tangents(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Node:
     depth: int
-    lb: float
-    y_fixed: dict  # (j, q) -> 0 or 1
-    dev_bounds: dict  # (j, q) -> (lo, hi), overriding [0, width]
-    var_bounds: dict  # name -> (lo, hi), overriding the box
+    # the node LP's column bounds, read-only: children share the arrays
+    # their branching leaves unchanged
+    lower: np.ndarray
+    upper: np.ndarray
     # Kelley tangents of the ancestors, on ranges containing this node's
     tangents: Tangents = NO_TANGENTS
     # the parent's final basis, where the node's first LP starts; None at
     # the root
     basis: _Basis | None = None
+
+    def __post_init__(self):
+        self.lower.setflags(write=False)
+        self.upper.setflags(write=False)
 
 
 @dataclass
@@ -310,20 +316,18 @@ class _LPBuilder:
         self.simplex_iterations = 0
         self.nv = len(surr.variables)
         self.col_x = {v.name: j for j, v in enumerate(surr.variables)}
-        # interval i = (j, q) owns the columns y, dev, sp at nv + 3 i + 0, 1, 2
+        # interval i = (j, q) owns the columns y, dev, sp at y_cols[i] + 0, 1,
+        # 2; component j's sigma is column j of the last p; int_cols are the
+        # integer variables' x columns
         self.intervals = [
             (j, q) for j, comp in enumerate(surr.components)
             for q in range(comp.k)
         ]
-        self.index = {key: i for i, key in enumerate(self.intervals)}
         n = len(self.intervals)
+        p = len(surr.components)
         self.y_cols = self.nv + 3 * np.arange(n)
-        self.col_y = dict(zip(self.intervals, self.y_cols.tolist()))
-        self.col_dev = {key: col + 1 for key, col in self.col_y.items()}
-        self.col_sp = {key: col + 2 for key, col in self.col_y.items()}
-        col = self.nv + 3 * n
-        self.col_sigma = {j: col + j for j in range(len(surr.components))}
-        self.ncols = col + len(surr.components)
+        self.ncols = self.nv + 3 * n + p
+        self.int_cols = np.flatnonzero([v.integer for v in surr.variables])
         # index of component j's first interval
         self.first = np.cumsum([0] + [c.k for c in surr.components])[:-1]
         comp_widths = [c.widths for c in surr.components]
@@ -339,11 +343,10 @@ class _LPBuilder:
         self.obj = np.zeros(self.ncols)
         for name, coeff in surr.linear.items():
             self.obj[self.col_x[name]] += coeff
-        for j in range(len(surr.components)):
-            self.obj[self.col_sigma[j]] += 1.0
+        self.obj[self.ncols - p :] += 1.0
         self.integrality = np.zeros(self.ncols, dtype=np.int32)  # continuous
 
-        # column bounds below the root: x in its box, y in [0, 1], dev in
+        # the root's column bounds: x in its box, y in [0, 1], dev in
         # [0, width], sp and sigma free
         self.lower = np.full(self.ncols, -np.inf)
         self.upper = np.full(self.ncols, np.inf)
@@ -368,22 +371,19 @@ class _LPBuilder:
             upper.append(up)
 
         for j, comp in enumerate(surr.components):
-            add([(self.col_y[j, q], 1.0) for q in range(comp.k)], 1.0, 1.0)
+            y = self.y_cols[self.first[j] : self.first[j] + comp.k].tolist()
+            add([(col, 1.0) for col in y], 1.0, 1.0)
             link = [(self.col_x[comp.var], 1.0)]
-            for q in range(comp.k):
-                link.append((self.col_y[j, q], -comp.breakpoints[q]))
-                link.append((self.col_dev[j, q], -1.0))
+            for col, knot in zip(y, comp.breakpoints):
+                link.append((col, -knot))
+                link.append((col + 1, -1.0))
             add(link, 0.0, 0.0)
-            add(
-                [(self.col_sigma[j], 1.0)]
-                + [(self.col_sp[j, q], -1.0) for q in range(comp.k)],
-                0.0, 0.0,
-            )
+            add([(self.ncols - p + j, 1.0)] + [(col + 2, -1.0) for col in y], 0.0, 0.0)
         for con in surr.linear_constraints:
             if con.relation == "=":
                 add(self._con_row(con), -con.constant, -con.constant)
-        for key, width in zip(self.intervals, self.widths):
-            add(((self.col_dev[key], 1.0), (self.col_y[key], -width)), 0.0)
+        for col, width in zip(self.y_cols.tolist(), self.widths):
+            add(((col + 1, 1.0), (col, -width)), 0.0)
         for con in surr.linear_constraints:
             if con.relation != "=":
                 add(self._con_row(con), -con.constant)
@@ -437,16 +437,17 @@ class _LPBuilder:
         block = self._cuts.get(key)
         if block is None:
             row, a, b, convex = interval_cuts(
-                self.deviation_poly(*self.intervals[i])[None], [lo], [hi]
+                self.deviation_poly(i)[None], [lo], [hi]
             )
             block = _CutBlock(self.cut_rows(i + row, a, b), bool(convex[0]),
                               len(self._cuts))
             self._cuts[key] = block
         return block
 
-    def deviation_poly(self, j: int, q: int) -> np.ndarray:
-        """Interval (j, q)'s polynomial in its deviation, constant dropped
-        (the constant rides on y)."""
+    def deviation_poly(self, i: int) -> np.ndarray:
+        """Interval i's polynomial in its deviation, constant dropped (the
+        constant rides on y)."""
+        j, q = self.intervals[i]
         phi = self.surr.components[j].piece.coeffs[q].copy()
         phi[0] = 0.0
         return phi
@@ -491,48 +492,30 @@ def _start_basis(builder: _LPBuilder, parent: _Basis, rows: _Rows, keep):
 
 
 def _node_lp(builder: _LPBuilder, node: Node):
-    """Column bounds lower and upper, the node's cut rows, the start basis
-    of its first LP (None for a node without a parent basis), its Kelley
-    intervals (the indices of those convex over the node range) and the
-    inherited tangents it keeps; or None when a box is empty. The builder's
-    default blocks serve every interval the node does not override."""
-    lower = builder.lower.copy()
-    upper = builder.upper.copy()
-    for name, (lo, hi) in node.var_bounds.items():
-        lower[builder.col_x[name]] = lo
-        upper[builder.col_x[name]] = hi
-    if (lower[: builder.nv] > upper[: builder.nv]).any():
+    """The node's cut rows, the start basis of its first LP (None for a node
+    without a parent basis), its Kelley intervals (the indices of those
+    convex over the node range) and the inherited tangents it keeps; or None
+    when a box is empty. The builder's default blocks serve every interval
+    whose deviation range is its full width."""
+    if (node.lower[: builder.nv] > node.upper[: builder.nv]).any():
         return None
-    ranges = dict(node.dev_bounds)
-    off = np.zeros(len(builder.intervals), dtype=bool)
-    for key, yfix in node.y_fixed.items():
-        col_y = builder.col_y[key]
-        lower[col_y] = upper[col_y] = float(yfix)
-        if yfix == 0:
-            ranges[key] = (0.0, 0.0)
-            off[builder.index[key]] = True
-            lower[col_y + 2] = upper[col_y + 2] = 0.0  # sp
+    y = builder.y_cols
+    lo, hi = node.lower[y + 1], node.upper[y + 1]
     blocks = [block.rows for block in builder.blocks]
-    ids = builder.ids.copy()
-    block_rows = builder.block_rows.copy()
+    ids, block_rows = builder.ids.copy(), builder.block_rows.copy()
     # an interval fixed off has the range [0, 0], where it is not convex
     convex = builder.convex.copy()
-    for key, (lo, hi) in ranges.items():
-        lower[builder.col_dev[key]] = lo
-        upper[builder.col_dev[key]] = hi
-        i = builder.index[key]
-        block = builder.block(i, lo, hi)
+    for i in np.flatnonzero((lo != 0.0) | (hi != builder.widths)).tolist():
+        block = builder.block(i, float(lo[i]), float(hi[i]))
         blocks[i], ids[i], convex[i] = block.rows, block.id, block.convex
         block_rows[i] = len(block.rows[0])
     rows = _Rows(blocks, ids, block_rows)
     # on an interval fixed off y, dev and sp are 0, so its tangents are void
-    keep = ~off[node.tangents.index]
+    keep = node.upper[y[node.tangents.index]] != 0.0
     tangents = Tangents(*(t[keep] for t in node.tangents))
     rows.blocks.append(builder.cut_rows(*tangents))
-    start = None
-    if node.basis is not None:
-        start = _start_basis(builder, node.basis, rows, keep)
-    return lower, upper, rows, start, np.flatnonzero(convex), tangents
+    start = None if node.basis is None else _start_basis(builder, node.basis, rows, keep)
+    return rows, start, np.flatnonzero(convex), tangents
 
 
 class LPError(RuntimeError):
@@ -645,12 +628,11 @@ def relax_node(builder: _LPBuilder, node: Node):
     max(1, |value|)), when no tangent was added, or after KELLEY_CAP
     solves. Each stop leaves a relaxation, so the bound is sound.
     """
-    surr = builder.surr
     lp = _node_lp(builder, node)
     if lp is None:
         return "infeasible", math.inf, None, NO_TANGENTS, None
-    lower, upper, rows, start, kelley, tangents = lp
-    model = _NodeLP(builder, lower, upper, rows, start)
+    rows, start, kelley, tangents = lp
+    model = _NodeLP(builder, node.lower, node.upper, rows, start)
     # the Kelley intervals' rows of the builder's tables; P stacks phi (at
     # dev), phi and phi' (at the clamp)
     col_y, c0 = builder.y_cols[kelley], builder.c0[kelley]
@@ -662,14 +644,14 @@ def relax_node(builder: _LPBuilder, node: Node):
         builder.lp_solves += 1
         if status == "infeasible":
             return "infeasible", math.inf, None, NO_TANGENTS, None
-        value = fun + surr.constant
+        value = fun + builder.surr.constant
         if value - prev <= builder.progress_tol * max(1.0, abs(value)):
             break
         prev = value
         y, dev, sp = z[col_y], z[col_y + 1], z[col_y + 2]
         # the LP point may leave the range by HiGHS's tolerance; a tangent
         # is valid on the range only at a point inside it
-        at = np.minimum(np.maximum(dev, lower[col_y + 1]), upper[col_y + 1])
+        at = np.minimum(np.maximum(dev, node.lower[col_y + 1]), node.upper[col_y + 1])
         val, val_at, a = _horner(P, np.concatenate([dev, at, at])).reshape(3, -1)
         gap = c0 * y + val - sp
         cut = ~(gap <= 1e-10 * np.maximum(1.0, np.abs(sp)))  # NaN gaps cut
@@ -717,88 +699,76 @@ def _try_incumbent(builder: _LPBuilder, z) -> tuple[float, np.ndarray] | None:
     value, lift = eval_surrogate_at(surr, x)
     for j, comp in enumerate(surr.components):
         i = idx[comp.var]
-        ys = [z[builder.col_y[j, q]] for q in range(comp.k)]
-        q = int(np.argmax(ys))
-        if x[i] != x_lp[i] or ys[q] < 1.0 - FRAC_TOL or lift["y"][j][q] == 1.0:
+        y = builder.y_cols[builder.first[j] : builder.first[j] + comp.k]
+        q = int(np.argmax(z[y]))
+        if x[i] != x_lp[i] or z[y[q]] < 1.0 - FRAC_TOL or lift["y"][j][q] == 1.0:
             continue  # moved, fractional, or already the knot rule's interval
         width = builder.widths[builder.first[j] + q]
-        dev = min(max(z[builder.col_dev[j, q]], 0.0), width)
+        dev = min(max(z[y[q] + 1], 0.0), width)
         value += _poly_val(comp.piece.coeffs[q], dev) - lift["sigma"][j]
     return value, x
 
 
-def _branch(builder: _LPBuilder, node: Node, z) -> list[Node] | None:
-    """Children of the node, or None when the LP point is branch-free."""
-    surr = builder.surr
-
-    best_frac, best_key = FRAC_TOL, None
-    for key, col in builder.col_y.items():
-        if key in node.y_fixed:
-            continue
-        frac = min(z[col], 1.0 - z[col])
-        if frac > best_frac:
-            best_frac, best_key = frac, key
-    if best_key is not None:
-        off = dict(node.y_fixed)
-        off[best_key] = 0
-        return [
-            Node(node.depth + 1, node.lb, fixed, node.dev_bounds,
-                 node.var_bounds)
-            for fixed in (off, _choose_interval(surr, node.y_fixed, *best_key))
-        ]
-
-    for v in surr.variables:
-        if not v.integer:
-            continue
-        xv = z[builder.col_x[v.name]]
-        if abs(xv - round(xv)) > FRAC_TOL:
-            lo, hi = node.var_bounds.get(v.name, (v.lower, v.upper))
-            children = []
-            for new in ((lo, math.floor(xv)), (math.ceil(xv), hi)):
-                vb = dict(node.var_bounds)
-                vb[v.name] = (float(new[0]), float(new[1]))
-                children.append(
-                    Node(node.depth + 1, node.lb, node.y_fixed,
-                         node.dev_bounds, vb)
-                )
-            return children
-
-    best_gap, best_key = 1e-9, None
-    for (j, q), col in builder.col_y.items():
-        if z[col] < 0.5:
-            continue
-        c0 = surr.components[j].piece.coeffs[q][0]
-        dev = z[builder.col_dev[j, q]]
-        true_sp = c0 * z[col] + _poly_val(builder.deviation_poly(j, q), dev)
-        gap = true_sp - z[builder.col_sp[j, q]]
-        if gap > best_gap:
-            best_gap, best_key = gap, (j, q)
-    if best_key is None:
-        return None
-    j, q = best_key
-    lo, hi = node.dev_bounds.get(
-        (j, q), (0.0, builder.widths[builder.index[j, q]])
-    )
-    dev = z[builder.col_dev[j, q]]
-    m = min(max(dev, lo + 0.2 * (hi - lo)), hi - 0.2 * (hi - lo))
-    left_dev = dict(node.dev_bounds)
-    left_dev[j, q] = (lo, m)
-    right_dev = dict(node.dev_bounds)
-    right_dev[j, q] = (m, hi)
-    right_fixed = _choose_interval(surr, node.y_fixed, j, q)
-    return [
-        Node(node.depth + 1, node.lb, node.y_fixed, left_dev, node.var_bounds),
-        Node(node.depth + 1, node.lb, right_fixed, right_dev, node.var_bounds),
-    ]
+def _first_max_above(values: np.ndarray, tol: float) -> int | None:
+    """The first argmax of ``values`` when their maximum exceeds ``tol``:
+    what a scan keeping only strictly larger values picks. Else None."""
+    if values.size and values.max() > tol:
+        return int(np.argmax(values))
+    return None
 
 
-def _choose_interval(surr, y_fixed: dict, j: int, q: int) -> dict:
-    """A copy of ``y_fixed`` with y_jq = 1 and component j's other interval
-    binaries 0."""
-    fixed = dict(y_fixed)
-    for qq in range(surr.components[j].k):
-        fixed[j, qq] = int(qq == q)
-    return fixed
+def _choose(builder: _LPBuilder, lower, upper, i: int) -> None:
+    """Set interval i's y to 1 and fix its component's other intervals off
+    (y, dev and sp pinned to 0), in place; i keeps its deviation range."""
+    j = builder.intervals[i][0]
+    start, col = builder.y_cols[builder.first[j]], builder.y_cols[i]
+    end = start + 3 * builder.surr.components[j].k
+    for s in (slice(start, col), slice(col + 3, end)):
+        lower[s] = upper[s] = 0.0
+    lower[col] = upper[col] = 1.0
+
+
+def _branch(builder: _LPBuilder, node: Node, z, tangents=NO_TANGENTS,
+            lp=None) -> list[Node] | None:
+    """Children of the node, or None when the LP point is branch-free: on
+    the most fractional free interval binary, else on the first fractional
+    integer variable, else on the deviation range with the largest envelope
+    gap. They inherit ``tangents`` and start from the final basis of ``lp``,
+    the node's solved ``_NodeLP``, when it is given."""
+    lower, upper = node.lower, node.upper
+    y = builder.y_cols
+    zy = z[y]
+    x = z[builder.int_cols]
+    fractional = np.flatnonzero(np.abs(x - np.round(x)) > FRAC_TOL)
+    frac = np.where(lower[y] != upper[y], np.minimum(zy, 1.0 - zy), 0.0)
+    i = _first_max_above(frac, FRAC_TOL)
+    if i is not None:
+        off, on = (lower.copy(), upper.copy()), (lower.copy(), upper.copy())
+        for bound in off:
+            bound[y[i] : y[i] + 3] = 0.0
+        _choose(builder, *on, i)
+        bounds = [off, on]
+    elif len(fractional):
+        col, xv = builder.int_cols[fractional[0]], x[fractional[0]]
+        left, right = upper.copy(), lower.copy()
+        left[col], right[col] = math.floor(xv), math.ceil(xv)
+        bounds = [(lower, left), (right, upper)]
+    else:
+        on = np.flatnonzero(zy >= 0.5)
+        dev = z[y[on] + 1]
+        gap = builder.c0[on] * zy[on] + _horner(builder.phi[on], dev) - z[y[on] + 2]
+        k = _first_max_above(gap, 1e-9)
+        if k is None:
+            return None
+        col = y[on[k]] + 1
+        lo, hi = lower[col], upper[col]
+        m = min(max(dev[k], lo + 0.2 * (hi - lo)), hi - 0.2 * (hi - lo))
+        left, right = upper.copy(), (lower.copy(), upper.copy())
+        left[col] = right[0][col] = m
+        _choose(builder, *right, on[k])
+        bounds = [(lower, left), right]
+    basis = None if lp is None else lp.basis()
+    return [Node(node.depth + 1, *bound, tangents, basis) for bound in bounds]
 
 
 def solve(
@@ -821,7 +791,7 @@ def solve(
         raise UnsupportedSurrogateError(NONLINEAR_CONSTRAINTS_UNSUPPORTED)
     start = time.monotonic()
     builder = _LPBuilder(surrogate, gap_tol)
-    root = Node(0, -math.inf, {}, {}, {})
+    root = Node(0, builder.lower, builder.upper)
     heap = []
     counter = 0
     heapq.heappush(heap, (-math.inf, counter, root))
@@ -867,16 +837,13 @@ def solve(
         ) and incumbent is not None:
             pruned_lb = min(pruned_lb, lb)
             continue  # node cannot improve the incumbent meaningfully
-        children = _branch(builder, node, z)
+        children = _branch(builder, node, z, tangents, lp)
         if children is None:
             pruned_lb = min(pruned_lb, lb)
             continue  # LP point is exact for this node
-        basis = lp.basis()
         for child in children:
             counter += 1
-            heapq.heappush(heap, (lb, counter, replace(
-                child, tangents=tangents, basis=basis
-            )))
+            heapq.heappush(heap, (lb, counter, child))
 
     lb_final = min(heap[0][0], pruned_lb) if heap else pruned_lb
     if incumbent is None:

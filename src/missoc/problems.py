@@ -277,6 +277,12 @@ def _parse_var(rest: str, line: int) -> Variable:
     if len(parts) != 2:
         raise ParseError("expected exactly two bounds", line, 1)
     lo, hi = float(parts[0]), float(parts[1])
+    if integer and lo <= hi:
+        # an integer variable's box ends at integers (+ 0.0 turns -0.0 to 0.0)
+        lo, hi = float(np.ceil(lo) + 0.0), float(np.floor(hi) + 0.0)
+        if not lo <= hi:
+            raise ParseError(f"no integer in the box of integer variable "
+                             f"{name} {tail}", line, 1)
     if not lo < hi:
         raise ParseError(f"empty box [{lo}, {hi}]", line, 1)
     return Variable(name=name, lower=lo, upper=hi, integer=integer)

@@ -245,10 +245,11 @@ class TestIntervalCuts:
         rng = np.random.default_rng(12)
         for j, comp in enumerate(surr.components):
             for q in range(comp.k):
-                phi = builder.deviation_poly(j, q)
+                i = builder.first[j] + q
+                phi = builder.deviation_poly(i)
                 for _ in range(5):
                     lo, hi = np.sort(rng.uniform(0.0, comp.widths[q], 2))
-                    block = builder.block(builder.index[j, q], lo, hi)
+                    block = builder.block(i, lo, hi)
                     assert block.convex == self.convex_reference(phi, lo, hi)
 
 
@@ -587,6 +588,111 @@ def shipped_surrogate(name):
     )
 
 
+def col_y(builder, j, q):
+    """The y column of interval (j, q); its dev and sp columns follow."""
+    return builder.y_cols[builder.first[j] + q]
+
+
+def dict_bounds(builder, y_fixed, dev_bounds, var_bounds):
+    """Column bounds of a node given as dicts, as the dict-based node LP
+    translated them: (j, q) -> 0 or 1 fixes y, and 0 also pins dev and sp to
+    0; (j, q) -> (lo, hi) overrides dev's [0, width]; a variable name ->
+    (lo, hi) overrides the box."""
+    lower, upper = builder.lower.copy(), builder.upper.copy()
+    for name, (lo, hi) in var_bounds.items():
+        lower[builder.col_x[name]] = lo
+        upper[builder.col_x[name]] = hi
+    ranges = dict(dev_bounds)
+    for (j, q), yfix in y_fixed.items():
+        col = col_y(builder, j, q)
+        lower[col] = upper[col] = float(yfix)
+        if yfix == 0:
+            ranges[j, q] = (0.0, 0.0)
+            lower[col + 2] = upper[col + 2] = 0.0  # sp
+    for (j, q), (lo, hi) in ranges.items():
+        col = col_y(builder, j, q) + 1
+        lower[col], upper[col] = lo, hi
+    return lower, upper
+
+
+def dict_node(builder, y_fixed=None, dev_bounds=None, var_bounds=None,
+              depth=0, tangents=bnb.NO_TANGENTS):
+    """A ``Node`` built from the dict description ``dict_bounds`` takes."""
+    lower, upper = dict_bounds(builder, y_fixed or {}, dev_bounds or {},
+                               var_bounds or {})
+    return Node(depth, lower, upper, tangents)
+
+
+def choose_interval_reference(surr, y_fixed, j, q):
+    """A copy of ``y_fixed`` with y_jq = 1 and component j's other interval
+    binaries 0."""
+    fixed = dict(y_fixed)
+    for qq in range(surr.components[j].k):
+        fixed[j, qq] = int(qq == q)
+    return fixed
+
+
+def branch_reference(builder, desc, z):
+    """The dict-based branching: the children of the node ``desc`` =
+    (y_fixed, dev_bounds, var_bounds) as such triples, or None when the LP
+    point is branch-free. The reference for ``bnb._branch``."""
+    y_fixed, dev_bounds, var_bounds = desc
+    surr = builder.surr
+    best_frac, best_key = bnb.FRAC_TOL, None
+    for j, comp in enumerate(surr.components):
+        for q in range(comp.k):
+            if (j, q) in y_fixed:
+                continue
+            col = col_y(builder, j, q)
+            frac = min(z[col], 1.0 - z[col])
+            if frac > best_frac:
+                best_frac, best_key = frac, (j, q)
+    if best_key is not None:
+        off = dict(y_fixed)
+        off[best_key] = 0
+        chosen = choose_interval_reference(surr, y_fixed, *best_key)
+        return [(off, dev_bounds, var_bounds), (chosen, dev_bounds, var_bounds)]
+
+    for v in surr.variables:
+        if not v.integer:
+            continue
+        xv = z[builder.col_x[v.name]]
+        if abs(xv - round(xv)) > bnb.FRAC_TOL:
+            lo, hi = var_bounds.get(v.name, (v.lower, v.upper))
+            children = []
+            for new in ((lo, math.floor(xv)), (math.ceil(xv), hi)):
+                vb = dict(var_bounds)
+                vb[v.name] = (float(new[0]), float(new[1]))
+                children.append((y_fixed, dev_bounds, vb))
+            return children
+
+    best_gap, best_key = 1e-9, None
+    for j, comp in enumerate(surr.components):
+        for q in range(comp.k):
+            col = col_y(builder, j, q)
+            if z[col] < 0.5:
+                continue
+            phi = builder.deviation_poly(builder.first[j] + q)
+            true_sp = comp.piece.coeffs[q][0] * z[col] + bnb._poly_val(
+                phi, z[col + 1]
+            )
+            gap = true_sp - z[col + 2]
+            if gap > best_gap:
+                best_gap, best_key = gap, (j, q)
+    if best_key is None:
+        return None
+    j, q = best_key
+    lo, hi = dev_bounds.get((j, q), (0.0, surr.components[j].widths[q]))
+    dev = z[col_y(builder, j, q) + 1]
+    m = min(max(dev, lo + 0.2 * (hi - lo)), hi - 0.2 * (hi - lo))
+    left_dev = dict(dev_bounds)
+    left_dev[j, q] = (lo, m)
+    right_dev = dict(dev_bounds)
+    right_dev[j, q] = (m, hi)
+    right_fixed = choose_interval_reference(surr, y_fixed, j, q)
+    return [(y_fixed, left_dev, var_bounds), (right_fixed, right_dev, var_bounds)]
+
+
 def dense_rows(builder, node):
     """The node LP's (A_eq, b_eq, A_ub, b_ub) as the dense per-row
     assembly built them, with uncached ``interval_cuts``; the reference for
@@ -600,26 +706,26 @@ def dense_rows(builder, node):
     for j, comp in enumerate(surr.components):
         row = new_row()
         for q in range(comp.k):
-            row[builder.col_y[j, q]] = 1.0
+            row[col_y(builder, j, q)] = 1.0
         A_eq.append(row)
         b_eq.append(1.0)
         row = new_row()
         row[builder.col_x[comp.var]] = 1.0
         for q in range(comp.k):
-            row[builder.col_y[j, q]] = -comp.breakpoints[q]
-            row[builder.col_dev[j, q]] = -1.0
+            row[col_y(builder, j, q)] = -comp.breakpoints[q]
+            row[col_y(builder, j, q) + 1] = -1.0
         A_eq.append(row)
         b_eq.append(0.0)
         row = new_row()
-        row[builder.col_sigma[j]] = 1.0
+        row[builder.ncols - len(surr.components) + j] = 1.0
         for q in range(comp.k):
-            row[builder.col_sp[j, q]] = -1.0
+            row[col_y(builder, j, q) + 2] = -1.0
         A_eq.append(row)
         b_eq.append(0.0)
         for q in range(comp.k):
             row = new_row()
-            row[builder.col_dev[j, q]] = 1.0
-            row[builder.col_y[j, q]] = -comp.widths[q]
+            row[col_y(builder, j, q) + 1] = 1.0
+            row[col_y(builder, j, q)] = -comp.widths[q]
             A_ub.append(row)
             b_ub.append(0.0)
     for con in surr.linear_constraints:
@@ -630,32 +736,31 @@ def dense_rows(builder, node):
         (b_eq if con.relation == "=" else b_ub).append(-con.constant)
     for j, comp in enumerate(surr.components):
         for q in range(comp.k):
-            yfix = node.y_fixed.get((j, q))
-            lo, hi = node.dev_bounds.get((j, q), (0.0, comp.widths[q]))
-            if yfix == 0:
-                lo, hi = 0.0, 0.0
+            col = col_y(builder, j, q)
+            # [0, 0] on an interval fixed off
+            lo, hi = node.lower[col + 1], node.upper[col + 1]
             phi = comp.piece.coeffs[q].copy()
             c0 = phi[0]
             phi[0] = 0.0
             for a, b in interval_cuts(phi, lo, hi)[0]:
                 row = new_row()
-                row[builder.col_sp[j, q]] = -1.0
-                row[builder.col_y[j, q]] = c0 + b
-                row[builder.col_dev[j, q]] = a
+                row[col + 2] = -1.0
+                row[col] = c0 + b
+                row[col + 1] = a
                 A_ub.append(row)
                 b_ub.append(0.0)
     return np.array(A_eq), np.array(b_eq), np.array(A_ub), np.array(b_ub)
 
 
-def branched_node(surr):
+def branched_node(builder):
     """A node below the root: per component the first interval is fixed
     off and the second's deviation range is cut to its middle half."""
     y_fixed, dev_bounds = {}, {}
-    for j, comp in enumerate(surr.components):
+    for j, comp in enumerate(builder.surr.components):
         y_fixed[j, 0] = 0
         w = comp.widths[1]
         dev_bounds[j, 1] = (0.25 * w, 0.75 * w)
-    return Node(2, -math.inf, y_fixed, dev_bounds, {})
+    return dict_node(builder, y_fixed, dev_bounds, depth=2)
 
 
 def model_rows(model):
@@ -722,9 +827,10 @@ class TestNodeLP:
     def test_sparse_rows_equal_dense_rows(self, name):
         surr = shipped_surrogate(name)
         builder = bnb._LPBuilder(surr, 1e-4)
-        for node in (Node(0, -math.inf, {}, {}, {}), branched_node(surr)):
+        for node in (dict_node(builder), branched_node(builder)):
             A_eq, b_eq, A_ub, b_ub = dense_rows(builder, node)
-            lower, upper, rows, _, _, _ = bnb._node_lp(builder, node)
+            rows, _, _, _ = bnb._node_lp(builder, node)
+            lower, upper = node.lower, node.upper
             matrix, row_lower, row_upper = model_rows(
                 bnb._NodeLP(builder, lower, upper, rows)
             )
@@ -748,8 +854,9 @@ class TestNodeLP:
         surr = shipped_surrogate(name)
         builder = bnb._LPBuilder(surr, 1e-4)
         compared = 0
-        for node in (Node(0, -math.inf, {}, {}, {}), branched_node(surr)):
-            lower, upper, rows, _, _, _ = bnb._node_lp(builder, node)
+        for node in (dict_node(builder), branched_node(builder)):
+            rows, _, _, _ = bnb._node_lp(builder, node)
+            lower, upper = node.lower, node.upper
             got = bnb._NodeLP(builder, lower, upper, rows).model
             want = highs_lp_model(builder, lower, upper, rows)
             got_fields = lp_fields(got.getLp())
@@ -795,12 +902,13 @@ class TestNodeLP:
         assert [c[0] for c in calls] == [comp.piece.coeffs.shape
                                          for comp in surr.components]
         calls.clear()
-        root = Node(0, -math.inf, {}, {}, {})
+        root = dict_node(builder)
         status, _, z, tangents, _ = bnb.relax_node(builder, root)
         assert status == "optimal" and calls == []
         w = surr.components[1].widths[2]
-        child = Node(1, -math.inf, {(0, 1): 0, (0, 3): 1},
-                     {(1, 2): (0.25 * w, 0.5 * w)}, {}, tangents)
+        child = dict_node(builder, {(0, 1): 0, (0, 3): 1},
+                          {(1, 2): (0.25 * w, 0.5 * w)}, depth=1,
+                          tangents=tangents)
         bnb.relax_node(builder, child)
         # (0, 3) is fixed on and keeps its full range; (0, 1) is fixed off
         assert sorted(calls) == sorted([
@@ -824,7 +932,7 @@ class TestNodeLP:
                     w = comp.widths[q]
                     cuts, convex_there = interval_cuts(phi, 0.0, w)
                     a, b = np.array(cuts).T
-                    i = builder.index[j, q]
+                    i = builder.first[j] + q
                     block = builder.block(i, 0.0, w)
                     assert block.convex == convex_there
                     for got, want in zip(
@@ -901,7 +1009,7 @@ def random_surrogate(seed, k=4):
 def tree_nodes(builder, count):
     """The first ``count`` nodes of a breadth-first walk of the tree, each
     with the tangents it inherits, as (node, relax_node result)."""
-    queue = [Node(0, -math.inf, {}, {}, {})]
+    queue = [dict_node(builder)]
     out = []
     while queue and len(out) < count:
         node = queue.pop(0)
@@ -914,16 +1022,19 @@ def tree_nodes(builder, count):
     return out
 
 
-def node_grid_min(surr, node, n=201):
+def node_grid_min(builder, node, n=201):
     """Grid minimum of the surrogate over the node's feasible set."""
+    surr = builder.surr
     axes = []
     for j, comp in enumerate(surr.components):
         xs, fs = [], []
-        lo_x, hi_x = node.var_bounds.get(comp.var, (0.0, 1.0))
+        col = builder.col_x[comp.var]
+        lo_x, hi_x = node.lower[col], node.upper[col]
         for q in range(comp.k):
-            if node.y_fixed.get((j, q)) == 0:
+            col = col_y(builder, j, q)
+            if node.upper[col] == 0.0:  # fixed off
                 continue
-            lo, hi = node.dev_bounds.get((j, q), (0.0, comp.widths[q]))
+            lo, hi = node.lower[col + 1], node.upper[col + 1]
             dev = np.linspace(lo, hi, n)
             x = comp.breakpoints[q] + dev
             keep = (x >= lo_x) & (x <= hi_x)
@@ -936,6 +1047,105 @@ def node_grid_min(surr, node, n=201):
     total = f1[:, None] + f2[None, :]
     total = np.where(x1[:, None] + x2[None, :] >= 0.8, total, np.inf)
     return float(total.min())
+
+
+class TestBoundBranching:
+    def test_children_equal_dict_reference(self):
+        """On the first 25 breadth-first nodes of each tree, ``_branch``
+        writes the children's bounds the dict-based branching translates
+        to, bit for bit, and branches where it branches. The coupled
+        surrogates bring integer branching within that depth."""
+        surrs = [random_surrogate(seed) for seed in range(10)]
+        surrs += [shipped_surrogate(name) for name in SHIPPED]
+        surrs += coupled_surrogates()
+        compared = 0
+        kinds = set()  # which of y_fixed, dev_bounds, var_bounds branched
+        for surr in surrs:
+            builder = bnb._LPBuilder(surr, 1e-4)
+            queue = [(dict_node(builder), ({}, {}, {}))]
+            seen = 0
+            while queue and seen < 25:
+                node, desc = queue.pop(0)
+                seen += 1
+                status, _, z, tangents, _ = bnb.relax_node(builder, node)
+                if status != "optimal":
+                    continue
+                children = bnb._branch(builder, node, z, tangents)
+                want = branch_reference(builder, desc, z)
+                assert (children is None) == (want is None)
+                for child, child_desc in zip(children or (), want or ()):
+                    lower, upper = dict_bounds(builder, *child_desc)
+                    assert bits(child.lower) == bits(lower)
+                    assert bits(child.upper) == bits(upper)
+                    assert child.depth == node.depth + 1
+                    assert child.tangents is tangents
+                    queue.append((child, child_desc))
+                    compared += 1
+                    kinds.update(
+                        k for k in range(3) if child_desc[k] != desc[k]
+                    )
+        assert compared >= 150 and kinds == {0, 1, 2}
+
+    @staticmethod
+    def interval_columns(builder, j):
+        """The y, dev and sp columns of component j's intervals."""
+        first = builder.y_cols[builder.first[j]]
+        return range(first, first + 3 * builder.surr.components[j].k)
+
+    def test_fixed_off_after_deviation_branch(self):
+        """An interval fixed off has y, dev and sp at [0, 0], also when its
+        deviation range was branched before; the interval chosen in the
+        other child keeps its range and a free sp."""
+        builder = bnb._LPBuilder(random_surrogate(0), 1e-4)
+        w = builder.surr.components[0].widths[1]
+        node = dict_node(builder, dev_bounds={(0, 1): (0.25 * w, 0.5 * w)})
+        col = col_y(builder, 0, 1)
+        z = np.zeros(builder.ncols)
+        z[col] = 0.5
+        off, on = bnb._branch(builder, node, z)
+        for bound in (off.lower, off.upper):
+            assert bits(bound[col : col + 3]) == bits([0.0] * 3)
+        assert (on.lower[col], on.upper[col]) == (1.0, 1.0)
+        assert (on.lower[col + 1], on.upper[col + 1]) == (0.25 * w, 0.5 * w)
+        assert (on.lower[col + 2], on.upper[col + 2]) == (-np.inf, np.inf)
+        others = [c for c in self.interval_columns(builder, 0)
+                  if not col <= c < col + 3]
+        assert not on.lower[others].any() and not on.upper[others].any()
+
+    def test_deviation_branch_chooses_with_the_new_range(self):
+        """Branching on a deviation range halves it in the left child and
+        chooses the interval on the other half in the right one."""
+        builder = bnb._LPBuilder(random_surrogate(0), 1e-4)
+        w = builder.surr.components[0].widths[1]
+        col = col_y(builder, 0, 1)
+        z = np.zeros(builder.ncols)
+        z[col], z[col + 1], z[col + 2] = 1.0, 0.5 * w, -1e3
+        z[col_y(builder, 1, 0)] = 1.0
+        node = dict_node(builder)
+        left, right = bnb._branch(builder, node, z)
+        m = 0.5 * w
+        assert left.lower is node.lower
+        assert bits(left.upper) == bits(
+            np.where(np.arange(builder.ncols) == col + 1, m, builder.upper)
+        )
+        assert (right.lower[col], right.upper[col]) == (1.0, 1.0)
+        assert (right.lower[col + 1], right.upper[col + 1]) == (m, w)
+        assert (right.lower[col + 2], right.upper[col + 2]) == (-np.inf, np.inf)
+        # component 1 is untouched
+        cols = list(self.interval_columns(builder, 1))
+        assert bits(right.lower[cols]) == bits(builder.lower[cols])
+        assert bits(right.upper[cols]) == bits(builder.upper[cols])
+
+    def test_node_bounds_are_read_only(self):
+        """Children share the arrays their branching leaves unchanged, so
+        no node's bounds can be written in place."""
+        builder = bnb._LPBuilder(random_surrogate(1), 1e-4)
+        nodes = [node for node, _ in tree_nodes(builder, 8)]
+        assert len(nodes) == 8
+        for node in nodes:
+            for bound in (node.lower, node.upper):
+                with pytest.raises(ValueError, match="read-only"):
+                    bound[0] = 0.5
 
 
 class TestTangentPool:
@@ -957,13 +1167,11 @@ class TestTangentPool:
                 continue
             # the node's own tangents too: they are its children's pool
             for i, a, b in zip(*pool):
-                j, q = builder.intervals[i]
-                assert node.y_fixed.get((j, q)) != 0
-                lo, hi = node.dev_bounds.get(
-                    (j, q), (0.0, surr.components[j].widths[q])
-                )
+                col = builder.y_cols[i]
+                assert node.upper[col] != 0.0  # not fixed off
+                lo, hi = node.lower[col + 1], node.upper[col + 1]
                 dev = np.linspace(lo, hi, 2001)
-                phi = builder.deviation_poly(j, q)
+                phi = builder.deviation_poly(i)
                 vals = np.polynomial.polynomial.polyval(dev, phi)
                 tol = 1e-9 * max(1.0, np.abs(vals).max())
                 assert np.all(a * dev + b <= vals + tol)
@@ -1012,7 +1220,7 @@ class TestTangentPool:
             # one, because their tangent points differ
             assert first_pooled >= values[0] - 1e-7 * scale
             assert bound >= first_pooled - 1e-7 * scale
-            assert bound <= node_grid_min(surr, node) + 1e-9 * scale
+            assert bound <= node_grid_min(builder, node) + 1e-9 * scale
         monkeypatch.undo()
         return inherited
 
@@ -1111,7 +1319,8 @@ class TestNodeLPSolve:
             for name in SHIPPED:
                 surr = shipped_surrogate(name)
                 solve(surr)
-                bnb.relax_node(bnb._LPBuilder(surr, 1e-4), branched_node(surr))
+                builder = bnb._LPBuilder(surr, 1e-4)
+                bnb.relax_node(builder, branched_node(builder))
 
         def random_trees():
             for seed in range(3):
@@ -1120,12 +1329,13 @@ class TestNodeLPSolve:
                 builder = bnb._LPBuilder(surr, 1e-4)
                 tree_nodes(builder, 25)
                 # x1 + x2 >= 0.8 cannot hold on these nodes
-                low = bnb._choose_interval(surr, {}, 0, 0)
-                low = bnb._choose_interval(surr, low, 1, 0)
+                low = choose_interval_reference(surr, {}, 0, 0)
+                low = choose_interval_reference(surr, low, 1, 0)
                 for node in (
-                    Node(1, -math.inf, low, {}, {}),
-                    Node(1, -math.inf, {}, {}, {"x1": (0.0, 0.3),
-                                                "x2": (0.0, 0.4)}),
+                    dict_node(builder, low, depth=1),
+                    dict_node(builder, var_bounds={"x1": (0.0, 0.3),
+                                                   "x2": (0.0, 0.4)},
+                              depth=1),
                 ):
                     bnb.relax_node(builder, node)
 
@@ -1175,7 +1385,7 @@ class TestNodeLPSolve:
         self.stub_model_status(monkeypatch, model_status)
         builder = bnb._LPBuilder(random_surrogate(0), 1e-4)
         with pytest.raises(bnb.LPError, match=model_status):
-            bnb.relax_node(builder, Node(0, -math.inf, {}, {}, {}))
+            bnb.relax_node(builder, dict_node(builder))
 
     @pytest.mark.parametrize("model_status", [
         "kInfeasible", "kUnboundedOrInfeasible",
@@ -1183,9 +1393,7 @@ class TestNodeLPSolve:
     def test_infeasible_lp_prunes(self, monkeypatch, model_status):
         self.stub_model_status(monkeypatch, model_status)
         builder = bnb._LPBuilder(random_surrogate(0), 1e-4)
-        status, value, z, _, _ = bnb.relax_node(
-            builder, Node(0, -math.inf, {}, {}, {})
-        )
+        status, value, z, _, _ = bnb.relax_node(builder, dict_node(builder))
         assert (status, value, z) == ("infeasible", math.inf, None)
 
     def test_unbounded_or_infeasible_with_a_free_column_raises(
@@ -1195,7 +1403,7 @@ class TestNodeLPSolve:
         surr = surrogate_for(parse_instance(FREE_LINEAR), intervals=4)
         builder = bnb._LPBuilder(surr, 1e-4)
         with pytest.raises(bnb.LPError, match="kUnboundedOrInfeasible"):
-            bnb.relax_node(builder, Node(0, -math.inf, {}, {}, {}))
+            bnb.relax_node(builder, dict_node(builder))
 
     def test_set_basis_error_raises(self, monkeypatch):
         class Stub(bnb.highs._Highs):
@@ -1316,7 +1524,8 @@ def relax_node_per_key(builder, node):
     lp = bnb._node_lp(builder, node)
     if lp is None:
         return "infeasible", math.inf, None, bnb.NO_TANGENTS, None
-    lower, upper, rows, start, kelley, tangents = lp
+    rows, start, kelley, tangents = lp
+    lower, upper = node.lower, node.upper
     model = bnb._NodeLP(builder, lower, upper, rows, start)
     found = [tangents]
     prev = -math.inf
@@ -1332,14 +1541,15 @@ def relax_node_per_key(builder, node):
         new = []
         for i in kelley.tolist():
             j, q = builder.intervals[i]
-            phi = builder.deviation_poly(j, q)
-            y = z[builder.col_y[j, q]]
-            dev = z[builder.col_dev[j, q]]
+            phi = builder.deviation_poly(i)
+            y_col = builder.y_cols[i]
+            y = z[y_col]
+            dev = z[y_col + 1]
             c0 = surr.components[j].piece.coeffs[q][0]
-            gap = c0 * y + bnb._poly_val(phi, dev) - z[builder.col_sp[j, q]]
-            if gap <= 1e-10 * max(1.0, abs(z[builder.col_sp[j, q]])):
+            gap = c0 * y + bnb._poly_val(phi, dev) - z[y_col + 2]
+            if gap <= 1e-10 * max(1.0, abs(z[y_col + 2])):
                 continue
-            col = builder.col_dev[j, q]
+            col = y_col + 1
             dev = min(max(dev, lower[col]), upper[col])
             a = bnb._poly_val(bnb._poly_der(phi), dev)
             new.append((i, a, bnb._poly_val(phi, dev) - a * dev))

@@ -45,6 +45,19 @@ class TestParseInstance:
         assert inst.variables[0].integer
         assert not inst.variables[1].integer
 
+    def test_integer_box_tightened_to_integer_ends(self):
+        inst = parse_instance(
+            "var n in [0.5, 3.5] integer; var m in [-inf, 2.6] integer;"
+            "var x in [0.5, 3.5]; min x^2 + n + m;"
+        )
+        assert [(v.lower, v.upper) for v in inst.variables] == [
+            (1.0, 3.0), (-math.inf, 2.0), (0.5, 3.5)
+        ]
+
+    def test_integer_box_without_an_integer(self):
+        with pytest.raises(ParseError, match="no integer .* variable n"):
+            parse_instance("var n in [0.2, 0.8] integer; min n;")
+
     def test_st_spelling_variants(self):
         a = parse_instance("var x in [0,1]; min x^2; st x - 0.5 <= 0;")
         b = parse_instance("var x in [0,1]; min x^2; s.t. x - 0.5 <= 0;")
@@ -386,6 +399,22 @@ class TestRunMissoc:
         assert report.status.startswith("optimal")
         assert report.x[0] == pytest.approx(1.0, abs=1e-9)
         assert report.objective == pytest.approx(0.5, abs=1e-6)
+
+    @pytest.mark.parametrize("box, term, want", [
+        ("[0.5, 3.5]", "(n - 0.4)^2", 0.36),
+        ("[0.2, 2.6]", "0.3*(n - 0.25)^2", 0.16875),
+    ])
+    def test_integer_box_with_fractional_ends(self, box, term, want):
+        from missoc.problems import run_missoc
+
+        inst = parse_instance(
+            f"var n in {box} integer; var x in [0, 1];"
+            f"min {term} + (x - 0.5)^2;"
+        )
+        report = run_missoc(inst, MissocConfig())
+        assert report.status == "optimal"
+        assert report.x[0] == 1.0
+        assert report.objective == pytest.approx(want, abs=1e-6)
 
     def test_infeasible_reports_no_incumbent(self):
         from missoc.problems import run_missoc
