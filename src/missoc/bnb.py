@@ -258,14 +258,18 @@ class SolveReport:
     lp_solves: int = 0
     kelley_cap_hits: int = 0  # node LPs stopped by KELLEY_CAP, not progress
     simplex_iterations: int = 0  # HiGHS simplex iterations over all node LPs
-    log: list = field(default_factory=list)
+    log: list = field(default_factory=list)  # write_log_csv's rows
 
     def csv_row(self) -> str:
+        """One row under SOLVE_CSV_HEADER."""
         obj = f"{self.objective:.12g}" if self.x is not None else ""
         return (
             f"{obj},{self.lower_bound:.12g},{self.gap_pct:.6g},"
             f"{self.nodes},{self.time_s:.3f},{self.status}"
         )
+
+
+SOLVE_CSV_HEADER = "objective,lower_bound,gap_pct,nodes,time_s,status"
 
 
 class _Rows:
@@ -776,7 +780,6 @@ def solve(
     time_limit: float = 600.0,
     node_cap: int = 200_000,
     gap_tol: float = 1e-4,
-    collect_log: bool = False,
 ) -> SolveReport:
     """Best-bound branch-and-bound; deterministic for identical inputs.
 
@@ -786,6 +789,10 @@ def solve(
     'optimal' when the final bounds meet the same measure at full width,
     ``ub - lb <= gap_tol * max(1, |ub|)``; for |ub| < 1 that is absolute,
     so the reported ``gap_pct`` may then exceed ``100 * gap_tol``.
+
+    ``SolveReport.log`` gets one row per node that survives its bound
+    check: node number, depth, the least bound of it and the open nodes,
+    the incumbent value and the gap (both NaN before the first incumbent).
     """
     if surrogate.nonlinear_constraints:
         raise UnsupportedSurrogateError(NONLINEAR_CONSTRAINTS_UNSUPPORTED)
@@ -826,12 +833,11 @@ def solve(
         cand = _try_incumbent(builder, z)
         if cand is not None and cand[0] < ub - 1e-12:
             ub, incumbent = cand[0], cand[1]
-        if collect_log:
-            lo_now = min(lb, heap[0][0] if heap else lb)
-            log.append((nodes, node.depth, lo_now,
-                        ub if incumbent is not None else math.nan,
-                        optimality_gap(ub, lo_now)
-                        if incumbent is not None else math.nan))
+        lo_now = min(lb, heap[0][0] if heap else lb)
+        log.append((nodes, node.depth, lo_now,
+                    ub if incumbent is not None else math.nan,
+                    optimality_gap(ub, lo_now)
+                    if incumbent is not None else math.nan))
         if ub - lb <= max(
             1e-12, 0.5 * gap_tol * max(1.0, abs(ub))
         ) and incumbent is not None:

@@ -7,6 +7,12 @@ Subcommands:
     missoc solve <instance>      solve the surrogate globally (no refinement)
     missoc run <instance>        full pipeline: fit, solve, refine
     missoc bench <instances...>  run the pipeline over several instances
+
+Every subcommand runs the stages through ``problems``: ``fit`` and
+``surrogate`` through ``surrogate_stages``, the others through
+``run_missoc`` (``solve`` with refinement off). The ``missoc`` command
+prints a failed stage, an unreadable or invalid instance file and an
+unwritable output path as one line on stderr and exits with code 1.
 """
 
 from __future__ import annotations
@@ -18,20 +24,19 @@ import sys
 
 import numpy as np
 
-from .bnb import solve as bnb_solve
-from .bnb import write_log_csv
+from .bnb import SOLVE_CSV_HEADER, write_log_csv
+from .expressions import ParseError
 from .problems import (
     REPORT_CSV_HEADER,
+    InstanceValidationError,
     MissocConfig,
     StageError,
-    check_solvable,
-    fit_stage,
     load_instance,
     run_missoc,
-    sample_training,
+    surrogate_stages,
 )
 from .regression import dump_model
-from .surrogate import build_surrogate, export_text
+from .surrogate import export_text
 
 # (flag, MissocConfig field it sets, type, help); the default is the field's
 MODEL_FLAGS = (
@@ -63,11 +68,6 @@ def _config(args) -> MissocConfig:
     return MissocConfig(**{k: v for k, v in vars(args).items() if k in fields})
 
 
-def _fit(instance, config):
-    T = sample_training(instance, config)
-    return T, fit_stage(instance, T, config)
-
-
 def _write_plot_data(fit, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     for j, basis in enumerate(fit.bases):
@@ -81,10 +81,14 @@ def _write_plot_data(fit, outdir: str) -> None:
                 fh.write(f"{x:.12g},{y:.12g}\n")
 
 
+def _write_csv(path, header: str, rows) -> None:
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, *rows]) + "\n")
+
+
 def cmd_fit(args) -> int:
     instance = load_instance(args.instance)
-    config = _config(args)
-    T, fit = _fit(instance, config)
+    T, fit, _, _ = surrogate_stages(instance, _config(args))
     resid = np.array([fit.predict(row) for row in T.X]) - T.y
     print(f"instance         {instance.name}")
     print(f"covariates       {', '.join(b.label for b in fit.bases)}")
@@ -103,10 +107,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_surrogate(args) -> int:
-    instance = load_instance(args.instance)
-    config = _config(args)
-    _, fit = _fit(instance, config)
-    surrogate = build_surrogate(fit, instance)
+    _, _, surrogate, _ = surrogate_stages(load_instance(args.instance), _config(args))
     text = export_text(surrogate)
     if args.out:
         with open(args.out, "w") as fh:
@@ -122,40 +123,34 @@ def cmd_surrogate(args) -> int:
     return 0
 
 
-def cmd_solve(args) -> int:
-    instance = load_instance(args.instance)
-    config = _config(args)
-    check_solvable(instance)
-    _, fit = _fit(instance, config)
-    surrogate = build_surrogate(fit, instance)
-    report = bnb_solve(
-        surrogate,
-        time_limit=config.time_limit,
-        node_cap=config.node_cap,
-        gap_tol=config.gap_tol,
-        collect_log=bool(args.log),
-    )
-    print(f"status        {report.status}")
-    if report.x is not None:
-        point = ", ".join(
-            f"{v.name}={xi:.9g}" for v, xi in zip(surrogate.variables, report.x)
-        )
-        print(f"incumbent     {point}")
-        print(f"objective     {report.objective:.9g}")
-    print(f"lower bound   {report.lower_bound:.9g}")
+def _print_solver(report) -> None:
+    """The solver lines of ``solve`` and ``run``: gap and work done."""
     print(f"gap           {report.gap_pct:.4g}%")
     print(f"nodes         {report.nodes}")
     print(f"LP solves     {report.lp_solves}")
     print(f"simplex iters {report.simplex_iterations}")
     print(f"Kelley caps   {report.kelley_cap_hits}")
+
+
+def cmd_solve(args) -> int:
+    instance = load_instance(args.instance)
+    config = dataclasses.replace(_config(args), refine=False)
+    report = run_missoc(instance, config).solver
+    print(f"status        {report.status}")
+    if report.x is not None:
+        point = ", ".join(
+            f"{v.name}={xi:.9g}" for v, xi in zip(instance.variables, report.x)
+        )
+        print(f"incumbent     {point}")
+        print(f"objective     {report.objective:.9g}")
+    print(f"lower bound   {report.lower_bound:.9g}")
+    _print_solver(report)
     print(f"time          {report.time_s:.3f}s")
     if args.log:
         write_log_csv(report, args.log)
         print(f"node log written to {args.log}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("objective,lower_bound,gap_pct,nodes,time_s,status\n")
-            fh.write(report.csv_row() + "\n")
+        _write_csv(args.out, SOLVE_CSV_HEADER, [report.csv_row()])
         print(f"summary written to {args.out}")
     return 0 if report.x is not None else 1
 
@@ -166,12 +161,8 @@ def _print_report(report) -> None:
     if report.x is not None:
         print(f"x*            {np.array2string(report.x, precision=9)}")
         print(f"objective     {report.objective:.9g}")
-        print(f"surrogate obj {report.surrogate_objective:.9g}")
-    print(f"gap           {report.gap_pct:.4g}%")
-    print(f"nodes         {report.nodes}")
-    print(f"LP solves     {report.lp_solves}")
-    print(f"simplex iters {report.simplex_iterations}")
-    print(f"Kelley caps   {report.kelley_cap_hits}")
+        print(f"surrogate obj {report.solver.objective:.9g}")
+    _print_solver(report.solver)
     for stage in ("sample", "fit", "surrogate", "solve", "refine"):
         if stage in report.stage_times:
             print(f"t[{stage:<9}] {report.stage_times[stage]:.3f}s")
@@ -183,10 +174,7 @@ def cmd_run(args) -> int:
     report = run_missoc(instance, _config(args))
     _print_report(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(REPORT_CSV_HEADER + "\n")
-            for row in report.csv_rows():
-                fh.write(row + "\n")
+        _write_csv(args.out, REPORT_CSV_HEADER, report.csv_rows())
         print(f"report written to {args.out}")
     return 0 if report.x is not None else 1
 
@@ -207,17 +195,14 @@ def cmd_bench(args) -> int:
         obj = f"{report.objective:.9g}" if report.x is not None else "-"
         print(
             f"{instance.name}: {report.status} obj={obj} "
-            f"gap={report.gap_pct:.4g}% nodes={report.nodes} "
+            f"gap={report.solver.gap_pct:.4g}% nodes={report.nodes} "
             f"time={report.total_time:.2f}s"
         )
         rows.extend(report.csv_rows())
         if report.x is None:
             failures += 1
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(REPORT_CSV_HEADER + "\n")
-            for row in rows:
-                fh.write(row + "\n")
+        _write_csv(args.out, REPORT_CSV_HEADER, rows)
         print(f"benchmark table written to {args.out}")
     return 0 if failures == 0 else 1
 
@@ -279,11 +264,13 @@ def main(argv=None) -> int:
 
 
 def console_main(argv=None) -> int:
-    """``main`` as the ``missoc`` command runs it: a failed stage ends the
-    command with one line on stderr and exit code 1, not a traceback."""
+    """``main`` as the ``missoc`` command runs it: a failed stage, an
+    instance file that cannot be read or parsed or is invalid, and an output
+    path that cannot be written end the command with one line on stderr and
+    exit code 1, not a traceback."""
     try:
         return main(argv)
-    except StageError as exc:
+    except (StageError, ParseError, InstanceValidationError, OSError) as exc:
         print(f"missoc: {exc}", file=sys.stderr)
         return 1
 

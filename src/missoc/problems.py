@@ -12,6 +12,13 @@ Instances are plain text, one statement per ``;``:
     bestknown <value>;
 
 ``#`` starts a comment; expressions use infix syntax with ``^`` for powers.
+
+The stages run here and nowhere else. ``surrogate_stages`` samples, fits
+and builds the surrogate; ``run_missoc`` rejects an instance the solver
+cannot take (``check_solvable``), runs those three, then solves the
+surrogate and refines. Each stage runs under ``_staged``, which times it and
+raises its failure as ``StageError`` tagged with the stage. Every ``missoc``
+subcommand goes through one of the two.
 """
 
 from __future__ import annotations
@@ -284,7 +291,7 @@ def _parse_var(rest: str, line: int) -> Variable:
             raise ParseError(f"no integer in the box of integer variable "
                              f"{name} {tail}", line, 1)
     if not lo < hi:
-        raise ParseError(f"empty box [{lo}, {hi}]", line, 1)
+        raise ParseError(f"empty box [{lo}, {hi}] of variable {name}", line, 1)
     return Variable(name=name, lower=lo, upper=hi, integer=integer)
 
 
@@ -447,14 +454,10 @@ class MissocReport:
     x: np.ndarray | None
     objective: float  # g_0(x*) on the original instance
     x_tilde: np.ndarray | None
-    surrogate_objective: float  # surrogate value at the solver incumbent
-    gap_pct: float
     nodes: int
     stage_times: dict[str, float]
-    status: str
-    lp_solves: int = 0  # node LPs the solver ran
-    kelley_cap_hits: int = 0  # node LPs stopped by the Kelley round cap
-    simplex_iterations: int = 0  # HiGHS simplex iterations over all node LPs
+    status: str  # the solver's, plus ";refine_incomplete" if refine did not converge
+    solver: object  # the solve's bnb.SolveReport: bounds, gap, log, LP work
     fit: object = None
     surrogate: object = None
 
@@ -463,28 +466,24 @@ class MissocReport:
         return sum(self.stage_times.values())
 
     def csv_rows(self) -> list[str]:
+        sobj = f"{self.solver.objective:.12g}"
+        gap = f"{self.solver.gap_pct:.6g}"
         rows = []
         for stage in ("sample", "fit", "surrogate", "solve", "refine"):
             if stage not in self.stage_times:
                 continue
-            obj = ""
-            sobj = ""
-            gap = ""
-            nodes = ""
+            cells = ("", "", "", "")
             if stage == "solve":
-                sobj = f"{self.surrogate_objective:.12g}"
-                gap = f"{self.gap_pct:.6g}"
-                nodes = str(self.nodes)
+                cells = ("", sobj, gap, str(self.nodes))
             if stage == "refine":
-                obj = f"{self.objective:.12g}"
+                cells = (f"{self.objective:.12g}", "", "", "")
             rows.append(
                 f"{self.instance},{stage},{self.stage_times[stage]:.3f},"
-                f"{obj},{sobj},{gap},{nodes},{self.status}"
+                f"{','.join(cells)},{self.status}"
             )
         rows.append(
             f"{self.instance},total,{self.total_time:.3f},"
-            f"{self.objective:.12g},{self.surrogate_objective:.12g},"
-            f"{self.gap_pct:.6g},{self.nodes},{self.status}"
+            f"{self.objective:.12g},{sobj},{gap},{self.nodes},{self.status}"
         )
         return rows
 
@@ -575,43 +574,49 @@ def check_solvable(instance: ProblemInstance) -> None:
     ))
 
 
+def _staged(times: dict[str, float], tag: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` as stage ``tag``: its time goes to
+    ``times[tag]`` and any exception is raised as ``StageError(tag)``."""
+    t0 = time.perf_counter()
+    try:
+        out = fn(*args, **kwargs)
+    except Exception as exc:
+        raise StageError(tag, exc) from exc
+    times[tag] = time.perf_counter() - t0
+    return out
+
+
+def surrogate_stages(instance: ProblemInstance, config: MissocConfig):
+    """Sample, fit and build the surrogate, each as a stage of ``_staged``.
+    Returns (training set, fit, surrogate, stage times)."""
+    # looked up per call, so a function patched on its module is the one run
+    from .surrogate import build_surrogate
+
+    times: dict[str, float] = {}
+    T = _staged(times, "sample", sample_training, instance, config)
+    fit = _staged(times, "fit", fit_stage, instance, T, config)
+    surr = _staged(times, "surrogate", build_surrogate, fit, instance)
+    return T, fit, surr, times
+
+
 def run_missoc(
     instance: ProblemInstance, config: MissocConfig | None = None
 ) -> MissocReport:
-    """Sample, fit, build the surrogate, solve it globally, refine locally."""
+    """Sample, fit, build the surrogate, solve it globally, refine locally
+    (unless ``config.refine`` is off)."""
     from .bnb import solve
     from .localsearch import refine
-    from .surrogate import build_surrogate
 
     if config is None:
         config = MissocConfig()
     check_solvable(instance)
-    times: dict[str, float] = {}
-
-    def staged(tag, fn, *args, **kwargs):
-        t0 = time.perf_counter()
-        try:
-            out = fn(*args, **kwargs)
-        except Exception as exc:
-            raise StageError(tag, exc) from exc
-        times[tag] = time.perf_counter() - t0
-        return out
-
-    T = staged("sample", sample_training, instance, config)
-    fit = staged("fit", fit_stage, instance, T, config)
-    surr = staged("surrogate", build_surrogate, fit, instance)
-    report = staged(
-        "solve",
-        solve,
-        surr,
-        time_limit=config.time_limit,
-        node_cap=config.node_cap,
-        gap_tol=config.gap_tol,
-    )
+    _, fit, surr, times = surrogate_stages(instance, config)
+    report = _staged(times, "solve", solve, surr, time_limit=config.time_limit,
+                     node_cap=config.node_cap, gap_tol=config.gap_tol)
     x_tilde = x_star = report.x
     status = report.status
     if x_tilde is not None and config.refine:
-        refined = staged("refine", refine, instance, x_tilde)
+        refined = _staged(times, "refine", refine, instance, x_tilde)
         x_star = refined.x
         if not refined.converged:
             status = f"{status};refine_incomplete"
@@ -623,14 +628,10 @@ def run_missoc(
             else float(instance.objective_value(x_star))
         ),
         x_tilde=x_tilde,
-        surrogate_objective=float(report.objective),
-        gap_pct=report.gap_pct,
         nodes=report.nodes,
         stage_times=times,
         status=status,
-        lp_solves=report.lp_solves,
-        kelley_cap_hits=report.kelley_cap_hits,
-        simplex_iterations=report.simplex_iterations,
+        solver=report,
         fit=fit,
         surrogate=surr,
     )

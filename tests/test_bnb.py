@@ -569,14 +569,28 @@ class TestSolve:
 
     def test_log_collection(self, tmp_path):
         surr = surrogate_for(parse_instance(NONCONVEX_2D))
-        report = solve(surr, collect_log=True)
+        report = solve(surr)
         assert len(report.log) >= 1
         nodes = [row[0] for row in report.log]
         assert nodes == sorted(nodes)
         path = tmp_path / "log.csv"
         write_log_csv(report, path)
-        text = path.read_text()
-        assert text.startswith("node,depth,lb,ub,gap_pct")
+        lines = path.read_text().splitlines()
+        assert lines[0] == "node,depth,lb,ub,gap_pct"
+        assert len(lines) == len(report.log) + 1
+        assert all(len(ln.split(",")) == 5 for ln in lines)
+
+    @pytest.mark.parametrize(
+        "text", [NONCONVEX_2D, "var x in [0, 1]; min x^2; st x - 2 >= 0;"],
+        ids=["incumbent", "infeasible"],
+    )
+    def test_summary_header_matches_row(self, text):
+        report = solve(surrogate_for(parse_instance(text)))
+        header = bnb.SOLVE_CSV_HEADER.split(",")
+        row = report.csv_row().split(",")
+        assert len(row) == len(header)
+        assert row[header.index("status")] == report.status
+        assert int(row[header.index("nodes")]) == report.nodes
 
 
 def shipped_surrogate(name):

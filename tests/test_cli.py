@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from missoc import cli, problems
-from missoc.bnb import UnsupportedSurrogateError
+from missoc.bnb import SOLVE_CSV_HEADER, UnsupportedSurrogateError
 from missoc.cli import build_parser, main
-from missoc.problems import MissocConfig
+from missoc.expressions import ParseError
+from missoc.problems import InstanceValidationError, MissocConfig
 from missoc.regression import load_model
 
 SMOOTH = (
@@ -98,7 +99,7 @@ class TestSolve:
         assert re.search(r"^Kelley caps   \d+$", out, re.M)
         assert log.read_text().startswith("node,depth,lb,ub,gap_pct")
         lines = summary.read_text().splitlines()
-        assert lines[0].startswith("objective,")
+        assert lines[0] == SOLVE_CSV_HEADER
         assert lines[1].endswith("optimal")
 
     def test_infeasible_exit_code(self, tmp_path):
@@ -113,7 +114,7 @@ class TestSolve:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sample_training was called")
 
-        monkeypatch.setattr(cli, "sample_training", no_sampling)
+        monkeypatch.setattr(problems, "sample_training", no_sampling)
         p = tmp_path / "nonlinear.miss"
         p.write_text(
             "var a in [0,1]; var b in [0,1];"
@@ -155,27 +156,79 @@ class TestWorkDone:
         assert re.fullmatch(r"simplex iters [1-9]\d*", lines[at + 1])
 
 
-class TestStageErrors:
-    """A failed stage ends ``missoc run``/``solve`` with one line on stderr
-    and exit code 1."""
+def run_command(*argv):
+    """``python -m missoc.cli *argv`` in a fresh interpreter."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "missoc.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
-    @pytest.mark.parametrize("command, text", [
-        ("run", "var x in [-inf, inf]; var y in [0, 1]; min x + y^2;"),
+
+# the pointwise target exp(x) at sample 0 is above the shape's upper bound
+FIT_FAILS = "var x in [0, 1]; min exp(x); shape bounds [0, 0.5]; point interp 0;"
+
+
+class TestStageErrors:
+    """A failed stage ends every subcommand with one line on stderr and exit
+    code 1."""
+
+    @pytest.mark.parametrize("command, text, stage", [
+        ("run", "var x in [-inf, inf]; var y in [0, 1]; min x + y^2;", "solve"),
         ("solve", "var a in [0,1]; var b in [0,1];"
-                  "min a^2 + sin(3*b); st a*b - 0.1 <= 0;"),
-    ], ids=["unbounded", "nonlinear_constraint"])
-    def test_one_line_not_a_traceback(self, tmp_path, command, text):
+                  "min a^2 + sin(3*b); st a*b - 0.1 <= 0;", "solve"),
+        ("run", FIT_FAILS, "fit"),
+        ("solve", FIT_FAILS, "fit"),
+        ("fit", FIT_FAILS, "fit"),
+        ("surrogate", FIT_FAILS, "fit"),
+    ], ids=["unbounded", "nonlinear_constraint", "run_fit", "solve_fit",
+            "fit_fit", "surrogate_fit"])
+    def test_one_line_not_a_traceback(self, tmp_path, command, text, stage):
         p = tmp_path / "bad.miss"
         p.write_text(text)
-        src = pathlib.Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src))
-        done = subprocess.run(
-            [sys.executable, "-m", "missoc.cli", command, str(p)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        done = run_command(command, str(p))
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
-        assert re.fullmatch(r"missoc: stage 'solve' failed: .+\n", done.stderr)
+        assert re.fullmatch(rf"missoc: stage '{stage}' failed: .+\n", done.stderr)
+
+    def test_fit_failure_names_the_bound(self, tmp_path):
+        p = tmp_path / "bad.miss"
+        p.write_text(FIT_FAILS)
+        with pytest.raises(problems.StageError) as ei:
+            main(["solve", str(p)])
+        assert ei.value.stage == "fit"
+        assert "exceeds upper bound 0.5" in str(ei.value)
+
+
+class TestInputErrors:
+    """An instance file that is missing, does not parse or is invalid, and
+    an output path that cannot be written, end the command with one line on
+    stderr and exit code 1; ``main`` raises the error itself."""
+
+    @pytest.mark.parametrize("text, error", [
+        (None, FileNotFoundError),
+        ("var x in [0, 1]; maximize x;", ParseError),
+        ("var x in [0, 1]; min x^2 + y;", InstanceValidationError),
+    ], ids=["missing", "parse", "invalid"])
+    def test_bad_instance(self, tmp_path, text, error):
+        p = tmp_path / "input.miss"
+        if text is not None:
+            p.write_text(text)
+        with pytest.raises(error):
+            main(["run", str(p)])
+        done = run_command("run", str(p))
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert re.fullmatch(r"missoc: .+\n", done.stderr)
+
+    def test_unwritable_output(self, smooth_path, tmp_path):
+        out = tmp_path / "no_such_dir" / "model.txt"
+        done = run_command("fit", smooth_path, "--intervals", "4",
+                           "--model", str(out))
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert re.fullmatch(r"missoc: .+no_such_dir.+\n", done.stderr)
 
 
 class TestBench:

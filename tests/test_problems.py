@@ -119,8 +119,13 @@ class TestParseInstance:
             parse_instance("var x in [0,1]; min x; maximize x;")
 
     def test_empty_box(self):
-        with pytest.raises(ParseError, match="empty box"):
+        with pytest.raises(ParseError, match="empty box .* of variable x$"):
             parse_instance("var x in [2, 1]; min x;")
+        # an integer box that holds one integer rounds to an empty one
+        text = "var x in [0, 1];\nvar n in [0.5, 1.5] integer;\nmin x^2 + n;"
+        with pytest.raises(ParseError, match=r"box \[1.0, 1.0\] of variable n$") as ei:
+            parse_instance(text)
+        assert ei.value.line == 2
 
     def test_nonlinear_variable_needs_finite_bounds(self):
         with pytest.raises(InstanceValidationError, match="bounds"):
@@ -349,6 +354,8 @@ class TestRunMissoc:
         report = run_missoc(inst, self.small_cfg(refine=False))
         np.testing.assert_array_equal(report.x, report.x_tilde)
         assert "refine" not in report.stage_times
+        assert report.solver.x is report.x_tilde
+        assert report.nodes == report.solver.nodes >= len(report.solver.log) >= 1
 
     @pytest.mark.parametrize("degree", [0, 1, 3])
     def test_waves2_solves_to_optimality(self, degree):
@@ -363,7 +370,7 @@ class TestRunMissoc:
         inst = parse_instance(path.read_text(), "waves2")
         report = run_missoc(inst, MissocConfig(degrees=degree))
         assert report.status == "optimal"
-        assert report.gap_pct <= 1e-2
+        assert report.solver.gap_pct <= 1e-2
 
     def test_reproducible_across_reparses(self):
         from missoc.problems import run_missoc
