@@ -24,9 +24,27 @@ shared by children where branching leaves them unchanged. Fixing an
 interval off pins its y, dev and sp to 0; choosing one sets its y to 1 and
 fixes its component's other intervals off. Everything else is built once
 per solve (``_LPBuilder``): the rows as row-wise arrays, the root's bounds,
-every interval's cut block on its full range (one ``interval_cuts`` call
-per component) and the Kelley tables. Cut blocks of narrower deviation
-ranges are cached per (interval, range); tangents travel as ``Tangents``.
+every interval's cut blocks on its full range and on [0, 0] (fixed off; one
+``interval_cuts`` call per component) and the Kelley tables. Cut blocks of
+other deviation ranges are cached per (interval, range); tangents travel as
+``Tangents``.
+
+Once the root is solved, and only when its LP point gave an incumbent and
+the gap is still open, the root's box is tightened against that incumbent
+(optimality-based bound tightening, as in branch-and-reduce, Ryoo &
+Sahinidis 1996, and Gleixner, Berthold, Müller & Weltge 2017;
+``_tighten_root``). The root's HiGHS model gets one cutoff row
+``obj·z <= ub - constant`` and zero costs, and then minimises and maximises
+each component's x column, 2p LPs warm-started one from the other. Each
+result, widened by FRAC_TOL relative (integer columns then rounded
+inward), becomes a bound of the root's box, and every interval wholly
+outside the box is fixed off. Every point of the relaxation that could
+beat the incumbent stays inside, so the bound stays sound; a tightening LP
+that is infeasible shows that no point can, and the root closes at the
+incumbent. The root's LP point is then branched on the tightened bounds,
+and the children start from the root's basis as read before the
+tightening. ``SolveReport.tightening_lps`` counts these LPs, which
+``lp_solves`` also holds.
 
 Each node's LP is one HiGHS model, passed as arrays through the numpy
 ``passModel`` of scipy's bundled HiGHS bindings (``_NodeLP``). Its first
@@ -255,7 +273,8 @@ class SolveReport:
     nodes: int
     time_s: float
     status: str
-    lp_solves: int = 0
+    lp_solves: int = 0  # node and tightening LPs
+    tightening_lps: int = 0  # the root's bound-tightening LPs
     kelley_cap_hits: int = 0  # node LPs stopped by KELLEY_CAP, not progress
     simplex_iterations: int = 0  # HiGHS simplex iterations over all node LPs
     log: list = field(default_factory=list)  # write_log_csv's rows
@@ -316,6 +335,7 @@ class _LPBuilder:
         # this fraction of the solve's gap tolerance
         self.progress_tol = 0.01 * gap_tol
         self.lp_solves = 0
+        self.tightening_lps = 0
         self.kelley_cap_hits = 0
         self.simplex_iterations = 0
         self.nv = len(surr.variables)
@@ -406,27 +426,35 @@ class _LPBuilder:
         size = max([c.shape[1] for c in coeffs], default=1)
         self.phi = np.zeros((n, size))
         self.dphi = np.zeros((n, size))
-        # the default cut blocks, on every interval's full range: one
-        # ``interval_cuts`` call per component
+        # every interval's cut blocks on its full range (the default block,
+        # id i) and on [0, 0] (fixed off, id n + i): one ``interval_cuts``
+        # call per component
+        self.blocks = []
         for j, (c, width) in enumerate(zip(coeffs, comp_widths)):
+            k = len(c)
             phi = c.copy()
             phi[:, 0] = 0.0
             der = _poly_der(phi)
-            i = slice(int(self.first[j]), int(self.first[j]) + len(c))
+            i = slice(int(self.first[j]), int(self.first[j]) + k)
             self.phi[i, size - phi.shape[1] :] = phi[:, ::-1]
             self.dphi[i, size - der.shape[1] :] = der[:, ::-1]
-            row, a, b, convex = interval_cuts(phi, np.zeros(len(c)), width)
-            counts, index, value = self.cut_rows(i.start + row, a, b)
-            # interval q's rows and entries end at row_end[q], entry_end[q]
-            row_end = np.cumsum(np.bincount(row, minlength=len(c))).tolist()
+            row, a, b, convex = interval_cuts(
+                np.vstack([phi, phi]), np.zeros(2 * k),
+                np.concatenate([width, np.zeros(k)]),
+            )
+            counts, index, value = self.cut_rows(i.start + row % k, a, b)
+            # block r's rows and entries end at row_end[r], entry_end[r]
+            row_end = np.cumsum(np.bincount(row, minlength=2 * k)).tolist()
             entry_end = np.cumsum(counts)[np.subtract(row_end, 1)].tolist()
-            for q, (r0, r1, e0, e1) in enumerate(zip(
+            for r, (r0, r1, e0, e1) in enumerate(zip(
                 [0] + row_end, row_end, [0] + entry_end, entry_end
             )):
                 rows = (counts[r0:r1], index[e0:e1], value[e0:e1])
-                key = (i.start + q, 0.0, width[q])
-                self._cuts[key] = _CutBlock(rows, bool(convex[q]), len(self._cuts))
-        self.blocks = list(self._cuts.values())
+                q, off = r % k, r >= k
+                block = _CutBlock(rows, bool(convex[r]), i.start + q + n * off)
+                self._cuts[i.start + q, 0.0, 0.0 if off else width[q]] = block
+                if not off:
+                    self.blocks.append(block)
         self.ids = np.arange(n, dtype=np.int32)
         self.block_rows = np.array([len(b.rows[0]) for b in self.blocks], np.int32)
         self.convex = np.array([b.convex for b in self.blocks], dtype=bool)
@@ -585,9 +613,11 @@ class _NodeLP:
     def solve(self):
         """(status, value, x): 'optimal' with the LP value (without the
         surrogate constant) and point, or 'infeasible', math.inf, None.
-        Any other outcome raises ``LPError``."""
+        Any other outcome raises ``LPError``. Every solve counts in the
+        builder's ``lp_solves`` and ``simplex_iterations``."""
         model = self.model
         self._check(model.run(), "run")
+        self.builder.lp_solves += 1
         self.builder.simplex_iterations += (
             model.getInfo().simplex_iteration_count
         )
@@ -645,7 +675,6 @@ def relax_node(builder: _LPBuilder, node: Node):
     prev = -math.inf
     for rnd in range(KELLEY_CAP):
         status, fun, z = model.solve()
-        builder.lp_solves += 1
         if status == "infeasible":
             return "infeasible", math.inf, None, NO_TANGENTS, None
         value = fun + builder.surr.constant
@@ -732,13 +761,68 @@ def _choose(builder: _LPBuilder, lower, upper, i: int) -> None:
     lower[col] = upper[col] = 1.0
 
 
+def _tighten_root(builder: _LPBuilder, lp: _NodeLP, ub: float):
+    """The root's column bounds (a copy of ``lp``'s) with each component's
+    x box cut to the points of the LP with value at most ``ub``, and every
+    interval wholly outside that box fixed off; None when no such point
+    exists. On ``lp``'s model, with one cutoff row ``obj·z <= ub -
+    constant`` added and the costs zeroed, it minimises and maximises each
+    component's x column: 2p LPs, each started from the basis the last one
+    left. Each result is widened by FRAC_TOL relative, integer columns are
+    rounded inward, and a bound whose LP ends neither optimal nor
+    infeasible stays as it was."""
+    model, ncols = lp.model, builder.ncols
+    cols = np.flatnonzero(builder.obj).astype(np.int32)
+    lp._check(model.addRow(-np.inf, ub - builder.surr.constant, len(cols),
+                           cols, builder.obj[cols]), "addRow")
+    lp._check(model.changeColsCost(ncols, np.arange(ncols, dtype=np.int32),
+                                   np.zeros(ncols)), "changeColsCost")
+    lower, upper = lp.lower.copy(), lp.upper.copy()
+    integer = set(builder.int_cols.tolist())
+    for col, _, _ in builder.domains:
+        for sense in (1.0, -1.0):
+            lp._check(model.changeColCost(col, sense), "changeColCost")
+            builder.tightening_lps += 1
+            try:
+                # the value is read here: resetting the cost zeroes it
+                status, value, _ = lp.solve()
+            except LPError:
+                status = "unsettled"
+            lp._check(model.changeColCost(col, 0.0), "changeColCost")
+            if status == "infeasible":
+                return None
+            if status != "optimal":
+                continue
+            v = sense * value
+            v -= sense * FRAC_TOL * max(1.0, abs(v))
+            if col in integer:
+                v = math.ceil(v - FRAC_TOL) if sense > 0 else math.floor(v + FRAC_TOL)
+            if sense > 0:
+                lower[col] = max(lower[col], v)
+            else:
+                upper[col] = min(upper[col], v)
+    if (lower[: builder.nv] > upper[: builder.nv]).any():
+        return None
+    # interval (j, q) spans knots q and q + 1 of component j's x column
+    x_col = np.array([builder.domains[j][0] for j, _ in builder.intervals],
+                     dtype=np.intp)
+    comps = builder.surr.components
+    left, right = (np.concatenate([c.breakpoints[s] for c in comps])
+                   for s in (slice(None, -1), slice(1, None)))
+    out = (right < lower[x_col]) | (left > upper[x_col])
+    for col in builder.y_cols[out].tolist():
+        lower[col : col + 3] = upper[col : col + 3] = 0.0
+    return lower, upper
+
+
 def _branch(builder: _LPBuilder, node: Node, z, tangents=NO_TANGENTS,
-            lp=None) -> list[Node] | None:
+            lp=None, basis=None) -> list[Node] | None:
     """Children of the node, or None when the LP point is branch-free: on
     the most fractional free interval binary, else on the first fractional
     integer variable, else on the deviation range with the largest envelope
-    gap. They inherit ``tangents`` and start from the final basis of ``lp``,
-    the node's solved ``_NodeLP``, when it is given."""
+    gap. They inherit ``tangents`` and start from ``basis`` when it is
+    given, else from the final basis of ``lp``, the node's solved
+    ``_NodeLP``, when that is given."""
     lower, upper = node.lower, node.upper
     y = builder.y_cols
     zy = z[y]
@@ -771,7 +855,8 @@ def _branch(builder: _LPBuilder, node: Node, z, tangents=NO_TANGENTS,
         left[col] = right[0][col] = m
         _choose(builder, *right, on[k])
         bounds = [(lower, left), right]
-    basis = None if lp is None else lp.basis()
+    if basis is None and lp is not None:
+        basis = lp.basis()
     return [Node(node.depth + 1, *bound, tangents, basis) for bound in bounds]
 
 
@@ -843,7 +928,22 @@ def solve(
         ) and incumbent is not None:
             pruned_lb = min(pruned_lb, lb)
             continue  # node cannot improve the incumbent meaningfully
-        children = _branch(builder, node, z, tangents, lp)
+        basis = None
+        if (node.depth == 0 and incumbent is not None
+                and optimality_gap(ub, lb) > 100.0 * gap_tol):
+            # the root, with an incumbent of its own and the search not
+            # over: branch on its box tightened against that incumbent
+            basis = lp.basis()
+            bounds = _tighten_root(builder, lp, ub)
+            if bounds is None:
+                pruned_lb = min(pruned_lb, ub)
+                continue  # no relaxation point beats the incumbent
+            node = Node(0, *bounds)
+        children = _branch(builder, node, z, tangents, lp, basis)
+        if children is None and basis is not None:
+            # the LP point may be branch-free only because the intervals it
+            # uses are now fixed off: relax the tightened root again
+            children = [Node(1, node.lower, node.upper, tangents, basis)]
         if children is None:
             pruned_lb = min(pruned_lb, lb)
             continue  # LP point is exact for this node
@@ -870,6 +970,7 @@ def solve(
         time_s=time.monotonic() - start,
         status=status,
         lp_solves=builder.lp_solves,
+        tightening_lps=builder.tightening_lps,
         kelley_cap_hits=builder.kelley_cap_hits,
         simplex_iterations=builder.simplex_iterations,
         log=log,

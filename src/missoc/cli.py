@@ -129,6 +129,7 @@ def _print_solver(report) -> None:
     print(f"nodes         {report.nodes}")
     print(f"LP solves     {report.lp_solves}")
     print(f"simplex iters {report.simplex_iterations}")
+    print(f"tighten LPs   {report.tightening_lps}")
     print(f"Kelley caps   {report.kelley_cap_hits}")
 
 

@@ -96,6 +96,7 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "status        optimal" in out
         assert re.search(r"^LP solves     [1-9]\d*$", out, re.M)
+        assert re.search(r"^tighten LPs   \d+$", out, re.M)
         assert re.search(r"^Kelley caps   \d+$", out, re.M)
         assert log.read_text().startswith("node,depth,lb,ub,gap_pct")
         lines = summary.read_text().splitlines()
@@ -134,6 +135,7 @@ class TestRun:
         text = capsys.readouterr().out
         assert "t[refine" in text
         assert re.search(r"^LP solves     [1-9]\d*$", text, re.M)
+        assert re.search(r"^tighten LPs   \d+$", text, re.M)
         assert re.search(r"^Kelley caps   \d+$", text, re.M)
         lines = out.read_text().splitlines()
         assert lines[0].startswith("instance,stage,")
@@ -154,6 +156,14 @@ class TestWorkDone:
         lines = out.splitlines()
         at = next(i for i, ln in enumerate(lines) if ln.startswith("LP"))
         assert re.fullmatch(r"simplex iters [1-9]\d*", lines[at + 1])
+
+    def test_prints_tightening_lps(self, capsys):
+        """waves2's root has an incumbent and an open gap, so it solves
+        min and max of both covariates against it: four LPs."""
+        path = pathlib.Path(problems.__file__).parent / "instances" / "waves2.miss"
+        assert main(["solve", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^tighten LPs   4$", out, re.M)
 
 
 def run_command(*argv):
