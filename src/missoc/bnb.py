@@ -71,7 +71,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize._highspy import _core as highs
 
-from .splines import bernstein_map, taylor_shift
+from .splines import bernstein_bounds, horner, poly_der
 from .surrogate import SurrogateMINLP, eval_surrogate_at
 
 FRAC_TOL = 1e-6
@@ -95,61 +95,6 @@ def optimality_gap(ub: float, lb: float) -> float:
     if ub == 0.0:
         return 0.0 if lb == ub else math.inf
     return 100.0 * abs(ub - lb) / abs(ub)
-
-
-def bernstein_bounds(coeffs, lo, hi):
-    """Enclosure of a power-basis polynomial's range over [lo, hi] from its
-    Bernstein coefficients; exact at the endpoints, any degree.
-
-    ``coeffs`` may also be stacked rows of one degree, shape (m, d+1), with
-    ``lo`` and ``hi`` of length m; the bounds are then two arrays of length
-    m, each row's the bits of a call on that row alone.
-    """
-    C = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    m, n = C.shape[0], C.shape[1] - 1
-    lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (m,)) for v in (lo, hi))
-    bad = ~(hi >= lo)
-    if bad.any():
-        raise ValueError(f"empty interval [{lo[bad][0]}, {hi[bad][0]}]")
-    if n <= 0:
-        low = high = C[:, 0] if n == 0 else np.zeros(m)
-    else:
-        # rescale to t in [0, 1]: q(t) = p(lo + w t), with
-        # p(x) = sum shifted_i (x - lo)^i
-        w = hi - lo
-        scaled = taylor_shift(C, lo) * w[:, None] ** np.arange(n + 1)
-        # power -> Bernstein: B_j = sum_{i <= j} C(j,i)/C(n,i) scaled_i,
-        # summed from i = 0 up
-        M = bernstein_map(n)
-        B = np.zeros((m, n + 1))
-        for i in range(n + 1):
-            B[:, i:] += M[i:, i] * scaled[:, i, None]
-        low, high = B.min(axis=1), B.max(axis=1)
-    if np.ndim(coeffs) == 1:
-        return float(low[0]), float(high[0])
-    return low, high
-
-
-def _poly_val(coeffs, x):
-    return float(np.polynomial.polynomial.polyval(x, coeffs))
-
-
-def _horner(P: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row i of P, highest power first, at x[i] (a value or a row of
-    values): one Horner pass with the same operations as ``polyval`` of the
-    row's unpadded coefficients."""
-    y = np.zeros(np.shape(x))
-    for col in P.T:
-        y = y * x + (col if y.ndim == 1 else col[:, None])
-    return y
-
-
-def _poly_der(coeffs):
-    """The derivative of a polynomial, or of each row of stacked ones."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape[-1] <= 1:
-        return np.zeros(c.shape[:-1] + (1,))
-    return c[..., 1:] * np.arange(1, c.shape[-1])
 
 
 def interval_cuts(phi, lo, hi):
@@ -179,12 +124,12 @@ def interval_cuts(phi, lo, hi):
     convex = np.zeros(m, dtype=bool)
     flat = hi - lo <= 1e-14
     f = np.flatnonzero(flat)
-    b[f, 0] = _horner(P[f, ::-1], 0.5 * (lo[f] + hi[f]))
+    b[f, 0] = horner(P[f], 0.5 * (lo[f] + hi[f]))
     r = np.flatnonzero(~flat)
     if len(r):
         P, lo, hi = P[r], lo[r], hi[r]
-        der = _poly_der(P)
-        curv_lo, curv_hi = bernstein_bounds(_poly_der(der), lo, hi)
+        der = poly_der(P)
+        curv_lo, curv_hi = bernstein_bounds(poly_der(der), lo, hi)
         top = np.abs(P).max(axis=1)
         scale = np.where(top > 1.0, top, 1.0)  # max(1, top)
         convex[r] = cvx = curv_lo >= -1e-12 * scale
@@ -193,15 +138,15 @@ def interval_cuts(phi, lo, hi):
         c = np.flatnonzero(cvx)
         pts = np.arange(5.0) * ((hi[c] - lo[c]) / 4)[:, None] + lo[c, None]
         pts[:, 4] = hi[c]
-        slope = _horner(der[c, ::-1], pts)
+        slope = horner(der[c], pts)
         a[r[c], :5] = slope
-        b[r[c], :5] = _horner(P[c, ::-1], pts) - slope * pts
+        b[r[c], :5] = horner(P[c], pts) - slope * pts
         # otherwise the secant, shifted below the overshoot where the
         # curvature is mixed
         s = np.flatnonzero(~cvx)
-        Ps, lo_s, hi_s = P[s, ::-1], lo[s], hi[s]
-        v_lo = _horner(Ps, lo_s)
-        sa = (_horner(Ps, hi_s) - v_lo) / (hi_s - lo_s)
+        Ps, lo_s, hi_s = P[s], lo[s], hi[s]
+        v_lo = horner(Ps, lo_s)
+        sa = (horner(Ps, hi_s) - v_lo) / (hi_s - lo_s)
         sb = v_lo - sa * lo_s
         x = np.flatnonzero(~(curv_hi[s] <= 1e-12 * scale[s]))
         if len(x):
@@ -421,8 +366,8 @@ class _LPBuilder:
         # (i, lo, hi) -> _CutBlock; per solve, since two surrogates share
         # keys
         self._cuts = {}
-        # the Kelley tables: phi and phi' per interval, highest power first,
-        # padded with leading zeros
+        # the Kelley tables: phi and phi' per interval, zero-padded to one
+        # width
         size = max([c.shape[1] for c in coeffs], default=1)
         self.phi = np.zeros((n, size))
         self.dphi = np.zeros((n, size))
@@ -434,10 +379,10 @@ class _LPBuilder:
             k = len(c)
             phi = c.copy()
             phi[:, 0] = 0.0
-            der = _poly_der(phi)
+            der = poly_der(phi)
             i = slice(int(self.first[j]), int(self.first[j]) + k)
-            self.phi[i, size - phi.shape[1] :] = phi[:, ::-1]
-            self.dphi[i, size - der.shape[1] :] = der[:, ::-1]
+            self.phi[i, : phi.shape[1]] = phi
+            self.dphi[i, : der.shape[1]] = der
             row, a, b, convex = interval_cuts(
                 np.vstack([phi, phi]), np.zeros(2 * k),
                 np.concatenate([width, np.zeros(k)]),
@@ -685,7 +630,7 @@ def relax_node(builder: _LPBuilder, node: Node):
         # the LP point may leave the range by HiGHS's tolerance; a tangent
         # is valid on the range only at a point inside it
         at = np.minimum(np.maximum(dev, node.lower[col_y + 1]), node.upper[col_y + 1])
-        val, val_at, a = _horner(P, np.concatenate([dev, at, at])).reshape(3, -1)
+        val, val_at, a = horner(P, np.concatenate([dev, at, at])).reshape(3, -1)
         gap = c0 * y + val - sp
         cut = ~(gap <= 1e-10 * np.maximum(1.0, np.abs(sp)))  # NaN gaps cut
         if not cut.any():
@@ -738,7 +683,7 @@ def _try_incumbent(builder: _LPBuilder, z) -> tuple[float, np.ndarray] | None:
             continue  # moved, fractional, or already the knot rule's interval
         width = builder.widths[builder.first[j] + q]
         dev = min(max(z[y[q] + 1], 0.0), width)
-        value += _poly_val(comp.piece.coeffs[q], dev) - lift["sigma"][j]
+        value += float(horner(comp.piece.coeffs[q], dev)) - lift["sigma"][j]
     return value, x
 
 
@@ -844,7 +789,7 @@ def _branch(builder: _LPBuilder, node: Node, z, tangents=NO_TANGENTS,
     else:
         on = np.flatnonzero(zy >= 0.5)
         dev = z[y[on] + 1]
-        gap = builder.c0[on] * zy[on] + _horner(builder.phi[on], dev) - z[y[on] + 2]
+        gap = builder.c0[on] * zy[on] + horner(builder.phi[on], dev) - z[y[on] + 2]
         k = _first_max_above(gap, 1e-9)
         if k is None:
             return None

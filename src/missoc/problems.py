@@ -360,7 +360,15 @@ def _validate(instance: ProblemInstance):
         raise InstanceValidationError(
             f"undeclared variables: {sorted(unknown)}"
         )
-    for name in instance.covariates():
+    covariates = instance.covariates()
+    shaped = [*instance.shape.monotone, *instance.shape.curvature] if instance.shape else []
+    for name in shaped:
+        if name not in covariates:  # it has no fitted component to shape
+            raise InstanceValidationError(
+                f"shape statement names {name}, which is not a covariate "
+                f"(a variable in the nonlinear part of the objective)"
+            )
+    for name in covariates:
         v = instance.variables[instance.var_index()[name]]
         if not (math.isfinite(v.lower) and math.isfinite(v.upper)):
             raise InstanceValidationError(

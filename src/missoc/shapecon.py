@@ -21,8 +21,12 @@ interval allows (monomial ones left the interior-point solver short of
 its tolerances on some single certificates of degree 3 to 5). A cubic
 spline needs only 1 x 1 and 2 x 2 cones.
 
+A certificate keeps that one coordinate: ``shape_violation`` checks its map
+in s on a grid in s, so a domain far from 0 reads no rounding as a violation.
+
 Monotonicity and convexity reuse the same machinery on the derivative (or
-second-derivative) coefficient map, with cones one (or two) degrees smaller.
+second-derivative) coefficient map, exact integers from ``splines.poly_der``,
+with cones one (or two) degrees smaller.
 """
 
 from __future__ import annotations
@@ -50,7 +54,9 @@ from .regression import (
     identifiability_penalty,
     make_bases,
 )
-from .splines import BSplineBasis, bernstein_map, design_matrix, segment_maps
+from .splines import (
+    BSplineBasis, bernstein_map, design_matrix, horner, poly_der, segment_maps,
+)
 
 
 class InfeasibleSpecError(ValueError):
@@ -172,15 +178,6 @@ def lukacs_mats(d: int) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
     )
 
 
-def derivative_map(d: int) -> np.ndarray:
-    """d x (d+1) matrix mapping degree-d power coefficients to those of the
-    derivative."""
-    D = np.zeros((d, d + 1))
-    for i in range(d):
-        D[i, i + 1] = i + 1
-    return D
-
-
 def estimate_weights(
     fit: AdditiveModelFit, T: TrainingSet
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -233,8 +230,7 @@ class ConicProgram:
     rows_C: list[np.ndarray] = field(default_factory=list)
     rows_c: list[float] = field(default_factory=list)
     blocks: list[ConicBlock] = field(default_factory=list)
-    # (coeff_map, rhs_poly, sign, t_lo, t_hi) per certificate, for direct
-    # post-solve violation checks on the fitted coefficients
+    # (local_map, rhs, sign) per certificate, for shape_violation
     certificates: list[tuple] = field(default_factory=list)
     # set by build_program: the design matrix without its intercept column,
     # and the spec with the bound weights the certificates were built with
@@ -246,27 +242,18 @@ class ConicProgram:
         self.rows_c.append(float(rhs))
         return len(self.rows_c) - 1
 
-    def add_certificate(
-        self,
-        coeff_map: np.ndarray,
-        local_map: np.ndarray,
-        rhs: float,
-        sign: float,
-        interval: tuple[float, float],
-    ) -> None:
-        """Require sign*(p - rhs) >= 0 on the interval (t_lo, t_hi) for the
-        polynomial p whose power-basis coefficients are ``coeff_map @ theta``
-        in x and ``local_map @ theta`` in s = (x - t_lo) / (t_hi - t_lo).
+    def add_certificate(self, local_map: np.ndarray, rhs: float, sign: float) -> None:
+        """Require sign*(p - rhs) >= 0 for s in [0, 1], for the polynomial p
+        whose power-basis coefficients in the interval's local variable
+        s = (x - t_lo) / (t_hi - t_lo) are ``local_map @ theta``.
 
-        Both maps are (d_eff+1) x dim; ``sign`` is +1 for lower-type and -1
+        The map is (d_eff+1) x dim; ``sign`` is +1 for lower-type and -1
         for upper-type constraints. The rows are the d_eff + 1 Bernstein
         coefficients in s of the Markov-Lukacs certificate
         (``lukacs_mats``).
         """
-        d_eff = coeff_map.shape[0] - 1
-        rhs_poly = np.zeros(d_eff + 1)
-        rhs_poly[0] = rhs
-        self.certificates.append((coeff_map, rhs_poly, sign, *interval))
+        d_eff = local_map.shape[0] - 1
+        self.certificates.append((local_map, rhs, sign))
         # A(Z) = sign*(p - rhs), Bernstein coefficient by coefficient; those
         # of the constant rhs all equal rhs
         rows = [
@@ -380,16 +367,16 @@ def build_program(
     for j, (basis, s) in enumerate(zip(bases, slices)):
         d = basis.degree
         starts = basis.knots.internal
-        # power-basis coefficients in x, and in x - t_lo of each interval
-        G = segment_maps(basis, 0.0)
-        G_local = segment_maps(basis, starts[:-1])
-        maps = []  # (coeff_map factory, rhs constant, sign)
+        # power-basis coefficients in x - t_lo of each interval
+        G = segment_maps(basis, starts[:-1])
+        eye = np.eye(d + 1)  # poly_der keeps its integers exact
+        maps = []  # (coefficient map, rhs constant, sign)
         if spec.lower is not None:
             b = w_lo[j] * (spec.lower - alpha)
-            maps.append((np.eye(d + 1), b, +1.0))
+            maps.append((eye, b, +1.0))
         if spec.upper is not None:
             b = w_up[j] * (spec.upper - alpha)
-            maps.append((np.eye(d + 1), b, -1.0))
+            maps.append((eye, b, -1.0))
         direction = spec.monotone.get(basis.label)
         if direction is not None:
             if d < 1:
@@ -397,7 +384,7 @@ def build_program(
                     f"monotonicity needs degree >= 1 on {basis.label}"
                 )
             sign = +1.0 if direction == INCREASING else -1.0
-            maps.append((derivative_map(d), 0.0, sign))
+            maps.append((poly_der(eye).T, 0.0, sign))
         curv = spec.curvature.get(basis.label)
         if curv is not None:
             if d < 2:
@@ -405,23 +392,19 @@ def build_program(
                     f"convexity needs degree >= 2 on {basis.label}"
                 )
             sign = +1.0 if curv == CONVEX else -1.0
-            maps.append((derivative_map(d - 1) @ derivative_map(d), 0.0, sign))
+            maps.append((poly_der(poly_der(eye)).T, 0.0, sign))
 
         for qi in range(basis.k):
             t_lo, t_hi = starts[qi], starts[qi + 1]
             active = slice(s.start + qi, s.start + qi + d + 1)
             for transform, b, sign in maps:
                 d_eff = transform.shape[0] - 1
-                coeff_map = np.zeros((d_eff + 1, program.dim))
-                coeff_map[:, active] = transform @ G[qi]
                 # coefficients in s = (x - t_lo) / h: scale the i-th by h^i
                 local_map = np.zeros((d_eff + 1, program.dim))
                 h_pow = (t_hi - t_lo) ** np.arange(d_eff + 1)
-                local_map[:, active] = h_pow[:, None] * (transform @ G_local[qi])
+                local_map[:, active] = h_pow[:, None] * (transform @ G[qi])
                 # sign*(p - b) >= margin  <=>  sign*(p - (b + sign*margin)) >= 0
-                program.add_certificate(
-                    coeff_map, local_map, b + sign * margin, sign, (t_lo, t_hi)
-                )
+                program.add_certificate(local_map, b + sign * margin, sign)
 
     if spec.pointwise:
         _check_pointwise_consistency(T, spec, alpha)
@@ -452,19 +435,23 @@ def _check_pointwise_consistency(T: TrainingSet, spec: ShapeSpec, alpha: float):
 def shape_violation(program: ConicProgram, theta: np.ndarray) -> float:
     """Worst infringement of the program's shape certificates at ``theta``.
 
-    Each certificate demands sign*(p(x) - rhs(x)) >= 0 on its interval; the
-    return value is the largest negative excursion over a per-interval grid
-    of VIOLATION_GRID points (0.0 when every certificate holds everywhere
-    sampled).
+    Each certificate demands sign*(p(s) - rhs) >= 0 for s in [0, 1], in
+    the local variable of its interval, where its rows are built; the
+    return value is the largest negative excursion over a grid of
+    VIOLATION_GRID points in s (0.0 when every certificate holds everywhere
+    sampled). The certificates are evaluated stacked, zero-padded to one
+    width, in one Horner pass.
     """
-    worst = 0.0
+    if not program.certificates:
+        return 0.0
+    maps, rhs, signs = zip(*program.certificates)
+    coeffs = np.zeros((len(maps), max(len(m) for m in maps)))
+    for row, local_map in zip(coeffs, maps):
+        row[: len(local_map)] = local_map @ theta
+    coeffs[:, 0] -= rhs
     u = np.linspace(0.0, 1.0, VIOLATION_GRID)
-    for coeff_map, rhs_poly, sign, t_lo, t_hi in program.certificates:
-        coeff = sign * (coeff_map @ theta - rhs_poly)
-        xs = t_lo + (t_hi - t_lo) * u
-        vals = np.polynomial.polynomial.polyval(xs, coeff)
-        worst = max(worst, float(-vals.min()))
-    return worst
+    u = np.broadcast_to(u, (len(maps), VIOLATION_GRID))
+    return max(0.0, float(-(np.array(signs)[:, None] * horner(coeffs, u)).min()))
 
 
 def _restored_solution(T, bases, program, sol):

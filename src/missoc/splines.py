@@ -11,6 +11,11 @@ evaluation and piecewise-polynomial evaluation share. Intervals are half-open
 ``[t_q, t_{q+1})``, so a point on an interior knot lies in the interval to its
 right; the last internal interval is closed so evaluation at the domain
 maximum is well defined.
+
+The package's polynomial arithmetic is here too, one way each, on power-basis
+coefficients lowest power first (zero padding at the high end, stacked rows
+at once): ``horner``, ``poly_der``, ``taylor_shift``, ``bernstein_map`` and
+``bernstein_bounds``.
 """
 
 from __future__ import annotations
@@ -207,6 +212,31 @@ def _mul_linear(P: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def horner(coeffs, x):
+    """Value of a polynomial at x by Horner's rule; stacked rows (m, n) each
+    at x[i], a value or a row of values. Each value takes the operations,
+    so the bits, of ``np.polynomial.polynomial.polyval`` on the unpadded
+    row."""
+    c = np.asarray(coeffs, dtype=float)
+    x = np.asarray(x, dtype=float)
+    cols = np.moveaxis(c, -1, 0)
+    # a row of values per stacked row: the row's coefficients broadcast
+    cols = cols.reshape(cols.shape + (1,) * (x.ndim - c.ndim + 1))
+    y = 0.0
+    for col in cols[::-1]:
+        y = y * x + col
+    return y
+
+
+def poly_der(coeffs) -> np.ndarray:
+    """Coefficients of the derivative, lowest power first, of a polynomial
+    or of each stacked row: one column fewer, and [0] for a constant."""
+    c = np.asarray(coeffs, dtype=float)
+    if c.shape[-1] <= 1:
+        return np.zeros(c.shape[:-1] + (1,))
+    return c[..., 1:] * np.arange(1, c.shape[-1])
+
+
 def taylor_shift(coeffs: np.ndarray, c) -> np.ndarray:
     """Rewrite p(x) = sum a_i x^i as sum b_i (x - c)^i via repeated synthetic
     division (Horner shift); stable, no factorials. Stacked rows of one
@@ -229,6 +259,39 @@ def bernstein_map(d: int) -> np.ndarray:
             for r in range(d + 1)
         ]
     )
+
+
+def bernstein_bounds(coeffs, lo, hi):
+    """Enclosure of a power-basis polynomial's range over [lo, hi] from its
+    Bernstein coefficients; exact at the endpoints, any degree.
+
+    ``coeffs`` may also be stacked rows of one degree, shape (m, d+1), with
+    ``lo`` and ``hi`` of length m; the bounds are then two arrays of length
+    m, each row's the bits of a call on that row alone.
+    """
+    C = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    m, n = C.shape[0], C.shape[1] - 1
+    lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (m,)) for v in (lo, hi))
+    bad = ~(hi >= lo)
+    if bad.any():
+        raise ValueError(f"empty interval [{lo[bad][0]}, {hi[bad][0]}]")
+    if n <= 0:
+        low = high = C[:, 0] if n == 0 else np.zeros(m)
+    else:
+        # rescale to t in [0, 1]: q(t) = p(lo + w t), with
+        # p(x) = sum shifted_i (x - lo)^i
+        w = hi - lo
+        scaled = taylor_shift(C, lo) * w[:, None] ** np.arange(n + 1)
+        # power -> Bernstein: B_j = sum_{i <= j} C(j,i)/C(n,i) scaled_i,
+        # summed from i = 0 up
+        M = bernstein_map(n)
+        B = np.zeros((m, n + 1))
+        for i in range(n + 1):
+            B[:, i:] += M[i:, i] * scaled[:, i, None]
+        low, high = B.min(axis=1), B.max(axis=1)
+    if np.ndim(coeffs) == 1:
+        return float(low[0]), float(high[0])
+    return low, high
 
 
 @dataclass(frozen=True)
@@ -256,14 +319,10 @@ class PiecewisePoly:
     def __call__(self, x: float) -> float:
         q = self.interval_of(x)
         dx = x - self.breakpoints[q]
-        return float(np.polynomial.polynomial.polyval(dx, self.coeffs[q]))
+        return float(horner(self.coeffs[q], dx))
 
     def derivative(self) -> "PiecewisePoly":
-        d = self.degree
-        if d == 0:
-            return PiecewisePoly(self.breakpoints, np.zeros((self.k, 1)))
-        dcoef = self.coeffs[:, 1:] * np.arange(1, d + 1)
-        return PiecewisePoly(self.breakpoints, dcoef)
+        return PiecewisePoly(self.breakpoints, poly_der(self.coeffs))
 
 
 def to_piecewise_poly(theta, basis: BSplineBasis) -> PiecewisePoly:

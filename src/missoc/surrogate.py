@@ -20,7 +20,7 @@ import numpy as np
 
 from .expressions import decompose_affine
 from .regression import AdditiveModelFit
-from .splines import PiecewisePoly, to_piecewise_poly
+from .splines import PiecewisePoly, horner, to_piecewise_poly
 
 DOMAIN_TOL = 1e-9
 
@@ -165,9 +165,7 @@ def eval_surrogate_at(surrogate: SurrogateMINLP, x):
         sp = np.zeros(comp.k)
         y[q] = 1.0
         dev[q] = xj - comp.breakpoints[q]
-        sp[q] = float(
-            np.polynomial.polynomial.polyval(dev[q], comp.piece.coeffs[q])
-        )
+        sp[q] = float(horner(comp.piece.coeffs[q], dev[q]))
         sigma = float(sp.sum())
         assignment["y"].append(y)
         assignment["dev"].append(dev)

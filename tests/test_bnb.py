@@ -29,7 +29,7 @@ from missoc.problems import (
     sample_training,
 )
 from missoc.regression import fit_additive
-from missoc.splines import PiecewisePoly, taylor_shift
+from missoc.splines import PiecewisePoly, horner, poly_der, taylor_shift
 from missoc.surrogate import (
     LinearConstraint,
     SurrogateComponent,
@@ -39,6 +39,13 @@ from missoc.surrogate import (
 )
 
 SHIPPED = ("convex_shaped", "mixed_integer", "waves2")
+
+
+def poly_val(coeffs, x):
+    """``np.polynomial``'s value of a polynomial at x: the reference for
+    ``splines.horner``."""
+    return float(np.polynomial.polynomial.polyval(x, coeffs))
+
 
 
 def surrogate_for(instance, degrees=3, intervals=8, seed=0, samples_per_param=15):
@@ -281,21 +288,21 @@ def interval_cuts_reference(phi, lo, hi):
     per point; the reference for the batched one."""
     phi = np.asarray(phi, dtype=float)
     if hi - lo <= 1e-14:
-        v = bnb._poly_val(phi, 0.5 * (lo + hi))
+        v = poly_val(phi, 0.5 * (lo + hi))
         return [(0.0, v)], False
     cuts = []
-    second = bnb._poly_der(bnb._poly_der(phi))
+    second = poly_der(poly_der(phi))
     curv_lo, curv_hi = bernstein_bounds_reference(second, lo, hi)
     scale = max(1.0, np.abs(phi).max())
     convex = curv_lo >= -1e-12 * scale
     if convex:
-        der = bnb._poly_der(phi)
+        der = poly_der(phi)
         for p in np.linspace(lo, hi, 5):
-            a = bnb._poly_val(der, p)
-            cuts.append((a, bnb._poly_val(phi, p) - a * p))
+            a = poly_val(der, p)
+            cuts.append((a, poly_val(phi, p) - a * p))
     else:
-        a = (bnb._poly_val(phi, hi) - bnb._poly_val(phi, lo)) / (hi - lo)
-        b = bnb._poly_val(phi, lo) - a * lo
+        a = (poly_val(phi, hi) - poly_val(phi, lo)) / (hi - lo)
+        b = poly_val(phi, lo) - a * lo
         if curv_hi <= 1e-12 * scale:
             cuts.append((a, b))
         else:
@@ -315,7 +322,7 @@ def piece_kind(phi, lo, hi):
     reference gives phi on [lo, hi]."""
     if hi - lo <= 1e-14:
         return "degenerate"
-    second = bnb._poly_der(bnb._poly_der(phi))
+    second = poly_der(poly_der(phi))
     curv_lo, curv_hi = bernstein_bounds_reference(second, lo, hi)
     scale = max(1.0, np.abs(phi).max())
     if curv_lo >= -1e-12 * scale:
@@ -687,7 +694,7 @@ def branch_reference(builder, desc, z):
             if z[col] < 0.5:
                 continue
             phi = builder.deviation_poly(builder.first[j] + q)
-            true_sp = comp.piece.coeffs[q][0] * z[col] + bnb._poly_val(
+            true_sp = comp.piece.coeffs[q][0] * z[col] + poly_val(
                 phi, z[col + 1]
             )
             gap = true_sp - z[col + 2]
@@ -1560,7 +1567,7 @@ class TestWarmStart:
 
 def relax_node_per_key(builder, node):
     """``relax_node`` with the Kelley round evaluating phi and phi' one
-    convex key at a time with ``_poly_val``: the reference for the stacked
+    convex key at a time with ``polyval``: the reference for the stacked
     Horner evaluation."""
     surr = builder.surr
     lp = bnb._node_lp(builder, node)
@@ -1587,13 +1594,13 @@ def relax_node_per_key(builder, node):
             y = z[y_col]
             dev = z[y_col + 1]
             c0 = surr.components[j].piece.coeffs[q][0]
-            gap = c0 * y + bnb._poly_val(phi, dev) - z[y_col + 2]
+            gap = c0 * y + poly_val(phi, dev) - z[y_col + 2]
             if gap <= 1e-10 * max(1.0, abs(z[y_col + 2])):
                 continue
             col = y_col + 1
             dev = min(max(dev, lower[col]), upper[col])
-            a = bnb._poly_val(bnb._poly_der(phi), dev)
-            new.append((i, a, bnb._poly_val(phi, dev) - a * dev))
+            a = poly_val(poly_der(phi), dev)
+            new.append((i, a, poly_val(phi, dev) - a * dev))
         if not new:
             break
         if rnd == bnb.KELLEY_CAP - 1:
@@ -1609,17 +1616,21 @@ def relax_node_per_key(builder, node):
 
 class TestKelleyEvaluation:
     def test_horner_matches_poly_val_bitwise(self):
+        """The Kelley tables hold phi and phi' of every interval, zero-padded
+        to one width; Horner on a table row, at one value or a row of
+        values, has the bits of ``polyval`` on the unpadded polynomial."""
         rng = np.random.default_rng(5)
-        phis = [rng.normal(size=n) * 10.0 ** rng.integers(-3, 4) for n in (1, 2, 4, 4, 6)]
-        x = np.array([0.0, -0.7, 1e-9, 3.1, 0.25])
-        width = 7
-        for poly in (phis, [bnb._poly_der(phi) for phi in phis]):
-            P = np.zeros((len(poly), width))
-            for i, c in enumerate(poly):
-                P[i, width - len(c) :] = c[::-1]
-            for xv in (x, -x[::-1]):
-                ref = [bnb._poly_val(c, v) for c, v in zip(poly, xv)]
-                np.testing.assert_array_equal(bnb._horner(P, xv), ref)
+        for surr in [random_surrogate(seed) for seed in range(3)]:
+            builder = bnb._LPBuilder(surr, 1e-4)
+            phis = [builder.deviation_poly(i) for i in range(len(builder.intervals))]
+            x = rng.uniform(-3.0, 3.0, size=(len(phis), 4))
+            x[:, 0] = 0.0
+            for table, poly in ((builder.phi, phis),
+                                (builder.dphi, [poly_der(phi) for phi in phis])):
+                for xv in (x, -x[:, ::-1]):
+                    ref = [[poly_val(c, v) for v in row] for c, row in zip(poly, xv)]
+                    assert bits(horner(table, xv)) == bits(ref)
+                    assert bits(horner(table, xv[:, 1])) == bits([r[1] for r in ref])
 
     @pytest.mark.parametrize("source", ["random", "shipped"])
     def test_solve_matches_per_key_loop(self, source, monkeypatch):

@@ -654,10 +654,10 @@ def grid_relaxation(program, prob):
     SLSQP. Returns the result and the inequalities A theta >= b."""
     u = np.linspace(0.0, 1.0, 201)
     A, b = [], []
-    for coeff_map, rhs_poly, sign, t_lo, t_hi in program.certificates:
-        V = np.vander(t_lo + (t_hi - t_lo) * u, len(rhs_poly), increasing=True)
-        A.append(sign * V @ coeff_map)
-        b.append(sign * V @ rhs_poly)
+    for local_map, rhs, sign in program.certificates:
+        V = np.vander(u, len(local_map), increasing=True)
+        A.append(sign * V @ local_map)
+        b.append(sign * np.full(len(u), rhs))
     slack = [blk.rows[0] for blk in prob.blocks if blk.order == 1]
     A = np.vstack(A + [-prob.C[slack]])
     b = np.concatenate(b + [-prob.c[slack]])

@@ -135,6 +135,19 @@ class TestParseInstance:
         inst = parse_instance("var x in [0, inf]; var y in [0,1]; min x + y^2;")
         assert inst.covariates() == ("y",)
 
+    def test_shape_of_undeclared_variable_rejected(self):
+        text = "var x in [0, 2]; min exp(x) - 3*x; shape convex z;"
+        with pytest.raises(InstanceValidationError, match="names z, which is not a covariate"):
+            parse_instance(text)
+
+    def test_shape_of_linear_only_variable_rejected(self):
+        # y appears only linearly, so it has no fitted component to shape
+        text = "var x in [0, 2]; var y in [0, 1]; min exp(x) + y; shape monotone y up;"
+        with pytest.raises(InstanceValidationError, match="names y, which is not a covariate"):
+            parse_instance(text)
+        inst = parse_instance(text.replace("monotone y", "monotone x"))
+        assert inst.shape.monotone == {"x": "increasing"}
+
     def test_midpoint_must_evaluate(self):
         with pytest.raises(InstanceValidationError, match="midpoint"):
             parse_instance("var x in [-2, 0]; min log(x + 1) + x^2;")

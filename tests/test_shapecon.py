@@ -24,7 +24,6 @@ from missoc.shapecon import (
     PointwiseSet,
     ShapeSpec,
     build_program,
-    derivative_map,
     estimate_weights,
     fit_constrained,
     lukacs_mats,
@@ -160,8 +159,9 @@ class TestBuildW:
 
 class TestBuildG:
     """The basis-segment coefficient map G_q of each certificate: the
-    power-basis coefficients (in x) of the component on interval q as a
-    linear function of the covariate's basis coefficients."""
+    power-basis coefficients, in the local variable s = (x - t_q) / h of
+    interval q, of the component there as a linear function of the
+    covariate's basis coefficients."""
 
     @staticmethod
     def bound_maps(basis):
@@ -188,12 +188,12 @@ class TestBuildG:
         theta = rng.normal(size=basis.n_basis)
         for q, G in enumerate(self.bound_maps(basis)):
             coeffs = G @ theta
-            t = np.linspace(
-                basis.knots.internal[q], basis.knots.internal[q + 1], 7
-            )[:-1]
-            for x in t:
+            t_lo, t_hi = basis.knots.internal[q : q + 2]
+            for x in np.linspace(t_lo, t_hi, 7)[:-1]:
                 want = basis.eval_all(x) @ theta
-                got = np.polynomial.polynomial.polyval(x, coeffs)
+                got = np.polynomial.polynomial.polyval(
+                    (x - t_lo) / (t_hi - t_lo), coeffs
+                )
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_partition_of_unity(self):
@@ -208,11 +208,29 @@ class TestBuildG:
 class TestDerivativeMap:
     @pytest.mark.parametrize("d", range(1, 6))
     def test_matches_polyder(self, d):
+        """The maps of the monotonicity and convexity certificates are those
+        of the bound certificate differentiated once and twice in x: in
+        s = (x - t_lo) / h, polyder scaled by 1 / h per derivative."""
         rng = np.random.default_rng(d)
-        p = rng.normal(size=d + 1)
-        np.testing.assert_allclose(
-            derivative_map(d) @ p, np.polynomial.polynomial.polyder(p)
-        )
+        X = rng.uniform(0.0, 2.0, size=(40, 1))
+        T = TrainingSet(X=X, y=np.exp(X[:, 0]))
+        basis = make_basis(0.0, 2.0, 3, d, "x")
+        spec = ShapeSpec(lower=-10.0, monotone={"x": INCREASING})
+        if d >= 2:
+            spec = dataclasses.replace(spec, curvature={"x": CONVEX})
+        program, _ = build_program(T, [basis], spec)
+        theta = rng.normal(size=basis.n_basis)
+        h = 2.0 / 3
+        P = np.polynomial.polynomial
+        # per interval: the bound, the monotonicity and the convexity map
+        per = 2 + (d >= 2)
+        for q in range(basis.k):
+            bound, *derivs = program.certificates[q * per : (q + 1) * per]
+            p = bound[0] @ theta
+            for n, cert in enumerate(derivs, start=1):
+                np.testing.assert_allclose(
+                    cert[0] @ theta, P.polyder(p, n) / h**n, rtol=1e-12, atol=1e-12
+                )
 
 
 def exact_min(p, lo, hi):
@@ -238,7 +256,7 @@ def shift_program(p, interval, form):
     if form == "gram":
         add_gram_certificate(program, e0, -np.asarray(p), 1.0, interval)
     else:
-        program.add_certificate(e0, e0, 0.0, 1.0, interval)
+        program.add_certificate(e0, 0.0, 1.0)
         # the rows read A(Z) - t B e0 = c, B = bernstein_map(d), so c holds
         # the Bernstein coefficients of p in s = (x - t_lo) / h: shifted to
         # t_lo, the i-th power scaled by h^i, then mapped by B
@@ -705,3 +723,39 @@ class TestRestoration:
                 np.testing.assert_array_equal(a[0], b[0])
                 np.testing.assert_array_equal(a[1], b[1])
                 assert a[2:] == b[2:]
+
+    # two covariates on [c, c + 2]; the upper bound binds at the upper end
+    # of x1, and monotonicity holds x2's fit flat where sin rises
+    TRANSLATED = (
+        "var x1 in [{c}, {hi}]; var x2 in [{c}, {hi}];"
+        "min exp(0.9*(x1 - {c})) - 2.2*(x1 - {c}) - 1.5*(x2 - {c})"
+        " + 0.4*sin(4*(x2 - {c}));"
+        "shape bounds [0, 5.5]; shape monotone x2 down;"
+    )
+
+    def test_translated_domain_needs_no_restoration(self, monkeypatch):
+        """Moving the domain away from 0 changes only rounding: the
+        certificates are checked in their local variable, so no far offset
+        turns rounding into a violation and a restoration (a check in x
+        restored at all three offsets and moved the surrogate objective by
+        7.9e-5 and 3.4e-3 relative at 1e3 and 1e4)."""
+        from missoc.problems import MissocConfig, parse_instance, run_missoc
+
+        builds = []
+        build = shapecon.build_program
+
+        def counted_build(*args, **kwargs):
+            builds.append(kwargs.get("margin", 0.0))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(shapecon, "build_program", counted_build)
+        surrogate = {}
+        for c in (0.0, 1e3, 1e4, 1e5):
+            builds.clear()
+            instance = parse_instance(self.TRANSLATED.format(c=c, hi=c + 2))
+            report = run_missoc(instance, MissocConfig(intervals=10))
+            assert report.status == "optimal"
+            assert builds == [0.0], c
+            surrogate[c] = report.solver.objective
+        for c in (1e3, 1e4, 1e5):
+            assert surrogate[c] == pytest.approx(surrogate[0.0], rel=1e-9), c

@@ -7,11 +7,14 @@ from missoc.splines import (
     DegenerateDomainError,
     InvalidKnotsError,
     OutOfDomainError,
+    bernstein_bounds,
     bspline_value,
     design_matrix,
     extend_knots,
+    horner,
     interval_index,
     make_basis,
+    poly_der,
     segment_maps,
     taylor_shift,
     to_piecewise_poly,
@@ -278,6 +281,99 @@ class TestTaylorShift:
             a = np.polynomial.polynomial.polyval(x, p)
             b = np.polynomial.polynomial.polyval(x - 2.5, shifted)
             assert b == pytest.approx(a, rel=1e-12, abs=1e-12)
+
+
+P = np.polynomial.polynomial
+coefficient = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+point = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def stacked_rows(draw):
+    """(rows, stacked, x): 1-5 polynomials of degree 0-7, their ascending
+    coefficients stacked and zero-padded to one width, and one point per
+    row, of either sign."""
+    degrees = draw(st.lists(st.integers(0, 7), min_size=1, max_size=5))
+    rows = [draw(st.lists(coefficient, min_size=d + 1, max_size=d + 1)) for d in degrees]
+    width = max(degrees) + 1 + draw(st.integers(0, 2))
+    stacked = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        stacked[i, : len(row)] = row
+    x = draw(st.lists(point, min_size=len(rows), max_size=len(rows)))
+    return [np.array(row) for row in rows], stacked, np.array(x)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def condition(stacked, lo, hi):
+    """Per row, sum |a_i| r^i with r = max(1, |lo|, |hi|): a bound on the
+    terms whose rounding a value over [lo, hi] suffers."""
+    r = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    return (np.abs(stacked) * r[:, None] ** np.arange(stacked.shape[1])).sum(axis=1)
+
+
+class TestPolynomialToolkit:
+    """``horner``, ``poly_der`` and ``bernstein_bounds`` on stacked,
+    zero-padded rows, against ``np.polynomial``."""
+
+    @given(stacked_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_horner_equals_polyval_bitwise(self, case):
+        rows, stacked, x = case
+        want = [P.polyval(v, row) for row, v in zip(rows, x)]
+        assert bits(horner(stacked, x)) == bits(want)
+        # a row of values per row, and one row alone
+        grid = x[:, None] * np.array([1.0, -0.5, 0.0])
+        want = [P.polyval(g, row) for row, g in zip(rows, grid)]
+        assert bits(horner(stacked, grid)) == bits(want)
+        assert bits(horner(stacked[0], grid[0])) == bits(want[0])
+        assert bits(horner(stacked[0], x[0])) == bits(P.polyval(x[0], rows[0]))
+
+    @given(stacked_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_poly_der_equals_polyder(self, case):
+        rows, stacked, _ = case
+        got = poly_der(stacked)
+        assert got.shape == (len(rows), max(stacked.shape[1] - 1, 1))
+        for row, padded, der in zip(rows, stacked, got):
+            # equal values (a constant's derivative is +0 here, 0 * c there)
+            np.testing.assert_array_equal(der, P.polyder(padded))
+            want = P.polyder(row)
+            np.testing.assert_array_equal(der[: len(want)], want)
+            np.testing.assert_array_equal(der[len(want) :], 0.0)
+        np.testing.assert_array_equal(poly_der(rows[0]), P.polyder(rows[0]))
+
+    @given(stacked_rows(), st.floats(1e-3, 3.0))
+    @settings(max_examples=150, deadline=None)
+    def test_bernstein_bounds_enclose_samples_and_are_exact_at_the_ends(
+        self, case, width
+    ):
+        _, stacked, lo = case
+        hi = lo + width
+        low, high = bernstein_bounds(stacked, lo, hi)
+        xs = lo[:, None] + width * np.linspace(0.0, 1.0, 257)
+        vals = horner(stacked, xs)
+        tol = 1e-12 * condition(stacked, lo, hi)
+        assert (low <= vals.min(axis=1) + tol).all()
+        assert (high >= vals.max(axis=1) - tol).all()
+        # the first Bernstein coefficient is the value at lo, bit for bit
+        assert (low <= vals[:, 0]).all() and (vals[:, 0] <= high).all()
+        # c + b ((x - lo) / w)^n has Bernstein coefficients c, ..., c, c + b:
+        # its enclosure is its two end values
+        n = stacked.shape[1] - 1
+        if n == 0:
+            return
+        ramp = np.zeros_like(stacked)
+        ramp[:, 0] = stacked[:, 0]
+        ramp[:, n] = stacked[:, n] / width**n
+        ramp = taylor_shift(ramp, -lo)
+        low, high = bernstein_bounds(ramp, lo, hi)
+        ends = np.stack([stacked[:, 0], stacked[:, 0] + stacked[:, n]])
+        tol = 1e-12 * condition(ramp, lo, hi)
+        assert (np.abs(low - ends.min(axis=0)) <= tol).all()
+        assert (np.abs(high - ends.max(axis=0)) <= tol).all()
 
 
 class TestToPiecewisePoly:
