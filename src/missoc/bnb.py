@@ -4,10 +4,11 @@ Separability is the whole game: the objective is a sum of univariate
 piecewise polynomials, so every node relaxation is a small LP whose only
 nonlinear content is handled by per-interval linear underestimators of the
 univariate pieces (tangents on convex pieces, the secant on concave ones, a
-Bernstein-shifted secant on mixed-curvature ones). Branching fixes the
-interval binaries, bisects deviation ranges where the envelope is loose, and
-enforces integrality of integer original variables; node selection is
-best-bound with FIFO tie-break, so runs are deterministic.
+Bernstein-shifted secant on mixed-curvature ones). Branching splits a
+component's interval set in two halves (SOS1, Beale & Tomlin 1970), enforces
+integrality of integer original variables, and bisects deviation ranges
+where the envelope is loose; node selection is best-bound with FIFO
+tie-break, so runs are deterministic.
 
 Intervals that are convex over the node's deviation range get Kelley
 (1960) tangents at the LP point, one LP round at a time. The loop stops on
@@ -21,8 +22,10 @@ in all descendants.
 
 A node is its LP's column bounds (Achterberg 2007): two read-only arrays,
 shared by children where branching leaves them unchanged. Fixing an
-interval off pins its y, dev and sp to 0; choosing one sets its y to 1 and
-fixes its component's other intervals off. Everything else is built once
+interval off pins its y, dev and sp to 0, so a half of a component's
+intervals is fixed off with one slice; choosing one (after a deviation
+range is bisected) sets its y to 1 and fixes its component's other
+intervals off. Everything else is built once
 per solve (``_LPBuilder``): the rows as row-wise arrays, the root's bounds,
 every interval's cut blocks on its full range and on [0, 0] (fixed off; one
 ``interval_cuts`` call per component) and the Kelley tables. Cut blocks of
@@ -763,11 +766,18 @@ def _tighten_root(builder: _LPBuilder, lp: _NodeLP, ub: float):
 def _branch(builder: _LPBuilder, node: Node, z, tangents=NO_TANGENTS,
             lp=None, basis=None) -> list[Node] | None:
     """Children of the node, or None when the LP point is branch-free: on
-    the most fractional free interval binary, else on the first fractional
-    integer variable, else on the deviation range with the largest envelope
-    gap. They inherit ``tangents`` and start from ``basis`` when it is
-    given, else from the final basis of ``lp``, the node's solved
-    ``_NodeLP``, when that is given."""
+    the interval set of the component of the most fractional free interval
+    binary (SOS1), else on the first fractional integer variable, else on
+    the deviation range with the largest envelope gap. They inherit
+    ``tangents`` and start from ``basis`` when it is given, else from the
+    final basis of ``lp``, the node's solved ``_NodeLP``, when that is
+    given.
+
+    SOS1 dichotomy branching (Beale & Tomlin 1970) splits the component's
+    free intervals at the LP's weighted interval position sum(q * y_q), so
+    that both halves hold a free interval; the left child fixes the right
+    half off and the right child the left half, each with one slice of the
+    bounds (intervals fixed off already stay so)."""
     lower, upper = node.lower, node.upper
     y = builder.y_cols
     zy = z[y]
@@ -776,11 +786,19 @@ def _branch(builder: _LPBuilder, node: Node, z, tangents=NO_TANGENTS,
     frac = np.where(lower[y] != upper[y], np.minimum(zy, 1.0 - zy), 0.0)
     i = _first_max_above(frac, FRAC_TOL)
     if i is not None:
-        off, on = (lower.copy(), upper.copy()), (lower.copy(), upper.copy())
-        for bound in off:
-            bound[y[i] : y[i] + 3] = 0.0
-        _choose(builder, *on, i)
-        bounds = [off, on]
+        j = builder.intervals[i][0]
+        first, k = builder.first[j], builder.surr.components[j].k
+        free = np.flatnonzero(upper[y[first : first + k]] != 0.0)
+        pos = float(zy[first : first + k] @ np.arange(k))
+        # the right half's first interval; each half holds a free one
+        s = min(max(math.floor(pos) + 1, free[0] + 1), free[-1])
+        start, cut = y[first], y[first + s]
+        left, right = (lower.copy(), upper.copy()), (lower.copy(), upper.copy())
+        for bound in left:
+            bound[cut : start + 3 * k] = 0.0
+        for bound in right:
+            bound[start:cut] = 0.0
+        bounds = [left, right]
     elif len(fractional):
         col, xv = builder.int_cols[fractional[0]], x[fractional[0]]
         left, right = upper.copy(), lower.copy()
