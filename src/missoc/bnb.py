@@ -15,33 +15,32 @@ Intervals that are convex over the node's deviation range get Kelley
 bound progress: when a round raised the LP value by at most
 ``0.01 * gap_tol * max(1, |value|)``, when no tangent was added, or after
 KELLEY_CAP LPs (counted in ``SolveReport.kelley_cap_hits``). Every stop
-leaves a relaxation, so bounds stay sound. A node's tangents are passed to
-its children (a cut pool in the sense of Achterberg 2007): a tangent of a
-piece convex on a range underestimates it on every sub-range, so it holds
-in all descendants.
+leaves a relaxation, so bounds stay sound. A node's tangents stay on the
+model for its children (a cut pool in the sense of Achterberg 2007): a
+tangent of a piece convex on a range underestimates it on every sub-range,
+so it holds in all descendants.
 
 A node is its LP's column bounds (Achterberg 2007): two read-only arrays,
 shared by children where branching leaves them unchanged. Fixing an
 interval off pins its y, dev and sp to 0, so a half of a component's
 intervals is fixed off with one slice; choosing one (after a deviation
 range is bisected) sets its y to 1 and fixes its component's other
-intervals off. Everything else is built once
-per solve (``_LPBuilder``): the rows as row-wise arrays, the root's bounds,
-every interval's cut blocks on its full range and on [0, 0] (fixed off; one
-``interval_cuts`` call per component) and the Kelley tables. Cut blocks of
-other deviation ranges are cached per (interval, range); tangents travel as
-``Tangents``.
+intervals off. The tables are built once per solve (``_LPBuilder``): the
+rows every node LP holds as row-wise arrays (the fixed rows, then every
+interval's cut block on its full range, one ``interval_cuts`` call per
+component), the root's bounds and the Kelley tables. Cut blocks of
+narrowed deviation ranges are cached per (interval, range).
 
 Once the root is solved, and only when its LP point gave an incumbent and
 the gap is still open, the root's box is tightened against that incumbent
 (optimality-based bound tightening, as in branch-and-reduce, Ryoo &
 Sahinidis 1996, and Gleixner, Berthold, Müller & Weltge 2017;
-``_tighten_root``). The root's HiGHS model gets one cutoff row
+``_tighten_root``). The shared model gets one cutoff row
 ``obj·z <= ub - constant`` and zero costs, and then minimises and maximises
-each component's x column, 2p LPs warm-started one from the other. Each
-result, widened by FRAC_TOL relative (integer columns then rounded
-inward), becomes a bound of the root's box, and every interval wholly
-outside the box is fixed off. Every point of the relaxation that could
+each component's x column, 2p LPs warm-started one from the other; the row
+is deleted and the costs restored afterwards. Each result, widened by
+FRAC_TOL relative (integer columns then rounded inward), becomes a bound of
+the root's box, and every interval wholly outside the box is fixed off. Every point of the relaxation that could
 beat the incumbent stays inside, so the bound stays sound; a tightening LP
 that is infeasible shows that no point can, and the root closes at the
 incumbent. The root's LP point is then branched on the tightened bounds,
@@ -49,18 +48,22 @@ and the children start from the root's basis as read before the
 tightening. ``SolveReport.tightening_lps`` counts these LPs, which
 ``lp_solves`` also holds.
 
-Each node's LP is one HiGHS model, passed as arrays through the numpy
-``passModel`` of scipy's bundled HiGHS bindings (``_NodeLP``). Its first
-solve starts from the parent's final basis, which both children share
-(Achterberg 2007): kept as int8 statuses and mapped by position onto the
-child's rows (fixed rows one to one, an interval's block one to one when the
-child holds the same cached block and as basic slacks otherwise, tangent
-rows through the child's keep-mask), then passed as an alien basis, so
-HiGHS repairs the basic count where a dropped row was nonbasic. Only the
-root starts cold. A Kelley round adds its tangents to the model in place
-and re-solves it from the basis the last solve left. A node is pruned only
-when its LP is infeasible (also "unbounded or infeasible" when every x
-column is boxed); any other outcome that is not optimal raises ``LPError``.
+Every node LP is solved on one HiGHS model per solve (``_SharedLP``;
+Achterberg 2007), passed once through the numpy ``passModel`` of scipy's
+bundled HiGHS bindings. A node is applied as ``changeColsBounds`` plus its
+own rows, kept as a stack of frames along the search path (``_Frame``): the
+cut blocks of the deviation ranges it narrows below its parent's, then its
+Kelley tangents. A block on a range stays valid on every sub-range, and an
+interval fixed off is bounds only, so no row is edited in place, and the
+ancestors' tangents are the node's cut pool. A child of the node just
+solved only appends rows and keeps HiGHS's basis; a jump deletes rows
+back to the prefix shared with the node's path, re-adds the path's missing
+frames and restores the parent's basis as ``getBasis`` returned it, read
+once when the parent branched. Only a root starts cold. A Kelley round
+adds its tangents in place and re-solves from the basis the last solve
+left. A node is pruned only when its LP is infeasible (also "unbounded or
+infeasible" when every x column is boxed); any other outcome that is not
+optimal raises ``LPError``.
 """
 
 from __future__ import annotations
@@ -168,20 +171,6 @@ def interval_cuts(phi, lo, hi):
     return np.nonzero(used)[0], a[used], b[used], convex
 
 
-@dataclass(frozen=True, eq=False)
-class _Basis:
-    """A node LP's final basis, which both its children start from: HiGHS
-    column and row statuses as int8 ``HighsBasisStatus`` values, and per
-    interval the cache id and row count of the cut block the LP held. Its
-    rows are the fixed rows, the interval blocks in interval order, then one
-    row per tangent the node passes on."""
-
-    col: np.ndarray
-    row: np.ndarray
-    ids: np.ndarray
-    block_rows: np.ndarray
-
-
 class Tangents(NamedTuple):
     """Kelley tangents sp >= (c0+b)*y + a*dev, one per entry: the index of
     the interval (its columns y, dev, sp), a and b."""
@@ -194,6 +183,26 @@ class Tangents(NamedTuple):
 NO_TANGENTS = Tangents(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))
 
 
+@dataclass(eq=False)
+class _Frame:
+    """A relaxed node's rows on the shared model, after its ancestors':
+    the cut blocks of the deviation ranges it narrows below its parent's,
+    as row-wise (entries per row, column index, value) blocks, then its
+    Kelley tangents. ``end`` is the model's row count with them and
+    ``basis`` the ``getBasis`` of its last LP, read when it branches."""
+
+    parent: _Frame | None
+    lower: np.ndarray  # the node's column bounds
+    upper: np.ndarray
+    blocks: list
+    tangents: Tangents = NO_TANGENTS
+    end: int = 0
+    basis: object = None
+
+    def rows(self, builder) -> list:
+        return self.blocks + [builder.cut_rows(*self.tangents)]
+
+
 @dataclass(frozen=True, eq=False)
 class Node:
     depth: int
@@ -201,11 +210,9 @@ class Node:
     # their branching leaves unchanged
     lower: np.ndarray
     upper: np.ndarray
-    # Kelley tangents of the ancestors, on ranges containing this node's
-    tangents: Tangents = NO_TANGENTS
-    # the parent's final basis, where the node's first LP starts; None at
-    # the root
-    basis: _Basis | None = None
+    # the parent's frame: the rows of the node's ancestors and the basis
+    # its first LP starts from; None at the root
+    parent: _Frame | None = None
 
     def __post_init__(self):
         self.lower.setflags(write=False)
@@ -239,53 +246,34 @@ class SolveReport:
 SOLVE_CSV_HEADER = "objective,lower_bound,gap_pct,nodes,time_s,status"
 
 
-class _Rows:
-    """A node LP's cut rows ``a @ x <= 0`` in blocks of row-wise arrays
-    (entries per row, column index, value), as HiGHS takes them; zero
-    entries are not stored. The blocks are one cut block per interval, in
-    interval order, then the blocks of tangent rows; ``ids`` and
-    ``block_rows`` hold each interval block's cache id and row count."""
-
-    def __init__(self, blocks, ids, block_rows):
-        self.blocks = blocks
-        self.ids = ids
-        self.block_rows = block_rows
-
-    def arrays(self):
-        """The rows as (lower, upper, starts, index, value) arrays, with
-        starts closed by the entry count."""
-        counts, index, value = (np.concatenate(p) for p in zip(*self.blocks))
-        starts = np.zeros(len(counts) + 1, dtype=np.int32)
-        np.cumsum(counts, out=starts[1:])
-        return (np.full(len(counts), -np.inf), np.zeros(len(counts)),
-                starts, index, value)
+def _row_arrays(blocks):
+    """Row-wise blocks (entries per row, column index, value) as one:
+    (starts closed by the entry count, index, value)."""
+    counts, index, value = (np.concatenate(p) for p in zip(*blocks))
+    starts = np.zeros(len(counts) + 1, dtype=np.int32)
+    np.cumsum(counts, out=starts[1:])
+    return starts, index, value
 
 
 class _CutBlock(NamedTuple):
     """``interval_cuts`` of one interval on one deviation range as a
-    ``_Rows`` block, whether the interval is convex there, and the block's
-    cache id."""
+    row-wise block of rows ``a @ z <= 0``, and whether the interval is
+    convex there."""
 
     rows: tuple
     convex: bool
-    id: int
 
 
 class _LPBuilder:
-    """The tables of one solve: column layout and default bounds, the fixed
-    rows (row-wise arrays), every interval's cut block on its full range,
-    the cache of the other cut blocks, the Kelley tables, and the LP
-    counters shared by all node LPs."""
+    """The tables of one solve: column layout and default bounds, the rows
+    every node LP holds (row-wise arrays), the cache of cut blocks on
+    narrowed deviation ranges, and the Kelley tables."""
 
     def __init__(self, surr: SurrogateMINLP, gap_tol: float):
         self.surr = surr
-        # the Kelley loop stops once a round raises the bound by at most
-        # this fraction of the solve's gap tolerance
+        # the Kelley loop stops once a round raises the bound, or could
+        # raise it, by at most this fraction of the solve's gap tolerance
         self.progress_tol = 0.01 * gap_tol
-        self.lp_solves = 0
-        self.tightening_lps = 0
-        self.kelley_cap_hits = 0
-        self.simplex_iterations = 0
         self.nv = len(surr.variables)
         self.col_x = {v.name: j for j, v in enumerate(surr.variables)}
         # interval i = (j, q) owns the columns y, dev, sp at y_cols[i] + 0, 1,
@@ -331,14 +319,13 @@ class _LPBuilder:
 
         # rows independent of the node: the equality rows, then the
         # inequality rows
-        starts, index, value, lower, upper = [0], [], [], [], []
+        counts, index, value, lower, upper = [], [], [], [], []
 
         def add(entries, up: float, low: float = -math.inf) -> None:
-            for col, val in entries:
-                if val != 0.0:
-                    index.append(col)
-                    value.append(val)
-            starts.append(len(index))
+            kept = [(col, val) for col, val in entries if val != 0.0]
+            index.extend(col for col, _ in kept)
+            value.extend(val for _, val in kept)
+            counts.append(len(kept))
             lower.append(low)
             upper.append(up)
 
@@ -359,12 +346,8 @@ class _LPBuilder:
         for con in surr.linear_constraints:
             if con.relation != "=":
                 add(self._con_row(con), -con.constant)
-        # the head of every node's HiGHS model, as (lower, upper, starts,
-        # index, value) arrays
-        self.fixed = (
-            np.array(lower), np.array(upper), np.array(starts, dtype=np.int32),
-            np.array(index, dtype=np.int32), np.array(value, dtype=float),
-        )
+        blocks = [(np.array(counts, dtype=np.int32), np.array(index, dtype=np.int32),
+                   np.array(value, dtype=float))]
 
         # (i, lo, hi) -> _CutBlock; per solve, since two surrogates share
         # keys
@@ -374,10 +357,9 @@ class _LPBuilder:
         size = max([c.shape[1] for c in coeffs], default=1)
         self.phi = np.zeros((n, size))
         self.dphi = np.zeros((n, size))
-        # every interval's cut blocks on its full range (the default block,
-        # id i) and on [0, 0] (fixed off, id n + i): one ``interval_cuts``
-        # call per component
-        self.blocks = []
+        # every interval's cut block on its full range, the default block:
+        # one ``interval_cuts`` call per component
+        self.convex = np.zeros(n, dtype=bool)
         for j, (c, width) in enumerate(zip(coeffs, comp_widths)):
             k = len(c)
             phi = c.copy()
@@ -386,26 +368,26 @@ class _LPBuilder:
             i = slice(int(self.first[j]), int(self.first[j]) + k)
             self.phi[i, : phi.shape[1]] = phi
             self.dphi[i, : der.shape[1]] = der
-            row, a, b, convex = interval_cuts(
-                np.vstack([phi, phi]), np.zeros(2 * k),
-                np.concatenate([width, np.zeros(k)]),
-            )
-            counts, index, value = self.cut_rows(i.start + row % k, a, b)
-            # block r's rows and entries end at row_end[r], entry_end[r]
-            row_end = np.cumsum(np.bincount(row, minlength=2 * k)).tolist()
+            row, a, b, convex = interval_cuts(phi, np.zeros(k), width)
+            counts, index, value = self.cut_rows(i.start + row, a, b)
+            # block q's rows and entries end at row_end[q], entry_end[q]
+            row_end = np.cumsum(np.bincount(row, minlength=k)).tolist()
             entry_end = np.cumsum(counts)[np.subtract(row_end, 1)].tolist()
-            for r, (r0, r1, e0, e1) in enumerate(zip(
+            for q, (r0, r1, e0, e1) in enumerate(zip(
                 [0] + row_end, row_end, [0] + entry_end, entry_end
             )):
                 rows = (counts[r0:r1], index[e0:e1], value[e0:e1])
-                q, off = r % k, r >= k
-                block = _CutBlock(rows, bool(convex[r]), i.start + q + n * off)
-                self._cuts[i.start + q, 0.0, 0.0 if off else width[q]] = block
-                if not off:
-                    self.blocks.append(block)
-        self.ids = np.arange(n, dtype=np.int32)
-        self.block_rows = np.array([len(b.rows[0]) for b in self.blocks], np.int32)
-        self.convex = np.array([b.convex for b in self.blocks], dtype=bool)
+                self._cuts[i.start + q, 0.0, width[q]] = _CutBlock(rows, bool(convex[q]))
+            blocks.append((counts, index, value))
+            self.convex[i] = convex
+        # every node LP's rows, the fixed rows and then the default blocks in
+        # interval order, as (lower, upper, starts, index, value) arrays
+        nrows = len(lower) + int(sum(len(c) for c, _, _ in blocks[1:]))
+        self.fixed = (
+            np.concatenate([lower, np.full(nrows - len(lower), -np.inf)]),
+            np.concatenate([upper, np.zeros(nrows - len(upper))]),
+            *_row_arrays(blocks),
+        )
 
     def _con_row(self, con):
         return [(self.col_x[n], c) for n, c in con.coeffs.items()]
@@ -419,8 +401,7 @@ class _LPBuilder:
             row, a, b, convex = interval_cuts(
                 self.deviation_poly(i)[None], [lo], [hi]
             )
-            block = _CutBlock(self.cut_rows(i + row, a, b), bool(convex[0]),
-                              len(self._cuts))
+            block = _CutBlock(self.cut_rows(i + row, a, b), bool(convex[0]))
             self._cuts[key] = block
         return block
 
@@ -434,7 +415,7 @@ class _LPBuilder:
 
     def cut_rows(self, index, a, b):
         """The rows sp >= (c0+b)*y + a*dev of cuts (a, b) on intervals
-        ``index`` as one ``_Rows`` block: the intercept rides on y so a cut
+        ``index`` as one row-wise block: the intercept rides on y so a cut
         reduces to sp >= 0 at y = 0 and to the plain affine underestimator at
         y = 1."""
         y = self.y_cols[index].astype(np.int32)
@@ -444,81 +425,32 @@ class _LPBuilder:
         return keep.sum(axis=1, dtype=np.int32), cols[keep], vals[keep]
 
 
-# HighsBasisStatus members indexed by their value
-_STATUS = sorted(highs.HighsBasisStatus.__members__.values(), key=int)
-_BASIC = int(highs.HighsBasisStatus.kBasic)
-
-
-def _start_basis(builder: _LPBuilder, parent: _Basis, rows: _Rows, keep):
-    """The parent's final basis mapped by position onto a child's rows, as
-    an alien HiGHS basis. Columns and fixed rows map one to one; an
-    interval's block one to one when the child holds the parent's block,
-    otherwise its slacks are basic; tangent rows through ``keep``, the
-    child's mask over the parent's tangents. HiGHS repairs the basic count
-    where a dropped row was nonbasic."""
-    nf = len(builder.fixed[0])
-    end = nf + int(parent.block_rows.sum())
-    same = rows.ids == parent.ids
-    block = np.full(int(rows.block_rows.sum()), _BASIC, dtype=np.int8)
-    block[np.repeat(same, rows.block_rows)] = parent.row[nf:end][
-        np.repeat(same, parent.block_rows)
-    ]
-    row = np.concatenate([parent.row[:nf], block, parent.row[end:][keep]])
-    basis = highs.HighsBasis()
-    basis.col_status = [_STATUS[s] for s in parent.col.tolist()]
-    basis.row_status = [_STATUS[s] for s in row.tolist()]
-    basis.alien = True
-    return basis
-
-
-def _node_lp(builder: _LPBuilder, node: Node):
-    """The node's cut rows, the start basis of its first LP (None for a node
-    without a parent basis), its Kelley intervals (the indices of those
-    convex over the node range) and the inherited tangents it keeps; or None
-    when a box is empty. The builder's default blocks serve every interval
-    whose deviation range is its full width."""
-    if (node.lower[: builder.nv] > node.upper[: builder.nv]).any():
-        return None
-    y = builder.y_cols
-    lo, hi = node.lower[y + 1], node.upper[y + 1]
-    blocks = [block.rows for block in builder.blocks]
-    ids, block_rows = builder.ids.copy(), builder.block_rows.copy()
-    # an interval fixed off has the range [0, 0], where it is not convex
-    convex = builder.convex.copy()
-    for i in np.flatnonzero((lo != 0.0) | (hi != builder.widths)).tolist():
-        block = builder.block(i, float(lo[i]), float(hi[i]))
-        blocks[i], ids[i], convex[i] = block.rows, block.id, block.convex
-        block_rows[i] = len(block.rows[0])
-    rows = _Rows(blocks, ids, block_rows)
-    # on an interval fixed off y, dev and sp are 0, so its tangents are void
-    keep = node.upper[y[node.tangents.index]] != 0.0
-    tangents = Tangents(*(t[keep] for t in node.tangents))
-    rows.blocks.append(builder.cut_rows(*tangents))
-    start = None if node.basis is None else _start_basis(builder, node.basis, rows, keep)
-    return rows, start, np.flatnonzero(convex), tangents
-
-
 class LPError(RuntimeError):
     """A node LP ended in a state that is neither optimal nor infeasible, so
     no sound bound can be taken from it."""
 
 
-class _NodeLP:
-    """One node LP, min ``builder.obj`` over the solve's fixed rows and the
-    node's cut rows within column bounds, as one HiGHS model that grows by
-    Kelley rows. The model is passed as arrays through the bindings' numpy
-    ``passModel``. The first ``solve`` starts from ``start`` (an alien
-    basis) when given, otherwise cold; ``add_rows`` adds rows in place, and
-    each later ``solve`` starts from the basis the last one left."""
+class _SharedLP:
+    """The one HiGHS model of a solve: min ``builder.obj`` over the rows
+    every node holds (``builder.fixed``, passed once through the numpy
+    ``passModel``), then the rows of a path of frames, root first.
+    ``enter`` sets it to a node's LP, ``add_rows`` adds rows in place, and
+    each ``solve`` starts from the basis the last one left. It counts the
+    solve's LPs."""
 
-    def __init__(self, builder: _LPBuilder, lower, upper, rows: _Rows,
-                 start=None):
+    def __init__(self, builder: _LPBuilder):
         self.builder = builder
-        self.lower, self.upper = lower, upper
-        self.rows = rows
-        f_lower, f_upper, f_starts, f_index, f_value = builder.fixed
-        n_lower, n_upper, n_starts, n_index, n_value = rows.arrays()
-        index = np.concatenate([f_index, n_index])
+        self.lp_solves = 0
+        self.tightening_lps = 0
+        self.kelley_cap_hits = 0
+        self.simplex_iterations = 0
+        # the column bounds set, the frames whose rows the model holds, and
+        # the frame whose final basis HiGHS holds (None when no frame's)
+        self.lower, self.upper = builder.lower, builder.upper
+        self.path = []
+        self.warm = None
+        self.cols = np.arange(builder.ncols, dtype=np.int32)
+        lower, upper, starts, index, value = builder.fixed
         self.model = highs._Highs()
         self._check(self.model.setOptionValue("output_flag", False),
                     "setOptionValue")
@@ -527,48 +459,93 @@ class _NodeLP:
         self._check(self.model.setOptionValue("simplex_strategy", dual),
                     "setOptionValue")
         self._check(self.model.passModel(
-            builder.ncols, len(f_lower) + len(n_lower), len(index),
+            builder.ncols, len(lower), len(index),
             int(highs.MatrixFormat.kRowwise), int(highs.ObjSense.kMinimize),
-            0.0, builder.obj, lower, upper,
-            np.concatenate([f_lower, n_lower]),
-            np.concatenate([f_upper, n_upper]),
-            np.concatenate([f_starts[:-1], len(f_index) + n_starts[:-1]]),
-            index, np.concatenate([f_value, n_value]),
+            0.0, builder.obj, builder.lower, builder.upper, lower, upper,
+            starts[:-1], index, value,
             # an empty integrality array is refused; all zeros is an LP
             builder.integrality,
         ), "passModel")
-        if start is not None:
-            self._check(self.model.setBasis(start), "setBasis")
 
     @staticmethod
     def _check(status, call: str) -> None:
         if status == highs.HighsStatus.kError:
             raise LPError(f"HiGHS {call} returned {status.name}")
 
-    def add_rows(self, tangents: Tangents) -> None:
-        """Add the rows ``sp >= (c0+b)*y + a*dev`` of Kelley tangents."""
-        counts, index, value = block = self.builder.cut_rows(*tangents)
-        self.rows.blocks.append(block)
-        starts = np.zeros(len(counts), dtype=np.int32)
-        np.cumsum(counts[:-1], out=starts[1:])
-        self._check(
-            self.model.addRows(len(counts), np.full(len(counts), -np.inf),
-                               np.zeros(len(counts)), len(index), starts,
-                               index, value),
-            "addRows",
-        )
+    def add_rows(self, blocks) -> None:
+        """Add row-wise blocks of rows ``a @ z <= 0``."""
+        starts, index, value = _row_arrays(blocks)
+        m = len(starts) - 1
+        if m:
+            self._check(self.model.addRows(
+                m, np.full(m, -np.inf), np.zeros(m), len(index), starts[:-1],
+                index, value,
+            ), "addRows")
+
+    def enter(self, node: Node):
+        """Set the model to the node's LP and return the node's frame and
+        Kelley intervals (those convex over its deviation ranges).
+
+        The model keeps the rows of the frames on the node's path that it
+        holds, deletes the rest, adds the path's missing frames and then the
+        node's own cut blocks, and takes the node's column bounds. A child
+        of the node just solved keeps the basis HiGHS holds; any other node
+        starts from its parent's saved basis (cold without one)."""
+        builder, model = self.builder, self.model
+        path = []
+        frame = node.parent
+        while frame is not None:
+            path.append(frame)
+            frame = frame.parent
+        path.reverse()
+        keep = 0
+        while keep < min(len(path), len(self.path)) and path[keep] is self.path[keep]:
+            keep += 1
+        end = path[keep - 1].end if keep else len(builder.fixed[0])
+        rows = model.getNumRow()
+        if rows > end:
+            self._check(model.deleteRows(rows - end, np.arange(end, rows, dtype=np.int32)),
+                        "deleteRows")
+        for frame in path[keep:]:
+            self.add_rows(frame.rows(builder))
+        if node.parent is not self.warm:
+            if node.parent is None or node.parent.basis is None:
+                self._check(model.clearSolver(), "clearSolver")
+            else:
+                self._check(model.setBasis(node.parent.basis), "setBasis")
+        # the node's cut blocks on deviation ranges narrowed below its
+        # parent's; an interval fixed off is bounds only and not convex
+        y = builder.y_cols
+        lo, hi = node.lower[y + 1], node.upper[y + 1]
+        on = node.upper[y] != 0.0
+        convex = builder.convex & on
+        parent = node.parent or builder
+        new = (lo != parent.lower[y + 1]) | (hi != parent.upper[y + 1])
+        blocks = []
+        for i in np.flatnonzero(on & ((lo != 0.0) | (hi != builder.widths))).tolist():
+            block = builder.block(i, float(lo[i]), float(hi[i]))
+            convex[i] = block.convex
+            if new[i]:
+                blocks.append(block.rows)
+        if blocks:
+            self.add_rows(blocks)
+        frame = _Frame(node.parent, node.lower, node.upper, blocks)
+        self.path = path + [frame]
+        self.warm = frame
+        self.lower, self.upper = node.lower, node.upper
+        self._check(model.changeColsBounds(len(self.cols), self.cols, node.lower,
+                                           node.upper), "changeColsBounds")
+        return frame, np.flatnonzero(convex)
 
     def solve(self):
         """(status, value, x): 'optimal' with the LP value (without the
         surrogate constant) and point, or 'infeasible', math.inf, None.
-        Any other outcome raises ``LPError``. Every solve counts in the
-        builder's ``lp_solves`` and ``simplex_iterations``."""
+        Any other outcome raises ``LPError``. Every solve counts in
+        ``lp_solves`` and ``simplex_iterations``."""
         model = self.model
         self._check(model.run(), "run")
-        self.builder.lp_solves += 1
-        self.builder.simplex_iterations += (
-            model.getInfo().simplex_iteration_count
-        )
+        self.lp_solves += 1
+        self.simplex_iterations += model.getInfo().simplex_iteration_count
         status = model.getModelStatus()
         if status == highs.HighsModelStatus.kOptimal:
             x = np.array(model.getSolution().col_value)
@@ -585,46 +562,33 @@ class _NodeLP:
             return "infeasible", math.inf, None
         raise LPError(f"node LP ended with HiGHS model status {status.name}")
 
-    def basis(self) -> _Basis:
-        """The basis the last solve left, with the node's block layout."""
-        basis = self.model.getBasis()
-        return _Basis(
-            np.array([s.value for s in basis.col_status], dtype=np.int8),
-            np.array([s.value for s in basis.row_status], dtype=np.int8),
-            self.rows.ids,
-            self.rows.block_rows,
-        )
 
+def relax_node(lp: _SharedLP, node: Node):
+    """Solve the node LP on the shared model with Kelley rounds. Returns
+    (status, value, z, frame): status is 'optimal' or 'infeasible', value
+    includes the surrogate constant, and frame is the node's ``_Frame``
+    (None when a box is empty), which its children take as their parent.
 
-def relax_node(builder: _LPBuilder, node: Node):
-    """Solve the node LP with Kelley rounds. Returns (status, value, z,
-    tangents, lp): status is 'optimal' or 'infeasible', value includes
-    the surrogate constant, tangents are the node's inherited tangents plus
-    the ones it added, and lp is the solved ``_NodeLP``, whose ``basis()``
-    a node that branches reads once for both children.
-
-    The first LP starts from the parent's basis (``node.basis``). A round
-    adds the tangent at the LP point of every interval that is convex over
-    the node range and underestimated there. The loop stops when a round
-    raised the bound by at most ``builder.progress_tol`` (relative to
+    A round adds the tangent at the LP point of every interval that is
+    convex over the node range and underestimated there. The loop stops
+    when a round raised the bound by at most ``progress_tol`` (relative to
     max(1, |value|)), when no tangent was added, or after KELLEY_CAP
     solves. Each stop leaves a relaxation, so the bound is sound.
     """
-    lp = _node_lp(builder, node)
-    if lp is None:
-        return "infeasible", math.inf, None, NO_TANGENTS, None
-    rows, start, kelley, tangents = lp
-    model = _NodeLP(builder, node.lower, node.upper, rows, start)
+    builder = lp.builder
+    if (node.lower[: builder.nv] > node.upper[: builder.nv]).any():
+        return "infeasible", math.inf, None, None
+    frame, kelley = lp.enter(node)
     # the Kelley intervals' rows of the builder's tables; P stacks phi (at
     # dev), phi and phi' (at the clamp)
     col_y, c0 = builder.y_cols[kelley], builder.c0[kelley]
     P = np.concatenate([builder.phi[kelley]] * 2 + [builder.dphi[kelley]])
-    found = [tangents]
+    found = []
     prev = -math.inf
     for rnd in range(KELLEY_CAP):
-        status, fun, z = model.solve()
+        status, fun, z = lp.solve()
         if status == "infeasible":
-            return "infeasible", math.inf, None, NO_TANGENTS, None
+            return "infeasible", math.inf, None, frame
         value = fun + builder.surr.constant
         if value - prev <= builder.progress_tol * max(1.0, abs(value)):
             break
@@ -639,14 +603,15 @@ def relax_node(builder: _LPBuilder, node: Node):
         if not cut.any():
             break
         if rnd == KELLEY_CAP - 1:
-            builder.kelley_cap_hits += 1
+            lp.kelley_cap_hits += 1
             break
         new = Tangents(kelley[cut], a[cut], (val_at - a * at)[cut])
-        model.add_rows(new)
+        lp.add_rows([builder.cut_rows(*new)])
         found.append(new)
-    if len(found) > 1:
-        tangents = Tangents(*map(np.concatenate, zip(*found)))
-    return "optimal", value, z, tangents, model
+    if found:
+        frame.tangents = Tangents(*map(np.concatenate, zip(*found)))
+    frame.end = lp.model.getNumRow()
+    return "optimal", value, z, frame
 
 
 def _try_incumbent(builder: _LPBuilder, z) -> tuple[float, np.ndarray] | None:
@@ -709,46 +674,52 @@ def _choose(builder: _LPBuilder, lower, upper, i: int) -> None:
     lower[col] = upper[col] = 1.0
 
 
-def _tighten_root(builder: _LPBuilder, lp: _NodeLP, ub: float):
+def _tighten_root(lp: _SharedLP, ub: float):
     """The root's column bounds (a copy of ``lp``'s) with each component's
     x box cut to the points of the LP with value at most ``ub``, and every
     interval wholly outside that box fixed off; None when no such point
-    exists. On ``lp``'s model, with one cutoff row ``obj·z <= ub -
+    exists. On the shared model, with one cutoff row ``obj·z <= ub -
     constant`` added and the costs zeroed, it minimises and maximises each
     component's x column: 2p LPs, each started from the basis the last one
     left. Each result is widened by FRAC_TOL relative, integer columns are
     rounded inward, and a bound whose LP ends neither optimal nor
-    infeasible stays as it was."""
-    model, ncols = lp.model, builder.ncols
+    infeasible stays as it was. The cutoff row is deleted and the costs
+    restored when it is done."""
+    builder, model, ncols = lp.builder, lp.model, lp.builder.ncols
     cols = np.flatnonzero(builder.obj).astype(np.int32)
+    cutoff = np.array([model.getNumRow()], dtype=np.int32)
     lp._check(model.addRow(-np.inf, ub - builder.surr.constant, len(cols),
                            cols, builder.obj[cols]), "addRow")
-    lp._check(model.changeColsCost(ncols, np.arange(ncols, dtype=np.int32),
-                                   np.zeros(ncols)), "changeColsCost")
+    lp._check(model.changeColsCost(ncols, lp.cols, np.zeros(ncols)), "changeColsCost")
+    lp.warm = None  # the tightening LPs leave no node's basis
     lower, upper = lp.lower.copy(), lp.upper.copy()
     integer = set(builder.int_cols.tolist())
-    for col, _, _ in builder.domains:
-        for sense in (1.0, -1.0):
-            lp._check(model.changeColCost(col, sense), "changeColCost")
-            builder.tightening_lps += 1
-            try:
-                # the value is read here: resetting the cost zeroes it
-                status, value, _ = lp.solve()
-            except LPError:
-                status = "unsettled"
-            lp._check(model.changeColCost(col, 0.0), "changeColCost")
-            if status == "infeasible":
-                return None
-            if status != "optimal":
-                continue
-            v = sense * value
-            v -= sense * FRAC_TOL * max(1.0, abs(v))
-            if col in integer:
-                v = math.ceil(v - FRAC_TOL) if sense > 0 else math.floor(v + FRAC_TOL)
-            if sense > 0:
-                lower[col] = max(lower[col], v)
-            else:
-                upper[col] = min(upper[col], v)
+    try:
+        for col, _, _ in builder.domains:
+            for sense in (1.0, -1.0):
+                lp._check(model.changeColCost(col, sense), "changeColCost")
+                lp.tightening_lps += 1
+                try:
+                    # the value is read here: resetting the cost zeroes it
+                    status, value, _ = lp.solve()
+                except LPError:
+                    status = "unsettled"
+                lp._check(model.changeColCost(col, 0.0), "changeColCost")
+                if status == "infeasible":
+                    return None
+                if status != "optimal":
+                    continue
+                v = sense * value
+                v -= sense * FRAC_TOL * max(1.0, abs(v))
+                if col in integer:
+                    v = math.ceil(v - FRAC_TOL) if sense > 0 else math.floor(v + FRAC_TOL)
+                if sense > 0:
+                    lower[col] = max(lower[col], v)
+                else:
+                    upper[col] = min(upper[col], v)
+    finally:
+        lp._check(model.deleteRows(1, cutoff), "deleteRows")
+        lp._check(model.changeColsCost(ncols, lp.cols, builder.obj), "changeColsCost")
     if (lower[: builder.nv] > upper[: builder.nv]).any():
         return None
     # interval (j, q) spans knots q and q + 1 of component j's x column
@@ -763,15 +734,12 @@ def _tighten_root(builder: _LPBuilder, lp: _NodeLP, ub: float):
     return lower, upper
 
 
-def _branch(builder: _LPBuilder, node: Node, z, tangents=NO_TANGENTS,
-            lp=None, basis=None) -> list[Node] | None:
+def _branch(builder: _LPBuilder, node: Node, z, frame=None) -> list[Node] | None:
     """Children of the node, or None when the LP point is branch-free: on
     the interval set of the component of the most fractional free interval
     binary (SOS1), else on the first fractional integer variable, else on
-    the deviation range with the largest envelope gap. They inherit
-    ``tangents`` and start from ``basis`` when it is given, else from the
-    final basis of ``lp``, the node's solved ``_NodeLP``, when that is
-    given.
+    the deviation range with the largest envelope gap. Their parent is
+    ``frame``, the node's.
 
     SOS1 dichotomy branching (Beale & Tomlin 1970) splits the component's
     free intervals at the LP's weighted interval position sum(q * y_q), so
@@ -818,9 +786,7 @@ def _branch(builder: _LPBuilder, node: Node, z, tangents=NO_TANGENTS,
         left[col] = right[0][col] = m
         _choose(builder, *right, on[k])
         bounds = [(lower, left), right]
-    if basis is None and lp is not None:
-        basis = lp.basis()
-    return [Node(node.depth + 1, *bound, tangents, basis) for bound in bounds]
+    return [Node(node.depth + 1, *bound, frame) for bound in bounds]
 
 
 def solve(
@@ -846,6 +812,7 @@ def solve(
         raise UnsupportedSurrogateError(NONLINEAR_CONSTRAINTS_UNSUPPORTED)
     start = time.monotonic()
     builder = _LPBuilder(surrogate, gap_tol)
+    lp = _SharedLP(builder)
     root = Node(0, builder.lower, builder.upper)
     heap = []
     counter = 0
@@ -871,8 +838,7 @@ def solve(
             break
         _, _, node = heapq.heappop(heap)
         nodes += 1
-        lp = None  # frees the last node's HiGHS model before this one is built
-        lp_status, lb, z, tangents, lp = relax_node(builder, node)
+        lp_status, lb, z, frame = relax_node(lp, node)
         if lp_status != "optimal":
             continue
         if lb >= ub - PRUNE_TOL * max(1.0, abs(ub)):
@@ -891,25 +857,28 @@ def solve(
         ) and incumbent is not None:
             pruned_lb = min(pruned_lb, lb)
             continue  # node cannot improve the incumbent meaningfully
-        basis = None
-        if (node.depth == 0 and incumbent is not None
-                and optimality_gap(ub, lb) > 100.0 * gap_tol):
-            # the root, with an incumbent of its own and the search not
-            # over: branch on its box tightened against that incumbent
-            basis = lp.basis()
-            bounds = _tighten_root(builder, lp, ub)
+        # the root, with an incumbent of its own and the search not over:
+        # branch on its box tightened against that incumbent, from its basis
+        # as read before the tightening
+        tighten = (node.depth == 0 and incumbent is not None
+                   and optimality_gap(ub, lb) > 100.0 * gap_tol)
+        if tighten:
+            frame.basis = lp.model.getBasis()
+            bounds = _tighten_root(lp, ub)
             if bounds is None:
                 pruned_lb = min(pruned_lb, ub)
                 continue  # no relaxation point beats the incumbent
             node = Node(0, *bounds)
-        children = _branch(builder, node, z, tangents, lp, basis)
-        if children is None and basis is not None:
+        children = _branch(builder, node, z, frame)
+        if children is None and tighten:
             # the LP point may be branch-free only because the intervals it
             # uses are now fixed off: relax the tightened root again
-            children = [Node(1, node.lower, node.upper, tangents, basis)]
+            children = [Node(1, node.lower, node.upper, frame)]
         if children is None:
             pruned_lb = min(pruned_lb, lb)
             continue  # LP point is exact for this node
+        if frame.basis is None:
+            frame.basis = lp.model.getBasis()  # where both children start
         for child in children:
             counter += 1
             heapq.heappush(heap, (lb, counter, child))
@@ -932,10 +901,10 @@ def solve(
         nodes=nodes,
         time_s=time.monotonic() - start,
         status=status,
-        lp_solves=builder.lp_solves,
-        tightening_lps=builder.tightening_lps,
-        kelley_cap_hits=builder.kelley_cap_hits,
-        simplex_iterations=builder.simplex_iterations,
+        lp_solves=lp.lp_solves,
+        tightening_lps=lp.tightening_lps,
+        kelley_cap_hits=lp.kelley_cap_hits,
+        simplex_iterations=lp.simplex_iterations,
         log=log,
     )
 

@@ -547,13 +547,13 @@ class TestSolve:
     def test_reports_lp_work(self, monkeypatch):
         surr = surrogate_for(parse_instance(NONCONVEX_2D))
         counted = []
-        lp_solve = bnb._NodeLP.solve
+        lp_solve = bnb._SharedLP.solve
 
         def spy(model):
             counted.append(1)
             return lp_solve(model)
 
-        monkeypatch.setattr(bnb._NodeLP, "solve", spy)
+        monkeypatch.setattr(bnb._SharedLP, "solve", spy)
         report = solve(surr, gap_tol=1e-4)
         assert report.lp_solves == len(counted)
         assert report.nodes <= report.lp_solves <= bnb.KELLEY_CAP * report.nodes
@@ -562,14 +562,14 @@ class TestSolve:
     def test_reports_simplex_iterations(self, monkeypatch):
         surr = surrogate_for(parse_instance(NONCONVEX_2D))
         seen = []
-        lp_solve = bnb._NodeLP.solve
+        lp_solve = bnb._SharedLP.solve
 
         def spy(model):
             out = lp_solve(model)
             seen.append(model.model.getInfo().simplex_iteration_count)
             return out
 
-        monkeypatch.setattr(bnb._NodeLP, "solve", spy)
+        monkeypatch.setattr(bnb._SharedLP, "solve", spy)
         report = solve(surr, gap_tol=1e-4)
         assert len(seen) == report.lp_solves
         assert report.simplex_iterations == sum(seen) > 0
@@ -637,11 +637,11 @@ def dict_bounds(builder, y_fixed, dev_bounds, var_bounds):
 
 
 def dict_node(builder, y_fixed=None, dev_bounds=None, var_bounds=None,
-              depth=0, tangents=bnb.NO_TANGENTS):
+              depth=0, parent=None):
     """A ``Node`` built from the dict description ``dict_bounds`` takes."""
     lower, upper = dict_bounds(builder, y_fixed or {}, dev_bounds or {},
                                var_bounds or {})
-    return Node(depth, lower, upper, tangents)
+    return Node(depth, lower, upper, parent)
 
 
 def choose_interval_reference(surr, y_fixed, j, q):
@@ -727,15 +727,46 @@ def branch_reference(builder, desc, z):
     return [(y_fixed, left_dev, var_bounds), (right_fixed, right_dev, var_bounds)]
 
 
-def dense_rows(builder, node):
-    """The node LP's (A_eq, b_eq, A_ub, b_ub) as the dense per-row
-    assembly built them, with uncached ``interval_cuts``; the reference for
-    the sparse assembly."""
+def path_frames(frame):
+    """The frames from the root down to ``frame``."""
+    frames = []
+    while frame is not None:
+        frames.append(frame)
+        frame = frame.parent
+    return frames[::-1]
+
+
+def dense_rows(builder, frames=()):
+    """The (A_eq, b_eq, A_ub, b_ub) of the shared model set to the node of
+    the last of ``frames`` (a path of frames, root first), as a dense
+    per-row assembly with uncached ``interval_cuts``: the fixed rows, every
+    interval's cut rows on its full range, then per frame the cut rows of
+    each deviation range it narrows below its parent's (an interval fixed
+    off is bounds only) and the rows of its Kelley tangents; the reference
+    for the shared model's rows."""
     surr = builder.surr
     A_eq, b_eq, A_ub, b_ub = [], [], [], []
 
     def new_row():
         return np.zeros(builder.ncols)
+
+    def cut_row(j, q, a, b):
+        row = new_row()
+        col = col_y(builder, j, q)
+        row[col + 2] = -1.0
+        row[col] = comp_c0(j, q) + b
+        row[col + 1] = a
+        A_ub.append(row)
+        b_ub.append(0.0)
+
+    def comp_c0(j, q):
+        return surr.components[j].piece.coeffs[q][0]
+
+    def cuts(j, q, lo, hi):
+        phi = surr.components[j].piece.coeffs[q].copy()
+        phi[0] = 0.0
+        for a, b in interval_cuts(phi, lo, hi)[0]:
+            cut_row(j, q, a, b)
 
     for j, comp in enumerate(surr.components):
         row = new_row()
@@ -770,19 +801,20 @@ def dense_rows(builder, node):
         (b_eq if con.relation == "=" else b_ub).append(-con.constant)
     for j, comp in enumerate(surr.components):
         for q in range(comp.k):
-            col = col_y(builder, j, q)
-            # [0, 0] on an interval fixed off
-            lo, hi = node.lower[col + 1], node.upper[col + 1]
-            phi = comp.piece.coeffs[q].copy()
-            c0 = phi[0]
-            phi[0] = 0.0
-            for a, b in interval_cuts(phi, lo, hi)[0]:
-                row = new_row()
-                row[col + 2] = -1.0
-                row[col] = c0 + b
-                row[col + 1] = a
-                A_ub.append(row)
-                b_ub.append(0.0)
+            cuts(j, q, 0.0, comp.widths[q])
+    parent = (builder.lower, builder.upper)
+    for frame in frames:
+        for j, comp in enumerate(surr.components):
+            for q in range(comp.k):
+                col = col_y(builder, j, q) + 1
+                lo, hi = frame.lower[col], frame.upper[col]
+                if frame.upper[col - 1] == 0.0 or (lo, hi) == (0.0, comp.widths[q]):
+                    continue
+                if (lo, hi) != (parent[0][col], parent[1][col]):
+                    cuts(j, q, lo, hi)
+        for i, a, b in zip(*frame.tangents):
+            cut_row(*builder.intervals[i], a, b)
+        parent = (frame.lower, frame.upper)
     return np.array(A_eq), np.array(b_eq), np.array(A_ub), np.array(b_ub)
 
 
@@ -810,24 +842,29 @@ def model_rows(model):
     return matrix, np.array(lp.row_lower_), np.array(lp.row_upper_)
 
 
-def highs_lp_model(builder, lower, upper, rows):
-    """The node LP built through ``HighsLp`` attribute copies and passed as
-    that object: the reference for ``_NodeLP``'s numpy ``passModel``."""
+def highs_lp_model(builder, lower, upper, rows=None):
+    """The LP of the fixed rows and ``rows`` (row-wise (counts, index,
+    value) blocks) built through ``HighsLp`` attribute copies and passed as
+    that object: the reference for ``_SharedLP``'s numpy ``passModel`` and
+    ``addRows``."""
     f_lower, f_upper, f_starts, f_index, f_value = builder.fixed
-    n_lower, n_upper, n_starts, n_index, n_value = rows.arrays()
+    counts, n_index, n_value = (np.concatenate(p) for p in zip(*(rows or [
+        (np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0))
+    ])))
+    n_starts = np.cumsum(counts)
     lp = bnb.highs.HighsLp()
     lp.num_col_ = builder.ncols
-    lp.num_row_ = len(f_lower) + len(n_lower)
+    lp.num_row_ = len(f_lower) + len(counts)
     lp.col_cost_ = builder.obj
     lp.col_lower_ = lower
     lp.col_upper_ = upper
-    lp.row_lower_ = np.concatenate([f_lower, n_lower])
-    lp.row_upper_ = np.concatenate([f_upper, n_upper])
+    lp.row_lower_ = np.concatenate([f_lower, np.full(len(counts), -np.inf)])
+    lp.row_upper_ = np.concatenate([f_upper, np.zeros(len(counts))])
     matrix = lp.a_matrix_
     matrix.format_ = bnb.highs.MatrixFormat.kRowwise
     matrix.num_col_ = lp.num_col_
     matrix.num_row_ = lp.num_row_
-    matrix.start_ = np.concatenate([f_starts, len(f_index) + n_starts[1:]])
+    matrix.start_ = np.concatenate([f_starts, len(f_index) + n_starts])
     matrix.index_ = np.concatenate([f_index, n_index])
     matrix.value_ = np.concatenate([f_value, n_value])
     model = bnb.highs._Highs()
@@ -856,42 +893,78 @@ def lp_fields(obj, prefix=""):
     return out
 
 
+def assert_rows_equal_dense(lp, frames):
+    """The shared model holds exactly the rows ``dense_rows`` gives for the
+    path ``frames``, with no explicit zeros."""
+    A_eq, b_eq, A_ub, b_ub = dense_rows(lp.builder, frames)
+    matrix, row_lower, row_upper = model_rows(lp)
+    np.testing.assert_array_equal(matrix.toarray(), np.vstack([A_eq, A_ub]))
+    np.testing.assert_array_equal(
+        row_lower, np.concatenate([b_eq, np.full(len(b_ub), -np.inf)])
+    )
+    np.testing.assert_array_equal(row_upper, np.concatenate([b_eq, b_ub]))
+    # no explicit zeros: HiGHS gets the matrix the dense rows give
+    assert np.all(matrix.data != 0.0)
+
+
 class TestNodeLP:
     @pytest.mark.parametrize("name", SHIPPED)
     def test_sparse_rows_equal_dense_rows(self, name):
+        """On one shared model, the root and then a node below it without
+        a parent (a jump: the root's rows go, the node's come)."""
         surr = shipped_surrogate(name)
         builder = bnb._LPBuilder(surr, 1e-4)
+        lp = bnb._SharedLP(builder)
+        assert_rows_equal_dense(lp, [])
         for node in (dict_node(builder), branched_node(builder)):
-            A_eq, b_eq, A_ub, b_ub = dense_rows(builder, node)
-            rows, _, _, _ = bnb._node_lp(builder, node)
-            lower, upper = node.lower, node.upper
-            matrix, row_lower, row_upper = model_rows(
-                bnb._NodeLP(builder, lower, upper, rows)
-            )
-            np.testing.assert_array_equal(
-                matrix.toarray(), np.vstack([A_eq, A_ub])
-            )
-            np.testing.assert_array_equal(
-                row_lower, np.concatenate([b_eq, np.full(len(b_ub), -np.inf)])
-            )
-            np.testing.assert_array_equal(
-                row_upper, np.concatenate([b_eq, b_ub])
-            )
-            # no explicit zeros: HiGHS gets the matrix the dense rows give
-            assert np.all(matrix.data != 0.0)
+            frame, _ = lp.enter(node)
+            assert_rows_equal_dense(lp, [frame])
+            assert bits(np.array(lp.model.getLp().col_lower_)) == bits(node.lower)
+            assert bits(np.array(lp.model.getLp().col_upper_)) == bits(node.upper)
+
+    def test_rows_after_a_jump_equal_dense_rows(self, monkeypatch):
+        """Relaxed breadth-first, most nodes are reached by a jump: after
+        each relaxation the shared model holds exactly the fixed rows plus
+        the rows of the node's path, its ancestors' narrowed cut blocks and
+        tangents re-added where it had dropped them."""
+        relax = bnb.relax_node
+        held = []
+        counts = {"jumps": 0, "readded": 0}
+
+        def checked(lp, node):
+            out = relax(lp, node)
+            frame = out[3]
+            if frame is not None:
+                frames = path_frames(frame)
+                assert_rows_equal_dense(lp, frames)
+                counts["jumps"] += node.parent is not None and held[-1:] != [node.parent]
+                counts["readded"] += any(f not in held for f in frames[:-1])
+                held[:] = frames
+            return out
+
+        monkeypatch.setattr(bnb, "relax_node", checked)
+        for surr in [random_surrogate(seed) for seed in range(3)] + coupled_surrogates():
+            held.clear()
+            tree_nodes(bnb._SharedLP(bnb._LPBuilder(surr, 1e-4)), 25)
+        assert counts["jumps"] >= 40 and counts["readded"] >= 20
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_numpy_model_equals_highs_lp_model(self, name):
         """Every field of the model HiGHS holds is the one the ``HighsLp``
-        build gives; the only difference is integrality, all continuous
-        against none, and HiGHS solves both as an LP."""
+        build gives, for the shared model as passed and for it set to a
+        node below the root; the only difference is integrality, all
+        continuous against none, and HiGHS solves both as an LP."""
         surr = shipped_surrogate(name)
         builder = bnb._LPBuilder(surr, 1e-4)
         compared = 0
-        for node in (dict_node(builder), branched_node(builder)):
-            rows, _, _, _ = bnb._node_lp(builder, node)
-            lower, upper = node.lower, node.upper
-            got = bnb._NodeLP(builder, lower, upper, rows).model
+        for node in (None, branched_node(builder)):
+            lp = bnb._SharedLP(builder)
+            rows = None
+            if node is not None:
+                frame, _ = lp.enter(node)
+                rows = frame.rows(builder)
+            got = lp.model
+            lower, upper = lp.lower, lp.upper
             want = highs_lp_model(builder, lower, upper, rows)
             got_fields = lp_fields(got.getLp())
             want_fields = lp_fields(want.getLp())
@@ -919,10 +992,10 @@ class TestNodeLP:
         assert compared >= 2 * 15
 
     def test_child_computes_cuts_only_for_its_overrides(self, monkeypatch):
-        """The cut blocks of every interval's full range and of [0, 0]
-        (fixed off) come from one ``interval_cuts`` call per component when
-        the builder is made; a node below computes cuts only for the other
-        ranges it sets, once per range."""
+        """The cut blocks of every interval's full range come from one
+        ``interval_cuts`` call per component when the builder is made; a
+        node below computes cuts only for the other ranges it sets, once
+        per range, and an interval it fixes off needs none."""
         surr = random_surrogate(1)
         calls = []
         cuts = bnb.interval_cuts
@@ -935,24 +1008,24 @@ class TestNodeLP:
         monkeypatch.setattr(bnb, "interval_cuts", spy)
         builder = bnb._LPBuilder(surr, 1e-4)
         assert calls == [
-            ((2 * comp.k, 4), [0.0] * (2 * comp.k),
-             list(comp.widths) + [0.0] * comp.k)
+            ((comp.k, 4), [0.0] * comp.k, list(comp.widths))
             for comp in surr.components
         ]
         calls.clear()
+        lp = bnb._SharedLP(builder)
         root = dict_node(builder)
-        status, _, z, tangents, _ = bnb.relax_node(builder, root)
+        status, _, z, frame = bnb.relax_node(lp, root)
         assert status == "optimal" and calls == []
         w = surr.components[1].widths[2]
         child = dict_node(builder, {(0, 1): 0, (0, 3): 1},
                           {(1, 2): (0.25 * w, 0.5 * w)}, depth=1,
-                          tangents=tangents)
-        bnb.relax_node(builder, child)
+                          parent=frame)
+        bnb.relax_node(lp, child)
         # (0, 3) is fixed on and keeps its full range; (0, 1) is fixed off,
-        # whose block the builder holds
+        # which is bounds only
         assert calls == [((1, 4), [0.25 * w], [0.5 * w])]
         calls.clear()
-        bnb.relax_node(builder, child)
+        bnb.relax_node(lp, child)
         assert calls == []
 
     def test_interval_cuts_cache_is_per_builder(self):
@@ -1044,19 +1117,22 @@ def random_surrogate(seed, k=4):
     )
 
 
-def tree_nodes(builder, count):
-    """The first ``count`` nodes of a breadth-first walk of the tree, each
-    with the tangents it inherits, as (node, relax_node result)."""
-    queue = [dict_node(builder)]
+def tree_nodes(lp, count):
+    """The first ``count`` nodes of a breadth-first walk of the tree on
+    the shared model ``lp``, as (node, relax_node result); a node that
+    branches saves its basis for its children, as ``solve`` does."""
+    queue = [dict_node(lp.builder)]
     out = []
     while queue and len(out) < count:
         node = queue.pop(0)
-        result = bnb.relax_node(builder, node)
+        result = bnb.relax_node(lp, node)
         out.append((node, result))
         if result[0] != "optimal":
             continue
-        for child in bnb._branch(builder, node, result[2]) or ():
-            queue.append(dataclasses.replace(child, tangents=result[3]))
+        children = bnb._branch(lp.builder, node, result[2], result[3])
+        if children:
+            result[3].basis = lp.model.getBasis()
+            queue.extend(children)
     return out
 
 
@@ -1100,15 +1176,16 @@ class TestBoundBranching:
         kinds = set()  # which of y_fixed, dev_bounds, var_bounds branched
         for surr in surrs:
             builder = bnb._LPBuilder(surr, 1e-4)
+            lp = bnb._SharedLP(builder)
             queue = [(dict_node(builder), ({}, {}, {}))]
             seen = 0
             while queue and seen < 25:
                 node, desc = queue.pop(0)
                 seen += 1
-                status, _, z, tangents, _ = bnb.relax_node(builder, node)
+                status, _, z, frame = bnb.relax_node(lp, node)
                 if status != "optimal":
                     continue
-                children = bnb._branch(builder, node, z, tangents)
+                children = bnb._branch(builder, node, z, frame)
                 want = branch_reference(builder, desc, z)
                 assert (children is None) == (want is None)
                 for child, child_desc in zip(children or (), want or ()):
@@ -1116,7 +1193,7 @@ class TestBoundBranching:
                     assert bits(child.lower) == bits(lower)
                     assert bits(child.upper) == bits(upper)
                     assert child.depth == node.depth + 1
-                    assert child.tangents is tangents
+                    assert child.parent is frame
                     queue.append((child, child_desc))
                     compared += 1
                     kinds.update(
@@ -1190,7 +1267,7 @@ class TestBoundBranching:
         checked = 0
         for surr in surrs:
             builder = bnb._LPBuilder(surr, 1e-4)
-            for node, (status, _, z, _, _) in tree_nodes(builder, 40):
+            for node, (status, _, z, _) in tree_nodes(bnb._SharedLP(builder), 40):
                 if status != "optimal":
                     continue
                 children = bnb._branch(builder, node, z)
@@ -1229,7 +1306,7 @@ class TestBoundBranching:
         """Children share the arrays their branching leaves unchanged, so
         no node's bounds can be written in place."""
         builder = bnb._LPBuilder(random_surrogate(1), 1e-4)
-        nodes = [node for node, _ in tree_nodes(builder, 8)]
+        nodes = [node for node, _ in tree_nodes(bnb._SharedLP(builder), 8)]
         assert len(nodes) == 8
         for node in nodes:
             for bound in (node.lower, node.upper):
@@ -1248,23 +1325,32 @@ class TestTangentPool:
         assert checked >= 500
 
     def check_pool_underestimates(self, seed):
+        """The tangents of a node's path (its ancestors' and its own, the
+        rows its children inherit) underestimate phi on the node's ranges.
+        A node's own tangents are on intervals it does not fix off; an
+        inherited one on an interval fixed off is void, its y, dev and sp
+        pinned to 0."""
         surr = random_surrogate(seed)
         builder = bnb._LPBuilder(surr, 1e-4)
         checked = 0
-        for node, (status, _, _, pool, _) in tree_nodes(builder, 25):
+        for node, (status, _, _, frame) in tree_nodes(bnb._SharedLP(builder), 25):
             if status != "optimal":
                 continue
-            # the node's own tangents too: they are its children's pool
-            for i, a, b in zip(*pool):
-                col = builder.y_cols[i]
-                assert node.upper[col] != 0.0  # not fixed off
-                lo, hi = node.lower[col + 1], node.upper[col + 1]
-                dev = np.linspace(lo, hi, 2001)
-                phi = builder.deviation_poly(i)
-                vals = np.polynomial.polynomial.polyval(dev, phi)
-                tol = 1e-9 * max(1.0, np.abs(vals).max())
-                assert np.all(a * dev + b <= vals + tol)
-                checked += 1
+            for owner in path_frames(frame):
+                for i, a, b in zip(*owner.tangents):
+                    col = builder.y_cols[i]
+                    if owner is frame:
+                        assert node.upper[col] != 0.0  # not fixed off
+                    elif node.upper[col] == 0.0:
+                        assert node.lower[col : col + 3].tolist() == [0.0] * 3
+                        continue
+                    lo, hi = node.lower[col + 1], node.upper[col + 1]
+                    dev = np.linspace(lo, hi, 2001)
+                    phi = builder.deviation_poly(i)
+                    vals = np.polynomial.polynomial.polyval(dev, phi)
+                    tol = 1e-9 * max(1.0, np.abs(vals).max())
+                    assert np.all(a * dev + b <= vals + tol)
+                    checked += 1
         return checked
 
     def test_pool_bound_between_plain_bound_and_node_minimum(
@@ -1276,32 +1362,39 @@ class TestTangentPool:
         assert inherited >= 50
 
     def check_pool_bound(self, seed, monkeypatch):
+        """Each node's first LP in the tree (its path's rows, the pool
+        among them) against the same node relaxed without a parent (plain:
+        only its own cut blocks)."""
         surr = random_surrogate(seed)
         builder = bnb._LPBuilder(surr, 1e-4)
-        nodes = tree_nodes(builder, 25)
+        lp = bnb._SharedLP(builder)
         values = []
-        lp_solve = bnb._NodeLP.solve
+        firsts = []
+        lp_solve = bnb._SharedLP.solve
+        relax = bnb.relax_node
 
         def spy(model):
             out = lp_solve(model)
             values.append(out[1])
             return out
 
-        monkeypatch.setattr(bnb._NodeLP, "solve", spy)
+        def spy_relax(lp, node):
+            values.clear()
+            out = relax(lp, node)
+            firsts.append(values[0] if values else None)
+            return out
+
+        monkeypatch.setattr(bnb._SharedLP, "solve", spy)
+        monkeypatch.setattr(bnb, "relax_node", spy_relax)
+        nodes = tree_nodes(lp, 25)
         inherited = 0
-        for node, (status, bound, _, _, _) in nodes:
+        for (node, (status, bound, _, _)), first_pooled in zip(nodes, list(firsts)):
             values.clear()
-            pooled = bnb.relax_node(builder, node)
-            first_pooled = values[0]
-            values.clear()
-            plain = bnb.relax_node(
-                builder, dataclasses.replace(node, tangents=bnb.NO_TANGENTS)
-            )
-            assert (pooled[0], pooled[1]) == (status, bound)
+            plain = bnb.relax_node(lp, dataclasses.replace(node, parent=None))
             assert plain[0] == status
             if status != "optimal":
                 continue
-            inherited += bool(len(node.tangents.index))
+            inherited += any(len(f.tangents.index) for f in path_frames(node.parent))
             scale = max(1.0, abs(bound))
             # the pool's rows only add to the plain first LP, and Kelley
             # rounds only add rows (to HiGHS's 1e-7 feasibility tolerance);
@@ -1314,35 +1407,22 @@ class TestTangentPool:
         return inherited
 
 
-def csr_rows(arrays, ncols):
-    """Rows given as ``_Rows.arrays`` (lower, upper, starts, index, value):
-    a CSR matrix and the row bounds."""
-    lower, upper, starts, index, value = arrays
-    matrix = scipy.sparse.csr_array(
-        (value, index, starts), shape=(len(upper), ncols)
-    )
-    return matrix, lower, upper
-
-
-def linprog_reference(builder, lower, upper, rows, cost=None, cutoff=None):
-    """The node LP with cut rows ``rows`` (as ``_Rows.arrays``) solved from
-    scratch by ``scipy.optimize.linprog``, the reference for the HiGHS
-    model: (status, value without the surrogate constant). A root
-    tightening LP minimises ``cost`` in place of ``builder.obj`` and holds
-    the row ``builder.obj @ z <= cutoff`` too."""
-    fixed, f_lower, f_upper = csr_rows(builder.fixed, builder.ncols)
-    cuts, c_lower, c_upper = csr_rows(rows, builder.ncols)
-    eq = np.flatnonzero(f_lower == f_upper)
-    ub = np.flatnonzero(f_lower != f_upper)
+def linprog_reference(cost, lower, upper, matrix, row_lower, row_upper):
+    """The LP min ``cost @ z`` over rows ``row_lower <= matrix @ z <=
+    row_upper`` within column bounds, solved from scratch by
+    ``scipy.optimize.linprog``: the reference for the shared model, given
+    the rows it holds. (status, value without the surrogate constant)."""
+    matrix = scipy.sparse.csr_array(matrix)
+    eq = np.flatnonzero(row_lower == row_upper)
+    ub = np.flatnonzero(row_lower != row_upper)
     # every row is an equation or bounded above only
-    assert np.isneginf(f_lower[ub]).all() and np.isneginf(c_lower).all()
-    extra = [] if cutoff is None else [scipy.sparse.csr_array(builder.obj[None])]
+    assert np.isneginf(row_lower[ub]).all()
     res = scipy.optimize.linprog(
-        builder.obj if cost is None else cost,
-        A_ub=scipy.sparse.vstack([fixed[ub], cuts] + extra),
-        b_ub=np.concatenate([f_upper[ub], c_upper] + [[cutoff]] * len(extra)),
-        A_eq=fixed[eq],
-        b_eq=f_upper[eq],
+        cost,
+        A_ub=matrix[ub],
+        b_ub=row_upper[ub],
+        A_eq=matrix[eq],
+        b_eq=row_upper[eq],
         bounds=np.column_stack([lower, upper]),
         method="highs",
     )
@@ -1414,35 +1494,40 @@ class TestDegreeOneTrees:
 
 class TestNodeLPSolve:
     def record(self, monkeypatch, run):
-        """Each LP the node models solve while ``run()`` runs, with the
-        model's answer and whether it is the model's first solve started
-        from a parent's basis: (builder, lower, upper, cut rows as
-        ``_Rows.arrays``, status, value, warm, tightening). ``tightening``
-        is None for a node LP, and for a root tightening LP the costs and
-        the cutoff row's upper bound the model holds."""
+        """Each LP the shared models solve while ``run()`` runs, with the
+        model's answer: (builder, LP, status, value, first, warm,
+        tightening). LP holds the costs, column bounds and rows the model
+        holds, as ``linprog_reference`` takes them; ``first`` is whether it
+        is a node's first LP and ``warm`` whether it started from a basis.
+        ``tightening`` is whether it is a root tightening LP, whose last row
+        is the cutoff row."""
         lps = []
-        lp_solve = bnb._NodeLP.solve
+        lp_solve = bnb._SharedLP.solve
+        relax = bnb.relax_node
+        first = []
+
+        def spy_relax(lp, node):
+            first.append(True)
+            return relax(lp, node)
 
         def spy(model):
-            first = not hasattr(model, "solved")
-            warm = first and model.model.getBasis().valid
-            model.solved = True
-            rows = model.rows.arrays()
-            lp = (model.builder, model.lower.copy(), model.upper.copy(), rows)
-            tightening = None
-            held = model.model.getNumRow()
-            if held > len(model.builder.fixed[0]) + len(rows[0]):
-                matrix, _, row_upper = model_rows(model)
+            warm = model.model.getBasis().valid
+            builder = model.builder
+            matrix, row_lower, row_upper = model_rows(model)
+            cost = np.array(model.model.getLp().col_cost_)
+            tightening = bits(cost) != bits(builder.obj)
+            if tightening:
                 # the last row, appended to the model, is the cutoff row
-                assert held == len(model.builder.fixed[0]) + len(rows[0]) + 1
-                assert bits(matrix.toarray()[-1]) == bits(model.builder.obj)
-                cost = np.array(model.model.getLp().col_cost_)
-                tightening = (cost, row_upper[-1])
+                assert bits(matrix.toarray()[-1]) == bits(builder.obj)
+            lp = (cost, model.lower.copy(), model.upper.copy(), matrix,
+                  row_lower, row_upper)
             out = lp_solve(model)
-            lps.append(lp + out[:2] + (warm, tightening))
+            lps.append((builder, lp) + out[:2] + (bool(first), warm, tightening))
+            first.clear()
             return out
 
-        monkeypatch.setattr(bnb._NodeLP, "solve", spy)
+        monkeypatch.setattr(bnb._SharedLP, "solve", spy)
+        monkeypatch.setattr(bnb, "relax_node", spy_relax)
         run()
         monkeypatch.undo()
         return lps
@@ -1453,14 +1538,15 @@ class TestNodeLPSolve:
                 surr = shipped_surrogate(name)
                 solve(surr)
                 builder = bnb._LPBuilder(surr, 1e-4)
-                bnb.relax_node(builder, branched_node(builder))
+                bnb.relax_node(bnb._SharedLP(builder), branched_node(builder))
 
         def random_trees():
             for seed in range(3):
                 surr = random_surrogate(seed)
                 solve(surr)
                 builder = bnb._LPBuilder(surr, 1e-4)
-                tree_nodes(builder, 25)
+                lp = bnb._SharedLP(builder)
+                tree_nodes(lp, 25)
                 # x1 + x2 >= 0.8 cannot hold on these nodes
                 low = choose_interval_reference(surr, {}, 0, 0)
                 low = choose_interval_reference(surr, low, 1, 0)
@@ -1470,7 +1556,7 @@ class TestNodeLPSolve:
                                                    "x2": (0.0, 0.4)},
                               depth=1),
                 ):
-                    bnb.relax_node(builder, node)
+                    bnb.relax_node(lp, node)
 
         def coupled_trees():
             for surr in coupled_surrogates():
@@ -1482,25 +1568,23 @@ class TestNodeLPSolve:
         tightening_lps = 0
         for run in (shipped, random_trees, coupled_trees):
             lps = self.record(monkeypatch, run)
-            for (builder, lower, upper, rows, status, value, warm,
-                 tightening) in lps:
-                warm_firsts += warm
-                if tightening is not None:
+            for builder, lp, status, value, first, warm, tightening in lps:
+                warm_firsts += first and warm
+                if tightening:
                     # min or max of one component's x column
-                    cost, _ = tightening
-                    (col,) = np.flatnonzero(cost)
-                    assert abs(cost[col]) == 1.0
+                    (col,) = np.flatnonzero(lp[0])
+                    assert abs(lp[0][col]) == 1.0
                     assert col in [d[0] for d in builder.domains]
                     tightening_lps += 1
-                want_status, want = linprog_reference(
-                    builder, lower, upper, rows, *(tightening or ())
-                )
+                want_status, want = linprog_reference(*lp)
                 assert status == want_status
                 if status == "optimal":
                     assert abs(value - want) <= 1e-7 * max(1.0, abs(want))
                 statuses.append(status)
+            # a Kelley re-solve: the same node's LP with more rows
             kelley_rounds += sum(
-                a[0] is b[0] and len(a[3][1]) < len(b[3][1])
+                a[0] is b[0] and not b[4] and not b[6]
+                and a[1][3].shape[0] < b[1][3].shape[0]
                 for a, b in zip(lps, lps[1:])
             )
         # roots, branched nodes, Kelley re-solves and pruned nodes
@@ -1528,7 +1612,7 @@ class TestNodeLPSolve:
         self.stub_model_status(monkeypatch, model_status)
         builder = bnb._LPBuilder(random_surrogate(0), 1e-4)
         with pytest.raises(bnb.LPError, match=model_status):
-            bnb.relax_node(builder, dict_node(builder))
+            bnb.relax_node(bnb._SharedLP(builder), dict_node(builder))
 
     @pytest.mark.parametrize("model_status", [
         "kInfeasible", "kUnboundedOrInfeasible",
@@ -1536,7 +1620,8 @@ class TestNodeLPSolve:
     def test_infeasible_lp_prunes(self, monkeypatch, model_status):
         self.stub_model_status(monkeypatch, model_status)
         builder = bnb._LPBuilder(random_surrogate(0), 1e-4)
-        status, value, z, _, _ = bnb.relax_node(builder, dict_node(builder))
+        status, value, z, _ = bnb.relax_node(bnb._SharedLP(builder),
+                                             dict_node(builder))
         assert (status, value, z) == ("infeasible", math.inf, None)
 
     def test_unbounded_or_infeasible_with_a_free_column_raises(
@@ -1546,7 +1631,7 @@ class TestNodeLPSolve:
         surr = surrogate_for(parse_instance(FREE_LINEAR), intervals=4)
         builder = bnb._LPBuilder(surr, 1e-4)
         with pytest.raises(bnb.LPError, match="kUnboundedOrInfeasible"):
-            bnb.relax_node(builder, dict_node(builder))
+            bnb.relax_node(bnb._SharedLP(builder), dict_node(builder))
 
     def test_set_basis_error_raises(self, monkeypatch):
         class Stub(bnb.highs._Highs):
@@ -1554,7 +1639,8 @@ class TestNodeLPSolve:
                 return bnb.highs.HighsStatus.kError
 
         monkeypatch.setattr(bnb.highs, "_Highs", Stub)
-        # the root of this tree branches, so a child starts from its basis
+        # the root of this tree branches, and a node reached by a jump
+        # starts from its parent's saved basis
         with pytest.raises(bnb.LPError, match="setBasis"):
             solve(coupled_surrogates()[0])
 
@@ -1567,115 +1653,138 @@ class TestNodeLPSolve:
 
 
 class TestWarmStart:
+    @staticmethod
+    def count_basis_reads(monkeypatch):
+        """Every ``getBasis`` the solver makes, as the list it returns."""
+        reads = []
+
+        class Stub(bnb.highs._Highs):
+            def getBasis(self):
+                reads.append(1)
+                return super().getBasis()
+
+        monkeypatch.setattr(bnb.highs, "_Highs", Stub)
+        return reads
+
     def test_basis_read_once_per_branching_node(self, monkeypatch):
         """Only a node that branches reads its final basis, once for both
         children; a pruned or exact node does not."""
-        reads = []
+        reads = self.count_basis_reads(monkeypatch)
         pushes = []
-        basis = bnb._NodeLP.basis
         heappush = bnb.heapq.heappush
-
-        def spy_basis(model):
-            reads.append(model)
-            return basis(model)
 
         def spy_push(heap, item):
             pushes.append(item[2])
             heappush(heap, item)
 
-        monkeypatch.setattr(bnb._NodeLP, "basis", spy_basis)
         monkeypatch.setattr(bnb.heapq, "heappush", spy_push)
         nodes = branched = 0
         for surr in [shipped_surrogate(name) for name in SHIPPED] + coupled_surrogates():
             reads.clear()
             pushes.clear()
             nodes += solve(surr).nodes
-            assert len(reads) == len(set(map(id, reads)))
+            parents = {id(node.parent) for node in pushes[1:]}
+            assert len(reads) == len(parents)
+            assert all(node.parent.basis is not None for node in pushes[1:])
             assert 2 * len(reads) == len(pushes) - 1  # the root is pushed too
             branched += len(reads)
         assert 0 < branched < nodes
 
     def test_warm_first_lp_matches_cold(self, monkeypatch):
-        """On full trees, each node's first LP, started from its parent's
-        basis, gives the status and value of the same LP solved cold, and
-        both children of a node hold the same basis object."""
-        basic = int(bnb.highs.HighsBasisStatus.kBasic)
+        """On full trees, each node's first LP, started from the basis
+        HiGHS holds (a child of the node just solved) or from its parent's
+        saved basis (a jump), gives the status and value of the same LP
+        solved cold, and both children of a node hold the same parent frame
+        and so the same saved basis."""
         compared = []
-        dropped_nonbasic = []
-        pushed = []
-        lp_solve = bnb._NodeLP.solve
-        start_basis = bnb._start_basis
+        kept = []
+        lp_solve = bnb._SharedLP.solve
+        relax = bnb.relax_node
         heappush = bnb.heapq.heappush
+        pushed = []
+        first = []
+
+        def spy_relax(lp, node):
+            # below the root: whether the model holds the parent's final
+            # basis
+            first[:] = [] if node.parent is None else [node.parent is lp.warm]
+            return relax(lp, node)
 
         def spy_solve(model):
-            if hasattr(model, "solved") or not model.model.getBasis().valid:
-                model.solved = True
+            if not first:
                 return lp_solve(model)
-            model.solved = True
-            cold = bnb._NodeLP(model.builder, model.lower, model.upper,
-                               model.rows)
-            assert not cold.model.getBasis().valid
+            keeps = first.pop()
+            assert model.model.getBasis().valid
+            cold = highs_copy(model.model)
+            assert not cold.getBasis().valid
             out = lp_solve(model)
-            status, value, _ = lp_solve(cold)
-            assert out[0] == status
-            if status == "optimal":
+            assert cold.run() == bnb.highs.HighsStatus.kOk
+            status = cold.getModelStatus()
+            assert status in (bnb.highs.HighsModelStatus.kOptimal,
+                              bnb.highs.HighsModelStatus.kInfeasible)
+            assert out[0] == ("optimal" if status == bnb.highs.HighsModelStatus.kOptimal
+                              else "infeasible")
+            if out[0] == "optimal":
+                value = cold.getObjectiveValue()
                 assert abs(out[1] - value) <= 1e-7 * max(1.0, abs(value))
-            compared.append(status)
+            compared.append(out[0])
+            kept.append(keeps)
             return out
-
-        def spy_start(builder, parent, rows, keep):
-            # the parent rows the child drops: its blocks the child does not
-            # hold, and the tangents the child does not keep
-            nf = len(builder.fixed[0])
-            end = nf + parent.block_rows.sum()
-            moved = np.repeat(rows.ids != parent.ids, parent.block_rows)
-            dropped = np.concatenate(
-                [parent.row[nf:end][moved], parent.row[end:][~keep]]
-            )
-            dropped_nonbasic.append(bool((dropped != basic).any()))
-            return start_basis(builder, parent, rows, keep)
 
         def spy_push(heap, item):
             pushed.append(item[2])
             heappush(heap, item)
 
-        monkeypatch.setattr(bnb._NodeLP, "solve", spy_solve)
-        monkeypatch.setattr(bnb, "_start_basis", spy_start)
+        monkeypatch.setattr(bnb._SharedLP, "solve", spy_solve)
+        monkeypatch.setattr(bnb, "relax_node", spy_relax)
         monkeypatch.setattr(bnb.heapq, "heappush", spy_push)
         surrogates = [shipped_surrogate(name) for name in SHIPPED]
         surrogates += [random_surrogate(seed) for seed in range(3)]
         surrogates += coupled_surrogates()
         for surr in surrogates:
             pushed.clear()
+            first.clear()
             report = solve(surr)
             assert report.status == "optimal"
             root, children = pushed[0], pushed[1:]
-            assert root.basis is None and len(children) % 2 == 0
+            assert root.parent is None and len(children) % 2 == 0
             for left, right in zip(children[::2], children[1::2]):
-                assert left.basis is not None and left.basis is right.basis
+                assert left.parent is not None and left.parent is right.parent
+                assert left.parent.basis is not None
+            first.clear()
         monkeypatch.undo()
-        assert len(compared) == len(dropped_nonbasic) >= 20
-        # HiGHS repaired the basic count of an alien basis
-        assert any(dropped_nonbasic)
+        assert len(compared) >= 20
+        # both starts occur: the basis HiGHS holds and a restored one
+        assert any(kept) and not all(kept)
 
 
-def relax_node_per_key(builder, node):
+def highs_copy(model):
+    """A new HiGHS model holding ``model``'s LP (its ``getLp``), without a
+    basis."""
+    copy = bnb.highs._Highs()
+    copy.setOptionValue("output_flag", False)
+    dual = bnb.highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    copy.setOptionValue("simplex_strategy", dual)
+    assert copy.passModel(model.getLp()) == bnb.highs.HighsStatus.kOk
+    return copy
+
+
+def relax_node_per_key(lp, node):
     """``relax_node`` with the Kelley round evaluating phi and phi' one
     convex key at a time with ``polyval``: the reference for the stacked
     Horner evaluation."""
+    builder = lp.builder
     surr = builder.surr
-    lp = bnb._node_lp(builder, node)
-    if lp is None:
-        return "infeasible", math.inf, None, bnb.NO_TANGENTS, None
-    rows, start, kelley, tangents = lp
     lower, upper = node.lower, node.upper
-    model = bnb._NodeLP(builder, lower, upper, rows, start)
-    found = [tangents]
+    if (lower[: builder.nv] > upper[: builder.nv]).any():
+        return "infeasible", math.inf, None, None
+    frame, kelley = lp.enter(node)
+    found = []
     prev = -math.inf
     for rnd in range(bnb.KELLEY_CAP):
-        status, fun, z = model.solve()
+        status, fun, z = lp.solve()
         if status == "infeasible":
-            return "infeasible", math.inf, None, bnb.NO_TANGENTS, None
+            return "infeasible", math.inf, None, frame
         value = fun + surr.constant
         if value - prev <= builder.progress_tol * max(1.0, abs(value)):
             break
@@ -1698,14 +1807,16 @@ def relax_node_per_key(builder, node):
         if not new:
             break
         if rnd == bnb.KELLEY_CAP - 1:
-            builder.kelley_cap_hits += 1
+            lp.kelley_cap_hits += 1
             break
         index, a, b = zip(*new)
         new = bnb.Tangents(np.array(index), np.array(a), np.array(b))
-        model.add_rows(new)
+        lp.add_rows([builder.cut_rows(*new)])
         found.append(new)
-    tangents = bnb.Tangents(*map(np.concatenate, zip(*found)))
-    return "optimal", value, z, tangents, model
+    if found:
+        frame.tangents = bnb.Tangents(*map(np.concatenate, zip(*found)))
+    frame.end = lp.model.getNumRow()
+    return "optimal", value, z, frame
 
 
 class TestKelleyEvaluation:
@@ -1791,10 +1902,10 @@ def surrogate_grid(surr, n=201):
 
 
 def solved_root(surr):
-    """A fresh builder, and the root's LP point and solved ``_NodeLP``."""
+    """A fresh builder, and the root's LP point and its ``_SharedLP``."""
     builder = bnb._LPBuilder(surr, 1e-4)
-    status, _, z, _, lp = bnb.relax_node(builder, Node(0, builder.lower,
-                                                       builder.upper))
+    lp = bnb._SharedLP(builder)
+    status, _, z, _ = bnb.relax_node(lp, Node(0, builder.lower, builder.upper))
     assert status == "optimal"
     return builder, z, lp
 
@@ -1819,7 +1930,7 @@ class TestRootTightening:
             idx = surr.var_index()
             for ub in cutoffs:
                 builder, _, lp = solved_root(surr)
-                bounds = bnb._tighten_root(builder, lp, ub)
+                bounds = bnb._tighten_root(lp, ub)
                 below = points[feasible & (value <= ub)]
                 if bounds is None:
                     assert len(below) == 0
@@ -1853,8 +1964,8 @@ class TestRootTightening:
         assert report.lp_solves >= report.nodes + report.tightening_lps
         tighten = bnb._tighten_root
 
-        def untightened(builder, lp, ub):
-            tighten(builder, lp, ub)
+        def untightened(lp, ub):
+            tighten(lp, ub)
             return lp.lower.copy(), lp.upper.copy()
 
         monkeypatch.setattr(bnb, "_tighten_root", untightened)
@@ -1867,7 +1978,7 @@ class TestRootTightening:
         FRAC_TOL of after widening (so 2 + 1e-8 and 2 + 2.5e-6 keep 2), and
         one further inside rounds inward to the next integer."""
         surr = surrogate_for(parse_instance(INT_FLOOR), intervals=6)
-        lp_solve = bnb._NodeLP.solve
+        lp_solve = bnb._SharedLP.solve
         for shift, want in ((0.0, (2, 6)), (1e-8, (2, 6)), (-1e-8, (2, 6)),
                             (2.5e-6, (2, 6)), (0.3, (3, 5))):
             builder, _, lp = solved_root(surr)
@@ -1876,8 +1987,8 @@ class TestRootTightening:
                 status, value, z = lp_solve(model)
                 return status, value + shift, z
 
-            monkeypatch.setattr(bnb._NodeLP, "solve", shifted)
-            lower, upper = bnb._tighten_root(builder, lp, 1e6)
+            monkeypatch.setattr(bnb._SharedLP, "solve", shifted)
+            lower, upper = bnb._tighten_root(lp, 1e6)
             monkeypatch.undo()
             col = builder.col_x["n"]
             assert (lower[col], upper[col]) == want
@@ -1888,7 +1999,7 @@ class TestRootTightening:
         solved (and counted); node LPs are left alone."""
         tightening = []
         tighten = bnb._tighten_root
-        lp_solve = bnb._NodeLP.solve
+        lp_solve = bnb._SharedLP.solve
 
         def flagged(*args):
             tightening.append(True)
@@ -1902,7 +2013,7 @@ class TestRootTightening:
             return outcome() if tightening else out
 
         monkeypatch.setattr(bnb, "_tighten_root", flagged)
-        monkeypatch.setattr(bnb._NodeLP, "solve", stub)
+        monkeypatch.setattr(bnb._SharedLP, "solve", stub)
 
     def test_infeasible_tightening_closes_the_root(self, monkeypatch):
         """No relaxation point beats the incumbent: the root closes with
@@ -1924,7 +2035,7 @@ class TestRootTightening:
 
         builder, _, lp = solved_root(surr)
         self.stub_tightening(monkeypatch, unsettled)
-        lower, upper = bnb._tighten_root(builder, lp, 0.0)
+        lower, upper = bnb._tighten_root(lp, 0.0)
         assert bits(lower) == bits(builder.lower)
         assert bits(upper) == bits(builder.upper)
         report = solve(surr)
@@ -1948,7 +2059,7 @@ class TestRootTightening:
         report = solve(random_surrogate(258, k=8))
         assert report.status == "optimal" and report.tightening_lps == 4
         root, child = pushed[:2]
-        assert child.depth == 1 and child.basis is not None
+        assert child.depth == 1 and child.parent.basis is not None
         assert (child.lower >= root.lower).all() and (child.upper <= root.upper).all()
         assert (child.upper < root.upper).any()
 
