@@ -13,8 +13,10 @@ tie-break, so runs are deterministic.
 Intervals that are convex over the node's deviation range get Kelley
 (1960) tangents at the LP point, one LP round at a time. The loop stops on
 bound progress: when a round raised the LP value by at most
-``0.01 * gap_tol * max(1, |value|)``, when no tangent was added, or after
-KELLEY_CAP LPs (counted in ``SolveReport.kelley_cap_hits``). Every stop
+``0.01 * gap_tol * max(1, |value|)``, when no tangent would be added, when
+the new tangents' summed violation at the LP point (what the next round
+can gain) is at most that much, or after KELLEY_CAP LPs (counted in
+``SolveReport.kelley_cap_hits``). Every stop
 leaves a relaxation, so bounds stay sound. A node's tangents stay on the
 model for its children (a cut pool in the sense of Achterberg 2007): a
 tangent of a piece convex on a range underestimates it on every sub-range,
@@ -572,8 +574,10 @@ def relax_node(lp: _SharedLP, node: Node):
     A round adds the tangent at the LP point of every interval that is
     convex over the node range and underestimated there. The loop stops
     when a round raised the bound by at most ``progress_tol`` (relative to
-    max(1, |value|)), when no tangent was added, or after KELLEY_CAP
-    solves. Each stop leaves a relaxation, so the bound is sound.
+    max(1, |value|)), when no tangent would be added, when the new
+    tangents' summed violation at the LP point, which bounds what the round
+    can gain, is at most that much, or after KELLEY_CAP solves. Each stop
+    leaves a relaxation, so the bound is sound.
     """
     builder = lp.builder
     if (node.lower[: builder.nv] > node.upper[: builder.nv]).any():
@@ -602,10 +606,14 @@ def relax_node(lp: _SharedLP, node: Node):
         cut = ~(gap <= 1e-10 * np.maximum(1.0, np.abs(sp)))  # NaN gaps cut
         if not cut.any():
             break
+        new = Tangents(kelley[cut], a[cut], (val_at - a * at)[cut])
+        # the new tangents' violation at the LP point bounds the gain
+        gain = np.sum(new.a * dev[cut] + new.b + c0[cut] * y[cut] - sp[cut])
+        if gain <= builder.progress_tol * max(1.0, abs(value)):
+            break
         if rnd == KELLEY_CAP - 1:
             lp.kelley_cap_hits += 1
             break
-        new = Tangents(kelley[cut], a[cut], (val_at - a * at)[cut])
         lp.add_rows([builder.cut_rows(*new)])
         found.append(new)
     if found:

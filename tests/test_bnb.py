@@ -1806,11 +1806,16 @@ def relax_node_per_key(lp, node):
             new.append((i, a, poly_val(phi, dev) - a * dev))
         if not new:
             break
+        index, a, b = zip(*new)
+        new = bnb.Tangents(np.array(index), np.array(a), np.array(b))
+        col = builder.y_cols[new.index]
+        gain = np.sum(new.a * z[col + 1] + new.b + builder.c0[new.index] * z[col]
+                      - z[col + 2])
+        if gain <= builder.progress_tol * max(1.0, abs(value)):
+            break
         if rnd == bnb.KELLEY_CAP - 1:
             lp.kelley_cap_hits += 1
             break
-        index, a, b = zip(*new)
-        new = bnb.Tangents(np.array(index), np.array(a), np.array(b))
         lp.add_rows([builder.cut_rows(*new)])
         found.append(new)
     if found:
