@@ -126,11 +126,6 @@ class ProblemInstance:
             names |= variables_of(term)
         return tuple(v.name for v in self.variables if v.name in names)
 
-    def covariate_part(self, env: dict[str, float]) -> float:
-        """Value of the nonlinear (approximated) part of g_0."""
-        _, _, nonlinear = self.complicating_split()
-        return sum(evaluate(t, env) for t in nonlinear)
-
 
 @dataclass(frozen=True)
 class MissocConfig:
@@ -290,6 +285,13 @@ def _parse_var(rest: str, line: int) -> Variable:
         if not lo <= hi:
             raise ParseError(f"no integer in the box of integer variable "
                              f"{name} {tail}", line, 1)
+        if lo == hi:
+            raise ParseError(f"the box {tail} of integer variable {name} holds "
+                             f"only the integer {lo:.0f}; fixed variables are "
+                             f"not supported", line, 1)
+    if lo == hi:
+        raise ParseError(f"the box {tail} of variable {name} is one point; "
+                         f"fixed variables are not supported", line, 1)
     if not lo < hi:
         raise ParseError(f"empty box [{lo}, {hi}] of variable {name}", line, 1)
     return Variable(name=name, lower=lo, upper=hi, integer=integer)

@@ -93,10 +93,6 @@ class AdditiveModelFit:
             float(self.component(j, x[j])[0]) for j in range(self.p)
         )
 
-    def theta_full(self) -> np.ndarray:
-        """Stacked parameter vector (intercept first)."""
-        return np.concatenate([[self.intercept], *self.coefficients])
-
 
 def block_slices(bases: list[BSplineBasis]) -> list[slice]:
     """Column slices of each per-covariate block in the full design matrix."""
@@ -239,46 +235,3 @@ def dump_model(fit: AdditiveModelFit) -> str:
         buf.write(f"coefficients {coeffs}\n")
     buf.write("end\n")
     return buf.getvalue()
-
-
-def load_model(text: str) -> AdditiveModelFit:
-    """Parse the plain-text model format written by dump_model."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("missoc-model"):
-        raise ValueError("not a missoc model file")
-    version = int(lines[0].split()[1])
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version}")
-    intercept = None
-    bases: list[BSplineBasis] = []
-    coeffs: list[np.ndarray] = []
-    label = degree = knots = None
-    from .splines import extend_knots
-
-    for line in lines[1:]:
-        key, _, rest = line.partition(" ")
-        if key == "intercept":
-            intercept = float(rest)
-        elif key == "covariate":
-            label = rest
-        elif key == "degree":
-            degree = int(rest)
-        elif key == "knots":
-            knots = np.array([float(v) for v in rest.split()])
-        elif key == "coefficients":
-            theta = np.array([float(v) for v in rest.split()])
-            basis = BSplineBasis(knots=extend_knots(knots, degree), label=label)
-            if theta.shape != (basis.n_basis,):
-                raise ValueError(
-                    f"covariate {label}: {theta.size} coefficients for a "
-                    f"basis of {basis.n_basis}"
-                )
-            bases.append(basis)
-            coeffs.append(theta)
-        elif key == "end":
-            break
-        else:
-            raise ValueError(f"unknown model-file key {key!r}")
-    if intercept is None:
-        raise ValueError("model file has no intercept")
-    return AdditiveModelFit(intercept=intercept, coefficients=coeffs, bases=bases)

@@ -160,13 +160,6 @@ def interval_index(breakpoints, xs, label: str = "x"):
     return np.minimum(np.searchsorted(t, xs, side="right") - 1, len(t) - 2)
 
 
-def bspline_value(l: int, basis: BSplineBasis, x: float) -> float:
-    """Value of the l-th basis function (1-based, l in 1..k+d) at x."""
-    if not (1 <= l <= basis.n_basis):
-        raise IndexError(f"basis index {l} out of 1..{basis.n_basis}")
-    return float(basis.eval_all(x)[l - 1])
-
-
 def segment_maps(basis: BSplineBasis, ref) -> np.ndarray:
     """Per-interval maps from basis coefficients to power-basis coefficients,
     shape (k, d+1, d+1).

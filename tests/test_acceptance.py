@@ -208,7 +208,7 @@ def test_criterion_2_unconstrained_fit():
         ) + 0.05 * rng.normal(size=n)
         T = TrainingSet(X=X, y=y)
         fit = fit_additive(T, degrees=d, intervals=k)
-        theta = fit.theta_full()
+        theta = np.concatenate([[fit.intercept], *fit.coefficients])
         B, rows = identifiability_rows(fit.bases, X)
 
         normal_lhs = (B.T @ B + rows.T @ rows) @ theta

@@ -13,7 +13,7 @@ from missoc.bnb import SOLVE_CSV_HEADER, UnsupportedSurrogateError
 from missoc.cli import build_parser, main
 from missoc.expressions import ParseError
 from missoc.problems import InstanceValidationError, MissocConfig
-from missoc.regression import load_model
+from test_regression import load_model
 
 SMOOTH = (
     "var x in [0, 1]; var y in [0, 1];"

@@ -121,10 +121,21 @@ class TestParseInstance:
     def test_empty_box(self):
         with pytest.raises(ParseError, match="empty box .* of variable x$"):
             parse_instance("var x in [2, 1]; min x;")
-        # an integer box that holds one integer rounds to an empty one
-        text = "var x in [0, 1];\nvar n in [0.5, 1.5] integer;\nmin x^2 + n;"
-        with pytest.raises(ParseError, match=r"box \[1.0, 1.0\] of variable n$") as ei:
+
+    @pytest.mark.parametrize("box, want", [
+        ("[0.5, 1.5] integer", "the box [0.5, 1.5] of integer variable n holds "
+                               "only the integer 1"),
+        ("[-1, -1] integer", "the box [-1, -1] of integer variable n holds "
+                             "only the integer -1"),
+        ("[2, 2]", "the box [2, 2] of variable n is one point"),
+    ])
+    def test_one_point_box_is_a_fixed_variable(self, box, want):
+        """A box that holds one point is not empty: it fixes the variable,
+        which the parser refuses as such."""
+        text = f"var x in [0, 1];\nvar n in {box};\nmin x^2 + n;"
+        with pytest.raises(ParseError) as ei:
             parse_instance(text)
+        assert str(ei.value).endswith(f": {want}; fixed variables are not supported")
         assert ei.value.line == 2
 
     def test_nonlinear_variable_needs_finite_bounds(self):
@@ -182,7 +193,8 @@ class TestCovariates:
         assert const == -1.0
         assert coeffs == {"a": 2.0}
         env = {"a": 0.3, "b": 0.4}
-        assert inst.covariate_part(env) == pytest.approx(0.16)
+        # the nonlinear (approximated) part of g_0
+        assert sum(evaluate(t, env) for t in nonlinear) == pytest.approx(0.16)
 
 
 def per_row_sample(instance, config, rounds=False):

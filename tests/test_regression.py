@@ -3,6 +3,7 @@ import pytest
 import scipy.optimize
 
 from missoc.regression import (
+    MODEL_FORMAT_VERSION,
     AdditiveModelFit,
     IllPosedFitError,
     TrainingSet,
@@ -10,10 +11,61 @@ from missoc.regression import (
     dump_model,
     fit_additive,
     identifiability_penalty,
-    load_model,
     make_bases,
 )
-from missoc.splines import OutOfDomainError, design_matrix, make_basis
+from missoc.splines import (
+    BSplineBasis,
+    OutOfDomainError,
+    design_matrix,
+    extend_knots,
+    make_basis,
+)
+
+
+def theta_full(fit):
+    """The fit's stacked parameter vector, intercept first."""
+    return np.concatenate([[fit.intercept], *fit.coefficients])
+
+
+def load_model(text: str) -> AdditiveModelFit:
+    """Parse the plain-text model format written by ``dump_model``: the
+    reference reader its round trip is checked against."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("missoc-model"):
+        raise ValueError("not a missoc model file")
+    version = int(lines[0].split()[1])
+    if version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported model format version {version}")
+    intercept = None
+    bases, coeffs = [], []
+    label = degree = knots = None
+    for line in lines[1:]:
+        key, _, rest = line.partition(" ")
+        if key == "intercept":
+            intercept = float(rest)
+        elif key == "covariate":
+            label = rest
+        elif key == "degree":
+            degree = int(rest)
+        elif key == "knots":
+            knots = np.array([float(v) for v in rest.split()])
+        elif key == "coefficients":
+            theta = np.array([float(v) for v in rest.split()])
+            basis = BSplineBasis(knots=extend_knots(knots, degree), label=label)
+            if theta.shape != (basis.n_basis,):
+                raise ValueError(
+                    f"covariate {label}: {theta.size} coefficients for a "
+                    f"basis of {basis.n_basis}"
+                )
+            bases.append(basis)
+            coeffs.append(theta)
+        elif key == "end":
+            break
+        else:
+            raise ValueError(f"unknown model-file key {key!r}")
+    if intercept is None:
+        raise ValueError("model file has no intercept")
+    return AdditiveModelFit(intercept=intercept, coefficients=coeffs, bases=bases)
 
 
 def random_training(rng, n=60, p=2, lo=0.0, hi=1.0, fn=None):
@@ -85,7 +137,7 @@ class TestFitAdditive:
         bases = fit.bases
         B = design_matrix(T.X, bases)
         P = identifiability_penalty([B[:, s] for s in block_slices(bases)])
-        theta = fit.theta_full()
+        theta = theta_full(fit)
         lhs = (B.T @ B + P) @ theta
         rhs = B.T @ T.y
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
@@ -110,7 +162,7 @@ class TestFitAdditive:
             method="L-BFGS-B",
             options={"gtol": 1e-12, "ftol": 1e-15, "maxiter": 5000},
         )
-        assert objective(fit.theta_full()) <= res.fun + 1e-10 * (1 + abs(res.fun))
+        assert objective(theta_full(fit)) <= res.fun + 1e-10 * (1 + abs(res.fun))
 
     def test_row_order_invariance(self):
         rng = np.random.default_rng(7)
@@ -164,7 +216,7 @@ class TestPredict:
         rng = np.random.default_rng(10)
         T = random_training(rng, n=100, p=2)
         fit = fit_additive(T, degrees=3, intervals=4)
-        theta = fit.theta_full()
+        theta = theta_full(fit)
         pts = rng.uniform(0.05, 0.95, size=(100, 2))
         B = design_matrix(pts, fit.bases)
         for i in range(100):

@@ -759,3 +759,58 @@ class TestRestoration:
             surrogate[c] = report.solver.objective
         for c in (1e3, 1e4, 1e5):
             assert surrogate[c] == pytest.approx(surrogate[0.0], rel=1e-9), c
+
+
+class TestShippedBoundedInstance:
+    def test_runs_optimal_without_grid_violation(self, monkeypatch):
+        """The shipped instance with a ``shape bounds`` statement and p = 2
+        estimates per-covariate bound weights, builds bound certificates,
+        fits without a grid violation (so without a restoration), and runs
+        to 'optimal' at its best known value."""
+        import importlib.resources
+
+        from missoc.problems import (
+            MissocConfig,
+            covariate_domains,
+            parse_instance,
+            run_missoc,
+            sample_training,
+        )
+
+        root = importlib.resources.files("missoc") / "instances"
+        inst = parse_instance((root / "bounded_shaped.miss").read_text(),
+                              name="bounded_shaped")
+        assert len(inst.covariates()) == 2
+        assert (inst.shape.lower, inst.shape.upper) == (0.5, 8.0)
+        weights, margins = [], []
+        estimate, build = shapecon.estimate_weights, shapecon.build_program
+
+        def spy_estimate(*args):
+            weights.append(estimate(*args))
+            return weights[-1]
+
+        def spy_build(*args, **kwargs):
+            margins.append(kwargs.get("margin", args[3] if len(args) > 3 else 0.0))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(shapecon, "estimate_weights", spy_estimate)
+        monkeypatch.setattr(shapecon, "build_program", spy_build)
+        report = run_missoc(inst)
+        assert report.status == "optimal"
+        assert report.objective == pytest.approx(inst.best_known, abs=1e-6)
+        assert margins == [0.0]  # no restoration
+        ((w_lo, w_up),) = weights
+        for w in (w_lo, w_up):
+            assert len(w) == 2 and abs(w.sum() - 1.0) <= 1e-12
+            assert not np.allclose(w, 0.5)  # estimated, not the fallback
+        monkeypatch.undo()
+        cfg = MissocConfig()
+        T = sample_training(inst, cfg)
+        fit, sol = fit_constrained(
+            T, cfg.degrees, cfg.intervals, inst.shape,
+            domains=covariate_domains(inst), labels=inst.covariates(),
+            return_solution=True,
+        )
+        program, _ = build_program(T, fit.bases, inst.shape)
+        assert program.spec.lower == 0.5 and program.spec.upper == 8.0
+        assert shapecon.shape_violation(program, sol.theta) == 0.0

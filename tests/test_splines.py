@@ -8,7 +8,6 @@ from missoc.splines import (
     InvalidKnotsError,
     OutOfDomainError,
     bernstein_bounds,
-    bspline_value,
     design_matrix,
     extend_knots,
     horner,
@@ -19,6 +18,14 @@ from missoc.splines import (
     taylor_shift,
     to_piecewise_poly,
 )
+
+
+def bspline_value(l: int, basis: BSplineBasis, x: float) -> float:
+    """Value of the l-th basis function (1-based, l in 1..k+d) at x, read
+    from ``eval_all``."""
+    if not (1 <= l <= basis.n_basis):
+        raise IndexError(f"basis index {l} out of 1..{basis.n_basis}")
+    return float(basis.eval_all(x)[l - 1])
 
 
 def naive_bspline(x, deg, i, t):
