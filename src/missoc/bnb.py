@@ -521,7 +521,7 @@ class _SharedLP:
         lo, hi = node.lower[y + 1], node.upper[y + 1]
         on = node.upper[y] != 0.0
         convex = builder.convex & on
-        parent = node.parent or builder
+        parent = builder if node.parent is None else node.parent  # its bounds
         new = (lo != parent.lower[y + 1]) | (hi != parent.upper[y + 1])
         blocks = []
         for i in np.flatnonzero(on & ((lo != 0.0) | (hi != builder.widths))).tolist():

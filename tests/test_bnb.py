@@ -1956,6 +1956,25 @@ class TestRootTightening:
                 checked += len(below)
         assert checked >= 2000 and narrowed >= 100 and fixed_off >= 400
 
+    def test_tightening_leaves_the_shared_model_as_it_was(self):
+        """The cutoff row is deleted and the costs are restored, so the
+        root's children are applied to the model the root left; only
+        HiGHS's basis moved, which a child then restores."""
+        surr = surrogate_for(parse_instance(SPATIAL_6D), intervals=10)
+        builder, z, lp = solved_root(surr)
+        before = lp_fields(lp.model.getLp())
+        ub = bnb._try_incumbent(builder, z)[0]
+        assert bnb._tighten_root(lp, ub) is not None
+        assert lp.tightening_lps == 2 * len(surr.components)
+        after = lp_fields(lp.model.getLp())
+        assert after.keys() == before.keys()
+        for key, value in before.items():
+            if isinstance(value, (list, np.ndarray)):
+                assert bits(after[key]) == bits(value), key
+            else:
+                assert after[key] == value, key
+        assert lp.warm is None
+
     def test_fewer_nodes_on_the_continuous_family(self, monkeypatch):
         """On a six-covariate instance of the benchmark's continuous family
         the tightened root leaves a tree of a few nodes; branching on the
