@@ -461,6 +461,19 @@ class TestSolve:
         assert r1.nodes == r2.nodes
         np.testing.assert_array_equal(r1.x, r2.x)
 
+    def test_two_solves_of_an_int_bnb_surrogate_give_the_same_bits(self):
+        """The shared model starts each solve fresh: two solves of one
+        surrogate of the benchmark's ``int1`` agree bit for bit in x, the
+        objective, the nodes and the LP solves."""
+        inst = parse_instance(INT_COUPLED)
+        cfg = MissocConfig(intervals=20)
+        surr = build_surrogate(fit_stage(inst, sample_training(inst, cfg), cfg), inst)
+        first, second = solve(surr), solve(surr)
+        assert first.status == "optimal" and first.nodes > 1
+        assert bits(first.x) == bits(second.x)
+        assert bits([first.objective]) == bits([second.objective])
+        assert (first.nodes, first.lp_solves) == (second.nodes, second.lp_solves)
+
     def test_gap_consistency(self):
         surr = surrogate_for(parse_instance(NONCONVEX_2D))
         report = solve(surr, gap_tol=1e-4)
