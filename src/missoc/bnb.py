@@ -16,11 +16,11 @@ bound progress: when a round raised the LP value by at most
 ``0.01 * gap_tol * max(1, |value|)``, when no tangent would be added, when
 the new tangents' summed violation at the LP point (what the next round
 can gain) is at most that much, or after KELLEY_CAP LPs (counted in
-``SolveReport.kelley_cap_hits``). Every stop
-leaves a relaxation, so bounds stay sound. A node's tangents stay on the
-model for its children (a cut pool in the sense of Achterberg 2007): a
-tangent of a piece convex on a range underestimates it on every sub-range,
-so it holds in all descendants.
+``SolveReport.kelley_cap_hits``). Every stop leaves a relaxation, so bounds
+stay sound. A node's tangents stay on the model for its children (a cut
+pool in the sense of Achterberg 2007): a tangent of a piece convex on a
+range underestimates it on every sub-range, so it holds in all
+descendants.
 
 A node is its LP's column bounds (Achterberg 2007): two read-only arrays,
 shared by children where branching leaves them unchanged. Fixing an
@@ -42,13 +42,13 @@ Sahinidis 1996, and Gleixner, Berthold, Müller & Weltge 2017;
 each component's x column, 2p LPs warm-started one from the other; the row
 is deleted and the costs restored afterwards. Each result, widened by
 FRAC_TOL relative (integer columns then rounded inward), becomes a bound of
-the root's box, and every interval wholly outside the box is fixed off. Every point of the relaxation that could
-beat the incumbent stays inside, so the bound stays sound; a tightening LP
-that is infeasible shows that no point can, and the root closes at the
-incumbent. The root's LP point is then branched on the tightened bounds,
-and the children start from the root's basis as read before the
-tightening. ``SolveReport.tightening_lps`` counts these LPs, which
-``lp_solves`` also holds.
+the root's box, and every interval wholly outside the box is fixed off.
+Every point of the relaxation that could beat the incumbent stays inside,
+so the bound stays sound; a tightening LP that is infeasible shows that no
+point can, and the root closes at the incumbent. The root's LP point is
+then branched on the tightened bounds, and the children start from the
+root's basis as read before the tightening. ``SolveReport.tightening_lps``
+counts these LPs, which ``lp_solves`` also holds.
 
 Every node LP is solved on one HiGHS model per solve (``_SharedLP``;
 Achterberg 2007), passed once through the numpy ``passModel`` of scipy's
@@ -384,10 +384,10 @@ class _LPBuilder:
             self.convex[i] = convex
         # every node LP's rows, the fixed rows and then the default blocks in
         # interval order, as (lower, upper, starts, index, value) arrays
-        nrows = len(lower) + int(sum(len(c) for c, _, _ in blocks[1:]))
+        cuts = sum(len(c) for c, _, _ in blocks[1:])
         self.fixed = (
-            np.concatenate([lower, np.full(nrows - len(lower), -np.inf)]),
-            np.concatenate([upper, np.zeros(nrows - len(upper))]),
+            np.concatenate([lower, np.full(cuts, -np.inf)]),
+            np.concatenate([upper, np.zeros(cuts)]),
             *_row_arrays(blocks),
         )
 
@@ -506,8 +506,8 @@ class _SharedLP:
         end = path[keep - 1].end if keep else len(builder.fixed[0])
         rows = model.getNumRow()
         if rows > end:
-            self._check(model.deleteRows(rows - end, np.arange(end, rows, dtype=np.int32)),
-                        "deleteRows")
+            gone = np.arange(end, rows, dtype=np.int32)
+            self._check(model.deleteRows(len(gone), gone), "deleteRows")
         for frame in path[keep:]:
             self.add_rows(frame.rows(builder))
         if node.parent is not self.warm:
