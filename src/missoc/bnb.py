@@ -607,8 +607,9 @@ def relax_node(lp: _SharedLP, node: Node):
         if not cut.any():
             break
         new = Tangents(kelley[cut], a[cut], (val_at - a * at)[cut])
-        # the new tangents' violation at the LP point bounds the gain
-        gain = np.sum(new.a * dev[cut] + new.b + c0[cut] * y[cut] - sp[cut])
+        # the new rows' violation at the LP point bounds the gain: raising
+        # each sp by its row's violation is feasible for the next LP
+        gain = np.sum((c0[cut] + new.b) * y[cut] + new.a * dev[cut] - sp[cut])
         if gain <= builder.progress_tol * max(1.0, abs(value)):
             break
         if rnd == KELLEY_CAP - 1:

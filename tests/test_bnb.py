@@ -1822,7 +1822,7 @@ def relax_node_per_key(lp, node):
         index, a, b = zip(*new)
         new = bnb.Tangents(np.array(index), np.array(a), np.array(b))
         col = builder.y_cols[new.index]
-        gain = np.sum(new.a * z[col + 1] + new.b + builder.c0[new.index] * z[col]
+        gain = np.sum((builder.c0[new.index] + new.b) * z[col] + new.a * z[col + 1]
                       - z[col + 2])
         if gain <= builder.progress_tol * max(1.0, abs(value)):
             break
