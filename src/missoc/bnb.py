@@ -371,16 +371,7 @@ class _LPBuilder:
             self.phi[i, : phi.shape[1]] = phi
             self.dphi[i, : der.shape[1]] = der
             row, a, b, convex = interval_cuts(phi, np.zeros(k), width)
-            counts, index, value = self.cut_rows(i.start + row, a, b)
-            # block q's rows and entries end at row_end[q], entry_end[q]
-            row_end = np.cumsum(np.bincount(row, minlength=k)).tolist()
-            entry_end = np.cumsum(counts)[np.subtract(row_end, 1)].tolist()
-            for q, (r0, r1, e0, e1) in enumerate(zip(
-                [0] + row_end, row_end, [0] + entry_end, entry_end
-            )):
-                rows = (counts[r0:r1], index[e0:e1], value[e0:e1])
-                self._cuts[i.start + q, 0.0, width[q]] = _CutBlock(rows, bool(convex[q]))
-            blocks.append((counts, index, value))
+            blocks.append(self.cut_rows(i.start + row, a, b))
             self.convex[i] = convex
         # every node LP's rows, the fixed rows and then the default blocks in
         # interval order, as (lower, upper, starts, index, value) arrays
