@@ -1369,20 +1369,31 @@ class TestTangentPool:
     def test_pool_bound_between_plain_bound_and_node_minimum(
         self, monkeypatch
     ):
-        inherited = 0
+        inherited = restarted = 0
         for seed in self.SEEDS:
-            inherited += self.check_pool_bound(seed, monkeypatch)
+            counts = self.check_pool_bound(seed, monkeypatch)
+            inherited += counts[0]
+            restarted += counts[1]
         assert inherited >= 50
+        assert restarted >= 100
 
     def check_pool_bound(self, seed, monkeypatch):
         """Each node's first LP in the tree (its path's rows, the pool
         among them) against the same node relaxed without a parent (plain:
-        only its own cut blocks)."""
+        only its own cut blocks). A node whose first LP had a fixed start
+        (the root on a new model, or a jump to its parent's saved basis) is
+        relaxed again on a new model that has relaxed the root, which enters
+        it through the same path and basis: it gives the tree's status and
+        bound exactly. (HiGHS scales a model at its first LP and extends
+        that scaling to rows added later, so the new model solves the root
+        first, as the tree's did.) Returns the counts of nodes with an
+        inherited pool and of those relaxed again."""
         surr = random_surrogate(seed)
         builder = bnb._LPBuilder(surr, 1e-4)
         lp = bnb._SharedLP(builder)
         values = []
         firsts = []
+        fixed_start = []
         lp_solve = bnb._SharedLP.solve
         relax = bnb.relax_node
 
@@ -1393,6 +1404,7 @@ class TestTangentPool:
 
         def spy_relax(lp, node):
             values.clear()
+            fixed_start.append(node.parent is not lp.warm or lp.lp_solves == 0)
             out = relax(lp, node)
             firsts.append(values[0] if values else None)
             return out
@@ -1400,8 +1412,19 @@ class TestTangentPool:
         monkeypatch.setattr(bnb._SharedLP, "solve", spy)
         monkeypatch.setattr(bnb, "relax_node", spy_relax)
         nodes = tree_nodes(lp, 25)
-        inherited = 0
-        for (node, (status, bound, _, _)), first_pooled in zip(nodes, list(firsts)):
+        firsts, fixed_start = list(firsts), list(fixed_start)
+        root = nodes[0][0]
+        inherited = restarted = 0
+        for (node, (status, bound, _, _)), first_pooled, fixed in zip(
+            nodes, firsts, fixed_start
+        ):
+            if fixed:
+                fresh = bnb._SharedLP(builder)
+                if node is not root:
+                    bnb.relax_node(fresh, root)
+                again = bnb.relax_node(fresh, node)
+                assert (again[0], again[1]) == (status, bound)
+                restarted += 1
             values.clear()
             plain = bnb.relax_node(lp, dataclasses.replace(node, parent=None))
             assert plain[0] == status
@@ -1417,7 +1440,7 @@ class TestTangentPool:
             assert bound >= first_pooled - 1e-7 * scale
             assert bound <= node_grid_min(builder, node) + 1e-9 * scale
         monkeypatch.undo()
-        return inherited
+        return inherited, restarted
 
 
 def linprog_reference(cost, lower, upper, matrix, row_lower, row_upper):
