@@ -30,8 +30,11 @@ range is bisected) sets its y to 1 and fixes its component's other
 intervals off. The tables are built once per solve (``_LPBuilder``): the
 rows every node LP holds as row-wise arrays (the fixed rows, then every
 interval's cut block on its full range, one ``interval_cuts`` call per
-component), the root's bounds and the Kelley tables. Cut blocks of
-narrowed deviation ranges are cached per (interval, range).
+component), the root's bounds, its convexity flags and the Kelley tables.
+Separability means a child's relaxation differs from its parent's only in
+the deviation ranges its branching narrowed, so a node computes the cut
+block and the convexity flag of just those intervals and inherits every
+other flag from its parent.
 
 Once the root is solved, and only when its LP point gave an incumbent and
 the gap is still open, the root's box is tightened against that incumbent
@@ -190,13 +193,17 @@ class _Frame:
     """A relaxed node's rows on the shared model, after its ancestors':
     the cut blocks of the deviation ranges it narrows below its parent's,
     as row-wise (entries per row, column index, value) blocks, then its
-    Kelley tangents. ``end`` is the model's row count with them and
-    ``basis`` the ``getBasis`` of its last LP, read when it branches."""
+    Kelley tangents. ``convex`` flags the intervals convex over the node's
+    deviation ranges (the parent's flags where the node leaves a range as
+    it was; stale for intervals fixed off). ``end`` is the model's row
+    count with the node's rows and ``basis`` the ``getBasis`` of its last
+    LP, read when it branches."""
 
     parent: _Frame | None
     lower: np.ndarray  # the node's column bounds
     upper: np.ndarray
     blocks: list
+    convex: np.ndarray
     tangents: Tangents = NO_TANGENTS
     end: int = 0
     basis: object = None
@@ -257,19 +264,10 @@ def _row_arrays(blocks):
     return starts, index, value
 
 
-class _CutBlock(NamedTuple):
-    """``interval_cuts`` of one interval on one deviation range as a
-    row-wise block of rows ``a @ z <= 0``, and whether the interval is
-    convex there."""
-
-    rows: tuple
-    convex: bool
-
-
 class _LPBuilder:
     """The tables of one solve: column layout and default bounds, the rows
-    every node LP holds (row-wise arrays), the cache of cut blocks on
-    narrowed deviation ranges, and the Kelley tables."""
+    every node LP holds (row-wise arrays), the root's convexity flags and
+    the Kelley tables."""
 
     def __init__(self, surr: SurrogateMINLP, gap_tol: float):
         self.surr = surr
@@ -351,9 +349,6 @@ class _LPBuilder:
         blocks = [(np.array(counts, dtype=np.int32), np.array(index, dtype=np.int32),
                    np.array(value, dtype=float))]
 
-        # (i, lo, hi) -> _CutBlock; per solve, since two surrogates share
-        # keys
-        self._cuts = {}
         # the Kelley tables: phi and phi' per interval, zero-padded to one
         # width
         size = max([c.shape[1] for c in coeffs], default=1)
@@ -384,19 +379,6 @@ class _LPBuilder:
 
     def _con_row(self, con):
         return [(self.col_x[n], c) for n, c in con.coeffs.items()]
-
-    def block(self, i: int, lo: float, hi: float) -> _CutBlock:
-        """Interval i's cut block on deviation range [lo, hi], computed once
-        per solve."""
-        key = (i, lo, hi)
-        block = self._cuts.get(key)
-        if block is None:
-            row, a, b, convex = interval_cuts(
-                self.deviation_poly(i)[None], [lo], [hi]
-            )
-            block = _CutBlock(self.cut_rows(i + row, a, b), bool(convex[0]))
-            self._cuts[key] = block
-        return block
 
     def deviation_poly(self, i: int) -> np.ndarray:
         """Interval i's polynomial in its deviation, constant dropped (the
@@ -477,13 +459,18 @@ class _SharedLP:
 
     def enter(self, node: Node):
         """Set the model to the node's LP and return the node's frame and
-        Kelley intervals (those convex over its deviation ranges).
+        Kelley intervals (those switched on and convex over its deviation
+        ranges).
 
         The model keeps the rows of the frames on the node's path that it
         holds, deletes the rest, adds the path's missing frames and then the
-        node's own cut blocks, and takes the node's column bounds. A child
-        of the node just solved keeps the basis HiGHS holds; any other node
-        starts from its parent's saved basis (cold without one)."""
+        node's own cut blocks, and takes the node's column bounds. A node
+        computes cuts only for the intervals switched on whose deviation
+        range it narrows below its parent's, one ``interval_cuts`` call
+        each; its convexity flags are its parent's (the builder's at the
+        root) with those intervals' flags. A child of the node just solved
+        keeps the basis HiGHS holds; any other node starts from its parent's
+        saved basis (cold without one)."""
         builder, model = self.builder, self.model
         path = []
         frame = node.parent
@@ -506,29 +493,31 @@ class _SharedLP:
                 self._check(model.clearSolver(), "clearSolver")
             else:
                 self._check(model.setBasis(node.parent.basis), "setBasis")
-        # the node's cut blocks on deviation ranges narrowed below its
-        # parent's; an interval fixed off is bounds only and not convex
+        # the node's cut blocks on the deviation ranges it narrows below its
+        # parent's, and its convexity mask: the parent's, with the flags of
+        # those ranges; an interval fixed off is bounds only
         y = builder.y_cols
         lo, hi = node.lower[y + 1], node.upper[y + 1]
         on = node.upper[y] != 0.0
-        convex = builder.convex & on
-        parent = builder if node.parent is None else node.parent  # its bounds
-        new = (lo != parent.lower[y + 1]) | (hi != parent.upper[y + 1])
+        parent = builder if node.parent is None else node.parent
+        convex = parent.convex
+        narrowed = on & ((lo != parent.lower[y + 1]) | (hi != parent.upper[y + 1]))
         blocks = []
-        for i in np.flatnonzero(on & ((lo != 0.0) | (hi != builder.widths))).tolist():
-            block = builder.block(i, float(lo[i]), float(hi[i]))
-            convex[i] = block.convex
-            if new[i]:
-                blocks.append(block.rows)
-        if blocks:
+        if narrowed.any():
+            convex = convex.copy()
+            for i in np.flatnonzero(narrowed).tolist():
+                row, a, b, flag = interval_cuts(builder.deviation_poly(i)[None],
+                                                lo[i : i + 1], hi[i : i + 1])
+                blocks.append(builder.cut_rows(i + row, a, b))
+                convex[i] = flag[0]
             self.add_rows(blocks)
-        frame = _Frame(node.parent, node.lower, node.upper, blocks)
+        frame = _Frame(node.parent, node.lower, node.upper, blocks, convex)
         self.path = path + [frame]
         self.warm = frame
         self.lower, self.upper = node.lower, node.upper
         self._check(model.changeColsBounds(len(self.cols), self.cols, node.lower,
                                            node.upper), "changeColsBounds")
-        return frame, np.flatnonzero(convex)
+        return frame, np.flatnonzero(convex & on)
 
     def solve(self):
         """(status, value, x): 'optimal' with the LP value (without the

@@ -246,19 +246,6 @@ class TestIntervalCuts:
             seen.add(convex)
         assert seen == {False, True}
 
-    def test_cut_cache_convex_flag_matches_reference(self):
-        surr = random_surrogate(5)
-        builder = bnb._LPBuilder(surr, 1e-4)
-        rng = np.random.default_rng(12)
-        for j, comp in enumerate(surr.components):
-            for q in range(comp.k):
-                i = builder.first[j] + q
-                phi = builder.deviation_poly(i)
-                for _ in range(5):
-                    lo, hi = np.sort(rng.uniform(0.0, comp.widths[q], 2))
-                    block = builder.block(i, lo, hi)
-                    assert block.convex == self.convex_reference(phi, lo, hi)
-
 
 def bernstein_bounds_reference(coeffs, lo, hi):
     """The scalar ``bernstein_bounds``: the power -> Bernstein map as a
@@ -1007,8 +994,8 @@ class TestNodeLP:
     def test_child_computes_cuts_only_for_its_overrides(self, monkeypatch):
         """The cut blocks of every interval's full range come from one
         ``interval_cuts`` call per component when the builder is made; a
-        node below computes cuts only for the other ranges it sets, once
-        per range, and an interval it fixes off needs none."""
+        node below computes cuts only for the ranges it narrows, and an
+        interval it fixes off needs none."""
         surr = random_surrogate(1)
         calls = []
         cuts = bnb.interval_cuts
@@ -1037,32 +1024,38 @@ class TestNodeLP:
         # (0, 3) is fixed on and keeps its full range; (0, 1) is fixed off,
         # which is bounds only
         assert calls == [((1, 4), [0.25 * w], [0.5 * w])]
-        calls.clear()
-        bnb.relax_node(lp, child)
-        assert calls == []
 
-    def test_interval_cuts_cache_is_per_builder(self):
-        # same boxes and knots, so both builders look up the same keys
-        wavy = surrogate_for(parse_instance(WAVY_2D), intervals=8)
-        convex = surrogate_for(parse_instance(CONVEX_2D), intervals=8)
-        for surr in (wavy, convex, wavy):
-            builder = bnb._LPBuilder(surr, 1e-4)
-            for j, comp in enumerate(surr.components):
-                for q in range(comp.k):
-                    phi = comp.piece.coeffs[q].copy()
-                    phi[0] = 0.0
-                    # the full range and [0, 0] (fixed off)
-                    for w in (comp.widths[q], 0.0):
-                        cuts, convex_there = interval_cuts(phi, 0.0, w)
-                        a, b = np.array(cuts).T
-                        i = builder.first[j] + q
-                        block = builder.block(i, 0.0, w)
-                        assert block.convex == convex_there
-                        for got, want in zip(
-                            block.rows,
-                            builder.cut_rows(np.full(len(a), i), a, b),
-                        ):
-                            np.testing.assert_array_equal(got, want)
+    def test_inherited_convexity_equals_interval_cuts_on_the_node_range(self):
+        """Every relaxed node's convexity flags, inherited from its parent
+        except where it narrows a deviation range, are ``interval_cuts``'s
+        flags on the node's own range for every interval switched on; the
+        Kelley set is those intervals."""
+        narrowed = flipped = 0
+        for seed in range(8):
+            builder = bnb._LPBuilder(random_surrogate(seed), 1e-4)
+            lp = bnb._SharedLP(builder)
+            enter = lp.enter
+            kelley = {}
+
+            def spy(node):
+                frame, intervals = enter(node)
+                kelley[id(frame)] = intervals
+                return frame, intervals
+
+            lp.enter = spy
+            y = builder.y_cols
+            for node, (_, _, _, frame) in tree_nodes(lp, 60):
+                on = np.flatnonzero(node.upper[y] != 0.0)
+                lo, hi = node.lower[y + 1][on], node.upper[y + 1][on]
+                phis = [builder.deviation_poly(i) for i in on]
+                _, _, _, want = interval_cuts(np.array(phis), lo, hi)
+                assert frame.convex[on].tolist() == want.tolist()
+                assert kelley[id(frame)].tolist() == on[want].tolist()
+                full = (lo == 0.0) & (hi == builder.widths[on])
+                narrowed += int((~full).sum())
+                flipped += int((want != builder.convex[on]).sum())
+        # narrowed ranges whose flag is not the full range's occur
+        assert narrowed >= 20 and flipped >= 1
 
     def test_two_surrogates_in_one_process_match_each_alone(self):
         def summary(report):
