@@ -12,12 +12,11 @@ tie-break, so runs are deterministic.
 
 Intervals that are convex over the node's deviation range get Kelley
 (1960) tangents at the LP point, one LP round at a time. The loop stops on
-bound progress: when a round raised the LP value by at most
-``0.01 * gap_tol * max(1, |value|)``, when no tangent would be added, when
-the new tangents' summed violation at the LP point (what the next round
-can gain) is at most that much, or after KELLEY_CAP LPs (counted in
-``SolveReport.kelley_cap_hits``). Every stop leaves a relaxation, so bounds
-stay sound. A node's tangents stay on the model for its children (a cut
+the remaining gap: when no tangent would be added, when the new tangents'
+summed violation at the LP point (which bounds what the next round can
+gain) is at most ``0.01 * gap_tol * max(1, |value|)``, or after KELLEY_CAP
+LPs (counted in ``SolveReport.kelley_cap_hits``). Every stop leaves a
+relaxation, so bounds stay sound. A node's tangents stay on the model for its children (a cut
 pool in the sense of Achterberg 2007): a tangent of a piece convex on a
 range underestimates it on every sub-range, so it holds in all
 descendants.
@@ -239,7 +238,7 @@ class SolveReport:
     status: str
     lp_solves: int = 0  # node and tightening LPs
     tightening_lps: int = 0  # the root's bound-tightening LPs
-    kelley_cap_hits: int = 0  # node LPs stopped by KELLEY_CAP, not progress
+    kelley_cap_hits: int = 0  # node LPs stopped by KELLEY_CAP, not the gap
     simplex_iterations: int = 0  # HiGHS simplex iterations over all node LPs
     log: list = field(default_factory=list)  # write_log_csv's rows
 
@@ -271,8 +270,8 @@ class _LPBuilder:
 
     def __init__(self, surr: SurrogateMINLP, gap_tol: float):
         self.surr = surr
-        # the Kelley loop stops once a round raises the bound, or could
-        # raise it, by at most this fraction of the solve's gap tolerance
+        # the Kelley loop stops once a round could raise the bound by at
+        # most this fraction of the solve's gap tolerance
         self.progress_tol = 0.01 * gap_tol
         self.nv = len(surr.variables)
         self.col_x = {v.name: j for j, v in enumerate(surr.variables)}
@@ -553,11 +552,10 @@ def relax_node(lp: _SharedLP, node: Node):
 
     A round adds the tangent at the LP point of every interval that is
     convex over the node range and underestimated there. The loop stops
-    when a round raised the bound by at most ``progress_tol`` (relative to
-    max(1, |value|)), when no tangent would be added, when the new
-    tangents' summed violation at the LP point, which bounds what the round
-    can gain, is at most that much, or after KELLEY_CAP solves. Each stop
-    leaves a relaxation, so the bound is sound.
+    when no tangent would be added, when the new tangents' summed violation
+    at the LP point, which bounds what the round can gain, is at most
+    ``progress_tol`` (relative to max(1, |value|)), or after KELLEY_CAP
+    solves. Each stop leaves a relaxation, so the bound is sound.
     """
     builder = lp.builder
     if (node.lower[: builder.nv] > node.upper[: builder.nv]).any():
@@ -568,15 +566,11 @@ def relax_node(lp: _SharedLP, node: Node):
     col_y, c0 = builder.y_cols[kelley], builder.c0[kelley]
     P = np.concatenate([builder.phi[kelley]] * 2 + [builder.dphi[kelley]])
     found = []
-    prev = -math.inf
     for rnd in range(KELLEY_CAP):
         status, fun, z = lp.solve()
         if status == "infeasible":
             return "infeasible", math.inf, None, frame
         value = fun + builder.surr.constant
-        if value - prev <= builder.progress_tol * max(1.0, abs(value)):
-            break
-        prev = value
         y, dev, sp = z[col_y], z[col_y + 1], z[col_y + 2]
         # the LP point may leave the range by HiGHS's tolerance; a tangent
         # is valid on the range only at a point inside it

@@ -1809,15 +1809,11 @@ def relax_node_per_key(lp, node):
         return "infeasible", math.inf, None, None
     frame, kelley = lp.enter(node)
     found = []
-    prev = -math.inf
     for rnd in range(bnb.KELLEY_CAP):
         status, fun, z = lp.solve()
         if status == "infeasible":
             return "infeasible", math.inf, None, frame
         value = fun + surr.constant
-        if value - prev <= builder.progress_tol * max(1.0, abs(value)):
-            break
-        prev = value
         new = []
         for i in kelley.tolist():
             j, q = builder.intervals[i]
@@ -1889,6 +1885,55 @@ class TestKelleyEvaluation:
             )
             assert got.objective == ref.objective and got.status == ref.status
             np.testing.assert_array_equal(got.x, ref.x)
+
+    def test_loop_below_the_cap_ends_on_the_remaining_gap(self):
+        """A Kelley loop that ends below the cap leaves no tangent to add,
+        or tangents whose summed violation at the final LP point, which
+        bounds what another round could gain, is within ``progress_tol``;
+        a round that gained little does not stop it while more remains."""
+        checked = 0
+        # the first 400 breadth-first nodes of each tree; random_surrogate(3)
+        # holds a loop that a stop on per-round progress ends early
+        for surr in [random_surrogate(seed) for seed in range(4)]:
+            builder = bnb._LPBuilder(surr, 1e-4)
+            lp = bnb._SharedLP(builder)
+            enter, kelley = lp.enter, {}
+
+            def spy(node):
+                frame, intervals = enter(node)
+                kelley[id(frame)] = intervals
+                return frame, intervals
+
+            lp.enter = spy
+            queue, seen = [dict_node(builder)], 0
+            while queue and seen < 400:
+                node = queue.pop(0)
+                seen += 1
+                hits = lp.kelley_cap_hits
+                status, value, z, frame = bnb.relax_node(lp, node)
+                if status != "optimal":
+                    continue
+                if lp.kelley_cap_hits == hits:
+                    gain = 0.0
+                    for i in kelley[id(frame)].tolist():
+                        j, q = builder.intervals[i]
+                        phi = builder.deviation_poly(i)
+                        col = builder.y_cols[i]
+                        y, dev, sp = z[col], z[col + 1], z[col + 2]
+                        c0 = surr.components[j].piece.coeffs[q][0]
+                        if c0 * y + poly_val(phi, dev) - sp <= 1e-10 * max(1.0, abs(sp)):
+                            continue
+                        at = min(max(dev, node.lower[col + 1]), node.upper[col + 1])
+                        a = poly_val(poly_der(phi), at)
+                        b = poly_val(phi, at) - a * at
+                        gain += (c0 + b) * y + a * dev - sp
+                    assert gain <= builder.progress_tol * max(1.0, abs(value))
+                    checked += 1
+                children = bnb._branch(builder, node, z, frame)
+                if children:
+                    frame.basis = lp.model.getBasis()
+                    queue.extend(children)
+        assert checked >= 1000
 
 
 # the benchmark's continuous family: six wavy covariates, coupled in pairs
