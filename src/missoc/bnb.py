@@ -16,10 +16,10 @@ the remaining gap: when no tangent would be added, when the new tangents'
 summed violation at the LP point (which bounds what the next round can
 gain) is at most ``0.01 * gap_tol * max(1, |value|)``, or after KELLEY_CAP
 LPs (counted in ``SolveReport.kelley_cap_hits``). Every stop leaves a
-relaxation, so bounds stay sound. A node's tangents stay on the model for its children (a cut
-pool in the sense of Achterberg 2007): a tangent of a piece convex on a
-range underestimates it on every sub-range, so it holds in all
-descendants.
+relaxation, so bounds stay sound. A node's tangents stay on the model for
+its children (a cut pool in the sense of Achterberg 2007): a tangent of a
+piece convex on a range underestimates it on every sub-range, so it holds
+in all descendants.
 
 A node is its LP's column bounds (Achterberg 2007): two read-only arrays,
 shared by children where branching leaves them unchanged. Fixing an
@@ -108,24 +108,23 @@ def optimality_gap(ub: float, lb: float) -> float:
 
 
 def interval_cuts(phi, lo, hi):
-    """Linear underestimators (a, b) with a*x + b <= phi(x) on [lo, hi],
-    and whether phi is convex there (so tangents at any point of the range
-    are valid cuts); a degenerate range counts as not convex.
+    """Linear underestimators a*x + b <= phi(x) on [lo, hi] of stacked
+    polynomials of one degree, and whether each is convex there (so
+    tangents at any point of the range are valid cuts); a degenerate range
+    counts as not convex.
 
-    phi is the deviation polynomial of one interval (power basis, zero
-    constant term on unrefined intervals). Convex pieces get tangents,
-    concave ones the secant (their convex envelope), mixed curvature gets
-    the secant shifted down by a Bernstein bound of its overshoot. The
-    curvature test is one Bernstein enclosure of phi''. The Bernstein lower
-    bound of phi closes the list; a degenerate range gets only (0, phi at
-    its middle).
-
-    phi may also be stacked rows of one degree, shape (m, d+1), with ``lo``
-    and ``hi`` of length m. The cuts are then arrays (row, a, b), row after
-    row in the order above, and ``convex`` a boolean array; every row gets
-    the operations of a call on it alone, so the same bits.
+    phi holds rows of shape (m, d+1), each the deviation polynomial of one
+    interval (power basis, zero constant term on unrefined intervals), with
+    ``lo`` and ``hi`` of length m. Convex pieces get tangents, concave ones
+    the secant (their convex envelope), mixed curvature gets the secant
+    shifted down by a Bernstein bound of its overshoot. The curvature test
+    is one Bernstein enclosure of phi''. The Bernstein lower bound of phi
+    closes a row's list; a degenerate range gets only (0, phi at its
+    middle). Returns arrays (row, a, b), row after row in that order, and
+    ``convex``, a boolean array of length m; every row gets the operations
+    of a one-row call, so the same bits.
     """
-    P = np.atleast_2d(np.asarray(phi, dtype=float))
+    P = np.asarray(phi, dtype=float)
     m, size = P.shape
     lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (m,)) for v in (lo, hi))
     # six cut slots per row: the tangents, the secant or the degenerate
@@ -170,8 +169,6 @@ def interval_cuts(phi, lo, hi):
         b[r[s], 0] = sb
         b[r, 5] = bernstein_bounds(P, lo, hi)[0]
     used = np.column_stack([np.ones(m, dtype=bool)] + [convex] * 4 + [~flat])
-    if np.ndim(phi) == 1:
-        return list(zip(a[used].tolist(), b[used].tolist())), bool(convex[0])
     return np.nonzero(used)[0], a[used], b[used], convex
 
 

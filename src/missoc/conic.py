@@ -73,19 +73,17 @@ class ConicBlock:
     """PSD cones Z_k on shared rows: row ``rows[i]`` reads the sum over the
     cones of <mats_k[i], Z_k>.
 
-    ``order`` and ``mats`` give one cone (an int and an (r, m, m) stack) or
-    several (a tuple of each, cone by cone)."""
+    ``order`` and ``mats`` are tuples, cone by cone: the order m_k and the
+    (r, m_k, m_k) stack of each cone."""
 
-    order: int | tuple[int, ...]
+    order: tuple[int, ...]
     rows: np.ndarray  # row indices, length r
-    mats: np.ndarray | tuple[np.ndarray, ...]  # (r, m_k, m_k) per cone, symmetric
+    mats: tuple[np.ndarray, ...]  # (r, m_k, m_k) per cone, symmetric
 
     @property
     def cones(self) -> list[tuple[int, np.ndarray]]:
         """(order, mats) of each cone."""
-        if isinstance(self.order, tuple):
-            return list(zip(self.order, self.mats))
-        return [(self.order, self.mats)]
+        return list(zip(self.order, self.mats))
 
 
 @dataclass

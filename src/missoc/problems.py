@@ -326,6 +326,12 @@ def _parse_shape(rest, line, shape_kwargs, monotone, curvature):
             shape_kwargs["lower"] = lo
         if math.isfinite(hi):
             shape_kwargs["upper"] = hi
+        lower = shape_kwargs.get("lower", -math.inf)
+        upper = shape_kwargs.get("upper", math.inf)
+        if not lower < upper:
+            raise ParseError(
+                f"shape bounds need lower < upper, got [{lower:g}, {upper:g}]", line, 1
+            )
     elif kind == "monotone":
         if len(words) != 3 or words[2] not in ("up", "down"):
             raise ParseError("expected 'shape monotone <var> up|down'", line, 1)

@@ -267,7 +267,7 @@ class ConicProgram:
         """coeff_row @ theta <= rhs via a nonnegative 1x1 slack block."""
         idx = self.add_row(coeff_row, rhs)
         self.blocks.append(
-            ConicBlock(order=1, rows=np.array([idx]), mats=np.ones((1, 1, 1)))
+            ConicBlock(order=(1,), rows=np.array([idx]), mats=(np.ones((1, 1, 1)),))
         )
 
     def to_problem(self) -> ConicProblem:

@@ -255,14 +255,14 @@ def bernstein_map(d: int) -> np.ndarray:
 
 
 def bernstein_bounds(coeffs, lo, hi):
-    """Enclosure of a power-basis polynomial's range over [lo, hi] from its
-    Bernstein coefficients; exact at the endpoints, any degree.
+    """Enclosures of power-basis polynomials' ranges over [lo, hi] from
+    their Bernstein coefficients; exact at the endpoints, any degree.
 
-    ``coeffs`` may also be stacked rows of one degree, shape (m, d+1), with
-    ``lo`` and ``hi`` of length m; the bounds are then two arrays of length
-    m, each row's the bits of a call on that row alone.
+    ``coeffs`` holds stacked rows of one degree, shape (m, d+1), with ``lo``
+    and ``hi`` of length m; the bounds are two arrays of length m, each
+    row's the bits of a one-row call.
     """
-    C = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    C = np.asarray(coeffs, dtype=float)
     m, n = C.shape[0], C.shape[1] - 1
     lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (m,)) for v in (lo, hi))
     bad = ~(hi >= lo)
@@ -282,8 +282,6 @@ def bernstein_bounds(coeffs, lo, hi):
         for i in range(n + 1):
             B[:, i:] += M[i:, i] * scaled[:, i, None]
         low, high = B.min(axis=1), B.max(axis=1)
-    if np.ndim(coeffs) == 1:
-        return float(low[0]), float(high[0])
     return low, high
 
 

@@ -47,6 +47,20 @@ def poly_val(coeffs, x):
     return float(np.polynomial.polynomial.polyval(x, coeffs))
 
 
+def one_row_bounds(coeffs, lo, hi):
+    """``bernstein_bounds`` of one polynomial, passed as a one-row stack:
+    (low, high) as floats."""
+    low, high = bernstein_bounds(np.asarray(coeffs, dtype=float)[None], [lo], [hi])
+    return float(low[0]), float(high[0])
+
+
+def one_row_cuts(phi, lo, hi):
+    """``interval_cuts`` of one polynomial, passed as a one-row stack: its
+    cuts as (a, b) pairs and whether it is convex on [lo, hi]."""
+    _, a, b, convex = interval_cuts(np.asarray(phi, dtype=float)[None], [lo], [hi])
+    return list(zip(a.tolist(), b.tolist())), bool(convex[0])
+
+
 
 def surrogate_for(instance, degrees=3, intervals=8, seed=0, samples_per_param=15):
     cfg = MissocConfig(
@@ -114,10 +128,10 @@ class TestOptimalityGap:
 
 class TestBernsteinBounds:
     def test_constant(self):
-        assert bernstein_bounds([2.5], 0.0, 1.0) == (2.5, 2.5)
+        assert one_row_bounds([2.5], 0.0, 1.0) == (2.5, 2.5)
 
     def test_linear_exact(self):
-        lb, ub = bernstein_bounds([0.0, 1.0], 0.0, 1.0)
+        lb, ub = one_row_bounds([0.0, 1.0], 0.0, 1.0)
         assert (lb, ub) == (0.0, 1.0)
 
     @pytest.mark.parametrize("degree", range(8, 13))
@@ -129,7 +143,7 @@ class TestBernsteinBounds:
             hi = lo + rng.uniform(0.5, 2)
             xs = np.linspace(lo, hi, 20_001)
             vals = np.polynomial.polynomial.polyval(xs, p)
-            lb, ub = bernstein_bounds(p, lo, hi)
+            lb, ub = one_row_bounds(p, lo, hi)
             tol = 1e-9 * max(1.0, np.abs(vals).max())
             assert lb <= vals.min() + tol
             assert ub >= vals.max() - tol
@@ -142,7 +156,7 @@ class TestBernsteinBounds:
             hi = lo + rng.uniform(0.5, 2)
             xs = np.linspace(lo, hi, 100_000)
             vals = np.polynomial.polynomial.polyval(xs, p)
-            lb, ub = bernstein_bounds(p, lo, hi)
+            lb, ub = one_row_bounds(p, lo, hi)
             assert lb <= vals.min() + 1e-9
             assert ub >= vals.max() - 1e-9
 
@@ -150,9 +164,9 @@ class TestBernsteinBounds:
         rng = np.random.default_rng(1)
         for _ in range(20):
             p = rng.normal(size=6)
-            lb, ub = bernstein_bounds(p, 0.0, 1.0)
-            l1, u1 = bernstein_bounds(p, 0.0, 0.5)
-            l2, u2 = bernstein_bounds(p, 0.5, 1.0)
+            lb, ub = one_row_bounds(p, 0.0, 1.0)
+            l1, u1 = one_row_bounds(p, 0.0, 0.5)
+            l2, u2 = one_row_bounds(p, 0.5, 1.0)
             assert min(l1, l2) >= lb - 1e-12
             assert max(u1, u2) <= ub + 1e-12
 
@@ -163,7 +177,7 @@ class TestBernsteinBounds:
             edges = np.linspace(0.0, 1.0, 2**level + 1)
             lo_all, hi_all = math.inf, -math.inf
             for a, b in zip(edges[:-1], edges[1:]):
-                lb, ub = bernstein_bounds(p, a, b)
+                lb, ub = one_row_bounds(p, a, b)
                 lo_all = min(lo_all, lb)
                 hi_all = max(hi_all, ub)
             xs = np.linspace(0, 1, 50_000)
@@ -185,7 +199,7 @@ class TestIntervalCuts:
     def grid_check(self, phi, lo, hi):
         xs = np.linspace(lo, hi, 2000)
         vals = np.polynomial.polynomial.polyval(xs, phi)
-        cuts, _ = interval_cuts(np.asarray(phi, float), lo, hi)
+        cuts, _ = one_row_cuts(phi, lo, hi)
         for a, b in cuts:
             assert np.all(a * xs + b <= vals + 1e-9)
 
@@ -200,7 +214,7 @@ class TestIntervalCuts:
 
     def test_convex_tangents_touch(self):
         phi = np.array([0.0, -1.0, 2.0])  # convex: 2x^2 - x
-        cuts, convex = interval_cuts(phi, 0.0, 1.0)
+        cuts, convex = one_row_cuts(phi, 0.0, 1.0)
         assert convex
         xs = np.linspace(0, 1, 2001)
         vals = np.polynomial.polynomial.polyval(xs, phi)
@@ -213,7 +227,7 @@ class TestIntervalCuts:
 
     def test_concave_secant_exact_at_endpoints(self):
         phi = np.array([0.0, 1.0, -1.0])  # concave
-        cuts, convex = interval_cuts(phi, 0.0, 1.0)
+        cuts, convex = one_row_cuts(phi, 0.0, 1.0)
         assert not convex
         (a, b), _ = cuts
         assert a * 0 + b == pytest.approx(0.0, abs=1e-12)
@@ -230,7 +244,7 @@ class TestIntervalCuts:
         if hi - lo <= 1e-14:
             return False
         second = np.polynomial.polynomial.polyder(phi, 2)
-        curv_lo, _ = bernstein_bounds(second, lo, hi)
+        curv_lo, _ = one_row_bounds(second, lo, hi)
         return curv_lo >= -1e-12 * max(1.0, np.abs(phi).max())
 
     def test_convex_flag_matches_reference(self):
@@ -241,7 +255,7 @@ class TestIntervalCuts:
             phi[0] = 0.0
             lo = rng.uniform(-1.0, 1.0)
             hi = lo + rng.choice([0.0, 1e-15, rng.uniform(1e-6, 2.0)])
-            _, convex = interval_cuts(phi, lo, hi)
+            _, convex = one_row_cuts(phi, lo, hi)
             assert convex == self.convex_reference(phi, lo, hi)
             seen.add(convex)
         assert seen == {False, True}
@@ -361,7 +375,7 @@ class TestBatchedCuts:
         assert bits(low) == bits([w[0] for w in want])
         assert bits(high) == bits([w[1] for w in want])
         for case, w in zip(zip(phis, los, his), want):
-            assert bits(bernstein_bounds(*case)) == bits(w)
+            assert bits(one_row_bounds(*case)) == bits(w)
 
     @pytest.mark.parametrize("degree", range(6))
     def test_interval_cuts_rows_equal_scalar_reference(self, degree):
@@ -376,7 +390,7 @@ class TestBatchedCuts:
             assert bits(b[mine]) == bits([c[1] for c in cuts])
             assert convex[r] == want_convex
             # the scalar call is a one-row batch
-            got, got_convex = interval_cuts(*case)
+            got, got_convex = one_row_cuts(*case)
             assert bits(got) == bits(cuts) and got_convex == want_convex
             kinds.add(piece_kind(*case))
         # phi'' is constant below degree 3, so no piece there is mixed, and
@@ -739,7 +753,7 @@ def path_frames(frame):
 def dense_rows(builder, frames=()):
     """The (A_eq, b_eq, A_ub, b_ub) of the shared model set to the node of
     the last of ``frames`` (a path of frames, root first), as a dense
-    per-row assembly with uncached ``interval_cuts``: the fixed rows, every
+    per-row assembly with one-row ``interval_cuts``: the fixed rows, every
     interval's cut rows on its full range, then per frame the cut rows of
     each deviation range it narrows below its parent's (an interval fixed
     off is bounds only) and the rows of its Kelley tangents; the reference
@@ -765,7 +779,7 @@ def dense_rows(builder, frames=()):
     def cuts(j, q, lo, hi):
         phi = surr.components[j].piece.coeffs[q].copy()
         phi[0] = 0.0
-        for a, b in interval_cuts(phi, lo, hi)[0]:
+        for a, b in one_row_cuts(phi, lo, hi)[0]:
             cut_row(j, q, a, b)
 
     for j, comp in enumerate(surr.components):
@@ -1893,7 +1907,8 @@ class TestKelleyEvaluation:
         a round that gained little does not stop it while more remains."""
         checked = 0
         # the first 400 breadth-first nodes of each tree; random_surrogate(3)
-        # holds a loop that a stop on per-round progress ends early
+        # holds a loop with a round that gains less than progress_tol while
+        # more than that remains
         for surr in [random_surrogate(seed) for seed in range(4)]:
             builder = bnb._LPBuilder(surr, 1e-4)
             lp = bnb._SharedLP(builder)

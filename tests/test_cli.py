@@ -232,6 +232,18 @@ class TestInputErrors:
         assert "Traceback" not in done.stderr
         assert re.fullmatch(r"missoc: .+\n", done.stderr)
 
+    @pytest.mark.parametrize("command", ["run", "fit"])
+    def test_shape_bounds_out_of_order_name_their_line(self, tmp_path, command):
+        p = tmp_path / "input.miss"
+        p.write_text("var x in [0, 1];\nmin x^2;\nshape bounds [5, 1];\n")
+        with pytest.raises(ParseError, match="lower < upper") as ei:
+            main([command, str(p)])
+        assert ei.value.line == 3
+        done = run_command(command, str(p))
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert re.fullmatch(r"missoc: line 3, column 1: .+\n", done.stderr)
+
     def test_unwritable_output(self, smooth_path, tmp_path):
         out = tmp_path / "no_such_dir" / "model.txt"
         done = run_command("fit", smooth_path, "--intervals", "4",

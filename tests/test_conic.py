@@ -150,7 +150,7 @@ def random_blocks(rng, K, n_blocks):
             m = int(rng.integers(1, 5))
             r = int(rng.choice([1, 2 * m - 1]))
             rows = np.array([free.pop() for _ in range(r)])
-            blocks.append(ConicBlock(m, rows, random_sym(rng, r, m)))
+            blocks.append(ConicBlock((m,), rows, (random_sym(rng, r, m),)))
         else:
             orders = tuple(int(m) for m in rng.integers(1, 4, size=2))
             r = int(rng.integers(1, 5))
@@ -449,13 +449,13 @@ def random_problem(seed, random_mats=False):
     blocks, start = [], 0
     for m, r in zip(orders, sizes):
         mats = random_sym(rng, r, m) if random_mats else hankel_mats(m)
-        blocks.append(ConicBlock(m, perm[start : start + r], mats))
+        blocks.append(ConicBlock((m,), perm[start : start + r], (mats,)))
         start += r
     C = rng.normal(size=(K, M))
     c = C @ rng.normal(size=M)
     for b in blocks:
-        Z0 = random_spd(rng, 1, b.order)[0]
-        c[b.rows] += 0.03 * np.einsum("rij,ij->r", b.mats, Z0)
+        Z0 = random_spd(rng, 1, b.order[0])[0]
+        c[b.rows] += 0.03 * np.einsum("rij,ij->r", b.mats[0], Z0)
     A = rng.normal(size=(M, M))
     return ConicProblem(A.T @ A + np.eye(M), 10.0 * rng.normal(size=M), C, c, blocks)
 
@@ -595,19 +595,20 @@ class TestInputChecks:
 
     def test_overlapping_rows(self):
         one = np.ones((1, 1, 1))
-        blocks = [ConicBlock(1, np.array([0]), one), ConicBlock(1, np.array([0]), one)]
+        blocks = [ConicBlock((1,), np.array([0]), (one,)),
+                  ConicBlock((1,), np.array([0]), (one,))]
         with pytest.raises(ValueError, match="disjoint"):
             solve_conic(tiny_problem(blocks))
 
     def test_repeated_row_in_one_block(self):
-        blocks = [ConicBlock(2, np.array([1, 1, 2]), np.ones((3, 2, 2)))]
+        blocks = [ConicBlock((2,), np.array([1, 1, 2]), (np.ones((3, 2, 2)),))]
         with pytest.raises(ValueError, match="disjoint"):
             solve_conic(tiny_problem(blocks))
 
     @pytest.mark.parametrize("field", ["Q", "q", "C", "c"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_data(self, field, value):
-        prob = tiny_problem([ConicBlock(1, np.array([0]), np.ones((1, 1, 1)))])
+        prob = tiny_problem([ConicBlock((1,), np.array([0]), (np.ones((1, 1, 1)),))])
         getattr(prob, field).flat[-1] = value
         with pytest.raises(ValueError, match=f"^{field} has a NaN or infinite"):
             solve_conic(prob)
@@ -617,15 +618,15 @@ class TestInputChecks:
         mats = np.ones((2, 2, 2))
         mats[1, 0, 1] = value
         blocks = [
-            ConicBlock(1, np.array([0]), np.ones((1, 1, 1))),
-            ConicBlock(2, np.array([1, 2]), mats),
+            ConicBlock((1,), np.array([0]), (np.ones((1, 1, 1)),)),
+            ConicBlock((2,), np.array([1, 2]), (mats,)),
         ]
         with pytest.raises(ValueError, match=r"blocks\[1\]\.mats"):
             solve_conic(tiny_problem(blocks))
 
     @pytest.mark.parametrize("row", [-1, 3])
     def test_rows_out_of_range(self, row):
-        blocks = [ConicBlock(1, np.array([row]), np.ones((1, 1, 1)))]
+        blocks = [ConicBlock((1,), np.array([row]), (np.ones((1, 1, 1)),))]
         with pytest.raises(ValueError, match="0..2"):
             solve_conic(tiny_problem(blocks))
 
@@ -658,7 +659,7 @@ def grid_relaxation(program, prob):
         V = np.vander(u, len(local_map), increasing=True)
         A.append(sign * V @ local_map)
         b.append(sign * np.full(len(u), rhs))
-    slack = [blk.rows[0] for blk in prob.blocks if blk.order == 1]
+    slack = [blk.rows[0] for blk in prob.blocks if blk.order == (1,)]
     A = np.vstack(A + [-prob.C[slack]])
     b = np.concatenate(b + [-prob.c[slack]])
     Q, q = prob.Q, prob.q
@@ -680,7 +681,7 @@ class TestEndToEnd:
         # cubic certificates in Markov-Lukacs form need only 1 x 1 and 2 x 2
         # cones; the slack rows are 1 x 1 too
         assert {m for b in prob.blocks for m, _ in b.cones} == {1, 2}
-        assert sum(blk.order == 1 for blk in prob.blocks) == 3
+        assert sum(blk.order == (1,) for blk in prob.blocks) == 3
         sol = solve_conic(prob, gap_tol=1e-9)
         res, A, b = grid_relaxation(program, prob)
         assert res.success
