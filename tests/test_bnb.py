@@ -1048,15 +1048,7 @@ class TestNodeLP:
         for seed in range(8):
             builder = bnb._LPBuilder(random_surrogate(seed), 1e-4)
             lp = bnb._SharedLP(builder)
-            enter = lp.enter
-            kelley = {}
-
-            def spy(node):
-                frame, intervals = enter(node)
-                kelley[id(frame)] = intervals
-                return frame, intervals
-
-            lp.enter = spy
+            kelley = record_kelley_sets(lp)
             y = builder.y_cols
             for node, (_, _, _, frame) in tree_nodes(lp, 60):
                 on = np.flatnonzero(node.upper[y] != 0.0)
@@ -1135,6 +1127,20 @@ def random_surrogate(seed, k=4):
             LinearConstraint({"x1": -1.0, "x2": -1.0}, 0.8, "<="),
         ),
     )
+
+
+def record_kelley_sets(lp):
+    """Wrap ``lp.enter`` to record the Kelley intervals it returns for each
+    frame; returns the record, keyed by ``id(frame)``."""
+    enter, kelley = lp.enter, {}
+
+    def spy(node):
+        frame, intervals = enter(node)
+        kelley[id(frame)] = intervals
+        return frame, intervals
+
+    lp.enter = spy
+    return kelley
 
 
 def tree_nodes(lp, count):
@@ -1912,14 +1918,7 @@ class TestKelleyEvaluation:
         for surr in [random_surrogate(seed) for seed in range(4)]:
             builder = bnb._LPBuilder(surr, 1e-4)
             lp = bnb._SharedLP(builder)
-            enter, kelley = lp.enter, {}
-
-            def spy(node):
-                frame, intervals = enter(node)
-                kelley[id(frame)] = intervals
-                return frame, intervals
-
-            lp.enter = spy
+            kelley = record_kelley_sets(lp)
             queue, seen = [dict_node(builder)], 0
             while queue and seen < 400:
                 node = queue.pop(0)
