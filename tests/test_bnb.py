@@ -260,6 +260,25 @@ class TestIntervalCuts:
             seen.add(convex)
         assert seen == {False, True}
 
+    def test_cut_cache_convex_flag_matches_reference(self):
+        """The convexity flag a child of the root gets for the deviation
+        range it narrows is the reference's on that range."""
+        surr = random_surrogate(5)
+        builder = bnb._LPBuilder(surr, 1e-4)
+        lp = bnb._SharedLP(builder)
+        _, _, _, root = bnb.relax_node(lp, dict_node(builder))
+        rng = np.random.default_rng(12)
+        for j, comp in enumerate(surr.components):
+            for q in range(comp.k):
+                i = builder.first[j] + q
+                phi = builder.deviation_poly(i)
+                for _ in range(5):
+                    lo, hi = np.sort(rng.uniform(0.0, comp.widths[q], 2))
+                    child = dict_node(builder, dev_bounds={(j, q): (lo, hi)},
+                                      depth=1, parent=root)
+                    frame, _ = lp.enter(child)
+                    assert frame.convex[i] == self.convex_reference(phi, lo, hi)
+
 
 def bernstein_bounds_reference(coeffs, lo, hi):
     """The scalar ``bernstein_bounds``: the power -> Bernstein map as a
@@ -1062,6 +1081,35 @@ class TestNodeLP:
                 flipped += int((want != builder.convex[on]).sum())
         # narrowed ranges whose flag is not the full range's occur
         assert narrowed >= 20 and flipped >= 1
+
+    def test_interval_cuts_cache_is_per_builder(self):
+        # same boxes and knots, so both builders have the same intervals
+        # and ranges; each takes its default cut blocks and root flags from
+        # its own surrogate
+        wavy = surrogate_for(parse_instance(WAVY_2D), intervals=8)
+        convex = surrogate_for(parse_instance(CONVEX_2D), intervals=8)
+        for surr in (wavy, convex, wavy):
+            builder = bnb._LPBuilder(surr, 1e-4)
+            blocks = []
+            for j, comp in enumerate(surr.components):
+                for q in range(comp.k):
+                    phi = comp.piece.coeffs[q].copy()
+                    phi[0] = 0.0
+                    cuts, convex_there = one_row_cuts(phi, 0.0, comp.widths[q])
+                    a, b = np.array(cuts).T
+                    i = builder.first[j] + q
+                    assert builder.convex[i] == convex_there
+                    blocks.append(builder.cut_rows(np.full(len(a), i), a, b))
+            counts, index, value = (np.concatenate(p) for p in zip(*blocks))
+            starts, got_index, got_value = builder.fixed[2:]
+            first = len(starts) - 1 - len(counts)
+            np.testing.assert_array_equal(np.diff(starts)[first:], counts)
+            np.testing.assert_array_equal(got_index[starts[first]:], index)
+            np.testing.assert_array_equal(got_value[starts[first]:], value)
+            # the root takes the builder's flags
+            lp = bnb._SharedLP(builder)
+            frame, _ = lp.enter(dict_node(builder))
+            np.testing.assert_array_equal(frame.convex, builder.convex)
 
     def test_two_surrogates_in_one_process_match_each_alone(self):
         def summary(report):
