@@ -8,6 +8,15 @@ Exactly one interval is active per covariate, x_j = sum_q (y_jq t_jq + x_jq),
 and the objective is the intercept plus the carried-through affine part of
 the original objective plus sum_j sigma_j.
 
+An integer covariate whose box [lo, hi] holds at most k_j integers, so
+takes at most the spline's k_j intervals, is lifted over its integer points
+instead (``integer_points_lift``): the piecewise-linear interpolant of the
+fitted spline over the unit intervals [i, i + 1], closed by a zero-width
+interval at hi. It is exact at every integer, so on the whole feasible set,
+and its multiple-choice model is locally ideal (Vielma, Ahmed & Nemhauser
+2010): the LP relaxation of the component is the convex hull of its points.
+A wider box keeps the spline's intervals, so no lift adds binaries.
+
 Original constraints are retained untouched; affine ones are recognized so
 the solver can embed them in its linear relaxations.
 """
@@ -20,7 +29,7 @@ import numpy as np
 
 from .expressions import decompose_affine
 from .regression import AdditiveModelFit
-from .splines import PiecewisePoly, horner, to_piecewise_poly
+from .splines import PiecewisePoly, horner, interval_index, to_piecewise_poly
 
 DOMAIN_TOL = 1e-9
 
@@ -109,6 +118,11 @@ def build_surrogate(fit: AdditiveModelFit, instance) -> SurrogateMINLP:
             )
     for j, basis in enumerate(fit.bases):
         piece = to_piecewise_poly(fit.coefficients[j], basis)
+        # an integer variable's box ends at integers (``parse_instance``);
+        # at most k of them take at most the spline's k intervals
+        v = instance.variables[idx[basis.label]]
+        if v.integer and v.upper - v.lower < basis.k:
+            piece = integer_points_lift(piece, np.arange(v.lower, v.upper + 1.0))
         components.append(SurrogateComponent(var=basis.label, piece=piece))
 
     lin_cons, nl_cons = _classify_constraints(instance.constraints)
@@ -120,6 +134,24 @@ def build_surrogate(fit: AdditiveModelFit, instance) -> SurrogateMINLP:
         linear_constraints=lin_cons,
         nonlinear_constraints=nl_cons,
     )
+
+
+def integer_points_lift(piece: PiecewisePoly, points) -> PiecewisePoly:
+    """The piecewise-linear interpolant of ``piece`` at consecutive integer
+    ``points``: one unit interval per gap, with the values ``piece`` gives
+    under its knot rule, then a zero-width interval at the last point.
+
+    Each point is scored at deviation 0 of its own interval, so its value
+    is the spline's bit for bit; the last unit interval would reach the
+    last point only as a sum off by up to an ulp. The zero-width interval
+    holds that point alone, so the LP relaxation is the convex hull of the
+    points, as without it."""
+    q = interval_index(piece.breakpoints, points)
+    values = horner(piece.coeffs[q], points - piece.breakpoints[q])
+    coeffs = np.zeros((len(points), 2))
+    coeffs[:, 0] = values
+    coeffs[:-1, 1] = np.diff(values)
+    return PiecewisePoly(np.append(points, points[-1]), coeffs)
 
 
 def _classify_constraints(constraints):

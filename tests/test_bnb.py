@@ -1573,18 +1573,35 @@ def coupled_surrogates():
 
 
 class TestDegreeOneTrees:
+    """At degree 1 or 0 no piece has curvature, so every node is one LP and
+    the cost is the tree. Each integer covariate is lifted over its 7
+    integer points, whose LP relaxation is their convex hull, and SOS1
+    branching closes the benchmark's two generated integer instances within
+    600 nodes: 103/59 at degree 1 and 399/341 at degree 0. Over the
+    spline's 20 intervals they took 1,051/995 and 1,753/1,635 nodes, and
+    fixing one interval binary at a time took 14,367 and 8,735 at degree
+    1."""
+
+    @staticmethod
+    def solve_at(degree, text):
+        inst = parse_instance(text)
+        cfg = MissocConfig(degrees=degree, intervals=20)
+        surr = build_surrogate(fit_stage(inst, sample_training(inst, cfg), cfg), inst)
+        return solve(surr, node_cap=600)
+
     @pytest.mark.parametrize("text, want", [
         (INT0, 4.35435527775), (INT_COUPLED, 4.02934990418),
     ], ids=["int0", "int1"])
     def test_degree_one_integer_trees_stay_small(self, text, want):
-        """At degree 1 no piece has curvature, so every node is one LP and
-        the cost is the tree. SOS1 branching closes the benchmark's two
-        generated integer instances within 3,000 nodes; fixing one interval
-        binary at a time took 14,367 and 8,735."""
-        inst = parse_instance(text)
-        cfg = MissocConfig(degrees=1, intervals=20)
-        surr = build_surrogate(fit_stage(inst, sample_training(inst, cfg), cfg), inst)
-        report = solve(surr, node_cap=3000)
+        report = self.solve_at(1, text)
+        assert report.status == "optimal"
+        assert report.objective == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("text, want", [
+        (INT0, 4.30140009863), (INT_COUPLED, 4.05746413617),
+    ], ids=["int0", "int1"])
+    def test_degree_zero_integer_trees_stay_small(self, text, want):
+        report = self.solve_at(0, text)
         assert report.status == "optimal"
         assert report.objective == pytest.approx(want, rel=1e-10)
 

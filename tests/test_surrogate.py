@@ -1,15 +1,19 @@
+import importlib.resources
+
 import numpy as np
 import pytest
 
 from missoc.problems import MissocConfig, parse_instance, sample_training
 from missoc.regression import TrainingSet, fit_additive
-from missoc.splines import OutOfDomainError
+from missoc.splines import OutOfDomainError, PiecewisePoly, to_piecewise_poly
 from missoc.surrogate import (
     DomainMismatchError,
     build_surrogate,
     eval_surrogate_at,
     export_text,
+    integer_points_lift,
 )
+from test_bnb import INT0, INT_COUPLED
 
 
 def fit_for(instance, degrees=3, intervals=10, seed=0, samples_per_param=15):
@@ -116,6 +120,107 @@ class TestBuildSurrogate:
         )
         with pytest.raises(ValueError, match="covariates"):
             build_surrogate(fit, inst)
+
+
+MIXED_INTEGER = (
+    importlib.resources.files("missoc") / "instances" / "mixed_integer.miss"
+).read_text()
+
+
+def integer_points(var):
+    return np.arange(var.lower, var.upper + 1.0)
+
+
+class TestIntegerPointsLift:
+    """An integer covariate whose box holds at most k integers gets the
+    piecewise-linear interpolant of its spline over the unit intervals
+    between them, closed by a zero-width interval at the upper end; every
+    other covariate keeps its spline's k intervals."""
+
+    # mixed_integer's integer n enters only linearly, so no covariate of it
+    # is lifted; INT0 and INT_COUPLED each have three integer covariates on
+    # [0, 6], 7 integers against k = 20 and k = 8 spline intervals
+    CASES = [(MIXED_INTEGER, 20, 0), (INT0, 20, 3), (INT_COUPLED, 8, 3)]
+    IDS = ["mixed_integer", "int0", "int1"]
+
+    @staticmethod
+    def lift(text, intervals):
+        """(surrogate, the variable of each component, each covariate's
+        spline as the piecewise polynomial the spline lift takes, and
+        whether each component is lifted)."""
+        inst = parse_instance(text)
+        fit = fit_for(inst, intervals=intervals)
+        surr = build_surrogate(fit, inst)
+        idx = inst.var_index()
+        var = [inst.variables[idx[c.var]] for c in surr.components]
+        splines = [to_piecewise_poly(theta, basis)
+                   for theta, basis in zip(fit.coefficients, fit.bases)]
+        lifted = [v.integer and len(integer_points(v)) <= s.k
+                  for v, s in zip(var, splines)]
+        return surr, var, splines, lifted
+
+    @pytest.mark.parametrize("text, intervals, n_lifted", CASES, ids=IDS)
+    def test_integer_points_score_the_splines_value(self, text, intervals,
+                                                    n_lifted):
+        """At every integer point of a lifted component, both box ends
+        included, ``eval_surrogate_at`` gives the spline's value bit for
+        bit; any other component is the spline's piecewise polynomial."""
+        surr, var, splines, lifted = self.lift(text, intervals)
+        assert sum(lifted) == n_lifted
+        idx = surr.var_index()
+        low = np.array([v.lower for v in surr.variables])
+        for j, comp in enumerate(surr.components):
+            if not lifted[j]:
+                assert comp.breakpoints.tobytes() == splines[j].breakpoints.tobytes()
+                assert comp.piece.coeffs.tobytes() == splines[j].coeffs.tobytes()
+                continue
+            for i in integer_points(var[j]):
+                x = low.copy()
+                x[idx[comp.var]] = i
+                _, asg = eval_surrogate_at(surr, x)
+                assert asg["sigma"][j].hex() == splines[j](i).hex()
+
+    @pytest.mark.parametrize("text, intervals, n_lifted", CASES, ids=IDS)
+    def test_one_unit_interval_per_gap(self, text, intervals, n_lifted):
+        """A lifted component has one unit interval per gap between its
+        integers, then the zero-width interval at the upper end: as many
+        intervals as integers, no more than the spline's k."""
+        surr, var, splines, lifted = self.lift(text, intervals)
+        for comp, v, spline, on in zip(surr.components, var, splines, lifted):
+            if not on:
+                continue
+            points = integer_points(v)
+            assert comp.breakpoints.tolist() == points.tolist() + [v.upper]
+            assert comp.widths.tolist() == [1.0] * (len(points) - 1) + [0.0]
+            assert comp.degree == 1
+            assert comp.k == len(points) <= spline.k
+
+    def test_upper_end_scores_its_own_value(self):
+        """The last unit interval would reach the upper point as the sum
+        0.7 + (0.1 - 0.7), which is 0.09999999999999998; the zero-width
+        interval scores it 0.1, as the spline does."""
+        spline = PiecewisePoly(np.array([0.0, 1.0, 2.0, 3.0]),
+                               np.array([[0.0], [0.7], [0.1]]))
+        lift = integer_points_lift(spline, np.array([0.0, 1.0, 2.0]))
+        assert 0.7 + (0.1 - 0.7) != 0.1
+        assert lift.coeffs[1].tolist() == [0.7, 0.1 - 0.7]
+        assert [lift(x) for x in (0.0, 1.0, 2.0)] == [0.0, 0.7, 0.1]
+
+    @pytest.mark.parametrize("upper, lifted", [(19, True), (20, False), (30, False)])
+    def test_wide_integer_box_keeps_the_spline(self, upper, lifted):
+        """With k = 20, a box of 20 integers is lifted into 20 intervals;
+        21 integers would need 21, one binary more than the spline's, so
+        that box keeps the spline's 20 intervals, as a wider one does."""
+        text = (f"var n in [0, {upper}] integer; var x in [0, 1];"
+                "min 0.01*(n - 7.5)^2 + sin(3*x);")
+        surr, var, splines, _ = self.lift(text, 20)
+        comp = surr.components[0]
+        assert var[0].name == "n" and comp.k == 20
+        if lifted:
+            assert comp.breakpoints.tolist() == list(range(20)) + [19]
+        else:
+            assert comp.breakpoints.tobytes() == splines[0].breakpoints.tobytes()
+            assert comp.piece.coeffs.tobytes() == splines[0].coeffs.tobytes()
 
 
 class TestEvalSurrogateAt:
