@@ -29,7 +29,7 @@ import numpy as np
 
 from .expressions import decompose_affine
 from .regression import AdditiveModelFit
-from .splines import PiecewisePoly, horner, interval_index, to_piecewise_poly
+from .splines import PiecewisePoly, horner, to_piecewise_poly
 
 DOMAIN_TOL = 1e-9
 
@@ -146,11 +146,8 @@ def integer_points_lift(piece: PiecewisePoly, points) -> PiecewisePoly:
     last point only as a sum off by up to an ulp. The zero-width interval
     holds that point alone, so the LP relaxation is the convex hull of the
     points, as without it."""
-    q = interval_index(piece.breakpoints, points)
-    values = horner(piece.coeffs[q], points - piece.breakpoints[q])
-    coeffs = np.zeros((len(points), 2))
-    coeffs[:, 0] = values
-    coeffs[:-1, 1] = np.diff(values)
+    values = np.array([piece(i) for i in points])
+    coeffs = np.column_stack([values, np.append(np.diff(values), 0.0)])
     return PiecewisePoly(np.append(points, points[-1]), coeffs)
 
 
