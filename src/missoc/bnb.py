@@ -21,19 +21,21 @@ its children (a cut pool in the sense of Achterberg 2007): a tangent of a
 piece convex on a range underestimates it on every sub-range, so it holds
 in all descendants.
 
-A node is its LP's column bounds (Achterberg 2007): two read-only arrays,
-shared by children where branching leaves them unchanged. Fixing an
-interval off pins its y, dev and sp to 0, so a half of a component's
-intervals is fixed off with one slice; choosing one (after a deviation
-range is bisected) sets its y to 1 and fixes its component's other
-intervals off. The tables are built once per solve (``_LPBuilder``): the
-rows every node LP holds as row-wise arrays (the fixed rows, then every
-interval's cut block on its full range, one ``interval_cuts`` call per
-component), the root's bounds, its convexity flags and the Kelley tables.
-Separability means a child's relaxation differs from its parent's only in
-the deviation ranges its branching narrowed, so a node computes the cut
-block and the convexity flag of just those intervals and inherits every
-other flag from its parent.
+A node is one record (``Node``; Achterberg 2007): its LP's column bounds,
+two read-only arrays shared by children where branching leaves them
+unchanged, and once it is solved its rows and LP state. Fixing an interval
+off pins its y, dev and sp to 0, so a half of a component's intervals is
+fixed off with one slice; choosing one (after a deviation range is
+bisected) sets its y to 1 and fixes its component's other intervals off.
+The tables are built once per solve (``_LPBuilder``): the interval table
+(each interval's component, x column, knots and degree), the rows every
+node LP holds as row-wise arrays (the fixed rows, then every interval's cut
+block on its full range, one ``interval_cuts`` call per component), the
+root's bounds, its convexity flags and the Kelley tables. Separability
+means a child's relaxation differs from its parent's only in the deviation
+ranges its branching narrowed, so a node computes the cut block and the
+convexity flag of just those intervals and inherits every other flag from
+its parent.
 
 Once the root is solved, and only when its LP point gave an incumbent and
 the gap is still open, the root's box is tightened against that incumbent
@@ -44,10 +46,11 @@ Sahinidis 1996, and Gleixner, Berthold, Müller & Weltge 2017;
 each component's x column, 2p LPs warm-started one from the other; the row
 is deleted and the costs restored afterwards. Each result, widened by
 FRAC_TOL relative (integer columns then rounded inward), becomes a bound of
-the root's box, and every interval wholly outside the box is fixed off.
-Every point of the relaxation that could beat the incumbent stays inside,
-so the bound stays sound; a tightening LP that is infeasible shows that no
-point can, and the root closes at the incumbent. The root's LP point is
+the root's box, which the root's record takes, and every interval wholly
+outside the box is fixed off. Every point of the relaxation that could beat
+the incumbent stays inside, so the bound stays sound; a tightening LP that
+is infeasible shows that no point can, and the root closes at the
+incumbent. The root's LP point is
 then branched on the tightened bounds, and the children start from the
 root's basis as read before the tightening. ``SolveReport.tightening_lps``
 counts these LPs, which ``lp_solves`` also holds.
@@ -55,14 +58,14 @@ counts these LPs, which ``lp_solves`` also holds.
 Every node LP is solved on one HiGHS model per solve (``_SharedLP``;
 Achterberg 2007), passed once through the numpy ``passModel`` of scipy's
 bundled HiGHS bindings. A node is applied as ``changeColsBounds`` plus its
-own rows, kept as a stack of frames along the search path (``_Frame``): the
-cut blocks of the deviation ranges it narrows below its parent's, then its
-Kelley tangents. A block on a range stays valid on every sub-range, and an
+own rows, kept as the stack of nodes along the search path: the cut blocks
+of the deviation ranges it narrows below its parent's, then its Kelley
+tangents. A block on a range stays valid on every sub-range, and an
 interval fixed off is bounds only, so no row is edited in place, and the
 ancestors' tangents are the node's cut pool. A child of the node just
 solved only appends rows and keeps HiGHS's basis; a jump deletes rows
 back to the prefix shared with the node's path, re-adds the path's missing
-frames and restores the parent's basis as ``getBasis`` returned it, read
+nodes' rows and restores the parent's basis as ``getBasis`` returned it, read
 once when the parent branched. Only a root starts cold. A Kelley round
 adds its tangents in place and re-solves from the basis the last solve
 left. A node is pruned only when its LP is infeasible (also "unbounded or
@@ -185,43 +188,37 @@ NO_TANGENTS = Tangents(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))
 
 
 @dataclass(eq=False)
-class _Frame:
-    """A relaxed node's rows on the shared model, after its ancestors':
-    the cut blocks of the deviation ranges it narrows below its parent's,
-    as row-wise (entries per row, column index, value) blocks, then its
-    Kelley tangents. ``convex`` flags the intervals convex over the node's
-    deviation ranges (the parent's flags where the node leaves a range as
-    it was; stale for intervals fixed off). ``end`` is the model's row
-    count with the node's rows and ``basis`` the ``getBasis`` of its last
-    LP, read when it branches."""
+class Node:
+    """A search node: its LP's column bounds and its parent (None at the
+    root), and once ``relax_node`` has solved it, its rows on the shared
+    model after its ancestors' and its LP state. ``blocks`` are the cut
+    blocks of the deviation ranges it narrows below its parent's, as
+    row-wise (entries per row, column index, value) blocks, and
+    ``tangents`` its Kelley tangents. ``convex`` flags the intervals convex
+    over its deviation ranges (the parent's flags where it leaves a range
+    as it was; stale for intervals fixed off). ``end`` is the model's row
+    count with its rows and ``basis`` the ``getBasis`` of its last LP, read
+    when it branches; its children's first LP starts from it."""
 
-    parent: _Frame | None
-    lower: np.ndarray  # the node's column bounds
+    depth: int
+    # read-only once set: children share the arrays their branching leaves
+    # unchanged
+    lower: np.ndarray
     upper: np.ndarray
-    blocks: list
-    convex: np.ndarray
-    tangents: Tangents = NO_TANGENTS
-    end: int = 0
-    basis: object = None
+    parent: Node | None = None
+    blocks: list = field(default_factory=list, init=False)
+    convex: np.ndarray | None = field(default=None, init=False)
+    tangents: Tangents = field(default=NO_TANGENTS, init=False)
+    end: int = field(default=0, init=False)
+    basis: object = field(default=None, init=False)
+
+    def __setattr__(self, name, value):
+        if name in ("lower", "upper"):
+            value.setflags(write=False)
+        object.__setattr__(self, name, value)
 
     def rows(self, builder) -> list:
         return self.blocks + [builder.cut_rows(*self.tangents)]
-
-
-@dataclass(frozen=True, eq=False)
-class Node:
-    depth: int
-    # the node LP's column bounds, read-only: children share the arrays
-    # their branching leaves unchanged
-    lower: np.ndarray
-    upper: np.ndarray
-    # the parent's frame: the rows of the node's ancestors and the basis
-    # its first LP starts from; None at the root
-    parent: _Frame | None = None
-
-    def __post_init__(self):
-        self.lower.setflags(write=False)
-        self.upper.setflags(write=False)
 
 
 @dataclass
@@ -261,9 +258,9 @@ def _row_arrays(blocks):
 
 
 class _LPBuilder:
-    """The tables of one solve: column layout and default bounds, the rows
-    every node LP holds (row-wise arrays), the root's convexity flags and
-    the Kelley tables."""
+    """The tables of one solve: the interval table, column layout and
+    default bounds, the rows every node LP holds (row-wise arrays), the
+    root's convexity flags and the Kelley tables."""
 
     def __init__(self, surr: SurrogateMINLP, gap_tol: float):
         self.surr = surr
@@ -272,29 +269,29 @@ class _LPBuilder:
         self.progress_tol = 0.01 * gap_tol
         self.nv = len(surr.variables)
         self.col_x = {v.name: j for j, v in enumerate(surr.variables)}
-        # interval i = (j, q) owns the columns y, dev, sp at y_cols[i] + 0, 1,
-        # 2; component j's sigma is column j of the last p; int_cols are the
+        comps = surr.components
+        # the interval table, component by component: interval i is a piece
+        # of component comp[i], of degree degree[i], on [left[i], right[i]]
+        # of x column x_col[i]; it owns the columns y, dev, sp at y_cols[i] +
+        # 0, 1, 2
+        self.comp = np.array([j for j, c in enumerate(comps) for _ in range(c.k)],
+                             dtype=np.intp)
+        self.x_col = np.array([self.col_x[c.var] for c in comps], dtype=np.intp)[self.comp]
+        self.degree = np.array([c.piece.degree for c in comps], dtype=np.intp)[self.comp]
+        self.left, self.right = (
+            np.concatenate([c.breakpoints[s] for c in comps] or [np.zeros(0)])
+            for s in (slice(None, -1), slice(1, None))
+        )
+        self.widths = self.right - self.left
+        # component j's sigma is column j of the last p; int_cols are the
         # integer variables' x columns
-        self.intervals = [
-            (j, q) for j, comp in enumerate(surr.components)
-            for q in range(comp.k)
-        ]
-        n = len(self.intervals)
-        p = len(surr.components)
+        n = len(self.comp)
+        p = len(comps)
         self.y_cols = self.nv + 3 * np.arange(n)
         self.ncols = self.nv + 3 * n + p
         self.int_cols = np.flatnonzero([v.integer for v in surr.variables])
-        # index of component j's first interval
-        self.first = np.cumsum([0] + [c.k for c in surr.components])[:-1]
-        comp_widths = [c.widths for c in surr.components]
-        self.widths = np.concatenate(comp_widths or [np.zeros(0)])
-        coeffs = [c.piece.coeffs for c in surr.components]
+        coeffs = [c.piece.coeffs for c in comps]
         self.c0 = np.concatenate([c[:, 0] for c in coeffs] or [np.zeros(0)])
-        # per component: the x column, the first and the last knot
-        self.domains = [
-            (self.col_x[c.var], c.breakpoints[0], c.breakpoints[-1])
-            for c in surr.components
-        ]
 
         self.obj = np.zeros(self.ncols)
         for name, coeff in surr.linear.items():
@@ -326,7 +323,7 @@ class _LPBuilder:
             upper.append(up)
 
         for j, comp in enumerate(surr.components):
-            y = self.y_cols[self.first[j] : self.first[j] + comp.k].tolist()
+            y = self.y_cols[self.span(j)].tolist()
             add([(col, 1.0) for col in y], 1.0, 1.0)
             link = [(self.col_x[comp.var], 1.0)]
             for col, knot in zip(y, comp.breakpoints):
@@ -353,15 +350,14 @@ class _LPBuilder:
         # every interval's cut block on its full range, the default block:
         # one ``interval_cuts`` call per component
         self.convex = np.zeros(n, dtype=bool)
-        for j, (c, width) in enumerate(zip(coeffs, comp_widths)):
-            k = len(c)
+        for j, c in enumerate(coeffs):
             phi = c.copy()
             phi[:, 0] = 0.0
             der = poly_der(phi)
-            i = slice(int(self.first[j]), int(self.first[j]) + k)
+            i = self.span(j)
             self.phi[i, : phi.shape[1]] = phi
             self.dphi[i, : der.shape[1]] = der
-            row, a, b, convex = interval_cuts(phi, np.zeros(k), width)
+            row, a, b, convex = interval_cuts(phi, np.zeros(len(c)), self.widths[i])
             blocks.append(self.cut_rows(i.start + row, a, b))
             self.convex[i] = convex
         # every node LP's rows, the fixed rows and then the default blocks in
@@ -376,13 +372,9 @@ class _LPBuilder:
     def _con_row(self, con):
         return [(self.col_x[n], c) for n, c in con.coeffs.items()]
 
-    def deviation_poly(self, i: int) -> np.ndarray:
-        """Interval i's polynomial in its deviation, constant dropped (the
-        constant rides on y)."""
-        j, q = self.intervals[i]
-        phi = self.surr.components[j].piece.coeffs[q].copy()
-        phi[0] = 0.0
-        return phi
+    def span(self, j: int) -> slice:
+        """Component j's run of the interval table."""
+        return slice(*np.searchsorted(self.comp, [j, j + 1]).tolist())
 
     def cut_rows(self, index, a, b):
         """The rows sp >= (c0+b)*y + a*dev of cuts (a, b) on intervals
@@ -404,7 +396,7 @@ class LPError(RuntimeError):
 class _SharedLP:
     """The one HiGHS model of a solve: min ``builder.obj`` over the rows
     every node holds (``builder.fixed``, passed once through the numpy
-    ``passModel``), then the rows of a path of frames, root first.
+    ``passModel``), then the rows of a path of nodes, root first.
     ``enter`` sets it to a node's LP, ``add_rows`` adds rows in place, and
     each ``solve`` starts from the basis the last one left. It counts the
     solve's LPs."""
@@ -415,8 +407,8 @@ class _SharedLP:
         self.tightening_lps = 0
         self.kelley_cap_hits = 0
         self.simplex_iterations = 0
-        # the column bounds set, the frames whose rows the model holds, and
-        # the frame whose final basis HiGHS holds (None when no frame's)
+        # the column bounds set, the nodes whose rows the model holds, and
+        # the node whose final basis HiGHS holds (None when no node's)
         self.lower, self.upper = builder.lower, builder.upper
         self.path = []
         self.warm = None
@@ -454,25 +446,25 @@ class _SharedLP:
             ), "addRows")
 
     def enter(self, node: Node):
-        """Set the model to the node's LP and return the node's frame and
-        Kelley intervals (those switched on and convex over its deviation
-        ranges).
+        """Set the model to the node's LP, record the node's cut blocks and
+        convexity flags on it, and return its Kelley intervals (those
+        switched on and convex over its deviation ranges).
 
-        The model keeps the rows of the frames on the node's path that it
-        holds, deletes the rest, adds the path's missing frames and then the
-        node's own cut blocks, and takes the node's column bounds. A node
-        computes cuts only for the intervals switched on whose deviation
-        range it narrows below its parent's, one ``interval_cuts`` call
-        each; its convexity flags are its parent's (the builder's at the
-        root) with those intervals' flags. A child of the node just solved
-        keeps the basis HiGHS holds; any other node starts from its parent's
-        saved basis (cold without one)."""
+        The model keeps the rows of the nodes on the node's path that it
+        holds, deletes the rest, adds the path's missing nodes' rows and
+        then the node's own cut blocks, and takes the node's column bounds.
+        A node computes cuts only for the intervals switched on whose
+        deviation range it narrows below its parent's, one
+        ``interval_cuts`` call each; its convexity flags are its parent's
+        (the builder's at the root) with those intervals' flags. A child of
+        the node just solved keeps the basis HiGHS holds; any other node
+        starts from its parent's saved basis (cold without one)."""
         builder, model = self.builder, self.model
         path = []
-        frame = node.parent
-        while frame is not None:
-            path.append(frame)
-            frame = frame.parent
+        above = node.parent
+        while above is not None:
+            path.append(above)
+            above = above.parent
         path.reverse()
         keep = 0
         while keep < min(len(path), len(self.path)) and path[keep] is self.path[keep]:
@@ -482,8 +474,8 @@ class _SharedLP:
         if rows > end:
             gone = np.arange(end, rows, dtype=np.int32)
             self._check(model.deleteRows(len(gone), gone), "deleteRows")
-        for frame in path[keep:]:
-            self.add_rows(frame.rows(builder))
+        for above in path[keep:]:
+            self.add_rows(above.rows(builder))
         if node.parent is not self.warm:
             if node.parent is None or node.parent.basis is None:
                 self._check(model.clearSolver(), "clearSolver")
@@ -502,18 +494,18 @@ class _SharedLP:
         if narrowed.any():
             convex = convex.copy()
             for i in np.flatnonzero(narrowed).tolist():
-                row, a, b, flag = interval_cuts(builder.deviation_poly(i)[None],
-                                                lo[i : i + 1], hi[i : i + 1])
+                phi = builder.phi[i : i + 1, : builder.degree[i] + 1]
+                row, a, b, flag = interval_cuts(phi, lo[i : i + 1], hi[i : i + 1])
                 blocks.append(builder.cut_rows(i + row, a, b))
                 convex[i] = flag[0]
             self.add_rows(blocks)
-        frame = _Frame(node.parent, node.lower, node.upper, blocks, convex)
-        self.path = path + [frame]
-        self.warm = frame
+        node.blocks, node.convex, node.tangents = blocks, convex, NO_TANGENTS
+        self.path = path + [node]
+        self.warm = node
         self.lower, self.upper = node.lower, node.upper
         self._check(model.changeColsBounds(len(self.cols), self.cols, node.lower,
                                            node.upper), "changeColsBounds")
-        return frame, np.flatnonzero(convex & on)
+        return np.flatnonzero(convex & on)
 
     def solve(self):
         """(status, value, x): 'optimal' with the LP value (without the
@@ -543,9 +535,9 @@ class _SharedLP:
 
 def relax_node(lp: _SharedLP, node: Node):
     """Solve the node LP on the shared model with Kelley rounds. Returns
-    (status, value, z, frame): status is 'optimal' or 'infeasible', value
-    includes the surrogate constant, and frame is the node's ``_Frame``
-    (None when a box is empty), which its children take as their parent.
+    (status, value, z): status is 'optimal' or 'infeasible' and value
+    includes the surrogate constant. Once its LP is solved, the node holds
+    its rows and convexity flags (``enter``), its tangents and its row end.
 
     A round adds the tangent at the LP point of every interval that is
     convex over the node range and underestimated there. The loop stops
@@ -556,8 +548,8 @@ def relax_node(lp: _SharedLP, node: Node):
     """
     builder = lp.builder
     if (node.lower[: builder.nv] > node.upper[: builder.nv]).any():
-        return "infeasible", math.inf, None, None
-    frame, kelley = lp.enter(node)
+        return "infeasible", math.inf, None
+    kelley = lp.enter(node)
     # the Kelley intervals' rows of the builder's tables; P stacks phi (at
     # dev), phi and phi' (at the clamp)
     col_y, c0 = builder.y_cols[kelley], builder.c0[kelley]
@@ -566,7 +558,7 @@ def relax_node(lp: _SharedLP, node: Node):
     for rnd in range(KELLEY_CAP):
         status, fun, z = lp.solve()
         if status == "infeasible":
-            return "infeasible", math.inf, None, frame
+            return "infeasible", math.inf, None
         value = fun + builder.surr.constant
         y, dev, sp = z[col_y], z[col_y + 1], z[col_y + 2]
         # the LP point may leave the range by HiGHS's tolerance; a tangent
@@ -589,9 +581,9 @@ def relax_node(lp: _SharedLP, node: Node):
         lp.add_rows([builder.cut_rows(*new)])
         found.append(new)
     if found:
-        frame.tangents = Tangents(*map(np.concatenate, zip(*found)))
-    frame.end = lp.model.getNumRow()
-    return "optimal", value, z, frame
+        node.tangents = Tangents(*map(np.concatenate, zip(*found)))
+    node.end = lp.model.getNumRow()
+    return "optimal", value, z
 
 
 def _try_incumbent(builder: _LPBuilder, z) -> tuple[float, np.ndarray] | None:
@@ -610,8 +602,10 @@ def _try_incumbent(builder: _LPBuilder, z) -> tuple[float, np.ndarray] | None:
         if v.integer:
             x[j] = round(x[j])
         x[j] = min(max(x[j], v.lower), v.upper)
-    for i, lo, hi in builder.domains:
-        x[i] = min(max(x[i], lo), hi)
+    spans = [builder.span(j) for j in range(len(surr.components))]
+    for span in spans:
+        i = builder.x_col[span.start]
+        x[i] = min(max(x[i], builder.left[span.start]), builder.right[span.stop - 1])
     idx = builder.col_x
     for con in surr.linear_constraints:
         val = con.constant + sum(
@@ -623,13 +617,13 @@ def _try_incumbent(builder: _LPBuilder, z) -> tuple[float, np.ndarray] | None:
         elif val > 1e-6:
             return None
     value, lift = eval_surrogate_at(surr, x)
-    for j, comp in enumerate(surr.components):
-        i = idx[comp.var]
-        y = builder.y_cols[builder.first[j] : builder.first[j] + comp.k]
+    for j, (comp, span) in enumerate(zip(surr.components, spans)):
+        i = builder.x_col[span.start]
+        y = builder.y_cols[span]
         q = int(np.argmax(z[y]))
         if x[i] != x_lp[i] or z[y[q]] < 1.0 - FRAC_TOL or lift["y"][j][q] == 1.0:
             continue  # moved, fractional, or already the knot rule's interval
-        width = builder.widths[builder.first[j] + q]
+        width = builder.widths[span.start + q]
         dev = min(max(z[y[q] + 1], 0.0), width)
         value += float(horner(comp.piece.coeffs[q], dev)) - lift["sigma"][j]
     return value, x
@@ -646,9 +640,9 @@ def _first_max_above(values: np.ndarray, tol: float) -> int | None:
 def _choose(builder: _LPBuilder, lower, upper, i: int) -> None:
     """Set interval i's y to 1 and fix its component's other intervals off
     (y, dev and sp pinned to 0), in place; i keeps its deviation range."""
-    j = builder.intervals[i][0]
-    start, col = builder.y_cols[builder.first[j]], builder.y_cols[i]
-    end = start + 3 * builder.surr.components[j].k
+    span = builder.span(builder.comp[i])
+    start, col = builder.y_cols[span.start], builder.y_cols[i]
+    end = start + 3 * (span.stop - span.start)
     for s in (slice(start, col), slice(col + 3, end)):
         lower[s] = upper[s] = 0.0
     lower[col] = upper[col] = 1.0
@@ -675,7 +669,8 @@ def _tighten_root(lp: _SharedLP, ub: float):
     lower, upper = lp.lower.copy(), lp.upper.copy()
     integer = set(builder.int_cols.tolist())
     try:
-        for col, _, _ in builder.domains:
+        # each component's x column, in component order
+        for col in dict.fromkeys(builder.x_col.tolist()):
             for sense in (1.0, -1.0):
                 lp._check(model.changeColCost(col, sense), "changeColCost")
                 lp.tightening_lps += 1
@@ -702,24 +697,18 @@ def _tighten_root(lp: _SharedLP, ub: float):
         lp._check(model.changeColsCost(ncols, lp.cols, builder.obj), "changeColsCost")
     if (lower[: builder.nv] > upper[: builder.nv]).any():
         return None
-    # interval (j, q) spans knots q and q + 1 of component j's x column
-    x_col = np.array([builder.domains[j][0] for j, _ in builder.intervals],
-                     dtype=np.intp)
-    comps = builder.surr.components
-    left, right = (np.concatenate([c.breakpoints[s] for c in comps])
-                   for s in (slice(None, -1), slice(1, None)))
-    out = (right < lower[x_col]) | (left > upper[x_col])
+    x_col = builder.x_col
+    out = (builder.right < lower[x_col]) | (builder.left > upper[x_col])
     for col in builder.y_cols[out].tolist():
         lower[col : col + 3] = upper[col : col + 3] = 0.0
     return lower, upper
 
 
-def _branch(builder: _LPBuilder, node: Node, z, frame=None) -> list[Node] | None:
+def _branch(builder: _LPBuilder, node: Node, z) -> list[Node] | None:
     """Children of the node, or None when the LP point is branch-free: on
     the interval set of the component of the most fractional free interval
     binary (SOS1), else on the first fractional integer variable, else on
-    the deviation range with the largest envelope gap. Their parent is
-    ``frame``, the node's.
+    the deviation range with the largest envelope gap.
 
     SOS1 dichotomy branching (Beale & Tomlin 1970) splits the component's
     free intervals at the LP's weighted interval position sum(q * y_q), so
@@ -734,13 +723,13 @@ def _branch(builder: _LPBuilder, node: Node, z, frame=None) -> list[Node] | None
     frac = np.where(lower[y] != upper[y], np.minimum(zy, 1.0 - zy), 0.0)
     i = _first_max_above(frac, FRAC_TOL)
     if i is not None:
-        j = builder.intervals[i][0]
-        first, k = builder.first[j], builder.surr.components[j].k
-        free = np.flatnonzero(upper[y[first : first + k]] != 0.0)
-        pos = float(zy[first : first + k] @ np.arange(k))
+        span = builder.span(builder.comp[i])
+        k = span.stop - span.start
+        free = np.flatnonzero(upper[y[span]] != 0.0)
+        pos = float(zy[span] @ np.arange(k))
         # the right half's first interval; each half holds a free one
         s = min(max(math.floor(pos) + 1, free[0] + 1), free[-1])
-        start, cut = y[first], y[first + s]
+        start, cut = y[span.start], y[span.start + s]
         left, right = (lower.copy(), upper.copy()), (lower.copy(), upper.copy())
         for bound in left:
             bound[cut : start + 3 * k] = 0.0
@@ -766,7 +755,7 @@ def _branch(builder: _LPBuilder, node: Node, z, frame=None) -> list[Node] | None
         left[col] = right[0][col] = m
         _choose(builder, *right, on[k])
         bounds = [(lower, left), right]
-    return [Node(node.depth + 1, *bound, frame) for bound in bounds]
+    return [Node(node.depth + 1, *bound, node) for bound in bounds]
 
 
 def solve(
@@ -818,7 +807,7 @@ def solve(
             break
         _, _, node = heapq.heappop(heap)
         nodes += 1
-        lp_status, lb, z, frame = relax_node(lp, node)
+        lp_status, lb, z = relax_node(lp, node)
         if lp_status != "optimal":
             continue
         if lb >= ub - PRUNE_TOL * max(1.0, abs(ub)):
@@ -843,22 +832,22 @@ def solve(
         tighten = (node.depth == 0 and incumbent is not None
                    and optimality_gap(ub, lb) > 100.0 * gap_tol)
         if tighten:
-            frame.basis = lp.model.getBasis()
+            node.basis = lp.model.getBasis()
             bounds = _tighten_root(lp, ub)
             if bounds is None:
                 pruned_lb = min(pruned_lb, ub)
                 continue  # no relaxation point beats the incumbent
-            node = Node(0, *bounds)
-        children = _branch(builder, node, z, frame)
+            node.lower, node.upper = bounds
+        children = _branch(builder, node, z)
         if children is None and tighten:
             # the LP point may be branch-free only because the intervals it
             # uses are now fixed off: relax the tightened root again
-            children = [Node(1, node.lower, node.upper, frame)]
+            children = [Node(1, node.lower, node.upper, node)]
         if children is None:
             pruned_lb = min(pruned_lb, lb)
             continue  # LP point is exact for this node
-        if frame.basis is None:
-            frame.basis = lp.model.getBasis()  # where both children start
+        if node.basis is None:
+            node.basis = lp.model.getBasis()  # where both children start
         for child in children:
             counter += 1
             heapq.heappush(heap, (lb, counter, child))

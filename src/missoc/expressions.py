@@ -41,21 +41,6 @@ FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos")
 
 @dataclass(frozen=True)
 class Expr:
-    def __add__(self, other):
-        return BinOp("+", self, _as_expr(other))
-
-    def __sub__(self, other):
-        return BinOp("-", self, _as_expr(other))
-
-    def __mul__(self, other):
-        return BinOp("*", self, _as_expr(other))
-
-    def __rmul__(self, other):
-        return BinOp("*", _as_expr(other), self)
-
-    def __neg__(self):
-        return BinOp("-", Const(0.0), self)
-
     @functools.cached_property
     def tape(self) -> tuple:
         """The tree compiled once into a postorder tape (see ``_compile``)."""
@@ -83,12 +68,6 @@ class BinOp(Expr):
 class Call(Expr):
     fn: str
     arg: Expr
-
-
-def _as_expr(v) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    return Const(float(v))
 
 
 # ---------------------------------------------------------------------------

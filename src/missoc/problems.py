@@ -609,6 +609,14 @@ def surrogate_stages(instance: ProblemInstance, config: MissocConfig):
     from .surrogate import build_surrogate
 
     times: dict[str, float] = {}
+    labels = instance.covariates()
+    degrees = config.degrees
+    if np.ndim(degrees) == 0:
+        degrees = [degrees] * len(labels)
+    if instance.shape is not None and len(degrees) == len(labels):
+        # a shape the degrees cannot carry fails the fit: rejected before
+        # sampling (a degrees length that does not fit is the sample's error)
+        _staged({}, "fit", instance.shape.check_degrees, labels, degrees)
     T = _staged(times, "sample", sample_training, instance, config)
     fit = _staged(times, "fit", fit_stage, instance, T, config)
     surr = _staged(times, "surrogate", build_surrogate, fit, instance)

@@ -229,7 +229,7 @@ def dump_model(fit: AdditiveModelFit) -> str:
     for basis, theta in zip(fit.bases, fit.coefficients):
         buf.write(f"covariate {basis.label}\n")
         buf.write(f"degree {basis.degree}\n")
-        knots = " ".join(f"{t:.17g}" for t in basis.knots.internal)
+        knots = " ".join(f"{t:.17g}" for t in basis.internal)
         buf.write(f"knots {knots}\n")
         coeffs = " ".join(f"{c:.17g}" for c in theta)
         buf.write(f"coefficients {coeffs}\n")

@@ -127,6 +127,16 @@ class ShapeSpec:
             if direction not in (CONVEX, CONCAVE):
                 raise ValueError(f"unknown curvature {direction!r}")
 
+    def check_degrees(self, labels, degrees) -> None:
+        """Raise ValueError naming the first covariate whose degree cannot
+        carry the shape asked of it: monotonicity needs degree >= 1, a
+        curvature degree >= 2. ``degrees`` holds one degree per label."""
+        for label, d in zip(labels, degrees):
+            if label in self.monotone and d < 1:
+                raise ValueError(f"monotonicity needs degree >= 1 on {label}")
+            if label in self.curvature and d < 2:
+                raise ValueError(f"convexity needs degree >= 2 on {label}")
+
     @property
     def is_empty(self) -> bool:
         return (
@@ -363,10 +373,11 @@ def build_program(
                     f"bound weights must have one entry per covariate ({p})"
                 )
     program.spec = spec
+    spec.check_degrees([b.label for b in bases], [b.degree for b in bases])
 
     for j, (basis, s) in enumerate(zip(bases, slices)):
         d = basis.degree
-        starts = basis.knots.internal
+        starts = basis.internal
         # power-basis coefficients in x - t_lo of each interval
         G = segment_maps(basis, starts[:-1])
         eye = np.eye(d + 1)  # poly_der keeps its integers exact
@@ -379,18 +390,10 @@ def build_program(
             maps.append((eye, b, -1.0))
         direction = spec.monotone.get(basis.label)
         if direction is not None:
-            if d < 1:
-                raise ValueError(
-                    f"monotonicity needs degree >= 1 on {basis.label}"
-                )
             sign = +1.0 if direction == INCREASING else -1.0
             maps.append((poly_der(eye).T, 0.0, sign))
         curv = spec.curvature.get(basis.label)
         if curv is not None:
-            if d < 2:
-                raise ValueError(
-                    f"convexity needs degree >= 2 on {basis.label}"
-                )
             sign = +1.0 if curv == CONVEX else -1.0
             maps.append((poly_der(poly_der(eye)).T, 0.0, sign))
 

@@ -1,5 +1,7 @@
 """B-spline bases over extended knot sequences and piecewise-polynomial conversion.
 
+A basis is one record, ``BSplineBasis``: its internal and extended knots, its
+degree and its covariate's label (de Boor 1978); ``extend_knots`` builds it.
 A basis of degree ``d`` over ``k`` internal intervals has ``k + d`` functions.
 The internal knot span ``[t[d], t[d+k]]`` (0-based positions in the extended
 sequence) is the data domain; external knots replicate the width of the
@@ -39,8 +41,9 @@ class OutOfDomainError(ValueError):
 
 
 @dataclass(frozen=True)
-class KnotVector:
-    """Extended knot sequence for one covariate.
+class BSplineBasis:
+    """B-spline basis of one covariate, defined by its knots and degree;
+    immutable, evaluation is pure.
 
     ``internal`` has k+1 strictly increasing entries spanning the data domain,
     ``extended`` has k + 2d + 1 entries with ``extended[d] == internal[0]``
@@ -50,6 +53,7 @@ class KnotVector:
     internal: np.ndarray
     extended: np.ndarray
     degree: int
+    label: str = "x"
 
     @property
     def k(self) -> int:
@@ -63,9 +67,40 @@ class KnotVector:
     def domain(self) -> tuple[float, float]:
         return float(self.internal[0]), float(self.internal[-1])
 
+    def eval_all(self, x: float) -> np.ndarray:
+        """Values of all k + d basis functions at x (dense length-(k+d) row)."""
+        return self.eval_matrix([x])[0]
 
-def extend_knots(internal, degree: int) -> KnotVector:
-    """Extend internal knots by ``degree`` knots on each side.
+    def eval_matrix(self, xs) -> np.ndarray:
+        """Basis values at an array of points, one dense length-(k+d) row per
+        point, by the triangular Cox-de Boor scheme."""
+        xs = np.asarray(xs, dtype=float).ravel()
+        q = interval_index(self.internal, xs, self.label)
+        d = self.degree
+        t = self.extended
+        pos = q + d
+        n = len(xs)
+        vals = np.zeros((n, d + 1))
+        left = np.zeros((n, d + 1))
+        right = np.zeros((n, d + 1))
+        vals[:, 0] = 1.0
+        for r in range(1, d + 1):
+            left[:, r] = xs - t[pos + 1 - r]
+            right[:, r] = t[pos + r] - xs
+            saved = np.zeros(n)
+            for s in range(r):
+                term = vals[:, s] / (right[:, s + 1] + left[:, r - s])
+                vals[:, s] = saved + right[:, s + 1] * term
+                saved = left[:, r - s] * term
+            vals[:, r] = saved
+        out = np.zeros((n, self.n_basis))
+        out[np.arange(n)[:, None], q[:, None] + np.arange(d + 1)] = vals
+        return out
+
+
+def extend_knots(internal, degree: int, label: str = "x") -> BSplineBasis:
+    """The basis of ``degree`` on the internal knots, extended by ``degree``
+    knots on each side.
 
     External knots replicate the first/last internal interval width outward,
     which keeps the sequence strictly increasing and conditioning predictable.
@@ -85,61 +120,7 @@ def extend_knots(internal, degree: int) -> KnotVector:
     left = internal[0] - h_lo * np.arange(d, 0, -1)
     right = internal[-1] + h_hi * np.arange(1, d + 1)
     extended = np.concatenate([left, internal, right])
-    return KnotVector(internal=internal, extended=extended, degree=d)
-
-
-@dataclass(frozen=True)
-class BSplineBasis:
-    """B-spline basis of one covariate; immutable, evaluation is pure."""
-
-    knots: KnotVector
-    label: str = "x"
-
-    @property
-    def degree(self) -> int:
-        return self.knots.degree
-
-    @property
-    def k(self) -> int:
-        return self.knots.k
-
-    @property
-    def n_basis(self) -> int:
-        return self.knots.n_basis
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return self.knots.domain
-
-    def eval_all(self, x: float) -> np.ndarray:
-        """Values of all k + d basis functions at x (dense length-(k+d) row)."""
-        return self.eval_matrix([x])[0]
-
-    def eval_matrix(self, xs) -> np.ndarray:
-        """Basis values at an array of points, one dense length-(k+d) row per
-        point, by the triangular Cox-de Boor scheme."""
-        xs = np.asarray(xs, dtype=float).ravel()
-        q = interval_index(self.knots.internal, xs, self.label)
-        d = self.degree
-        t = self.knots.extended
-        pos = q + d
-        n = len(xs)
-        vals = np.zeros((n, d + 1))
-        left = np.zeros((n, d + 1))
-        right = np.zeros((n, d + 1))
-        vals[:, 0] = 1.0
-        for r in range(1, d + 1):
-            left[:, r] = xs - t[pos + 1 - r]
-            right[:, r] = t[pos + r] - xs
-            saved = np.zeros(n)
-            for s in range(r):
-                term = vals[:, s] / (right[:, s + 1] + left[:, r - s])
-                vals[:, s] = saved + right[:, s + 1] * term
-                saved = left[:, r - s] * term
-            vals[:, r] = saved
-        out = np.zeros((n, self.n_basis))
-        out[np.arange(n)[:, None], q[:, None] + np.arange(d + 1)] = vals
-        return out
+    return BSplineBasis(internal, extended, d, label)
 
 
 def interval_index(breakpoints, xs, label: str = "x"):
@@ -177,7 +158,7 @@ def segment_maps(basis: BSplineBasis, ref) -> np.ndarray:
     factor (a + b x).
     """
     d, k = basis.degree, basis.k
-    t = basis.knots.extended
+    t = basis.extended
     ref = np.broadcast_to(np.asarray(ref, dtype=float), (k,))[:, None]
     pos = np.arange(k)[:, None] + d  # extended index of each interval's start
     # P[q, m] holds the segment on interval q of the m-th function of the
@@ -324,7 +305,7 @@ def to_piecewise_poly(theta, basis: BSplineBasis) -> PiecewisePoly:
         raise ValueError(
             f"expected {basis.n_basis} coefficients, got {theta.shape}"
         )
-    t = basis.knots.internal
+    t = basis.internal
     maps = segment_maps(basis, t[:-1])
     k = basis.k
     coeffs = np.zeros((k, basis.degree + 1))
@@ -339,8 +320,7 @@ def make_basis(lo: float, hi: float, k: int, degree: int, label: str = "x") -> B
     """Equidistant internal knots on [lo, hi] with k intervals."""
     if not (hi > lo):
         raise DegenerateDomainError(f"empty domain [{lo}, {hi}]")
-    internal = np.linspace(lo, hi, k + 1)
-    return BSplineBasis(knots=extend_knots(internal, degree), label=label)
+    return extend_knots(np.linspace(lo, hi, k + 1), degree, label)
 
 
 def design_matrix(samples: np.ndarray, bases: list[BSplineBasis]) -> np.ndarray:

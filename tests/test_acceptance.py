@@ -115,7 +115,7 @@ def test_deriv_design_equals_scalar_evaluation(order):
     for k, d in [(4, 2), (7, 3), (12, 5)]:
         basis = make_basis(-0.3, 1.7, k, d)
         grid = np.concatenate(
-            [np.linspace(*basis.domain, 1000), basis.knots.internal]
+            [np.linspace(*basis.domain, 1000), basis.internal]
         )
         want = np.empty((len(grid), basis.n_basis))
         for l in range(basis.n_basis):

@@ -266,18 +266,19 @@ class TestIntervalCuts:
         surr = random_surrogate(5)
         builder = bnb._LPBuilder(surr, 1e-4)
         lp = bnb._SharedLP(builder)
-        _, _, _, root = bnb.relax_node(lp, dict_node(builder))
+        root = dict_node(builder)
+        bnb.relax_node(lp, root)
         rng = np.random.default_rng(12)
         for j, comp in enumerate(surr.components):
             for q in range(comp.k):
-                i = builder.first[j] + q
-                phi = builder.deviation_poly(i)
+                i = builder.span(j).start + q
+                phi = deviation_poly(builder, i)
                 for _ in range(5):
                     lo, hi = np.sort(rng.uniform(0.0, comp.widths[q], 2))
                     child = dict_node(builder, dev_bounds={(j, q): (lo, hi)},
                                       depth=1, parent=root)
-                    frame, _ = lp.enter(child)
-                    assert frame.convex[i] == self.convex_reference(phi, lo, hi)
+                    lp.enter(child)
+                    assert child.convex[i] == self.convex_reference(phi, lo, hi)
 
 
 def bernstein_bounds_reference(coeffs, lo, hi):
@@ -644,7 +645,23 @@ def shipped_surrogate(name):
 
 def col_y(builder, j, q):
     """The y column of interval (j, q); its dev and sp columns follow."""
-    return builder.y_cols[builder.first[j] + q]
+    return builder.y_cols[builder.span(j).start + q]
+
+
+def interval_key(builder, i):
+    """Interval i of the builder's table as (component, interval of the
+    component)."""
+    j = int(builder.comp[i])
+    return j, i - builder.span(j).start
+
+
+def deviation_poly(builder, i):
+    """Interval i's polynomial in its deviation, constant dropped, read
+    from the surrogate."""
+    j, q = interval_key(builder, i)
+    phi = builder.surr.components[j].piece.coeffs[q].copy()
+    phi[0] = 0.0
+    return phi
 
 
 def dict_bounds(builder, y_fixed, dev_bounds, var_bounds):
@@ -739,7 +756,7 @@ def branch_reference(builder, desc, z):
             col = col_y(builder, j, q)
             if z[col] < 0.5:
                 continue
-            phi = builder.deviation_poly(builder.first[j] + q)
+            phi = deviation_poly(builder, builder.span(j).start + q)
             true_sp = comp.piece.coeffs[q][0] * z[col] + poly_val(
                 phi, z[col + 1]
             )
@@ -760,20 +777,20 @@ def branch_reference(builder, desc, z):
     return [(y_fixed, left_dev, var_bounds), (right_fixed, right_dev, var_bounds)]
 
 
-def path_frames(frame):
-    """The frames from the root down to ``frame``."""
-    frames = []
-    while frame is not None:
-        frames.append(frame)
-        frame = frame.parent
-    return frames[::-1]
+def path_nodes(node):
+    """The nodes from the root down to ``node``."""
+    nodes = []
+    while node is not None:
+        nodes.append(node)
+        node = node.parent
+    return nodes[::-1]
 
 
-def dense_rows(builder, frames=()):
-    """The (A_eq, b_eq, A_ub, b_ub) of the shared model set to the node of
-    the last of ``frames`` (a path of frames, root first), as a dense
-    per-row assembly with one-row ``interval_cuts``: the fixed rows, every
-    interval's cut rows on its full range, then per frame the cut rows of
+def dense_rows(builder, nodes=()):
+    """The (A_eq, b_eq, A_ub, b_ub) of the shared model set to the last of
+    ``nodes`` (a path of relaxed nodes, root first), as a dense per-row
+    assembly with one-row ``interval_cuts``: the fixed rows, every
+    interval's cut rows on its full range, then per node the cut rows of
     each deviation range it narrows below its parent's (an interval fixed
     off is bounds only) and the rows of its Kelley tangents; the reference
     for the shared model's rows."""
@@ -836,18 +853,18 @@ def dense_rows(builder, frames=()):
         for q in range(comp.k):
             cuts(j, q, 0.0, comp.widths[q])
     parent = (builder.lower, builder.upper)
-    for frame in frames:
+    for node in nodes:
         for j, comp in enumerate(surr.components):
             for q in range(comp.k):
                 col = col_y(builder, j, q) + 1
-                lo, hi = frame.lower[col], frame.upper[col]
-                if frame.upper[col - 1] == 0.0 or (lo, hi) == (0.0, comp.widths[q]):
+                lo, hi = node.lower[col], node.upper[col]
+                if node.upper[col - 1] == 0.0 or (lo, hi) == (0.0, comp.widths[q]):
                     continue
                 if (lo, hi) != (parent[0][col], parent[1][col]):
                     cuts(j, q, lo, hi)
-        for i, a, b in zip(*frame.tangents):
-            cut_row(*builder.intervals[i], a, b)
-        parent = (frame.lower, frame.upper)
+        for i, a, b in zip(*node.tangents):
+            cut_row(*interval_key(builder, i), a, b)
+        parent = (node.lower, node.upper)
     return np.array(A_eq), np.array(b_eq), np.array(A_ub), np.array(b_ub)
 
 
@@ -926,10 +943,10 @@ def lp_fields(obj, prefix=""):
     return out
 
 
-def assert_rows_equal_dense(lp, frames):
+def assert_rows_equal_dense(lp, nodes):
     """The shared model holds exactly the rows ``dense_rows`` gives for the
-    path ``frames``, with no explicit zeros."""
-    A_eq, b_eq, A_ub, b_ub = dense_rows(lp.builder, frames)
+    path ``nodes``, with no explicit zeros."""
+    A_eq, b_eq, A_ub, b_ub = dense_rows(lp.builder, nodes)
     matrix, row_lower, row_upper = model_rows(lp)
     np.testing.assert_array_equal(matrix.toarray(), np.vstack([A_eq, A_ub]))
     np.testing.assert_array_equal(
@@ -950,8 +967,8 @@ class TestNodeLP:
         lp = bnb._SharedLP(builder)
         assert_rows_equal_dense(lp, [])
         for node in (dict_node(builder), branched_node(builder)):
-            frame, _ = lp.enter(node)
-            assert_rows_equal_dense(lp, [frame])
+            lp.enter(node)
+            assert_rows_equal_dense(lp, [node])
             assert bits(np.array(lp.model.getLp().col_lower_)) == bits(node.lower)
             assert bits(np.array(lp.model.getLp().col_upper_)) == bits(node.upper)
 
@@ -966,13 +983,12 @@ class TestNodeLP:
 
         def checked(lp, node):
             out = relax(lp, node)
-            frame = out[3]
-            if frame is not None:
-                frames = path_frames(frame)
-                assert_rows_equal_dense(lp, frames)
+            if node.convex is not None:  # entered: its box is not empty
+                nodes = path_nodes(node)
+                assert_rows_equal_dense(lp, nodes)
                 counts["jumps"] += node.parent is not None and held[-1:] != [node.parent]
-                counts["readded"] += any(f not in held for f in frames[:-1])
-                held[:] = frames
+                counts["readded"] += any(n not in held for n in nodes[:-1])
+                held[:] = nodes
             return out
 
         monkeypatch.setattr(bnb, "relax_node", checked)
@@ -994,8 +1010,8 @@ class TestNodeLP:
             lp = bnb._SharedLP(builder)
             rows = None
             if node is not None:
-                frame, _ = lp.enter(node)
-                rows = frame.rows(builder)
+                lp.enter(node)
+                rows = node.rows(builder)
             got = lp.model
             lower, upper = lp.lower, lp.upper
             want = highs_lp_model(builder, lower, upper, rows)
@@ -1047,12 +1063,12 @@ class TestNodeLP:
         calls.clear()
         lp = bnb._SharedLP(builder)
         root = dict_node(builder)
-        status, _, z, frame = bnb.relax_node(lp, root)
+        status, _, z = bnb.relax_node(lp, root)
         assert status == "optimal" and calls == []
         w = surr.components[1].widths[2]
         child = dict_node(builder, {(0, 1): 0, (0, 3): 1},
                           {(1, 2): (0.25 * w, 0.5 * w)}, depth=1,
-                          parent=frame)
+                          parent=root)
         bnb.relax_node(lp, child)
         # (0, 3) is fixed on and keeps its full range; (0, 1) is fixed off,
         # which is bounds only
@@ -1069,13 +1085,13 @@ class TestNodeLP:
             lp = bnb._SharedLP(builder)
             kelley = record_kelley_sets(lp)
             y = builder.y_cols
-            for node, (_, _, _, frame) in tree_nodes(lp, 60):
+            for node, _ in tree_nodes(lp, 60):
                 on = np.flatnonzero(node.upper[y] != 0.0)
                 lo, hi = node.lower[y + 1][on], node.upper[y + 1][on]
-                phis = [builder.deviation_poly(i) for i in on]
+                phis = [deviation_poly(builder, i) for i in on]
                 _, _, _, want = interval_cuts(np.array(phis), lo, hi)
-                assert frame.convex[on].tolist() == want.tolist()
-                assert kelley[id(frame)].tolist() == on[want].tolist()
+                assert node.convex[on].tolist() == want.tolist()
+                assert kelley[id(node)].tolist() == on[want].tolist()
                 full = (lo == 0.0) & (hi == builder.widths[on])
                 narrowed += int((~full).sum())
                 flipped += int((want != builder.convex[on]).sum())
@@ -1097,7 +1113,7 @@ class TestNodeLP:
                     phi[0] = 0.0
                     cuts, convex_there = one_row_cuts(phi, 0.0, comp.widths[q])
                     a, b = np.array(cuts).T
-                    i = builder.first[j] + q
+                    i = builder.span(j).start + q
                     assert builder.convex[i] == convex_there
                     blocks.append(builder.cut_rows(np.full(len(a), i), a, b))
             counts, index, value = (np.concatenate(p) for p in zip(*blocks))
@@ -1108,8 +1124,9 @@ class TestNodeLP:
             np.testing.assert_array_equal(got_value[starts[first]:], value)
             # the root takes the builder's flags
             lp = bnb._SharedLP(builder)
-            frame, _ = lp.enter(dict_node(builder))
-            np.testing.assert_array_equal(frame.convex, builder.convex)
+            root = dict_node(builder)
+            lp.enter(root)
+            np.testing.assert_array_equal(root.convex, builder.convex)
 
     def test_two_surrogates_in_one_process_match_each_alone(self):
         def summary(report):
@@ -1179,13 +1196,13 @@ def random_surrogate(seed, k=4):
 
 def record_kelley_sets(lp):
     """Wrap ``lp.enter`` to record the Kelley intervals it returns for each
-    frame; returns the record, keyed by ``id(frame)``."""
+    node; returns the record, keyed by ``id(node)``."""
     enter, kelley = lp.enter, {}
 
     def spy(node):
-        frame, intervals = enter(node)
-        kelley[id(frame)] = intervals
-        return frame, intervals
+        intervals = enter(node)
+        kelley[id(node)] = intervals
+        return intervals
 
     lp.enter = spy
     return kelley
@@ -1203,9 +1220,9 @@ def tree_nodes(lp, count):
         out.append((node, result))
         if result[0] != "optimal":
             continue
-        children = bnb._branch(lp.builder, node, result[2], result[3])
+        children = bnb._branch(lp.builder, node, result[2])
         if children:
-            result[3].basis = lp.model.getBasis()
+            node.basis = lp.model.getBasis()
             queue.extend(children)
     return out
 
@@ -1256,10 +1273,10 @@ class TestBoundBranching:
             while queue and seen < 25:
                 node, desc = queue.pop(0)
                 seen += 1
-                status, _, z, frame = bnb.relax_node(lp, node)
+                status, _, z = bnb.relax_node(lp, node)
                 if status != "optimal":
                     continue
-                children = bnb._branch(builder, node, z, frame)
+                children = bnb._branch(builder, node, z)
                 want = branch_reference(builder, desc, z)
                 assert (children is None) == (want is None)
                 for child, child_desc in zip(children or (), want or ()):
@@ -1267,7 +1284,7 @@ class TestBoundBranching:
                     assert bits(child.lower) == bits(lower)
                     assert bits(child.upper) == bits(upper)
                     assert child.depth == node.depth + 1
-                    assert child.parent is frame
+                    assert child.parent is node
                     queue.append((child, child_desc))
                     compared += 1
                     kinds.update(
@@ -1278,7 +1295,7 @@ class TestBoundBranching:
     @staticmethod
     def interval_columns(builder, j):
         """The y, dev and sp columns of component j's intervals."""
-        first = builder.y_cols[builder.first[j]]
+        first = builder.y_cols[builder.span(j).start]
         return range(first, first + 3 * builder.surr.components[j].k)
 
     def test_fixed_off_after_deviation_branch(self):
@@ -1341,7 +1358,7 @@ class TestBoundBranching:
         checked = 0
         for surr in surrs:
             builder = bnb._LPBuilder(surr, 1e-4)
-            for node, (status, _, z, _) in tree_nodes(bnb._SharedLP(builder), 40):
+            for node, (status, _, z) in tree_nodes(bnb._SharedLP(builder), 40):
                 if status != "optimal":
                     continue
                 children = bnb._branch(builder, node, z)
@@ -1359,10 +1376,10 @@ class TestBoundBranching:
                 # right one
                 right_half, left_half = offs
                 assert len(left_half) and len(right_half)
-                (j,) = {builder.intervals[i][0] for i in np.concatenate(offs)}
-                free = [builder.first[j] + q
+                (j,) = {builder.comp[i] for i in np.concatenate(offs)}
+                free = [builder.span(j).start + q
                         for q in range(surr.components[j].k)
-                        if was_free[builder.first[j] + q]]
+                        if was_free[builder.span(j).start + q]]
                 n = len(left_half)
                 assert left_half.tolist() == free[:n]
                 assert right_half.tolist() == free[n:]
@@ -1407,20 +1424,20 @@ class TestTangentPool:
         surr = random_surrogate(seed)
         builder = bnb._LPBuilder(surr, 1e-4)
         checked = 0
-        for node, (status, _, _, frame) in tree_nodes(bnb._SharedLP(builder), 25):
+        for node, (status, _, _) in tree_nodes(bnb._SharedLP(builder), 25):
             if status != "optimal":
                 continue
-            for owner in path_frames(frame):
+            for owner in path_nodes(node):
                 for i, a, b in zip(*owner.tangents):
                     col = builder.y_cols[i]
-                    if owner is frame:
+                    if owner is node:
                         assert node.upper[col] != 0.0  # not fixed off
                     elif node.upper[col] == 0.0:
                         assert node.lower[col : col + 3].tolist() == [0.0] * 3
                         continue
                     lo, hi = node.lower[col + 1], node.upper[col + 1]
                     dev = np.linspace(lo, hi, 2001)
-                    phi = builder.deviation_poly(i)
+                    phi = deviation_poly(builder, i)
                     vals = np.polynomial.polynomial.polyval(dev, phi)
                     tol = 1e-9 * max(1.0, np.abs(vals).max())
                     assert np.all(a * dev + b <= vals + tol)
@@ -1443,9 +1460,10 @@ class TestTangentPool:
         among them) against the same node relaxed without a parent (plain:
         only its own cut blocks). A node whose first LP had a fixed start
         (the root on a new model, or a jump to its parent's saved basis) is
-        relaxed again on a new model that has relaxed the root, which enters
-        it through the same path and basis: it gives the tree's status and
-        bound exactly. (HiGHS scales a model at its first LP and extends
+        relaxed again, as a copy, on a new model that has relaxed a copy of
+        the root, which enters it through the same path and basis: it gives
+        the tree's status and bound exactly. (The copies leave the tree's
+        nodes as the tree left them.) (HiGHS scales a model at its first LP and extends
         that scaling to rows added later, so the new model solves the root
         first, as the tree's did.) Returns the counts of nodes with an
         inherited pool and of those relaxed again."""
@@ -1476,14 +1494,14 @@ class TestTangentPool:
         firsts, fixed_start = list(firsts), list(fixed_start)
         root = nodes[0][0]
         inherited = restarted = 0
-        for (node, (status, bound, _, _)), first_pooled, fixed in zip(
+        for (node, (status, bound, _)), first_pooled, fixed in zip(
             nodes, firsts, fixed_start
         ):
             if fixed:
                 fresh = bnb._SharedLP(builder)
                 if node is not root:
-                    bnb.relax_node(fresh, root)
-                again = bnb.relax_node(fresh, node)
+                    bnb.relax_node(fresh, dataclasses.replace(root))
+                again = bnb.relax_node(fresh, dataclasses.replace(node))
                 assert (again[0], again[1]) == (status, bound)
                 restarted += 1
             values.clear()
@@ -1491,7 +1509,7 @@ class TestTangentPool:
             assert plain[0] == status
             if status != "optimal":
                 continue
-            inherited += any(len(f.tangents.index) for f in path_frames(node.parent))
+            inherited += any(len(n.tangents.index) for n in path_nodes(node.parent))
             scale = max(1.0, abs(bound))
             # the pool's rows only add to the plain first LP, and Kelley
             # rounds only add rows (to HiGHS's 1e-7 feasibility tolerance);
@@ -1688,7 +1706,7 @@ class TestNodeLPSolve:
                     # min or max of one component's x column
                     (col,) = np.flatnonzero(lp[0])
                     assert abs(lp[0][col]) == 1.0
-                    assert col in [d[0] for d in builder.domains]
+                    assert col in builder.x_col
                     tightening_lps += 1
                 want_status, want = linprog_reference(*lp)
                 assert status == want_status
@@ -1734,8 +1752,8 @@ class TestNodeLPSolve:
     def test_infeasible_lp_prunes(self, monkeypatch, model_status):
         self.stub_model_status(monkeypatch, model_status)
         builder = bnb._LPBuilder(random_surrogate(0), 1e-4)
-        status, value, z, _ = bnb.relax_node(bnb._SharedLP(builder),
-                                             dict_node(builder))
+        status, value, z = bnb.relax_node(bnb._SharedLP(builder),
+                                          dict_node(builder))
         assert (status, value, z) == ("infeasible", math.inf, None)
 
     def test_unbounded_or_infeasible_with_a_free_column_raises(
@@ -1808,8 +1826,8 @@ class TestWarmStart:
         """On full trees, each node's first LP, started from the basis
         HiGHS holds (a child of the node just solved) or from its parent's
         saved basis (a jump), gives the status and value of the same LP
-        solved cold, and both children of a node hold the same parent frame
-        and so the same saved basis."""
+        solved cold, and both children of a node hold the same parent and
+        so the same saved basis."""
         compared = []
         kept = []
         lp_solve = bnb._SharedLP.solve
@@ -1891,18 +1909,18 @@ def relax_node_per_key(lp, node):
     surr = builder.surr
     lower, upper = node.lower, node.upper
     if (lower[: builder.nv] > upper[: builder.nv]).any():
-        return "infeasible", math.inf, None, None
-    frame, kelley = lp.enter(node)
+        return "infeasible", math.inf, None
+    kelley = lp.enter(node)
     found = []
     for rnd in range(bnb.KELLEY_CAP):
         status, fun, z = lp.solve()
         if status == "infeasible":
-            return "infeasible", math.inf, None, frame
+            return "infeasible", math.inf, None
         value = fun + surr.constant
         new = []
         for i in kelley.tolist():
-            j, q = builder.intervals[i]
-            phi = builder.deviation_poly(i)
+            j, q = interval_key(builder, i)
+            phi = deviation_poly(builder, i)
             y_col = builder.y_cols[i]
             y = z[y_col]
             dev = z[y_col + 1]
@@ -1929,9 +1947,9 @@ def relax_node_per_key(lp, node):
         lp.add_rows([builder.cut_rows(*new)])
         found.append(new)
     if found:
-        frame.tangents = bnb.Tangents(*map(np.concatenate, zip(*found)))
-    frame.end = lp.model.getNumRow()
-    return "optimal", value, z, frame
+        node.tangents = bnb.Tangents(*map(np.concatenate, zip(*found)))
+    node.end = lp.model.getNumRow()
+    return "optimal", value, z
 
 
 class TestKelleyEvaluation:
@@ -1942,7 +1960,7 @@ class TestKelleyEvaluation:
         rng = np.random.default_rng(5)
         for surr in [random_surrogate(seed) for seed in range(3)]:
             builder = bnb._LPBuilder(surr, 1e-4)
-            phis = [builder.deviation_poly(i) for i in range(len(builder.intervals))]
+            phis = [deviation_poly(builder, i) for i in range(len(builder.comp))]
             x = rng.uniform(-3.0, 3.0, size=(len(phis), 4))
             x[:, 0] = 0.0
             for table, poly in ((builder.phi, phis),
@@ -1989,14 +2007,14 @@ class TestKelleyEvaluation:
                 node = queue.pop(0)
                 seen += 1
                 hits = lp.kelley_cap_hits
-                status, value, z, frame = bnb.relax_node(lp, node)
+                status, value, z = bnb.relax_node(lp, node)
                 if status != "optimal":
                     continue
                 if lp.kelley_cap_hits == hits:
                     gain = 0.0
-                    for i in kelley[id(frame)].tolist():
-                        j, q = builder.intervals[i]
-                        phi = builder.deviation_poly(i)
+                    for i in kelley[id(node)].tolist():
+                        j, q = interval_key(builder, i)
+                        phi = deviation_poly(builder, i)
                         col = builder.y_cols[i]
                         y, dev, sp = z[col], z[col + 1], z[col + 2]
                         c0 = surr.components[j].piece.coeffs[q][0]
@@ -2008,9 +2026,9 @@ class TestKelleyEvaluation:
                         gain += (c0 + b) * y + a * dev - sp
                     assert gain <= builder.progress_tol * max(1.0, abs(value))
                     checked += 1
-                children = bnb._branch(builder, node, z, frame)
+                children = bnb._branch(builder, node, z)
                 if children:
-                    frame.basis = lp.model.getBasis()
+                    node.basis = lp.model.getBasis()
                     queue.extend(children)
         assert checked >= 1000
 
@@ -2063,7 +2081,7 @@ def solved_root(surr):
     """A fresh builder, and the root's LP point and its ``_SharedLP``."""
     builder = bnb._LPBuilder(surr, 1e-4)
     lp = bnb._SharedLP(builder)
-    status, _, z, _ = bnb.relax_node(lp, Node(0, builder.lower, builder.upper))
+    status, _, z = bnb.relax_node(lp, Node(0, builder.lower, builder.upper))
     assert status == "optimal"
     return builder, z, lp
 
@@ -2098,7 +2116,7 @@ class TestRootTightening:
                     col = builder.col_x[comp.var]
                     x = below[:, idx[comp.var]]
                     assert (lower[col] <= x).all() and (x <= upper[col]).all()
-                    y = builder.y_cols[builder.first[j] : builder.first[j] + comp.k]
+                    y = builder.y_cols[builder.span(j)]
                     live = upper[y] != 0.0
                     bp = comp.breakpoints
                     holds = (bp[:-1] <= x[:, None]) & (x[:, None] <= bp[1:])
@@ -2233,12 +2251,16 @@ class TestRootTightening:
             heappush(heap, item)
 
         monkeypatch.setattr(bnb.heapq, "heappush", spy_push)
-        report = solve(random_surrogate(258, k=8))
+        surr = random_surrogate(258, k=8)
+        report = solve(surr)
         assert report.status == "optimal" and report.tightening_lps == 4
         root, child = pushed[:2]
-        assert child.depth == 1 and child.parent.basis is not None
-        assert (child.lower >= root.lower).all() and (child.upper <= root.upper).all()
-        assert (child.upper < root.upper).any()
+        assert child.depth == 1 and child.parent is root and root.basis is not None
+        # the root's record holds its tightened box, which the child takes
+        assert child.lower is root.lower and child.upper is root.upper
+        box = bnb._LPBuilder(surr, 1e-4)
+        assert (child.lower >= box.lower).all() and (child.upper <= box.upper).all()
+        assert (child.upper < box.upper).any()
 
     def test_no_tightening_without_a_root_incumbent_or_an_open_gap(self):
         """A root that closes the search, or has no incumbent of its own

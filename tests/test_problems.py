@@ -486,6 +486,28 @@ class TestRunMissoc:
         assert ei.value.stage == "solve"
         assert isinstance(ei.value.cause, UnsupportedSurrogateError)
 
+    @pytest.mark.parametrize("shape, degrees, message", [
+        ("shape convex x;", 1, "convexity needs degree >= 2 on x"),
+        ("shape concave x;", (1, 3), "convexity needs degree >= 2 on x"),
+        ("shape monotone y up;", (3, 0), "monotonicity needs degree >= 1 on y"),
+    ], ids=["convex", "concave_per_covariate", "monotone"])
+    def test_shape_beyond_the_degree_rejected_before_sampling(
+        self, monkeypatch, shape, degrees, message
+    ):
+        from missoc import problems
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sample_training was called")
+
+        monkeypatch.setattr(problems, "sample_training", no_sampling)
+        inst = parse_instance(
+            f"var x in [0, 2]; var y in [0, 1]; min exp(x) - 3*x + y^2; {shape}"
+        )
+        with pytest.raises(problems.StageError, match=message) as ei:
+            problems.run_missoc(inst, self.small_cfg(degrees=degrees))
+        assert ei.value.stage == "fit"
+        assert isinstance(ei.value.cause, ValueError)
+
     @pytest.mark.parametrize("text", [
         "var x in [-inf, inf]; var y in [0, 1]; min x + y^2;",
         "var y in [0, 1]; var x in [0, inf] integer; min y^2 - 2*x;",

@@ -13,6 +13,7 @@ from missoc.regression import (
     block_slices,
     fit_additive,
     identifiability_penalty,
+    make_bases,
 )
 from missoc.shapecon import (
     CONCAVE,
@@ -22,6 +23,7 @@ from missoc.shapecon import (
     ConicProgram,
     InfeasibleSpecError,
     PointwiseSet,
+    ShapeFitConvergenceError,
     ShapeSpec,
     build_program,
     estimate_weights,
@@ -188,7 +190,7 @@ class TestBuildG:
         theta = rng.normal(size=basis.n_basis)
         for q, G in enumerate(self.bound_maps(basis)):
             coeffs = G @ theta
-            t_lo, t_hi = basis.knots.internal[q : q + 2]
+            t_lo, t_hi = basis.internal[q : q + 2]
             for x in np.linspace(t_lo, t_hi, 7)[:-1]:
                 want = basis.eval_all(x) @ theta
                 got = np.polynomial.polynomial.polyval(
@@ -608,6 +610,38 @@ class TestFitConstrained:
                 intervals=8,
                 spec=ShapeSpec(curvature={"x1": CONVEX}),
             )
+
+    def test_capped_conic_solve_raises_with_its_best_fit(self, monkeypatch):
+        """A conic solve stopped by its iteration cap raises
+        ``ShapeFitConvergenceError`` carrying its best iterate as a fit on
+        the spec's bases, and ``run_missoc`` reports it as the cause of the
+        fit stage's error."""
+        from missoc.problems import MissocConfig, StageError, parse_instance, run_missoc
+
+        solve = shapecon.solve_conic
+        monkeypatch.setattr(shapecon, "solve_conic",
+                            lambda prob, **kw: solve(prob, max_iter=3))
+        T = wiggly_training(np.random.default_rng(43), n=80)
+        spec = ShapeSpec(curvature={"x1": CONVEX}, monotone={"x1": INCREASING})
+        with pytest.raises(ShapeFitConvergenceError, match="no convergence") as ei:
+            fit_constrained(T, degrees=3, intervals=5, spec=spec)
+        best = ei.value.best_fit
+        want = make_bases(T, 3, 5)
+        assert [(b.label, b.degree) for b in best.bases] == [
+            (b.label, b.degree) for b in want
+        ]
+        for got, basis in zip(best.bases, want):
+            np.testing.assert_array_equal(got.internal, basis.internal)
+            np.testing.assert_array_equal(got.extended, basis.extended)
+        assert [c.shape for c in best.coefficients] == [(b.n_basis,) for b in want]
+        assert math.isfinite(best.intercept)
+        assert all(np.isfinite(c).all() for c in best.coefficients)
+
+        instance = parse_instance("var x in [0, 2]; min exp(x) - 3*x; shape convex x;")
+        with pytest.raises(StageError) as ei:
+            run_missoc(instance, MissocConfig(intervals=10))
+        assert ei.value.stage == "fit"
+        assert isinstance(ei.value.cause, ShapeFitConvergenceError)
 
     def test_pointwise_interpolation(self):
         rng = np.random.default_rng(42)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from missoc.splines import (
     BSplineBasis,
@@ -125,7 +125,7 @@ class TestBsplineValue:
     @pytest.mark.parametrize("d,k", [(1, 3), (2, 4), (3, 5), (5, 4), (7, 3)])
     def test_against_naive_recursion(self, d, k):
         basis = make_basis(0.0, float(k), k, d)
-        t = basis.knots.extended
+        t = basis.extended
         rng = np.random.default_rng(42)
         for x in rng.uniform(0.0, k, size=25):
             ours = basis.eval_all(x)
@@ -138,7 +138,7 @@ class TestBsplineValue:
         # uniform knots spacing 1, d=3: value at the support center of an
         # interior basis function, checked against the naive evaluator
         basis = make_basis(0.0, 8.0, 8, 3)
-        t = basis.knots.extended
+        t = basis.extended
         l = 5  # 1-based; support [t[4], t[8]] in the extended sequence
         center = 0.5 * (t[l - 1] + t[l + 3])
         assert bspline_value(l, basis, center) == pytest.approx(
@@ -158,7 +158,7 @@ class TestBsplineValue:
 
     def test_local_support(self):
         basis = make_basis(0.0, 6.0, 6, 2)
-        t = basis.knots.extended
+        t = basis.extended
         for l in range(1, basis.n_basis + 1):
             lo, hi = t[l - 1], t[l + basis.degree]
             for x in np.linspace(0.0, 6.0, 61):
@@ -205,8 +205,8 @@ class TestSegmentPolyCoeffs:
 
     def test_matches_evaluation(self):
         basis = make_basis(-1.0, 2.0, 5, 3)
-        t = basis.knots.internal
-        ext = basis.knots.extended
+        t = basis.internal
+        ext = basis.extended
         for ref in (0.0, t[:-1]):
             maps = segment_maps(basis, ref)
             for q in range(basis.k):
@@ -229,8 +229,8 @@ class TestSegmentPolyCoeffs:
         # as the one-function-at-a-time recursion does
         rng = np.random.default_rng(d)
         internal = np.cumsum(np.r_[-1.0, rng.uniform(0.05, 1.0, 9)])
-        basis = BSplineBasis(knots=extend_knots(internal, d))
-        t = basis.knots.extended
+        basis = extend_knots(internal, d)
+        t = basis.extended
         for ref in (0.0, internal[:-1]):
             maps = segment_maps(basis, ref)
             for q in range(basis.k):
@@ -269,7 +269,7 @@ class TestIntervalIndex:
         basis = make_basis(0.0, 1.0, 4, d)
         theta = rng.normal(size=basis.n_basis)
         pw = to_piecewise_poly(theta, basis)
-        for knot in basis.knots.internal:
+        for knot in basis.internal:
             assert pw(knot) == pytest.approx(
                 basis.eval_all(knot) @ theta, abs=1e-12
             )
@@ -321,6 +321,18 @@ def condition(stacked, lo, hi):
     return (np.abs(stacked) * r[:, None] ** np.arange(stacked.shape[1])).sum(axis=1)
 
 
+def underflow(stacked, lo, hi):
+    """Per row, a bound on the absolute error that gradual underflow adds to
+    an enclosure or a sampled value over [lo, hi] (Higham 2002, section
+    2.1: fl(x op y) = (x op y)(1 + d) + e with |e| <= 2^-1075): 2^-1074 per
+    rounding that ``bernstein_bounds`` and ``horner`` take at degree n
+    (the shift n(n+1), the scaling 2(n+1), the Bernstein map (n+1)(n+2),
+    Horner 2n), each scaled by at most (1 + |lo| + w)^n after it."""
+    n = stacked.shape[1] - 1
+    roundings = n * (n + 1) + 2 * (n + 1) + (n + 1) * (n + 2) + 2 * n
+    return roundings * 2.0**-1074 * (1.0 + np.abs(lo) + (hi - lo)) ** n
+
+
 class TestPolynomialToolkit:
     """``horner``, ``poly_der`` and ``bernstein_bounds`` on stacked,
     zero-padded rows, against ``np.polynomial``."""
@@ -354,6 +366,11 @@ class TestPolynomialToolkit:
 
     @given(stacked_rows(), st.floats(1e-3, 3.0))
     @settings(max_examples=150, deadline=None)
+    # subnormal rows: an enclosure below the largest sample, and a ramp whose
+    # top coefficient 5e-324 / 2 underflows to 0
+    @example(([np.array([0.0, 2.2250738585e-313])], np.array([[0.0, 2.2250738585e-313]]),
+              np.array([0.25])), 0.5)
+    @example(([np.array([0.0, 5e-324])], np.array([[0.0, 5e-324]]), np.array([0.0])), 2.0)
     def test_bernstein_bounds_enclose_samples_and_are_exact_at_the_ends(
         self, case, width
     ):
@@ -362,7 +379,7 @@ class TestPolynomialToolkit:
         low, high = bernstein_bounds(stacked, lo, hi)
         xs = lo[:, None] + width * np.linspace(0.0, 1.0, 257)
         vals = horner(stacked, xs)
-        tol = 1e-12 * condition(stacked, lo, hi)
+        tol = 1e-12 * condition(stacked, lo, hi) + underflow(stacked, lo, hi)
         assert (low <= vals.min(axis=1) + tol).all()
         assert (high >= vals.max(axis=1) - tol).all()
         # the first Bernstein coefficient is the value at lo, bit for bit
@@ -378,7 +395,7 @@ class TestPolynomialToolkit:
         ramp = taylor_shift(ramp, -lo)
         low, high = bernstein_bounds(ramp, lo, hi)
         ends = np.stack([stacked[:, 0], stacked[:, 0] + stacked[:, n]])
-        tol = 1e-12 * condition(ramp, lo, hi)
+        tol = 1e-12 * condition(ramp, lo, hi) + underflow(ramp, lo, hi)
         assert (np.abs(low - ends.min(axis=0)) <= tol).all()
         assert (np.abs(high - ends.max(axis=0)) <= tol).all()
 
@@ -483,9 +500,9 @@ class TestEvalMatrix:
         rng = np.random.default_rng(11)
         for d in (1, 2, 3, 5):
             basis = make_basis(-1.0, 2.0, 7, d, "x")
-            t = basis.knots.extended
+            t = basis.extended
             xs = rng.uniform(-1.0, 2.0, size=200)
-            xs[:4] = [-1.0, 2.0, 0.5, basis.knots.internal[3]]
+            xs[:4] = [-1.0, 2.0, 0.5, basis.internal[3]]
             got = basis.eval_matrix(xs)
             want = np.array(
                 [[naive_bspline(x, d, l, t) for l in range(basis.n_basis)]
