@@ -30,12 +30,12 @@ bisected) sets its y to 1 and fixes its component's other intervals off.
 The tables are built once per solve (``_LPBuilder``): the interval table
 (each interval's component, x column, knots and degree), the rows every
 node LP holds as row-wise arrays (the fixed rows, then every interval's cut
-block on its full range, one ``interval_cuts`` call per component), the
-root's bounds, its convexity flags and the Kelley tables. Separability
-means a child's relaxation differs from its parent's only in the deviation
-ranges its branching narrowed, so a node computes the cut block and the
-convexity flag of just those intervals and inherits every other flag from
-its parent.
+block on its full range, in interval order, from one ``interval_cuts`` call
+per degree), the root's bounds, its convexity flags and the Kelley tables.
+Separability means a child's relaxation differs from its parent's only in
+the deviation ranges its branching narrowed, so a node computes the cut
+block and the convexity flag of just those intervals and inherits every
+other flag from its parent.
 
 Once the root is solved, and only when its LP point gave an incumbent and
 the gap is still open, the root's box is tightened against that incumbent
@@ -43,17 +43,20 @@ the gap is still open, the root's box is tightened against that incumbent
 Sahinidis 1996, and Gleixner, Berthold, Müller & Weltge 2017;
 ``_tighten_root``). The shared model gets one cutoff row
 ``obj·z <= ub - constant`` and zero costs, and then minimises and maximises
-each component's x column, 2p LPs warm-started one from the other; the row
-is deleted and the costs restored afterwards. Each result, widened by
-FRAC_TOL relative (integer columns then rounded inward), becomes a bound of
-the root's box, which the root's record takes, and every interval wholly
-outside the box is fixed off. Every point of the relaxation that could beat
-the incumbent stays inside, so the bound stays sound; a tightening LP that
-is infeasible shows that no point can, and the root closes at the
-incumbent. The root's LP point is
-then branched on the tightened bounds, and the children start from the
-root's basis as read before the tightening. ``SolveReport.tightening_lps``
-counts these LPs, which ``lp_solves`` also holds.
+each component's x column: 2p LPs that differ from the root's only in their
+costs, so each starts from the root's optimal basis, which stays primal
+feasible, by primal simplex. The row is deleted, the costs restored and
+dual simplex set again afterwards, so node LPs always run dual. Each
+result, widened by FRAC_TOL relative (integer columns then rounded inward),
+becomes a bound of the root's box, which the root's record takes, and every
+interval wholly outside the box is fixed off. Every point of the relaxation
+that could beat the incumbent stays inside, so the bound stays sound; a
+tightening LP that is infeasible shows that no point can, and the root
+closes at the incumbent. The root's LP point is then branched on the
+tightened bounds, and the children start from the root's basis as read
+before the tightening. ``SolveReport.tightening_lps`` counts these LPs,
+which ``lp_solves`` also holds, and ``tightening_iterations`` their simplex
+iterations, which ``simplex_iterations`` also holds.
 
 Every node LP is solved on one HiGHS model per solve (``_SharedLP``;
 Achterberg 2007), passed once through the numpy ``passModel`` of scipy's
@@ -90,6 +93,8 @@ from .surrogate import SurrogateMINLP, eval_surrogate_at
 FRAC_TOL = 1e-6
 PRUNE_TOL = 1e-9
 KELLEY_CAP = 12  # LP solves per node relaxation
+DUAL = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+PRIMAL = highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal
 
 
 class UnsupportedSurrogateError(ValueError):
@@ -233,7 +238,8 @@ class SolveReport:
     lp_solves: int = 0  # node and tightening LPs
     tightening_lps: int = 0  # the root's bound-tightening LPs
     kelley_cap_hits: int = 0  # node LPs stopped by KELLEY_CAP, not the gap
-    simplex_iterations: int = 0  # HiGHS simplex iterations over all node LPs
+    simplex_iterations: int = 0  # HiGHS simplex iterations over all LPs
+    tightening_iterations: int = 0  # those of the tightening LPs
     log: list = field(default_factory=list)  # write_log_csv's rows
 
     def csv_row(self) -> str:
@@ -347,25 +353,29 @@ class _LPBuilder:
         size = max([c.shape[1] for c in coeffs], default=1)
         self.phi = np.zeros((n, size))
         self.dphi = np.zeros((n, size))
-        # every interval's cut block on its full range, the default block:
-        # one ``interval_cuts`` call per component
-        self.convex = np.zeros(n, dtype=bool)
         for j, c in enumerate(coeffs):
-            phi = c.copy()
-            phi[:, 0] = 0.0
-            der = poly_der(phi)
-            i = self.span(j)
-            self.phi[i, : phi.shape[1]] = phi
-            self.dphi[i, : der.shape[1]] = der
-            row, a, b, convex = interval_cuts(phi, np.zeros(len(c)), self.widths[i])
-            blocks.append(self.cut_rows(i.start + row, a, b))
-            self.convex[i] = convex
+            self.phi[self.span(j), : c.shape[1]] = c
+        self.phi[:, 0] = 0.0
+        der = poly_der(self.phi)
+        self.dphi[:, : der.shape[1]] = der
+        # every interval's cut block on its full range, the default block:
+        # one ``interval_cuts`` call per degree, its rows then put back in
+        # interval order
+        self.convex = np.zeros(n, dtype=bool)
+        stacks = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))]
+        for d in np.unique(self.degree).tolist():
+            i = np.flatnonzero(self.degree == d)
+            row, a, b, self.convex[i] = interval_cuts(self.phi[i, : d + 1],
+                                                      np.zeros(len(i)), self.widths[i])
+            stacks.append((i[row], a, b))
+        cut_index, a, b = (np.concatenate(v) for v in zip(*stacks))
+        order = np.argsort(cut_index, kind="stable")
+        blocks.append(self.cut_rows(cut_index[order], a[order], b[order]))
         # every node LP's rows, the fixed rows and then the default blocks in
         # interval order, as (lower, upper, starts, index, value) arrays
-        cuts = sum(len(c) for c, _, _ in blocks[1:])
         self.fixed = (
-            np.concatenate([lower, np.full(cuts, -np.inf)]),
-            np.concatenate([upper, np.zeros(cuts)]),
+            np.concatenate([lower, np.full(len(order), -np.inf)]),
+            np.concatenate([upper, np.zeros(len(order))]),
             *_row_arrays(blocks),
         )
 
@@ -407,6 +417,7 @@ class _SharedLP:
         self.tightening_lps = 0
         self.kelley_cap_hits = 0
         self.simplex_iterations = 0
+        self.tightening_iterations = 0
         # the column bounds set, the nodes whose rows the model holds, and
         # the node whose final basis HiGHS holds (None when no node's)
         self.lower, self.upper = builder.lower, builder.upper
@@ -418,8 +429,7 @@ class _SharedLP:
         self._check(self.model.setOptionValue("output_flag", False),
                     "setOptionValue")
         # dual simplex, the strategy scipy's method="highs" LP solves use
-        dual = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-        self._check(self.model.setOptionValue("simplex_strategy", dual),
+        self._check(self.model.setOptionValue("simplex_strategy", DUAL),
                     "setOptionValue")
         self._check(self.model.passModel(
             builder.ncols, len(lower), len(index),
@@ -654,11 +664,14 @@ def _tighten_root(lp: _SharedLP, ub: float):
     interval wholly outside that box fixed off; None when no such point
     exists. On the shared model, with one cutoff row ``obj·z <= ub -
     constant`` added and the costs zeroed, it minimises and maximises each
-    component's x column: 2p LPs, each started from the basis the last one
-    left. Each result is widened by FRAC_TOL relative, integer columns are
-    rounded inward, and a bound whose LP ends neither optimal nor
-    infeasible stays as it was. The cutoff row is deleted and the costs
-    restored when it is done."""
+    component's x column: 2p LPs that differ from the root's LP only in
+    their costs, so the root's optimal basis (the cutoff row's slack basic,
+    as the root's point meets the row) is primal feasible for each, and
+    each starts from it by primal simplex. Each result is widened by
+    FRAC_TOL relative, integer columns are rounded inward, and a bound
+    whose LP ends neither optimal nor infeasible stays as it was. The
+    cutoff row is deleted, the costs restored and dual simplex set again
+    when it is done."""
     builder, model, ncols = lp.builder, lp.model, lp.builder.ncols
     cols = np.flatnonzero(builder.obj).astype(np.int32)
     cutoff = np.array([model.getNumRow()], dtype=np.int32)
@@ -666,13 +679,17 @@ def _tighten_root(lp: _SharedLP, ub: float):
                            cols, builder.obj[cols]), "addRow")
     lp._check(model.changeColsCost(ncols, lp.cols, np.zeros(ncols)), "changeColsCost")
     lp.warm = None  # the tightening LPs leave no node's basis
+    start = model.getBasis()
     lower, upper = lp.lower.copy(), lp.upper.copy()
     integer = set(builder.int_cols.tolist())
+    iterations = lp.simplex_iterations
     try:
+        lp._check(model.setOptionValue("simplex_strategy", PRIMAL), "setOptionValue")
         # each component's x column, in component order
         for col in dict.fromkeys(builder.x_col.tolist()):
             for sense in (1.0, -1.0):
                 lp._check(model.changeColCost(col, sense), "changeColCost")
+                lp._check(model.setBasis(start), "setBasis")
                 lp.tightening_lps += 1
                 try:
                     # the value is read here: resetting the cost zeroes it
@@ -693,6 +710,8 @@ def _tighten_root(lp: _SharedLP, ub: float):
                 else:
                     upper[col] = min(upper[col], v)
     finally:
+        lp.tightening_iterations += lp.simplex_iterations - iterations
+        lp._check(model.setOptionValue("simplex_strategy", DUAL), "setOptionValue")
         lp._check(model.deleteRows(1, cutoff), "deleteRows")
         lp._check(model.changeColsCost(ncols, lp.cols, builder.obj), "changeColsCost")
     if (lower[: builder.nv] > upper[: builder.nv]).any():
@@ -874,6 +893,7 @@ def solve(
         tightening_lps=lp.tightening_lps,
         kelley_cap_hits=lp.kelley_cap_hits,
         simplex_iterations=lp.simplex_iterations,
+        tightening_iterations=lp.tightening_iterations,
         log=log,
     )
 

@@ -130,6 +130,7 @@ def _print_solver(report) -> None:
     print(f"LP solves     {report.lp_solves}")
     print(f"simplex iters {report.simplex_iterations}")
     print(f"tighten LPs   {report.tightening_lps}")
+    print(f"tighten iters {report.tightening_iterations}")
     print(f"Kelley caps   {report.kelley_cap_hits}")
 
 

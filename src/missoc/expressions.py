@@ -330,6 +330,10 @@ def evaluate_block(expr: Expr, env: dict[str, np.ndarray]):
 
     def elementwise(fn, *args):
         columns = [np.broadcast_to(a, shape).ravel().tolist() for a in args]
+        try:
+            return np.array(list(map(fn, *columns)), dtype=float).reshape(shape)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
         out = []
         for i, xs in enumerate(zip(*columns)):
             try:
@@ -339,9 +343,19 @@ def evaluate_block(expr: Expr, env: dict[str, np.ndarray]):
                 bad_flat[i] = True
         return np.array(out).reshape(shape)
 
-    # + - * / as array ops; ^ and the functions element by element
+    def power(a, b):
+        # _power's refusal, array-wise: a negative base with an exponent that
+        # is not a finite integer (int(b) raises on inf and NaN); NaN there
+        refused = np.less(a, 0.0) & ~(np.isfinite(b) & (np.floor(b) == b))
+        np.logical_or(bad, refused, out=bad)
+        values = elementwise(operator.pow, np.where(refused, 1.0, a), b)
+        values[np.broadcast_to(refused, shape)] = math.nan
+        return values
+
+    # + - * / as array ops; ^ and the functions element by element, in one
+    # map unless a call raises
     ops = {**{op: functools.partial(elementwise, fn) for op, fn in _FLOAT_OPS.items()},
-           **_OPS, "/": divide}
+           **_OPS, "/": divide, "^": power}
     with np.errstate(all="ignore"):
         values = np.broadcast_to(_forward(expr.tape, env, ops)[-1], shape).copy()
     return values, bad

@@ -1042,9 +1042,9 @@ class TestNodeLP:
 
     def test_child_computes_cuts_only_for_its_overrides(self, monkeypatch):
         """The cut blocks of every interval's full range come from one
-        ``interval_cuts`` call per component when the builder is made; a
-        node below computes cuts only for the ranges it narrows, and an
-        interval it fixes off needs none."""
+        ``interval_cuts`` call per degree when the builder is made; a node
+        below computes cuts only for the ranges it narrows, and an interval
+        it fixes off needs none."""
         surr = random_surrogate(1)
         calls = []
         cuts = bnb.interval_cuts
@@ -1056,10 +1056,10 @@ class TestNodeLP:
 
         monkeypatch.setattr(bnb, "interval_cuts", spy)
         builder = bnb._LPBuilder(surr, 1e-4)
-        assert calls == [
-            ((comp.k, 4), [0.0] * comp.k, list(comp.widths))
-            for comp in surr.components
-        ]
+        assert {comp.degree for comp in surr.components} == {3}
+        n = sum(comp.k for comp in surr.components)
+        widths = [w for comp in surr.components for w in comp.widths]
+        assert calls == [((n, 4), [0.0] * n, widths)]
         calls.clear()
         lp = bnb._SharedLP(builder)
         root = dict_node(builder)
@@ -1098,6 +1098,38 @@ class TestNodeLP:
         # narrowed ranges whose flag is not the full range's occur
         assert narrowed >= 20 and flipped >= 1
 
+    @staticmethod
+    def assert_default_blocks_equal_one_row_calls(builder):
+        """The builder's default cut blocks, closing ``builder.fixed``, and
+        its convexity flags equal one-row ``interval_cuts`` calls on each
+        interval's full range, interval after interval, bit for bit."""
+        blocks = []
+        for j, comp in enumerate(builder.surr.components):
+            for q in range(comp.k):
+                phi = comp.piece.coeffs[q].copy()
+                phi[0] = 0.0
+                cuts, convex_there = one_row_cuts(phi, 0.0, comp.widths[q])
+                a, b = np.array(cuts).T
+                i = builder.span(j).start + q
+                assert builder.convex[i] == convex_there
+                blocks.append(builder.cut_rows(np.full(len(a), i), a, b))
+        counts, index, value = (np.concatenate(p) for p in zip(*blocks))
+        starts, got_index, got_value = builder.fixed[2:]
+        first = len(starts) - 1 - len(counts)
+        np.testing.assert_array_equal(np.diff(starts)[first:], counts)
+        np.testing.assert_array_equal(got_index[starts[first]:], index)
+        assert bits(got_value[starts[first]:]) == bits(value)
+
+    def test_default_blocks_of_mixed_degrees_keep_interval_order(self):
+        """Integer covariates lifted over their integer points (degree 1)
+        between continuous ones (degree 3): the default blocks, one
+        ``interval_cuts`` call per degree, come out in interval order with
+        the bits of one-row calls."""
+        surr = surrogate_for(parse_instance(INT_COUPLED), intervals=8)
+        degrees = [comp.degree for comp in surr.components]
+        assert degrees == [3, 1] * 3
+        self.assert_default_blocks_equal_one_row_calls(bnb._LPBuilder(surr, 1e-4))
+
     def test_interval_cuts_cache_is_per_builder(self):
         # same boxes and knots, so both builders have the same intervals
         # and ranges; each takes its default cut blocks and root flags from
@@ -1106,22 +1138,7 @@ class TestNodeLP:
         convex = surrogate_for(parse_instance(CONVEX_2D), intervals=8)
         for surr in (wavy, convex, wavy):
             builder = bnb._LPBuilder(surr, 1e-4)
-            blocks = []
-            for j, comp in enumerate(surr.components):
-                for q in range(comp.k):
-                    phi = comp.piece.coeffs[q].copy()
-                    phi[0] = 0.0
-                    cuts, convex_there = one_row_cuts(phi, 0.0, comp.widths[q])
-                    a, b = np.array(cuts).T
-                    i = builder.span(j).start + q
-                    assert builder.convex[i] == convex_there
-                    blocks.append(builder.cut_rows(np.full(len(a), i), a, b))
-            counts, index, value = (np.concatenate(p) for p in zip(*blocks))
-            starts, got_index, got_value = builder.fixed[2:]
-            first = len(starts) - 1 - len(counts)
-            np.testing.assert_array_equal(np.diff(starts)[first:], counts)
-            np.testing.assert_array_equal(got_index[starts[first]:], index)
-            np.testing.assert_array_equal(got_value[starts[first]:], value)
+            self.assert_default_blocks_equal_one_row_calls(builder)
             # the root takes the builder's flags
             lp = bnb._SharedLP(builder)
             root = dict_node(builder)
@@ -1787,20 +1804,32 @@ class TestNodeLPSolve:
 class TestWarmStart:
     @staticmethod
     def count_basis_reads(monkeypatch):
-        """Every ``getBasis`` the solver makes, as the list it returns."""
+        """Every ``getBasis`` the solver makes, as the list it returns: True
+        for a read inside ``_tighten_root``, else False."""
         reads = []
+        inside = []
+        tighten = bnb._tighten_root
 
         class Stub(bnb.highs._Highs):
             def getBasis(self):
-                reads.append(1)
+                reads.append(bool(inside))
                 return super().getBasis()
 
+        def flagged(*args):
+            inside.append(True)
+            try:
+                return tighten(*args)
+            finally:
+                inside.clear()
+
         monkeypatch.setattr(bnb.highs, "_Highs", Stub)
+        monkeypatch.setattr(bnb, "_tighten_root", flagged)
         return reads
 
     def test_basis_read_once_per_branching_node(self, monkeypatch):
         """Only a node that branches reads its final basis, once for both
-        children; a pruned or exact node does not."""
+        children; a pruned or exact node does not. A tightened root also
+        reads its start basis for the tightening LPs, once."""
         reads = self.count_basis_reads(monkeypatch)
         pushes = []
         heappush = bnb.heapq.heappush
@@ -1810,17 +1839,21 @@ class TestWarmStart:
             heappush(heap, item)
 
         monkeypatch.setattr(bnb.heapq, "heappush", spy_push)
-        nodes = branched = 0
+        nodes = branched = tightened = 0
         for surr in [shipped_surrogate(name) for name in SHIPPED] + coupled_surrogates():
             reads.clear()
             pushes.clear()
-            nodes += solve(surr).nodes
+            report = solve(surr)
+            nodes += report.nodes
             parents = {id(node.parent) for node in pushes[1:]}
-            assert len(reads) == len(parents)
+            node_reads = reads.count(False)
+            assert reads.count(True) == (report.tightening_lps > 0)
+            assert node_reads == len(parents)
             assert all(node.parent.basis is not None for node in pushes[1:])
-            assert 2 * len(reads) == len(pushes) - 1  # the root is pushed too
-            branched += len(reads)
-        assert 0 < branched < nodes
+            assert 2 * node_reads == len(pushes) - 1  # the root is pushed too
+            branched += node_reads
+            tightened += reads.count(True)
+        assert 0 < branched < nodes and tightened >= 1
 
     def test_warm_first_lp_matches_cold(self, monkeypatch):
         """On full trees, each node's first LP, started from the basis
@@ -2077,6 +2110,52 @@ def surrogate_grid(surr, n=201):
     return points, value, feasible
 
 
+def tighten_root_reference(lp, ub):
+    """``bnb._tighten_root`` as it was first written: the same cutoff row,
+    zero costs and 2p LPs, by dual simplex, each from the basis the last
+    one left; the reference for the box the primal start gives."""
+    builder, model, ncols = lp.builder, lp.model, lp.builder.ncols
+    cols = np.flatnonzero(builder.obj).astype(np.int32)
+    cutoff = np.array([model.getNumRow()], dtype=np.int32)
+    model.addRow(-np.inf, ub - builder.surr.constant, len(cols), cols,
+                 builder.obj[cols])
+    model.changeColsCost(ncols, lp.cols, np.zeros(ncols))
+    lp.warm = None
+    lower, upper = lp.lower.copy(), lp.upper.copy()
+    integer = set(builder.int_cols.tolist())
+    try:
+        for col in dict.fromkeys(builder.x_col.tolist()):
+            for sense in (1.0, -1.0):
+                model.changeColCost(col, sense)
+                try:
+                    status, value, _ = lp.solve()
+                except bnb.LPError:
+                    status = "unsettled"
+                model.changeColCost(col, 0.0)
+                if status == "infeasible":
+                    return None
+                if status != "optimal":
+                    continue
+                v = sense * value
+                v -= sense * bnb.FRAC_TOL * max(1.0, abs(v))
+                if col in integer:
+                    v = (math.ceil(v - bnb.FRAC_TOL) if sense > 0
+                         else math.floor(v + bnb.FRAC_TOL))
+                if sense > 0:
+                    lower[col] = max(lower[col], v)
+                else:
+                    upper[col] = min(upper[col], v)
+    finally:
+        model.deleteRows(1, cutoff)
+        model.changeColsCost(ncols, lp.cols, builder.obj)
+    if (lower[: builder.nv] > upper[: builder.nv]).any():
+        return None
+    out = (builder.right < lower[builder.x_col]) | (builder.left > upper[builder.x_col])
+    for col in builder.y_cols[out].tolist():
+        lower[col : col + 3] = upper[col : col + 3] = 0.0
+    return lower, upper
+
+
 def solved_root(surr):
     """A fresh builder, and the root's LP point and its ``_SharedLP``."""
     builder = bnb._LPBuilder(surr, 1e-4)
@@ -2127,6 +2206,83 @@ class TestRootTightening:
                 checked += len(below)
         assert checked >= 2000 and narrowed >= 100 and fixed_off >= 400
 
+    def test_box_equals_the_dual_warm_chain(self):
+        """Primal simplex from the root's basis gives the box of the dual
+        warm chain it replaced, within 1e-9 relative, with the same
+        intervals fixed off. The cutoffs are a value 5% above the root
+        incumbent, and the root incumbent where the root's gap is open, as
+        when ``solve`` tightens. (Where the gap is closed, the cutoff
+        leaves a sliver as thin as HiGHS's feasibility tolerance, and the
+        two paths end up to 1.5e-7 apart.)"""
+        surrs = [random_surrogate(seed, k) for seed in range(10) for k in (4, 8)]
+        surrs += [shipped_surrogate(name) for name in SHIPPED]
+        compared = narrowed = 0
+        for surr in surrs:
+            builder, z, lp = solved_root(surr)
+            root = bnb._try_incumbent(builder, z)
+            if root is None:
+                continue
+            lb = lp.model.getObjectiveValue() + surr.constant
+            cutoffs = [root[0] + 0.05 * max(1.0, abs(root[0]))]
+            if bnb.optimality_gap(root[0], lb) > 100.0 * 1e-4:
+                cutoffs.append(root[0])
+            for ub in cutoffs:
+                got = bnb._tighten_root(solved_root(surr)[2], ub)
+                want = tighten_root_reference(solved_root(surr)[2], ub)
+                assert (got is None) == (want is None)
+                if got is None:
+                    continue
+                y = builder.y_cols
+                for have, ref in zip(got, want):
+                    np.testing.assert_allclose(have, ref, rtol=1e-9, atol=1e-9)
+                    assert bits(have[y]) == bits(ref[y])
+                narrowed += int((want[0] > builder.lower).sum()
+                                + (want[1] < builder.upper).sum())
+                compared += 1
+        assert compared >= 25 and narrowed >= 100
+
+    @pytest.mark.parametrize("outcome", ["solved", "unsettled", "infeasible", "raises"])
+    def test_dual_strategy_and_node_costs_come_back(self, monkeypatch, outcome):
+        """Node LPs never run primal: after the tightening, whether its LPs
+        were solved, raised ``LPError`` (the bound kept), were infeasible
+        (the root closed) or raised an error that leaves the tightening, the
+        model is back to dual simplex with the node costs and rows."""
+        surr = surrogate_for(parse_instance(SPATIAL_6D), intervals=10)
+        builder, _, lp = solved_root(surr)
+        rows = lp.model.getNumRow()
+        lp_solve = bnb._SharedLP.solve
+
+        def stub(model):
+            got = lp_solve(model)
+            if outcome == "unsettled":
+                raise bnb.LPError("node LP ended with HiGHS model status kTimeLimit")
+            if outcome == "infeasible":
+                return "infeasible", math.inf, None
+            if outcome == "raises":
+                raise RuntimeError("interrupted")
+            return got
+
+        monkeypatch.setattr(bnb._SharedLP, "solve", stub)
+        if outcome == "raises":
+            with pytest.raises(RuntimeError):
+                bnb._tighten_root(lp, 0.0)
+        else:
+            bnb._tighten_root(lp, 0.0)
+        assert lp.tightening_lps >= 1 and lp.tightening_iterations > 0
+        assert lp.model.getOptionValue("simplex_strategy")[1] == int(bnb.DUAL)
+        assert bits(lp.model.getLp().col_cost_) == bits(builder.obj)
+        assert lp.model.getNumRow() == rows
+
+    def test_tightening_writes_nothing(self, capfd):
+        """With ``output_flag`` off, the primal tightening LPs print nothing
+        to standard output or error, on waves2 and on a random surrogate
+        whose root is tightened."""
+        surrs = [shipped_surrogate("waves2"), random_surrogate(258, k=8)]
+        capfd.readouterr()
+        for surr in surrs:
+            assert solve(surr).tightening_lps > 0
+        assert capfd.readouterr() == ("", "")
+
     def test_tightening_leaves_the_shared_model_as_it_was(self):
         """The cutoff row is deleted and the costs are restored, so the
         root's children are applied to the model the root left; only
@@ -2157,6 +2313,7 @@ class TestRootTightening:
         assert report.status == "optimal" and report.nodes <= 5
         assert report.tightening_lps == 2 * len(surr.components)
         assert report.lp_solves >= report.nodes + report.tightening_lps
+        assert 0 < report.tightening_iterations < report.simplex_iterations
         tighten = bnb._tighten_root
 
         def untightened(lp, ub):
@@ -2269,3 +2426,4 @@ class TestRootTightening:
         assert closed.nodes == 1 and closed.tightening_lps == 0
         coupled = solve(surrogate_for(parse_instance(INT_COUPLED), intervals=8))
         assert coupled.nodes > 1 and coupled.tightening_lps == 0
+        assert closed.tightening_iterations == coupled.tightening_iterations == 0

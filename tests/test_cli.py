@@ -97,6 +97,7 @@ class TestSolve:
         assert "status        optimal" in out
         assert re.search(r"^LP solves     [1-9]\d*$", out, re.M)
         assert re.search(r"^tighten LPs   \d+$", out, re.M)
+        assert re.search(r"^tighten iters \d+$", out, re.M)
         assert re.search(r"^Kelley caps   \d+$", out, re.M)
         assert log.read_text().startswith("node,depth,lb,ub,gap_pct")
         lines = summary.read_text().splitlines()
@@ -136,6 +137,7 @@ class TestRun:
         assert "t[refine" in text
         assert re.search(r"^LP solves     [1-9]\d*$", text, re.M)
         assert re.search(r"^tighten LPs   \d+$", text, re.M)
+        assert re.search(r"^tighten iters \d+$", text, re.M)
         assert re.search(r"^Kelley caps   \d+$", text, re.M)
         lines = out.read_text().splitlines()
         assert lines[0].startswith("instance,stage,")
@@ -159,11 +161,14 @@ class TestWorkDone:
 
     def test_prints_tightening_lps(self, capsys):
         """waves2's root has an incumbent and an open gap, so it solves
-        min and max of both covariates against it: four LPs."""
+        min and max of both covariates against it: four LPs, whose simplex
+        iterations are some of the solve's."""
         path = pathlib.Path(problems.__file__).parent / "instances" / "waves2.miss"
         assert main(["solve", str(path)]) == 0
         out = capsys.readouterr().out
         assert re.search(r"^tighten LPs   4$", out, re.M)
+        tightening = int(re.search(r"^tighten iters ([1-9]\d*)$", out, re.M)[1])
+        assert tightening < int(re.search(r"^simplex iters (\d+)$", out, re.M)[1])
 
 
 def run_command(*argv):

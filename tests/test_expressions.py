@@ -409,6 +409,25 @@ class TestEvaluateBlock:
         np.testing.assert_array_equal(bad, want_bad)
         np.testing.assert_array_equal(values[~bad], want[~want_bad])
 
+    @pytest.mark.parametrize("x, y, rejected", [
+        # a negative base with an infinite or NaN exponent (int(b) raises)
+        ([-2.0, -2.0, -2.0, -0.5, 2.0, 2.0, -0.0],
+         [math.inf, -math.inf, math.nan, math.nan, math.inf, math.nan, math.inf],
+         [True, True, True, True, False, False, False]),
+        # 0.0 ^ -1
+        ([0.0, -0.0, 0.0, 3.0], [-1.0, -1.0, 2.0, -1.0], [True, True, False, False]),
+        # an overflowing power
+        ([10.0, -10.0, 1e300, -2.0], [400.0, 401.0, 2.0, 3.0], [True, True, True, False]),
+    ])
+    def test_power_mask_and_values_equal_evaluate(self, x, y, rejected):
+        e = parse_expr("x^y + sqrt(x^2)")
+        env = {"x": np.array(x), "y": np.array(y)}
+        values, bad = evaluate_block(e, env)
+        want, want_bad = reference_block(e, env)
+        np.testing.assert_array_equal(want_bad, rejected)
+        np.testing.assert_array_equal(bad, want_bad)
+        np.testing.assert_array_equal(values, want)
+
     def test_constant_subtree_raising_marks_every_point(self):
         values, bad = evaluate_block(
             parse_expr("x + log(0 - 1)"), {"x": np.array([1.0, 2.0])}
