@@ -1,11 +1,15 @@
 """Local refinement of the surrogate solution on the original problem.
 
-With integer variables frozen at their surrogate values, the remaining
-continuous NLP is solved to local stationarity by an augmented-Lagrangian
-outer loop around a box-projected quasi-Newton inner solve. Each merit call
-takes every tree's value and gradient from one forward pass and one reverse
-sweep over its tape. If the start is feasible and no improving feasible
-iterate appears, the start is returned unchanged.
+``check_solvable`` rejects every non-affine original constraint before
+sampling, so with the integer variables frozen at their surrogate values
+refinement minimises the original objective over a polytope. That is one
+SLSQP call over the continuous coordinates, with the boxes as bounds and
+the constraints as linear rows. SLSQP linearises the constraints in its QP
+subproblems, which is exact for linear rows, so its iterates stay on the
+polytope up to rounding and refine never reports an infeasible point's
+objective as a gain. Each objective call takes the value and gradient from
+one forward pass and one reverse sweep over its tape. A feasible start is
+never worsened.
 """
 
 from __future__ import annotations
@@ -18,12 +22,10 @@ import scipy.optimize
 
 # evaluate is not called here: the benchmark tracer counts calls through
 # localsearch.evaluate until the in-program trace replaces it (ROADMAP item 1)
-from .expressions import evaluate, gradient  # noqa: F401
+from .expressions import decompose_affine, evaluate, gradient  # noqa: F401
 
 INT_TOL = 1e-9
-FEAS_TOL = 1e-6
-MAX_OUTER = 20  # augmented-Lagrangian multiplier updates
-GRAD_TOL = 1e-8  # projected-gradient tolerance of each inner solve
+FEAS_TOL = 1e-9
 
 
 @dataclass
@@ -42,12 +44,42 @@ def _max_violation(instance, raw) -> float:
     return float(np.max(viols, initial=0.0))
 
 
+def _linear_rows(instance, x, free) -> list:
+    """The constraints as rows over the free coordinates, the other
+    coordinates of x folded into the constants: one LinearConstraint for
+    the "<=" rows and one for the "=" rows (scipy warns when one object
+    mixes the two)."""
+    col = instance.var_index()
+    fixed = np.ones(len(x), dtype=bool)
+    fixed[free] = False
+    rows = {"<=": ([], []), "=": ([], [])}  # relation: (A rows, -constant)
+    for m, con in enumerate(instance.constraints):
+        aff = decompose_affine(con.expr)
+        if aff is None:
+            raise ValueError(
+                f"constraint {m} is not affine; refine takes affine "
+                "constraints only"
+            )
+        const, coeffs = aff
+        a = np.zeros(len(x))
+        for name, c in coeffs.items():
+            a[col[name]] += c
+        rows[con.relation][0].append(a[free])
+        rows[con.relation][1].append(-(const + a[fixed] @ x[fixed]))
+    return [
+        scipy.optimize.LinearConstraint(
+            np.array(a), -np.inf if rel == "<=" else np.array(b), np.array(b)
+        )
+        for rel, (a, b) in rows.items() if a
+    ]
+
+
 def refine(instance, x_tilde) -> RefineResult:
     """Refine a candidate on the original instance.
 
     Integer coordinates never move; continuous coordinates stay inside
     their boxes. Raises ValueError when the start violates a box or is not
-    integral on the integer set.
+    integral on the integer set, or when a constraint is not affine.
     """
     x_tilde = np.asarray(x_tilde, dtype=float).ravel()
     variables = instance.variables
@@ -66,7 +98,7 @@ def refine(instance, x_tilde) -> RefineResult:
             )
 
     free = [j for j, v in enumerate(variables) if not v.integer]
-    names = [v.name for v in variables]
+    constraints = _linear_rows(instance, x_tilde, free)
     start_obj = instance.objective_value(x_tilde)
     start_viol = _max_violation(instance, instance.constraint_values(x_tilde))
 
@@ -79,107 +111,49 @@ def refine(instance, x_tilde) -> RefineResult:
             converged=start_viol <= FEAS_TOL,
         )
 
-    free_names = [names[j] for j in free]
-    bounds = [
-        (max(variables[j].lower, -1e12), min(variables[j].upper, 1e12))
-        for j in free
-    ]
-    cons = instance.constraints
-    lam = np.zeros(len(cons))
-    mu = 10.0
+    free_names = [variables[j].name for j in free]
+    lower = np.array([variables[j].lower for j in free])
+    upper = np.array([variables[j].upper for j in free])
 
     def full_x(xf):
         x = x_tilde.copy()
         x[free] = xf
         return x
 
-    def merit_and_grad(xf):
-        env = instance.env(full_x(xf))
+    def objective_and_grad(xf):
         try:
-            val, g_obj = gradient(instance.objective, env, free_names)
+            val, grad = gradient(instance.objective, instance.env(full_x(xf)),
+                                 free_names)
         except (ValueError, ZeroDivisionError, OverflowError):
             return 1e30, np.zeros(len(free))
-        grad = np.array([g_obj[nm] for nm in free_names])
-        for m, con in enumerate(cons):
-            try:
-                gm, gg = gradient(con.expr, env, free_names)
-            except (ValueError, ZeroDivisionError, OverflowError):
-                return 1e30, np.zeros(len(free))
-            gvec = np.array([gg[nm] for nm in free_names])
-            if con.relation == "=":
-                val += lam[m] * gm + 0.5 * mu * gm * gm
-                grad += (lam[m] + mu * gm) * gvec
-            else:
-                t = lam[m] + mu * gm
-                if t > 0:
-                    val += (t * t - lam[m] * lam[m]) / (2.0 * mu)
-                    grad += t * gvec
-                else:
-                    val -= lam[m] * lam[m] / (2.0 * mu)
         if not math.isfinite(val):
             return 1e30, np.zeros(len(free))
-        return val, grad
+        return val, np.array([grad[nm] for nm in free_names])
 
-    xf = x_tilde[free].copy()
-    best_feasible = None  # (objective, x)
-    best_violation = (start_viol, x_tilde.copy())
+    res = scipy.optimize.minimize(
+        objective_and_grad,
+        x_tilde[free],
+        jac=True,
+        method="SLSQP",
+        bounds=scipy.optimize.Bounds(lower, upper),
+        constraints=constraints,
+        options={"maxiter": 500, "ftol": 1e-12},
+    )
+    x = full_x(np.clip(res.x, lower, upper))
+    obj = instance.objective_value(x)
+    viol = _max_violation(instance, instance.constraint_values(x))
     if start_viol <= FEAS_TOL:
-        best_feasible = (start_obj, x_tilde.copy())
-    iterations = 0
-    converged = False
-    prev_viol = math.inf
-
-    for _ in range(MAX_OUTER):
-        res = scipy.optimize.minimize(
-            merit_and_grad,
-            xf,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": 500, "ftol": 1e-14, "gtol": GRAD_TOL},
-        )
-        iterations += int(res.nit)
-        xf = np.clip(res.x, [b[0] for b in bounds], [b[1] for b in bounds])
-        x = full_x(xf)
-        raw = instance.constraint_values(x)
-        viol = _max_violation(instance, raw)
-        obj = instance.objective_value(x)
-        if viol < best_violation[0]:
-            best_violation = (viol, x.copy())
-        if viol <= FEAS_TOL and (
-            best_feasible is None or obj < best_feasible[0]
-        ):
-            best_feasible = (obj, x.copy())
-        if viol <= FEAS_TOL and res.success:
-            converged = True
-            break
-        # multiplier update on the raw constraint values
-        for m, con in enumerate(cons):
-            if con.relation == "=":
-                lam[m] += mu * raw[m]
-            else:
-                lam[m] = max(0.0, lam[m] + mu * raw[m])
-        if viol > 0.25 * prev_viol:
-            mu *= 10.0
-        prev_viol = viol
-
-    if best_feasible is not None:
-        obj, x = best_feasible
-        if start_viol <= FEAS_TOL and obj > start_obj:
-            # never worsen a feasible start
-            obj, x = start_obj, x_tilde.copy()
-        return RefineResult(
-            x=x,
-            objective=obj,
-            max_violation=_max_violation(instance, instance.constraint_values(x)),
-            iterations=iterations,
-            converged=converged,
-        )
-    viol, x = best_violation
+        # never worsen a feasible start
+        keep_start = viol > FEAS_TOL or not obj <= start_obj
+    else:
+        # an unrestorable start: the point that violates less
+        keep_start = viol > FEAS_TOL and viol >= start_viol
+    if keep_start:
+        x, obj, viol = x_tilde.copy(), start_obj, start_viol
     return RefineResult(
         x=x,
-        objective=instance.objective_value(x),
+        objective=obj,
         max_violation=viol,
-        iterations=iterations,
-        converged=False,
+        iterations=int(res.nit),
+        converged=bool(res.success) and viol <= FEAS_TOL,
     )

@@ -134,11 +134,48 @@ class TestRefine:
         res = refine(inst, start)
         assert res.objective <= inst.objective_value(start) + 1e-9
 
+    def test_rejects_non_affine_constraint(self):
+        inst = parse_instance(
+            "var x in [0, 2]; min (x - 2)^2; st x^2 - 1 <= 0;"
+        )
+        with pytest.raises(ValueError, match="constraint 0 .*affine"):
+            refine(inst, [0.5])
+
+
+class TestNoInfeasibleGain:
+    """The refined point satisfies the linear rows, so no objective below
+    the polytope's is reported."""
+
+    REPRO = "var x in [0, 3]; min (x - 2)^2; st x - 1 <= 0;"
+
+    def test_constrained_optimum_start_stays(self):
+        res = refine(parse_instance(self.REPRO), [1.0])
+        assert res.converged
+        np.testing.assert_array_equal(res.x, [1.0])
+        assert res.objective == 1.0
+
+    def test_start_just_outside_is_not_a_gain(self):
+        res = refine(parse_instance(self.REPRO), [1.0 + 5e-7])
+        assert res.converged
+        assert res.max_violation <= 1e-9
+        assert res.objective >= 1.0 - 1e-9
+
+    def test_equality_and_inequality_rows(self):
+        inst = parse_instance(
+            "var x in [0, 2]; var y in [0, 2];"
+            "min (x - 1.5)^2 + (y - 1.5)^2;"
+            "st x + y - 2 = 0; st x - y <= 0.5;"
+        )
+        res = refine(inst, [0.2, 0.3])
+        assert res.converged
+        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-12)
+        assert res.objective == pytest.approx(0.5, abs=1e-12)
+        assert res.max_violation <= 1e-9
+
 
 def test_each_tree_compiled_once_per_refine(monkeypatch):
     # one instance of the cont_spatial kind: six coupled nonconvex
-    # coordinates, started outside the constraints so several
-    # multiplier rounds run
+    # coordinates, started outside the constraints
     compiled = []  # holds the trees, so no id is reused
     compile_ = expressions._compile
 
@@ -157,6 +194,7 @@ def test_each_tree_compiled_once_per_refine(monkeypatch):
     )
     res = refine(inst, [1.3] * 6)
     assert res.converged and res.iterations > 10
+    assert res.max_violation <= 1e-9
     ids = [id(e) for e in compiled]
     assert len(set(ids)) == len(ids)
     for tree in [inst.objective] + [c.expr for c in inst.constraints]:
