@@ -7,30 +7,35 @@ Problem form:
     s.t. C theta + sum_b A_b(Z_b) = c,      every cone of Z_b PSD
 
 where a block b carries one or more PSD cones on the same rows, and
-A_b(Z_b) is the sum over its cones. Each equality row touches at most one
-block: the rows of different blocks are disjoint and lie in 0..K-1
-(``solve_conic`` raises ``ValueError`` otherwise, and on any NaN or
-infinite entry). Cones are tiny, so all per-cone linear algebra is dense.
+A_b(Z_b) is the sum over its cones. Blocks come in families
+(``ConicBlock``): k blocks with the same cone orders and row count, such as
+one shape certificate on each of k intervals. Each equality row touches at
+most one block: the rows of different blocks are disjoint and lie in
+0..K-1 (``solve_conic`` raises ``ValueError`` otherwise, on a family whose
+shapes disagree, and on any NaN or infinite entry). Cones are tiny, so all
+per-cone linear algebra is dense.
 
-Once per solve the blocks are grouped by (row count, cone orders); a group
-holds its rows ``(n, r)`` and per cone its constraint matrices
-``(n, r, m, m)``. The iterates ``Z``, ``S`` are one ``(N_m, m, m)`` stack
-per cone order m, and each cone of a group owns a slice of its order's
-stack. Flooring, NT scaling, inverses and step lengths run once per cone
-order; orders 1 and 2 have elementwise closed forms (a 2 x 2 PSD cone is a
-rotated second-order cone), and only orders of 3 and more go through
-batched ``eigh``/``cholesky``. The Schur contribution of a group is the sum
-over its cones, and disjoint rows make its scatter-add exact.
+Once per solve every block of every family is laid out in one stack padded
+to the largest row count r: block rows ``(n, r)``, with pad rows pointing
+at a dummy row K, and per cone order m the ``(N_m, r, m, m)`` constraint
+matrices of its cones and each cone's block. The iterates ``Z``, ``S`` are
+one ``(N_m, m, m)`` stack per cone order. Flooring, NT scaling, inverses
+and step lengths run once per cone order; orders 1 and 2 have elementwise
+closed forms (a 2 x 2 PSD cone is a rotated second-order cone), and only
+orders of 3 and more go through batched ``eigh``/``cholesky``. The A-map
+scatters with one ``np.bincount`` per cone order, and its adjoint gathers
+from the padded rows; no iteration loops over blocks or families.
 Nesterov-Todd scaling, Mehrotra-style adaptive centering,
 fraction-to-boundary steps.
 
 The Schur complement of the Newton system is never formed. It is block
 diagonal over the blocks' rows plus ``C Q^-1 C'``, whose rank is at most
-M = len(theta), so ``_Schur`` factors the (r, r) blocks batched per group
-and folds in the rank-M term through an M x M capacitance matrix
-(Sherman-Morrison-Woodbury, as SDPT3 treats dense columns; Toh, Todd &
-Tutuncu 1999). Rows in no block get their own small term by block
-elimination. Each solve costs O(K (r + M)) instead of O(K^2).
+M = len(theta), so ``_Schur`` factors the padded (r, r) blocks in one
+batched Cholesky (pad diagonals set to 1) and folds in the rank-M term
+through an M x M capacitance matrix (Sherman-Morrison-Woodbury, as SDPT3
+treats dense columns; Toh, Todd & Tutuncu 1999). Rows in no block get
+their own small term by block elimination. Each solve costs O(K (r + M))
+instead of O(K^2).
 """
 
 from __future__ import annotations
@@ -70,20 +75,17 @@ class ConicConvergenceError(RuntimeError):
 
 @dataclass
 class ConicBlock:
-    """PSD cones Z_k on shared rows: row ``rows[i]`` reads the sum over the
-    cones of <mats_k[i], Z_k>.
+    """A family of k blocks with the same cones: block i holds PSD cones
+    Z_ik on rows ``rows[i]``, and row ``rows[i, j]`` reads the sum over the
+    cones of <mats_k[j], Z_ik>.
 
-    ``order`` and ``mats`` are tuples, cone by cone: the order m_k and the
-    (r, m_k, m_k) stack of each cone."""
+    ``rows`` is (k, r), or (r,) for one block. ``order`` and ``mats`` are
+    tuples, cone by cone: the order m_k and the (r, m_k, m_k) matrices the
+    k blocks share."""
 
     order: tuple[int, ...]
-    rows: np.ndarray  # row indices, length r
-    mats: tuple[np.ndarray, ...]  # (r, m_k, m_k) per cone, symmetric
-
-    @property
-    def cones(self) -> list[tuple[int, np.ndarray]]:
-        """(order, mats) of each cone."""
-        return list(zip(self.order, self.mats))
+    rows: np.ndarray
+    mats: tuple[np.ndarray, ...]  # symmetric
 
 
 @dataclass
@@ -108,70 +110,87 @@ class ConicSolution:
     iterations: int
 
 
+def _family(i: int, b: ConicBlock) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Rows (k, r) of ``blocks[i]`` and its cones' matrices; raises
+    ValueError naming the block when a shape or entry is off."""
+    rows = np.asarray(b.rows)
+    rows = rows[None] if rows.ndim == 1 else rows
+    if rows.ndim != 2 or not rows.shape[1]:
+        raise ValueError(f"blocks[{i}].rows has shape {np.shape(b.rows)}, "
+                         f"need (r,) or (k, r) with r >= 1")
+    (k, r), orders = rows.shape, tuple(b.order)
+    if not orders or len(orders) != len(b.mats):
+        raise ValueError(f"blocks[{i}] has {len(orders)} cone orders and "
+                         f"{len(b.mats)} mats arrays")
+    mats = []
+    for m, A in zip(orders, b.mats):
+        A = np.asarray(A, dtype=float)
+        if m < 1 or A.shape != (r, m, m):
+            raise ValueError(f"blocks[{i}].mats has shape {A.shape} for a cone "
+                             f"of order {m} on rows of shape {(k, r)}")
+        if not np.isfinite(A).all():
+            raise ValueError(f"blocks[{i}].mats has a NaN or infinite entry")
+        mats.append(A)
+    return rows, mats
+
+
 @dataclass
-class _Cone:
-    """One cone of every block of a group; the iterates of these cones are
-    rows ``at`` of the stack of their order."""
+class _Stack:
+    """Every block of every family, padded to r rows: block b reads rows
+    ``rows[b]``, and its pad rows (``real`` false) read the dummy row K. Per
+    cone order m, ``mats[m]`` holds its cones' (N_m, r, m, m) matrices, zero
+    on pad rows, ``block[m]`` the block of each, ``at[m]`` its rows, and
+    ``out[m]`` its place in the solution's per-cone list."""
 
-    mats: np.ndarray  # (n, r, m, m)
-    at: slice
-
-    @property
-    def order(self) -> int:
-        return self.mats.shape[2]
-
-
-@dataclass
-class _Group:
-    """Blocks of one row count and tuple of cone orders, stacked along the
-    leading axis."""
-
-    index: np.ndarray  # (n,) positions in ConicProblem.blocks
     rows: np.ndarray  # (n, r)
-    cones: list[_Cone]
+    real: np.ndarray  # (n, r)
+    mats: dict[int, np.ndarray]
+    block: dict[int, np.ndarray]
+    at: dict[int, np.ndarray]
+    out: dict[int, np.ndarray]
 
 
-def _group_blocks(
-    blocks: list[ConicBlock], K: int
-) -> tuple[list[_Group], dict[int, int]]:
-    """Stack the blocks by (row count, cone orders), groups in order of first
-    appearance, and place each group's cones in the stacks of their orders;
-    returns the groups and the number of cones of each order. Rows that
-    overlap or fall outside 0..K-1 are rejected."""
-    if blocks:
-        rows = np.concatenate([np.ravel(b.rows) for b in blocks])
-        if rows.size and (rows.min() < 0 or rows.max() >= K):
-            raise ValueError(f"block rows must lie in 0..{K - 1}")
-        if np.unique(rows).size != rows.size:
-            raise ValueError("blocks must touch disjoint rows")
-    members: dict[tuple[int, ...], list[int]] = {}
-    for i, b in enumerate(blocks):
-        key = (len(b.rows),) + tuple(m for m, _ in b.cones)
-        members.setdefault(key, []).append(i)
-    sizes: dict[int, int] = {}
-    groups = []
-    for key, idx in members.items():
-        cones = []
-        for k, m in enumerate(key[1:]):
-            start = sizes.get(m, 0)
-            sizes[m] = start + len(idx)
-            mats = np.array([blocks[i].cones[k][1] for i in idx], dtype=float)
-            cones.append(_Cone(mats, slice(start, start + len(idx))))
-        groups.append(
-            _Group(np.array(idx), np.array([blocks[i].rows for i in idx]), cones)
-        )
-    return groups, dict(sorted(sizes.items()))
+def _stack_blocks(blocks: list[ConicBlock], K: int) -> _Stack:
+    """Lay the families out in one padded stack, family by family and block
+    by block, and each order's cones in that order too. Rows that overlap or
+    fall outside 0..K-1 are rejected."""
+    fams = [_family(i, b) for i, b in enumerate(blocks)]
+    n = sum(len(rows) for rows, _ in fams)
+    r = max((rows.shape[1] for rows, _ in fams), default=1)
+    rows, real = np.full((n, r), K, dtype=np.intp), np.zeros((n, r), dtype=bool)
+    parts: dict[int, list] = {}
+    start = pos = 0
+    for fam_rows, fam_mats in fams:
+        (k, rb), t = fam_rows.shape, len(fam_mats)
+        rows[start : start + k, :rb] = fam_rows
+        real[start : start + k, :rb] = True
+        for j, A in enumerate(fam_mats):
+            padded = np.zeros((k, r) + A.shape[1:])
+            padded[:, :rb] = A
+            at = (start + np.arange(k), pos + t * np.arange(k) + j)
+            parts.setdefault(A.shape[-1], []).append((padded,) + at)
+        start, pos = start + k, pos + k * t
+    used = rows[real]
+    if used.size and (used.min() < 0 or used.max() >= K):
+        raise ValueError(f"block rows must lie in 0..{K - 1}")
+    if np.unique(used).size != used.size:
+        raise ValueError("blocks must touch disjoint rows")
+    mats, block, out = (
+        {m: np.concatenate([p[a] for p in parts[m]]) for m in sorted(parts)}
+        for a in range(3)
+    )
+    at = {m: rows[b] for m, b in block.items()}
+    return _Stack(rows, real, mats, block, at, out)
 
 
-def _unstack(groups: list[_Group], stacks: dict[int, np.ndarray]) -> list:
-    """Per-cone matrices, block by block in the input order of the blocks
-    and cone by cone within a block."""
-    per_block = [None] * sum(len(g.index) for g in groups)
-    for g in groups:
-        cones = zip(*(list(stacks[c.order][c.at]) for c in g.cones))
-        for i, Xs in zip(g.index, cones):
-            per_block[i] = Xs
-    return [X for Xs in per_block for X in Xs]
+def _unstack(st: _Stack, stacks: dict[int, np.ndarray]) -> list:
+    """Per-cone matrices, family by family, block by block and cone by cone
+    within a block."""
+    out = [None] * sum(len(o) for o in st.out.values())
+    for m, X in stacks.items():
+        for i, Xi in zip(st.out[m], X):
+            out[i] = Xi
+    return out
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -342,124 +361,103 @@ def _max_step(X: np.ndarray, dX: np.ndarray) -> np.ndarray:
     return step
 
 
-def _A_apply(
-    groups: list[_Group], Zs: dict[int, np.ndarray], K: int
-) -> np.ndarray:
+def _A_apply(st: _Stack, Zs: dict[int, np.ndarray], K: int) -> np.ndarray:
     """sum_b A_b(Z_b): entry i is the sum over the cones of block b on row i
-    of <mats_i, Z>."""
-    out = np.zeros(K)
-    for g in groups:
-        n, r = g.rows.shape
-        for c in g.cones:
-            Zc = Zs[c.order][c.at].reshape(n, -1, 1)
-            out[g.rows] += (c.mats.reshape(n, r, -1) @ Zc)[..., 0]
-    return out
+    of <mats_i, Z>, one ``np.bincount`` per cone order."""
+    out = np.zeros(K + 1)
+    for m, A in st.mats.items():
+        N, r = A.shape[:2]
+        vals = A.reshape(N, r, m * m) @ Zs[m].reshape(N, m * m, 1)
+        out += np.bincount(st.at[m].ravel(), vals.ravel(), minlength=K + 1)
+    return out[:K]
 
 
-def _A_adjoint(
-    groups: list[_Group], y: np.ndarray, sizes: dict[int, int]
-) -> dict[int, np.ndarray]:
+def _A_adjoint(st: _Stack, y: np.ndarray) -> dict[int, np.ndarray]:
     """Per cone order, the stack of sum_i y_i mats_i over the rows of each
     cone's block."""
-    out = {m: np.empty((n, m, m)) for m, n in sizes.items()}
-    for g in groups:
-        yg = y[g.rows][:, None, :]
-        for c in g.cones:
-            n, r, m, _ = c.mats.shape
-            out[m][c.at] = (yg @ c.mats.reshape(n, r, m * m)).reshape(n, m, m)
-    return out
+    y = np.append(y, 0.0)
+    return {
+        m: (y[st.at[m]][:, None, :] @ A.reshape(len(A), -1, m * m)).reshape(-1, m, m)
+        for m, A in st.mats.items()
+    }
 
 
-def _schur(groups: list[_Group], W: dict[int, np.ndarray]) -> list[np.ndarray]:
-    """The block part of the Schur complement, per group the (n, r, r) stack
-    of the sums over the cones of <mats_i, W mats_j W>, rows i, j of each
-    block."""
-    out = []
-    for g in groups:
-        n, r = g.rows.shape
-        total = 0.0
-        for c in g.cones:
-            m = c.order
-            Wc = W[m][c.at][:, None]
-            WA = Wc @ c.mats @ Wc
-            total = total + c.mats.reshape(n, r, m * m) @ WA.reshape(n, r, m * m).mT
-        out.append(total)
-    return out
+def _schur(st: _Stack, W: dict[int, np.ndarray]) -> np.ndarray:
+    """The block part of the Schur complement, the (n, r, r) stack of the
+    sums over each block's cones of <mats_i, W mats_j W>, rows i, j of the
+    block; zero on pad rows."""
+    n, r = st.rows.shape
+    out = np.zeros(n * r * r)
+    for m, A in st.mats.items():
+        N = len(A)
+        WA = W[m][:, None] @ A @ W[m][:, None]
+        Mc = A.reshape(N, r, m * m) @ WA.reshape(N, r, m * m).mT
+        cells = st.block[m][:, None] * (r * r) + np.arange(r * r)
+        out += np.bincount(cells.ravel(), Mc.ravel(), minlength=n * r * r)
+    return out.reshape(n, r, r)
 
 
 class _Schur:
     """The Schur complement D + U U' + diag(beta) of the Newton system in
     factored form, never assembled.
 
-    D is block diagonal: the ``_schur`` stacks on the rows B of the blocks,
-    zero on the rows E that belong to no block. U = C L^-T, where
+    D is block diagonal: the padded ``_schur`` stack on the rows B of the
+    blocks, zero on the rows E that belong to no block. U = C L^-T, where
     Q + bump I = L L', so U U' = C Q^-1 C' has rank at most M. Rows are
-    permuted once per solve to B (group by group, block by block) then E.
+    permuted once per solve to B (block by block, pad rows included) then
+    E; a pad row reads a zero row of U and carries 1 on D's diagonal, so it
+    solves to 0 and couples to nothing.
 
     ``factor`` takes per iteration the blocks D_b + beta_b I (one batched
-    Cholesky and inverse per group), the M x M capacitance matrix
+    Cholesky and inverse over all blocks), the M x M capacitance matrix
     Cap = I + U_B' (D_B + beta_B)^-1 U_B and, by block elimination of B, the
     |E| x |E| matrix T = U_E Cap^-1 U_E' + beta_E I. A plain Woodbury update
     would invert beta_E on E. The bump of a block is relative to its own
-    mean diagonal: beta_b = 1e-12 (tr D_b / r + base) and beta_E =
-    1e-12 base, with base = (|U|^2 + 1e-3 tr D) / K + 1. Near convergence
-    the blocks of inactive cones grow like 1/mu, and a bump of 1e-12 of the
-    mean diagonal over all blocks swamps the nearly empty blocks of the
-    active ones (the primal residual then stalled between 1e-7 and 1e-5 on
-    quintic certificates and on a random program); the 1e-15 share
-    of that mean that stays keeps iterative refinement converging when the
-    blocks span 24 decades. All bumps grow 100-fold until every factor
-    exists.
+    mean diagonal over its real rows: beta_b = 1e-12 (tr D_b / r_b + base)
+    and beta_E = 1e-12 base, with base = (|U|^2 + 1e-3 tr D) / K + 1. Near
+    convergence the blocks of inactive cones grow like 1/mu, and a bump of
+    1e-12 of the mean diagonal over all blocks swamps the nearly empty
+    blocks of the active ones (the primal residual then stalled between
+    1e-7 and 1e-5 on quintic certificates and on a random program); the
+    1e-15 share of that mean that stays keeps iterative refinement
+    converging when the blocks span 24 decades. All bumps grow 100-fold
+    until every factor exists.
     """
 
-    def __init__(self, groups: list[_Group], U: np.ndarray):
+    def __init__(self, st: _Stack, U: np.ndarray):
         K, M = U.shape
-        in_block = np.zeros(K, dtype=bool)
-        self.slices = []  # (slice of B, n, r) per group
-        start = 0
-        for g in groups:
-            n, r = g.rows.shape
-            in_block[g.rows] = True
-            self.slices.append((slice(start, start + n * r), n, r))
-            start += n * r
-        self.nB = start
-        self.perm = np.concatenate(
-            [g.rows.ravel() for g in groups] + [np.flatnonzero(~in_block)]
-        ).astype(np.intp)
-        self.U = U[self.perm]
+        in_block = np.zeros(K + 1, dtype=bool)
+        in_block[st.rows] = True
+        self.real, self.count = st.real, st.real.sum(axis=1)
+        self.nB = st.rows.size
+        self.perm = np.concatenate([st.rows.ravel(), np.flatnonzero(~in_block[:K])])
+        self.U = np.vstack([U, np.zeros((1, M))])[self.perm]
         self.abs_U = np.abs(self.U)
         self.U_sq = float(np.sum(U * U))
         self.K, self.M = K, M
 
-    def factor(self, Mb: list[np.ndarray]) -> None:
-        traces = [np.trace(Mg, axis1=1, axis2=2) for Mg in Mb]
-        trace = sum(float(t.sum()) for t in traces)
-        base = (self.U_sq + 1e-3 * trace) / self.K + 1.0
-        sizes = [t / Mg.shape[1] + base for t, Mg in zip(traces, Mb)]
+    def factor(self, Mb: np.ndarray) -> None:
+        traces = np.trace(Mb, axis1=1, axis2=2)
+        base = (self.U_sq + 1e-3 * float(traces.sum())) / self.K + 1.0
+        sizes = traces / self.count + base
         scale = 1e-12
         for _ in range(20):
             try:
-                return self._factor(Mb, [scale * sg for sg in sizes], scale * base)
+                return self._factor(Mb, scale * sizes, scale * base)
             except np.linalg.LinAlgError:
                 scale *= 100.0
         raise np.linalg.LinAlgError("Schur complement not positive definite")
 
-    def _factor(
-        self, Mb: list[np.ndarray], bumps: list[np.ndarray], beta: float
-    ) -> None:
+    def _factor(self, Mb: np.ndarray, bumps: np.ndarray, beta: float) -> None:
         nB, M = self.nB, self.M
         U_B, U_E = self.U[:nB], self.U[nB:]
-        D = [
-            Mg + bg[:, None, None] * np.eye(Mg.shape[1]) for Mg, bg in zip(Mb, bumps)
-        ]
-        D_inv = []
-        for Dg in D:
-            Li = np.linalg.inv(np.linalg.cholesky(Dg))
-            D_inv.append(Li.mT @ Li)
-        self.D, self.D_inv = D, D_inv
-        self.abs_D = [np.abs(Dg) for Dg in D]
+        diag = np.arange(Mb.shape[1])
+        D = Mb.copy()
+        D[:, diag, diag] += np.where(self.real, bumps[:, None], 1.0)
+        Li = np.linalg.inv(np.linalg.cholesky(D))
+        self.D, self.D_inv, self.abs_D = D, Li.mT @ Li, np.abs(D)
         self.beta = beta
-        self.DiU = self._blocks(D_inv, U_B)
+        self.DiU = self._blocks(self.D_inv, U_B)
         self.cap = scipy.linalg.cho_factor(
             np.eye(M) + U_B.T @ self.DiU, lower=True, check_finite=False
         )
@@ -472,14 +470,12 @@ class _Schur:
                 Y.T @ Y + beta * np.eye(len(U_E)), lower=True, check_finite=False
             )
 
-    def _blocks(self, stacks: list[np.ndarray], v: np.ndarray) -> np.ndarray:
-        """The block-diagonal matrix given by ``stacks`` times v, on B."""
-        out = np.empty(v.shape)
-        for (sl, n, r), X in zip(self.slices, stacks):
-            out[sl] = (X @ v[sl].reshape(n, r, -1)).reshape(out[sl].shape)
-        return out
+    def _blocks(self, X: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The block-diagonal matrix given by the (n, r, r) stack X times v,
+        on B."""
+        return (X @ v.reshape(X.shape[:2] + (v.shape[1:] or (1,)))).reshape(v.shape)
 
-    def _apply(self, D: list[np.ndarray], U: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def _apply(self, D: np.ndarray, U: np.ndarray, x: np.ndarray) -> np.ndarray:
         """(D + U U') x in the permuted order, D with the bumps on B, plus
         beta_E x on E."""
         out = U @ (U.T @ x)
@@ -506,11 +502,11 @@ class _Schur:
             self._solve,
             lambda v: self._apply(self.D, self.U, v),
             lambda v: self._apply(self.abs_D, self.abs_U, v),
-            b[self.perm],
+            np.append(b, 0.0)[self.perm],
         )
-        out = np.empty_like(x)
+        out = np.empty(self.K + 1)
         out[self.perm] = x
-        return out
+        return out[: self.K]
 
 
 def _centering(mu_aff: float, mu: float) -> float:
@@ -540,13 +536,7 @@ def solve_conic(
         if not np.isfinite(a).all():
             raise ValueError(f"{name} has a NaN or infinite entry")
     K = C.shape[0]
-    groups, sizes = _group_blocks(prob.blocks, K)
-    for g in groups:
-        for cone in g.cones:
-            bad = ~np.isfinite(cone.mats).all(axis=(1, 2, 3))
-            if bad.any():
-                i = g.index[np.argmax(bad)]
-                raise ValueError(f"blocks[{i}].mats has a NaN or infinite entry")
+    st = _stack_blocks(prob.blocks, K)
     Q_fact, Qr = regularised_cholesky(Q)
     theta = _cho_solve(Q_fact, -q)
     if not K:
@@ -565,26 +555,26 @@ def solve_conic(
     # row equilibration: certificate rows mix O(1) selectors with large
     # basis-transform entries; scaling each row to unit size keeps the Schur
     # complement well conditioned and does not change (theta, Z)
-    rs = np.sqrt((C**2).sum(axis=1))
-    for g in groups:
-        mats_sq = sum((cone.mats**2).sum(axis=(2, 3)) for cone in g.cones)
-        rs[g.rows] = np.maximum(rs[g.rows], np.sqrt(mats_sq))
-    rs = np.maximum(rs, 1e-300)
-    C = C / rs[:, None]
-    c = c / rs
-    for g in groups:
-        for cone in g.cones:
-            cone.mats = cone.mats / rs[g.rows][:, :, None, None]
+    mats_sq = np.zeros(K + 1)
+    for m, A in st.mats.items():
+        w = (A**2).sum(axis=(2, 3)).ravel()
+        mats_sq += np.bincount(st.at[m].ravel(), w, minlength=K + 1)
+    rs = np.append(np.sqrt((C**2).sum(axis=1)), 0.0)
+    rs = np.maximum(np.maximum(rs, np.sqrt(mats_sq)), 1e-300)
+    C = C / rs[:K, None]
+    c = c / rs[:K]
+    st.mats = {m: A / rs[st.at[m]][:, :, None, None] for m, A in st.mats.items()}
 
     # the constant part of the Schur complement is U U' with U = C L^-T
     schur = _Schur(
-        groups,
+        st,
         scipy.linalg.solve_triangular(
             Q_fact[0], C.T, lower=True, check_finite=False
         ).T,
     )
 
     # iterates: one (N_m, m, m) stack per cone order m
+    sizes = {m: len(A) for m, A in st.mats.items()}
     scale = max(1.0, np.abs(c).max())
     Z = {m: scale * np.tile(np.eye(m), (n, 1, 1)) for m, n in sizes.items()}
     S = {m: Zm.copy() for m, Zm in Z.items()}
@@ -597,7 +587,7 @@ def solve_conic(
     def finish(sol):
         # per-cone matrices, and duals back in the scale of the caller's rows
         return replace(
-            sol, Z=_unstack(groups, sol.Z), S=_unstack(groups, sol.S), lam=sol.lam / rs
+            sol, Z=_unstack(st, sol.Z), S=_unstack(st, sol.S), lam=sol.lam / rs[:K]
         )
 
     best = None
@@ -605,9 +595,9 @@ def solve_conic(
     best_it = 0
 
     for it in range(max_iter):
-        r_p = c - C @ theta - _A_apply(groups, Z, K)
+        r_p = c - C @ theta - _A_apply(st, Z, K)
         r_d = Q @ theta + q - C.T @ lam
-        adj = _A_adjoint(groups, lam, sizes)
+        adj = _A_adjoint(st, lam)
         r_s = {m: S[m] + adj[m] for m in S}
         gap = sum(np.sum(Z[m] * S[m]) for m in Z)
         mu = gap / max(nu, 1)
@@ -656,7 +646,7 @@ def solve_conic(
         Zf = {m: X[: sizes[m]] for m, X in ZSf.items()}
         Sf = {m: X[sizes[m] :] for m, X in ZSf.items()}
         W = {m: _nt_scaling(Zf[m], Sf[m]) for m in Z}
-        schur.factor(_schur(groups, W))
+        schur.factor(_schur(st, W))
         S_inv = {m: _inv(Sf[m]) for m in Z}
         W_rs_W = {m: W[m] @ r_s[m] @ W[m] for m in Z}
         CQi_rd = C @ q_solve(r_d)
@@ -667,10 +657,10 @@ def solve_conic(
             # eliminated down to the Schur system in d_lam.
             R = {m: sigma_mu * S_inv[m] - Z[m] for m in Z}
             RW = {m: R[m] + W_rs_W[m] for m in Z}
-            rhs = r_p - _A_apply(groups, RW, K) + CQi_rd
+            rhs = r_p - _A_apply(st, RW, K) + CQi_rd
             d_lam = schur.solve(rhs)
             d_theta = q_solve(-r_d + C.T @ d_lam)
-            adj = _A_adjoint(groups, d_lam, sizes)
+            adj = _A_adjoint(st, d_lam)
             d_S = {m: -r_s[m] - adj[m] for m in Z}
             d_Z = {m: _sym(R[m] + W[m] @ (r_s[m] + adj[m]) @ W[m]) for m in Z}
             return d_theta, d_lam, d_Z, d_S

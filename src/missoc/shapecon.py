@@ -109,12 +109,18 @@ class ShapeSpec:
     pointwise: tuple[PointwiseSet, ...] = ()
 
     def __post_init__(self):
+        for name in ("lower", "upper"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"shape bound {name} must be finite, got {value}")
         if self.lower is not None and self.upper is not None:
             if not self.lower < self.upper:
                 raise ValueError("need lower < upper")
         for side in (self.weights_lower, self.weights_upper):
             if side is not None:
                 w = np.asarray(side, dtype=float)
+                if not np.isfinite(w).all():
+                    raise ValueError(f"bound weights must be finite, got {side}")
                 if abs(w.sum() - 1.0) > 1e-10:
                     raise ValueError("weights must sum to 1 per side")
                 if np.any(w <= 0) or np.any(w >= 1):
@@ -229,67 +235,70 @@ def estimate_weights(
 class ConicProgram:
     """Assembled constrained-fit program over the non-intercept coefficients.
 
-    Collects the quadratic data plus equality rows coupling the coefficient
-    vector to PSD certificate blocks; ``to_problem`` freezes it for the
-    interior-point solver.
+    Collects the quadratic data plus equality rows, chunk by chunk, coupling
+    the coefficient vector to families of PSD certificate blocks;
+    ``to_problem`` freezes it for the interior-point solver.
     """
 
     Q: np.ndarray
     q: np.ndarray
     dim: int
-    rows_C: list[np.ndarray] = field(default_factory=list)
-    rows_c: list[float] = field(default_factory=list)
+    rows_C: list[np.ndarray] = field(default_factory=list)  # (r, dim) chunks
+    rows_c: list[np.ndarray] = field(default_factory=list)  # (r,) chunks
     blocks: list[ConicBlock] = field(default_factory=list)
-    # (local_map, rhs, sign) per certificate, for shape_violation
+    # (maps, rhs, sign) per certificate family, for shape_violation
     certificates: list[tuple] = field(default_factory=list)
     # set by build_program: the design matrix without its intercept column,
     # and the spec with the bound weights the certificates were built with
     design: np.ndarray | None = field(default=None, init=False)
     spec: ShapeSpec | None = field(default=None, init=False)
 
-    def add_row(self, coeff_row: np.ndarray, rhs: float) -> int:
-        self.rows_C.append(np.asarray(coeff_row, dtype=float))
-        self.rows_c.append(float(rhs))
-        return len(self.rows_c) - 1
+    def add_rows(self, C: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Append the rows C theta = c, C of shape (..., dim); returns their
+        indices in the shape of c."""
+        c, start = np.asarray(c, dtype=float), sum(map(len, self.rows_c))
+        self.rows_C.append(np.asarray(C, dtype=float).reshape(-1, self.dim))
+        self.rows_c.append(c.ravel())
+        return np.arange(start, start + c.size).reshape(c.shape)
 
-    def add_certificate(self, local_map: np.ndarray, rhs: float, sign: float) -> None:
-        """Require sign*(p - rhs) >= 0 for s in [0, 1], for the polynomial p
-        whose power-basis coefficients in the interval's local variable
-        s = (x - t_lo) / (t_hi - t_lo) are ``local_map @ theta``.
+    def add_certificates(self, families: list[tuple]) -> None:
+        """Per family (maps, rhs, sign), require sign*(p_i - rhs) >= 0 for s
+        in [0, 1] on each of k intervals, for the polynomial p_i whose
+        power-basis coefficients in interval i's local variable
+        s = (x - t_lo) / (t_hi - t_lo) are ``maps[i] @ theta``.
 
-        The map is (d_eff+1) x dim; ``sign`` is +1 for lower-type and -1
-        for upper-type constraints. The rows are the d_eff + 1 Bernstein
-        coefficients in s of the Markov-Lukacs certificate
-        (``lukacs_mats``).
+        ``maps`` is (k, d_eff+1, dim), the same k for every family; ``sign``
+        is +1 for lower-type and -1 for upper-type constraints. A family's
+        rows are the d_eff + 1 Bernstein coefficients in s of each
+        interval's Markov-Lukacs certificate, one ``ConicBlock`` with the
+        selectors of ``lukacs_mats`` shared by its k blocks. Rows run
+        interval by interval, and within an interval family by family.
         """
-        d_eff = local_map.shape[0] - 1
-        self.certificates.append((local_map, rhs, sign))
         # A(Z) = sign*(p - rhs), Bernstein coefficient by coefficient; those
         # of the constant rhs all equal rhs
-        rows = [
-            self.add_row(-sign * row, -sign * rhs)
-            for row in bernstein_map(d_eff) @ local_map
-        ]
-        orders, mats = lukacs_mats(d_eff)
-        self.blocks.append(ConicBlock(order=orders, rows=np.array(rows), mats=mats))
+        C = [-sign * (bernstein_map(m.shape[1] - 1) @ m) for m, _, sign in families]
+        c = [np.full(m.shape[:2], -sign * rhs) for m, rhs, sign in families]
+        rows = self.add_rows(np.concatenate(C, axis=1), np.concatenate(c, axis=1))
+        start = 0
+        for maps, _, _ in families:
+            orders, mats = lukacs_mats(maps.shape[1] - 1)
+            end = start + maps.shape[1]
+            self.blocks.append(ConicBlock(orders, rows[:, start:end], mats))
+            start = end
+        self.certificates += families
 
-    def add_slack_row(self, coeff_row: np.ndarray, rhs: float) -> None:
-        """coeff_row @ theta <= rhs via a nonnegative 1x1 slack block."""
-        idx = self.add_row(coeff_row, rhs)
-        self.blocks.append(
-            ConicBlock(order=(1,), rows=np.array([idx]), mats=(np.ones((1, 1, 1)),))
-        )
+    def add_slack_rows(self, C: np.ndarray, c: np.ndarray) -> None:
+        """C theta <= c row by row, via a family of nonnegative 1x1 slack
+        blocks."""
+        rows = self.add_rows(C, c)
+        self.blocks.append(ConicBlock((1,), rows[:, None], (np.ones((1, 1, 1)),)))
 
     def to_problem(self) -> ConicProblem:
-        K = len(self.rows_c)
-        C = (
-            np.vstack(self.rows_C) if K else np.zeros((0, self.dim))
-        )
         return ConicProblem(
             Q=self.Q,
             q=self.q,
-            C=C,
-            c=np.array(self.rows_c),
+            C=np.concatenate([np.zeros((0, self.dim))] + self.rows_C),
+            c=np.concatenate([np.zeros(0)] + self.rows_c),
             blocks=self.blocks,
         )
 
@@ -300,22 +309,23 @@ def add_pointwise_rows(
     y_centered: np.ndarray,
     sets: tuple[PointwiseSet, ...],
 ) -> None:
-    """Append interpolation / under- / over-estimation rows.
+    """Append interpolation / under- / over-estimation rows, one chunk (and
+    for ``<=``/``>=`` one slack family) per set.
 
     ``B1`` is the design matrix without the intercept column and
     ``y_centered`` the responses with the (fixed) intercept removed; empty
     index sets are a no-op.
     """
     for ps in sets:
-        for i in ps.indices:
-            row = B1[i]
-            rhs = y_centered[i]
-            if ps.relation == "=":
-                program.add_row(row, rhs)
-            elif ps.relation == "<=":
-                program.add_slack_row(row, rhs)
-            else:  # ">="
-                program.add_slack_row(-row, -rhs)
+        if not ps.indices:
+            continue
+        rows, rhs = B1[list(ps.indices)], y_centered[list(ps.indices)]
+        if ps.relation == "=":
+            program.add_rows(rows, rhs)
+        elif ps.relation == "<=":
+            program.add_slack_rows(rows, rhs)
+        else:  # ">="
+            program.add_slack_rows(-rows, -rhs)
 
 
 def build_program(
@@ -376,10 +386,11 @@ def build_program(
     spec.check_degrees([b.label for b in bases], [b.degree for b in bases])
 
     for j, (basis, s) in enumerate(zip(bases, slices)):
-        d = basis.degree
-        starts = basis.internal
+        d, k = basis.degree, basis.k
         # power-basis coefficients in x - t_lo of each interval
-        G = segment_maps(basis, starts[:-1])
+        G = segment_maps(basis, basis.internal[:-1])
+        h = np.diff(basis.internal)
+        cols = s.start + np.arange(k)[:, None, None] + np.arange(d + 1)
         eye = np.eye(d + 1)  # poly_der keeps its integers exact
         maps = []  # (coefficient map, rhs constant, sign)
         if spec.lower is not None:
@@ -397,17 +408,17 @@ def build_program(
             sign = +1.0 if curv == CONVEX else -1.0
             maps.append((poly_der(poly_der(eye)).T, 0.0, sign))
 
-        for qi in range(basis.k):
-            t_lo, t_hi = starts[qi], starts[qi + 1]
-            active = slice(s.start + qi, s.start + qi + d + 1)
-            for transform, b, sign in maps:
-                d_eff = transform.shape[0] - 1
-                # coefficients in s = (x - t_lo) / h: scale the i-th by h^i
-                local_map = np.zeros((d_eff + 1, program.dim))
-                h_pow = (t_hi - t_lo) ** np.arange(d_eff + 1)
-                local_map[:, active] = h_pow[:, None] * (transform @ G[qi])
-                # sign*(p - b) >= margin  <=>  sign*(p - (b + sign*margin)) >= 0
-                program.add_certificate(local_map, b + sign * margin, sign)
+        families = []
+        for transform, b, sign in maps:
+            d_eff = transform.shape[0] - 1
+            # coefficients in s = (x - t_lo) / h: scale the i-th by h^i
+            h_pow = h[:, None, None] ** np.arange(d_eff + 1)[:, None]
+            local = np.zeros((k, d_eff + 1, program.dim))
+            np.put_along_axis(local, cols, h_pow * (transform @ G), axis=2)
+            # sign*(p - b) >= margin  <=>  sign*(p - (b + sign*margin)) >= 0
+            families.append((local, b + sign * margin, sign))
+        if families:
+            program.add_certificates(families)
 
     if spec.pointwise:
         _check_pointwise_consistency(T, spec, alpha)
@@ -442,19 +453,16 @@ def shape_violation(program: ConicProgram, theta: np.ndarray) -> float:
     the local variable of its interval, where its rows are built; the
     return value is the largest negative excursion over a grid of
     VIOLATION_GRID points in s (0.0 when every certificate holds everywhere
-    sampled). The certificates are evaluated stacked, zero-padded to one
-    width, in one Horner pass.
+    sampled). Each family's k certificates are evaluated with one matmul and
+    one Horner pass.
     """
-    if not program.certificates:
-        return 0.0
-    maps, rhs, signs = zip(*program.certificates)
-    coeffs = np.zeros((len(maps), max(len(m) for m in maps)))
-    for row, local_map in zip(coeffs, maps):
-        row[: len(local_map)] = local_map @ theta
-    coeffs[:, 0] -= rhs
-    u = np.linspace(0.0, 1.0, VIOLATION_GRID)
-    u = np.broadcast_to(u, (len(maps), VIOLATION_GRID))
-    return max(0.0, float(-(np.array(signs)[:, None] * horner(coeffs, u)).min()))
+    u = np.linspace(0.0, 1.0, VIOLATION_GRID)[None]
+    worst = 0.0
+    for maps, rhs, sign in program.certificates:
+        coeffs = maps @ theta
+        coeffs[:, 0] -= rhs
+        worst = max(worst, float(-(sign * horner(coeffs, u)).min()))
+    return worst
 
 
 def _restored_solution(T, bases, program, sol):

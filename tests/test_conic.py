@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,11 +14,11 @@ from missoc.conic import (
     _A_apply,
     _centering,
     _floor_pd,
-    _group_blocks,
     _inv,
     _max_step,
     _nt_scaling,
     _schur,
+    _stack_blocks,
     _unstack,
     regularised_cholesky,
     solve_conic,
@@ -72,18 +74,18 @@ def schur_ref(blocks, W, K):
     """W[b] holds one matrix per cone of block b."""
     Mmat = np.zeros((K, K))
     for b, Wb in zip(blocks, W):
-        for (_, mats), Wc in zip(b.cones, Wb):
+        for mats, Wc in zip(b.mats, Wb):
             WA = np.einsum("ik,rkl,lj->rij", Wc, mats, Wc)
             Mmat[np.ix_(b.rows, b.rows)] += np.einsum("rij,sij->rs", mats, WA)
     return Mmat
 
 
-def dense_schur(groups, Mb, K):
-    """The per-group (n, r, r) stacks scattered onto a K x K matrix."""
-    Mmat = np.zeros((K, K))
-    for g, Mg in zip(groups, Mb):
-        Mmat[g.rows[:, :, None], g.rows[:, None, :]] += Mg
-    return Mmat
+def dense_schur(st, Mb, K):
+    """The padded (n, r, r) stack scattered onto a K x K matrix; pad rows
+    land on the dummy row K, which is dropped."""
+    Mmat = np.zeros((K + 1, K + 1))
+    Mmat[st.rows[:, :, None], st.rows[:, None, :]] += Mb
+    return Mmat[:K, :K]
 
 
 class DenseSchur:
@@ -93,18 +95,19 @@ class DenseSchur:
     (|U|^2 + 1e-3 tr D) / K + 1, growing 100-fold until it factors), one
     Cholesky, two rounds of refinement. Same interface as ``conic._Schur``."""
 
-    def __init__(self, groups, U):
-        self.groups, self.U = groups, U
+    def __init__(self, st, U):
+        self.st, self.U = st, U
 
     def factor(self, Mb):
         K = len(self.U)
-        trace = sum(np.trace(Mg, axis1=1, axis2=2).sum() for Mg in Mb)
-        base = (np.sum(self.U**2) + 1e-3 * trace) / K + 1.0
-        size = np.full(K, base)
-        for g, Mg in zip(self.groups, Mb):
-            tr = np.trace(Mg, axis1=1, axis2=2) / Mg.shape[1] + base
-            size[g.rows] = tr[:, None]
-        D = dense_schur(self.groups, Mb, K)
+        traces = np.trace(Mb, axis1=1, axis2=2)
+        base = (np.sum(self.U**2) + 1e-3 * traces.sum()) / K + 1.0
+        size = np.full(K + 1, base)
+        # per block over its real rows; pad rows land on the dummy row K
+        tr = traces / self.st.real.sum(axis=1) + base
+        size[self.st.rows] = tr[:, None]
+        size = size[:K]
+        D = dense_schur(self.st, Mb, K)
         scale = 1e-12
         while True:
             self.A = (D + np.diag(scale * size)) + self.U @ self.U.T
@@ -347,52 +350,49 @@ def _sym_stack(X):
 
 
 class TestGroupedAssembly:
-    """Blocks of one or two cones, grouped and laid out in per-order stacks,
-    against per-block loops."""
+    """Blocks of one or two cones, laid out in the padded stack and the
+    per-order stacks, against per-block loops."""
 
     def setup_method(self):
         rng = np.random.default_rng(70)
         self.K = 90
         self.blocks = random_blocks(rng, self.K, 24)
-        self.groups, self.sizes = _group_blocks(self.blocks, self.K)
+        self.stack = _stack_blocks(self.blocks, self.K)
         self.rng = rng
 
     def random_per_cone(self, make):
         """One matrix per cone of each block, and the same laid out in the
         per-order stacks."""
-        per_block = [[make(m) for m, _ in b.cones] for b in self.blocks]
-        stacks = {m: np.empty((n, m, m)) for m, n in self.sizes.items()}
-        for g in self.groups:
-            for k, c in enumerate(g.cones):
-                stacks[c.order][c.at] = [per_block[i][k] for i in g.index]
+        per_block = [[make(m) for m in b.order] for b in self.blocks]
+        flat = [X for cones in per_block for X in cones]
+        stacks = {m: np.array([flat[i] for i in out]) for m, out in self.stack.out.items()}
         return per_block, stacks
 
     def test_groups_by_order_and_rows(self):
-        keys = [
-            (g.rows.shape[1],) + tuple(c.order for c in g.cones) for g in self.groups
-        ]
-        assert len(set(keys)) == len(keys)
-        assert any(len(g.cones) == 2 for g in self.groups)
-        assert sorted(i for g in self.groups for i in g.index) == list(range(24))
-        for g in self.groups:
-            for j, (i, rows) in enumerate(zip(g.index, g.rows)):
-                np.testing.assert_array_equal(rows, self.blocks[i].rows)
-                for c, (m, mats) in zip(g.cones, self.blocks[i].cones):
-                    assert c.order == m
-                    np.testing.assert_array_equal(c.mats[j], mats)
+        st = self.stack
+        assert st.rows.shape == (24, max(len(b.rows) for b in self.blocks))
+        assert any(len(b.order) == 2 for b in self.blocks)
+        cones = [(i, m, mats) for i, b in enumerate(self.blocks)
+                 for m, mats in zip(b.order, b.mats)]
+        for i, b in enumerate(self.blocks):
+            r = len(b.rows)
+            np.testing.assert_array_equal(st.rows[i, :r], b.rows)
+            assert (st.rows[i, r:] == self.K).all() and st.real[i].sum() == r
         # every cone of one order has its own row of that order's stack
-        for m, n in self.sizes.items():
-            taken = [
-                i for g in self.groups for c in g.cones if c.order == m
-                for i in range(c.at.start, c.at.stop)
-            ]
-            assert sorted(taken) == list(range(n))
+        for m, A in st.mats.items():
+            for j, (blk, pos) in enumerate(zip(st.block[m], st.out[m])):
+                i, order, mats = cones[pos]
+                assert blk == i and order == m
+                np.testing.assert_array_equal(A[j, : len(mats)], mats)
+                assert (A[j, len(mats) :] == 0).all()
+        taken = sorted(i for out in st.out.values() for i in out)
+        assert taken == list(range(len(cones)))
 
     def test_unstack_restores_input_order(self):
         per_block, stacks = self.random_per_cone(
             lambda m: random_spd(self.rng, 1, m)[0]
         )
-        out = _unstack(self.groups, stacks)
+        out = _unstack(self.stack, stacks)
         ref = [X for cones in per_block for X in cones]
         assert len(out) == len(ref)
         for Xb, Rb in zip(out, ref):
@@ -401,24 +401,24 @@ class TestGroupedAssembly:
     def test_schur_matches_loop(self):
         W, stacks = self.random_per_cone(lambda m: random_spd(self.rng, 1, m)[0])
         ref = schur_ref(self.blocks, W, self.K)
-        got = dense_schur(self.groups, _schur(self.groups, stacks), self.K)
+        got = dense_schur(self.stack, _schur(self.stack, stacks), self.K)
         assert np.abs(got - ref).max() <= RTOL * np.abs(ref).max()
 
     def test_A_apply_and_adjoint_match_loop(self):
         Z, stacks = self.random_per_cone(lambda m: random_sym(self.rng, 1, m)[0])
         ref = np.zeros(self.K)
         for b, Zb in zip(self.blocks, Z):
-            for (_, mats), Zc in zip(b.cones, Zb):
+            for mats, Zc in zip(b.mats, Zb):
                 ref[b.rows] += np.einsum("rij,ij->r", mats, Zc)
-        got = _A_apply(self.groups, stacks, self.K)
+        got = _A_apply(self.stack, stacks, self.K)
         np.testing.assert_allclose(got, ref, rtol=RTOL, atol=RTOL)
 
         y = self.rng.normal(size=self.K)
-        adj = _unstack(self.groups, _A_adjoint(self.groups, y, self.sizes))
+        adj = _unstack(self.stack, _A_adjoint(self.stack, y))
         ref = [
             np.einsum("r,rij->ij", y[b.rows], mats)
             for b in self.blocks
-            for _, mats in b.cones
+            for mats in b.mats
         ]
         for Ab, ref_b in zip(adj, ref):
             np.testing.assert_allclose(Ab, ref_b, rtol=RTOL, atol=RTOL)
@@ -536,18 +536,18 @@ class TestStructuredSchur:
         and agrees with the dense solve."""
         prob = random_problem(7)
         K, M = prob.C.shape
-        groups, sizes = _group_blocks(prob.blocks, K)
+        st = _stack_blocks(prob.blocks, K)
         rng = np.random.default_rng(8)
-        W = {m: random_spd(rng, n, m, log_cond) for m, n in sizes.items()}
-        Mb = _schur(groups, W)
+        W = {m: random_spd(rng, len(A), m, log_cond) for m, A in st.mats.items()}
+        Mb = _schur(st, W)
         U = rng.normal(size=(K, M))
-        schur = conic._Schur(groups, U)
+        schur = conic._Schur(st, U)
         schur.factor(Mb)
-        dense = DenseSchur(groups, U)
+        dense = DenseSchur(st, U)
         dense.factor(Mb)
         # the structured factors hold the same bumped matrix
-        A = dense_schur(groups, schur.D, K) + U @ U.T
-        E = np.setdiff1d(np.arange(K), np.concatenate([g.rows.ravel() for g in groups]))
+        A = dense_schur(st, schur.D, K) + U @ U.T
+        E = np.setdiff1d(np.arange(K), st.rows[st.real])
         A[E, E] += schur.beta
         np.testing.assert_array_equal(A, dense.A)
         b = rng.normal(size=K)
@@ -562,8 +562,9 @@ class TestStructuredSchur:
         """Every row is in no block: the solve is T alone."""
         rng = np.random.default_rng(11)
         U = rng.normal(size=(5, 8))
-        schur = conic._Schur([], U)
-        schur.factor([])
+        st = _stack_blocks([], 5)
+        schur = conic._Schur(st, U)
+        schur.factor(_schur(st, {}))
         b = rng.normal(size=5)
         A = U @ U.T + schur.beta * np.eye(5)
         np.testing.assert_allclose(A @ schur.solve(b), b, rtol=1e-12, atol=1e-12)
@@ -630,6 +631,31 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="0..2"):
             solve_conic(tiny_problem(blocks))
 
+    @pytest.mark.parametrize(
+        "order, rows, mats, what",
+        [
+            # a second mats array without its order: the cone was dropped
+            ((2,), [1, 2], (np.eye(2)[None].repeat(2, 0),) * 2, "cone orders"),
+            # three rows of selectors on two rows
+            ((2,), [1, 2], (np.ones((3, 2, 2)),), "mats"),
+            # an order that disagrees with the selectors
+            ((1,), [1, 2], (np.ones((2, 2, 2)),), "mats"),
+            # one selector stack per block of a family of two
+            ((1,), [[1], [2]], (np.ones((2, 1, 1, 1)),), "mats"),
+            ((), [1, 2], (), "cone orders"),
+            ((1,), [[[1]], [[2]]], (np.ones((1, 1, 1)),), "rows"),
+        ],
+    )
+    def test_family_shapes_are_checked(self, order, rows, mats, what):
+        """A family whose orders, rows and selectors disagree is refused by
+        name before any iteration."""
+        blocks = [
+            ConicBlock((1,), np.array([0]), (np.ones((1, 1, 1)),)),
+            ConicBlock(order, np.array(rows), mats),
+        ]
+        with pytest.raises(ValueError, match=rf"^blocks\[1\].*{what}"):
+            solve_conic(tiny_problem(blocks))
+
 
 def shape_program(pointwise):
     """A one-covariate constrained fit with a lower bound (order-4 blocks),
@@ -655,11 +681,12 @@ def grid_relaxation(program, prob):
     SLSQP. Returns the result and the inequalities A theta >= b."""
     u = np.linspace(0.0, 1.0, 201)
     A, b = [], []
-    for local_map, rhs, sign in program.certificates:
-        V = np.vander(u, len(local_map), increasing=True)
-        A.append(sign * V @ local_map)
-        b.append(sign * np.full(len(u), rhs))
-    slack = [blk.rows[0] for blk in prob.blocks if blk.order == (1,)]
+    for maps, rhs, sign in program.certificates:
+        for local_map in maps:
+            V = np.vander(u, len(local_map), increasing=True)
+            A.append(sign * V @ local_map)
+            b.append(sign * np.full(len(u), rhs))
+    slack = [r for blk in prob.blocks if blk.order == (1,) for r in blk.rows.ravel()]
     A = np.vstack(A + [-prob.C[slack]])
     b = np.concatenate(b + [-prob.c[slack]])
     Q, q = prob.Q, prob.q
@@ -680,8 +707,8 @@ class TestEndToEnd:
         prob = program.to_problem()
         # cubic certificates in Markov-Lukacs form need only 1 x 1 and 2 x 2
         # cones; the slack rows are 1 x 1 too
-        assert {m for b in prob.blocks for m, _ in b.cones} == {1, 2}
-        assert sum(blk.order == (1,) for blk in prob.blocks) == 3
+        assert {m for b in prob.blocks for m in b.order} == {1, 2}
+        assert sum(len(blk.rows) for blk in prob.blocks if blk.order == (1,)) == 3
         sol = solve_conic(prob, gap_tol=1e-9)
         res, A, b = grid_relaxation(program, prob)
         assert res.success
@@ -707,7 +734,7 @@ class TestEndToEnd:
         )
         program, _ = build_program(T, make_bases(T, 5, 4, None, ["x1"]), spec)
         prob = program.to_problem()
-        assert {m for b in prob.blocks for m, _ in b.cones} == {2, 3}
+        assert {m for b in prob.blocks for m in b.order} == {2, 3}
         sol = solve_conic(prob, gap_tol=1e-9)
         res, A, b = grid_relaxation(program, prob)
         assert res.success
@@ -726,7 +753,7 @@ class TestDualScaling:
         self.prob = shape_program(
             (PointwiseSet("<=", (5, 20, 30)), PointwiseSet("=", (12,)))
         ).to_problem()
-        touched = {int(r) for b in self.prob.blocks for r in b.rows}
+        touched = {int(r) for b in self.prob.blocks for r in b.rows.ravel()}
         self.row = next(i for i in range(len(self.prob.c)) if i not in touched)
         C = self.prob.C.copy()
         c = self.prob.c.copy()
@@ -758,3 +785,74 @@ class TestDualScaling:
         with pytest.raises(ConicConvergenceError) as ei_scaled:
             solve_conic(self.scaled, max_iter=8)
         self.check(ei.value.best.lam, ei_scaled.value.best.lam)
+
+
+def per_interval(blocks):
+    """The families as one block per interval, in the order of their first
+    rows: the layout before families, where the rows of one interval's
+    certificates came one family after the other."""
+    split = [
+        ConicBlock(b.order, rows, b.mats) for b in blocks for rows in np.atleast_2d(b.rows)
+    ]
+    return sorted(split, key=lambda b: b.rows[0])
+
+
+class TestFamilies:
+    """The padded stack of families against one block per interval."""
+
+    @pytest.mark.parametrize("degree", [3, 5])
+    def test_families_match_one_block_per_interval(self, degree):
+        """Certificates of four row counts (bounds, monotonicity, convexity,
+        1 x 1 slacks) and '=' rows in no block: the families and the same
+        blocks one by one take the same iterations to the same theta."""
+        rng = np.random.default_rng(7)
+        x = np.sort(rng.uniform(0.0, 1.0, 40))
+        T = TrainingSet(x[:, None], np.exp(2 * x) + 0.3 * np.sin(15 * x))
+        spec = ShapeSpec(
+            lower=-1.2,
+            monotone={"x1": INCREASING},
+            curvature={"x1": CONVEX},
+            pointwise=(PointwiseSet("<=", (5, 20, 30)), PointwiseSet("=", (12,))),
+        )
+        bases = make_bases(T, degree, 4, None, ["x1"])
+        prob = build_program(T, bases, spec)[0].to_problem()
+        assert len({b.rows.shape[1] for b in prob.blocks}) == 4
+        split = replace(prob, blocks=per_interval(prob.blocks))
+        assert len(split.blocks) == sum(len(b.rows) for b in prob.blocks)
+        sol, ref = solve_conic(prob), solve_conic(split)
+        assert sol.iterations == ref.iterations
+        assert np.abs(sol.theta - ref.theta).max() <= 1e-12 * np.abs(ref.theta).max()
+
+    def test_no_blocks(self):
+        """Rows in no block only: the stack is empty and the solve is the
+        equality-constrained minimizer."""
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(6, 4))
+        Q, q = A.T @ A + np.eye(4), rng.normal(size=4)
+        C, c = rng.normal(size=(2, 4)), rng.normal(size=2)
+        st = _stack_blocks([], 2)
+        assert st.rows.shape == (0, 1) and st.mats == {}
+        sol = solve_conic(ConicProblem(Q, q, C, c))
+        kkt = np.block([[Q, C.T], [C, np.zeros((2, 2))]])
+        want = np.linalg.solve(kkt, np.concatenate([-q, c]))[:4]
+        np.testing.assert_allclose(sol.theta, want, rtol=1e-7, atol=1e-9)
+        assert sol.Z == [] and sol.S == []
+
+    def test_pad_rows_carry_nothing(self):
+        """Blocks of 1 to 4 rows in one stack padded to 4: pad rows read the
+        dummy row K, carry zero selectors, and their Schur diagonal is 1."""
+        prob = shape_program((PointwiseSet("<=", (5, 20, 30)),)).to_problem()
+        K = len(prob.c)
+        st = _stack_blocks(prob.blocks, K)
+        assert st.rows.shape[1] == 4
+        counts = np.concatenate([np.full(len(b.rows), b.rows.shape[1]) for b in prob.blocks])
+        np.testing.assert_array_equal(st.real.sum(axis=1), counts)
+        assert (st.rows[~st.real] == K).all()
+        for m, A in st.mats.items():
+            assert (A[~st.real[st.block[m]]] == 0).all()
+        W = {m: random_spd(np.random.default_rng(m), len(A), m) for m, A in st.mats.items()}
+        Mb = _schur(st, W)
+        assert (Mb[~st.real] == 0).all()
+        schur = conic._Schur(st, np.ones((K, 2)))
+        schur.factor(Mb)
+        np.testing.assert_array_equal(schur.D[~st.real][:, :].max(axis=1), 1.0)

@@ -85,6 +85,14 @@ class TestParseInstance:
         assert inst.shape.lower is None
         assert inst.shape.upper == 3.0
 
+    @pytest.mark.parametrize("bounds", ["[nan, 8]", "[0, nan]", "[NaN, -inf]"])
+    def test_shape_bounds_nan_is_an_error_on_its_line(self, bounds):
+        """A NaN bound is refused on its line; it is not an absent bound,
+        as an infinite one is."""
+        with pytest.raises(ParseError, match="NaN") as ei:
+            parse_instance(f"var x in [0, 2];\nmin exp(x);\nshape bounds {bounds};\n")
+        assert ei.value.line == 3
+
     def test_point_statement(self):
         inst = parse_instance(
             "var x in [0,1]; min exp(x); point interp 0 5 9;"

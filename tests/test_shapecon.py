@@ -11,6 +11,7 @@ from missoc.regression import (
     AdditiveModelFit,
     TrainingSet,
     block_slices,
+    coefficient_slices,
     fit_additive,
     identifiability_penalty,
     make_bases,
@@ -34,6 +35,8 @@ from missoc.splines import (
     bernstein_map,
     design_matrix,
     make_basis,
+    poly_der,
+    segment_maps,
     taylor_shift,
     to_piecewise_poly,
 )
@@ -88,10 +91,10 @@ def add_gram_certificate(program, coeff_map, rhs_poly, sign, interval):
     d_eff = coeff_map.shape[0] - 1
     H = build_H(d_eff)
     W = build_W(d_eff, *interval)
-    rows = [program.add_row(np.zeros(program.dim), 0.0) for _ in range(d_eff)]
+    rows = program.add_rows(np.zeros((d_eff, program.dim)), np.zeros(d_eff))
     WT, Wb = W @ coeff_map, W @ rhs_poly
-    rows += [program.add_row(-sign * WT[r], -sign * Wb[r]) for r in range(d_eff + 1)]
-    program.blocks.append(ConicBlock((d_eff + 1,), np.array(rows), (H,)))
+    rows = np.concatenate([rows, program.add_rows(-sign * WT, -sign * Wb)])
+    program.blocks.append(ConicBlock((d_eff + 1,), rows, (H,)))
 
 
 class TestBuildH:
@@ -173,7 +176,8 @@ class TestBuildG:
         X = rng.uniform(lo, hi, size=(40, 1))
         T = TrainingSet(X=X, y=np.sin(X[:, 0]))
         program, _ = build_program(T, [basis], ShapeSpec(lower=-10.0))
-        return [cert[0] for cert in program.certificates]
+        ((maps, _, _),) = program.certificates
+        return list(maps)
 
     def test_inactive_columns_zero(self):
         basis = make_basis(0.0, 1.0, 5, 3)
@@ -207,6 +211,99 @@ class TestBuildG:
             )
 
 
+def per_interval_program(T, bases, spec, margin=0.0):
+    """C and c of the constrained-fit program built one certificate at a
+    time, interval by interval and within an interval map by map, then the
+    pointwise rows one by one: the build before certificate families.
+    ``spec`` carries its bound weights."""
+    alpha = float(T.y.mean())
+    B1 = design_matrix(T.X, bases)[:, 1:]
+    rows_C, rows_c = [], []
+    for j, (basis, s) in enumerate(zip(bases, coefficient_slices(bases))):
+        d, starts = basis.degree, basis.internal
+        G = segment_maps(basis, starts[:-1])
+        eye = np.eye(d + 1)
+        maps = []
+        if spec.lower is not None:
+            maps.append((eye, spec.weights_lower[j] * (spec.lower - alpha), +1.0))
+        if spec.upper is not None:
+            maps.append((eye, spec.weights_upper[j] * (spec.upper - alpha), -1.0))
+        if basis.label in spec.monotone:
+            sign = +1.0 if spec.monotone[basis.label] == INCREASING else -1.0
+            maps.append((poly_der(eye).T, 0.0, sign))
+        if basis.label in spec.curvature:
+            sign = +1.0 if spec.curvature[basis.label] == CONVEX else -1.0
+            maps.append((poly_der(poly_der(eye)).T, 0.0, sign))
+        for qi in range(basis.k):
+            t_lo, t_hi = starts[qi], starts[qi + 1]
+            active = slice(s.start + qi, s.start + qi + d + 1)
+            for transform, b, sign in maps:
+                d_eff = transform.shape[0] - 1
+                local_map = np.zeros((d_eff + 1, B1.shape[1]))
+                h_pow = (t_hi - t_lo) ** np.arange(d_eff + 1)
+                local_map[:, active] = h_pow[:, None] * (transform @ G[qi])
+                rhs = b + sign * margin
+                for row in bernstein_map(d_eff) @ local_map:
+                    rows_C.append(-sign * row)
+                    rows_c.append(float(-sign * rhs))
+    y_c = T.y - alpha
+    for ps in spec.pointwise:
+        for i in ps.indices:
+            flip = -1.0 if ps.relation == ">=" else 1.0
+            rows_C.append(np.asarray(flip * B1[i], dtype=float))
+            rows_c.append(float(flip * y_c[i]))
+    return np.vstack(rows_C), np.array(rows_c)
+
+
+class TestFamilyRows:
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("margin", [0.0, 3e-4])
+    def test_rows_equal_per_interval_build_bytewise(self, degree, margin):
+        """The families' rows of C and c sit where the per-interval build
+        put them, with the same bits: bounds on both sides, monotonicity,
+        curvature (from degree 2) and pointwise rows of every relation."""
+        rng = np.random.default_rng(degree)
+        X = rng.uniform(-1.0, 3.0, size=(70, 2))
+        T = TrainingSet(X=X, y=np.sin(2 * X[:, 0]) + X[:, 1] ** 2)
+        spec = ShapeSpec(
+            lower=-3.0,
+            upper=12.0,
+            monotone={"x2": INCREASING, "x1": DECREASING},
+            curvature={"x1": CONCAVE} if degree >= 2 else {},
+            pointwise=(PointwiseSet("=", (3,)), PointwiseSet(">=", (8, 1)),
+                       PointwiseSet("<=", (5, 9, 2)), PointwiseSet("<=", ())),
+        )
+        bases = make_bases(T, degree, [5, 7], None, ["x1", "x2"])
+        program, _ = build_program(T, bases, spec, margin=margin)
+        prob = program.to_problem()
+        C, c = per_interval_program(T, bases, program.spec, margin)
+        assert prob.C.tobytes() == C.tobytes()
+        assert prob.c.tobytes() == c.tobytes()
+        # every row but the '=' one belongs to exactly one block
+        rows = np.concatenate([b.rows.ravel() for b in prob.blocks])
+        assert sorted(rows) == [i for i in range(len(c)) if i != len(c) - 6]
+
+    def test_violation_reads_each_interval(self):
+        """shape_violation evaluates a family interval by interval: a
+        theta that breaks the bound on one interval only is caught there."""
+        rng = np.random.default_rng(5)
+        X = rng.uniform(0.0, 1.0, size=(60, 1))
+        T = TrainingSet(X=X, y=X[:, 0])
+        basis = make_basis(0.0, 1.0, 6, 3, "x1")
+        program, alpha = build_program(T, [basis], ShapeSpec(lower=-5.0))
+        theta = np.zeros(basis.n_basis)
+        assert shapecon.shape_violation(program, theta) == 0.0
+        theta[-1] = -60.0  # only the last basis function: the last interval
+        ((maps, rhs, sign),) = program.certificates
+        assert rhs == -5.0 - alpha and sign == 1.0
+        assert (maps[:-1, :, -1] == 0).all()
+        # the worst point is the right end, s = 1, where p is the sum of its
+        # coefficients
+        want = rhs - (maps[-1] @ theta).sum()
+        assert want > 4.0
+        assert shapecon.shape_violation(program, theta) == pytest.approx(want, rel=1e-12)
+
+
 class TestDerivativeMap:
     @pytest.mark.parametrize("d", range(1, 6))
     def test_matches_polyder(self, d):
@@ -226,12 +323,13 @@ class TestDerivativeMap:
         P = np.polynomial.polynomial
         # per interval: the bound, the monotonicity and the convexity map
         per = 2 + (d >= 2)
+        assert len(program.certificates) == per
         for q in range(basis.k):
-            bound, *derivs = program.certificates[q * per : (q + 1) * per]
-            p = bound[0] @ theta
-            for n, cert in enumerate(derivs, start=1):
+            bound, *derivs = [maps[q] for maps, _, _ in program.certificates]
+            p = bound @ theta
+            for n, local_map in enumerate(derivs, start=1):
                 np.testing.assert_allclose(
-                    cert[0] @ theta, P.polyder(p, n) / h**n, rtol=1e-12, atol=1e-12
+                    local_map @ theta, P.polyder(p, n) / h**n, rtol=1e-12, atol=1e-12
                 )
 
 
@@ -258,12 +356,12 @@ def shift_program(p, interval, form):
     if form == "gram":
         add_gram_certificate(program, e0, -np.asarray(p), 1.0, interval)
     else:
-        program.add_certificate(e0, 0.0, 1.0)
+        program.add_certificates([(e0[None], 0.0, 1.0)])
         # the rows read A(Z) - t B e0 = c, B = bernstein_map(d), so c holds
         # the Bernstein coefficients of p in s = (x - t_lo) / h: shifted to
         # t_lo, the i-th power scaled by h^i, then mapped by B
         local = (t_hi - t_lo) ** np.arange(d + 1) * taylor_shift(p, t_lo)
-        program.rows_c[-(d + 1) :] = list(bernstein_map(d) @ local)
+        program.rows_c[-1][:] = bernstein_map(d) @ local
     return program
 
 
@@ -364,12 +462,12 @@ class TestCertificateForms:
         bases = [make_basis(0.0, 1.0, 6, 3, f"x{j + 1}") for j in range(2)]
         program, _ = build_program(T, bases, spec)
         prob = program.to_problem()
-        assert {m for b in prob.blocks for m, _ in b.cones} == {1, 2}
+        assert {m for b in prob.blocks for m in b.order} == {1, 2}
         certs = [b for b in prob.blocks if b.order != (1,)]
         assert len(certs) == len(program.certificates)
-        for b, cert in zip(certs, program.certificates):
-            assert len(b.rows) == cert[0].shape[0]
-        assert len(prob.c) == sum(len(b.rows) for b in prob.blocks)
+        for b, (maps, _, _) in zip(certs, program.certificates):
+            assert b.rows.shape == maps.shape[:2]
+        assert len(prob.c) == sum(b.rows.size for b in prob.blocks)
 
 
 class TestEstimateWeights:
@@ -426,6 +524,22 @@ class TestShapeSpec:
             ShapeSpec(weights_lower=(0.5, 0.2))
         with pytest.raises(ValueError):
             ShapeSpec(weights_lower=(1.5, -0.5))
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(lower=math.nan),
+        dict(upper=math.nan),
+        dict(lower=-math.inf, upper=1.0),
+        dict(lower=0.0, upper=math.inf),
+        dict(lower=0.0, weights_lower=(math.nan,)),
+        dict(upper=1.0, weights_upper=(0.5, math.nan)),
+        dict(lower=0.0, weights_lower=(math.inf,)),
+        dict(upper=1.0, weights_upper=(0.5, -math.inf)),
+    ])
+    def test_rejects_non_finite_bounds_and_weights(self, kwargs):
+        """A NaN or infinite bound or weight fails at construction, not in
+        the conic solve after sampling ("c has a NaN")."""
+        with pytest.raises(ValueError, match="finite"):
+            ShapeSpec(**kwargs)
 
     def test_rejects_unknown_directions(self):
         with pytest.raises(ValueError):
