@@ -7,26 +7,23 @@ Problem form:
     s.t. C theta + sum_b A_b(Z_b) = c,      every cone of Z_b PSD
 
 where a block b carries one or more PSD cones on the same rows, and
-A_b(Z_b) is the sum over its cones. Blocks come in families
-(``ConicBlock``): k blocks with the same cone orders and row count, such as
-one shape certificate on each of k intervals. Each equality row touches at
-most one block: the rows of different blocks are disjoint and lie in
-0..K-1 (``solve_conic`` raises ``ValueError`` otherwise, on a family whose
-shapes disagree, and on any NaN or infinite entry). Cones are tiny, so all
-per-cone linear algebra is dense.
+A_b(Z_b) is the sum over its cones. A ``ConicBlock`` is a family of k
+blocks with the same cones, such as one certificate on each of k intervals.
+The rows of different blocks are disjoint and lie in 0..K-1 (``solve_conic``
+raises ``ValueError`` otherwise, on a family whose shapes disagree, and on
+any NaN or infinite entry). Cones are tiny, so all per-cone linear algebra
+is dense.
 
-Once per solve every block of every family is laid out in one stack padded
-to the largest row count r: block rows ``(n, r)``, with pad rows pointing
-at a dummy row K, and per cone order m the ``(N_m, r, m, m)`` constraint
-matrices of its cones and each cone's block. The iterates ``Z``, ``S`` are
-one ``(N_m, m, m)`` stack per cone order. Flooring, NT scaling, inverses
-and step lengths run once per cone order; orders 1 and 2 have elementwise
-closed forms (a 2 x 2 PSD cone is a rotated second-order cone), and only
-orders of 3 and more go through batched ``eigh``/``cholesky``. The A-map
-scatters with one ``np.bincount`` per cone order, and its adjoint gathers
-from the padded rows; no iteration loops over blocks or families.
-Nesterov-Todd scaling, Mehrotra-style adaptive centering,
-fraction-to-boundary steps.
+Once per solve every block is laid out in one stack padded to the largest
+row count r: block rows ``(n, r)``, pad rows pointing at a dummy row K, and
+per cone order m the ``(N_m, r, m, m)`` matrices of its cones and each
+cone's block. The iterates ``Z``, ``S`` are one ``(N_m, m, m)`` stack per
+cone order. Flooring, NT scaling, inverses and step lengths run once per
+cone order; orders 1 and 2 have elementwise closed forms (a 2 x 2 PSD cone
+is a rotated second-order cone), and only orders of 3 and more go through
+batched ``eigh``/``cholesky``. The A-map is one ``np.bincount`` per cone
+order; no iteration loops over blocks or families. Nesterov-Todd scaling,
+Mehrotra-style adaptive centering, fraction-to-boundary steps.
 
 The Schur complement of the Newton system is never formed. It is block
 diagonal over the blocks' rows plus ``C Q^-1 C'``, whose rank is at most
@@ -115,9 +112,9 @@ def _family(i: int, b: ConicBlock) -> tuple[np.ndarray, list[np.ndarray]]:
     ValueError naming the block when a shape or entry is off."""
     rows = np.asarray(b.rows)
     rows = rows[None] if rows.ndim == 1 else rows
-    if rows.ndim != 2 or not rows.shape[1]:
-        raise ValueError(f"blocks[{i}].rows has shape {np.shape(b.rows)}, "
-                         f"need (r,) or (k, r) with r >= 1")
+    if rows.ndim != 2 or not rows.shape[1] or rows.dtype.kind not in "iu":
+        raise ValueError(f"blocks[{i}].rows is {rows.dtype} of shape "
+                         f"{np.shape(b.rows)}, need integers (r,) or (k, r), r >= 1")
     (k, r), orders = rows.shape, tuple(b.order)
     if not orders or len(orders) != len(b.mats):
         raise ValueError(f"blocks[{i}] has {len(orders)} cone orders and "

@@ -322,8 +322,9 @@ def _parse_shape(rest, line, shape_kwargs, monotone, curvature):
             raise ParseError("expected 'shape bounds [L, U]'", line, 1)
         lo_s, _, hi_s = tail[1:-1].partition(",")
         lo, hi = float(lo_s), float(hi_s)
-        if math.isnan(lo) or math.isnan(hi):
-            raise ParseError(f"shape bounds must not be NaN, got {tail}", line, 1)
+        if not (lo < math.inf and hi > -math.inf):  # NaN fails both
+            raise ParseError(f"shape bounds {tail} must be numbers, -inf only "
+                             f"below and inf only above", line, 1)
         if math.isfinite(lo):
             shape_kwargs["lower"] = lo
         if math.isfinite(hi):

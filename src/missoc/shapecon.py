@@ -21,8 +21,10 @@ interval allows (monomial ones left the interior-point solver short of
 its tolerances on some single certificates of degree 3 to 5). A cubic
 spline needs only 1 x 1 and 2 x 2 cones.
 
-A certificate keeps that one coordinate: ``shape_violation`` checks its map
-in s on a grid in s, so a domain far from 0 reads no rounding as a violation.
+One shape map's certificates on a covariate's k intervals form a family:
+a (k, d_eff+1, dim) stack of maps in s and one ``ConicBlock`` whose k blocks
+share the Lukacs selectors. ``shape_violation`` checks those maps on a grid
+in s, so a domain far from 0 reads no rounding as a violation.
 
 Monotonicity and convexity reuse the same machinery on the derivative (or
 second-derivative) coefficient map, exact integers from ``splines.poly_der``,

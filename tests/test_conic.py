@@ -644,6 +644,7 @@ class TestInputChecks:
             ((1,), [[1], [2]], (np.ones((2, 1, 1, 1)),), "mats"),
             ((), [1, 2], (), "cone orders"),
             ((1,), [[[1]], [[2]]], (np.ones((1, 1, 1)),), "rows"),
+            ((1,), [1.0], (np.ones((1, 1, 1)),), "integers"),
         ],
     )
     def test_family_shapes_are_checked(self, order, rows, mats, what):

@@ -85,11 +85,13 @@ class TestParseInstance:
         assert inst.shape.lower is None
         assert inst.shape.upper == 3.0
 
-    @pytest.mark.parametrize("bounds", ["[nan, 8]", "[0, nan]", "[NaN, -inf]"])
+    @pytest.mark.parametrize(
+        "bounds", ["[nan, 8]", "[0, nan]", "[NaN, -inf]", "[inf, 8]", "[0, -inf]"]
+    )
     def test_shape_bounds_nan_is_an_error_on_its_line(self, bounds):
-        """A NaN bound is refused on its line; it is not an absent bound,
-        as an infinite one is."""
-        with pytest.raises(ParseError, match="NaN") as ei:
+        """A NaN bound, inf below or -inf above is refused on its line; none
+        is an absent bound, as -inf below and inf above are."""
+        with pytest.raises(ParseError, match="must be numbers") as ei:
             parse_instance(f"var x in [0, 2];\nmin exp(x);\nshape bounds {bounds};\n")
         assert ei.value.line == 3
 
