@@ -856,4 +856,5 @@ class TestFamilies:
         assert (Mb[~st.real] == 0).all()
         schur = conic._Schur(st, np.ones((K, 2)))
         schur.factor(Mb)
-        np.testing.assert_array_equal(schur.D[~st.real][:, :].max(axis=1), 1.0)
+        pad = schur.D[~st.real]  # each pad row of D is a unit row
+        assert (pad.max(axis=1) == 1.0).all() and (np.abs(pad).sum(axis=1) == 1.0).all()
