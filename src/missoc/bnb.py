@@ -337,14 +337,14 @@ class _LPBuilder:
                 link.append((col + 1, -1.0))
             add(link, 0.0, 0.0)
             add([(self.ncols - p + j, 1.0)] + [(col + 2, -1.0) for col in y], 0.0, 0.0)
-        for con in surr.linear_constraints:
-            if con.relation == "=":
-                add(self._con_row(con), -con.constant, -con.constant)
+        # the original constraints: the nonzeros of A, on the x columns
+        rows = surr.constraint_rows
+        for a, b in zip(rows.A[rows.eq], rows.b[rows.eq].tolist()):
+            add(enumerate(a.tolist()), -b, -b)
         for col, width in zip(self.y_cols.tolist(), self.widths):
             add(((col + 1, 1.0), (col, -width)), 0.0)
-        for con in surr.linear_constraints:
-            if con.relation != "=":
-                add(self._con_row(con), -con.constant)
+        for a, b in zip(rows.A[~rows.eq], rows.b[~rows.eq].tolist()):
+            add(enumerate(a.tolist()), -b)
         blocks = [(np.array(counts, dtype=np.int32), np.array(index, dtype=np.int32),
                    np.array(value, dtype=float))]
 
@@ -378,9 +378,6 @@ class _LPBuilder:
             np.concatenate([upper, np.zeros(len(order))]),
             *_row_arrays(blocks),
         )
-
-    def _con_row(self, con):
-        return [(self.col_x[n], c) for n, c in con.coeffs.items()]
 
     def span(self, j: int) -> slice:
         """Component j's run of the interval table."""
@@ -616,16 +613,10 @@ def _try_incumbent(builder: _LPBuilder, z) -> tuple[float, np.ndarray] | None:
     for span in spans:
         i = builder.x_col[span.start]
         x[i] = min(max(x[i], builder.left[span.start]), builder.right[span.stop - 1])
-    idx = builder.col_x
-    for con in surr.linear_constraints:
-        val = con.constant + sum(
-            c * x[idx[n]] for n, c in con.coeffs.items()
-        )
-        if con.relation == "=":
-            if abs(val) > 1e-6:
-                return None
-        elif val > 1e-6:
-            return None
+    rows = surr.constraint_rows
+    g = rows.A @ x + rows.b
+    if (np.where(rows.eq, np.abs(g), g) > 1e-6).any():
+        return None
     value, lift = eval_surrogate_at(surr, x)
     for j, (comp, span) in enumerate(zip(surr.components, spans)):
         i = builder.x_col[span.start]
@@ -796,7 +787,7 @@ def solve(
     check: node number, depth, the least bound of it and the open nodes,
     the incumbent value and the gap (both NaN before the first incumbent).
     """
-    if surrogate.nonlinear_constraints:
+    if surrogate.constraint_rows.nonaffine:
         raise UnsupportedSurrogateError(NONLINEAR_CONSTRAINTS_UNSUPPORTED)
     start = time.monotonic()
     builder = _LPBuilder(surrogate, gap_tol)

@@ -22,7 +22,7 @@ import scipy.optimize
 
 # evaluate is not called here: the benchmark tracer counts calls through
 # localsearch.evaluate until the in-program trace replaces it (ROADMAP item 1)
-from .expressions import decompose_affine, evaluate, gradient  # noqa: F401
+from .expressions import evaluate, gradient  # noqa: F401
 
 INT_TOL = 1e-9
 FEAS_TOL = 1e-9
@@ -49,29 +49,23 @@ def _linear_rows(instance, x, free) -> list:
     coordinates of x folded into the constants: one LinearConstraint for
     the "<=" rows and one for the "=" rows (scipy warns when one object
     mixes the two)."""
-    col = instance.var_index()
+    rows = instance.constraint_rows
+    if rows.nonaffine:
+        m = instance.constraints.index(rows.nonaffine[0])
+        raise ValueError(
+            f"constraint {m} is not affine; refine takes affine constraints only"
+        )
     fixed = np.ones(len(x), dtype=bool)
     fixed[free] = False
-    rows = {"<=": ([], []), "=": ([], [])}  # relation: (A rows, -constant)
-    for m, con in enumerate(instance.constraints):
-        aff = decompose_affine(con.expr)
-        if aff is None:
-            raise ValueError(
-                f"constraint {m} is not affine; refine takes affine "
-                "constraints only"
-            )
-        const, coeffs = aff
-        a = np.zeros(len(x))
-        for name, c in coeffs.items():
-            a[col[name]] += c
-        rows[con.relation][0].append(a[free])
-        rows[con.relation][1].append(-(const + a[fixed] @ x[fixed]))
-    return [
-        scipy.optimize.LinearConstraint(
-            np.array(a), -np.inf if rel == "<=" else np.array(b), np.array(b)
-        )
-        for rel, (a, b) in rows.items() if a
-    ]
+    out = []
+    for eq in (False, True):
+        A = rows.A[rows.eq == eq]
+        if len(A):
+            b = -(rows.b[rows.eq == eq] + [a[fixed] @ x[fixed] for a in A])
+            out.append(scipy.optimize.LinearConstraint(
+                A[:, free], b if eq else -np.inf, b
+            ))
+    return out
 
 
 def refine(instance, x_tilde) -> RefineResult:

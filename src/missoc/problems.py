@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -92,6 +92,18 @@ class Constraint:
 
 
 @dataclass(frozen=True)
+class ConstraintRows:
+    """The original constraints as one record: the affine ones as rows
+    ``A @ x + b <= 0``, or ``= 0`` where ``eq``, with one column per
+    variable in declaration order, and the others as they are."""
+
+    A: np.ndarray  # (m, n), a repeated variable's coefficients summed
+    b: np.ndarray  # (m,)
+    eq: np.ndarray  # (m,) bool
+    nonaffine: tuple[Constraint, ...]  # in input order
+
+
+@dataclass(frozen=True)
 class ProblemInstance:
     variables: tuple[Variable, ...]
     objective: Expr
@@ -112,6 +124,24 @@ class ProblemInstance:
     def constraint_values(self, x) -> np.ndarray:
         env = self.env(x)
         return np.array([evaluate(c.expr, env) for c in self.constraints])
+
+    @cached_property
+    def constraint_rows(self) -> ConstraintRows:
+        """The constraints' record, built on first use: every stage reads
+        this one, so ``decompose_affine`` runs once per constraint."""
+        col = self.var_index()
+        split = [(con, decompose_affine(con.expr)) for con in self.constraints]
+        affine = [(con, aff) for con, aff in split if aff is not None]
+        A = np.zeros((len(affine), len(self.variables)))
+        for a, (_, (_, coeffs)) in zip(A, affine):
+            for name, c in coeffs.items():
+                a[col[name]] += c
+        return ConstraintRows(
+            A,
+            np.array([aff[0] for _, aff in affine], dtype=float),
+            np.array([con.relation == "=" for con, _ in affine], dtype=bool),
+            tuple(con for con, aff in split if aff is None),
+        )
 
     def complicating_split(self):
         """(affine constant, affine coeffs by name, nonlinear terms) of g_0."""
@@ -420,6 +450,15 @@ def load_instance(path) -> ProblemInstance:
 RESAMPLE_CAP = 1000
 
 
+def training_rows(config: MissocConfig, p: int) -> int:
+    """The sample size s * (1 + sum_j (d_j + k_j)) for p covariates."""
+    degrees = per_covariate(config.degrees, p, "degrees")
+    intervals = per_covariate(config.intervals, p, "intervals")
+    return config.samples_per_param * (1 + sum(
+        d + k for d, k in zip(degrees, intervals)
+    ))
+
+
 def sample_training(
     instance: ProblemInstance, config: MissocConfig
 ) -> TrainingSet:
@@ -427,8 +466,8 @@ def sample_training(
 
     Responses are exact evaluations of the approximated (nonlinear) part of
     g_0; the affine remainder is carried through the surrogate untouched.
-    Sample count: s * (1 + sum_j (d_j + k_j)), drawn as one block and
-    evaluated by ``evaluate_block``. Rows where evaluation raises or the
+    Sample count: ``training_rows``, drawn as one block and evaluated by
+    ``evaluate_block``. Rows where evaluation raises or the
     response is not finite are redrawn together, up to RESAMPLE_CAP draws.
     """
     names = instance.covariates()
@@ -437,11 +476,7 @@ def sample_training(
             "objective has no nonlinear part to approximate"
         )
     p = len(names)
-    degrees = per_covariate(config.degrees, p, "degrees")
-    intervals = per_covariate(config.intervals, p, "intervals")
-    n = config.samples_per_param * (1 + sum(
-        d + k for d, k in zip(degrees, intervals)
-    ))
+    n = training_rows(config, p)
     lo, hi = np.array(covariate_domains(instance)).T
     _, _, nonlinear = instance.complicating_split()
     # one tree, summed from 0 term by term as sum() adds at one point
@@ -561,8 +596,8 @@ def check_solvable(instance: ProblemInstance) -> None:
         highs,
     )
 
-    rows = [decompose_affine(c.expr) for c in instance.constraints]
-    if any(row is None for row in rows):
+    rows = instance.constraint_rows
+    if rows.nonaffine:
         cause = UnsupportedSurrogateError(NONLINEAR_CONSTRAINTS_UNSUPPORTED)
         raise StageError("solve", cause)
     _, coeffs, _ = instance.complicating_split()
@@ -576,10 +611,9 @@ def check_solvable(instance: ProblemInstance) -> None:
     model.setOptionValue("presolve", "off")  # so the status is not ambiguous
     for v, c in zip(instance.variables, cost):
         model.addCol(c, v.lower, v.upper, 0, [], [])
-    col = instance.var_index()
-    for con, (const, row) in zip(instance.constraints, rows):
-        lower = -math.inf if con.relation == "<=" else -const
-        model.addRow(lower, -const, len(row), [col[n] for n in row], list(row.values()))
+    for a, b, eq in zip(rows.A, rows.b, rows.eq):
+        cols = np.flatnonzero(a).astype(np.int32)
+        model.addRow(-b if eq else -math.inf, -b, len(cols), cols, a[cols])
     model.run()
     if model.getModelStatus() != highs.HighsModelStatus.kUnbounded:
         return
@@ -613,13 +647,13 @@ def surrogate_stages(instance: ProblemInstance, config: MissocConfig):
 
     times: dict[str, float] = {}
     labels = instance.covariates()
-    degrees = config.degrees
-    if np.ndim(degrees) == 0:
-        degrees = [degrees] * len(labels)
-    if instance.shape is not None and len(degrees) == len(labels):
-        # a shape the degrees cannot carry fails the fit: rejected before
-        # sampling (a degrees length that does not fit is the sample's error)
-        _staged({}, "fit", instance.shape.check_degrees, labels, degrees)
+    if instance.shape is not None and labels:
+        # a shape the degrees cannot carry, or a pointwise index past the
+        # sample, fails the fit: rejected before sampling (a degrees or
+        # intervals length that does not fit is the sample's error)
+        n = _staged({}, "sample", training_rows, config, len(labels))
+        degrees = per_covariate(config.degrees, len(labels), "degrees")
+        _staged({}, "fit", instance.shape.check_fit, labels, degrees, n)
     T = _staged(times, "sample", sample_training, instance, config)
     fit = _staged(times, "fit", fit_stage, instance, T, config)
     surr = _staged(times, "surrogate", build_surrogate, fit, instance)

@@ -135,15 +135,20 @@ class ShapeSpec:
             if direction not in (CONVEX, CONCAVE):
                 raise ValueError(f"unknown curvature {direction!r}")
 
-    def check_degrees(self, labels, degrees) -> None:
+    def check_fit(self, labels, degrees, n: int) -> None:
         """Raise ValueError naming the first covariate whose degree cannot
-        carry the shape asked of it: monotonicity needs degree >= 1, a
-        curvature degree >= 2. ``degrees`` holds one degree per label."""
+        carry the shape asked of it (monotonicity needs degree >= 1, a
+        curvature degree >= 2), else the first pointwise index that is not
+        a row of an n-row training set. ``degrees`` holds one degree per
+        label."""
         for label, d in zip(labels, degrees):
             if label in self.monotone and d < 1:
                 raise ValueError(f"monotonicity needs degree >= 1 on {label}")
             if label in self.curvature and d < 2:
                 raise ValueError(f"convexity needs degree >= 2 on {label}")
+        for i in (i for ps in self.pointwise for i in ps.indices):
+            if not 0 <= i < n:
+                raise ValueError(f"pointwise index {i} outside 0..{n - 1}")
 
     @property
     def is_empty(self) -> bool:
@@ -385,7 +390,7 @@ def build_program(
                     f"bound weights must have one entry per covariate ({p})"
                 )
     program.spec = spec
-    spec.check_degrees([b.label for b in bases], [b.degree for b in bases])
+    spec.check_fit([b.label for b in bases], [b.degree for b in bases], T.n)
 
     for j, (basis, s) in enumerate(zip(bases, slices)):
         d, k = basis.degree, basis.k
@@ -431,8 +436,6 @@ def build_program(
 def _check_pointwise_consistency(T: TrainingSet, spec: ShapeSpec, alpha: float):
     for ps in spec.pointwise:
         for i in ps.indices:
-            if not 0 <= i < T.n:
-                raise ValueError(f"pointwise index {i} outside 0..{T.n - 1}")
             y = T.y[i]
             if ps.relation in ("=", ">=") and spec.upper is not None:
                 if y > spec.upper + 1e-12:

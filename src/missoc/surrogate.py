@@ -17,8 +17,10 @@ and its multiple-choice model is locally ideal (Vielma, Ahmed & Nemhauser
 2010): the LP relaxation of the component is the convex hull of its points.
 A wider box keeps the spline's intervals, so no lift adds binaries.
 
-Original constraints are retained untouched; affine ones are recognized so
-the solver can embed them in its linear relaxations.
+The original constraints are carried through untouched, as the instance's
+one record of them (``ProblemInstance.constraint_rows``): the affine ones as
+the rows the solver embeds in its linear relaxations, the others as they
+are.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import decompose_affine
+from .expressions import unparse
 from .regression import AdditiveModelFit
 from .splines import PiecewisePoly, horner, to_piecewise_poly
 
@@ -63,22 +65,12 @@ class SurrogateComponent:
 
 
 @dataclass(frozen=True)
-class LinearConstraint:
-    """sum coeffs[v]*x_v + constant <relation> 0."""
-
-    coeffs: dict[str, float]
-    constant: float
-    relation: str  # "<=" or "="
-
-
-@dataclass(frozen=True)
 class SurrogateMINLP:
     constant: float  # fitted intercept plus affine constant of g_0
     linear: dict[str, float]  # affine carry-through coefficients by variable
     components: tuple[SurrogateComponent, ...]
     variables: tuple  # original Variable records, declaration order
-    linear_constraints: tuple[LinearConstraint, ...]
-    nonlinear_constraints: tuple = ()  # retained original constraints
+    constraint_rows: object  # the instance's problems.ConstraintRows
 
     @property
     def n_binaries(self) -> int:
@@ -125,14 +117,12 @@ def build_surrogate(fit: AdditiveModelFit, instance) -> SurrogateMINLP:
             piece = integer_points_lift(piece, np.arange(v.lower, v.upper + 1.0))
         components.append(SurrogateComponent(var=basis.label, piece=piece))
 
-    lin_cons, nl_cons = _classify_constraints(instance.constraints)
     return SurrogateMINLP(
         constant=fit.intercept + const,
         linear=dict(coeffs),
         components=tuple(components),
         variables=tuple(instance.variables),
-        linear_constraints=lin_cons,
-        nonlinear_constraints=nl_cons,
+        constraint_rows=instance.constraint_rows,
     )
 
 
@@ -149,22 +139,6 @@ def integer_points_lift(piece: PiecewisePoly, points) -> PiecewisePoly:
     values = np.array([piece(i) for i in points])
     coeffs = np.column_stack([values, np.append(np.diff(values), 0.0)])
     return PiecewisePoly(np.append(points, points[-1]), coeffs)
-
-
-def _classify_constraints(constraints):
-    linear = []
-    nonlinear = []
-    for con in constraints:
-        aff = decompose_affine(con.expr)
-        if aff is not None:
-            linear.append(
-                LinearConstraint(
-                    coeffs=dict(aff[1]), constant=aff[0], relation=con.relation
-                )
-            )
-        else:
-            nonlinear.append(con)
-    return tuple(linear), tuple(nonlinear)
 
 
 def eval_surrogate_at(surrogate: SurrogateMINLP, x):
@@ -242,13 +216,13 @@ def export_text(surrogate: SurrogateMINLP) -> str:
         lines.append(f"st {comp.var} = {xs}")
         sps = " + ".join(f"sp_{comp.var}_{q}" for q in range(comp.k))
         lines.append(f"st sigma_{comp.var} = {sps}")
-    for con in surrogate.linear_constraints:
-        terms = [f"{con.constant:.17g}"] + [
-            f"{c:+.17g}*{n}" for n, c in sorted(con.coeffs.items())
+    rows = surrogate.constraint_rows
+    names = [v.name for v in surrogate.variables]
+    for a, b, eq in zip(rows.A, rows.b, rows.eq):
+        terms = [f"{b:.17g}"] + [
+            f"{c:+.17g}*{n}" for n, c in sorted(zip(names, a.tolist())) if c
         ]
-        lines.append(f"st {' '.join(terms)} {con.relation} 0")
-    for con in surrogate.nonlinear_constraints:
-        from .expressions import unparse
-
+        lines.append(f"st {' '.join(terms)} {'=' if eq else '<='} 0")
+    for con in rows.nonaffine:
         lines.append(f"st {unparse(con.expr)} {con.relation} 0")
     return "\n".join(lines) + "\n"

@@ -156,14 +156,17 @@ def surrogate_grid_min(surr, axes, masks=()):
         shape[j] = -1
         total = total + part.reshape(shape)
     feasible = np.ones(total.shape, dtype=bool)
-    for con in surr.linear_constraints:
-        val = np.full(total.shape, con.constant)
+    rows = surr.constraint_rows
+    for a, const, eq in zip(rows.A, rows.b, rows.eq):
+        val = np.full(total.shape, const)
         idx = {c.var: j for j, c in enumerate(surr.components)}
-        for name, coeff in con.coeffs.items():
+        for v, coeff in zip(surr.variables, a):
+            if not coeff:
+                continue
             shape = [1] * p
-            shape[idx[name]] = -1
-            val = val + coeff * axes[idx[name]].reshape(shape)
-        if con.relation == "=":
+            shape[idx[v.name]] = -1
+            val = val + coeff * axes[idx[v.name]].reshape(shape)
+        if eq:
             feasible &= np.abs(val) <= 1e-9
         else:
             feasible &= val <= 1e-12

@@ -31,7 +31,6 @@ from missoc.problems import (
 from missoc.regression import fit_additive
 from missoc.splines import PiecewisePoly, horner, poly_der, taylor_shift
 from missoc.surrogate import (
-    LinearConstraint,
     SurrogateComponent,
     SurrogateMINLP,
     build_surrogate,
@@ -559,7 +558,8 @@ class TestSolve:
     def test_incumbent_scored_with_the_lp_interval_at_a_knot(self):
         # degree 0: the LP reaches x = 0.5 in the left interval (value 1);
         # the knot rule puts 0.5 in the right one (value 2)
-        (var,) = parse_instance("var x in [0, 1]; min x;").variables
+        inst = parse_instance("var x in [0, 1]; min x; st 0.5 - x <= 0;")
+        (var,) = inst.variables
         piece = PiecewisePoly(
             np.array([0.0, 0.25, 0.5, 0.75, 1.0]),
             np.array([[3.0], [1.0], [2.0], [2.5]]),
@@ -569,7 +569,7 @@ class TestSolve:
             linear={},
             components=(SurrogateComponent("x", piece),),
             variables=(var,),
-            linear_constraints=(LinearConstraint({"x": -1.0}, 0.5, "<="),),
+            constraint_rows=inst.constraint_rows,
         )
         assert eval_surrogate_at(surr, [0.5])[0] == 2.0
         report = solve(surr, gap_tol=1e-6)
@@ -843,12 +843,13 @@ def dense_rows(builder, nodes=()):
             row[col_y(builder, j, q)] = -comp.widths[q]
             A_ub.append(row)
             b_ub.append(0.0)
-    for con in surr.linear_constraints:
+    rows = surr.constraint_rows
+    for a, const, eq in zip(rows.A, rows.b, rows.eq):
         row = new_row()
-        for name, coeff in con.coeffs.items():
-            row[builder.col_x[name]] = coeff
-        (A_eq if con.relation == "=" else A_ub).append(row)
-        (b_eq if con.relation == "=" else b_ub).append(-con.constant)
+        for v, coeff in zip(surr.variables, a):
+            row[builder.col_x[v.name]] = coeff
+        (A_eq if eq else A_ub).append(row)
+        (b_eq if eq else b_ub).append(-const)
     for j, comp in enumerate(surr.components):
         for q in range(comp.k):
             cuts(j, q, 0.0, comp.widths[q])
@@ -1179,9 +1180,9 @@ def random_surrogate(seed, k=4):
     convex (a random cubic with nonnegative curvature and its minimum
     inside) and the rest random cubics, coupled by x1 + x2 >= 0.8."""
     rng = np.random.default_rng(seed)
-    variables = parse_instance(
-        "var x1 in [0, 1]; var x2 in [0, 1]; min x1 + x2;"
-    ).variables
+    inst = parse_instance(
+        "var x1 in [0, 1]; var x2 in [0, 1]; min x1 + x2; st x1 + x2 >= 0.8;"
+    )
     bp = np.linspace(0.0, 1.0, k + 1)
     w = bp[1] - bp[0]
     components = []
@@ -1204,10 +1205,8 @@ def random_surrogate(seed, k=4):
         constant=0.0,
         linear={},
         components=tuple(components),
-        variables=tuple(variables),
-        linear_constraints=(
-            LinearConstraint({"x1": -1.0, "x2": -1.0}, 0.8, "<="),
-        ),
+        variables=inst.variables,
+        constraint_rows=inst.constraint_rows,
     )
 
 
@@ -2102,11 +2101,12 @@ def surrogate_grid(surr, n=201):
         at, where = np.unique(points[:, idx[comp.var]], return_inverse=True)
         value += np.array([comp.piece(x) for x in at])[where]
     feasible = np.ones(len(points), dtype=bool)
-    for con in surr.linear_constraints:
-        lhs = con.constant + sum(
-            c * points[:, idx[name]] for name, c in con.coeffs.items()
+    rows = surr.constraint_rows
+    for a, const, eq in zip(rows.A, rows.b, rows.eq):
+        lhs = const + sum(
+            c * points[:, idx[v.name]] for v, c in zip(surr.variables, a)
         )
-        feasible &= np.abs(lhs) <= 1e-12 if con.relation == "=" else lhs <= 0.0
+        feasible &= np.abs(lhs) <= 1e-12 if eq else lhs <= 0.0
     return points, value, feasible
 
 
@@ -2163,6 +2163,28 @@ def solved_root(surr):
     status, _, z = bnb.relax_node(lp, Node(0, builder.lower, builder.upper))
     assert status == "optimal"
     return builder, z, lp
+
+
+class TestTryIncumbent:
+    def test_constraint_tolerance_matches_the_expression_values(self):
+        # violations 5e-7 and 3e-6 either side of each row: a point is kept
+        # exactly when the constraint trees read at most 1e-6 ("<=") and at
+        # most 1e-6 in magnitude ("=")
+        inst = parse_instance(
+            "var x in [0, 1]; var y in [0, 1];"
+            "min (x - 0.3)^2 + (y - 0.6)^2; st x + y <= 1; st x - y = 0.2;"
+        )
+        builder = bnb._LPBuilder(surrogate_for(inst, intervals=4), 1e-4)
+        kept = []
+        for r1 in (-3e-6, -5e-7, 5e-7, 3e-6):
+            for r2 in (-3e-6, -5e-7, 5e-7, 3e-6):
+                z = np.zeros(builder.ncols)
+                z[:2] = 0.6 + (r1 + r2) / 2, 0.4 + (r1 - r2) / 2
+                g = inst.constraint_values(z[:2])
+                want = g[0] <= 1e-6 and abs(g[1]) <= 1e-6
+                assert (bnb._try_incumbent(builder, z) is not None) == want
+                kept.append(want)
+        assert kept.count(True) == 6
 
 
 class TestRootTightening:

@@ -141,6 +141,14 @@ class TestRefine:
         with pytest.raises(ValueError, match="constraint 0 .*affine"):
             refine(inst, [0.5])
 
+    def test_names_the_first_non_affine_constraint(self):
+        inst = parse_instance(
+            "var x in [0, 2]; min (x - 2)^2;"
+            "st x - 1.5 <= 0; st x^2 - 1 <= 0; st x^3 <= 1;"
+        )
+        with pytest.raises(ValueError, match="constraint 1 .*affine"):
+            refine(inst, [0.5])
+
 
 class TestNoInfeasibleGain:
     """The refined point satisfies the linear rows, so no objective below

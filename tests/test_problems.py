@@ -518,6 +518,82 @@ class TestRunMissoc:
         assert ei.value.stage == "fit"
         assert isinstance(ei.value.cause, ValueError)
 
+    @pytest.mark.parametrize("index", [210, 5000, -1])
+    def test_pointwise_index_past_the_sample_rejected_before_sampling(
+        self, monkeypatch, index
+    ):
+        from missoc import problems
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sample_training was called")
+
+        monkeypatch.setattr(problems, "sample_training", no_sampling)
+        inst = parse_instance(
+            f"var x in [0, 2]; min exp(x) - 3*x; shape convex x; point interp {index};"
+        )
+        # 15 * (1 + 3 + 10) rows at the defaults
+        message = f"pointwise index {index} outside 0..209"
+        with pytest.raises(problems.StageError, match=message) as ei:
+            problems.run_missoc(inst, MissocConfig())
+        assert ei.value.stage == "fit"
+        assert isinstance(ei.value.cause, ValueError)
+
+    def test_last_row_index_goes_on_to_sampling(self, monkeypatch):
+        from missoc import problems
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sample_training was called")
+
+        monkeypatch.setattr(problems, "sample_training", no_sampling)
+        inst = parse_instance(
+            "var x in [0, 2]; min exp(x) - 3*x; shape convex x; point interp 209;"
+        )
+        with pytest.raises(problems.StageError, match="was called") as ei:
+            problems.run_missoc(inst, MissocConfig())
+        assert ei.value.stage == "sample"
+        assert problems.training_rows(MissocConfig(), 1) == 210
+
+    @pytest.mark.parametrize("field", ["degrees", "intervals"])
+    def test_shaped_sequence_of_the_wrong_length_is_the_samples_error(self, field):
+        from missoc import problems
+
+        inst = parse_instance(
+            "var x in [0, 2]; min exp(x) - 3*x; shape convex x; point interp 5000;"
+        )
+        with pytest.raises(problems.StageError, match=field) as ei:
+            problems.run_missoc(inst, self.small_cfg(**{field: (3, 3)}))
+        assert ei.value.stage == "sample"
+
+    def test_constraints_decomposed_once_per_instance(self, monkeypatch):
+        from missoc import bnb, expressions, localsearch, problems, surrogate
+
+        original = expressions.decompose_affine
+        top = []  # top-level calls; the recursion goes through the spy too
+        depth = [0]
+
+        def spy(expr):
+            if not depth[0]:
+                top.append(expr)
+            depth[0] += 1
+            try:
+                return original(expr)
+            finally:
+                depth[0] -= 1
+
+        for module in (expressions, problems, surrogate, bnb, localsearch):
+            if getattr(module, "decompose_affine", None) is original:
+                monkeypatch.setattr(module, "decompose_affine", spy)
+        inst = parse_instance(
+            "var x in [0, 1]; var y in [0, 1]; var n in [0, 3] integer;"
+            "min (x - 0.3)^2 + (y - 0.6)^2 + 0.5*n;"
+            "st x + y <= 1.5; st x - y = -0.25; st n + x >= 0.5;"
+        )
+        for _ in range(2):
+            report = problems.run_missoc(inst, self.small_cfg())
+            assert report.status == "optimal"
+        exprs = [c.expr for c in inst.constraints]
+        assert [e for e in top if any(e is c for c in exprs)] == exprs
+
     @pytest.mark.parametrize("text", [
         "var x in [-inf, inf]; var y in [0, 1]; min x + y^2;",
         "var y in [0, 1]; var x in [0, inf] integer; min y^2 - 2*x;",

@@ -87,10 +87,19 @@ class TestBuildSurrogate:
         )
         fit = fit_for(inst, intervals=3)
         surr = build_surrogate(fit, inst)
-        assert len(surr.linear_constraints) == 1
-        assert surr.linear_constraints[0].coeffs == {"a": 1.0, "b": 1.0}
-        assert surr.linear_constraints[0].constant == -1.0
-        assert len(surr.nonlinear_constraints) == 1
+        rows = surr.constraint_rows
+        np.testing.assert_array_equal(rows.A, [[1.0, 1.0]])
+        np.testing.assert_array_equal(rows.b, [-1.0])
+        np.testing.assert_array_equal(rows.eq, [False])
+        assert rows.nonaffine == (inst.constraints[1],)
+
+    def test_carries_the_instances_own_record(self):
+        inst = parse_instance(
+            "var a in [0,1]; var b in [0,1];"
+            "min a^2 + b^2; st a + b <= 1; st a - b = 0.2;"
+        )
+        surr = build_surrogate(fit_for(inst, intervals=3), inst)
+        assert surr.constraint_rows is inst.constraint_rows
 
     def test_domain_mismatch(self):
         inst = parse_instance("var x in [0, 2]; min x^2;")
@@ -305,6 +314,24 @@ class TestEvalSurrogateAt:
 
 
 class TestExport:
+    def test_constraint_lines(self):
+        # a repeated variable is summed, a zero coefficient dropped, ">="
+        # turned to "<=", and the non-affine constraint listed last
+        inst = parse_instance(
+            "var x in [0, 1]; var y in [0, 1]; min x^2 + y^2;"
+            "st x + 2*x <= 1; st x - y = 0.5; st x*y <= 0.3; st x >= y - 0.25;"
+            "st 1 <= 2; st x - x + y <= 1;"
+        )
+        surr = build_surrogate(fit_for(inst, intervals=3), inst)
+        assert export_text(surr).splitlines()[-6:] == [
+            "st -1 +3*x <= 0",
+            "st -0.5 +1*x -1*y = 0",
+            "st -0.25 -1*x +1*y <= 0",
+            "st -1 <= 0",
+            "st -1 +1*y <= 0",
+            "st ((x * y) - 0.29999999999999999) <= 0",
+        ]
+
     def test_listing_structure(self):
         inst = parse_instance(TWO_VAR)
         surr = build_surrogate(fit_for(inst, intervals=3), inst)
