@@ -2,24 +2,39 @@
 
 Separability is the whole game: the objective is a sum of univariate
 piecewise polynomials, so every node relaxation is a small LP whose only
-nonlinear content is handled by per-interval linear underestimators of the
-univariate pieces (tangents on convex pieces, the secant on concave ones, a
-Bernstein-shifted secant on mixed-curvature ones). Branching splits a
-component's interval set in two halves (SOS1, Beale & Tomlin 1970), enforces
+nonlinear content is handled by linear underestimators of the univariate
+pieces. Binaries are spent only on the pieces that need them, as in the
+SC-MINLP method of D'Ambrosio, Lee & Wächter (2009). A component whose
+piece is convex on its whole domain (every interval of positive width
+convex, and at every knot between two of them the value continuous and the
+slope not decreasing; ``_LPBuilder``) gets no interval columns: its
+epigraph is the intersection of its tangent half-spaces (outer
+approximation; Kelley 1960, Duran & Grossmann 1986), so its sigma column is
+bounded by tangent rows on (x, sigma) alone. A degree-1 piece gets one row
+per segment, which is exact (for a lifted integer covariate, the convex
+hull of its integer points, as its multiple-choice model gives); one of
+degree 2 or more gets its tangents at the knots. Every other component
+keeps the multiple-choice model, with per-interval underestimators
+(tangents on convex pieces, the secant on concave ones, a Bernstein-shifted
+secant on mixed-curvature ones). Branching splits such a component's
+interval set in two halves (SOS1, Beale & Tomlin 1970), enforces
 integrality of integer original variables, and bisects deviation ranges
 where the envelope is loose; node selection is best-bound with FIFO
-tie-break, so runs are deterministic.
+tie-break, so runs are deterministic. ``SolveReport.convex_components``
+counts the components relaxed by tangents alone.
 
-Intervals that are convex over the node's deviation range get Kelley
-(1960) tangents at the LP point, one LP round at a time. The loop stops on
-the remaining gap: when no tangent would be added, when the new tangents'
-summed violation at the LP point (which bounds what the next round can
-gain) is at most ``0.01 * gap_tol * max(1, |value|)``, or after KELLEY_CAP
-LPs (counted in ``SolveReport.kelley_cap_hits``). Every stop leaves a
-relaxation, so bounds stay sound. A node's tangents stay on the model for
-its children (a cut pool in the sense of Achterberg 2007): a tangent of a
-piece convex on a range underestimates it on every sub-range, so it holds
-in all descendants.
+Intervals that are convex over the node's deviation range, and convex
+components of degree 2 or more, get Kelley (1960) tangents at the LP point,
+one LP round at a time. The loop stops on the remaining gap of both kinds
+together: when no tangent would be added, when the new tangents' summed
+violation at the LP point (which bounds what the next round can gain) is at
+most ``0.01 * gap_tol * max(1, |value|)``, or after KELLEY_CAP LPs (counted
+in ``SolveReport.kelley_cap_hits``). Every stop leaves a relaxation, so
+bounds stay sound; a node stopped by the cap whose LP point is branch-free
+is relaxed again as one child. A node's tangents stay on the model for its
+children (a cut pool in the sense of Achterberg 2007): a tangent of a piece
+convex on a range underestimates it on every sub-range, and a convex
+component's on its whole domain, so it holds in all descendants.
 
 A node is one record (``Node``; Achterberg 2007): its LP's column bounds,
 two read-only arrays shared by children where branching leaves them
@@ -28,10 +43,12 @@ off pins its y, dev and sp to 0, so a half of a component's intervals is
 fixed off with one slice; choosing one (after a deviation range is
 bisected) sets its y to 1 and fixes its component's other intervals off.
 The tables are built once per solve (``_LPBuilder``): the interval table
-(each interval's component, x column, knots and degree), the rows every
-node LP holds as row-wise arrays (the fixed rows, then every interval's cut
-block on its full range, in interval order, from one ``interval_cuts`` call
-per degree), the root's bounds, its convexity flags and the Kelley tables.
+(each interval's component, x column, knots and degree; the multiple-choice
+intervals first, then the convex components'), the rows every node LP holds
+as row-wise arrays (the fixed rows, then every multiple-choice interval's
+cut block on its full range, in interval order, from one ``interval_cuts``
+call per degree, then the convex components' knot tangents), the root's
+bounds, its convexity flags and the Kelley tables.
 Separability means a child's relaxation differs from its parent's only in
 the deviation ranges its branching narrowed, so a node computes the cut
 block and the convexity flag of just those intervals and inherits every
@@ -93,6 +110,7 @@ from .surrogate import SurrogateMINLP, eval_surrogate_at
 FRAC_TOL = 1e-6
 PRUNE_TOL = 1e-9
 KELLEY_CAP = 12  # LP solves per node relaxation
+KNOT_TOL = 1e-10  # a convex piece's jump and slope drop at a knot, relative
 DUAL = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
 PRIMAL = highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal
 
@@ -181,8 +199,8 @@ def interval_cuts(phi, lo, hi):
 
 
 class Tangents(NamedTuple):
-    """Kelley tangents sp >= (c0+b)*y + a*dev, one per entry: the index of
-    the interval (its columns y, dev, sp), a and b."""
+    """Kelley tangents phi(dev) >= a*dev + b, one per entry: the index of
+    the interval, a and b; ``_LPBuilder.cut_rows`` gives their rows."""
 
     index: np.ndarray
     a: np.ndarray
@@ -198,7 +216,7 @@ class Node:
     root), and once ``relax_node`` has solved it, its rows on the shared
     model after its ancestors' and its LP state. ``blocks`` are the cut
     blocks of the deviation ranges it narrows below its parent's, as
-    row-wise (entries per row, column index, value) blocks, and
+    row-wise (entries per row, column index, value, upper bound) blocks, and
     ``tangents`` its Kelley tangents. ``convex`` flags the intervals convex
     over its deviation ranges (the parent's flags where it leaves a range
     as it was; stale for intervals fixed off). ``end`` is the model's row
@@ -238,6 +256,7 @@ class SolveReport:
     lp_solves: int = 0  # node and tightening LPs
     tightening_lps: int = 0  # the root's bound-tightening LPs
     kelley_cap_hits: int = 0  # node LPs stopped by KELLEY_CAP, not the gap
+    convex_components: int = 0  # components relaxed by tangents alone
     simplex_iterations: int = 0  # HiGHS simplex iterations over all LPs
     tightening_iterations: int = 0  # those of the tightening LPs
     log: list = field(default_factory=list)  # write_log_csv's rows
@@ -255,12 +274,12 @@ SOLVE_CSV_HEADER = "objective,lower_bound,gap_pct,nodes,time_s,status"
 
 
 def _row_arrays(blocks):
-    """Row-wise blocks (entries per row, column index, value) as one:
-    (starts closed by the entry count, index, value)."""
-    counts, index, value = (np.concatenate(p) for p in zip(*blocks))
+    """Row-wise blocks (entries per row, column index, value, upper bound)
+    as one: (starts closed by the entry count, index, value, upper)."""
+    counts, index, value, upper = (np.concatenate(p) for p in zip(*blocks))
     starts = np.zeros(len(counts) + 1, dtype=np.int32)
     np.cumsum(counts, out=starts[1:])
-    return starts, index, value
+    return starts, index, value, upper
 
 
 class _LPBuilder:
@@ -276,28 +295,92 @@ class _LPBuilder:
         self.nv = len(surr.variables)
         self.col_x = {v.name: j for j, v in enumerate(surr.variables)}
         comps = surr.components
-        # the interval table, component by component: interval i is a piece
-        # of component comp[i], of degree degree[i], on [left[i], right[i]]
-        # of x column x_col[i]; it owns the columns y, dev, sp at y_cols[i] +
-        # 0, 1, 2
-        self.comp = np.array([j for j, c in enumerate(comps) for _ in range(c.k)],
-                             dtype=np.intp)
-        self.x_col = np.array([self.col_x[c.var] for c in comps], dtype=np.intp)[self.comp]
-        self.degree = np.array([c.piece.degree for c in comps], dtype=np.intp)[self.comp]
-        self.left, self.right = (
+        p = len(comps)
+        self.comp_x = np.array([self.col_x[c.var] for c in comps], dtype=np.intp)
+        # every piece's intervals, component by component, with phi and phi'
+        # (the Kelley tables) zero-padded to one width
+        comp = np.array([j for j, c in enumerate(comps) for _ in range(c.k)],
+                        dtype=np.intp)
+        degree = np.array([c.piece.degree for c in comps], dtype=np.intp)[comp]
+        left, right = (
             np.concatenate([c.breakpoints[s] for c in comps] or [np.zeros(0)])
             for s in (slice(None, -1), slice(1, None))
         )
-        self.widths = self.right - self.left
+        widths = right - left
+        coeffs = [c.piece.coeffs for c in comps]
+        c0 = np.concatenate([c[:, 0] for c in coeffs] or [np.zeros(0)])
+        size = max([c.shape[1] for c in coeffs], default=1)
+        phi = np.zeros((len(comp), size))
+        dphi = np.zeros((len(comp), size))
+        for j, c in enumerate(coeffs):
+            phi[comp == j, : c.shape[1]] = c
+        phi[:, 0] = 0.0
+        der = poly_der(phi)
+        dphi[:, : der.shape[1]] = der
+        # every interval's cut block on its full range, the default block,
+        # and its convexity flag: one ``interval_cuts`` call per degree, its
+        # rows then put back in interval order
+        convex = np.zeros(len(comp), dtype=bool)
+        stacks = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))]
+        for d in np.unique(degree).tolist():
+            i = np.flatnonzero(degree == d)
+            row, a, b, convex[i] = interval_cuts(phi[i, : d + 1],
+                                                 np.zeros(len(i)), widths[i])
+            stacks.append((i[row], a, b))
+        cut_index, cut_a, cut_b = (np.concatenate(v) for v in zip(*stacks))
+        by_interval = np.argsort(cut_index, kind="stable")
+
+        # a component convex on its whole domain is relaxed by tangents on
+        # (x, sigma) alone, every other one by the multiple-choice model. The
+        # rule: every interval of positive width is convex on its full width,
+        # and at every knot between two of them the value is continuous and
+        # the slope does not decrease, to KNOT_TOL relative to the piece's
+        # largest coefficient. Zero-width intervals (a lifted integer
+        # covariate's closing one) are skipped, so a and b below are the
+        # consecutive positive-width intervals of one piece; a degree-0 piece
+        # that steps fails on its value
+        i = np.flatnonzero(widths > 0.0)
+        a, b = i[:-1], i[1:]
+        same = comp[a] == comp[b]
+        a, b = a[same], b[same]
+        jump = c0[b] - (c0[a] + horner(phi[a], widths[a]))
+        drop = horner(dphi[a], widths[a]) - dphi[b, 0]
+        top = np.ones(p)
+        piece_top = np.abs(np.column_stack([c0[i], phi[i]])).max(axis=1)
+        np.maximum.at(top, comp[i], piece_top)
+        tol = KNOT_TOL * top[comp[a]]
+        tangent = np.ones(p, dtype=bool)
+        tangent[comp[i[~convex[i]]]] = False
+        tangent[comp[a[~((np.abs(jump) <= tol) & (drop <= tol))]]] = False
+        self.convex_components = int(tangent.sum())
+        # the interval table: first the multiple-choice intervals, in
+        # component order, then the positive-width intervals of the convex
+        # components. Interval i is a piece of component comp[i], of degree
+        # degree[i], on [left[i], right[i]] of x column x_col[i]; the first
+        # nmc own the columns y, dev, sp at y_cols[i] + 0, 1, 2
+        choice = ~tangent[comp]
+        order = np.concatenate([np.flatnonzero(choice),
+                                np.flatnonzero(~choice & (widths > 0.0))])
+        n = self.nmc = int(choice.sum())
+        self.comp, self.degree, self.left, self.right, self.widths = (
+            v[order] for v in (comp, degree, left, right, widths))
+        self.c0, self.phi, self.dphi = c0[order], phi[order], dphi[order]
+        self.convex = convex[order[:n]]
+        self.x_col = self.comp_x[self.comp]
         # component j's sigma is column j of the last p; int_cols are the
         # integer variables' x columns
-        n = len(self.comp)
-        p = len(comps)
         self.y_cols = self.nv + 3 * np.arange(n)
         self.ncols = self.nv + 3 * n + p
+        self.sigma_col = self.ncols - p + self.comp
+        # the columns of a cut row on each interval (``cut_rows``): sp, y and
+        # dev on a multiple-choice interval, sigma and x on a convex one
+        y = self.y_cols.astype(np.int32)
+        self.row_cols = np.column_stack([
+            np.concatenate([y + 2, self.sigma_col[n:]]),
+            np.concatenate([y, self.x_col[n:]]),
+            np.concatenate([y + 1, self.x_col[n:]]),
+        ]).astype(np.int32)
         self.int_cols = np.flatnonzero([v.integer for v in surr.variables])
-        coeffs = [c.piece.coeffs for c in comps]
-        self.c0 = np.concatenate([c[:, 0] for c in coeffs] or [np.zeros(0)])
 
         self.obj = np.zeros(self.ncols)
         for name, coeff in surr.linear.items():
@@ -305,16 +388,21 @@ class _LPBuilder:
         self.obj[self.ncols - p :] += 1.0
         self.integrality = np.zeros(self.ncols, dtype=np.int32)  # continuous
 
-        # the root's column bounds: x in its box, y in [0, 1], dev in
+        # the root's column bounds: x in its box (a convex component's also
+        # in its knot range, which its tangents hold on), y in [0, 1], dev in
         # [0, width], sp and sigma free
         self.lower = np.full(self.ncols, -np.inf)
         self.upper = np.full(self.ncols, np.inf)
         for v in surr.variables:
             self.lower[self.col_x[v.name]] = v.lower
             self.upper[self.col_x[v.name]] = v.upper
+        for j in np.flatnonzero(tangent).tolist():
+            col, knots = self.comp_x[j], comps[j].breakpoints
+            self.lower[col] = max(self.lower[col], knots[0])
+            self.upper[col] = min(self.upper[col], knots[-1])
         self.lower[self.y_cols] = self.lower[self.y_cols + 1] = 0.0
         self.upper[self.y_cols] = 1.0
-        self.upper[self.y_cols + 1] = self.widths
+        self.upper[self.y_cols + 1] = self.widths[:n]
 
         # rows independent of the node: the equality rows, then the
         # inequality rows
@@ -328,11 +416,11 @@ class _LPBuilder:
             lower.append(low)
             upper.append(up)
 
-        for j, comp in enumerate(surr.components):
+        for j in np.flatnonzero(~tangent).tolist():
             y = self.y_cols[self.span(j)].tolist()
             add([(col, 1.0) for col in y], 1.0, 1.0)
-            link = [(self.col_x[comp.var], 1.0)]
-            for col, knot in zip(y, comp.breakpoints):
+            link = [(self.comp_x[j], 1.0)]
+            for col, knot in zip(y, comps[j].breakpoints):
                 link.append((col, -knot))
                 link.append((col + 1, -1.0))
             add(link, 0.0, 0.0)
@@ -341,58 +429,78 @@ class _LPBuilder:
         rows = surr.constraint_rows
         for a, b in zip(rows.A[rows.eq], rows.b[rows.eq].tolist()):
             add(enumerate(a.tolist()), -b, -b)
-        for col, width in zip(self.y_cols.tolist(), self.widths):
+        for col, width in zip(self.y_cols.tolist(), self.widths[:n]):
             add(((col + 1, 1.0), (col, -width)), 0.0)
         for a, b in zip(rows.A[~rows.eq], rows.b[~rows.eq].tolist()):
             add(enumerate(a.tolist()), -b)
         blocks = [(np.array(counts, dtype=np.int32), np.array(index, dtype=np.int32),
-                   np.array(value, dtype=float))]
-
-        # the Kelley tables: phi and phi' per interval, zero-padded to one
-        # width
-        size = max([c.shape[1] for c in coeffs], default=1)
-        self.phi = np.zeros((n, size))
-        self.dphi = np.zeros((n, size))
-        for j, c in enumerate(coeffs):
-            self.phi[self.span(j), : c.shape[1]] = c
-        self.phi[:, 0] = 0.0
-        der = poly_der(self.phi)
-        self.dphi[:, : der.shape[1]] = der
-        # every interval's cut block on its full range, the default block:
-        # one ``interval_cuts`` call per degree, its rows then put back in
-        # interval order
-        self.convex = np.zeros(n, dtype=bool)
-        stacks = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))]
-        for d in np.unique(self.degree).tolist():
-            i = np.flatnonzero(self.degree == d)
-            row, a, b, self.convex[i] = interval_cuts(self.phi[i, : d + 1],
-                                                      np.zeros(len(i)), self.widths[i])
-            stacks.append((i[row], a, b))
-        cut_index, a, b = (np.concatenate(v) for v in zip(*stacks))
-        order = np.argsort(cut_index, kind="stable")
-        blocks.append(self.cut_rows(cut_index[order], a[order], b[order]))
-        # every node LP's rows, the fixed rows and then the default blocks in
-        # interval order, as (lower, upper, starts, index, value) arrays
+                   np.array(value, dtype=float), np.array(upper, dtype=float))]
+        # the default blocks of the multiple-choice intervals, in interval
+        # order (the table keeps their order, so interval i is row
+        # rank[i] of it)
+        keep = by_interval[choice[cut_index[by_interval]]]
+        rank = np.cumsum(choice) - 1
+        blocks.append(self.cut_rows(rank[cut_index[keep]], cut_a[keep], cut_b[keep]))
+        # a convex component's tangents at its knots: at the left end of each
+        # interval, and at the right end of the last where the degree is 2 or
+        # more (at degree 1 or 0 an interval's tangent is its line, so these
+        # rows are the piece, exactly). Those of degree 2 or more also get
+        # Kelley tangents at the LP's x (``curve_at``): their intervals as
+        # runs, one per component
+        t = np.arange(n, len(order))
+        self.curved = t[self.degree[t] >= 2]
+        if len(t):
+            last = np.diff(self.comp[t], append=-1) != 0
+            ends = t[last & (self.degree[t] >= 2)]
+            knots = np.concatenate([t, ends])
+            at = np.concatenate([np.zeros(len(t)), self.widths[ends]])
+            sort = np.argsort(knots, kind="stable")
+            knots, at = knots[sort], at[sort]
+            slope = horner(self.dphi[knots], at)
+            blocks.append(self.cut_rows(knots, slope,
+                                        horner(self.phi[knots], at) - slope * at))
+            first = np.diff(self.comp[self.curved], prepend=-1) != 0
+            self.curved_start = np.flatnonzero(first)
+            self.curved_owner = np.cumsum(first) - 1
+            self.curved_x = self.x_col[self.curved[first]]
+        # every node LP's rows, the fixed rows and then the default blocks,
+        # as (lower, upper, starts, index, value) arrays
+        starts, cols, vals, bound = _row_arrays(blocks)
         self.fixed = (
-            np.concatenate([lower, np.full(len(order), -np.inf)]),
-            np.concatenate([upper, np.zeros(len(order))]),
-            *_row_arrays(blocks),
+            np.concatenate([lower, np.full(len(bound) - len(lower), -np.inf)]),
+            bound, starts, cols, vals,
         )
 
     def span(self, j: int) -> slice:
-        """Component j's run of the interval table."""
-        return slice(*np.searchsorted(self.comp, [j, j + 1]).tolist())
+        """Component j's run of the multiple-choice intervals (empty for a
+        convex component)."""
+        return slice(*np.searchsorted(self.comp[: self.nmc], [j, j + 1]).tolist())
+
+    def curve_at(self, z):
+        """Per convex component of degree 2 or more, the interval holding
+        its x at the LP point ``z`` (under the knot rule; x outside the
+        knot range by HiGHS's tolerance takes the end interval)."""
+        x = z[self.curved_x]
+        below = self.left[self.curved] <= x[self.curved_owner]
+        count = np.add.reduceat(below, self.curved_start, dtype=np.intp)
+        return self.curved[self.curved_start + np.maximum(count - 1, 0)]
 
     def cut_rows(self, index, a, b):
-        """The rows sp >= (c0+b)*y + a*dev of cuts (a, b) on intervals
-        ``index`` as one row-wise block: the intercept rides on y so a cut
-        reduces to sp >= 0 at y = 0 and to the plain affine underestimator at
-        y = 1."""
-        y = self.y_cols[index].astype(np.int32)
-        cols = np.column_stack([y + 2, y, y + 1])
-        vals = np.column_stack([np.full(len(y), -1.0), self.c0[index] + b, a])
+        """The rows of cuts phi(dev) >= a*dev + b on intervals ``index`` as
+        one row-wise block (entries per row, column index, value, upper
+        bound). On a multiple-choice interval the row is sp >= (c0+b)*y +
+        a*dev: the intercept rides on y so a cut reduces to sp >= 0 at y = 0
+        and to the plain affine underestimator at y = 1. On a convex
+        component's interval it is the line itself, sigma >= c0 + b +
+        a*(x - left), which holds on the component's whole domain."""
+        line = index >= self.nmc
+        c0 = self.c0[index]
+        vals = np.column_stack([np.full(len(index), -1.0), np.where(line, a, c0 + b),
+                                np.where(line, 0.0, a)])
+        upper = np.where(line, a * self.left[index] - c0 - b, 0.0)
         keep = vals != 0.0
-        return keep.sum(axis=1, dtype=np.int32), cols[keep], vals[keep]
+        counts = keep.sum(axis=1, dtype=np.int32)
+        return counts, self.row_cols[index][keep], vals[keep], upper
 
 
 class LPError(RuntimeError):
@@ -443,12 +551,12 @@ class _SharedLP:
             raise LPError(f"HiGHS {call} returned {status.name}")
 
     def add_rows(self, blocks) -> None:
-        """Add row-wise blocks of rows ``a @ z <= 0``."""
-        starts, index, value = _row_arrays(blocks)
+        """Add row-wise blocks of rows ``a @ z <= upper``."""
+        starts, index, value, upper = _row_arrays(blocks)
         m = len(starts) - 1
         if m:
             self._check(self.model.addRows(
-                m, np.full(m, -np.inf), np.zeros(m), len(index), starts[:-1],
+                m, np.full(m, -np.inf), upper, len(index), starts[:-1],
                 index, value,
             ), "addRows")
 
@@ -529,8 +637,9 @@ class _SharedLP:
             return "optimal", model.getObjectiveValue(), x
         if status == highs.HighsModelStatus.kInfeasible:
             return "infeasible", math.inf, None
-        # y and dev are boxed and every sp has a constant lower cut, so with
-        # boxed x columns a node LP is bounded and "unbounded or infeasible"
+        # y and dev are boxed, every sp has a constant lower cut and every
+        # convex component's sigma its tangent rows, so with boxed x columns
+        # a node LP is bounded and "unbounded or infeasible"
         # means infeasible (a linear variable may have an infinite bound)
         nv = self.builder.nv
         if (status == highs.HighsModelStatus.kUnboundedOrInfeasible
@@ -547,36 +656,52 @@ def relax_node(lp: _SharedLP, node: Node):
     its rows and convexity flags (``enter``), its tangents and its row end.
 
     A round adds the tangent at the LP point of every interval that is
-    convex over the node range and underestimated there. The loop stops
-    when no tangent would be added, when the new tangents' summed violation
-    at the LP point, which bounds what the round can gain, is at most
-    ``progress_tol`` (relative to max(1, |value|)), or after KELLEY_CAP
-    solves. Each stop leaves a relaxation, so the bound is sound.
+    convex over the node range and underestimated there, and of every
+    convex component of degree 2 or more whose sigma lies below its piece
+    at the LP's x (``curve_at``: the interval holding x, with y = 1). The
+    loop stops when no tangent would be added, when the new tangents'
+    summed violation at the LP point, both kinds together, which bounds
+    what the round can gain, is at most ``progress_tol`` (relative to
+    max(1, |value|)), or after KELLEY_CAP solves. Each stop leaves a
+    relaxation, so the bound is sound.
     """
     builder = lp.builder
     if (node.lower[: builder.nv] > node.upper[: builder.nv]).any():
         return "infeasible", math.inf, None
     kelley = lp.enter(node)
-    # the Kelley intervals' rows of the builder's tables; P stacks phi (at
-    # dev), phi and phi' (at the clamp)
-    col_y, c0 = builder.y_cols[kelley], builder.c0[kelley]
-    P = np.concatenate([builder.phi[kelley]] * 2 + [builder.dphi[kelley]])
+    col_y = builder.y_cols[kelley]
+    lo, hi = node.lower[col_y + 1], node.upper[col_y + 1]
     found = []
     for rnd in range(KELLEY_CAP):
         status, fun, z = lp.solve()
         if status == "infeasible":
             return "infeasible", math.inf, None
         value = fun + builder.surr.constant
-        y, dev, sp = z[col_y], z[col_y + 1], z[col_y + 2]
-        # the LP point may leave the range by HiGHS's tolerance; a tangent
-        # is valid on the range only at a point inside it
-        at = np.minimum(np.maximum(dev, node.lower[col_y + 1]), node.upper[col_y + 1])
+        # the Kelley intervals' y, dev and sp; the LP point may leave the
+        # range by HiGHS's tolerance, and a tangent is valid on the range
+        # only at a point inside it
+        index, y, dev, sp = kelley, z[col_y], z[col_y + 1], z[col_y + 2]
+        at = np.minimum(np.maximum(dev, lo), hi)
+        if len(builder.curved):
+            # then each curved convex component's x, as the deviation in the
+            # interval holding it with y = 1, and its sigma as sp
+            i = builder.curve_at(z)
+            x_dev = z[builder.x_col[i]] - builder.left[i]
+            index = np.concatenate([index, i])
+            y = np.concatenate([y, np.ones(len(i))])
+            dev = np.concatenate([dev, x_dev])
+            x_at = np.minimum(np.maximum(x_dev, 0.0), builder.widths[i])
+            at = np.concatenate([at, x_at])
+            sp = np.concatenate([sp, z[builder.sigma_col[i]]])
+        # P stacks phi (at dev), phi and phi' (at the clamp)
+        c0 = builder.c0[index]
+        P = np.concatenate([builder.phi[index]] * 2 + [builder.dphi[index]])
         val, val_at, a = horner(P, np.concatenate([dev, at, at])).reshape(3, -1)
         gap = c0 * y + val - sp
         cut = ~(gap <= 1e-10 * np.maximum(1.0, np.abs(sp)))  # NaN gaps cut
         if not cut.any():
             break
-        new = Tangents(kelley[cut], a[cut], (val_at - a * at)[cut])
+        new = Tangents(index[cut], a[cut], (val_at - a * at)[cut])
         # the new rows' violation at the LP point bounds the gain: raising
         # each sp by its row's violation is feasible for the next LP
         gain = np.sum((c0[cut] + new.b) * y[cut] + new.a * dev[cut] - sp[cut])
@@ -597,10 +722,10 @@ def _try_incumbent(builder: _LPBuilder, z) -> tuple[float, np.ndarray] | None:
     """Lift the LP point's original coordinates into a feasible surrogate
     solution; integer variables are rounded and feasibility rechecked.
 
-    A component keeps the LP's own interval when its y is integral and its
-    x was not moved by rounding or clamping: at a knot the LP may pick the
-    left interval (deviation = width), which the knot rule of
-    ``eval_surrogate_at`` would score with the right one.
+    A multiple-choice component keeps the LP's own interval when its y is
+    integral and its x was not moved by rounding or clamping: at a knot the
+    LP may pick the left interval (deviation = width), which the knot rule
+    of ``eval_surrogate_at`` would score with the right one.
     """
     surr = builder.surr
     x_lp = z[: builder.nv].copy()
@@ -609,17 +734,17 @@ def _try_incumbent(builder: _LPBuilder, z) -> tuple[float, np.ndarray] | None:
         if v.integer:
             x[j] = round(x[j])
         x[j] = min(max(x[j], v.lower), v.upper)
-    spans = [builder.span(j) for j in range(len(surr.components))]
-    for span in spans:
-        i = builder.x_col[span.start]
-        x[i] = min(max(x[i], builder.left[span.start]), builder.right[span.stop - 1])
+    for i, comp in zip(builder.comp_x, surr.components):
+        x[i] = min(max(x[i], comp.breakpoints[0]), comp.breakpoints[-1])
     rows = surr.constraint_rows
     g = rows.A @ x + rows.b
     if (np.where(rows.eq, np.abs(g), g) > 1e-6).any():
         return None
     value, lift = eval_surrogate_at(surr, x)
-    for j, (comp, span) in enumerate(zip(surr.components, spans)):
-        i = builder.x_col[span.start]
+    for j, (comp, i) in enumerate(zip(surr.components, builder.comp_x)):
+        span = builder.span(j)
+        if span.start == span.stop:
+            continue  # convex: scored at x, as the LP's tangents bound it
         y = builder.y_cols[span]
         q = int(np.argmax(z[y]))
         if x[i] != x_lp[i] or z[y[q]] < 1.0 - FRAC_TOL or lift["y"][j][q] == 1.0:
@@ -652,8 +777,8 @@ def _choose(builder: _LPBuilder, lower, upper, i: int) -> None:
 def _tighten_root(lp: _SharedLP, ub: float):
     """The root's column bounds (a copy of ``lp``'s) with each component's
     x box cut to the points of the LP with value at most ``ub``, and every
-    interval wholly outside that box fixed off; None when no such point
-    exists. On the shared model, with one cutoff row ``obj·z <= ub -
+    multiple-choice interval wholly outside that box fixed off; None when
+    no such point exists. On the shared model, with one cutoff row ``obj·z <= ub -
     constant`` added and the costs zeroed, it minimises and maximises each
     component's x column: 2p LPs that differ from the root's LP only in
     their costs, so the root's optimal basis (the cutoff row's slack basic,
@@ -677,7 +802,7 @@ def _tighten_root(lp: _SharedLP, ub: float):
     try:
         lp._check(model.setOptionValue("simplex_strategy", PRIMAL), "setOptionValue")
         # each component's x column, in component order
-        for col in dict.fromkeys(builder.x_col.tolist()):
+        for col in builder.comp_x.tolist():
             for sense in (1.0, -1.0):
                 lp._check(model.changeColCost(col, sense), "changeColCost")
                 lp._check(model.setBasis(start), "setBasis")
@@ -707,8 +832,9 @@ def _tighten_root(lp: _SharedLP, ub: float):
         lp._check(model.changeColsCost(ncols, lp.cols, builder.obj), "changeColsCost")
     if (lower[: builder.nv] > upper[: builder.nv]).any():
         return None
-    x_col = builder.x_col
-    out = (builder.right < lower[x_col]) | (builder.left > upper[x_col])
+    n = builder.nmc
+    x_col = builder.x_col[:n]
+    out = (builder.right[:n] < lower[x_col]) | (builder.left[:n] > upper[x_col])
     for col in builder.y_cols[out].tolist():
         lower[col : col + 3] = upper[col : col + 3] = 0.0
     return lower, upper
@@ -817,6 +943,7 @@ def solve(
             break
         _, _, node = heapq.heappop(heap)
         nodes += 1
+        hits = lp.kelley_cap_hits
         lp_status, lb, z = relax_node(lp, node)
         if lp_status != "optimal":
             continue
@@ -849,10 +976,12 @@ def solve(
                 continue  # no relaxation point beats the incumbent
             node.lower, node.upper = bounds
         children = _branch(builder, node, z)
-        if children is None and tighten:
+        if children is None and (tighten or lp.kelley_cap_hits > hits):
             # the LP point may be branch-free only because the intervals it
-            # uses are now fixed off: relax the tightened root again
-            children = [Node(1, node.lower, node.upper, node)]
+            # uses are now fixed off, or because its Kelley loop stopped at
+            # the cap with the gap left on convex components, which have no
+            # interval to branch on: relax the node again, its tangents kept
+            children = [Node(node.depth + 1, node.lower, node.upper, node)]
         if children is None:
             pruned_lb = min(pruned_lb, lb)
             continue  # LP point is exact for this node
@@ -883,6 +1012,7 @@ def solve(
         lp_solves=lp.lp_solves,
         tightening_lps=lp.tightening_lps,
         kelley_cap_hits=lp.kelley_cap_hits,
+        convex_components=builder.convex_components,
         simplex_iterations=lp.simplex_iterations,
         tightening_iterations=lp.tightening_iterations,
         log=log,

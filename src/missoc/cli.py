@@ -132,6 +132,7 @@ def _print_solver(report) -> None:
     print(f"tighten LPs   {report.tightening_lps}")
     print(f"tighten iters {report.tightening_iterations}")
     print(f"Kelley caps   {report.kelley_cap_hits}")
+    print(f"convex comps  {report.convex_components}")
 
 
 def cmd_solve(args) -> int:

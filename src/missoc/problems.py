@@ -27,6 +27,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
+from types import MappingProxyType
 
 import numpy as np
 
@@ -143,14 +144,18 @@ class ProblemInstance:
             tuple(con for con, aff in split if aff is None),
         )
 
+    @cached_property
     def complicating_split(self):
-        """(affine constant, affine coeffs by name, nonlinear terms) of g_0."""
-        return split_affine(self.objective)
+        """(affine constant, affine coeffs by name, nonlinear terms) of g_0,
+        split on first use; the coefficients are a read-only mapping and the
+        terms a tuple, so no reader can change what the others read."""
+        const, coeffs, nonlinear = split_affine(self.objective)
+        return const, MappingProxyType(coeffs), tuple(nonlinear)
 
     def covariates(self) -> tuple[str, ...]:
         """Variables appearing in the nonlinear part of g_0, in declaration
         order."""
-        _, _, nonlinear = self.complicating_split()
+        _, _, nonlinear = self.complicating_split
         names = set()
         for term in nonlinear:
             names |= variables_of(term)
@@ -478,7 +483,7 @@ def sample_training(
     p = len(names)
     n = training_rows(config, p)
     lo, hi = np.array(covariate_domains(instance)).T
-    _, _, nonlinear = instance.complicating_split()
+    _, _, nonlinear = instance.complicating_split
     # one tree, summed from 0 term by term as sum() adds at one point
     part = reduce(partial(BinOp, "+"), nonlinear, Const(0.0))
     rng = np.random.default_rng(config.seed)
@@ -600,7 +605,7 @@ def check_solvable(instance: ProblemInstance) -> None:
     if rows.nonaffine:
         cause = UnsupportedSurrogateError(NONLINEAR_CONSTRAINTS_UNSUPPORTED)
         raise StageError("solve", cause)
-    _, coeffs, _ = instance.complicating_split()
+    _, coeffs, _ = instance.complicating_split
     cost = [coeffs.get(v.name, 0.0) for v in instance.variables]
     free = [j for j, (v, c) in enumerate(zip(instance.variables, cost))
             if (c > 0 and v.lower == -math.inf) or (c < 0 and v.upper == math.inf)]

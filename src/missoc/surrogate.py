@@ -74,12 +74,17 @@ class SurrogateMINLP:
 
     @property
     def n_binaries(self) -> int:
+        """The multiple-choice formulation's binaries, y_jq per interval.
+        The built-in solver relaxes a component convex on its whole domain
+        by tangents on (x_j, sigma_j) alone, without its y_jq
+        (``SolveReport.convex_components`` counts those); this count is the
+        formulation's all the same."""
         return sum(c.k for c in self.components)
 
     @property
     def n_auxiliaries(self) -> int:
-        """Added continuous variables: x_jq and sigma'_jq per interval plus
-        sigma_j per covariate."""
+        """Added continuous variables of the formulation: x_jq and
+        sigma'_jq per interval plus sigma_j per covariate."""
         return sum(2 * c.k + 1 for c in self.components)
 
     def var_index(self) -> dict[str, int]:
@@ -89,7 +94,7 @@ class SurrogateMINLP:
 def build_surrogate(fit: AdditiveModelFit, instance) -> SurrogateMINLP:
     """Assemble the surrogate MINLP from a fit and the original instance by
     substituting the fitted model for the nonlinear part of the objective."""
-    const, coeffs, _ = instance.complicating_split()
+    const, coeffs, _ = instance.complicating_split
     covariates = instance.covariates()
     labels = tuple(b.label for b in fit.bases)
     if labels != covariates:
@@ -179,7 +184,9 @@ def eval_surrogate_at(surrogate: SurrogateMINLP, x):
 
 
 def export_text(surrogate: SurrogateMINLP) -> str:
-    """Plain-text algebraic listing for debugging and cross-checking."""
+    """Plain-text algebraic listing for debugging and cross-checking: the
+    multiple-choice formulation of every component, also of one the
+    built-in solver relaxes by tangents alone."""
     lines = ["surrogate-minlp"]
     for v in surrogate.variables:
         kind = "integer" if v.integer else "continuous"

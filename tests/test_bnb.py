@@ -35,6 +35,7 @@ from missoc.surrogate import (
     SurrogateMINLP,
     build_surrogate,
     eval_surrogate_at,
+    integer_points_lift,
 )
 
 SHIPPED = ("convex_shaped", "mixed_integer", "waves2")
@@ -643,16 +644,61 @@ def shipped_surrogate(name):
     )
 
 
+def convex_piece_reference(comp):
+    """Whether the component's piece is convex on its whole domain, one
+    interval and one knot at a time: every interval of positive width
+    convex by a one-row ``interval_cuts`` call, and between two such
+    intervals the value continuous and the slope not decreasing, to
+    ``bnb.KNOT_TOL`` relative to the piece's largest coefficient. The
+    reference for the builder's rule."""
+    pieces = [(c, w) for c, w in zip(comp.piece.coeffs, comp.widths) if w > 0.0]
+    tol = bnb.KNOT_TOL * max(1.0, max(float(np.abs(c).max()) for c, _ in pieces))
+    for c, w in pieces:
+        phi = c.copy()
+        phi[0] = 0.0
+        if not one_row_cuts(phi, 0.0, w)[1]:
+            return False
+    for (c, w), (d, _) in zip(pieces, pieces[1:]):
+        slope = poly_val(poly_der(d), 0.0)
+        if abs(d[0] - poly_val(c, w)) > tol or poly_val(poly_der(c), w) - slope > tol:
+            return False
+    return True
+
+
 def col_y(builder, j, q):
-    """The y column of interval (j, q); its dev and sp columns follow."""
+    """The y column of interval (j, q) of a multiple-choice component; its
+    dev and sp columns follow."""
     return builder.y_cols[builder.span(j).start + q]
+
+
+def convex_run(builder, j):
+    """Where convex component j's run starts in the builder's interval
+    table, after every multiple-choice interval, and which of the
+    component's intervals it holds: those of positive width."""
+    first = builder.nmc + int(np.flatnonzero(builder.comp[builder.nmc:] == j)[0])
+    return first, np.flatnonzero(builder.surr.components[j].widths > 0.0)
+
+
+def table_index(builder, j, q):
+    """The row of interval (j, q) in the builder's interval table: a
+    multiple-choice component's run, or after all of those a convex
+    component's intervals of positive width."""
+    span = builder.span(j)
+    if span.start < span.stop:
+        return span.start + q
+    first, positive = convex_run(builder, j)
+    return first + int(np.flatnonzero(positive == q)[0])
 
 
 def interval_key(builder, i):
     """Interval i of the builder's table as (component, interval of the
-    component)."""
+    component); the inverse of ``table_index``."""
     j = int(builder.comp[i])
-    return j, i - builder.span(j).start
+    span = builder.span(j)
+    if span.start < span.stop:
+        return j, i - span.start
+    first, positive = convex_run(builder, j)
+    return j, int(positive[i - first])
 
 
 def deviation_poly(builder, i):
@@ -706,12 +752,16 @@ def choose_interval_reference(surr, y_fixed, j, q):
 def branch_reference(builder, desc, z):
     """The dict-based branching: the children of the node ``desc`` =
     (y_fixed, dev_bounds, var_bounds) as such triples, or None when the LP
-    point is branch-free. The reference for ``bnb._branch``."""
+    point is branch-free: on the intervals of the multiple-choice
+    components and on integers. The reference for ``bnb._branch``."""
     y_fixed, dev_bounds, var_bounds = desc
     surr = builder.surr
+    # a convex component has no interval to branch on
+    intervals = [range(comp.k * (not convex_piece_reference(comp)))
+                 for comp in surr.components]
     best_frac, best_key = bnb.FRAC_TOL, None
     for j, comp in enumerate(surr.components):
-        for q in range(comp.k):
+        for q in intervals[j]:
             if (j, q) in y_fixed:
                 continue
             col = col_y(builder, j, q)
@@ -752,7 +802,7 @@ def branch_reference(builder, desc, z):
 
     best_gap, best_key = 1e-9, None
     for j, comp in enumerate(surr.components):
-        for q in range(comp.k):
+        for q in intervals[j]:
             col = col_y(builder, j, q)
             if z[col] < 0.5:
                 continue
@@ -789,12 +839,14 @@ def path_nodes(node):
 def dense_rows(builder, nodes=()):
     """The (A_eq, b_eq, A_ub, b_ub) of the shared model set to the last of
     ``nodes`` (a path of relaxed nodes, root first), as a dense per-row
-    assembly with one-row ``interval_cuts``: the fixed rows, every
-    interval's cut rows on its full range, then per node the cut rows of
-    each deviation range it narrows below its parent's (an interval fixed
-    off is bounds only) and the rows of its Kelley tangents; the reference
-    for the shared model's rows."""
+    assembly with one-row ``interval_cuts``: the fixed rows of the
+    multiple-choice components, every one of their intervals' cut rows on
+    its full range, the convex components' tangent lines at their knots,
+    then per node the cut rows of each deviation range it narrows below its
+    parent's (an interval fixed off is bounds only) and the rows of its
+    Kelley tangents; the reference for the shared model's rows."""
     surr = builder.surr
+    convex = [convex_piece_reference(comp) for comp in surr.components]
     A_eq, b_eq, A_ub, b_ub = [], [], [], []
 
     def new_row():
@@ -802,12 +854,26 @@ def dense_rows(builder, nodes=()):
 
     def cut_row(j, q, a, b):
         row = new_row()
+        if convex[j]:
+            # the line sigma >= c0 + b + a*(x - left), on the whole domain
+            comp = surr.components[j]
+            row[builder.ncols - len(surr.components) + j] = -1.0
+            row[builder.col_x[comp.var]] = a
+            A_ub.append(row)
+            b_ub.append(a * comp.breakpoints[q] - comp_c0(j, q) - b)
+            return
         col = col_y(builder, j, q)
         row[col + 2] = -1.0
         row[col] = comp_c0(j, q) + b
         row[col + 1] = a
         A_ub.append(row)
         b_ub.append(0.0)
+
+    def tangent_row(j, q, at):
+        phi = surr.components[j].piece.coeffs[q].copy()
+        phi[0] = 0.0
+        a = poly_val(poly_der(phi), at)
+        cut_row(j, q, a, poly_val(phi, at) - a * at)
 
     def comp_c0(j, q):
         return surr.components[j].piece.coeffs[q][0]
@@ -819,6 +885,8 @@ def dense_rows(builder, nodes=()):
             cut_row(j, q, a, b)
 
     for j, comp in enumerate(surr.components):
+        if convex[j]:
+            continue
         row = new_row()
         for q in range(comp.k):
             row[col_y(builder, j, q)] = 1.0
@@ -851,12 +919,19 @@ def dense_rows(builder, nodes=()):
         (A_eq if eq else A_ub).append(row)
         (b_eq if eq else b_ub).append(-const)
     for j, comp in enumerate(surr.components):
-        for q in range(comp.k):
+        for q in range(comp.k * (not convex[j])):
             cuts(j, q, 0.0, comp.widths[q])
+    for j, comp in enumerate(surr.components):
+        if convex[j]:
+            positive = np.flatnonzero(comp.widths > 0.0).tolist()
+            for q in positive:
+                tangent_row(j, q, 0.0)
+            if comp.degree >= 2:
+                tangent_row(j, positive[-1], comp.widths[positive[-1]])
     parent = (builder.lower, builder.upper)
     for node in nodes:
         for j, comp in enumerate(surr.components):
-            for q in range(comp.k):
+            for q in range(comp.k * (not convex[j])):
                 col = col_y(builder, j, q) + 1
                 lo, hi = node.lower[col], node.upper[col]
                 if node.upper[col - 1] == 0.0 or (lo, hi) == (0.0, comp.widths[q]):
@@ -866,14 +941,19 @@ def dense_rows(builder, nodes=()):
         for i, a, b in zip(*node.tangents):
             cut_row(*interval_key(builder, i), a, b)
         parent = (node.lower, node.upper)
-    return np.array(A_eq), np.array(b_eq), np.array(A_ub), np.array(b_ub)
+    ncols = builder.ncols
+    return (np.array(A_eq).reshape(-1, ncols), np.array(b_eq),
+            np.array(A_ub).reshape(-1, ncols), np.array(b_ub))
 
 
 def branched_node(builder):
-    """A node below the root: per component the first interval is fixed
-    off and the second's deviation range is cut to its middle half."""
+    """A node below the root: per multiple-choice component the first
+    interval is fixed off and the second's deviation range is cut to its
+    middle half."""
     y_fixed, dev_bounds = {}, {}
     for j, comp in enumerate(builder.surr.components):
+        if convex_piece_reference(comp):
+            continue
         y_fixed[j, 0] = 0
         w = comp.widths[1]
         dev_bounds[j, 1] = (0.25 * w, 0.75 * w)
@@ -895,12 +975,12 @@ def model_rows(model):
 
 def highs_lp_model(builder, lower, upper, rows=None):
     """The LP of the fixed rows and ``rows`` (row-wise (counts, index,
-    value) blocks) built through ``HighsLp`` attribute copies and passed as
+    value, upper) blocks) built through ``HighsLp`` attribute copies and passed as
     that object: the reference for ``_SharedLP``'s numpy ``passModel`` and
     ``addRows``."""
     f_lower, f_upper, f_starts, f_index, f_value = builder.fixed
-    counts, n_index, n_value = (np.concatenate(p) for p in zip(*(rows or [
-        (np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0))
+    counts, n_index, n_value, n_upper = (np.concatenate(p) for p in zip(*(rows or [
+        (np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0), np.zeros(0))
     ])))
     n_starts = np.cumsum(counts)
     lp = bnb.highs.HighsLp()
@@ -910,7 +990,7 @@ def highs_lp_model(builder, lower, upper, rows=None):
     lp.col_lower_ = lower
     lp.col_upper_ = upper
     lp.row_lower_ = np.concatenate([f_lower, np.full(len(counts), -np.inf)])
-    lp.row_upper_ = np.concatenate([f_upper, np.zeros(len(counts))])
+    lp.row_upper_ = np.concatenate([f_upper, n_upper])
     matrix = lp.a_matrix_
     matrix.format_ = bnb.highs.MatrixFormat.kRowwise
     matrix.num_col_ = lp.num_col_
@@ -1103,10 +1183,13 @@ class TestNodeLP:
     def assert_default_blocks_equal_one_row_calls(builder):
         """The builder's default cut blocks, closing ``builder.fixed``, and
         its convexity flags equal one-row ``interval_cuts`` calls on each
-        interval's full range, interval after interval, bit for bit."""
+        multiple-choice interval's full range, interval after interval, bit
+        for bit; then come the convex components' tangents at their knots,
+        component after component, with the bits of ``polyval``."""
         blocks = []
+        convex = [convex_piece_reference(comp) for comp in builder.surr.components]
         for j, comp in enumerate(builder.surr.components):
-            for q in range(comp.k):
+            for q in range(comp.k * (not convex[j])):
                 phi = comp.piece.coeffs[q].copy()
                 phi[0] = 0.0
                 cuts, convex_there = one_row_cuts(phi, 0.0, comp.widths[q])
@@ -1114,21 +1197,41 @@ class TestNodeLP:
                 i = builder.span(j).start + q
                 assert builder.convex[i] == convex_there
                 blocks.append(builder.cut_rows(np.full(len(a), i), a, b))
-        counts, index, value = (np.concatenate(p) for p in zip(*blocks))
+        for j, comp in enumerate(builder.surr.components):
+            positive = np.flatnonzero(comp.widths > 0.0).tolist() * convex[j]
+            knots = [(q, 0.0) for q in positive]
+            if positive and comp.degree >= 2:
+                knots.append((positive[-1], comp.widths[positive[-1]]))
+            for q, at in knots:
+                phi = comp.piece.coeffs[q].copy()
+                phi[0] = 0.0
+                a = poly_val(poly_der(phi), at)
+                blocks.append(builder.cut_rows(np.array([table_index(builder, j, q)]),
+                                               np.array([a]),
+                                               np.array([poly_val(phi, at) - a * at])))
+        counts, index, value, upper = (np.concatenate(p) for p in zip(*blocks))
         starts, got_index, got_value = builder.fixed[2:]
         first = len(starts) - 1 - len(counts)
         np.testing.assert_array_equal(np.diff(starts)[first:], counts)
         np.testing.assert_array_equal(got_index[starts[first]:], index)
         assert bits(got_value[starts[first]:]) == bits(value)
+        assert bits(builder.fixed[1][first:]) == bits(upper)
 
     def test_default_blocks_of_mixed_degrees_keep_interval_order(self):
         """Integer covariates lifted over their integer points (degree 1)
         between continuous ones (degree 3): the default blocks, one
         ``interval_cuts`` call per degree, come out in interval order with
-        the bits of one-row calls."""
+        the bits of one-row calls, and the convex components' knot tangents
+        after them. Every component of INT_COUPLED is convex; INT_MIXED has
+        a nonconvex and a convex component of each degree."""
         surr = surrogate_for(parse_instance(INT_COUPLED), intervals=8)
         degrees = [comp.degree for comp in surr.components]
         assert degrees == [3, 1] * 3
+        self.assert_default_blocks_equal_one_row_calls(bnb._LPBuilder(surr, 1e-4))
+        surr = surrogate_for(parse_instance(INT_MIXED), intervals=8)
+        assert [comp.degree for comp in surr.components] == [3, 1] * 2
+        kinds = [convex_piece_reference(comp) for comp in surr.components]
+        assert kinds == [False, False, True, True]
         self.assert_default_blocks_equal_one_row_calls(bnb._LPBuilder(surr, 1e-4))
 
     def test_interval_cuts_cache_is_per_builder(self):
@@ -1368,8 +1471,10 @@ class TestBoundBranching:
         other column keeps the node's bounds."""
         surrs = [shipped_surrogate(name) for name in SHIPPED]
         surrs += coupled_surrogates()
-        # degree 1: every node that branches on a binary
-        surrs += [surrogate_for(parse_instance(text), degrees=1, intervals=10)
+        # degree 0: the continuous covariates' step pieces keep their
+        # binaries (the lifted integer ones are convex), and every node that
+        # branches on a binary
+        surrs += [surrogate_for(parse_instance(text), degrees=0, intervals=10)
                   for text in (INT0, INT_COUPLED)]
         checked = 0
         for surr in surrs:
@@ -1598,6 +1703,17 @@ INT0 = (
     "st -x2 - 0.5*n2 <= -2.453; st 2*n0 + 3*n1 + 4*n2 <= 17;"
 )
 
+# a nonconvex and a convex component of each degree: a wavy and a
+# quadratic continuous covariate, and a wavy and a quadratic integer one,
+# each lifted over its integer points
+INT_MIXED = (
+    "var x0 in [0, 2]; var n0 in [0, 6] integer;"
+    "var x1 in [0, 2]; var n1 in [0, 6] integer;"
+    "min sin(4*x0) + 0.5*(x0 - 1)^2 + 0.5*sin(2*n0)"
+    " + 1.1*(x1 - 0.7)^2 + 0.3*(n1 - 2.5)^2;"
+    "st x0 + x1 <= 2.5; st 2*n0 + 3*n1 <= 14;"
+)
+
 
 def coupled_surrogates():
     return [
@@ -1609,12 +1725,16 @@ def coupled_surrogates():
 class TestDegreeOneTrees:
     """At degree 1 or 0 no piece has curvature, so every node is one LP and
     the cost is the tree. Each integer covariate is lifted over its 7
-    integer points, whose LP relaxation is their convex hull, and SOS1
-    branching closes the benchmark's two generated integer instances within
-    600 nodes: 103/59 at degree 1 and 399/341 at degree 0. Over the
-    spline's 20 intervals they took 1,051/995 and 1,753/1,635 nodes, and
-    fixing one interval binary at a time took 14,367 and 8,735 at degree
-    1."""
+    integer points, whose LP relaxation is their convex hull, and the
+    benchmark's two generated integer instances close within 600 nodes. At
+    degree 1 every piece is convex, so each is relaxed by its segment lines
+    alone and only integers are branched on: 7/5 nodes. At degree 0 the
+    continuous covariates' step pieces keep their binaries and SOS1
+    branching, and the lifted integer pieces are convex: the two kinds mix,
+    in 277/213 nodes. With the multiple-choice model for every piece they
+    took 103/59 and 399/341 nodes; over the spline's 20 intervals
+    1,051/995 and 1,753/1,635, and fixing one interval binary at a time
+    took 14,367 and 8,735 at degree 1."""
 
     @staticmethod
     def solve_at(degree, text):
@@ -1630,6 +1750,7 @@ class TestDegreeOneTrees:
         report = self.solve_at(1, text)
         assert report.status == "optimal"
         assert report.objective == pytest.approx(want, rel=1e-10)
+        assert report.convex_components == 6
 
     @pytest.mark.parametrize("text, want", [
         (INT0, 4.30140009863), (INT_COUPLED, 4.05746413617),
@@ -1638,6 +1759,267 @@ class TestDegreeOneTrees:
         report = self.solve_at(0, text)
         assert report.status == "optimal"
         assert report.objective == pytest.approx(want, rel=1e-10)
+        assert report.convex_components == 3
+
+    @pytest.mark.parametrize("text", [INT0, INT_COUPLED], ids=["int0", "int1"])
+    def test_degree_zero_mixes_both_kinds(self, text):
+        """The step pieces of the continuous covariates keep their 20
+        interval binaries each; the lifted integer pieces get none."""
+        inst = parse_instance(text)
+        cfg = MissocConfig(degrees=0, intervals=20)
+        surr = build_surrogate(fit_stage(inst, sample_training(inst, cfg), cfg), inst)
+        kinds = [convex_piece_reference(comp) for comp in surr.components]
+        assert kinds == [False, True] * 3
+        builder = bnb._LPBuilder(surr, 1e-4)
+        assert builder.convex_components == 3
+        assert len(builder.y_cols) == 3 * 20
+        for j, convex in enumerate(kinds):
+            span = builder.span(j)
+            assert (span.stop - span.start) == (0 if convex else 20)
+
+
+def convex_piece(rng, degree, k, kink=None):
+    """A random piece on [0, 1], convex on its whole domain: k intervals
+    between random knots, each convex (a line at degree 1, its slope
+    rising knot by knot), the value and slope carried across each knot.
+    ``kink`` = (jump, drop) adds jump to the value and takes drop off the
+    slope at the second interior knot, where at degree 1 the slope
+    otherwise holds."""
+    bp = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, k - 1)), [1.0]])
+    coeffs = np.zeros((k, degree + 1))
+    value, slope = rng.normal(), rng.uniform(-3.0, 1.0)
+    for q, w in enumerate(np.diff(bp)):
+        coeffs[q, :2] = value, slope
+        if degree >= 2:
+            coeffs[q, 2] = rng.uniform(0.1, 3.0)
+        if degree == 3:
+            # phi'' = 2 c2 + 6 c3 d >= 0 on [0, w]
+            coeffs[q, 3] = rng.uniform(-0.9 * coeffs[q, 2] / (3.0 * w), 3.0)
+        value = poly_val(coeffs[q], w)
+        rise = rng.uniform(0.0, 2.0)
+        if degree >= 2:
+            slope = poly_val(poly_der(coeffs[q]), w)
+        elif kink is None or q != 1:
+            slope += rise
+        if kink is not None and q == 1:
+            value += kink[0]
+            slope -= kink[1]
+    return PiecewisePoly(bp, coeffs)
+
+
+# the variables of ``random_convex_surrogate``
+CONVEX_BOXES = (
+    "var x1 in [0, 1]; var x2 in [0, 1]; var n in [0, 4] integer;"
+    "min x1 + x2 + n; st x1 + x2 + 0.2*n >= 1;"
+)
+
+
+def random_convex_surrogate(seed):
+    """Every component convex on its whole domain: x1 of degree 2 or 3, x2
+    of degree 3 or 1, and the integer n lifted over its five integer
+    points from a convex quadratic (closed by its zero-width interval),
+    coupled by x1 + x2 + 0.2 n >= 1."""
+    rng = np.random.default_rng(seed)
+    inst = parse_instance(CONVEX_BOXES)
+    quadratic = PiecewisePoly(np.array([0.0, 4.0]), np.array(
+        [[rng.normal(), rng.uniform(-2.0, 0.0), rng.uniform(0.05, 0.5)]]))
+    pieces = (
+        convex_piece(rng, (2, 3)[seed % 2], 4 + seed % 3),
+        convex_piece(rng, (3, 1)[seed % 2], 5),
+        integer_points_lift(quadratic, np.arange(0.0, 5.0)),
+    )
+    return SurrogateMINLP(
+        constant=0.0,
+        linear={},
+        components=tuple(SurrogateComponent(v, p)
+                         for v, p in zip(("x1", "x2", "n"), pieces)),
+        variables=inst.variables,
+        constraint_rows=inst.constraint_rows,
+    )
+
+
+def convex_grid_min(surr, n=4001):
+    """The least surrogate value over feasible points of a dense grid of
+    ``random_convex_surrogate``'s box: x1 on the grid, n on its integers,
+    and x2 at the point of [1 - x1 - 0.2 n, 1] nearest the grid minimiser
+    of its piece, which is where a convex piece is least on that range.
+    Each grid holds the knots, where a degree-1 piece has its kinks, and x1
+    also the points that put x2 on a knot of its piece at the bound."""
+    f1, f2, f3 = (comp.piece for comp in surr.components)
+    xs = np.linspace(0.0, 1.0, n)
+    x2s = np.union1d(xs, f2.breakpoints)
+    best2 = x2s[int(np.argmin([f2(x) for x in x2s]))]
+    xs = np.union1d(xs, np.concatenate([f1.breakpoints] + [
+        np.clip(1.0 - 0.2 * k - f2.breakpoints, 0.0, 1.0) for k in range(5)]))
+    v1 = np.array([f1(x) for x in xs])
+    least = math.inf
+    for k in range(5):
+        low = np.maximum(1.0 - xs - 0.2 * k, 0.0)
+        ok = low <= 1.0
+        v2 = np.array([f2(x) for x in np.maximum(low[ok], best2)])
+        least = min(least, float((v1[ok] + v2).min()) + f3(float(k)))
+    return least
+
+
+class TestConvexComponents:
+    """A component whose piece is convex on its whole domain is relaxed by
+    tangent rows on (x, sigma) alone; every other keeps its interval
+    binaries."""
+
+    @staticmethod
+    def one_piece_surrogate(piece):
+        inst = parse_instance("var x in [0, 3]; min x;")
+        return SurrogateMINLP(
+            constant=0.0,
+            linear={},
+            components=(SurrogateComponent("x", piece),),
+            variables=inst.variables,
+            constraint_rows=inst.constraint_rows,
+        )
+
+    @staticmethod
+    def bump(c):
+        """x^2 on [0, 3] as three quartics, c d^2 (1 - d)^2 added to the
+        middle one: the value and slope at every knot are x^2's. The middle
+        interval's least curvature, at its centre, is 2 - c, and the
+        Bernstein bound that ``interval_cuts`` tests is 2 - 4 c."""
+        coeffs = np.array([[0.0, 0.0, 1.0, 0.0, 0.0],
+                           [1.0, 2.0, 1.0 + c, -2.0 * c, c],
+                           [4.0, 4.0, 1.0, 0.0, 0.0]])
+        return PiecewisePoly(np.arange(4.0), coeffs)
+
+    def kept_binaries(self, piece):
+        """Whether the one-piece surrogate keeps every interval binary, as
+        the builder and ``solve`` report it, checked against the
+        reference rule."""
+        surr = self.one_piece_surrogate(piece)
+        builder = bnb._LPBuilder(surr, 1e-4)
+        kept = builder.convex_components == 0
+        assert kept == (not convex_piece_reference(surr.components[0]))
+        assert len(builder.y_cols) == (piece.k if kept else 0)
+        report = solve(surr, gap_tol=1e-6)
+        assert report.status == "optimal"
+        assert report.convex_components == builder.convex_components
+        xs = np.linspace(0.0, 3.0, 3001)
+        assert report.objective <= min(piece(x) for x in xs) + 1e-9
+        return kept
+
+    def test_a_nonconvex_interval_keeps_its_binaries(self):
+        assert not self.kept_binaries(self.bump(0.0))
+        assert not self.kept_binaries(self.bump(0.4))
+        # continuous with a continuous slope, but concave mid-interval
+        assert self.kept_binaries(self.bump(6.0))
+
+    def test_a_decreasing_slope_keeps_its_binaries(self):
+        bp = np.arange(4.0)
+        rising = np.array([[0.0, 1.0], [1.0, 1.5], [2.5, 2.0]])
+        assert not self.kept_binaries(PiecewisePoly(bp, rising))
+        # the slope falls from 1.5 to 0.5 at x = 2
+        falling = np.array([[0.0, 1.0], [1.0, 1.5], [2.5, 0.5]])
+        assert self.kept_binaries(PiecewisePoly(bp, falling))
+
+    def test_a_step_piece_keeps_its_binaries(self):
+        # the surrogate of test_incumbent_scored_with_the_lp_interval_at_a_knot
+        piece = PiecewisePoly(np.array([0.0, 0.25, 0.5, 0.75, 1.0]),
+                              np.array([[3.0], [1.0], [2.0], [2.5]]))
+        assert not convex_piece_reference(SurrogateComponent("x", piece))
+        inst = parse_instance("var x in [0, 1]; min x; st 0.5 - x <= 0;")
+        surr = SurrogateMINLP(0.0, {}, (SurrogateComponent("x", piece),),
+                              inst.variables, inst.constraint_rows)
+        builder = bnb._LPBuilder(surr, 1e-6)
+        assert builder.convex_components == 0 and len(builder.y_cols) == 4
+        assert solve(surr, gap_tol=1e-6).convex_components == 0
+
+    def test_lifted_integer_component_is_tangent_only_and_exact(self):
+        """A lifted integer piece, its zero-width closing interval included,
+        gets no interval columns; its segment lines give the piece at every
+        integer, and their maximum, the convex hull of the integer points,
+        between them."""
+        quadratic = PiecewisePoly(np.array([0.0, 6.0]), np.array([[0.5, -1.3, 0.4]]))
+        piece = integer_points_lift(quadratic, np.arange(0.0, 7.0))
+        assert piece.breakpoints[-1] == piece.breakpoints[-2]  # closing interval
+        inst = parse_instance("var n in [0, 6] integer; min n^2;")
+        surr = SurrogateMINLP(0.0, {}, (SurrogateComponent("n", piece),),
+                              inst.variables, inst.constraint_rows)
+        builder = bnb._LPBuilder(surr, 1e-4)
+        assert builder.convex_components == 1 and len(builder.y_cols) == 0
+        assert builder.ncols == 2  # n and sigma
+        for x in np.arange(0.0, 6.5, 0.5):
+            lower, upper = builder.lower.copy(), builder.upper.copy()
+            lower[0] = upper[0] = x
+            status, value, _ = bnb.relax_node(bnb._SharedLP(builder),
+                                              Node(0, lower, upper))
+            lo, hi = math.floor(x), math.ceil(x)
+            want = piece(lo) + (x - lo) * (piece(hi) - piece(lo))
+            assert status == "optimal"
+            assert value == pytest.approx(want, abs=1e-12)
+        report = solve(surr)
+        assert report.objective == min(piece(i) for i in range(7))
+
+    def test_rule_matches_the_reference_on_random_pieces(self):
+        """The builder's rule gives the reference's answer on random convex
+        pieces, on copies with a jump or a slope drop at one knot of 10
+        times the tolerance (not convex) or a tenth of it (convex), a slope
+        rise there (convex), and on copies with one interval made concave;
+        all of them components of one surrogate."""
+        comps, want = [], []
+        for seed, degree in enumerate((1, 2, 3) * 8):
+            piece = convex_piece(np.random.default_rng(seed), degree, 5, (0.0, 0.0))
+            tol = bnb.KNOT_TOL * max(1.0, np.abs(piece.coeffs).max())
+            comps.append(piece)
+            want.append(True)
+            for jump, drop, convex in ((10.0, 0.0, False), (-10.0, 0.0, False),
+                                       (0.1, 0.0, True), (0.0, 10.0, False),
+                                       (0.0, 0.1, True), (0.0, -10.0, True)):
+                kink = (jump * tol, drop * tol)
+                comps.append(convex_piece(np.random.default_rng(seed), degree, 5, kink))
+                want.append(convex)
+            if degree >= 2:
+                coeffs = piece.coeffs.copy()
+                coeffs[2, 2] = -1.0
+                comps.append(PiecewisePoly(piece.breakpoints, coeffs))
+                want.append(False)
+        comps = [SurrogateComponent(f"x{j}", piece) for j, piece in enumerate(comps)]
+        assert [convex_piece_reference(comp) for comp in comps] == want
+        inst = parse_instance("".join(f"var {c.var} in [0, 1];" for c in comps)
+                              + "min x0;")
+        builder = bnb._LPBuilder(
+            SurrogateMINLP(0.0, {}, tuple(comps), inst.variables, inst.constraint_rows),
+            1e-4)
+        spans = [builder.span(j) for j in range(len(comps))]
+        assert [span.start == span.stop for span in spans] == want
+        assert builder.convex_components == sum(want)
+
+    def test_a_capped_loop_on_a_convex_component_is_relaxed_again(self, monkeypatch):
+        """A node whose Kelley loop stops at KELLEY_CAP with the gap on
+        convex components, which have no interval to branch on, is relaxed
+        again as one child, its tangents kept, so the solve still closes
+        the gap (with a cap of 3 the root alone leaves it open)."""
+        monkeypatch.setattr(bnb, "KELLEY_CAP", 3)
+        for seed in range(3):
+            surr = random_convex_surrogate(seed)
+            report = solve(surr, gap_tol=1e-6)
+            assert report.kelley_cap_hits >= 2 and report.nodes > 1
+            assert report.status == "optimal"
+            want = convex_grid_min(surr)
+            assert abs(report.objective - want) <= 1e-6 * max(1.0, abs(want))
+
+    def test_root_bound_and_optimum_against_a_dense_grid(self):
+        """On random all-convex surrogates the root bound is at most the
+        dense grid's minimum and the optimum is within gap_tol of it."""
+        for seed in range(10):
+            surr = random_convex_surrogate(seed)
+            assert all(convex_piece_reference(comp) for comp in surr.components)
+            want = convex_grid_min(surr)
+            builder, _, lp = solved_root(surr)
+            assert builder.convex_components == 3 and len(builder.y_cols) == 0
+            root = lp.model.getObjectiveValue() + surr.constant
+            scale = max(1.0, abs(want))
+            assert root <= want + 1e-9 * scale
+            report = solve(surr, gap_tol=1e-4)
+            assert report.status == "optimal"
+            assert report.lower_bound <= want + 1e-9 * scale
+            assert abs(report.objective - want) <= 1e-4 * scale
 
 
 class TestNodeLPSolve:
@@ -1905,6 +2287,9 @@ class TestWarmStart:
         surrogates = [shipped_surrogate(name) for name in SHIPPED]
         surrogates += [random_surrogate(seed) for seed in range(3)]
         surrogates += coupled_surrogates()
+        # INT_COUPLED's components are convex, so its tree is small: a
+        # nonconvex tree of 13 nodes brings the nodes below a root
+        surrogates.append(surrogate_for(parse_instance(SPATIAL_4D), intervals=6))
         for surr in surrogates:
             pushed.clear()
             first.clear()
@@ -1935,42 +2320,57 @@ def highs_copy(model):
 
 def relax_node_per_key(lp, node):
     """``relax_node`` with the Kelley round evaluating phi and phi' one
-    convex key at a time with ``polyval``: the reference for the stacked
-    Horner evaluation."""
+    convex key at a time with ``polyval``: each Kelley interval, then each
+    convex component of degree 2 or more at the interval holding its x (y
+    taken as 1 and sigma as sp). The reference for the stacked Horner
+    evaluation."""
     builder = lp.builder
     surr = builder.surr
+    p = len(surr.components)
     lower, upper = node.lower, node.upper
     if (lower[: builder.nv] > upper[: builder.nv]).any():
         return "infeasible", math.inf, None
     kelley = lp.enter(node)
+    curved = [j for j, comp in enumerate(surr.components)
+              if comp.degree >= 2 and convex_piece_reference(comp)]
     found = []
     for rnd in range(bnb.KELLEY_CAP):
         status, fun, z = lp.solve()
         if status == "infeasible":
             return "infeasible", math.inf, None
         value = fun + surr.constant
-        new = []
+        # per key: (j, q, y, dev, sp, the range of dev)
+        keys = []
         for i in kelley.tolist():
-            j, q = interval_key(builder, i)
-            phi = deviation_poly(builder, i)
             y_col = builder.y_cols[i]
-            y = z[y_col]
-            dev = z[y_col + 1]
+            keys.append(interval_key(builder, i) + tuple(z[y_col : y_col + 3])
+                        + (lower[y_col + 1], upper[y_col + 1]))
+        for j in curved:
+            comp = surr.components[j]
+            x = z[builder.col_x[comp.var]]
+            positive = np.flatnonzero(comp.widths > 0.0)
+            at = np.searchsorted(comp.breakpoints[positive], x, side="right")
+            q = int(positive[max(at - 1, 0)])
+            keys.append((j, q, 1.0, x - comp.breakpoints[q], z[builder.ncols - p + j],
+                         0.0, comp.widths[q]))
+        new, gains = [], []
+        for j, q, y, dev, sp, lo, hi in keys:
+            phi = surr.components[j].piece.coeffs[q].copy()
+            phi[0] = 0.0
             c0 = surr.components[j].piece.coeffs[q][0]
-            gap = c0 * y + poly_val(phi, dev) - z[y_col + 2]
-            if gap <= 1e-10 * max(1.0, abs(z[y_col + 2])):
+            gap = c0 * y + poly_val(phi, dev) - sp
+            if gap <= 1e-10 * max(1.0, abs(sp)):
                 continue
-            col = y_col + 1
-            dev = min(max(dev, lower[col]), upper[col])
-            a = poly_val(poly_der(phi), dev)
-            new.append((i, a, poly_val(phi, dev) - a * dev))
+            at = min(max(dev, lo), hi)
+            a = poly_val(poly_der(phi), at)
+            b = poly_val(phi, at) - a * at
+            new.append((table_index(builder, j, q), a, b))
+            gains.append((c0 + b) * y + a * dev - sp)
         if not new:
             break
         index, a, b = zip(*new)
         new = bnb.Tangents(np.array(index), np.array(a), np.array(b))
-        col = builder.y_cols[new.index]
-        gain = np.sum((builder.c0[new.index] + new.b) * z[col] + new.a * z[col + 1]
-                      - z[col + 2])
+        gain = np.sum(gains)
         if gain <= builder.progress_tol * max(1.0, abs(value)):
             break
         if rnd == bnb.KELLEY_CAP - 1:
@@ -2113,7 +2513,8 @@ def surrogate_grid(surr, n=201):
 def tighten_root_reference(lp, ub):
     """``bnb._tighten_root`` as it was first written: the same cutoff row,
     zero costs and 2p LPs, by dual simplex, each from the basis the last
-    one left; the reference for the box the primal start gives."""
+    one left; the reference for the box the primal start gives. (Only a
+    multiple-choice interval can be fixed off.)"""
     builder, model, ncols = lp.builder, lp.model, lp.builder.ncols
     cols = np.flatnonzero(builder.obj).astype(np.int32)
     cutoff = np.array([model.getNumRow()], dtype=np.int32)
@@ -2124,7 +2525,7 @@ def tighten_root_reference(lp, ub):
     lower, upper = lp.lower.copy(), lp.upper.copy()
     integer = set(builder.int_cols.tolist())
     try:
-        for col in dict.fromkeys(builder.x_col.tolist()):
+        for col in [builder.col_x[comp.var] for comp in builder.surr.components]:
             for sense in (1.0, -1.0):
                 model.changeColCost(col, sense)
                 try:
@@ -2150,7 +2551,9 @@ def tighten_root_reference(lp, ub):
         model.changeColsCost(ncols, lp.cols, builder.obj)
     if (lower[: builder.nv] > upper[: builder.nv]).any():
         return None
-    out = (builder.right < lower[builder.x_col]) | (builder.left > upper[builder.x_col])
+    n = len(builder.y_cols)
+    x_col = builder.x_col[:n]
+    out = (builder.right[:n] < lower[x_col]) | (builder.left[:n] > upper[x_col])
     for col in builder.y_cols[out].tolist():
         lower[col : col + 3] = upper[col : col + 3] = 0.0
     return lower, upper
@@ -2190,9 +2593,9 @@ class TestTryIncumbent:
 class TestRootTightening:
     def test_no_point_below_the_cutoff_is_cut_off(self):
         """Every grid point of the surrogate whose value is at most the
-        cutoff lies in the tightened root box and in an interval that is
-        not fixed off; cutoffs are the root incumbent, the optimum and a
-        looser value."""
+        cutoff lies in the tightened root box and, for a multiple-choice
+        component, in an interval that is not fixed off; cutoffs are the
+        root incumbent, the optimum and a looser value."""
         surrs = [random_surrogate(seed, k) for seed in range(10) for k in (4, 8)]
         surrs += [shipped_surrogate(name) for name in SHIPPED]
         checked = narrowed = fixed_off = 0
@@ -2217,13 +2620,15 @@ class TestRootTightening:
                     col = builder.col_x[comp.var]
                     x = below[:, idx[comp.var]]
                     assert (lower[col] <= x).all() and (x <= upper[col]).all()
+                    narrowed += bool(lower[col] > builder.lower[col]
+                                     or upper[col] < builder.upper[col])
+                    if convex_piece_reference(comp):
+                        continue  # no interval to fix off
                     y = builder.y_cols[builder.span(j)]
                     live = upper[y] != 0.0
                     bp = comp.breakpoints
                     holds = (bp[:-1] <= x[:, None]) & (x[:, None] <= bp[1:])
                     assert (holds & live).any(axis=1).all()
-                    narrowed += bool(lower[col] > builder.lower[col]
-                                     or upper[col] < builder.upper[col])
                     fixed_off += int((~live).sum())
                 checked += len(below)
         assert checked >= 2000 and narrowed >= 100 and fixed_off >= 400

@@ -99,6 +99,7 @@ class TestSolve:
         assert re.search(r"^tighten LPs   \d+$", out, re.M)
         assert re.search(r"^tighten iters \d+$", out, re.M)
         assert re.search(r"^Kelley caps   \d+$", out, re.M)
+        assert re.search(r"^convex comps  \d+$", out, re.M)
         assert log.read_text().startswith("node,depth,lb,ub,gap_pct")
         lines = summary.read_text().splitlines()
         assert lines[0] == SOLVE_CSV_HEADER
@@ -139,6 +140,7 @@ class TestRun:
         assert re.search(r"^tighten LPs   \d+$", text, re.M)
         assert re.search(r"^tighten iters \d+$", text, re.M)
         assert re.search(r"^Kelley caps   \d+$", text, re.M)
+        assert re.search(r"^convex comps  \d+$", text, re.M)
         lines = out.read_text().splitlines()
         assert lines[0].startswith("instance,stage,")
         assert lines[-1].split(",")[1] == "total"

@@ -199,7 +199,7 @@ class TestCovariates:
         inst = parse_instance(
             "var a in [0,1]; var b in [0,1]; min 2*a + b^2 - 1;"
         )
-        const, coeffs, nonlinear = inst.complicating_split()
+        const, coeffs, nonlinear = inst.complicating_split
         assert const == -1.0
         assert coeffs == {"a": 2.0}
         env = {"a": 0.3, "b": 0.4}
@@ -215,7 +215,7 @@ def per_row_sample(instance, config, rounds=False):
     block sampler's rule)."""
     names = instance.covariates()
     boxes = covariate_domains(instance)
-    _, _, nonlinear = instance.complicating_split()
+    _, _, nonlinear = instance.complicating_split
     n = sample_training(instance, config).n
     rng = np.random.default_rng(config.seed)
     X, y = np.empty((n, len(names))), np.empty(n)
@@ -593,6 +593,38 @@ class TestRunMissoc:
             assert report.status == "optimal"
         exprs = [c.expr for c in inst.constraints]
         assert [e for e in top if any(e is c for c in exprs)] == exprs
+
+    def test_objective_split_once_per_instance(self, monkeypatch):
+        """``complicating_split`` splits g_0 on first use only: two runs of
+        one instance split it once, a second instance once more, and each
+        split equals a fresh ``split_affine`` with read-only containers."""
+        from missoc import expressions, problems
+
+        original = expressions.split_affine
+        split = []
+
+        def spy(expr):
+            split.append(expr)
+            return original(expr)
+
+        monkeypatch.setattr(problems, "split_affine", spy)
+        texts = (
+            "var x in [0, 1]; var n in [0, 3] integer;"
+            "min (x - 0.3)^2 + 0.5*n + 1; st n + x >= 0.5;",
+            "var a in [0, 1]; var b in [0, 1]; min 2*a + b^2 - 1;",
+        )
+        instances = [parse_instance(text) for text in texts]
+        for inst in (instances[0], instances[0], instances[1]):
+            report = problems.run_missoc(inst, self.small_cfg())
+            assert report.status == "optimal"
+        assert split == [inst.objective for inst in instances]
+        for inst in instances:
+            const, coeffs, nonlinear = inst.complicating_split
+            want = original(inst.objective)
+            assert (const, dict(coeffs), list(nonlinear)) == want
+            with pytest.raises(TypeError):
+                coeffs["x"] = 1.0
+            assert isinstance(nonlinear, tuple)
 
     @pytest.mark.parametrize("text", [
         "var x in [-inf, inf]; var y in [0, 1]; min x + y^2;",
